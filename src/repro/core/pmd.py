@@ -310,12 +310,15 @@ class DualChannelPmd(DpdkrPmd):
             for offset in range(ring_count):
                 index = (start + offset) % ring_count
                 ring = self.bypass_rx_rings[index]
-                if len(mbufs) < max_count:
-                    got = ring.dequeue_burst(max_count - len(mbufs))
-                else:
-                    got = []
-                smashed = 0
-                if got and None in got:
+                stats = self._rx_stats.get(id(ring))
+                if ring.is_empty or len(mbufs) >= max_count:
+                    # Nothing to take, which is most polls: publish
+                    # liveness and move on.
+                    if stats is not None:
+                        stats.heartbeat(0)
+                    continue
+                got = ring.dequeue_burst(max_count - len(mbufs))
+                if None in got:
                     # A corrupted slot surfaced at the consumer: there
                     # is nothing deliverable in it, so drop it — and
                     # flag the shared stats block, because once the
@@ -326,11 +329,10 @@ class DualChannelPmd(DpdkrPmd):
                     smashed = len(got) - len(clean)
                     got = clean
                     self.rx_integrity_drops += smashed
-                stats = self._rx_stats.get(id(ring))
+                    if stats is not None:
+                        stats.rx_integrity_errors += smashed
                 if stats is not None:
                     stats.heartbeat(len(got))
-                    if smashed:
-                        stats.rx_integrity_errors += smashed
                 if got:
                     if first_served is None:
                         first_served = index

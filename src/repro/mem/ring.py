@@ -228,6 +228,8 @@ class Ring:
 
     def dequeue_burst(self, max_count: int) -> List[Any]:
         """Dequeue up to ``max_count`` objects (possibly empty list)."""
+        if self._head == self._tail:
+            return []   # the common case on a polled ring
         count = min(max_count, len(self))
         if count == 0:
             return []

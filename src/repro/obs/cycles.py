@@ -163,7 +163,8 @@ class PmdCycleReport:
             total = busy_cycles + idle_cycles
             busy_pct = 100.0 * busy_cycles / total if total else 0.0
             lines.append("pmd thread %s:" % loop.name)
-            lines.append("  iterations: %d" % loop.iterations)
+            lines.append("  iterations: %d (%d idle)"
+                         % (loop.iterations, loop.idle_iterations))
             lines.append("  busy cycles: %d (%.1f%%)"
                          % (busy_cycles, busy_pct))
             lines.append("  idle cycles: %d (%.1f%%)"

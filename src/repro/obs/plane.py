@@ -134,6 +134,14 @@ class Observability:
         def collect_loops() -> Iterable[Sample]:
             for loop, stages in self._switch_loop_pairs(switch):
                 yield from _loop_samples(loop, stages)
+            env = getattr(switch, "env", None)
+            if env is not None:
+                yield Sample(
+                    "repro_engine_events_total", {"switch": name},
+                    float(env.events_processed), "counter",
+                    "events delivered by the engine that drives the "
+                    "switch (deterministic host-cost proxy)",
+                )
 
         self.registry.register_collector(collect_loops)
 
@@ -687,6 +695,9 @@ def _loop_samples(loop, stages: Optional[StageAccounting]
                  "simulated seconds the loop polled empty")
     yield Sample("repro_pollloop_iterations_total", dict(labels),
                  float(loop.iterations), "counter", "loop iterations")
+    yield Sample("repro_pollloop_idle_iterations_total", dict(labels),
+                 float(loop.idle_iterations), "counter",
+                 "loop iterations that found nothing to do")
     yield Sample("repro_pollloop_busy_cycles", dict(labels),
                  float(seconds_to_cycles(loop.busy_time)), "counter",
                  "busy cycles at %.1f GHz" % (CYCLES_PER_SECOND / 1e9))

@@ -27,7 +27,7 @@ class Event:
     """A one-shot event that callbacks / processes can wait on."""
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered",
-                 "_scheduled", "_processed")
+                 "_processed")
 
     PENDING = object()
 
@@ -37,7 +37,6 @@ class Event:
         self._value: Any = Event.PENDING
         self._ok = True
         self._triggered = False
-        self._scheduled = False
         self._processed = False
 
     @property
@@ -93,6 +92,34 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         env._schedule(self, delay=delay)
+
+
+class Timer(Event):
+    """A re-armable event: one object and one callback for any number of
+    firings.  ``name``/``is_alive`` mirror :class:`Process`, so a crash
+    surfaces through ``Environment.step`` the same way.  Nothing may
+    wait on a timer: it never carries a value.
+    """
+
+    __slots__ = ("name", "is_alive", "_armed")
+
+    def __init__(self, env: "Environment",
+                 callback: Callable[[Event], None], name: str) -> None:
+        super().__init__(env)
+        self.name = name
+        self.is_alive = True
+        self._triggered = True
+        self._armed = [callback]   # never mutated: step() only reads it
+
+    def arm(self, delay: float = 0.0) -> None:
+        """Fire the callback ``delay`` simulated seconds from now."""
+        self.callbacks = self._armed
+        self.env._schedule(self, delay)
+
+    def crash(self, exc: Exception) -> None:
+        """The owner died: ``step`` raises once the callback returns."""
+        self.is_alive = False
+        self.env._crashed.append((self, exc))
 
 
 class Process(Event):
@@ -260,6 +287,8 @@ class Environment:
         self._queue: List = []
         self._eid = 0
         self._crashed: List = []
+        # Deterministic host-cost counter: events step() has delivered.
+        self.events_processed = 0
 
     @property
     def now(self) -> float:
@@ -287,7 +316,6 @@ class Environment:
     # -- scheduling ----------------------------------------------------------
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        event._scheduled = True
         self._eid += 1
         heapq.heappush(self._queue, (self._now + delay, self._eid, event))
 
@@ -297,6 +325,7 @@ class Environment:
             raise SimulationError("no more events")
         when, _eid, event = heapq.heappop(self._queue)
         self._now = when
+        self.events_processed += 1
         event._processed = True
         callbacks, event.callbacks = event.callbacks, []
         for callback in callbacks:
@@ -318,12 +347,13 @@ class Environment:
             raise SimulationError(
                 "cannot run backwards: now=%g until=%g" % (self._now, until)
             )
-        while self._queue:
-            when = self._queue[0][0]
-            if until is not None and when > until:
-                self._now = until
-                return self._now
-            self.step()
-        if until is not None:
+        queue = self._queue
+        step = self.step   # every event is still dispatched through step
+        if until is None:
+            while queue:
+                step()
+        else:
+            while queue and queue[0][0] <= until:
+                step()
             self._now = until
         return self._now

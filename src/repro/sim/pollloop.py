@@ -11,7 +11,7 @@ event queue finite.
 from typing import Callable, Optional
 
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.sim.engine import Environment, Interrupt, Process
+from repro.sim.engine import Environment, Timer
 
 
 class PollLoop:
@@ -56,23 +56,35 @@ class PollLoop:
         self.busy_time = 0.0
         self.idle_time = 0.0
         self.iterations = 0
+        self.idle_iterations = 0   # those that found nothing to do
         # Window marks for sample_activity() (load-balancer sampling).
         self._busy_mark = 0.0
         self._idle_mark = 0.0
+        self._idle_delay = costs.idle_poll
         self._stopped = False
-        self.process: Optional[Process] = None
+        # The loop's one engine event; callers check its ``is_alive``.
+        self.process: Optional[Timer] = None
 
     def start(self) -> "PollLoop":
         if self.process is not None:
             raise RuntimeError("poll loop %r already started" % self.name)
-        self.process = self.env.process(self._run(), name=self.name)
+        if self._stopped:
+            raise RuntimeError(
+                "poll loop %r was stopped and cannot be restarted"
+                % self.name)
+        self.process = Timer(self.env, self._poll, self.name)
+        self.process.arm()
         return self
 
     def stop(self) -> None:
-        """Stop the loop at its next scheduling point."""
+        """Stop the loop: no iteration runs after this call.
+
+        The event already armed stays queued and fires as a no-op, so
+        stopping moves no other event's place in the queue.
+        """
         self._stopped = True
-        if self.process is not None and self.process.is_alive:
-            self.process.interrupt("stop")
+        if self.process is not None:
+            self.process.is_alive = False
 
     def reset_accounting(self) -> None:
         """Zero busy/idle counters (e.g. at a measurement window start)."""
@@ -102,30 +114,36 @@ class PollLoop:
             return 0.0
         return self.busy_time / total
 
-    def _run(self):
-        env = self.env
-        idle_cost = self.costs.idle_poll
-        idle_delay = idle_cost
-        period = self.period
-        try:
-            while not self._stopped:
-                cost = self.iteration()
-                self.iterations += 1
-                if period is not None:
-                    if cost > 0.0:
-                        self.busy_time += cost
-                    self.idle_time += max(period - cost, 0.0)
-                    yield env.timeout(max(cost, period))
-                elif cost > 0.0:
-                    self.busy_time += cost
-                    idle_delay = idle_cost
-                    yield env.timeout(cost)
-                else:
-                    self.idle_time += idle_delay
-                    yield env.timeout(idle_delay)
-                    idle_delay = min(idle_delay * 2, self.idle_backoff_max)
-        except Interrupt:
+    def _poll(self, timer: Timer) -> None:
+        """One firing: run an iteration, account its cost, re-arm.
+        Exactly one event is scheduled per iteration, after it ran:
+        every event's place in the queue depends on that."""
+        if self._stopped:
             return
+        try:
+            cost = self.iteration()
+        except Exception as exc:  # noqa: BLE001 - step() raises it
+            timer.crash(exc)
+            return
+        self.iterations += 1
+        period = self.period
+        if period is not None:
+            if cost > 0.0:
+                self.busy_time += cost
+            else:
+                self.idle_iterations += 1
+            self.idle_time += max(period - cost, 0.0)
+            timer.arm(max(cost, period))
+        elif cost > 0.0:
+            self.busy_time += cost
+            self._idle_delay = self.costs.idle_poll
+            timer.arm(cost)
+        else:
+            self.idle_iterations += 1
+            delay = self._idle_delay
+            self.idle_time += delay
+            timer.arm(delay)
+            self._idle_delay = min(delay * 2, self.idle_backoff_max)
 
     def __repr__(self) -> str:
         return "<PollLoop %s iters=%d util=%.2f>" % (

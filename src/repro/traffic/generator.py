@@ -72,38 +72,31 @@ class SourceApp:
         self._credit = 0.0
         self._last_credit_time = 0.0
 
-    def _now(self) -> float:
-        return self._env.now if self._env is not None else 0.0
-
-    def _in_on_phase(self) -> bool:
-        if self.on_time is None:
-            return True
-        period = self.on_time + self.off_time
-        return self._now() % period < self.on_time
-
-    def _allowance(self) -> int:
-        """Packets the rate limiter permits right now."""
-        if not self._in_on_phase():
+    def _allowance(self, now: float) -> int:
+        """Packets the rate limiter permits at ``now``."""
+        on_time = self.on_time
+        if on_time is not None and now % (on_time + self.off_time) >= on_time:
             # Off phase: no transmission, and no credit accrues — the
             # burst after an off phase is shaped by rate_pps, not by a
             # backlog of saved-up credit.
-            self._last_credit_time = self._now()
+            self._last_credit_time = now
             return 0
         if self.rate_pps is None:
             return self.burst_size
-        now = self._now()
-        self._credit += (now - self._last_credit_time) * self.rate_pps
+        credit = self._credit + (now - self._last_credit_time) * self.rate_pps
         self._last_credit_time = now
         # Never accumulate more than a couple of bursts of credit.
-        self._credit = min(self._credit, 4.0 * self.burst_size)
-        return int(self._credit)
+        self._credit = credit = min(credit, 4.0 * self.burst_size)
+        return int(credit)
 
     def iteration(self) -> float:
-        count = min(self._allowance(), self.burst_size,
-                    self.pool.available)
+        now = self._env.now if self._env is not None else 0.0
+        allowed = self._allowance(now)
+        if allowed <= 0:
+            return 0.0   # between two packets of a paced stream: most polls
+        count = min(allowed, self.burst_size, self.pool.available)
         if count <= 0:
             return 0.0
-        now = self._now()
         mbufs = self.pool.get_bulk(count)
         tracer = self.tracer
         for mbuf in mbufs:

@@ -52,6 +52,11 @@ from repro.vswitch.smc import SignatureMatchCache
 UpcallHandler = Callable[[Mbuf, int, str], None]
 
 
+def _free_upcall(mbuf: Mbuf, in_port: int, reason: str) -> None:
+    """The upcall handler of a datapath that has none: drop."""
+    mbuf.free()
+
+
 class Datapath:
     """Forwarding engine: lookup structures + action execution."""
 
@@ -247,12 +252,8 @@ class Datapath:
     def _dispatch_upcalls(self, stages=None) -> float:
         """Drain the bounded queue (end of the poll iteration), charging
         the slow-path cost per upcall actually served."""
-        queue = self.upcall_queue
-        handler = self.upcall_handler
-        if handler is None:
-            def handler(mbuf, in_port, reason):
-                mbuf.free()
-        dispatched = queue.dispatch(handler)
+        dispatched = self.upcall_queue.dispatch(
+            self.upcall_handler or _free_upcall)
         if not dispatched:
             return 0.0
         cost = self.costs.ovs_miss_upcall * dispatched
@@ -585,15 +586,11 @@ class Datapath:
 
     # -- the poll iteration body --------------------------------------------------------
 
-    def process_port(self, port: OvsPort,
+    def process_port(self, port: OvsPort, mbufs: List[Mbuf],
                      output_batches: Dict[int, List[Mbuf]],
                      stages=None) -> "tuple[float, int]":
-        """Poll one port; returns (cpu cost, packets processed)."""
-        if not port.up:
-            return 0.0, 0  # administratively down: leave the ring alone
-        mbufs = port.receive_burst(self.burst_size)
-        if not mbufs:
-            return 0.0, 0
+        """Run the non-empty burst ``mbufs`` just received from ``port``
+        through the pipeline; returns (cpu cost, packets processed)."""
         policer = self.policers.get(port.ofport)
         if policer is not None:
             mbufs = policer.filter_burst(mbufs)
@@ -822,30 +819,43 @@ class Datapath:
         return total_cost
 
     def process_ports(self, ports: List[OvsPort],
-                      stages=None, stages_for=None,
+                      stages=None, port_stages=None,
                       on_port_cost=None) -> float:
         """One full PMD iteration over ``ports``; returns total cpu cost.
 
-        ``stages_for(port)`` (optional) selects the stage table a given
-        port's work is attributed to — the vswitchd passes a tee over
-        the core table and the port's own table so the scheduler can
-        reattribute when ports move.  ``on_port_cost(port, cost,
-        packets)`` (optional) is called after each non-idle port poll;
-        the rxq load tracker samples per-(port, core) cycles there.
-        The final output flush is charged to ``stages`` only: tx work
-        is batched across ports and not attributable to one of them.
+        ``port_stages`` (optional, ofport -> stage table) selects the
+        table a given port's work is attributed to — the vswitchd passes
+        tees over the core table and the port's own table so the
+        scheduler can reattribute when ports move.
+        ``on_port_cost(ofport, cost, packets)`` (optional) is called
+        after each non-idle port poll; the rxq load tracker samples
+        per-(port, core) cycles there.  The final output flush is
+        charged to ``stages`` only: tx work is batched across ports and
+        not attributable to one of them.
+
+        An iteration that receives nothing does nothing else: most
+        iterations of a polling core are that one.
         """
         output_batches: Dict[int, List[Mbuf]] = {}
         total_cost = 0.0
+        burst_size = self.burst_size
         for port in ports:
-            port_stages = stages if stages_for is None else stages_for(port)
-            cost, count = self.process_port(port, output_batches,
-                                            stages=port_stages)
+            if not port.up:
+                continue  # administratively down: leave the ring alone
+            mbufs = port.receive_burst(burst_size)
+            if not mbufs:
+                continue
+            cost, count = self.process_port(
+                port, mbufs, output_batches,
+                stages if port_stages is None
+                else port_stages.get(port.ofport))
             if on_port_cost is not None and (cost or count):
-                on_port_cost(port, cost, count)
+                on_port_cost(port.ofport, cost, count)
             total_cost += cost
-        total_cost += self.flush_outputs(output_batches, stages=stages)
-        if self.upcall_queue is not None:
+        if output_batches:
+            total_cost += self.flush_outputs(output_batches, stages=stages)
+        queue = self.upcall_queue
+        if queue is not None and queue.depth:
             total_cost += self._dispatch_upcalls(stages=stages)
         return total_cost
 

@@ -8,6 +8,7 @@ the demo testbed ran OVS-DPDK with a single PMD core that every
 VM-to-VM hop had to share.
 """
 
+import functools
 from typing import Dict, List, Optional
 
 from repro.dpdk.dpdkr import DpdkrSharedRings
@@ -110,6 +111,11 @@ class VSwitchd:
         # with the owning core's table.
         self._port_stages: Dict[int, StageAccounting] = {}
         self._port_tees: Dict[int, StageTee] = {}
+        # Built once per core: a PMD iteration allocates no closures.
+        self._port_cost_hooks = [
+            self._port_cost_hook(core_index)
+            for core_index in range(n_pmd_cores)
+        ]
         self.auto_lb: Optional[AutoLoadBalancer] = (
             AutoLoadBalancer(self, auto_lb_policy) if auto_lb else None
         )
@@ -285,6 +291,15 @@ class VSwitchd:
             for core_index in range(self.n_pmd_cores)
         )
 
+    def _port_cost_hook(self, core_index: int):
+        """``core_index``'s feed into the scheduler's load tracker."""
+        record = self.scheduler.tracker.record
+
+        def on_port_cost(ofport: int, cost: float, packets: int) -> None:
+            record(ofport, core_index, cost, packets)
+
+        return on_port_cost
+
     def _core_iteration(self, core_index: int) -> float:
         """One PMD iteration for ``core_index``.
 
@@ -293,20 +308,11 @@ class VSwitchd:
         *and* the port's own table, and feeds measured per-port cost
         into the scheduler's load tracker.
         """
-        tracker = self.scheduler.tracker
-        port_tees = self._port_tees
-
-        def stages_for(port):
-            return port_tees.get(port.ofport)
-
-        def on_port_cost(port, cost, packets):
-            tracker.record(port.ofport, core_index, cost, packets)
-
         return self.datapath.process_ports(
             self._core_ports[core_index],
-            stages=self._core_stages[core_index],
-            stages_for=stages_for,
-            on_port_cost=on_port_cost,
+            self._core_stages[core_index],
+            self._port_tees,
+            self._port_cost_hooks[core_index],
         )
 
     def step_control(self) -> int:
@@ -340,7 +346,7 @@ class VSwitchd:
             loop = PollLoop(
                 self.env,
                 "%s.pmd%d" % (self.name, core_index),
-                self._make_pmd_iteration(core_index),
+                functools.partial(self._core_iteration, core_index),
                 costs=self.costs,
             ).start()
             self._pmd_loops.append(loop)
@@ -351,12 +357,6 @@ class VSwitchd:
             self.auto_lb.start(self.env)
         if self.overload is not None:
             self.overload.start(self.env)
-
-    def _make_pmd_iteration(self, core_index: int):
-        def iteration() -> float:
-            return self._core_iteration(core_index)
-
-        return iteration
 
     def _control_process(self):
         env = self.env

@@ -4,7 +4,7 @@ import pytest
 
 from repro.mem.mempool import Mempool
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, SimulationError
 from repro.sim.nic import NIC_10G_LINE_RATE_BPS, Nic, line_rate_pps
 from repro.sim.pollloop import PollLoop
 
@@ -57,9 +57,84 @@ class TestPollLoop:
     def test_double_start_rejected(self):
         env = Environment()
         loop = PollLoop(env, "t", lambda: 0.0).start()
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match="already started"):
             loop.start()
         loop.stop()
+
+    def test_start_after_stop_rejected(self):
+        # Used to "succeed" and never iterate: stop() before start()
+        # left the stop flag set for the generator to find.
+        env = Environment()
+        loop = PollLoop(env, "t", lambda: 0.0)
+        loop.stop()
+        with pytest.raises(RuntimeError, match="was stopped"):
+            loop.start()
+        assert loop.process is None
+        env.run(until=1e-5)
+        assert loop.iterations == 0
+
+    def test_stop_is_idempotent(self):
+        env = Environment()
+        loop = PollLoop(env, "t", lambda: 0.0)
+        loop.stop()
+        loop.stop()
+        running = PollLoop(env, "u", lambda: 0.0).start()
+        env.run(until=1e-6)
+        running.stop()
+        running.stop()
+        assert not running.process.is_alive
+        iterations = running.iterations
+        env.run(until=1e-4)
+        assert running.iterations == iterations
+
+    def test_stop_from_inside_the_iteration(self):
+        env = Environment()
+
+        def iteration():
+            if loop.iterations == 2:
+                loop.stop()   # the third iteration is the last
+            return 1e-6
+
+        loop = PollLoop(env, "t", iteration).start()
+        assert loop.process.is_alive
+        env.run(until=1e-4)
+        assert loop.iterations == 3
+        assert loop.busy_time == pytest.approx(3e-6)
+        assert not loop.process.is_alive
+
+    def test_crashing_iteration_surfaces_from_run(self):
+        env = Environment()
+
+        def iteration():
+            if env.now > 2e-6:
+                raise ValueError("ring on fire")
+            return 1e-6
+
+        loop = PollLoop(env, "pmd7", iteration).start()
+        with pytest.raises(SimulationError,
+                           match=r"process 'pmd7' crashed: "
+                                 r"ValueError\('ring on fire'\)") as caught:
+            env.run(until=1e-4)
+        assert isinstance(caught.value.__cause__, ValueError)
+        assert not loop.process.is_alive
+        assert loop.iterations == 3
+
+    def test_idle_iterations_count_zero_cost_polls(self):
+        env = Environment()
+        returned = []
+
+        def iteration():
+            returned.append([0.0, 1e-6, 0.0, 0.0, 2e-6][len(returned) % 5])
+            return returned[-1]
+
+        poller = PollLoop(env, "poller", iteration).start()
+        timer = PollLoop(env, "timer", lambda: 0.0, period=1e-5).start()
+        env.run(until=1e-4)
+        assert poller.iterations == len(returned) > 10
+        assert poller.idle_iterations == returned.count(0.0)
+        assert timer.idle_iterations == timer.iterations > 0
+        poller.reset_accounting()   # cumulative, like ``iterations``
+        assert poller.idle_iterations == returned.count(0.0)
 
     def test_stop_halts_loop(self):
         env = Environment()
