@@ -7,14 +7,27 @@ channel lifecycle through the compute agent:
   its :class:`~repro.core.stats.BypassStatsBlock`, then ask the agent to
   plug it into both VMs and reconfigure the PMDs (receiver before
   sender);
-* **teardown** — ask the agent to detach the sender, drain, detach the
-  receiver, unplug; afterwards release the zone.  The stats block is
-  retained forever so flow/port statistics stay correct.
+* **teardown** — ask the agent to stall the sender, detach the
+  receiver, re-home what is left in the ring, resume the sender and
+  unplug; afterwards release the zone.  The stats block is retained
+  forever so flow/port statistics stay correct.
 
-All operations run through a single FIFO worker (one compute agent, one
-request at a time), which also serializes the detect-while-establishing
-races: a link revoked mid-establishment is simply torn down right after
-it becomes active.
+Each procedure is written once, as a generator.  With an
+:class:`~repro.sim.engine.Environment` a single FIFO worker process runs
+them (one compute agent, one request at a time), which also serializes
+the detect-while-establishing races: a link revoked mid-establishment is
+simply torn down right after it becomes active.  Without one,
+:func:`~repro.sim.engine.run_to_completion` runs the same generator on
+the spot.  Only the leaf wait (:meth:`BypassManager._await_request`) and
+the policies that need a clock — flap damping, backoff and quarantine
+scheduling — look at ``env``.
+
+Every forced path (rollback of a failed attempt, the janitor after a
+failed teardown, the watchdog's live fallback, an endpoint VM dying)
+takes the channel down through the one
+:meth:`~repro.hypervisor.compute_agent.ComputeAgent.force_dismantle`,
+and every state change goes through :func:`_transition`, checked
+against :data:`LEGAL_TRANSITIONS`.
 
 The manager is **self-healing**: every establishment step runs under a
 timeout, failed attempts are rolled back (zones unplugged and freed,
@@ -32,7 +45,9 @@ by injecting faults through :class:`~repro.faults.FaultPlan`.
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import (
+    TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Set,
+)
 
 from repro.core.detector import P2PLink, P2PLinkDetector
 from repro.core.stats import BypassStatsBlock
@@ -46,7 +61,7 @@ from repro.hypervisor.compute_agent import AgentRequest, ComputeAgent
 from repro.mem.memzone import MemzoneError, MemzoneRegistry
 from repro.mem.ring import Ring, RingMode
 from repro.metrics.resilience import ResilienceCounters
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, run_to_completion
 from repro.vswitch.ports import DpdkrOvsPort
 from repro.vswitch.vswitchd import VSwitchd
 
@@ -61,6 +76,37 @@ class LinkState(enum.Enum):
     TEARING_DOWN = "tearing_down"
     REMOVED = "removed"
     QUARANTINED = "quarantined"
+
+
+# The lifecycle's legal edges.  A :class:`BypassLink` is one admission:
+# a retry re-enters ESTABLISHING on the same object, REMOVED is reached
+# from an orderly or forced teardown (TEARING_DOWN) or from an attempt
+# that will not be retried (ESTABLISHING), and a link held off the
+# highway passes through REMOVED — the removal hooks fire first — into
+# QUARANTINED.  Re-admission creates a fresh link.
+LEGAL_TRANSITIONS: Dict[LinkState, FrozenSet[LinkState]] = {
+    LinkState.PENDING: frozenset({LinkState.ESTABLISHING}),
+    LinkState.ESTABLISHING: frozenset({
+        LinkState.ESTABLISHING, LinkState.ACTIVE, LinkState.REMOVED}),
+    LinkState.ACTIVE: frozenset({LinkState.TEARING_DOWN}),
+    LinkState.TEARING_DOWN: frozenset({LinkState.REMOVED}),
+    LinkState.REMOVED: frozenset({LinkState.QUARANTINED}),
+    LinkState.QUARANTINED: frozenset(),
+}
+
+
+class IllegalTransition(RuntimeError):
+    """A lifecycle step tried an edge :data:`LEGAL_TRANSITIONS` lacks."""
+
+
+def _transition(bypass_link: "BypassLink", new_state: LinkState) -> None:
+    """The only place a link's state changes."""
+    if new_state not in LEGAL_TRANSITIONS[bypass_link.state]:
+        raise IllegalTransition(
+            "bypass %s -> %s: %s -> %s is not a lifecycle edge" % (
+                bypass_link.src_port_name, bypass_link.dst_port_name,
+                bypass_link.state.value, new_state.value))
+    bypass_link.state = new_state
 
 
 @dataclass(frozen=True)
@@ -193,7 +239,8 @@ class BypassManager:
         self.on_link_degraded: List[Callable] = []
         self.on_link_readmitted: List[Callable[[BypassLink], None]] = []
         self.on_readmission_deferred: List[Callable[[int], None]] = []
-        # FIFO worker queue (simulation mode).
+        # FIFO worker queue of (procedure, link), served by the worker
+        # process when there is a clock.
         self._ops: List = []
         self._ops_available = None
         self._worker = None
@@ -216,8 +263,7 @@ class BypassManager:
         # wired by NfvNode.  A crashed guest's leases ("vm:<name>") are
         # swept back into these pools by the crash handler.
         self.mempools: List = []
-        # Runtime health: periodic in simulation, check_once() in sync
-        # tests (mirroring the worker-vs-direct split above).
+        # Runtime health: periodic with a clock, check_once() without.
         self.watchdog = BypassWatchdog(self, watchdog_policy)
         if env is not None:
             self._ops_available = env.event()
@@ -334,7 +380,7 @@ class BypassManager:
         )
         self._active[link.src_ofport] = bypass_link
         self.history.append(bypass_link)
-        self._enqueue_op(("establish", bypass_link))
+        self._enqueue_op(self._establish, bypass_link)
 
     def _on_p2p_removed(self, link: P2PLink) -> None:
         record = self._quarantine.get(link.src_ofport)
@@ -352,17 +398,20 @@ class BypassManager:
         bypass_link.revoked = True
         bypass_link.t_teardown_started = self._now()
         if bypass_link.state == LinkState.ACTIVE:
-            self._enqueue_op(("teardown", bypass_link))
+            self._enqueue_op(self._teardown, bypass_link)
         # If still PENDING/ESTABLISHING, the worker notices `revoked`
         # right after establishment and queues the teardown itself.
 
     # -- operation execution ----------------------------------------------------------
 
-    def _enqueue_op(self, op) -> None:
+    def _enqueue_op(self, procedure, bypass_link: BypassLink) -> None:
+        """Run a lifecycle procedure under the driver this manager has:
+        queued behind the FIFO worker when there is a clock, to
+        completion right here when there is not."""
         if self.env is None:
-            self._run_op_sync(op)
+            run_to_completion(procedure(bypass_link))
             return
-        self._ops.append(op)
+        self._ops.append((procedure, bypass_link))
         if not self._ops_available.triggered:
             self._ops_available.succeed()
 
@@ -373,11 +422,18 @@ class BypassManager:
                 self._ops_available = env.event()
                 yield self._ops_available
                 continue
-            kind, bypass_link = self._ops.pop(0)
-            if kind == "establish":
-                yield from self._establish_sim(bypass_link)
-            else:
-                yield from self._teardown_sim(bypass_link)
+            procedure, bypass_link = self._ops.pop(0)
+            yield from procedure(bypass_link)
+
+    def _await_request(self, request: AgentRequest, timeout: float):
+        """The leaf wait: until the agent finishes or ``timeout`` passes.
+        Without a clock the request already ran to completion inside the
+        agent call that returned it."""
+        if self.env is not None:
+            yield self.env.any_of([
+                request.done_event,
+                self.env.timeout(timeout),
+            ])
 
     # provisioning --------------------------------------------------------------------
 
@@ -438,9 +494,9 @@ class BypassManager:
 
     # establish -----------------------------------------------------------------------
 
-    def _establish_sim(self, bypass_link: BypassLink):
+    def _establish(self, bypass_link: BypassLink):
         policy = self.retry_policy
-        bypass_link.state = LinkState.ESTABLISHING
+        _transition(bypass_link, LinkState.ESTABLISHING)
         bypass_link.attempts += 1
         if bypass_link.ring is None:
             error = self._provision(bypass_link)
@@ -456,15 +512,12 @@ class BypassManager:
             flow_id=bypass_link.link.flow_id,
         )
         bypass_link.setup_request = request
-        yield self.env.any_of([
-            request.done_event,
-            self.env.timeout(policy.request_timeout),
-        ])
+        yield from self._await_request(request, policy.request_timeout)
         if request.completed and request.error is None:
             self._mark_active(bypass_link)
             if bypass_link.revoked:
                 # Withdrawn while we were establishing: undo immediately.
-                yield from self._teardown_sim(bypass_link)
+                yield from self._teardown(bypass_link)
             return
         if not request.completed:
             # Some step was silently lost: give up on the request and
@@ -475,44 +528,11 @@ class BypassManager:
                 "establishment exceeded %.3fs" % policy.request_timeout,
             )
         else:
-            self.resilience.rpc_errors += 1
-        self._rollback_partial(bypass_link)
-        self._attempt_failed(bypass_link)
-
-    def _run_op_sync(self, op) -> None:
-        kind, bypass_link = op
-        if kind == "establish":
-            self._establish_once_sync(bypass_link)
-        else:
-            self._do_teardown_sync(bypass_link)
-
-    def _establish_once_sync(self, bypass_link: BypassLink) -> None:
-        bypass_link.state = LinkState.ESTABLISHING
-        bypass_link.attempts += 1
-        if bypass_link.ring is None:
-            error = self._provision(bypass_link)
-            if error is not None:
-                self.resilience.provision_failures += 1
-                self._attempt_failed(bypass_link)
-                return
-        self.resilience.establish_attempts += 1
-        request = self.agent.setup_bypass(
-            bypass_link.src_port_name,
-            bypass_link.dst_port_name,
-            bypass_link.zone_name,
-            flow_id=bypass_link.link.flow_id,
-        )
-        bypass_link.setup_request = request
-        if request.error is not None:
             # The agent aborted partway (fault injection, dead VM): the
             # link must not go ACTIVE on a half-configured channel.
             self.resilience.rpc_errors += 1
-            self._rollback_partial(bypass_link)
-            self._attempt_failed(bypass_link)
-            return
-        self._mark_active(bypass_link)
-        if bypass_link.revoked:
-            self._run_op_sync(("teardown", bypass_link))
+        self._rollback_partial(bypass_link)
+        self._attempt_failed(bypass_link)
 
     def _attempt_failed(self, bypass_link: BypassLink) -> None:
         """Decide what a failed attempt becomes: retry, quarantine, abort."""
@@ -526,7 +546,7 @@ class BypassManager:
         self.resilience.retries += 1
         if self.env is None:
             # No clock to back off against: re-attempt immediately.
-            self._run_op_sync(("establish", bypass_link))
+            self._enqueue_op(self._establish, bypass_link)
         else:
             self.env.process(
                 self._retry_later(bypass_link),
@@ -541,14 +561,14 @@ class BypassManager:
             self.resilience.links_abandoned += 1
             self._abort_establishment(bypass_link)
             return
-        self._enqueue_op(("establish", bypass_link))
+        self._enqueue_op(self._establish, bypass_link)
 
     def _endpoints_alive(self, bypass_link: BypassLink) -> bool:
         return (self.agent.is_port_alive(bypass_link.src_port_name)
                 and self.agent.is_port_alive(bypass_link.dst_port_name))
 
     def _mark_active(self, bypass_link: BypassLink) -> None:
-        bypass_link.state = LinkState.ACTIVE
+        _transition(bypass_link, LinkState.ACTIVE)
         bypass_link.t_active = self._now()
         record = self._quarantine.pop(bypass_link.link.src_ofport, None)
         if bypass_link.attempts > 1 or record is not None:
@@ -583,7 +603,7 @@ class BypassManager:
         self._quarantine_record(bypass_link, reason, heartbeat_mark)
         self.failed_links.append(bypass_link)
         self._finish_teardown(bypass_link)
-        bypass_link.state = LinkState.QUARANTINED
+        _transition(bypass_link, LinkState.QUARANTINED)
 
     def _quarantine_record(self, bypass_link: BypassLink, reason: str,
                            heartbeat_mark: Optional[int]
@@ -591,10 +611,9 @@ class BypassManager:
         """Create/refresh the key's record and schedule the re-attempt.
 
         Shared between :meth:`_enter_quarantine` (which also runs the
-        teardown bookkeeping) and the crash handler, whose emergency
-        teardown has *already* finished the link — running
-        ``_finish_teardown`` twice would double-fire the removal
-        callbacks.
+        teardown bookkeeping) and the crash handler, which has *already*
+        finished the link — running ``_finish_teardown`` twice would
+        double-fire the removal callbacks.
         """
         key = bypass_link.link.src_ofport
         record = self._quarantine.get(key)
@@ -698,20 +717,15 @@ class BypassManager:
                      verdict: HealthState) -> None:
         """Emergency live fallback: the watchdog found the channel sick.
 
-        The ordered-handover machinery run in reverse, synchronously (no
-        sim time passes, so nothing can interleave):
-
-        1. stall the sender (``TxState.STALLED`` — bursts refused with
-           ring-full semantics);
-        2. detach the receiver's bypass RX;
-        3. salvage everything still in the bypass ring onto the
-           receiver's *normal* channel, in ring order — receivers poll
-           the normal channel first, so salvaged packets are delivered
-           before anything the sender later pushes via the vSwitch;
-        4. resume the sender on the switch path;
-        5. unplug the zone from both endpoints and hand the link to the
-           quarantine ladder with the ``degraded`` reason (heartbeat-
-           gated automatic re-admission).
+        A forced dismantle (no sim time passes, so nothing can
+        interleave): stall the sender, detach the receiver, salvage
+        everything still in the bypass ring onto the receiver's *normal*
+        channel in ring order — receivers poll the normal channel first,
+        so salvaged packets are delivered before anything the sender
+        later pushes via the vSwitch; a smashed slot is counted lost —
+        resume the sender on the switch path, unplug the zone from both
+        endpoints.  The link then goes to the quarantine ladder with the
+        ``degraded`` reason (heartbeat-gated automatic re-admission).
 
         Zero loss toward a living receiver, zero reordering — the same
         guarantee orderly teardown gives, under failure.
@@ -738,68 +752,23 @@ class BypassManager:
             self.xfsm_state_migrations += 1
         for callback in self.on_link_degraded:
             callback(bypass_link, verdict)
-        bypass_link.state = LinkState.TEARING_DOWN
+        _transition(bypass_link, LinkState.TEARING_DOWN)
         bypass_link.t_teardown_started = self._now()
-        src = bypass_link.src_port_name
-        dst = bypass_link.dst_port_name
-        src_alive = self.agent.is_port_alive(src)
-        dst_alive = self.agent.is_port_alive(dst)
-        if src_alive:
-            self._try_direct_command(src, "detach_bypass",
-                                     bypass_link.zone_name, "tx",
-                                     stall=True)
-        if dst_alive:
-            # A frozen consumer still executes host-delivered control
-            # commands: the wedge is in the app's poll loop, the PMD
-            # state lives in shared memory the host can fix up.
-            self._try_direct_command(dst, "detach_bypass",
-                                     bypass_link.zone_name, "rx")
-        leftovers = (bypass_link.ring.drain()
-                     if bypass_link.ring is not None else [])
-        # A CORRUPT verdict means some occupied slot may hold None (the
-        # smashed packet): it is unrecoverable — counted lost, never
-        # forwarded to the receiver as garbage.
-        smashed = sum(1 for mbuf in leftovers if mbuf is None)
-        if smashed:
-            self.packets_lost_to_failures += smashed
-            leftovers = [mbuf for mbuf in leftovers if mbuf is not None]
-        if leftovers:
-            salvaged = 0
-            if dst_alive and self.heartbeat_zone_present(dst):
-                from repro.dpdk.dpdkr import dpdkr_zone_name
-
-                zone = self.registry.lookup(dpdkr_zone_name(dst))
-                salvaged = zone.get("rx").enqueue_burst(leftovers)
-                res.packets_salvaged += salvaged
-            for mbuf in leftovers[salvaged:]:
-                self.packets_lost_to_failures += 1
-                mbuf.free()
-        if src_alive:
-            self._try_direct_command(src, "resume_tx",
-                                     bypass_link.zone_name, "tx")
-        if (bypass_link.zone_name is not None
-                and bypass_link.zone_name in self.registry):
-            zone = self.registry.lookup(bypass_link.zone_name)
-            for port_name in (src, dst):
-                owner = self.agent.owner_of(port_name)
-                if owner in zone.mapped_by and owner in \
-                        self.agent.hypervisor.vms:
-                    self.agent.hypervisor.force_unplug(
-                        owner, bypass_link.zone_name
-                    )
+        res.packets_salvaged += self._force_dismantle(bypass_link)
         self._enter_quarantine(
             bypass_link,
             reason=("peer_crashed" if verdict == HealthState.PEER_CRASHED
                     else "degraded"),
-            heartbeat_mark=self.consumer_heartbeat_epoch(dst),
+            heartbeat_mark=self.consumer_heartbeat_epoch(
+                bypass_link.dst_port_name),
         )
 
     # teardown ------------------------------------------------------------------------
 
-    def _teardown_sim(self, bypass_link: BypassLink):
+    def _teardown(self, bypass_link: BypassLink):
         if bypass_link.state != LinkState.ACTIVE:
             return
-        bypass_link.state = LinkState.TEARING_DOWN
+        _transition(bypass_link, LinkState.TEARING_DOWN)
         request = self.agent.teardown_bypass(
             bypass_link.src_port_name,
             bypass_link.dst_port_name,
@@ -807,114 +776,61 @@ class BypassManager:
             ring=bypass_link.ring,
         )
         bypass_link.teardown_request = request
-        yield self.env.any_of([
-            request.done_event,
-            self.env.timeout(self.retry_policy.teardown_timeout),
-        ])
+        yield from self._await_request(
+            request, self.retry_policy.teardown_timeout)
         if not request.completed:
             self.resilience.timeouts += 1
-            self.resilience.teardown_failures += 1
             self.agent.cancel(
                 request,
                 "teardown exceeded %.3fs" % self.retry_policy.teardown_timeout,
             )
-            self._janitor_teardown(bypass_link)
-        elif request.error is not None:
-            self.resilience.teardown_failures += 1
-            self._janitor_teardown(bypass_link)
-        self._finish_teardown(bypass_link)
-
-    def _do_teardown_sync(self, bypass_link: BypassLink) -> None:
-        if bypass_link.state != LinkState.ACTIVE:
-            return
-        bypass_link.state = LinkState.TEARING_DOWN
-        request = self.agent.teardown_bypass(
-            bypass_link.src_port_name,
-            bypass_link.dst_port_name,
-            bypass_link.zone_name,
-            ring=bypass_link.ring,
-        )
-        bypass_link.teardown_request = request
         if request.error is not None:
+            # Timed out (cancel() recorded why) or aborted partway.
+            # Ordering is best-effort at this point; the priority is
+            # that no guest keeps a mapping and no PMD stays wedged on a
+            # dead channel.
             self.resilience.teardown_failures += 1
-            self._janitor_teardown(bypass_link)
+            self._force_dismantle(bypass_link)
         self._finish_teardown(bypass_link)
 
     # failure cleanup -------------------------------------------------------------------
 
-    def _try_direct_command(self, port_name: str, command: str,
-                            zone_name: Optional[str], role: str,
-                            **extra) -> None:
-        """Best-effort direct PMD command for rollback/janitor paths.
-
-        Delivered host-side (no serial channel, no fault injection); a
-        guest that never reached the state being undone simply rejects
-        the command, which is exactly the don't-care case.  ``extra``
-        rides along in the message args (e.g. ``stall=True`` for the
-        degrade path's ordered stall).
-        """
-        from repro.dpdk.virtio_serial import ControlMessage
-
-        if not self.agent.is_port_alive(port_name):
-            return
-        vm = self.agent.hypervisor.vms.get(self.agent.owner_of(port_name))
-        if vm is None:
-            return
-        args = {
-            "request_id": -1,
-            "port_name": port_name,
-            "zone_name": zone_name,
-            "role": role,
-        }
-        args.update(extra)
-        try:
-            vm.serial.guest_handler(ControlMessage(command, args))
-        except Exception:  # noqa: BLE001 - nothing was attached: done
-            pass
+    def _force_dismantle(self, bypass_link: BypassLink,
+                         rehome: bool = True) -> int:
+        """Take the channel down host-side, now; returns the number of
+        ring leftovers re-homed onto the receiver's normal channel (the
+        rest are added to :attr:`packets_lost_to_failures`)."""
+        salvaged, lost = self.agent.force_dismantle(
+            bypass_link.src_port_name, bypass_link.dst_port_name,
+            bypass_link.zone_name, bypass_link.ring, rehome=rehome,
+        )
+        self.packets_lost_to_failures += lost
+        return salvaged
 
     def _rollback_partial(self, bypass_link: BypassLink) -> None:
         """Undo whatever a failed establishment attempt left behind.
 
         The attempt may have died at any step: zones plugged into one or
         both VMs, the receiver configured, even the sender configured
-        with only the completion reply lost.  Detach both PMD sides,
-        count and free any packets stranded in the attempt's ring,
-        unplug surviving mappings and release the zone.  Idempotent —
-        abort paths may run it after a retry path already has.
+        with only the completion reply lost.  Dismantle it, release the
+        zone and force the next attempt to provision afresh.  Packets
+        the sender already pushed into the attempt's ring are counted
+        lost and freed: a rollback abandons the attempt, it does not
+        hand it over.  Idempotent — abort paths may run it after a retry
+        path already has.
         """
         self.resilience.rollbacks += 1
-        # Detach before unplugging: the receiver resolves the ring
-        # through the still-mapped zone.
-        self._try_direct_command(bypass_link.dst_port_name, "detach_bypass",
-                                 bypass_link.zone_name, "rx")
-        self._try_direct_command(bypass_link.src_port_name, "detach_bypass",
-                                 bypass_link.zone_name, "tx")
-        if bypass_link.ring is not None:
-            for mbuf in bypass_link.ring.drain():
-                # The sender reached the bypass before the attempt was
-                # abandoned; with the receiver detached these packets
-                # are unrecoverable.
-                self.packets_lost_to_failures += 1
-                mbuf.free()
+        self._force_dismantle(bypass_link, rehome=False)
         if (bypass_link.zone_name is not None
-                and bypass_link.zone_name in self.registry):
-            zone = self.registry.lookup(bypass_link.zone_name)
-            for port_name in (bypass_link.src_port_name,
-                              bypass_link.dst_port_name):
-                owner = self.agent.owner_of(port_name)
-                if owner in zone.mapped_by and owner in \
-                        self.agent.hypervisor.vms:
-                    self.agent.hypervisor.force_unplug(
-                        owner, bypass_link.zone_name
-                    )
-            if not zone.mapped_by:
-                self.registry.free(bypass_link.zone_name)
-                if (bypass_link.stats is not None
-                        and bypass_link.stats.tx_packets == 0
-                        and bypass_link.stats in self.stats_blocks):
-                    # The attempt carried nothing; no counters to retain.
-                    self.stats_blocks.remove(bypass_link.stats)
-        # Force the next attempt to provision afresh.
+                and bypass_link.zone_name in self.registry
+                and not self.registry.lookup(
+                    bypass_link.zone_name).mapped_by):
+            self.registry.free(bypass_link.zone_name)
+            if (bypass_link.stats is not None
+                    and bypass_link.stats.tx_packets == 0
+                    and bypass_link.stats in self.stats_blocks):
+                # The attempt carried nothing; no counters to retain.
+                self.stats_blocks.remove(bypass_link.stats)
         bypass_link.ring = None
 
     def _abort_establishment(self, bypass_link: BypassLink) -> None:
@@ -924,48 +840,8 @@ class BypassManager:
         self.failed_links.append(bypass_link)
         self._finish_teardown(bypass_link)
 
-    def _janitor_teardown(self, bypass_link: BypassLink) -> None:
-        """Forcibly dismantle a channel whose orderly teardown failed.
-
-        Ordering is best-effort at this point; the priority is that no
-        guest keeps a mapping and no PMD stays wedged on a dead channel.
-        """
-        self._try_direct_command(bypass_link.src_port_name, "detach_bypass",
-                                 bypass_link.zone_name, "tx")
-        self._try_direct_command(bypass_link.src_port_name, "resume_tx",
-                                 bypass_link.zone_name, "tx")
-        self._try_direct_command(bypass_link.dst_port_name, "detach_bypass",
-                                 bypass_link.zone_name, "rx")
-        leftovers = (bypass_link.ring.drain()
-                     if bypass_link.ring is not None else [])
-        if leftovers:
-            salvaged = 0
-            if (self.agent.is_port_alive(bypass_link.dst_port_name)
-                    and self.heartbeat_zone_present(
-                        bypass_link.dst_port_name)):
-                from repro.dpdk.dpdkr import dpdkr_zone_name
-
-                zone = self.registry.lookup(
-                    dpdkr_zone_name(bypass_link.dst_port_name)
-                )
-                salvaged = zone.get("rx").enqueue_burst(leftovers)
-            for mbuf in leftovers[salvaged:]:
-                self.packets_lost_to_failures += 1
-                mbuf.free()
-        if (bypass_link.zone_name is not None
-                and bypass_link.zone_name in self.registry):
-            zone = self.registry.lookup(bypass_link.zone_name)
-            for port_name in (bypass_link.src_port_name,
-                              bypass_link.dst_port_name):
-                owner = self.agent.owner_of(port_name)
-                if owner in zone.mapped_by and owner in \
-                        self.agent.hypervisor.vms:
-                    self.agent.hypervisor.force_unplug(
-                        owner, bypass_link.zone_name
-                    )
-
     def _finish_teardown(self, bypass_link: BypassLink) -> None:
-        bypass_link.state = LinkState.REMOVED
+        _transition(bypass_link, LinkState.REMOVED)
         bypass_link.t_removed = self._now()
         current = self._active.get(bypass_link.link.src_ofport)
         if current is bypass_link:
@@ -1008,22 +884,29 @@ class BypassManager:
             if (bypass_link.src_port_name not in dead_ports
                     and bypass_link.dst_port_name not in dead_ports):
                 continue
-            if bypass_link.state == LinkState.ACTIVE:
-                self._emergency_teardown(bypass_link, dead_ports)
-                if crashed:
-                    # If the detector later withdraws the rule, the
-                    # scheduled re-attempt notices and drops the record.
-                    self._quarantine_record(
-                        bypass_link, "peer_crashed",
-                        self.consumer_heartbeat_epoch(
-                            bypass_link.dst_port_name),
-                    )
-                    bypass_link.state = LinkState.QUARANTINED
-            else:
+            if bypass_link.state != LinkState.ACTIVE:
                 # Mid-establishment: the agent's in-flight request fails
                 # (dead-VM guards / failed reply events) and the worker
                 # aborts the link when it resumes.
                 bypass_link.revoked = True
+                continue
+            _transition(bypass_link, LinkState.TEARING_DOWN)
+            bypass_link.revoked = True
+            bypass_link.t_teardown_started = self._now()
+            # A dead receiver loses the ring's contents; a dead sender
+            # poses no ordering hazard, so the survivor gets them.
+            self._force_dismantle(bypass_link)
+            self.failed_links.append(bypass_link)
+            self._finish_teardown(bypass_link)
+            if crashed:
+                # If the detector later withdraws the rule, the
+                # scheduled re-attempt notices and drops the record.
+                self._quarantine_record(
+                    bypass_link, "peer_crashed",
+                    self.consumer_heartbeat_epoch(
+                        bypass_link.dst_port_name),
+                )
+                _transition(bypass_link, LinkState.QUARANTINED)
         if crashed:
             self.resilience.peer_crashes += 1
             self._reclaim_dead_holder(vm_name)
@@ -1034,76 +917,6 @@ class BypassManager:
         for pool in self.mempools:
             report = pool.reclaim(holder)
             self.resilience.mbufs_reclaimed += report.reclaimed
-
-    def _emergency_teardown(self, bypass_link: BypassLink,
-                            dead_ports) -> None:
-        from repro.dpdk.virtio_serial import ControlMessage
-
-        hypervisor = self.agent.hypervisor
-        ring = bypass_link.ring
-        src_dead = bypass_link.src_port_name in dead_ports
-        dst_dead = bypass_link.dst_port_name in dead_ports
-        bypass_link.state = LinkState.TEARING_DOWN
-        bypass_link.revoked = True
-        bypass_link.t_teardown_started = self._now()
-
-        was_established = (bypass_link.setup_request is not None
-                           and bypass_link.setup_request.completed
-                           and bypass_link.setup_request.error is None)
-        if not src_dead and was_established:
-            self._direct_pmd_command(
-                bypass_link.src_port_name, ControlMessage(
-                    "detach_bypass",
-                    {"request_id": -1,
-                     "port_name": bypass_link.src_port_name,
-                     "zone_name": bypass_link.zone_name, "role": "tx"},
-                )
-            )
-        if dst_dead:
-            # The receiver is gone: whatever sits in the ring is lost.
-            for mbuf in ring.drain():
-                self.packets_lost_to_failures += 1
-                mbuf.free()
-        elif was_established:
-            # The sender is gone: no ordering hazard, salvage leftovers
-            # onto the survivor's normal channel, then detach it.
-            leftovers = ring.drain()
-            if leftovers:
-                accepted = 0
-                if self.heartbeat_zone_present(bypass_link.dst_port_name):
-                    from repro.dpdk.dpdkr import dpdkr_zone_name
-
-                    zone = self.registry.lookup(
-                        dpdkr_zone_name(bypass_link.dst_port_name)
-                    )
-                    accepted = zone.get("rx").enqueue_burst(leftovers)
-                for mbuf in leftovers[accepted:]:
-                    self.packets_lost_to_failures += 1
-                    mbuf.free()
-            self._direct_pmd_command(
-                bypass_link.dst_port_name, ControlMessage(
-                    "detach_bypass",
-                    {"request_id": -1,
-                     "port_name": bypass_link.dst_port_name,
-                     "zone_name": bypass_link.zone_name, "role": "rx"},
-                )
-            )
-        # Release the survivor's mapping; the dead VM's mapping was
-        # already dropped by destroy_vm / crash_vm.
-        if bypass_link.zone_name in self.registry:
-            zone = self.registry.lookup(bypass_link.zone_name)
-            for port_name in (bypass_link.src_port_name,
-                              bypass_link.dst_port_name):
-                owner = self.agent.owner_of(port_name)
-                if owner in zone.mapped_by:
-                    hypervisor.force_unplug(owner, bypass_link.zone_name)
-        self.failed_links.append(bypass_link)
-        self._finish_teardown(bypass_link)
-
-    def _direct_pmd_command(self, port_name: str, message) -> None:
-        """Deliver a control message to a (living) guest immediately."""
-        vm = self.agent.hypervisor.vms[self.agent.owner_of(port_name)]
-        vm.serial.guest_handler(message)
 
     # port flags ------------------------------------------------------------------------
 

@@ -15,6 +15,13 @@ vSwitch:
   sender onto the vSwitch path, then unplug the device from both VMs —
   no packet is lost or reordered.
 
+Each procedure is written once, as a generator, and run by one of two
+drivers: an engine process when the agent has an
+:class:`~repro.sim.engine.Environment`, :func:`run_to_completion` when
+it does not.  Only the leaf waits know which.  A third entry point,
+:meth:`ComputeAgent.force_dismantle`, is the host-side janitor every
+failure path uses when no protocol can run.
+
 Every request records a stage-by-stage timeline; the setup-time
 experiment (paper: ~100 ms from p-2-p recognition to the PMD using the
 bypass) reads those timestamps.
@@ -22,13 +29,13 @@ bypass) reads those timestamps.
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.dpdk.virtio_serial import ControlMessage
 from repro.hypervisor.qemu import Hypervisor, HypervisorError, VirtualMachine
 from repro.mem.ring import Ring
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.sim.engine import Environment, Event
+from repro.sim.engine import Environment, Event, run_to_completion
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults import FaultPlan
@@ -86,10 +93,10 @@ class ComputeAgent:
         self.faults = faults
         self._port_owner: Dict[str, str] = {}
         self._pending_replies: Dict[int, Event] = {}
-        # Sync mode: replies actually *delivered* back to the host,
-        # keyed by reply id (a dropped reply never lands here even
+        # Without a clock: replies actually *delivered* back to the
+        # host, keyed by reply id (a dropped reply never lands here even
         # though the send was logged).
-        self._sync_replies: Dict[int, ControlMessage] = {}
+        self._delivered_replies: Dict[int, ControlMessage] = {}
         self._reply_serial = itertools.count(1)
         self.requests: list = []
         self.dead_vms: set = set()
@@ -170,16 +177,7 @@ class ComputeAgent:
         """
         request = self._new_request("setup", src_port_name, dst_port_name,
                                     zone_name, flow_id=flow_id)
-        if self.env is None:
-            try:
-                self._setup_sync(request)
-            except Exception as error:  # noqa: BLE001 - surfaced via .error
-                request.error = str(error)
-                request.completed = True
-        else:
-            self.env.process(self._setup_process(request),
-                             name="agent.setup.%d" % request.request_id)
-        return request
+        return self._start(request, self._setup_steps(request))
 
     def teardown_bypass(
         self,
@@ -191,16 +189,7 @@ class ComputeAgent:
         """Remove a bypass, losing none of the packets still in ``ring``."""
         request = self._new_request("teardown", src_port_name,
                                     dst_port_name, zone_name)
-        if self.env is None:
-            try:
-                self._teardown_sync(request, ring)
-            except Exception as error:  # noqa: BLE001 - surfaced via .error
-                request.error = str(error)
-                request.completed = True
-        else:
-            self.env.process(self._teardown_process(request, ring),
-                             name="agent.teardown.%d" % request.request_id)
-        return request
+        return self._start(request, self._teardown_steps(request, ring))
 
     def _new_request(self, kind: str, src: str, dst: str, zone_name: str,
                      flow_id: Optional[int] = None) -> AgentRequest:
@@ -217,6 +206,27 @@ class ComputeAgent:
             request.done_event = self.env.event()
         self.requests.append(request)
         return request
+
+    def _start(self, request: AgentRequest, steps) -> AgentRequest:
+        """Run ``steps`` under the driver this agent has: an engine
+        process when there is a clock, to completion right here when
+        there is not."""
+        body = self._serve(request, steps)
+        if self.env is None:
+            run_to_completion(body)
+        else:
+            self.env.process(body, name="agent.%s.%d"
+                             % (request.kind, request.request_id))
+        return request
+
+    def _serve(self, request: AgentRequest, steps):
+        try:
+            yield from steps
+        except Exception as error:  # noqa: BLE001 - surfaced via .error
+            request.error = str(error)
+        request.completed = True
+        if request.done_event is not None:
+            request.done_event.succeed(request)
 
     def _now(self) -> float:
         return self.env.now if self.env is not None else 0.0
@@ -242,36 +252,6 @@ class ComputeAgent:
         if request.cancelled:
             raise RequestCancelled(request.error or "request cancelled")
 
-    def _inject(self, point: str, sync: bool = False):
-        """Fire the fault plan at an agent RPC point.
-
-        Simulation mode: a generator to ``yield from``.  DROP parks the
-        request forever (only the caller's timeout recovers), DELAY
-        stretches it, ERROR/CRASH raise.  Sync mode surfaces DROP as an
-        error because nothing can hang synchronously.
-        """
-        if self.faults is None:
-            return () if sync else iter(())
-        from repro.faults import FaultMode
-
-        action = self.faults.fire(point)
-        if action is None:
-            return () if sync else iter(())
-        if action.mode in (FaultMode.ERROR, FaultMode.CRASH):
-            raise HypervisorError(action.message)
-        if sync:
-            if action.mode is FaultMode.DROP:
-                raise HypervisorError(action.message)
-            return ()  # DELAY without a clock is a no-op
-
-        def _effects():
-            if action.mode is FaultMode.DELAY:
-                yield self.env.timeout(action.delay)
-            elif action.mode is FaultMode.DROP:
-                yield self.env.event()  # never fires
-
-        return _effects()
-
     def _fire_setup_crash(self, request: AgentRequest) -> None:
         """The ``vm.crash_during_setup`` injection point.
 
@@ -294,235 +274,66 @@ class ComputeAgent:
         if victim in self.hypervisor.vms:
             self.hypervisor.crash_vm(victim)
 
-    @staticmethod
-    def _check_reply(reply) -> None:
-        """Fail the request when the guest NACKed a PMD command."""
-        if isinstance(reply, ControlMessage) and reply.command == "error":
-            raise HypervisorError(
-                "PMD rejected command: %s"
-                % reply.args.get("reason", "unknown error")
-            )
+    # -- leaf waits: the only code that differs between the two drivers ------
+    #
+    # Each is a generator to ``yield from``.  With an environment it
+    # yields the engine event to wait on; without one it finishes
+    # without yielding, because there the awaited work already ran
+    # synchronously inside the call that started it.
 
-    # -- synchronous execution (unit tests, env-less deployments) ------------------
+    def _inject(self, point: str):
+        """Fire the fault plan at an agent RPC point.
 
-    def _setup_sync(self, request: AgentRequest) -> None:
-        self._inject("agent.rpc.send", sync=True)
-        for port_name in (request.src_port_name, request.dst_port_name):
-            self.hypervisor.plug_ivshmem(self.owner_of(port_name),
-                                         request.zone_name)
-        self._fire_setup_crash(request)
-        self._send_pmd_command_checked(
-            self._vm_of(request.dst_port_name), "attach_bypass",
-            request.dst_port_name, request, role="rx")
-        request.t_rx_configured = self._now()
-        self._send_pmd_command_checked(
-            self._vm_of(request.src_port_name), "attach_bypass",
-            request.src_port_name, request, role="tx")
-        request.t_tx_configured = self._now()
-        self._inject("agent.rpc.reply", sync=True)
-        request.completed = True
-
-    def _teardown_sync(self, request: AgentRequest, ring: Ring) -> None:
-        self._inject("agent.rpc.send", sync=True)
-        self._send_pmd_command_checked(
-            self._vm_of(request.src_port_name), "detach_bypass",
-            request.src_port_name, request, role="tx", stall=True)
-        self._send_pmd_command_checked(
-            self._vm_of(request.dst_port_name), "detach_bypass",
-            request.dst_port_name, request, role="rx")
-        request.salvaged_packets = self._salvage(request, ring)
-        self._send_pmd_command_checked(
-            self._vm_of(request.src_port_name), "resume_tx",
-            request.src_port_name, request, role="tx")
-        for port_name in (request.src_port_name, request.dst_port_name):
-            self.hypervisor.unplug_ivshmem(self.owner_of(port_name),
-                                           request.zone_name)
-        self._inject("agent.rpc.reply", sync=True)
-        request.completed = True
-
-    def _salvage(self, request: AgentRequest, ring: Ring) -> int:
-        """Re-home packets stuck in a bypass ring onto the normal channel.
-
-        Returns the number actually delivered; an overflowing normal
-        ring (receiver badly behind) costs the tail of the salvage,
-        counted separately in ``request.lost_packets`` — reporting those
-        as salvaged would hide real loss from the teardown's caller.
+        ERROR/CRASH raise.  With a clock DELAY stretches the request and
+        DROP parks it forever (only the caller's timeout recovers);
+        without one DELAY is a no-op and DROP surfaces as an error,
+        because nothing can hang synchronously.
         """
-        from repro.dpdk.dpdkr import dpdkr_zone_name
+        if self.faults is None:
+            return
+        from repro.faults import FaultMode
 
-        leftovers = ring.drain()
-        if not leftovers:
-            return 0
-        zone = self.hypervisor.registry.lookup(
-            dpdkr_zone_name(request.dst_port_name)
-        )
-        normal_rx = zone.get("rx")
-        accepted = normal_rx.enqueue_burst(leftovers)
-        for mbuf in leftovers[accepted:]:
-            mbuf.free()
-        request.lost_packets += len(leftovers) - accepted
-        return accepted
+        action = self.faults.fire(point)
+        if action is None:
+            return
+        if action.mode in (FaultMode.ERROR, FaultMode.CRASH) or (
+                self.env is None and action.mode is FaultMode.DROP):
+            raise HypervisorError(action.message)
+        if self.env is None:
+            return
+        if action.mode is FaultMode.DELAY:
+            yield self.env.timeout(action.delay)
+        elif action.mode is FaultMode.DROP:
+            yield self.env.event()  # never fires
 
-    # -- simulated execution ----------------------------------------------------------
-
-    def _setup_process(self, request: AgentRequest):
-        try:
-            yield from self._setup_steps(request)
-        except Exception as error:  # noqa: BLE001 - a VM died mid-flight
-            request.error = str(error)
-            request.completed = True
-            request.done_event.succeed(request)
-
-    def _setup_steps(self, request: AgentRequest):
-        env = self.env
-        # 1. The OVS -> agent RPC itself.
-        yield from self._inject("agent.rpc.send")
-        yield env.timeout(self.costs.agent_rpc)
+    def _pause(self, request: AgentRequest, cost: float):
+        """Spend ``cost`` modelled seconds."""
+        if self.env is not None:
+            yield self.env.timeout(cost)
         self._check_cancel(request)
-        request.t_rpc_done = env.now
-        # 2. ivshmem hot-plug into both VMs, in parallel.
-        plugs = [
-            self.hypervisor.plug_ivshmem(self.owner_of(port_name),
-                                         request.zone_name)
-            for port_name in (request.src_port_name, request.dst_port_name)
-        ]
-        yield env.all_of(plugs)
-        self._check_cancel(request)
-        request.t_zones_plugged = env.now
-        self._fire_setup_crash(request)
-        # 3. Receiver PMD first: make-before-break.
-        reply = yield self._pmd_command_event(
-            self._vm_of(request.dst_port_name), "attach_bypass",
-            request.dst_port_name, request, role="rx",
-        )
-        self._check_cancel(request)
-        self._check_reply(reply)
-        request.t_rx_configured = env.now
-        # 4. Sender PMD: from the next poll iteration, TX rides the bypass.
-        reply = yield self._pmd_command_event(
-            self._vm_of(request.src_port_name), "attach_bypass",
-            request.src_port_name, request, role="tx",
-        )
-        self._check_cancel(request)
-        self._check_reply(reply)
-        request.t_tx_configured = env.now
-        # 5. The agent -> OVS completion reply.
-        yield from self._inject("agent.rpc.reply")
-        self._check_cancel(request)
-        request.t_completed = env.now
-        request.completed = True
-        request.done_event.succeed(request)
 
-    def _teardown_process(self, request: AgentRequest, ring: Ring):
-        try:
-            yield from self._teardown_steps(request, ring)
-        except Exception as error:  # noqa: BLE001 - a VM died mid-flight
-            request.error = str(error)
-            request.completed = True
-            request.done_event.succeed(request)
+    def _join(self, request: AgentRequest, hotplugs: list):
+        """Wait for parallel hot-(un)plugs; without a clock each already
+        completed inside the hypervisor call that returned it."""
+        if self.env is not None:
+            yield self.env.all_of(hotplugs)
+        self._check_cancel(request)
 
-    def _teardown_steps(self, request: AgentRequest, ring: Ring):
-        """Ordered teardown: rx off -> tx stalled -> salvage -> resume.
+    def _pmd_command(self, request: AgentRequest, port_name: str,
+                     command: str, role: str, **extra):
+        """Send one PMD command over virtio-serial and await its reply.
 
-        Detaching the receiver first freezes the bypass ring's contents;
-        stalling the sender opens a quiet window in which the leftovers
-        are re-homed onto the normal channel *ahead of* any future
-        switch-path packet, so teardown reorders nothing and loses
-        nothing.
+        A reply that never comes fails the request: with a clock the
+        caller's timeout (or the VM's death) ends the wait; without one
+        the channel delivers and replies synchronously, so a reply that
+        is not there when ``host_send`` returns was dropped in transit.
+        A NACK fails the request either way.
         """
-        env = self.env
-        yield from self._inject("agent.rpc.send")
-        yield env.timeout(self.costs.agent_rpc)
-        self._check_cancel(request)
-        request.t_rpc_done = env.now
-        # 1. Sender off the bypass, stalled until the handover is done —
-        #    the still-attached receiver keeps draining the ring in the
-        #    meantime, shrinking the salvage.
-        reply = yield self._pmd_command_event(
-            self._vm_of(request.src_port_name), "detach_bypass",
-            request.src_port_name, request, role="tx", stall=True,
-        )
-        self._check_cancel(request)
-        self._check_reply(reply)
-        request.t_tx_configured = env.now
-        # 2. Receiver stops polling the bypass ring.
-        reply = yield self._pmd_command_event(
-            self._vm_of(request.dst_port_name), "detach_bypass",
-            request.dst_port_name, request, role="rx",
-        )
-        self._check_cancel(request)
-        self._check_reply(reply)
-        request.t_rx_configured = env.now
-        # 3. Re-home any leftovers onto the normal channel (in order:
-        #    the sender is quiesced, so nothing can overtake them).
-        request.salvaged_packets = self._salvage(request, ring)
-        request.t_drained = env.now
-        # 4. Release the sender onto the vSwitch path.
-        reply = yield self._pmd_command_event(
-            self._vm_of(request.src_port_name), "resume_tx",
-            request.src_port_name, request, role="tx",
-        )
-        self._check_cancel(request)
-        self._check_reply(reply)
-        unplugs = [
-            self.hypervisor.unplug_ivshmem(self.owner_of(port_name),
-                                           request.zone_name)
-            for port_name in (request.src_port_name, request.dst_port_name)
-        ]
-        yield env.all_of(unplugs)
-        self._check_cancel(request)
-        yield from self._inject("agent.rpc.reply")
-        request.t_completed = env.now
-        request.completed = True
-        request.done_event.succeed(request)
-
-    # -- virtio-serial plumbing ------------------------------------------------------
-
-    def _on_guest_reply(self, message: ControlMessage) -> None:
-        reply_id = message.args.get("request_id")
-        entry = self._pending_replies.pop(reply_id, None)
-        if entry is not None:
-            entry[0].succeed(message)
-        elif self.env is None:
-            self._sync_replies[reply_id] = message
-
-    def _pmd_command_event(self, vm: VirtualMachine, command: str,
-                           port_name: str, request: AgentRequest,
-                           role: str, **extra) -> Event:
+        vm = self._vm_of(port_name)
         if vm.name in self.dead_vms or vm.name not in self.hypervisor.vms:
             raise HypervisorError(
                 "cannot configure PMD: VM %r is gone" % vm.name
             )
-        event = self.env.event()
-        reply_id = self._send_pmd_command(vm, command, port_name, request,
-                                          role=role, **extra)
-        self._pending_replies[reply_id] = (event, vm.name)
-        return event
-
-    def _send_pmd_command_checked(self, vm: VirtualMachine, command: str,
-                                  port_name: str, request: AgentRequest,
-                                  role: str, **extra) -> None:
-        """Sync-mode send with reply verification.
-
-        Without an environment the serial channel delivers (and replies)
-        synchronously, so by the time ``host_send`` returns the reply —
-        if any — sits at the tail of ``to_host_log``.  A missing reply
-        (message dropped in transit) or an explicit error reply fails
-        the request instead of being silently ignored.
-        """
-        reply_id = self._send_pmd_command(vm, command, port_name, request,
-                                          role=role, **extra)
-        reply = self._sync_replies.pop(reply_id, None)
-        if reply is None:
-            raise HypervisorError(
-                "no PMD reply for %s(%s) on %r (message lost)"
-                % (command, role, port_name)
-            )
-        self._check_reply(reply)
-
-    def _send_pmd_command(self, vm: VirtualMachine, command: str,
-                          port_name: str, request: AgentRequest,
-                          role: str, **extra) -> int:
         reply_id = next(self._reply_serial)
         args = {
             "request_id": reply_id,
@@ -533,5 +344,175 @@ class ComputeAgent:
         }
         if role == "tx" and command == "attach_bypass":
             args["flow_id"] = request.flow_id
+        event = self.env.event() if self.env is not None else None
         vm.serial.host_send(ControlMessage(command, args))
-        return reply_id
+        if event is not None:
+            self._pending_replies[reply_id] = (event, vm.name)
+            reply = yield event
+        else:
+            reply = self._delivered_replies.pop(reply_id, None)
+            if reply is None:
+                raise HypervisorError(
+                    "no PMD reply for %s(%s) on %r (message lost)"
+                    % (command, role, port_name)
+                )
+        self._check_cancel(request)
+        if reply.command == "error":
+            raise HypervisorError(
+                "PMD rejected command: %s"
+                % reply.args.get("reason", "unknown error")
+            )
+
+    def _on_guest_reply(self, message: ControlMessage) -> None:
+        reply_id = message.args.get("request_id")
+        entry = self._pending_replies.pop(reply_id, None)
+        if entry is not None:
+            entry[0].succeed(message)
+        elif self.env is None:
+            self._delivered_replies[reply_id] = message
+
+    # -- the two lifecycle procedures, each written once ----------------------
+
+    def _setup_steps(self, request: AgentRequest):
+        """Plug the zone into both VMs, then receiver before sender."""
+        # 1. The OVS -> agent RPC itself.
+        yield from self._inject("agent.rpc.send")
+        yield from self._pause(request, self.costs.agent_rpc)
+        request.t_rpc_done = self._now()
+        # 2. ivshmem hot-plug into both VMs, in parallel.
+        yield from self._join(request, [
+            self.hypervisor.plug_ivshmem(self.owner_of(port_name),
+                                         request.zone_name)
+            for port_name in (request.src_port_name, request.dst_port_name)
+        ])
+        request.t_zones_plugged = self._now()
+        self._fire_setup_crash(request)
+        # 3. Receiver PMD first: make-before-break.
+        yield from self._pmd_command(request, request.dst_port_name,
+                                     "attach_bypass", "rx")
+        request.t_rx_configured = self._now()
+        # 4. Sender PMD: from the next poll iteration, TX rides the bypass.
+        yield from self._pmd_command(request, request.src_port_name,
+                                     "attach_bypass", "tx")
+        request.t_tx_configured = self._now()
+        # 5. The agent -> OVS completion reply.
+        yield from self._inject("agent.rpc.reply")
+        self._check_cancel(request)
+        request.t_completed = self._now()
+
+    def _teardown_steps(self, request: AgentRequest, ring: Ring):
+        """Ordered teardown: tx stalled -> rx off -> salvage -> resume.
+
+        Stalling the sender first means nothing new enters the bypass
+        ring while the still-attached receiver keeps draining it;
+        detaching the receiver then freezes what is left, and the quiet
+        window lets the leftovers be re-homed onto the normal channel
+        *ahead of* any future switch-path packet, so teardown reorders
+        nothing and loses nothing.
+        """
+        yield from self._inject("agent.rpc.send")
+        yield from self._pause(request, self.costs.agent_rpc)
+        request.t_rpc_done = self._now()
+        # 1. Sender off the bypass, stalled until the handover is done.
+        yield from self._pmd_command(request, request.src_port_name,
+                                     "detach_bypass", "tx", stall=True)
+        request.t_tx_configured = self._now()
+        # 2. Receiver stops polling the bypass ring.
+        yield from self._pmd_command(request, request.dst_port_name,
+                                     "detach_bypass", "rx")
+        request.t_rx_configured = self._now()
+        # 3. Re-home any leftovers onto the normal channel (in order:
+        #    the sender is quiesced, so nothing can overtake them).  An
+        #    overflowing normal ring (receiver badly behind) costs the
+        #    tail of the salvage, reported apart in ``lost_packets``.
+        request.salvaged_packets, lost = self._salvage(
+            ring, request.dst_port_name)
+        request.lost_packets += lost
+        request.t_drained = self._now()
+        # 4. Release the sender onto the vSwitch path.
+        yield from self._pmd_command(request, request.src_port_name,
+                                     "resume_tx", "tx")
+        yield from self._join(request, [
+            self.hypervisor.unplug_ivshmem(self.owner_of(port_name),
+                                           request.zone_name)
+            for port_name in (request.src_port_name, request.dst_port_name)
+        ])
+        yield from self._inject("agent.rpc.reply")
+        request.t_completed = self._now()
+
+    # -- salvage and forced dismantle ------------------------------------------
+
+    def _salvage(self, ring: Optional[Ring], dst_port_name: str,
+                 rehome: bool = True) -> Tuple[int, int]:
+        """Empty a bypass ring; returns ``(salvaged, lost)``.
+
+        With ``rehome`` and a living receiver whose dpdkr zone still
+        exists, the packets go onto its normal rx ring in ring order.
+        Whatever does not fit, everything when there is nowhere to
+        deliver, and every smashed (``None``) slot is lost: intact
+        mbufs are freed, a smashed slot has nothing to free and is never
+        forwarded as garbage.
+        """
+        from repro.dpdk.dpdkr import dpdkr_zone_name
+
+        leftovers = ring.drain() if ring is not None else []
+        intact = [mbuf for mbuf in leftovers if mbuf is not None]
+        salvaged = 0
+        normal_zone = dpdkr_zone_name(dst_port_name)
+        if (intact and rehome and self.is_port_alive(dst_port_name)
+                and normal_zone in self.hypervisor.registry):
+            normal_rx = self.hypervisor.registry.lookup(normal_zone).get("rx")
+            salvaged = normal_rx.enqueue_burst(intact)
+        for mbuf in intact[salvaged:]:
+            mbuf.free()
+        return salvaged, len(leftovers) - salvaged
+
+    def force_dismantle(self, src_port_name: str, dst_port_name: str,
+                        zone_name: Optional[str], ring: Optional[Ring],
+                        rehome: bool = True) -> Tuple[int, int]:
+        """Take a channel down now, when no protocol can: an endpoint
+        died, a teardown failed, an establishment is being rolled back
+        or the watchdog found the channel sick.
+
+        The ordered teardown above, run host-side in one go (no sim
+        time passes, so nothing can interleave): stall the sender,
+        detach the receiver, salvage the ring (see :meth:`_salvage`),
+        resume the sender, then unplug the zone from every endpoint VM
+        that still maps it.  A dead end is skipped and an end that never
+        reached the state being undone rejects its command — both are
+        the don't-care case.  Returns ``(salvaged, lost)``.
+        """
+        self._direct_command(src_port_name, "detach_bypass", zone_name,
+                             "tx", stall=True)
+        # Detach before unplugging: the receiver resolves the ring
+        # through the still-mapped zone.  A frozen consumer still
+        # executes host-delivered commands: the wedge is in the app's
+        # poll loop, the PMD state lives in shared memory.
+        self._direct_command(dst_port_name, "detach_bypass", zone_name, "rx")
+        counts = self._salvage(ring, dst_port_name, rehome)
+        self._direct_command(src_port_name, "resume_tx", zone_name, "tx")
+        registry = self.hypervisor.registry
+        if zone_name is not None and zone_name in registry:
+            zone = registry.lookup(zone_name)
+            for port_name in (src_port_name, dst_port_name):
+                owner = self.owner_of(port_name)
+                if owner in zone.mapped_by and owner in self.hypervisor.vms:
+                    self.hypervisor.force_unplug(owner, zone_name)
+        return counts
+
+    def _direct_command(self, port_name: str, command: str,
+                        zone_name: Optional[str], role: str,
+                        **extra) -> None:
+        """Best-effort PMD command delivered host-side: no serial
+        channel, no latency, no fault injection."""
+        if not self.is_port_alive(port_name):
+            return
+        vm = self.hypervisor.vms.get(self.owner_of(port_name))
+        if vm is None:
+            return
+        args = {"request_id": -1, "port_name": port_name,
+                "zone_name": zone_name, "role": role, **extra}
+        try:
+            vm.serial.guest_handler(ControlMessage(command, args))
+        except Exception:  # noqa: BLE001 - nothing was attached: done
+            pass

@@ -1,0 +1,255 @@
+"""One lifecycle, two drivers.
+
+Every establish/teardown procedure in ``core.bypass`` and
+``hypervisor.compute_agent`` is a single generator, run by an engine
+process when the node has an ``Environment`` and by
+``run_to_completion`` when it does not.  These tests hold the two
+drivers to the same outcome under every control-plane fault, pin the
+lifecycle's transition table, and cover the one ring-salvage routine on
+the three paths that used to forward (or choke on) a smashed slot.
+"""
+
+import itertools
+
+import pytest
+
+from repro.core import bypass
+from repro.core.bypass import (
+    LEGAL_TRANSITIONS,
+    BypassLink,
+    IllegalTransition,
+    LinkState,
+    RetryPolicy,
+)
+from repro.dpdk.dpdkr import dpdkr_zone_name
+from repro.faults import (
+    AGENT_RPC_SEND,
+    CONTROLLER_CONN,
+    CONTROLLER_RECONNECT,
+    KNOWN_POINTS,
+    PMD_RX_POLL,
+    RING_CORRUPT,
+    VM_CRASH,
+    VM_CRASH_DURING_SETUP,
+    FaultMode,
+    FaultPlan,
+)
+from repro.openflow.match import Match
+from repro.orchestration import NfvNode
+from repro.orchestration.validation import verify_host_invariants
+from repro.sim.engine import Environment, SimulationError, run_to_completion
+
+from tests.helpers import mk_mbuf
+
+# Data-path, controller-channel and VM-lifecycle points never fire
+# inside an establish or a teardown; everything else does.
+CONTROL_PLANE_POINTS = [
+    point for point in KNOWN_POINTS
+    if point not in (PMD_RX_POLL, RING_CORRUPT, CONTROLLER_CONN,
+                     CONTROLLER_RECONNECT, VM_CRASH, VM_CRASH_DURING_SETUP)
+]
+
+
+def build_node(env=None, retry_policy=None):
+    kwargs = {} if retry_policy is None else {"retry_policy": retry_policy}
+    node = NfvNode(env=env, **kwargs)
+    node.create_vm("vm1", ["dpdkr0"])
+    node.create_vm("vm2", ["dpdkr1"])
+    return node
+
+
+def settle(node):
+    # Long enough for four backed-off attempts or a timed-out teardown.
+    node.settle_control_plane(extra_time=2.0)
+
+
+IN_FLIGHT = 4
+
+
+def establish_then_teardown(node, plan=None):
+    """Install the p-2-p rule, let it settle, park packets in the
+    bypass ring (nobody polls it here), withdraw the rule, settle."""
+    # Armed only now: memzone.reserve also fires for the dpdkr zones
+    # that creating the VMs reserved.
+    node.install_fault_plan(plan)
+    node.install_p2p_rule("dpdkr0", "dpdkr1")
+    settle(node)
+    assert node.active_bypasses == 1
+    sender = node.vms["vm1"].pmd("dpdkr0")
+    assert sender.tx_burst([mk_mbuf() for _ in range(IN_FLIGHT)]) == IN_FLIGHT
+    assert len(node.manager.link_for_src(node.ofport("dpdkr0")).ring) \
+        == IN_FLIGHT
+    node.controller.delete_flow(Match(in_port=node.ofport("dpdkr0")))
+    settle(node)
+
+
+def outcome(node):
+    sender = node.vms["vm1"].pmd("dpdkr0")
+    receiver = node.vms["vm2"].pmd("dpdkr1")
+    return {
+        "links": [(link.state, link.attempts)
+                  for link in node.manager.history],
+        "tracked": sorted(node.manager.active_links),
+        "bypass_tx_active": sender.bypass_tx_active,
+        "tx_state": sender.tx_state,
+        "bypass_rx_active": receiver.bypass_rx_active,
+        "zones": sorted(name for name in node.registry._zones
+                        if name.startswith("bypass.")),
+        "mapped": {name: sorted(handle.vm.ivshmem_devices)
+                   for name, handle in node.vms.items()},
+        "recovery": {name: getattr(node.manager.resilience, name)
+                     for name in ("establish_attempts", "provision_failures",
+                                  "rpc_errors", "timeouts", "rollbacks",
+                                  "retries", "teardown_failures",
+                                  "quarantines", "links_recovered")},
+        "lost": node.manager.packets_lost_to_failures,
+        "rehomed": len(node.registry.lookup(
+            dpdkr_zone_name("dpdkr1")).get("rx")),
+    }
+
+
+class TestSimAndSyncDriversAgree:
+    @pytest.mark.parametrize("occurrence", [1, 2, 3])
+    @pytest.mark.parametrize("point", CONTROL_PLANE_POINTS)
+    def test_same_outcome_under_a_control_plane_error(self, point,
+                                                      occurrence):
+        outcomes = []
+        for env in (Environment(), None):
+            plan = FaultPlan(seed=7)
+            plan.inject(point, FaultMode.ERROR, occurrences=(occurrence,))
+            node = build_node(env)
+            establish_then_teardown(node, plan)
+            verify_host_invariants(node)
+            outcomes.append(outcome(node))
+        simulated, synchronous = outcomes
+        assert simulated == synchronous
+        # Whatever the fault hit, the rule is gone and so is the channel.
+        assert simulated["tracked"] == []
+        assert simulated["zones"] == []
+        assert not simulated["bypass_tx_active"]
+        assert not simulated["bypass_rx_active"]
+        assert all(state in (LinkState.REMOVED, LinkState.QUARANTINED)
+                   for state, _ in simulated["links"])
+        # Orderly or forced, the teardown re-homed what was in the ring.
+        assert simulated["rehomed"] == IN_FLIGHT
+        assert simulated["lost"] == 0
+
+    def test_a_wait_without_a_clock_is_a_bug_not_a_hang(self):
+        env = Environment()
+
+        def waits():
+            yield env.timeout(1.0)
+
+        with pytest.raises(SimulationError):
+            run_to_completion(waits())
+
+        def returns_at_once():
+            return 42
+            yield  # pragma: no cover - makes this a generator
+
+        assert run_to_completion(returns_at_once()) == 42
+
+
+class TestTransitionTable:
+    EDGES = {(old, new) for old, nexts in LEGAL_TRANSITIONS.items()
+             for new in nexts}
+
+    def test_every_pair_is_either_an_edge_or_raises(self):
+        assert set(LEGAL_TRANSITIONS) == set(LinkState)
+        for old, new in itertools.product(LinkState, LinkState):
+            link = BypassLink(link=None, src_port_name="a",
+                              dst_port_name="b", state=old)
+            if (old, new) in self.EDGES:
+                bypass._transition(link, new)
+                assert link.state == new
+            else:
+                with pytest.raises(IllegalTransition):
+                    bypass._transition(link, new)
+                assert link.state == old
+
+    @pytest.mark.parametrize("simulated", [True, False])
+    def test_the_table_has_no_edge_the_lifecycle_never_takes(
+            self, simulated, monkeypatch):
+        """A clean cycle, a retried attempt and a spent retry budget
+        between them walk every edge — under either driver."""
+        taken = set()
+        checked = bypass._transition
+
+        def recording(link, new_state):
+            old = link.state
+            checked(link, new_state)
+            taken.add((old, new_state))
+
+        monkeypatch.setattr(bypass, "_transition", recording)
+
+        establish_then_teardown(
+            build_node(Environment() if simulated else None))
+
+        retried = FaultPlan(seed=1)
+        retried.inject(AGENT_RPC_SEND, FaultMode.ERROR, occurrences=(1,))
+        establish_then_teardown(
+            build_node(Environment() if simulated else None), retried)
+
+        spent = FaultPlan(seed=1)
+        spent.inject(AGENT_RPC_SEND, FaultMode.ERROR, occurrences=(1,))
+        node = build_node(Environment() if simulated else None,
+                          retry_policy=RetryPolicy(max_attempts=1))
+        node.install_fault_plan(spent)
+        node.install_p2p_rule("dpdkr0", "dpdkr1")
+        settle(node)
+        assert node.manager.history[0].state == LinkState.QUARANTINED
+
+        assert taken == self.EDGES
+
+
+class TestSmashedSlotIsLostOnEveryDismantlePath:
+    """``ring.corrupt`` smashes the oldest of 4 queued slots to ``None``.
+    Whichever path empties the ring, the three intact packets are
+    handled as that path always handled them and the smashed one is
+    counted lost — never delivered, never ``.free()``d."""
+
+    @staticmethod
+    def corrupted_channel():
+        node = build_node()
+        node.install_p2p_rule("dpdkr0", "dpdkr1")
+        node.settle_control_plane()
+        plan = FaultPlan(seed=3)
+        plan.inject(RING_CORRUPT, FaultMode.ERROR, occurrences=(1,))
+        node.install_fault_plan(plan)
+        batch = [mk_mbuf() for _ in range(4)]
+        assert node.vms["vm1"].pmd("dpdkr0").tx_burst(batch) == 4
+        link = node.manager.link_for_src(node.ofport("dpdkr0"))
+        assert link.ring.corruptions_injected == 1
+        return node, link, batch
+
+    @staticmethod
+    def normal_rx(node):
+        zone = node.registry.lookup(dpdkr_zone_name("dpdkr1"))
+        return zone.get("rx").drain()
+
+    def test_orderly_teardown(self):
+        node, link, batch = self.corrupted_channel()
+        node.controller.delete_flow(Match(in_port=node.ofport("dpdkr0")))
+        node.settle_control_plane()
+        assert link.state == LinkState.REMOVED
+        assert self.normal_rx(node) == batch[1:]
+        assert link.teardown_request.error is None
+        assert link.teardown_request.salvaged_packets == 3
+        assert link.teardown_request.lost_packets == 1
+        assert node.manager.packets_lost_to_failures == 0
+
+    def test_receiver_vm_destroyed(self):
+        node, link, batch = self.corrupted_channel()
+        node.hypervisor.destroy_vm("vm2")
+        assert link.state == LinkState.REMOVED
+        assert node.manager.packets_lost_to_failures == 4
+        assert all(mbuf.refcnt == 0 for mbuf in batch[1:])
+
+    def test_sender_vm_destroyed(self):
+        node, link, batch = self.corrupted_channel()
+        node.hypervisor.destroy_vm("vm1")
+        assert link.state == LinkState.REMOVED
+        assert self.normal_rx(node) == batch[1:]
+        assert node.manager.packets_lost_to_failures == 1
+        # packets_salvaged keeps meaning "re-homed by degrade_link".
+        assert node.manager.resilience.packets_salvaged == 0

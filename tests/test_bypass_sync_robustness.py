@@ -3,9 +3,12 @@
 The sync path (no simulation environment) is what quick scripts and the
 CLI use; it must make the same promise the simulated path does — an
 establishment that failed anywhere may not leave the sender on a
-half-configured channel.  Historically ``_run_op_sync`` never looked at
+half-configured channel.  Historically the sync path had its own copy of
+the establish procedure (``_run_op_sync``), which never looked at
 ``AgentRequest.error`` and marked the link ACTIVE even when the agent
-had failed; these are the regression tests for that bug.
+had failed; these are the regression tests for that bug.  Both modes
+now run the one ``BypassManager._establish`` generator (the sync one
+through ``run_to_completion``), so the check cannot drift again.
 """
 
 from repro.core.bypass import LinkState, RetryPolicy
@@ -32,7 +35,7 @@ def build_sync_node(plan=None, retry_policy=None):
 
 
 class TestSyncEstablishmentChecksAgentError:
-    """Satellite: the `_run_op_sync` never-checks-error regression."""
+    """The sync-path never-checks-``request.error`` regression."""
 
     def test_failed_plug_does_not_mark_link_active(self):
         plan = FaultPlan(seed=1)
