@@ -31,6 +31,11 @@ class Event:
 
     PENDING = object()
 
+    # Second component of the queue key ``(time, rank, eid)``: events
+    # due at the same time fire in rank order, then in scheduling order.
+    # Only a :class:`Timer` has a rank of its own.
+    rank = 0
+
     def __init__(self, env: "Environment") -> None:
         self.env = env
         self.callbacks: List[Callable[["Event"], None]] = []
@@ -99,9 +104,15 @@ class Timer(Event):
     firings.  ``name``/``is_alive`` mirror :class:`Process`, so a crash
     surfaces through ``Environment.step`` the same way.  Nothing may
     wait on a timer: it never carries a value.
+
+    ``rank`` is the timer's creation order in its environment (1, 2, …).
+    Among events due at the same time every rank-0 event (processes,
+    timeouts, one-shot events) fires first, then the timers in rank
+    order — so where a firing sits among its ties follows from *which*
+    timer it is, not from when it was armed.
     """
 
-    __slots__ = ("name", "is_alive", "_armed")
+    __slots__ = ("name", "is_alive", "_armed", "rank")
 
     def __init__(self, env: "Environment",
                  callback: Callable[[Event], None], name: str) -> None:
@@ -110,6 +121,8 @@ class Timer(Event):
         self.is_alive = True
         self._triggered = True
         self._armed = [callback]   # never mutated: step() only reads it
+        env._timers += 1
+        self.rank = env._timers
 
     def arm(self, delay: float = 0.0) -> None:
         """Fire the callback ``delay`` simulated seconds from now."""
@@ -286,6 +299,7 @@ class Environment:
         self._now = 0.0
         self._queue: List = []
         self._eid = 0
+        self._timers = 0   # timers created so far: the next one's rank
         self._crashed: List = []
         # Deterministic host-cost counter: events step() has delivered.
         self.events_processed = 0
@@ -317,13 +331,14 @@ class Environment:
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, self._eid, event))
+        heapq.heappush(
+            self._queue, (self._now + delay, event.rank, self._eid, event))
 
     def step(self) -> None:
         """Process the next scheduled event."""
         if not self._queue:
             raise SimulationError("no more events")
-        when, _eid, event = heapq.heappop(self._queue)
+        when, _rank, _eid, event = heapq.heappop(self._queue)
         self._now = when
         self.events_processed += 1
         event._processed = True

@@ -1,42 +1,57 @@
-"""The generator-process poll loop ``PollLoop`` was before it became a
-re-armed engine timer, kept as the oracle the timer is checked against:
-one ``Timeout`` per iteration, stopped by an interrupt."""
+"""The every-poll-is-an-event poll loop, kept as the oracle ``PollLoop``
+is checked against: one timer firing per iteration, idle or not, and
+never parked — whatever contract the owner offers is ignored.  The body
+of ``_poll`` is ``PollLoop._poll`` as it stood before loops could leave
+the event heap, under the same ``(time, rank, eid)`` queue key."""
 
-from repro.sim.engine import Interrupt
+from repro.sim.engine import Timer
 from repro.sim.pollloop import PollLoop
 
 
 class ReferencePollLoop(PollLoop):
     def start(self) -> "ReferencePollLoop":
-        self.process = self.env.process(self._run(), name=self.name)
+        if self.process is not None:
+            raise RuntimeError("poll loop %r already started" % self.name)
+        if self._stopped:
+            raise RuntimeError(
+                "poll loop %r was stopped and cannot be restarted"
+                % self.name)
+        self.process = Timer(self.env, self._poll, self.name)
+        self.process.arm()
         return self
 
     def stop(self) -> None:
         self._stopped = True
-        if self.process is not None and self.process.is_alive:
-            self.process.interrupt("stop")
+        if self.process is not None:
+            self.process.is_alive = False
 
-    def _run(self):
-        env = self.env
-        idle_cost = self.costs.idle_poll
-        idle_delay = idle_cost
-        period = self.period
-        try:
-            while not self._stopped:
-                cost = self.iteration()
-                self.iterations += 1
-                if period is not None:
-                    if cost > 0.0:
-                        self.busy_time += cost
-                    self.idle_time += max(period - cost, 0.0)
-                    yield env.timeout(max(cost, period))
-                elif cost > 0.0:
-                    self.busy_time += cost
-                    idle_delay = idle_cost
-                    yield env.timeout(cost)
-                else:
-                    self.idle_time += idle_delay
-                    yield env.timeout(idle_delay)
-                    idle_delay = min(idle_delay * 2, self.idle_backoff_max)
-        except Interrupt:
+    def wake(self) -> None:
+        """Never parked, so there is nothing to wake."""
+
+    def _poll(self, timer: Timer) -> None:
+        if self._stopped:
             return
+        try:
+            cost = self.iteration()
+        except Exception as exc:  # noqa: BLE001 - step() raises it
+            timer.crash(exc)
+            return
+        self.iterations += 1
+        period = self.period
+        if period is not None:
+            if cost > 0.0:
+                self.busy_time += cost
+            else:
+                self.idle_iterations += 1
+            self.idle_time += max(period - cost, 0.0)
+            timer.arm(max(cost, period))
+        elif cost > 0.0:
+            self.busy_time += cost
+            self._idle_delay = self.costs.idle_poll
+            timer.arm(cost)
+        else:
+            self.idle_iterations += 1
+            delay = self._idle_delay
+            self.idle_time += delay
+            timer.arm(delay)
+            self._idle_delay = min(delay * 2, self.idle_backoff_max)

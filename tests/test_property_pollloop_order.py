@@ -1,5 +1,5 @@
-"""PollLoop as a re-armed timer orders and accounts exactly as the
-generator process it replaced (tests/support/reference_pollloop.py).
+"""PollLoop orders and accounts exactly as the loop whose every poll
+is an engine event (tests/support/reference_pollloop.py).
 
 The scenarios are built for ties: every delay is a small multiple of a
 power-of-two tick, so loops and a timer-driven generator process keep
@@ -101,7 +101,7 @@ def drive(loop_class, scenario):
 
 @settings(max_examples=60, deadline=None)
 @given(scenarios)
-def test_timer_loop_matches_generator_loop(scenario):
+def test_poll_loop_matches_the_every_poll_reference(scenario):
     expected_log, expected_accounting = drive(ReferencePollLoop, scenario)
     log, accounting = drive(PollLoop, scenario)
     assert log == expected_log
