@@ -7,6 +7,7 @@ cost defaults to the cost model's ``vm_forward``; heavier VNFs pass a
 multiplier.
 """
 
+import math
 from typing import List, Optional
 
 from repro.dpdk.ethdev import EthDev
@@ -107,6 +108,21 @@ class DpdkApp:
                     rejected.free()
         return total_cost
 
+    # -- the idle contract (PollLoop.IdleContract) -----------------------------------
+    # An idle iteration is one empty rx_burst per pair and nothing else,
+    # so the app may stop polling while every RX port vouches for it.
+
+    def idle_until(self, loop: PollLoop) -> Optional[float]:
+        for pair in self.pairs:
+            rx_park = getattr(pair.rx, "rx_park", None)
+            if rx_park is None or not rx_park(loop):
+                return None
+        return math.inf
+
+    def replay(self, polls: int) -> None:
+        for pair in self.pairs:
+            pair.rx.rx_replay(polls)
+
     # -- lifecycle -------------------------------------------------------------------
 
     def start(self, env: Environment) -> PollLoop:
@@ -114,7 +130,7 @@ class DpdkApp:
         if self.loop is not None:
             raise RuntimeError("app %r already started" % self.name)
         self.loop = PollLoop(env, self.name, self.iteration,
-                             costs=self.costs).start()
+                             costs=self.costs, idle=self).start()
         return self.loop
 
     def stop(self) -> None:

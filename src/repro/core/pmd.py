@@ -92,7 +92,10 @@ class DualChannelPmd(DpdkrPmd):
         self.xfsm_drops = 0
         # Runtime-fault hooks: a plan with pmd.rx_poll specs can freeze
         # this consumer; clock (sim time) bounds DELAY-mode freezes.
-        self.faults: Optional[FaultPlan] = None
+        self._faults: Optional[FaultPlan] = None
+        # The parked poll loop this port's RX side would have to wake
+        # (set by rx_park, one-shot).
+        self._rx_waiter = None
         self.clock: Optional[Callable[[], float]] = None
         self._rx_frozen_until: Optional[float] = None
         self._rx_frozen_forever = False
@@ -124,6 +127,15 @@ class DualChannelPmd(DpdkrPmd):
         # Flipped by GuestPmdManager.kill() when the VM process dies
         # abruptly: a dead guest polls nothing and accepts nothing.
         self.killed = False
+
+    @property
+    def faults(self) -> Optional[FaultPlan]:
+        return self._faults
+
+    @faults.setter
+    def faults(self, plan: Optional[FaultPlan]) -> None:
+        self._faults = plan
+        self.wake_rx()   # a new plan may count or freeze the next poll
 
     # -- channel configuration (driven over virtio-serial) -------------------
 
@@ -197,6 +209,7 @@ class DualChannelPmd(DpdkrPmd):
             raise RuntimeError(
                 "port %r already polls this bypass ring" % self.name
             )
+        self.wake_rx()   # polls so far did not beat this ring's epoch
         self.bypass_rx_rings.append(ring)
         if stats is not None:
             self._rx_stats[id(ring)] = stats
@@ -216,6 +229,7 @@ class DualChannelPmd(DpdkrPmd):
             raise RuntimeError(
                 "port %r does not poll that bypass ring" % self.name
             )
+        self.wake_rx()   # polls from here on no longer beat its epoch
         self.bypass_rx_rings.remove(ring)
         self._rx_stats.pop(id(ring), None)
 
@@ -280,7 +294,7 @@ class DualChannelPmd(DpdkrPmd):
         """
         if self.killed or self._rx_frozen():
             return []
-        faults = self.faults
+        faults = self._faults
         # Only a PMD consuming a bypass counts as a pmd.rx_poll
         # occurrence — keeps occurrence numbering deterministic per
         # channel instead of interleaving every sink on the node.
@@ -361,6 +375,53 @@ class DualChannelPmd(DpdkrPmd):
                     if pool is not None:
                         pool.assign(mbuf, token)
         return mbufs
+
+    # -- the RX park contract (see DpdkrPmd.rx_park) ---------------------------
+
+    def rx_park(self, waiter) -> bool:
+        """An idle poll here reads the normal ring and every bypass ring
+        and publishes liveness, so the consumer may park only while all
+        of that is a matter of counting: not killed, not frozen (a
+        freeze thaws with time), no ``pmd.rx_poll`` spec to count
+        occurrences against.  Whatever changes any of it calls
+        :meth:`wake_rx`."""
+        if (self.killed or self._rx_frozen_forever
+                or self._rx_frozen_until is not None):
+            return False
+        faults = self._faults
+        rings = self.bypass_rx_rings
+        if faults is not None and rings and faults.has_specs(PMD_RX_POLL):
+            return False
+        normal = self.rings.to_guest
+        if not normal.is_empty:
+            return False
+        for ring in rings:
+            if not ring.is_empty:
+                return False
+        normal.watch(waiter)
+        for ring in rings:
+            ring.watch(waiter)
+        if faults is not None:
+            faults.watch(waiter)
+        self._rx_waiter = waiter
+        return True
+
+    def rx_replay(self, polls: int) -> None:
+        """``polls`` idle polls: the port heartbeat and each attached
+        bypass ring's epoch advance by that much, nothing is dequeued."""
+        self.rings.heartbeat.epoch += polls
+        for ring in self.bypass_rx_rings:
+            stats = self._rx_stats.get(id(ring))
+            if stats is not None:
+                stats.rx_epoch += polls
+
+    def wake_rx(self) -> None:
+        """What an idle poll would read or publish is about to change:
+        make the parked consumer, if any, poll for real."""
+        waiter = self._rx_waiter
+        if waiter is not None:
+            self._rx_waiter = None
+            waiter.wake()
 
     def tx_burst(self, mbufs: List[Mbuf]) -> int:
         if self.killed:
@@ -514,6 +575,7 @@ class GuestPmdManager:
         """Abrupt death: every PMD stops polling and transmitting."""
         for pmd in self.pmds.values():
             pmd.killed = True
+            pmd.wake_rx()
 
     def install_faults(self, faults: Optional[FaultPlan]) -> None:
         """Re-arm this VM's PMDs with ``faults`` (late plan install)."""

@@ -101,6 +101,24 @@ class DpdkrPmd(EthDev):
                                    channel="normal", port=self.name)
         return mbufs
 
+    # -- the RX park contract: what lets a polling consumer leave the
+    # event queue (PollLoop's IdleContract).  Owners look these two up
+    # by attribute; a device without them is polled for real.
+
+    def rx_park(self, waiter) -> bool:
+        """Arm ``waiter.wake()`` on everything that could change what an
+        idle ``rx_burst`` reads or publishes; False when the next poll
+        may not be idle."""
+        ring = self.rings.to_guest
+        if not ring.is_empty:
+            return False
+        ring.watch(waiter)
+        return True
+
+    def rx_replay(self, polls: int) -> None:
+        """Publish what ``polls`` idle ``rx_burst`` calls would have:
+        nothing, on the vanilla PMD."""
+
     def tx_burst(self, mbufs: List[Mbuf]) -> int:
         sent = self.rings.to_switch.enqueue_burst(mbufs)
         if sent:

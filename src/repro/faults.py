@@ -174,12 +174,24 @@ class FaultPlan:
         self._specs: Dict[str, List[FaultSpec]] = {}
         self.occurrences: Dict[str, int] = {}
         self.injected: List[FaultAction] = []
+        # Parked poll loops (keys only) to wake when a spec is added: a
+        # consumer that skips idle polls must resume real ones before
+        # they start counting as occurrences (see :meth:`watch`).
+        self._waiters: Dict[object, None] = {}
         for spec in specs:
             self.add(spec)
 
     def add(self, spec: FaultSpec) -> FaultSpec:
+        if self._waiters:
+            waiters, self._waiters = self._waiters, {}
+            for waiter in waiters:
+                waiter.wake()
         self._specs.setdefault(spec.point, []).append(spec)
         return spec
+
+    def watch(self, waiter) -> None:
+        """Call ``waiter.wake()`` once, when the next spec is added."""
+        self._waiters[waiter] = None
 
     def inject(self, point: str, mode, **kwargs) -> FaultSpec:
         """Shorthand: build and register a :class:`FaultSpec`."""

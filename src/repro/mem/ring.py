@@ -96,6 +96,27 @@ class Ring:
         # reclaimed.  None (the default) keeps the hot path free of
         # ledger work for untracked rings.
         self.holder_token: Optional[str] = None
+        # One-slot consumer waiter: a parked poll loop whose ``wake()``
+        # the next successful enqueue calls (see :meth:`watch`).
+        self.waiter = None
+
+    # -- the consumer waiter ------------------------------------------------
+
+    def watch(self, waiter) -> None:
+        """Call ``waiter.wake()`` once, at the next successful enqueue.
+
+        The slot holds one waiter (a ring has one polling consumer); a
+        different waiter found in it is woken rather than dropped, which
+        is always safe — a woken loop just polls.
+        """
+        prior = self.waiter
+        if prior is not None and prior is not waiter:
+            prior.wake()
+        self.waiter = waiter
+
+    def _wake_waiter(self) -> None:
+        waiter, self.waiter = self.waiter, None
+        waiter.wake()
 
     # -- occupancy ---------------------------------------------------------
 
@@ -131,6 +152,8 @@ class Ring:
         self.enqueued += 1
         if self.holder_token is not None:
             self._charge((obj,), 1)
+        if self.waiter is not None:
+            self._wake_waiter()
 
     def _charge(self, objs: Sequence[Any], count: int) -> None:
         """Tag the first ``count`` of ``objs`` as held by this ring."""
@@ -171,6 +194,8 @@ class Ring:
         self.enqueued += count
         if self.holder_token is not None:
             self._charge(objs, count)
+        if count and self.waiter is not None:
+            self._wake_waiter()
 
     def dequeue_bulk(self, count: int) -> List[Any]:
         """Dequeue exactly ``count`` objects or none (raises RingEmptyError)."""
@@ -208,6 +233,8 @@ class Ring:
             self._charge(objs, count)
         if count < len(objs):
             self.partial_enqueues += 1
+        if self.waiter is not None:
+            self._wake_waiter()
         if self.faults is not None and self.faults.has_specs(RING_CORRUPT):
             action = self.faults.fire(RING_CORRUPT)
             if action is not None:

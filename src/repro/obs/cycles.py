@@ -163,8 +163,9 @@ class PmdCycleReport:
             total = busy_cycles + idle_cycles
             busy_pct = 100.0 * busy_cycles / total if total else 0.0
             lines.append("pmd thread %s:" % loop.name)
-            lines.append("  iterations: %d (%d idle)"
-                         % (loop.iterations, loop.idle_iterations))
+            lines.append("  iterations: %d (%d idle, %d replayed)"
+                         % (loop.iterations, loop.idle_iterations,
+                            loop.replayed_polls))
             lines.append("  busy cycles: %d (%.1f%%)"
                          % (busy_cycles, busy_pct))
             lines.append("  idle cycles: %d (%.1f%%)"

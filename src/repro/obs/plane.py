@@ -698,6 +698,12 @@ def _loop_samples(loop, stages: Optional[StageAccounting]
     yield Sample("repro_pollloop_idle_iterations_total", dict(labels),
                  float(loop.idle_iterations), "counter",
                  "loop iterations that found nothing to do")
+    yield Sample("repro_pollloop_parks_total", dict(labels),
+                 float(loop.parks), "counter",
+                 "times the loop left the event queue to wait for work")
+    yield Sample("repro_pollloop_replayed_polls_total", dict(labels),
+                 float(loop.replayed_polls), "counter",
+                 "idle iterations accounted by replay, not dispatched")
     yield Sample("repro_pollloop_busy_cycles", dict(labels),
                  float(seconds_to_cycles(loop.busy_time)), "counter",
                  "busy cycles at %.1f GHz" % (CYCLES_PER_SECOND / 1e9))

@@ -111,6 +111,18 @@ class BoundedUpcallQueue:
         # Hooks: coverage(name) and on_event(name, attrs) listeners.
         self.coverage: Optional[Callable[..., None]] = None
         self.on_event: List[Callable[[str, dict], None]] = []
+        # Parked PMD poll loops (keys only), woken by the next admitted
+        # upcall: any core's iteration dispatches a non-empty queue.
+        self._waiters: Dict[object, None] = {}
+
+    def watch(self, waiter) -> None:
+        """Call ``waiter.wake()`` once, when the next upcall is queued."""
+        self._waiters[waiter] = None
+
+    def _wake_waiters(self) -> None:
+        waiters, self._waiters = self._waiters, {}
+        for waiter in waiters:
+            waiter.wake()
 
     # -- introspection -------------------------------------------------
 
@@ -175,6 +187,8 @@ class BoundedUpcallQueue:
                 self.port_admitted.get(in_port, 0) + 1)
             if self.depth > self.high_watermark:
                 self.high_watermark = self.depth
+            if self._waiters:
+                self._wake_waiters()
             return True
 
         # Bulk miss class: token bucket -> port quota -> global cap.
@@ -201,6 +215,8 @@ class BoundedUpcallQueue:
         self.port_admitted[in_port] = self.port_admitted.get(in_port, 0) + 1
         if self.depth > self.high_watermark:
             self.high_watermark = self.depth
+        if self._waiters:
+            self._wake_waiters()
         return True
 
     # -- dispatch ------------------------------------------------------

@@ -8,6 +8,7 @@ covered by their own unit/property tests.
 """
 
 import heapq
+import math
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 
@@ -110,9 +111,14 @@ class Timer(Event):
     timeouts, one-shot events) fires first, then the timers in rank
     order — so where a firing sits among its ties follows from *which*
     timer it is, not from when it was armed.
+
+    ``syncs`` (default True) asks the engine to catch parked poll loops
+    up before each firing (see :meth:`Environment.sync`); a busy-poll
+    loop's own timer clears it, because its iteration reads rings, not
+    other loops' accounting.
     """
 
-    __slots__ = ("name", "is_alive", "_armed", "rank")
+    __slots__ = ("name", "is_alive", "_armed", "rank", "syncs")
 
     def __init__(self, env: "Environment",
                  callback: Callable[[Event], None], name: str) -> None:
@@ -123,11 +129,20 @@ class Timer(Event):
         self._armed = [callback]   # never mutated: step() only reads it
         env._timers += 1
         self.rank = env._timers
+        self.syncs = True
 
     def arm(self, delay: float = 0.0) -> None:
         """Fire the callback ``delay`` simulated seconds from now."""
         self.callbacks = self._armed
         self.env._schedule(self, delay)
+
+    def arm_at(self, when: float) -> None:
+        """Fire the callback at simulated time ``when`` (not before
+        now): how a parked poll loop rejoins its own poll grid."""
+        self.callbacks = self._armed
+        env = self.env
+        env._eid += 1
+        heapq.heappush(env._queue, (when, self.rank, env._eid, self))
 
     def crash(self, exc: Exception) -> None:
         """The owner died: ``step`` raises once the callback returns."""
@@ -303,6 +318,13 @@ class Environment:
         self._crashed: List = []
         # Deterministic host-cost counter: events step() has delivered.
         self.events_processed = 0
+        # The processing-order frontier is ``(now, frontier_rank)``: the
+        # highest queue key dispatched so far at the current time.  An
+        # event keyed below it has fired; that is how a parked poll loop
+        # tells which of its skipped polls are already in the past.
+        self.frontier_rank = 0
+        # Poll loops that left the queue (keys only; see PollLoop).
+        self._parked: dict = {}
 
     @property
     def now(self) -> float:
@@ -338,9 +360,15 @@ class Environment:
         """Process the next scheduled event."""
         if not self._queue:
             raise SimulationError("no more events")
-        when, _rank, _eid, event = heapq.heappop(self._queue)
-        self._now = when
+        when, rank, _eid, event = heapq.heappop(self._queue)
+        if when != self._now:
+            self._now = when
+            self.frontier_rank = rank
+        elif rank > self.frontier_rank:
+            self.frontier_rank = rank
         self.events_processed += 1
+        if self._parked and (rank == 0 or event.syncs):
+            self.sync()
         event._processed = True
         callbacks, event.callbacks = event.callbacks, []
         for callback in callbacks:
@@ -351,12 +379,25 @@ class Environment:
                 "process %r crashed: %r" % (process.name, exc)
             ) from exc
 
+    def sync(self) -> None:
+        """Catch every parked poll loop up to the frontier.
+
+        Runs before each event that is not a busy-poll timer and when
+        :meth:`run` returns, so whatever reads a loop's accounting or
+        what its idle polls publish (watchdog, load balancer, scrapes,
+        test code) reads what the every-poll-is-an-event loop would
+        have written by then, without knowing that loops park.
+        """
+        for loop in self._parked:
+            loop.catch_up()
+
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or simulated time reaches ``until``.
 
         Returns the simulation time at exit.  With ``until`` set, the
         clock is advanced exactly to ``until`` even if the next event lies
-        beyond it (the event stays queued).
+        beyond it (the event stays queued).  Parked poll loops are not in
+        the queue: without ``until`` the run ends when only they remain.
         """
         if until is not None and until < self._now:
             raise SimulationError(
@@ -371,6 +412,10 @@ class Environment:
             while queue and queue[0][0] <= until:
                 step()
             self._now = until
+            # Everything due at or before ``until`` has fired.
+            self.frontier_rank = math.inf
+        if self._parked:
+            self.sync()
         return self._now
 
 

@@ -6,12 +6,47 @@ simulated time that work cost, sleep for that cost, repeat.  An iteration
 that did nothing sleeps for the idle-poll cost instead, so an idle core
 consumes time without consuming packets — which is also what keeps the
 event queue finite.
+
+A busy-poll loop is *tickless*: when its owner can say what would end
+its idleness (the ``idle`` contract), the loop stops scheduling idle
+polls and leaves the event queue — it *parks*.  It is re-armed at the
+exact point of its own poll grid at which the every-poll-is-an-event
+loop would first have seen the change, and the polls it skipped are
+replayed — same float operations, same order — so every observable is
+what polling through would have produced.  Only
+``Environment.events_processed`` can tell the difference.
 """
 
-from typing import Callable, Optional
+import math
+from typing import Callable, Iterator, Optional
 
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.sim.engine import Environment, Timer
+from repro.sim.engine import Environment, SimulationError, Timer
+
+
+class IdleContract:
+    """What a busy-poll loop's owner promises so the loop can park.
+
+    Any object with these members will do; this class documents them
+    and gives the defaults.  Without a contract a loop polls on.
+    """
+
+    def idle_until(self, loop: "PollLoop") -> Optional[float]:
+        """Called after an iteration, with the next poll due at
+        ``loop.next_poll``.  Return None when that poll may find work
+        or the owner cannot tell; ``math.inf`` when every poll from
+        there on is idle until ``loop.wake()`` — the owner has armed
+        ``wake`` on everything that could change what an idle poll
+        reads or publishes; or the point of ``loop.idle_grid()`` up to
+        which idleness is a matter of time alone (the loop polls for
+        real there).  A needless wake is always exact: a real poll is
+        what the reference does.
+        """
+        return None
+
+    def replay(self, polls: int) -> None:
+        """Apply what ``polls`` skipped idle iterations would have
+        published (counts: heartbeat epochs and the like)."""
 
 
 class PollLoop:
@@ -27,6 +62,10 @@ class PollLoop:
     iterations neither back off nor spin faster.  The bypass watchdog is
     the canonical user — a real deployment would run it off the manager
     thread's timerfd, not a polling core.
+
+    ``idle`` is the owner's :class:`IdleContract`; a busy-poll loop
+    that has one parks whenever the contract allows.  A ``period`` loop
+    has nothing to skip and takes none.
     """
 
     def __init__(
@@ -37,6 +76,7 @@ class PollLoop:
         costs: CostModel = DEFAULT_COST_MODEL,
         idle_backoff_max: float = 5e-6,
         period: Optional[float] = None,
+        idle: Optional[IdleContract] = None,
     ) -> None:
         self.env = env
         self.name = name
@@ -52,16 +92,31 @@ class PollLoop:
         self.idle_backoff_max = idle_backoff_max
         if period is not None and period <= 0:
             raise ValueError("period must be positive, got %r" % period)
+        if period is not None and idle is not None:
+            raise ValueError("a period loop has no idle polls to skip")
         self.period = period
+        self._idle = idle
         self.busy_time = 0.0
         self.idle_time = 0.0
         self.iterations = 0
         self.idle_iterations = 0   # those that found nothing to do
+        # Where the simulator's own time did not go: times the loop left
+        # the queue, and idle polls replayed instead of dispatched (they
+        # are counted in iterations/idle_iterations like any other).
+        self.parks = 0
+        self.replayed_polls = 0
         # Window marks for sample_activity() (load-balancer sampling).
         self._busy_mark = 0.0
         self._idle_mark = 0.0
         self._idle_delay = costs.idle_poll
         self._stopped = False
+        # While parked: ``next_poll`` and ``_idle_delay`` are the time
+        # and back-off delay of the first poll not yet accounted, and
+        # ``_wake_armed`` says the timer is queued for the real poll
+        # that ends the park.
+        self.next_poll = 0.0
+        self._parked = False
+        self._wake_armed = False
         # The loop's one engine event; callers check its ``is_alive``.
         self.process: Optional[Timer] = None
 
@@ -73,6 +128,8 @@ class PollLoop:
                 "poll loop %r was stopped and cannot be restarted"
                 % self.name)
         self.process = Timer(self.env, self._poll, self.name)
+        # A busy-poll iteration reads rings, not other loops' accounting.
+        self.process.syncs = self.period is not None
         self.process.arm()
         return self
 
@@ -80,8 +137,11 @@ class PollLoop:
         """Stop the loop: no iteration runs after this call.
 
         The event already armed stays queued and fires as a no-op, so
-        stopping moves no other event's place in the queue.
+        stopping moves no other event's place in the queue.  A parked
+        loop first accounts the polls it would have run by now.
         """
+        if self._parked:
+            self._unpark()
         self._stopped = True
         if self.process is not None:
             self.process.is_alive = False
@@ -114,12 +174,101 @@ class PollLoop:
             return 0.0
         return self.busy_time / total
 
+    # -- parking -----------------------------------------------------------
+
+    def idle_grid(self) -> Iterator[float]:
+        """Times of the coming polls for as long as they stay idle: the
+        back-off ladder from ``next_poll`` on (for an owner's look-ahead
+        in :meth:`IdleContract.idle_until`)."""
+        when = self.next_poll
+        delay = self._idle_delay
+        cap = self.idle_backoff_max
+        while True:
+            yield when
+            when = when + delay
+            delay = delay * 2
+            if delay > cap:
+                delay = cap
+
+    def wake(self) -> None:
+        """Something an idle poll reads or publishes changed: poll for
+        real at the first grid point that has not fired yet.  Cheap and
+        harmless on a loop that is not parked."""
+        if self._parked and not self._wake_armed:
+            self.catch_up()
+            self._wake_armed = True
+            self.process.arm_at(self.next_poll)
+
+    def catch_up(self) -> None:
+        """(Parked loops only.)  Replay the skipped polls that lie behind
+        the engine's frontier: a poll at grid point ``when`` with back-off ``delay``
+        does ``idle_time += delay; when = when + delay; delay =
+        min(2 * delay, idle_backoff_max)`` — the float operations of
+        ``_poll``, in its order."""
+        env = self.env
+        now = env._now
+        when = self.next_poll
+        if when > now:
+            return
+        delay = self._idle_delay
+        cap = self.idle_backoff_max
+        idle_time = self.idle_time
+        polls = 0
+        # A poll due now has fired iff a higher rank already has.
+        while when < now or (when == now
+                             and self.process.rank < env.frontier_rank):
+            idle_time += delay
+            when = when + delay
+            delay = delay * 2
+            if delay > cap:   # min(2 * delay, cap) without the call
+                delay = cap
+            polls += 1
+        if polls:
+            self.next_poll = when
+            self._idle_delay = delay
+            self.idle_time = idle_time
+            self.iterations += polls
+            self.idle_iterations += polls
+            self.replayed_polls += polls
+            self._idle.replay(polls)
+
+    def _park(self, delay: float) -> bool:
+        """Leave the queue if the owner vouches for the polls from
+        ``now + delay`` on; False means arm the timer as usual."""
+        if self._idle is None or self._stopped:
+            return False
+        self.next_poll = self.env._now + delay
+        until = self._idle.idle_until(self)
+        if until is None:
+            return False
+        self._parked = True
+        self.parks += 1
+        self.env._parked[self] = None
+        if until != math.inf:
+            self._wake_armed = True
+            self.process.arm_at(until)
+        return True
+
+    def _unpark(self) -> None:
+        self.catch_up()
+        self._parked = False
+        self._wake_armed = False
+        del self.env._parked[self]
+
     def _poll(self, timer: Timer) -> None:
-        """One firing: run an iteration, account its cost, re-arm.
-        Exactly one event is scheduled per iteration, after it ran:
-        every event's place in the queue depends on that."""
+        """One firing: run an iteration, account its cost, re-arm — or
+        park.  At most one event is scheduled per iteration, after it
+        ran, and always on the loop's own poll grid: every event's
+        place in the queue depends on that."""
         if self._stopped:
             return
+        if self._parked:
+            self._unpark()
+            if self.next_poll != self.env._now:
+                timer.crash(SimulationError(
+                    "poll loop %r woke at %r, off its grid point %r"
+                    % (self.name, self.env._now, self.next_poll)))
+                return
         try:
             cost = self.iteration()
         except Exception as exc:  # noqa: BLE001 - step() raises it
@@ -137,13 +286,15 @@ class PollLoop:
         elif cost > 0.0:
             self.busy_time += cost
             self._idle_delay = self.costs.idle_poll
-            timer.arm(cost)
+            if not self._park(cost):
+                timer.arm(cost)
         else:
             self.idle_iterations += 1
             delay = self._idle_delay
             self.idle_time += delay
-            timer.arm(delay)
             self._idle_delay = min(delay * 2, self.idle_backoff_max)
+            if not self._park(delay):
+                timer.arm(delay)
 
     def __repr__(self) -> str:
         return "<PollLoop %s iters=%d util=%.2f>" % (

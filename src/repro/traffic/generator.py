@@ -120,11 +120,47 @@ class SourceApp:
             self.costs.vm_forward + self.port.tx_extra_cost
         )
 
+    # -- the idle contract (PollLoop.IdleContract) ---------------------------
+    # Between two packets of a paced stream nothing wakes the source:
+    # its idleness is a matter of time alone, so it looks ahead over its
+    # own poll grid with the pacer's arithmetic.
+
+    # Grid points one look-ahead may cover: a slower source polls for
+    # real (and looks ahead again) this often, which is always exact.
+    LOOKAHEAD_POLLS = 64
+
+    def idle_until(self, loop: PollLoop) -> Optional[float]:
+        rate = self.rate_pps
+        if (rate is None or self.on_time is not None
+                or self.pool.available <= 0):
+            return None   # saturating, duty-cycled or out of mbufs
+        credit = self._credit
+        last = self._last_credit_time
+        cap = 4.0 * self.burst_size
+        horizon = self.LOOKAHEAD_POLLS
+        for polls, when in enumerate(loop.idle_grid()):
+            # _allowance(when), on copies
+            ahead = min(credit + (when - last) * rate, cap)
+            if ahead >= 1.0 or polls == horizon:
+                if not polls:
+                    return None   # the very next poll: just arm it
+                # The pacer's state is read by nothing but the next real
+                # poll, so it takes the values the skipped polls leave
+                # behind right away instead of poll by poll.
+                self._credit = credit
+                self._last_credit_time = last
+                return when
+            credit = ahead
+            last = when
+
+    def replay(self, polls: int) -> None:
+        """An idle iteration publishes nothing."""
+
     def start(self, env: Environment) -> PollLoop:
         self._env = env
         self._last_credit_time = env.now
         self.loop = PollLoop(env, self.name, self.iteration,
-                             costs=self.costs).start()
+                             costs=self.costs, idle=self).start()
         return self.loop
 
     def stop(self) -> None:

@@ -1,5 +1,6 @@
 """Traffic sinks: drain, count, measure latency, recycle mbufs."""
 
+import math
 from typing import Callable, Optional
 
 from repro.dpdk.ethdev import EthDev
@@ -47,10 +48,22 @@ class SinkApp:
         return (self.costs.burst_overhead
                 + len(mbufs) * self.costs.ring_op)
 
+    # The idle contract (PollLoop.IdleContract): an idle iteration is
+    # one empty ``port.rx_burst`` — a subclass's must be no more.
+
+    def idle_until(self, loop: PollLoop) -> Optional[float]:
+        rx_park = getattr(self.port, "rx_park", None)
+        if rx_park is None or not rx_park(loop):
+            return None
+        return math.inf
+
+    def replay(self, polls: int) -> None:
+        self.port.rx_replay(polls)
+
     def start(self, env: Environment) -> PollLoop:
         self._env = env
         self.loop = PollLoop(env, self.name, self.iteration,
-                             costs=self.costs).start()
+                             costs=self.costs, idle=self).start()
         return self.loop
 
     def stop(self) -> None:

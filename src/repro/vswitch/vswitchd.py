@@ -9,6 +9,7 @@ VM-to-VM hop had to share.
 """
 
 import functools
+import math
 from typing import Dict, List, Optional
 
 from repro.dpdk.dpdkr import DpdkrSharedRings
@@ -32,9 +33,40 @@ from repro.sched.scheduler import PmdScheduler, RebalancePlan
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sim.engine import Environment
 from repro.sim.nic import Nic
-from repro.sim.pollloop import PollLoop
+from repro.sim.pollloop import IdleContract, PollLoop
 from repro.vswitch.bridge import Bridge
 from repro.vswitch.ports import DpdkrOvsPort, OvsPort, PhyOvsPort
+
+
+class _CoreIdle(IdleContract):
+    """When a PMD core may stop polling: every port it serves is a dpdkr
+    port whose guest TX ring is empty (or which is down) and no upcall
+    waits for dispatch.  An idle PMD iteration publishes nothing, so
+    there is nothing to replay; the rings, the upcall queue and
+    ``VSwitchd._wake_cores`` (ports added, removed, moved between cores
+    or brought up) end the park."""
+
+    def __init__(self, switch: "VSwitchd", core_index: int) -> None:
+        self.switch = switch
+        self.core_index = core_index
+
+    def idle_until(self, loop: PollLoop) -> Optional[float]:
+        switch = self.switch
+        queue = switch.datapath.upcall_queue
+        if queue is not None and queue.depth:
+            return None
+        ports = switch._core_ports[self.core_index]
+        for port in ports:
+            rings = getattr(port, "rings", None)
+            if rings is None:
+                return None   # a NIC queue has no waiter: keep polling
+            if port.up and not rings.to_switch.is_empty:
+                return None
+        for port in ports:
+            port.rings.to_switch.watch(loop)
+        if queue is not None:
+            queue.watch(loop)
+        return math.inf
 
 
 class VSwitchd:
@@ -72,6 +104,7 @@ class VSwitchd:
             name="br0", connection=connection, costs=costs, clock=clock
         )
         self.datapath = self.bridge.datapath
+        self.bridge.on_port_mod.append(self._wake_cores)
         # Overload control: bounded upcalls + fail-mode routing.  The
         # fail-mode manager interposes on the upcall handler (it passes
         # through to bridge._upcall while the controller is reachable).
@@ -130,6 +163,7 @@ class VSwitchd:
         self._pmd_loops: List[PollLoop] = []
         self._control_loop = None
         self._running = False
+        self._starts = 0   # start() calls so far
         # Called with the Mirror after add/remove; the transparent
         # highway subscribes to revoke bypasses on mirrored ports.
         self.on_mirror_change: List = []
@@ -169,10 +203,19 @@ class VSwitchd:
         self._port_tees[port.ofport] = StageTee(
             self._core_stages[core_index], port_stages
         )
+        self._wake_cores()
+
+    def _wake_cores(self, *_changed) -> None:
+        """Which ports a core polls, or whether one is up, changed: a
+        parked core's ring waiters no longer describe its next poll, so
+        every core polls for real and parks afresh."""
+        for loop in self._pmd_loops:
+            loop.wake()
 
     def del_port(self, ofport: int) -> OvsPort:
         port = self.datapath.remove_port(ofport)
         core_index = self.scheduler.remove_port(port)
+        self._wake_cores()
         # Reattribution: the core's aggregate stage table stops
         # claiming work done for a port it no longer owns — without
         # this, pmd/stats-show silently mixes departed ports into the
@@ -200,6 +243,7 @@ class VSwitchd:
         tee = self._port_tees.get(port.ofport)
         if tee is not None:
             tee.targets[0] = self._core_stages[dst_core]
+        self._wake_cores()
 
     def port_by_name(self, port_name: str) -> OvsPort:
         for port in self.datapath.ports.values():
@@ -348,19 +392,25 @@ class VSwitchd:
                 "%s.pmd%d" % (self.name, core_index),
                 functools.partial(self._core_iteration, core_index),
                 costs=self.costs,
+                idle=_CoreIdle(self, core_index),
             ).start()
             self._pmd_loops.append(loop)
+        self._starts += 1
         self._control_loop = self.env.process(
-            self._control_process(), name="%s.control" % self.name
+            self._control_process(self._starts),
+            name="%s.control" % self.name
         )
         if self.auto_lb is not None:
             self.auto_lb.start(self.env)
         if self.overload is not None:
             self.overload.start(self.env)
 
-    def _control_process(self):
+    def _control_process(self, started: int):
+        """The control loop of the ``started``-th :meth:`start`: it ends
+        with the :meth:`stop` that follows, even if the switch has been
+        started again by the time it next looks."""
         env = self.env
-        while self._running:
+        while self._running and self._starts == started:
             if self.failmode is not None:
                 self.failmode.tick(env.now)
             handled = self.bridge.pump()

@@ -4,6 +4,8 @@ never parked — whatever contract the owner offers is ignored.  The body
 of ``_poll`` is ``PollLoop._poll`` as it stood before loops could leave
 the event heap, under the same ``(time, rank, eid)`` queue key."""
 
+import contextlib
+
 from repro.sim.engine import Timer
 from repro.sim.pollloop import PollLoop
 
@@ -55,3 +57,24 @@ class ReferencePollLoop(PollLoop):
             self.idle_time += delay
             timer.arm(delay)
             self._idle_delay = min(delay * 2, self.idle_backoff_max)
+
+
+@contextlib.contextmanager
+def every_poll_an_event():
+    """Inside the block, every loop owner in the system (PMD cores,
+    guest apps, sinks, sources) builds its loop on the reference: the
+    same scenario run inside and outside is the differential."""
+    import repro.apps.base
+    import repro.traffic.generator
+    import repro.traffic.sink
+    import repro.vswitch.vswitchd
+
+    owners = (repro.apps.base, repro.traffic.generator, repro.traffic.sink,
+              repro.vswitch.vswitchd)
+    for module in owners:
+        module.PollLoop = ReferencePollLoop
+    try:
+        yield
+    finally:
+        for module in owners:
+            module.PollLoop = PollLoop

@@ -81,5 +81,5 @@ def test_handover_under_load_is_bit_identical():
             == 0.06400000000000004)
     # The deterministic host-cost proxy, pinned since PR 13: one event
     # per poll iteration plus the control plane's few hundred.
-    assert env.events_processed == 534057
+    assert env.events_processed == 84820   # 534057 when idle polls were events
     assert sum(loop.idle_iterations for loop in loops) == 449243

@@ -12,12 +12,14 @@ from repro.obs.cycles import (
 
 
 class FakeLoop:
-    def __init__(self, name, busy, idle, iterations=10, idle_iterations=4):
+    def __init__(self, name, busy, idle, iterations=10, idle_iterations=4,
+                 replayed_polls=3):
         self.name = name
         self.busy_time = busy
         self.idle_time = idle
         self.iterations = iterations
         self.idle_iterations = idle_iterations
+        self.replayed_polls = replayed_polls
 
     @property
     def utilization(self):
@@ -77,7 +79,7 @@ class TestPmdCycleReport:
         report.track(FakeLoop("pmd-0", busy=3e-3, idle=1e-3))
         text = report.render()
         assert "pmd thread pmd-0:" in text
-        assert "iterations: 10 (4 idle)" in text
+        assert "iterations: 10 (4 idle, 3 replayed)" in text
         assert "busy cycles: %d (75.0%%)" % seconds_to_cycles(3e-3) in text
         assert "idle cycles: %d (25.0%%)" % seconds_to_cycles(1e-3) in text
 
