@@ -9,16 +9,20 @@ deployment has, and one of the invariants the property tests check
 The pool also keeps an **ownership ledger**: each in-flight mbuf can be
 tagged with its current *holder* — a ring (``"ring:<name>"``) or a VM
 (``"vm:<name>"``) — updated as the buffer moves through the data path.
-When a holder dies abruptly (a crashed VNF), :meth:`reclaim` sweeps its
-bucket and returns the buffers, so a crash costs latency instead of
-permanently shrinking forwarding capacity.  Per-mbuf ``in_pool`` state
-doubles as an immediate double-free detector: the old aggregate
-"over-freed" guard only fired once the pool was *full*, silently letting
-a specific mbuf sit in the free list twice while others were in flight.
+The ledger *is* that tag (``mbuf.holder``): a move is one attribute
+store, and the queries (:meth:`holders`, :meth:`held_by`,
+:meth:`reclaim` — scrape and crash frequency) scan the pool's fixed
+mbuf tuple, O(size).  When a holder dies abruptly (a crashed VNF),
+:meth:`reclaim` sweeps its buffers back, so a crash costs latency
+instead of permanently shrinking forwarding capacity.  Per-mbuf
+``in_pool`` state doubles as an immediate double-free detector: the old
+aggregate "over-freed" guard only fired once the pool was *full*,
+silently letting a specific mbuf sit in the free list twice while
+others were in flight.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.packet.mbuf import Mbuf
 
@@ -63,10 +67,9 @@ class Mempool:
         self._free: List[Mbuf] = [Mbuf(pool=self) for _ in range(size)]
         for mbuf in self._free:
             mbuf.in_pool = True
-        # holder token -> {id(mbuf): mbuf}.  Buckets are only populated
-        # for tokenized paths (rings with a holder_token, guest PMDs);
-        # untracked traffic costs nothing here.
-        self._holders: Dict[str, Dict[int, Mbuf]] = {}
+        # Every descriptor the pool owns, in or out: what the ledger
+        # queries scan.
+        self._mbufs: Tuple[Mbuf, ...] = tuple(self._free)
         self.alloc_count = 0
         self.free_count_total = 0
         self.alloc_failures = 0
@@ -136,8 +139,7 @@ class Mempool:
             # Backstop: a foreign descriptor smuggled in (can't happen
             # through put()'s pool check, but keep the aggregate guard).
             raise RuntimeError("mempool %r over-freed" % self.name)
-        if mbuf.holder is not None:
-            self._drop_from_ledger(mbuf)
+        mbuf.holder = None
         mbuf.in_pool = True
         self._free.append(mbuf)
         self.free_count_total += 1
@@ -145,43 +147,29 @@ class Mempool:
     # -- ownership ledger ---------------------------------------------------
 
     def assign(self, mbuf: Mbuf, holder: str) -> None:
-        """Move ``mbuf``'s ledger entry to ``holder`` (O(1)).
+        """Tag ``mbuf`` as held by ``holder``.
 
         Called from ring enqueue and guest PMD rx paths; a buffer with
-        no tokenized touchpoints simply never appears in the ledger.
+        no tokenized touchpoints simply never carries a tag.
         """
-        if not self.track_ownership:
-            return
-        current = mbuf.holder
-        if current == holder:
-            return
-        if current is not None:
-            bucket = self._holders.get(current)
-            if bucket is not None:
-                bucket.pop(id(mbuf), None)
-        self._holders.setdefault(holder, {})[id(mbuf)] = mbuf
-        mbuf.holder = holder
-
-    def _drop_from_ledger(self, mbuf: Mbuf) -> None:
-        bucket = self._holders.get(mbuf.holder)
-        if bucket is not None:
-            bucket.pop(id(mbuf), None)
-        mbuf.holder = None
+        if self.track_ownership:
+            mbuf.holder = holder
 
     def holders(self) -> Dict[str, int]:
-        """Non-empty ledger buckets: holder token -> mbuf count."""
-        return {
-            token: len(bucket)
-            for token, bucket in self._holders.items() if bucket
-        }
+        """Holder token -> number of mbufs tagged with it."""
+        counts: Dict[str, int] = {}
+        for mbuf in self._mbufs:
+            holder = mbuf.holder
+            if holder is not None:
+                counts[holder] = counts.get(holder, 0) + 1
+        return counts
 
     def held_by(self, owner: str) -> int:
         """Number of mbufs the ledger charges to ``owner``."""
-        bucket = self._holders.get(owner)
-        return len(bucket) if bucket else 0
+        return sum(1 for mbuf in self._mbufs if mbuf.holder == owner)
 
     def reclaim(self, owner: str) -> ReclaimReport:
-        """Sweep a dead holder's bucket back into the pool.
+        """Sweep a dead holder's buffers back into the pool.
 
         Invariant: ``leaked == reclaimed + double_free_detected +
         unreclaimable``.  Only call this once the holder is truly dead —
@@ -189,13 +177,11 @@ class Mempool:
         """
         report = ReclaimReport(owner=owner)
         self.reclaim_sweeps += 1
-        bucket = self._holders.pop(owner, None)
-        if not bucket:
-            return report
-        report.leaked = len(bucket)
-        self.leaked_found_total += report.leaked
-        for mbuf in bucket.values():
+        for mbuf in self._mbufs:
+            if mbuf.holder != owner:
+                continue
             mbuf.holder = None
+            report.leaked += 1
             if mbuf.in_pool:
                 # Ledger said "held by owner" but the descriptor is in
                 # the free list: it was freed twice somewhere.
@@ -214,6 +200,7 @@ class Mempool:
             report.reclaimed += 1
             self.reclaimed_total += 1
             self.free_count_total += 1
+        self.leaked_found_total += report.leaked
         return report
 
     def __repr__(self) -> str:

@@ -116,6 +116,18 @@ class Observability:
             labels={"switch": name},
             help="megaflow (wildcard) cache statistics",
         )
+        self.registry.register_object(
+            "repro_flowplan", datapath.plans,
+            ("entries", "compiles", "flushes"),
+            labels={"switch": name},
+            help="flow plans compiled per resolved traversal",
+        )
+        self.registry.register_object(
+            "repro_rekey", datapath.rekeys,
+            ("entries", "hits", "misses"),
+            labels={"switch": name},
+            help="flow keys re-keyed per (flow, in_port)",
+        )
         # Precise-invalidation coverage events flow through the shared
         # coverage counters (control path only: flowmod frequency).
         datapath.coverage = self.registry.coverage

@@ -6,7 +6,7 @@ its fields.  The field set mirrors the OpenFlow 1.0-ish subset the paper's
 steering rules use.
 """
 
-from typing import NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.packet.headers import (
     ETH_TYPE_IPV4,
@@ -125,3 +125,53 @@ def cached_flow_key(mbuf, in_port: int) -> FlowKey:
     if cached.in_port != in_port:
         return cached._replace(in_port=in_port)
     return cached
+
+
+class RekeyMemo:
+    """Bounded per-``in_port`` memo of re-keyed flow keys.
+
+    A generator's template key sits at ``in_port=0`` and is never
+    written back, so every switch hop of every packet would rebuild the
+    same tuple; here a steady flow is re-keyed once per port it crosses.
+    Each port holds at most ``CAP`` entries, oldest out first.
+    """
+
+    CAP = 1024
+
+    def __init__(self) -> None:
+        self._ports: Dict[int, Dict[FlowKey, FlowKey]] = {}
+        self.hits = 0
+        self.misses = 0
+
+    @property
+    def entries(self) -> int:
+        return sum(len(memo) for memo in self._ports.values())
+
+    def forget(self, in_port: int) -> None:
+        """Drop what was memoised for a port that is gone."""
+        self._ports.pop(in_port, None)
+
+    def keys_at(self, mbufs, in_port: int) -> List[FlowKey]:
+        """:func:`cached_flow_key` for each mbuf of a burst from one port."""
+        memo = self._ports.get(in_port)
+        if memo is None:
+            memo = self._ports[in_port] = {}
+        keys = []
+        rekeyed = misses = 0
+        for mbuf in mbufs:
+            key = mbuf.userdata
+            if key is None:
+                key = mbuf.userdata = extract_flow_key(mbuf.packet, in_port)
+            elif key.in_port != in_port:
+                rekeyed += 1
+                cached = memo.get(key)
+                if cached is None:
+                    misses += 1
+                    if len(memo) >= self.CAP:
+                        del memo[next(iter(memo))]
+                    cached = memo[key] = key._replace(in_port=in_port)
+                key = cached
+            keys.append(key)
+        self.hits += rekeyed - misses
+        self.misses += misses
+        return keys

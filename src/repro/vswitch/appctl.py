@@ -158,8 +158,8 @@ def fastpath_show(vswitchd: VSwitchd) -> str:
 
     One screen answering "which lookup tier is serving traffic, how full
     are the flow batches, and is invalidation precise or sledgehammer":
-    EMC / SMC statistics, the dpcls subtable ranking, and the flow-batch
-    fill histogram.
+    EMC / SMC statistics, the dpcls subtable ranking, the plan and
+    re-key memos, and the flow-batch fill histogram.
     """
     datapath = vswitchd.datapath
     emc = datapath.emc
@@ -209,6 +209,12 @@ def fastpath_show(vswitchd: VSwitchd) -> str:
     for fields, rules, max_priority, hits in datapath.classifier.ranking():
         lines.append(" subtable [%s]: %d rule(s) max_priority=%d hits=%d"
                      % (fields, rules, max_priority, hits))
+    plans = datapath.plans
+    rekeys = datapath.rekeys
+    lines.append("flow plans: %d entries, compiles=%d flushes=%d"
+                 % (plans.entries, plans.compiles, plans.flushes))
+    lines.append("rekey memo: %d entries, hits=%d misses=%d"
+                 % (rekeys.entries, rekeys.hits, rekeys.misses))
     lines.append(
         "flow batches: %d batches, %d packets (avg fill %.2f)"
         % (datapath.flow_batches, datapath.packets_batched,

@@ -6,7 +6,7 @@ One :class:`Datapath` instance is the forwarding engine of a bridge; its
 The default fast path is **vectorized**, modelled on OVS's ``dp_netdev``
 flow batches: flow keys are computed for the whole received burst up
 front, packets are grouped per distinct key, one lookup resolves every
-packet of a batch, and the combined action list is built once per batch.
+packet of a batch, and the batch replays a plan compiled once per traversal.
 Lookup itself is four-tiered, exactly like OVS-DPDK:
 
 1. **EMC** — exact flow key -> full pipeline traversal, precise
@@ -38,7 +38,7 @@ from repro.openflow.actions import (
     goto_table_of,
 )
 from repro.openflow.table import FlowEntry, FlowTable
-from repro.packet.flowkey import FlowKey, cached_flow_key
+from repro.packet.flowkey import FlowKey, RekeyMemo, cached_flow_key
 from repro.packet.headers import Ethernet, IPv4, MacAddress, Tcp, Udp, Vlan
 from repro.packet.mbuf import Mbuf
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
@@ -55,6 +55,56 @@ UpcallHandler = Callable[[Mbuf, int, str], None]
 def _free_upcall(mbuf: Mbuf, in_port: int, reason: str) -> None:
     """The upcall handler of a datapath that has none: drop."""
     mbuf.free()
+
+
+class FlowPlan:
+    """What a resolved traversal does to a packet, compiled once:
+    ``actions`` is its combined stateless action list (goto_table and
+    XFSM delegations taken out), ``stateful`` the delegations, and
+    ``output`` the port when the whole list is one plain output — the
+    case where a flow batch is forwarded by one list append."""
+
+    __slots__ = ("actions", "stateful", "output")
+
+    def __init__(self, traversal: Traversal) -> None:
+        combined = [action for entry in traversal
+                    for action in entry.actions
+                    if not isinstance(action, GotoTableAction)]
+        self.stateful = tuple(action for action in combined
+                              if isinstance(action, XfsmAction))
+        self.actions = tuple(action for action in combined
+                             if not isinstance(action, XfsmAction))
+        only = self.actions[0] if len(self.actions) == 1 else None
+        self.output = (only.port if isinstance(only, OutputAction)
+                       and only.port != PORT_CONTROLLER else None)
+
+
+class PlanMemo:
+    """Traversal -> :class:`FlowPlan`, compiled on first use: shared
+    per traversal, not per cached key, and dropped wholesale on any
+    table change — a modify rewrites ``entry.actions`` under an
+    unchanged traversal, so no plan may outlive a flowmod."""
+
+    def __init__(self) -> None:
+        self._plans: Dict[Traversal, FlowPlan] = {}
+        self.compiles = 0
+        self.flushes = 0
+
+    @property
+    def entries(self) -> int:
+        return len(self._plans)
+
+    def plan_for(self, traversal: Traversal) -> FlowPlan:
+        plan = self._plans.get(traversal)
+        if plan is None:
+            plan = self._plans[traversal] = FlowPlan(traversal)
+            self.compiles += 1
+        return plan
+
+    def flush(self) -> None:
+        if self._plans:
+            self._plans.clear()
+            self.flushes += 1
 
 
 class Datapath:
@@ -137,11 +187,17 @@ class Datapath:
         self.flow_batches = 0
         self.packets_batched = 0
         self.batch_fill_counts: Dict[int, int] = {}
+        # The batched lane resolves once and replays per packet: one
+        # flow plan per traversal, one re-keyed flow key per (flow,
+        # port).  The scalar lane uses neither.
+        self.plans = PlanMemo()
+        self.rekeys = RekeyMemo()
         # Optional control-path coverage hook (wired by Observability):
         # called as coverage(event_name, amount).
         self.coverage: Optional[Callable[..., None]] = None
 
     def _on_table_change(self, kind: str, entry: FlowEntry) -> None:
+        self.plans.flush()
         if self.emc_invalidation != "precise":
             self.emc.invalidate_all()
             self.megaflow.flush()
@@ -200,6 +256,7 @@ class Datapath:
         self.ports[port.ofport] = port
 
     def remove_port(self, ofport: int) -> OvsPort:
+        self.rekeys.forget(ofport)
         try:
             return self.ports.pop(ofport)
         except KeyError:
@@ -559,28 +616,30 @@ class Datapath:
         The mbuf reference is consumed: it is either batched for output,
         handed to the upcall handler, or freed (drop / unknown port).
         """
-        consumed = False
+        ports = self.ports
+        # One reference per consumer, all taken before the first
+        # hand-off: an inline upcall handler may free its reference
+        # while later outputs still need theirs.
+        consumers = sum(
+            1 for action in entry_actions
+            if isinstance(action, OutputAction)
+            and (action.port == PORT_CONTROLLER or action.port in ports))
+        if consumers > 1:
+            mbuf.refcnt += consumers - 1
         for action in entry_actions:
             if isinstance(action, SetFieldAction):
                 self._apply_set_field(mbuf, action.field, action.value)
             elif isinstance(action, OutputAction):
                 if action.port == PORT_CONTROLLER:
                     self.upcalls_action += 1
-                    if self.upcall_queue is not None:
-                        self._punt(mbuf, in_port, "action")
-                    elif self.upcall_handler is not None:
-                        self.upcall_handler(mbuf, in_port, "action")
-                    consumed = True
-                elif action.port in self.ports:
-                    # Multiple outputs clone by reference counting.
-                    target = mbuf if not consumed else mbuf.retain()
-                    output_batches.setdefault(action.port, []).append(target)
-                    consumed = True
+                    self._punt(mbuf, in_port, "action")
+                elif action.port in ports:
+                    output_batches.setdefault(action.port, []).append(mbuf)
                 else:
                     # Output to an unknown port: ignored, but accounted
                     # so conservation checks can balance the books.
                     self.unknown_port_drops += 1
-        if not consumed:
+        if not consumers:
             self.action_drops += 1
             mbuf.free()  # empty action list = OpenFlow drop
 
@@ -711,8 +770,7 @@ class Datapath:
         batching.
         """
         batches: Dict[FlowKey, List[Mbuf]] = {}
-        for mbuf in mbufs:
-            key = cached_flow_key(mbuf, in_port)
+        for mbuf, key in zip(mbufs, self.rekeys.keys_at(mbufs, in_port)):
             batch = batches.get(key)
             if batch is None:
                 batches[key] = [mbuf]
@@ -734,26 +792,17 @@ class Datapath:
                     total_cost += self._punt(mbuf, in_port, "no_match",
                                              stages=stages)
                 continue
+            plan = self.plans.plan_for(traversal)
             byte_total = sum(mbuf.wire_length for mbuf in batch)
-            combined = [
-                action
-                for entry in traversal
-                for action in entry.actions
-                if not isinstance(action, GotoTableAction)
-            ]
             for entry in traversal:
                 entry.account(fill, byte_total, now)
-            stateful = [action for action in combined
-                        if isinstance(action, XfsmAction)]
-            if stateful:
+            if plan.stateful:
                 # The lookup is shared by the batch; the stateful
                 # verdicts are not (flags differ packet to packet).
-                combined = [action for action in combined
-                            if not isinstance(action, XfsmAction)]
                 survivors = []
                 for mbuf in batch:
                     xfsm_cost, allowed = self._xfsm_packet(
-                        stateful, mbuf, in_port, now, stages=stages)
+                        plan.stateful, mbuf, in_port, now, stages=stages)
                     total_cost += xfsm_cost
                     if allowed:
                         survivors.append(mbuf)
@@ -766,9 +815,17 @@ class Datapath:
             total_cost += action_cost
             if stages is not None:
                 stages.add("actions", action_cost, packets=fill)
-            for mbuf in batch:
-                self.execute_actions(combined, mbuf, in_port,
-                                     output_batches)
+            if plan.output in self.ports:
+                # The whole batch leaves by one port: hand the list on.
+                queued = output_batches.get(plan.output)
+                if queued is None:
+                    output_batches[plan.output] = batch
+                else:
+                    queued.extend(batch)
+            else:
+                for mbuf in batch:
+                    self.execute_actions(plan.actions, mbuf, in_port,
+                                         output_batches)
         return total_cost
 
     def flush_outputs(self, output_batches: Dict[int, List[Mbuf]],

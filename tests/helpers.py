@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import os
+
 from repro.packet.builder import make_udp_packet
 from repro.packet.mbuf import Mbuf
 
@@ -17,3 +19,12 @@ def mk_mbuf(packet=None, pool=None, **udp_kwargs):
 def drain(ring, max_count=1024):
     """Dequeue everything currently in ``ring``."""
     return ring.dequeue_burst(max_count)
+
+
+def sweep_seeded(test):
+    """Under the CI fault sweep, draw the examples from its seed."""
+    if os.environ.get("REPRO_FAULT_SEED"):
+        from hypothesis import seed   # not every CI job installs it
+
+        return seed(int(os.environ["REPRO_FAULT_SEED"]))(test)
+    return test

@@ -75,6 +75,47 @@ class TestFastPathExport:
         ) == datapath.flow_batches
 
 
+    def test_plan_and_rekey_memos_scale_with_flows_not_packets(self):
+        # The deterministic claim behind "resolve once, replay per
+        # packet": on a steady EMC-hit chain a plan is compiled once per
+        # distinct traversal and a template key re-keyed once per
+        # (flow, ingress port), however many packets follow.
+        flows = 6
+        seen = []
+        for duration in (0.002, 0.004):
+            experiment, _result = run_bypass_chain(
+                bypass=False, flows=flows, duration=duration)
+            switch = experiment.node.switch
+            datapath = switch.datapath
+            plans, rekeys = datapath.plans, datapath.rekeys
+            rules_hit = [entry for entry in switch.bridge.table.entries()
+                         if entry.packet_count]
+            rx_ports = [port for port in datapath.ports.values()
+                        if port.rx_packets]
+            assert plans.compiles == plans.entries == len(rules_hit) == 4
+            assert plans.flushes == 0
+            assert rekeys.misses == rekeys.entries == flows * len(rx_ports)
+            assert rekeys.hits + rekeys.misses == datapath.packets_processed
+            seen.append((plans.compiles, rekeys.misses,
+                         datapath.packets_processed))
+        assert seen[0][:2] == seen[1][:2]
+        assert seen[1][2] > 1.5 * seen[0][2]
+        # Same numbers on both operator surfaces.
+        labels = {"switch": switch.name}
+        registry = experiment.obs.registry
+        for family, memo, attrs in (
+                ("repro_flowplan", plans,
+                 ("entries", "compiles", "flushes")),
+                ("repro_rekey", rekeys, ("entries", "hits", "misses"))):
+            for attr in attrs:
+                assert registry.sample_value(
+                    "%s_%s" % (family, attr), labels) == getattr(memo, attr)
+        shown = AppCtl(switch, obs=experiment.obs).run("dpif/fastpath-show")
+        assert "flow plans: 4 entries, compiles=4 flushes=0" in shown
+        assert ("rekey memo: %d entries, hits=%d misses=%d"
+                % (rekeys.entries, rekeys.hits, rekeys.misses)) in shown
+
+
 class TestAppctlObservability:
     def test_commands_require_wiring(self):
         node = NfvNode()

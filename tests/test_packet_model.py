@@ -20,7 +20,7 @@ from repro.packet import (
     make_udp_packet,
     pad_to,
 )
-from repro.packet.flowkey import cached_flow_key, key_with_port
+from repro.packet.flowkey import RekeyMemo, cached_flow_key, key_with_port
 from repro.packet.headers import Arp, ipv4_to_int
 from repro.packet.mbuf import Mbuf
 
@@ -156,6 +156,61 @@ class TestFlowKey:
         other_port = cached_flow_key(mbuf, 5)
         assert other_port.in_port == 5
         assert other_port._replace(in_port=4) == first
+
+
+class TestRekeyMemo:
+    @staticmethod
+    def _templated(**udp_kwargs):
+        """An mbuf the way a generator emits it: key cached at port 0."""
+        mbuf = Mbuf()
+        mbuf.packet = make_udp_packet(**udp_kwargs)
+        mbuf.userdata = extract_flow_key(mbuf.packet, in_port=0)
+        return mbuf
+
+    def test_agrees_with_cached_flow_key(self):
+        memo = RekeyMemo()
+        burst = [self._templated(src_port=2000 + i % 3) for i in range(9)]
+        burst.append(Mbuf())                      # nothing cached yet
+        burst[-1].packet = make_udp_packet(src_port=2003)
+        keys = memo.keys_at(burst, in_port=7)
+        assert keys == [cached_flow_key(mbuf, 7) for mbuf in burst]
+        assert burst[-1].userdata is keys[-1]     # extracted at port 7
+        assert burst[0].userdata.in_port == 0     # template not rewritten
+
+    def test_steady_flow_rekeys_once_per_port(self):
+        memo = RekeyMemo()
+        mbuf = self._templated()
+        first = memo.keys_at([mbuf] * 4, in_port=3)
+        assert all(key is first[0] for key in first)
+        memo.keys_at([mbuf], in_port=3)
+        memo.keys_at([mbuf], in_port=5)
+        assert (memo.hits, memo.misses, memo.entries) == (4, 2, 2)
+
+    def test_ever_new_flows_never_exceed_the_cap(self):
+        memo = RekeyMemo()
+        flows = RekeyMemo.CAP + 200
+        for i in range(flows):
+            mbuf = self._templated(src_port=2000 + i)
+            [key] = memo.keys_at([mbuf], in_port=3)
+            assert key == extract_flow_key(mbuf.packet, 3)
+            assert memo.entries <= RekeyMemo.CAP
+        assert memo.entries == RekeyMemo.CAP
+        assert (memo.hits, memo.misses) == (0, flows)
+        # Oldest out first: the newest flow is still memoised.
+        memo.keys_at([mbuf], in_port=3)
+        assert memo.hits == 1
+        memo.forget(3)
+        assert memo.entries == 0
+
+    def test_rewritten_packet_is_re_extracted(self):
+        memo = RekeyMemo()
+        mbuf = self._templated(dst_port=80)
+        memo.keys_at([mbuf], in_port=3)
+        # What a set_field action does: rewrite, then drop the cache.
+        mbuf.packet.get(Udp).dst_port = 9999
+        mbuf.userdata = None
+        [key] = memo.keys_at([mbuf], in_port=3)
+        assert key.l4_dst == 9999 and key.in_port == 3
 
 
 class TestMbuf:

@@ -17,19 +17,35 @@ compared:
   classifier hits) intentionally differs — the SMC tier only exists on
   the vectorized path — but the totals must not.
 
-A second property pins down precise EMC invalidation: a datapath-style
+A second property is the flow-plan differential: the batched lane
+replays plans compiled once per traversal, the scalar lane compiles
+nothing, and the two must stay indistinguishable while flowmods (add
+above, modify in place, strict delete), a goto_table pipeline, an XFSM
+delegation, multi-consumer action lists and a ``del_port`` of a plan's
+output port land between the bursts — with the EMC on and off.
+
+A third property pins down precise EMC invalidation: a datapath-style
 EMC whose listener tombstones only the affected keys never serves a
 stale rule, agreeing with the linear table lookup under churn.
 """
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.openflow.actions import OutputAction, SetFieldAction
+from repro.mem.mempool import Mempool
+from repro.openflow.actions import (
+    ControllerAction,
+    GotoTableAction,
+    OutputAction,
+    SetFieldAction,
+    XfsmAction,
+)
 from repro.openflow.match import Match
 from repro.openflow.table import FlowEntry, FlowTable
 from repro.packet.flowkey import FlowKey
 from repro.packet.headers import ETH_TYPE_IPV4, IP_PROTO_UDP, Udp
+from repro.state.programs import acl_program
 from repro.vswitch.classifier import TupleSpaceClassifier
 from repro.vswitch.emc import ExactMatchCache
 from repro.vswitch.vswitchd import VSwitchd
@@ -171,6 +187,205 @@ def test_vectorized_path_equals_scalar_path(ops):
     for entry_s, entry_v in zip(scalar.entries, vector.entries):
         assert entry_s.packet_count == entry_v.packet_count
         assert entry_s.byte_count == entry_v.byte_count
+
+
+# -- flow plans vs. no plans under flowmods ---------------------------------
+
+PLAN_PORT_NAMES = PORT_NAMES + ("p3",)   # p3: output only, may be deleted
+ACTION_KINDS = ["out", "setfield", "multi", "setmulti", "ctrl", "drop",
+                "goto", "xfsm"]
+DENIED_FLOW = FLOW_SRC_PORTS[1]          # what the ACL program drops
+
+plan_ops_strategy = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("burst"),
+            st.integers(0, len(PORT_NAMES) - 1),
+            st.lists(st.integers(0, len(FLOW_SRC_PORTS) - 1),
+                     min_size=1, max_size=8),
+        ),
+        st.tuples(
+            st.just("add"),
+            st.sampled_from([None, 0, 1, 2]),
+            st.sampled_from([None, 0, 1, 2, 3]),
+            st.sampled_from(ACTION_KINDS),
+            st.integers(0, len(PLAN_PORT_NAMES) - 1),
+            st.sampled_from([10, 20, 30]),
+        ),
+        # modify the actions of an installed (possibly EMC-resident) rule
+        st.tuples(st.just("mod"), st.integers(0, 7),
+                  st.sampled_from(ACTION_KINDS),
+                  st.integers(0, len(PLAN_PORT_NAMES) - 1)),
+        st.tuples(st.just("sdel"), st.integers(0, 7)),
+        st.tuples(st.just("delport")),
+    ),
+    min_size=1,
+    max_size=18,
+)
+
+
+class PlanHarness(Harness):
+    """The harness above plus a second pipeline table, an XFSM program,
+    a real mempool, a clock and a deletable output port."""
+
+    def __init__(self, vectorized: bool, emc_enabled: bool) -> None:
+        super().__init__(vectorized)
+        datapath = self.switch.datapath
+        datapath.emc_enabled = emc_enabled
+        self.now = 0.0
+        datapath.clock = lambda: self.now
+        self.ports.append(self.switch.add_dpdkr_port("p3"))
+        self.delivered["p3"] = []
+        self.pool = Mempool("pkts", size=256)
+        # Table 1 forwards flow 0 and misses (an OF1.3 drop) the rest.
+        table1 = FlowTable(table_id=1)
+        datapath.attach_table(1, table1)
+        self.entries.append(FlowEntry(
+            Match(eth_type=ETH_TYPE_IPV4, ip_proto=IP_PROTO_UDP,
+                  l4_src=FLOW_SRC_PORTS[0]),
+            [OutputAction(self.ports[1].ofport)]))
+        table1.add(self.entries[0])
+        datapath.register_xfsm(acl_program(
+            [Match(eth_type=ETH_TYPE_IPV4, ip_proto=IP_PROTO_UDP,
+                   l4_src=DENIED_FLOW)]))
+
+    def _actions(self, kind: str, out: int):
+        first = self.ports[out].ofport
+        second = self.ports[(out + 1) % len(self.ports)].ofport
+        return {
+            "out": [OutputAction(first)],
+            "setfield": [SetFieldAction("l4_dst", REWRITE_DST),
+                         OutputAction(first)],
+            "multi": [OutputAction(first), OutputAction(second)],
+            "setmulti": [SetFieldAction("l4_dst", REWRITE_DST),
+                         OutputAction(first), OutputAction(second)],
+            "ctrl": [ControllerAction(), OutputAction(first)],
+            "drop": [],
+            "goto": [GotoTableAction(1)],
+            "xfsm": [XfsmAction("acl"), OutputAction(first)],
+        }[kind]
+
+    def apply(self, op, seq_base: int) -> None:
+        self.now += 0.25
+        kind = op[0]
+        table = self.switch.bridge.table
+        if kind == "add":
+            _kind, in_port_index, flow_index, action_kind, out, prio = op
+            entry = FlowEntry(self._match(in_port_index, flow_index),
+                              self._actions(action_kind, out),
+                              priority=prio)
+            self.entries.append(entry)
+            table.add(entry)
+        elif kind == "mod":
+            entry = self.entries[op[1] % len(self.entries)]
+            if entry in table.entries():
+                table.modify(entry.match, self._actions(op[2], op[3]),
+                             strict=True, priority=entry.priority)
+        elif kind == "sdel":
+            entry = self.entries[op[1] % len(self.entries)]
+            table.delete(entry.match, strict=True, priority=entry.priority)
+        elif kind == "delport":
+            ofport = self.ports[3].ofport
+            if ofport in self.switch.datapath.ports:
+                self.collect()
+                self.switch.del_port(ofport)
+        else:
+            _kind, rx_index, flow_indices = op
+            rx = self.ports[rx_index]
+            for offset, flow_index in enumerate(flow_indices):
+                mbuf = mk_mbuf(pool=self.pool,
+                               src_port=FLOW_SRC_PORTS[flow_index])
+                self.seq_of[id(mbuf)] = seq_base + offset
+                rx.rings.to_switch.enqueue(mbuf)
+            self.switch.step_dataplane()
+            self.collect()
+
+    def collect(self) -> None:
+        for port in self.ports:
+            for mbuf in port.rings.to_guest.dequeue_burst(1024):
+                udp = mbuf.packet.get(Udp)
+                self.delivered[port.name].append(
+                    (self.seq_of[id(mbuf)], udp.src_port, udp.dst_port))
+                mbuf.free()
+
+
+# Not pipeline_drops: it counts packets at *resolution* time, so a
+# cache hit (EMC in both lanes, megaflow in the batched one) skips it —
+# the lanes already disagreed on it before there were plans.
+DATAPATH_COUNTERS = (
+    "packets_processed", "upcalls_no_match", "upcalls_action",
+    "action_drops", "unknown_port_drops",
+    "xfsm_evaluated", "xfsm_drops", "xfsm_unknown_drops",
+)
+
+
+# Every kind of change once, each between bursts that hit a compiled
+# plan before it and must see the new behaviour after it.
+EVERY_CHANGE_ONCE = [
+    ("add", None, None, "out", 1, 10),
+    ("burst", 0, [0, 1, 0, 2]), ("burst", 0, [0, 1]),
+    ("mod", 1, "out", 2),                      # EMC-resident entry
+    ("burst", 0, [0, 1, 0]),
+    ("add", None, 0, "multi", 0, 20),          # outranks it for flow 0
+    ("burst", 0, [0, 1, 0]),
+    ("sdel", 2),
+    ("burst", 0, [0, 1]),
+    ("add", 0, 2, "goto", 0, 30), ("add", 0, 0, "goto", 0, 30),
+    ("burst", 0, [0, 2, 0, 3]),
+    ("add", 2, None, "xfsm", 0, 20),
+    ("burst", 2, [0, 1, 1, 2]),
+    ("add", 1, None, "setmulti", 2, 20), ("add", 1, 3, "ctrl", 3, 30),
+    ("burst", 1, [0, 3, 0, 3]),
+    ("mod", 1, "out", 3),
+    ("burst", 0, [1, 1]),
+    ("delport",),
+    ("burst", 0, [1, 3]), ("burst", 1, [0, 3]),
+]
+
+
+@pytest.mark.parametrize("emc_enabled", [True, False])
+@settings(max_examples=60, deadline=None)
+@given(plan_ops_strategy)
+@example(EVERY_CHANGE_ONCE)
+def test_flow_plans_track_every_table_and_port_change(emc_enabled, ops):
+    scalar = PlanHarness(vectorized=False, emc_enabled=emc_enabled)
+    vector = PlanHarness(vectorized=True, emc_enabled=emc_enabled)
+    seq = 0
+    for op in ops:
+        scalar.apply(op, seq)
+        vector.apply(op, seq)
+        if op[0] == "burst":
+            seq += len(op[2])
+
+    for name in PLAN_PORT_NAMES:
+        got_scalar = scalar.delivered[name]
+        got_vector = vector.delivered[name]
+        assert sorted(got_scalar) == sorted(got_vector)
+        for flow in FLOW_SRC_PORTS:
+            assert [rec for rec in got_scalar if rec[1] == flow] \
+                == [rec for rec in got_vector if rec[1] == flow]
+
+    dp_scalar = scalar.switch.datapath
+    dp_vector = vector.switch.datapath
+    for counter in DATAPATH_COUNTERS:
+        assert getattr(dp_scalar, counter) == getattr(dp_vector, counter), \
+            counter
+    assert (dp_scalar.emc_hits + dp_scalar.classifier_hits
+            == dp_vector.emc_hits + dp_vector.classifier_hits)
+    # The oracle lane compiles and memoises nothing.
+    assert dp_scalar.plans.compiles == 0
+    assert (dp_scalar.rekeys.hits, dp_scalar.rekeys.misses) == (0, 0)
+
+    assert len(scalar.entries) == len(vector.entries)
+    for entry_s, entry_v in zip(scalar.entries, vector.entries):
+        assert (entry_s.packet_count, entry_s.byte_count,
+                entry_s.last_used) \
+            == (entry_v.packet_count, entry_v.byte_count,
+                entry_v.last_used)
+
+    for harness in (scalar, vector):
+        assert harness.pool.in_use == 0
+        assert harness.pool.double_free_detected == 0
 
 
 # -- precise invalidation property -----------------------------------------

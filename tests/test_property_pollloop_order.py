@@ -16,26 +16,19 @@ accounting and published heartbeat at each of its ticks.
 
 import dataclasses
 import math
-import os
 
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.mem.ring import Ring
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.engine import Environment
 from repro.sim.pollloop import PollLoop
 
+from tests.helpers import sweep_seeded
 from tests.support.reference_pollloop import ReferencePollLoop
 
 TICK = 2.0 ** -22          # ~238 ns, exact in binary: sums never round
 COSTS = dataclasses.replace(DEFAULT_COST_MODEL, idle_poll=TICK)
-
-
-def sweep_seeded(test):
-    """Under the CI fault sweep, draw the examples from its seed."""
-    if os.environ.get("REPRO_FAULT_SEED"):
-        return seed(int(os.environ["REPRO_FAULT_SEED"]))(test)
-    return test
 
 
 ROLES = ["producer", "deferrer", "consumer", "consumer", "pacer", "spawner",

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.dpdk.dpdkr import DpdkrSharedRings
+from repro.mem.mempool import Mempool
 from repro.mem.memzone import MemzoneRegistry
 from repro.openflow.actions import (
     ControllerAction,
@@ -12,6 +14,7 @@ from repro.openflow.match import Match
 from repro.openflow.table import FlowEntry, FlowTable
 from repro.packet.headers import ETH_TYPE_IPV4, Ethernet, MacAddress
 from repro.vswitch.datapath import Datapath
+from repro.vswitch.ports import DpdkrOvsPort
 from repro.vswitch.vswitchd import VSwitchd
 
 from tests.helpers import drain, mk_mbuf
@@ -143,15 +146,131 @@ class TestForwarding:
             upcall_handler=lambda m, p, r: upcalls.append((p, r)) or m.free(),
         )
         registry = MemzoneRegistry()
-        from repro.dpdk.dpdkr import DpdkrSharedRings
-        from repro.vswitch.ports import DpdkrOvsPort
-
         port = DpdkrOvsPort(1, DpdkrSharedRings(registry, "dpdkr0"))
         datapath.add_port(port)
         table.add(FlowEntry(Match(in_port=1), [ControllerAction()]))
         port.rings.to_switch.enqueue(mk_mbuf())
         datapath.process_ports([port])
         assert upcalls == [(1, "action")]
+
+
+class TestControllerPlusOutput:
+    """``[controller, output:b]``: two consumers, two references — taken
+    before the first hand-off, whichever lane runs the actions."""
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_inline_upcall_cannot_free_the_outputs_reference(
+            self, vectorized):
+        # Inline upcalls: the bridge's handler frees its reference
+        # inside execute_actions.  Retaining for the output only after
+        # that revived an mbuf that was already back in its pool.
+        switch = VSwitchd(bounded_upcalls=False)
+        switch.datapath.vectorized = vectorized
+        a = switch.add_dpdkr_port("dpdkr0")
+        b = switch.add_dpdkr_port("dpdkr1")
+        add_flow(switch, Match(in_port=a.ofport),
+                 [ControllerAction(), OutputAction(b.ofport)])
+        pool = Mempool("pkts", size=4)
+        mbuf = mk_mbuf(pool=pool)
+        a.rings.to_switch.enqueue(mbuf)
+        switch.step_dataplane()
+        assert switch.datapath.upcalls_action == 1
+        assert drain(b.rings.to_guest) == [mbuf]
+        assert not mbuf.in_pool and mbuf.refcnt == 1
+        assert pool.available == 3
+        mbuf.free()
+        assert pool.available == 4 and pool.double_free_detected == 0
+
+    def test_packet_out_takes_the_same_references(self):
+        switch = VSwitchd(bounded_upcalls=False)
+        b = switch.add_dpdkr_port("dpdkr1")
+        pool = Mempool("pkts", size=4)
+        mbuf = mk_mbuf(pool=pool)
+        switch.datapath.inject(
+            mbuf, [ControllerAction(), OutputAction(b.ofport)])
+        assert drain(b.rings.to_guest) == [mbuf]
+        assert not mbuf.in_pool and mbuf.refcnt == 1
+        mbuf.free()
+        assert pool.available == 4
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_bare_datapath_frees_the_controller_copy(self, vectorized):
+        # Neither upcall queue nor handler: nobody takes the controller
+        # copy, so it must be dropped, not leaked.
+        table = FlowTable()
+        datapath = Datapath(table, vectorized=vectorized)
+        registry = MemzoneRegistry()
+        a = DpdkrOvsPort(1, DpdkrSharedRings(registry, "dpdkr0"))
+        b = DpdkrOvsPort(2, DpdkrSharedRings(registry, "dpdkr1"))
+        datapath.add_port(a)
+        datapath.add_port(b)
+        table.add(FlowEntry(Match(in_port=1),
+                            [ControllerAction(), OutputAction(2)]))
+        pool = Mempool("pkts", size=4)
+        mbuf = mk_mbuf(pool=pool)
+        a.rings.to_switch.enqueue(mbuf)
+        datapath.process_ports([a, b])
+        assert drain(b.rings.to_guest) == [mbuf]
+        assert mbuf.refcnt == 1
+        mbuf.free()
+        assert pool.available == 4
+
+
+class TestFlowPlans:
+    """The batched lane replays a plan compiled once per traversal."""
+
+    def test_one_plan_serves_every_key_of_a_rule(self, switch):
+        a = switch.add_dpdkr_port("dpdkr0")
+        b = switch.add_dpdkr_port("dpdkr1")
+        add_flow(switch, Match(in_port=a.ofport), [OutputAction(b.ofport)])
+        for burst in range(3):
+            for flow in range(5):
+                a.rings.to_switch.enqueue(mk_mbuf(src_port=1000 + flow))
+            switch.step_dataplane()
+        plans = switch.datapath.plans
+        assert (plans.entries, plans.compiles, plans.flushes) == (1, 1, 0)
+        assert len(drain(b.rings.to_guest)) == 15
+
+    @pytest.mark.parametrize("emc_enabled", [True, False])
+    def test_modified_actions_of_a_cached_entry_take_effect(
+            self, emc_enabled):
+        # table.modify rewrites entry.actions in place: the traversal
+        # tuple — the plan memo's key — is unchanged, so the memo must
+        # not survive the flowmod.
+        switch = VSwitchd()
+        switch.datapath.emc_enabled = emc_enabled
+        a = switch.add_dpdkr_port("dpdkr0")
+        b = switch.add_dpdkr_port("dpdkr1")
+        c = switch.add_dpdkr_port("dpdkr2")
+        match = Match(in_port=a.ofport)
+        add_flow(switch, match, [OutputAction(b.ofport)])
+        for _ in range(2):
+            a.rings.to_switch.enqueue(mk_mbuf())
+            switch.step_dataplane()
+        assert len(drain(b.rings.to_guest)) == 2
+        switch.bridge.table.modify(match, [OutputAction(c.ofport)])
+        a.rings.to_switch.enqueue(mk_mbuf())
+        switch.step_dataplane()
+        assert drain(b.rings.to_guest) == []
+        assert len(drain(c.rings.to_guest)) == 1
+        plans = switch.datapath.plans
+        assert (plans.compiles, plans.flushes) == (2, 1)
+
+    def test_deleted_output_port_drops_and_accounts(self, switch):
+        a = switch.add_dpdkr_port("dpdkr0")
+        b = switch.add_dpdkr_port("dpdkr1")
+        add_flow(switch, Match(in_port=a.ofport), [OutputAction(b.ofport)])
+        pool = Mempool("pkts", size=4)
+        a.rings.to_switch.enqueue(mk_mbuf(pool=pool))
+        switch.step_dataplane()
+        drain(b.rings.to_guest)[0].free()
+        switch.del_port(b.ofport)     # no flowmod: the plan is still cached
+        a.rings.to_switch.enqueue(mk_mbuf(pool=pool))
+        switch.step_dataplane()
+        datapath = switch.datapath
+        assert datapath.plans.flushes == 0
+        assert (datapath.unknown_port_drops, datapath.action_drops) == (1, 1)
+        assert pool.available == 4
 
 
 class TestPortManagement:
