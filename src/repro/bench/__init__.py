@@ -6,12 +6,13 @@ results schema every benchmark document carries
 (:mod:`repro.bench.schema`), and the per-PR trend file the regression
 gate checks (``BENCH_TRENDS.jsonl``; ``scripts/bench_gate.py``).
 
-Run the whole matrix::
+Run the whole matrix, or regenerate one committed artifact::
 
     python -m repro.bench --matrix quick
+    python -m repro.bench --family paper      # writes BENCH_paper.json
 
-The four ``scripts/bench_*.py`` entry points are thin wrappers over the
-workload modules in :mod:`repro.bench.workloads`.
+The six workload families live in :mod:`repro.bench.workloads`; the
+``paper`` family holds every figure and claim of the paper itself.
 """
 
 from repro.bench.harness import (

@@ -1,24 +1,27 @@
-"""Command-line drivers for the benchmark subsystem.
+"""``python -m repro.bench``: the one modelled-clock benchmark driver.
 
-Two entry points share this module:
+Two modes share ``--quick``, ``--seed`` and the tier ablations
+(``--no-megaflow``, ``--no-xfsm``):
 
-* :func:`script_main` backs the four thin ``scripts/bench_*.py``
-  wrappers, keeping their historical interface
-  (``--out/--quick/--seed/--check/--validate``) while all measurement
-  code lives in :mod:`repro.bench.workloads`;
-* :func:`bench_main` is ``python -m repro.bench``: run the scenario
-  matrix (or a subset), write one schema-v1 JSON document per scenario,
-  append one trend line per scenario to ``BENCH_TRENDS.jsonl``, and
-  optionally dump the harness's ``repro_bench_*`` metrics in Prometheus
-  text format.
+* **scenarios** (``--matrix quick|full`` or ``--scenarios a,b``): run
+  scenarios of the matrix, write one schema-v1 JSON document per
+  scenario, append one trend line per scenario to
+  ``BENCH_TRENDS.jsonl``, and optionally dump the harness's
+  ``repro_bench_*`` metrics in Prometheus text format;
+* **one family** (``--family F``): regenerate a committed
+  ``BENCH_<family>.json`` from :mod:`repro.bench.workloads` (full
+  sizing unless ``--quick``; ``--out`` to write elsewhere, ``--check``
+  to exit non-zero on a failed invariant), or ``--validate`` an
+  existing document against the family's schema.
 """
 
 import argparse
 import json
 import os
 import sys
-from typing import Optional
 
+from repro.bench import workloads
+from repro.bench.scenarios import SCENARIOS, run_scenario
 from repro.bench.schema import (
     TRENDS_BASENAME,
     append_trend_line,
@@ -27,6 +30,9 @@ from repro.bench.schema import (
     validate_document,
     validate_trend_file,
 )
+from repro.bench.state import BenchState
+from repro.obs.export import prometheus_text
+from repro.obs.registry import MetricsRegistry
 
 
 def _write_doc(path: str, doc) -> None:
@@ -42,30 +48,8 @@ def _print_checks(doc) -> None:
                                     check["detail"]))
 
 
-# -- legacy script driver -----------------------------------------------------
-
-
-def script_main(family: str, argv=None) -> int:
-    """The shared main() of one ``scripts/bench_<family>.py`` wrapper."""
-    from repro.bench import workloads
-
-    module = workloads.get(family)
-    parser = argparse.ArgumentParser(
-        description=(module.__doc__ or "").strip().splitlines()[0])
-    parser.add_argument("--out", default=module.DEFAULT_OUT,
-                        help="output JSON path (default: %(default)s)")
-    parser.add_argument("--quick", action="store_true",
-                        help="reduced sizing (CI smoke)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="fault/chaos seed override (default: "
-                             "REPRO_FAULT_SEED, then %s)"
-                        % module.DEFAULT_SEED)
-    parser.add_argument("--check", action="store_true",
-                        help="exit non-zero if an invariant fails")
-    parser.add_argument("--validate", metavar="PATH",
-                        help="schema-check an existing document and exit")
-    args = parser.parse_args(argv)
-
+def _family_main(args) -> int:
+    module = workloads.get(args.family)
     if args.validate:
         with open(args.validate) as handle:
             doc = json.load(handle)
@@ -77,44 +61,51 @@ def script_main(family: str, argv=None) -> int:
                           else "valid (%s)" % module.SCHEMA))
         return 1 if problems else 0
 
-    doc = module.run_bench(args.quick, seed=args.seed)
+    # The state family is the one whose run_bench honors a tier flag.
+    tiers = {"xfsm": args.xfsm} if args.family == "state" else {}
+    doc = module.run_bench(args.quick, seed=args.seed, **tiers)
     problems = module.validate(doc)
     if problems:  # the generator must always satisfy its own schema
         for problem in problems:
             print("INTERNAL SCHEMA ERROR: %s" % problem, file=sys.stderr)
         return 2
-    _write_doc(args.out, doc)
-    print("wrote %s" % args.out)
+    out = args.out or module.DEFAULT_OUT
+    _write_doc(out, doc)
+    print("wrote %s" % out)
     _print_checks(doc)
-    if args.check and not checks_passed(doc):
-        return 1
-    return 0
-
-
-# -- scenario matrix driver ---------------------------------------------------
+    return 1 if args.check and not checks_passed(doc) else 0
 
 
 def bench_main(argv=None) -> int:
-    from repro.bench import scenarios as scenarios_mod
-    from repro.bench.scenarios import SCENARIOS, run_scenario
-    from repro.bench.state import BenchState
-    from repro.obs.export import prometheus_text
-    from repro.obs.registry import MetricsRegistry
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="run the benchmark scenario matrix")
+        description="run benchmark scenarios, or regenerate/validate "
+                    "one family's committed artifact")
     parser.add_argument("--matrix", choices=("quick", "full"),
                         help="run every scenario in this sizing")
     parser.add_argument("--scenarios", action="append", default=[],
                         metavar="NAME[,NAME...]",
                         help="run only these scenarios (repeatable)")
+    parser.add_argument("--family", choices=workloads.FAMILIES,
+                        help="run one workload family and write its "
+                             "BENCH_<family>.json (full sizing unless "
+                             "--quick)")
     parser.add_argument("--quick", action="store_true",
-                        help="with --scenarios: smoke sizing")
+                        help="with --scenarios/--family: smoke sizing")
     parser.add_argument("--list", action="store_true",
                         help="list scenarios and exit")
     parser.add_argument("--seed", type=int, default=None,
-                        help="fault/chaos seed override")
+                        help="fault/chaos seed override (default: "
+                             "REPRO_FAULT_SEED, then the family's own)")
+    parser.add_argument("--out", default=None, metavar="PATH",
+                        help="with --family: output JSON path (default: "
+                             "BENCH_<family>.json)")
+    parser.add_argument("--check", action="store_true",
+                        help="with --family: exit non-zero if an "
+                             "invariant fails")
+    parser.add_argument("--validate", metavar="PATH",
+                        help="with --family: schema-check an existing "
+                             "document and exit")
     parser.add_argument("--out-dir", default=".",
                         help="directory for per-scenario JSON documents "
                              "(default: %(default)s)")
@@ -138,7 +129,8 @@ def bench_main(argv=None) -> int:
                         help="keep the XFSM stateful tier on (default)")
     parser.add_argument("--no-xfsm", dest="xfsm", action="store_false",
                         help="ablate the XFSM tier in the scenarios "
-                             "that honor it (stateful_churn, syn_flood)")
+                             "that honor it (stateful_churn, syn_flood) "
+                             "and in --family state")
     args = parser.parse_args(argv)
 
     if args.list:
@@ -151,11 +143,16 @@ def bench_main(argv=None) -> int:
     for chunk in args.scenarios:
         names.extend(name.strip() for name in chunk.split(",")
                      if name.strip())
-    if args.matrix and names:
-        parser.error("--matrix and --scenarios are mutually exclusive")
+    if sum(map(bool, (args.matrix, names, args.family))) > 1:
+        parser.error("--matrix, --scenarios and --family are mutually "
+                     "exclusive")
+    if args.family:
+        return _family_main(args)
+    if args.out or args.check or args.validate:
+        parser.error("--out/--check/--validate go with --family")
     if not args.matrix and not names:
         parser.error("pick --matrix quick|full, --scenarios ..., "
-                     "or --list")
+                     "--family ..., or --list")
     if args.matrix:
         names = list(SCENARIOS)
         quick = args.matrix == "quick"
@@ -166,10 +163,6 @@ def bench_main(argv=None) -> int:
         parser.error("unknown scenario(s): %s (see --list)"
                      % ", ".join(unknown))
 
-    scenarios_mod.MEGAFLOW_ENABLED = args.megaflow
-    from repro.bench.workloads import state as state_workload
-
-    state_workload.XFSM_ENABLED = args.xfsm
     os.makedirs(args.out_dir, exist_ok=True)
     trends_path = args.trends or os.path.join(args.out_dir,
                                               TRENDS_BASENAME)
@@ -182,7 +175,8 @@ def bench_main(argv=None) -> int:
                                            "quick" if quick else "full"),
               file=sys.stderr)
         doc = run_scenario(name, quick=quick, seed=args.seed,
-                           registry=registry)
+                           registry=registry, megaflow=args.megaflow,
+                           xfsm=args.xfsm)
         problems = validate_document(doc)
         if problems:
             for problem in problems:

@@ -9,17 +9,17 @@ document and one set of headline trend metrics.  Two kinds:
   flowmod churn — the knobs "Performance Benchmarking of
   State-of-the-Art Software Switches for NFV" identifies as the ones
   that move software-switch numbers;
-* **composites** reuse the four legacy benchmark families
-  (:mod:`repro.bench.workloads`) as scenarios — miss storm, hot-port
-  collision, rebalance under load, crash soak — so the whole historical
-  surface rides the same matrix, schema and trend file.
+* **composites** run the six workload families
+  (:mod:`repro.bench.workloads`) as scenarios — the paper's figures,
+  miss storm, hot-port collision, crash soak, … — so every committed
+  artifact rides the same matrix, schema and trend file.
 
 ``python -m repro.bench --matrix quick`` runs everything in smoke
 sizing; ``--matrix full`` is the committed-artifact sizing.
 """
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.bench.harness import ChainLoadRunner, Rfc2544Harness
 from repro.bench.schema import SCHEMA_VERSION, run_meta
@@ -37,12 +37,6 @@ SEARCH_MAX_PPS = 4.0e7
 #: pressure axis, not by the load itself.
 PRESSURE_PPS = 4.0e6
 
-#: Ablation override for the megaflow (wildcard) cache tier, flipped by
-#: ``python -m repro.bench --no-megaflow``.  The rule-count sweep is the
-#: scenario the tier is built for, so it is the one that honors the
-#: switch; the config block of its document records the setting.
-MEGAFLOW_ENABLED = True
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -51,7 +45,11 @@ class Scenario:
     name: str
     family: str
     title: str
-    run: Callable[[bool, Optional[int], MetricsRegistry], Dict[str, Any]]
+    run: Callable[..., Dict[str, Any]]
+    #: Tier ablations (``megaflow``, ``xfsm``) ``run`` takes as keywords
+    #: after ``(quick, seed, registry)``; the config block of the
+    #: document records the setting.
+    honors: Tuple[str, ...] = ()
 
 
 def _matrix_doc(scenario: str, quick: bool, seed: Optional[int],
@@ -196,12 +194,13 @@ def _run_flow_scale_zipf(quick, seed, registry):
     return _attach(doc, checks, trend)
 
 
-def _run_rule_scale(quick, seed, registry):
+def _run_rule_scale(quick, seed, registry, megaflow=True):
     """Loss and throughput at fixed load vs classifier rule count.
 
     Filler rules are masked ``eth_src`` matches across several mask
     widths, so each step multiplies classifier subtables — the
-    megaflow-lookup pressure axis.
+    megaflow-lookup pressure axis, hence the scenario that honors
+    ``--no-megaflow``.
     """
     rule_counts = (0, 128) if quick else (0, 128, 512)
     duration = 0.001 if quick else 0.002
@@ -209,13 +208,13 @@ def _run_rule_scale(quick, seed, registry):
         "quick": quick, "rule_counts": list(rule_counts),
         "offered_pps": PRESSURE_PPS, "duration_s": duration,
         "num_vms": 3, "bypass": False,
-        "megaflow_enabled": MEGAFLOW_ENABLED,
+        "megaflow_enabled": megaflow,
     })
     sweep, checks, trend = [], [], {}
     for rules in rule_counts:
         runner = ChainLoadRunner(num_vms=3, bypass=False,
                                  duration=duration, extra_rules=rules,
-                                 megaflow_enabled=MEGAFLOW_ENABLED)
+                                 megaflow_enabled=megaflow)
         harness = _harness(runner, registry,
                            "rules_%d" % rules, quick)
         point = harness.measure(PRESSURE_PPS)
@@ -400,7 +399,7 @@ def _run_bursty_onoff(quick, seed, registry):
     return _attach(doc, checks, trend)
 
 
-def _run_syn_flood(quick, seed, registry):
+def _run_syn_flood(quick, seed, registry, xfsm=True):
     """SYN-flood boundedness of the XFSM tier vs attack rate.
 
     The drop edge of the firewall program never persists, so outside
@@ -415,17 +414,18 @@ def _run_syn_flood(quick, seed, registry):
     doc = _matrix_doc("syn_flood", quick, seed, {
         "quick": quick, "attack_pps": list(rates),
         "duration_s": duration, "legit_flows": legit_flows,
-        "xfsm_enabled": state_mod.XFSM_ENABLED,
+        "xfsm_enabled": xfsm,
     })
     sweep, checks, trend = [], [], {}
     for rate in rates:
         row = state_mod.syn_flood_xfsm(duration,
                                        legit_flows=legit_flows,
-                                       legit_pps=1e5, attack_pps=rate)
+                                       legit_pps=1e5, attack_pps=rate,
+                                       xfsm=xfsm)
         key = "%dk" % int(rate / 1e3)
         sweep.append({"attack_pps": rate, "flood": row})
         trend["synflood_occupancy_%s" % key] = row["state_occupancy"]
-        if state_mod.XFSM_ENABLED:
+        if xfsm:
             checks.append((
                 "flood_bounded_%s" % key,
                 row["state_occupancy"] <= legit_flows
@@ -448,15 +448,15 @@ def _run_syn_flood(quick, seed, registry):
     return _attach(doc, checks, trend)
 
 
-# -- composites (the four legacy families) ------------------------------------
+# -- composites (the workload families) ---------------------------------------
 
 
 def _composite(family: str):
-    def run(quick, seed, registry):
+    def run(quick, seed, registry, **tiers):
         from repro.bench import workloads
 
         module = workloads.get(family)
-        doc = module.run_bench(quick, seed=seed)
+        doc = module.run_bench(quick, seed=seed, **tiers)
         doc["trend"] = {key: round(float(value), 6) for key, value
                         in sorted(module.trend_metrics(doc).items())}
         return doc
@@ -479,7 +479,7 @@ SCENARIOS: Dict[str, Scenario] = {
                  _run_flow_scale_zipf),
         Scenario("rule_scale", "matrix",
                  "loss/throughput vs classifier rule count",
-                 _run_rule_scale),
+                 _run_rule_scale, honors=("megaflow",)),
         Scenario("flowmod_churn", "matrix",
                  "loss/tail latency vs flowmod churn rate",
                  _run_flowmod_churn),
@@ -494,10 +494,10 @@ SCENARIOS: Dict[str, Scenario] = {
                  _run_bursty_onoff),
         Scenario("syn_flood", "state",
                  "SYN-flood boundedness of the XFSM state table",
-                 _run_syn_flood),
+                 _run_syn_flood, honors=("xfsm",)),
         Scenario("stateful_churn", "state",
                  "stateful tier: guest VNF vs XFSM datapath vs bypass",
-                 _composite("state")),
+                 _composite("state"), honors=("xfsm",)),
         Scenario("fastpath_baseline", "fastpath",
                  "vectorized fast path, EMC invalidation, bypass chains",
                  _composite("fastpath")),
@@ -510,6 +510,9 @@ SCENARIOS: Dict[str, Scenario] = {
         Scenario("crash_soak", "chaos",
                  "Poisson VM crashes with and without the repairer",
                  _composite("chaos")),
+        Scenario("paper_figures", "paper",
+                 "the paper's figures and ablations (DESIGN.md §4)",
+                 _composite("paper")),
     )
 }
 
@@ -524,14 +527,18 @@ def get_scenario(name: str) -> Scenario:
 
 def run_scenario(name: str, quick: bool = True,
                  seed: Optional[int] = None,
-                 registry: Optional[MetricsRegistry] = None
+                 registry: Optional[MetricsRegistry] = None,
+                 megaflow: bool = True, xfsm: bool = True
                  ) -> Dict[str, Any]:
     """Run one scenario; returns its schema-v1 document (with a
-    ``trend`` block of headline metrics)."""
+    ``trend`` block of headline metrics).  ``megaflow=False`` /
+    ``xfsm=False`` ablate that tier in the scenarios that honor it."""
     scenario = get_scenario(name)
     if registry is None:
         registry = MetricsRegistry()
-    return scenario.run(quick, seed, registry)
+    tiers = {"megaflow": megaflow, "xfsm": xfsm}
+    return scenario.run(quick, seed, registry,
+                        **{tier: tiers[tier] for tier in scenario.honors})
 
 
 def trend_metrics_of(doc: Dict[str, Any]) -> Dict[str, float]:

@@ -1,14 +1,15 @@
 """Benchmark workload modules.
 
-Each module owns one benchmark family — the measurement code that used
-to live in ``scripts/bench_*.py`` — behind a uniform interface the
-shared driver (:mod:`repro.bench.cli`) and the scenario matrix
+Each module owns one benchmark family — its measurement code and the
+committed ``BENCH_<family>.json`` — behind a uniform interface the
+driver (:mod:`repro.bench.cli`, ``--family``) and the scenario matrix
 (:mod:`repro.bench.scenarios`) consume:
 
 ``FAMILY``/``SCHEMA``/``GENERATOR``/``DEFAULT_OUT``
-    identity: family tag, schema string, producing script, output path;
+    identity: family tag, schema string, producing command, output path;
 ``run_bench(quick, seed=None) -> doc``
-    run the measurements and return a schema-v1 document;
+    run the measurements and return a schema-v1 document (``state``
+    also takes ``xfsm=False``, the ``--no-xfsm`` ablation);
 ``run_checks(doc)``
     the family's pass/fail invariants;
 ``validate(doc)``
@@ -23,7 +24,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.bench.schema import SCHEMA_VERSION, run_meta
 
-FAMILIES = ("fastpath", "sched", "overload", "chaos", "state")
+FAMILIES = ("fastpath", "sched", "overload", "chaos", "state", "paper")
 
 
 def get(family: str):

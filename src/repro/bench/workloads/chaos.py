@@ -1,6 +1,6 @@
 """Chaos soak benchmark family: Poisson VM crashes against a 5-NF
-chain, with and without the chain repairer (formerly
-``scripts/bench_chaos.py``).
+chain, with and without the chain repairer
+(``python -m repro.bench --family chaos``).
 
 One service chain — source NF, three forwarder NFs, sink NF — carries
 steady traffic while the middle NFs (nf2..nf4) are killed abruptly at
@@ -47,7 +47,7 @@ from repro.traffic import SinkApp, SourceApp
 
 FAMILY = "chaos"
 SCHEMA = "repro-bench-chaos/1"
-GENERATOR = "scripts/bench_chaos.py"
+GENERATOR = "python -m repro.bench --family chaos"
 DEFAULT_OUT = "BENCH_chaos.json"
 DEFAULT_SEED = 42
 

@@ -1,5 +1,6 @@
 """Fast-path benchmark family: vectorized vs scalar, precise vs
-generation-wipe EMC invalidation (formerly ``scripts/bench_baseline.py``).
+generation-wipe EMC invalidation
+(``python -m repro.bench --family fastpath``).
 
 Runs a small, deterministic set of workloads and produces one schema-v1
 document (family tag ``repro-bench-fastpath/1``) recording throughput,
@@ -29,7 +30,7 @@ from repro.vswitch.vswitchd import VSwitchd
 
 FAMILY = "fastpath"
 SCHEMA = "repro-bench-fastpath/1"
-GENERATOR = "scripts/bench_baseline.py"
+GENERATOR = "python -m repro.bench --family fastpath"
 DEFAULT_OUT = "BENCH_fastpath.json"
 DEFAULT_SEED = None
 

@@ -1,5 +1,5 @@
 """Overload control benchmark family: miss storms and controller
-outages (formerly ``scripts/bench_overload.py``).
+outages (``python -m repro.bench --family overload``).
 
 Two scenarios, four runs, one document (family tag
 ``repro-bench-overload/1``):
@@ -42,7 +42,7 @@ from repro.vswitch.vswitchd import VSwitchd
 
 FAMILY = "overload"
 SCHEMA = "repro-bench-overload/1"
-GENERATOR = "scripts/bench_overload.py"
+GENERATOR = "python -m repro.bench --family overload"
 DEFAULT_OUT = "BENCH_overload.json"
 DEFAULT_SEED = None
 

@@ -1,5 +1,5 @@
 """PMD scheduler benchmark family: static hash vs measured-load
-rebalancing (formerly ``scripts/bench_rebalance.py``).
+rebalancing (``python -m repro.bench --family sched``).
 
 One vSwitch, four PMD cores, eight receive ports carrying a
 Zipf-skewed load whose two hottest ports collide on the same core
@@ -32,7 +32,7 @@ from repro.vswitch.vswitchd import VSwitchd
 
 FAMILY = "sched"
 SCHEMA = "repro-bench-sched/1"
-GENERATOR = "scripts/bench_rebalance.py"
+GENERATOR = "python -m repro.bench --family sched"
 DEFAULT_OUT = "BENCH_sched.json"
 DEFAULT_SEED = None
 

@@ -22,8 +22,8 @@ Three workloads, one question each:
   table, executor handover only), and is re-admitted — with zero
   packets misclassified across the whole cycle.
 
-``--no-xfsm`` (module global :data:`XFSM_ENABLED`) ablates the XFSM
-tier: the XFSM variants then run stateless, which turns the protection
+``--no-xfsm`` (``run_bench(..., xfsm=False)``) ablates the XFSM tier:
+the XFSM variants then run stateless, which turns the protection
 checks into leak-demonstration checks — the ablation's evidence.
 """
 
@@ -57,15 +57,9 @@ from repro.traffic.sink import SinkApp
 
 FAMILY = "state"
 SCHEMA = "repro-bench-state/1"
-GENERATOR = "scripts/bench_state.py"
+GENERATOR = "python -m repro.bench --family state"
 DEFAULT_OUT = "BENCH_state.json"
 DEFAULT_SEED = 11
-
-#: Ablation override for the whole XFSM tier, flipped by
-#: ``python -m repro.bench --no-xfsm`` / ``scripts/bench_state.py``
-#: via :mod:`repro.bench.cli`.  With the tier off, the XFSM variants
-#: run stateless and the checks demonstrate what leaks without it.
-XFSM_ENABLED = True
 
 # Fast detection + fast re-admission (mirrors the runtime-health test
 # sizing) so the conservation choreography fits in < 1 s of sim time.
@@ -223,17 +217,18 @@ def syn_flood_guest(duration, legit_flows, legit_pps, attack_pps):
                       blocked=firewall.blocked)
 
 
-def syn_flood_xfsm(duration, legit_flows, legit_pps, attack_pps):
+def syn_flood_xfsm(duration, legit_flows, legit_pps, attack_pps,
+                   xfsm=True):
     """The XFSM tier under the same flood: a 2-VM adjacency whose rules
-    delegate to the firewall program (or, ablated, plain p-2-p rules —
-    the leak demonstration)."""
+    delegate to the firewall program (or, with ``xfsm=False``, plain
+    p-2-p rules — the leak demonstration)."""
     env = Environment()
     node = NfvNode(env=env)
     node.create_vm("vmin", ["in0"])
     node.create_vm("vmout", ["out0"])
     node.switch.start()
     program = None
-    if XFSM_ENABLED:
+    if xfsm:
         program = firewall_program(name="fw_flood")
         node.register_xfsm(program)
         node.install_xfsm_rule("in0", "out0", program.name,
@@ -257,7 +252,7 @@ def syn_flood_xfsm(duration, legit_flows, legit_pps, attack_pps):
     datapath = node.switch.datapath
     _pmd_evaluated, pmd_drops, _cost = _pmd_xfsm_counters(node)
     blocked = datapath.xfsm_drops + datapath.xfsm_unknown_drops + pmd_drops
-    return _flood_row("xfsm", XFSM_ENABLED, legit_flows, inside, outside,
+    return _flood_row("xfsm", xfsm, legit_flows, inside, outside,
                       occupancy=len(program.table) if program else 0,
                       capacity=program.table.capacity if program else 0,
                       blocked=blocked)
@@ -300,7 +295,7 @@ def _reply_and_stranger_profile(flows):
                           templates=tuple(templates))
 
 
-def bypass_state_conservation(seed, flows=4):
+def bypass_state_conservation(seed, flows=4, xfsm=True):
     """Establish -> degrade (frozen consumer) -> re-admit, with the
     stateful firewall riding the channel the whole way."""
     env = Environment()
@@ -310,7 +305,7 @@ def bypass_state_conservation(seed, flows=4):
     node.create_vm("vmout", ["out0"])
     node.switch.start()
     program = None
-    if XFSM_ENABLED:
+    if xfsm:
         program = firewall_program(name="fw_conserve")
         node.register_xfsm(program)
         node.install_xfsm_rule("in0", "out0", program.name,
@@ -346,7 +341,7 @@ def bypass_state_conservation(seed, flows=4):
     outside_source, outside_sink = outside
     delivered = outside_sink.received + inside_sink.received
     return {
-        "protected": XFSM_ENABLED,
+        "protected": xfsm,
         "seed": seed,
         "flows": flows,
         "bypasses_before": bypasses_before,
@@ -580,13 +575,13 @@ def trend_metrics(doc):
 # -- driver -------------------------------------------------------------------
 
 
-def run_bench(quick, seed=None):
+def run_bench(quick, seed=None, xfsm=True):
     seed = resolve_seed(seed, DEFAULT_SEED)
     chain_duration = 0.004 if quick else 0.012
     flood_duration = 0.004 if quick else 0.01
     doc = new_doc(FAMILY, GENERATOR, quick, seed, {
         "quick": quick,
-        "xfsm_enabled": XFSM_ENABLED,
+        "xfsm_enabled": xfsm,
         "chain_duration_s": chain_duration,
         "flood_duration_s": flood_duration,
     })
@@ -594,9 +589,9 @@ def run_bench(quick, seed=None):
     workloads = doc["workloads"]
 
     rate = 2.5e5
-    xfsm_mode = "xfsm" if XFSM_ENABLED else "none"
+    xfsm_mode = "xfsm" if xfsm else "none"
     print("[1/3] stateful churn: switch path vs guest app vs XFSM "
-          "(xfsm_enabled=%s)..." % XFSM_ENABLED, file=sys.stderr)
+          "(xfsm_enabled=%s)..." % xfsm, file=sys.stderr)
     workloads["stateful_churn"] = {
         "switch_path": stateful_chain("none", False, chain_duration, rate),
         "guest_app": stateful_chain("guest", False, chain_duration, rate),
@@ -614,12 +609,12 @@ def run_bench(quick, seed=None):
         "guest": syn_flood_guest(flood_duration, legit_flows=8,
                                  legit_pps=1e5, attack_pps=2e5),
         "xfsm": syn_flood_xfsm(flood_duration, legit_flows=8,
-                               legit_pps=1e5, attack_pps=2e5),
+                               legit_pps=1e5, attack_pps=2e5, xfsm=xfsm),
     }
 
     print("[3/3] bypass state conservation: establish -> degrade -> "
           "re-admit...", file=sys.stderr)
     workloads["bypass_state_conservation"] = \
-        bypass_state_conservation(seed)
+        bypass_state_conservation(seed, xfsm=xfsm)
 
     return attach_checks(doc, run_checks(doc))

@@ -6,10 +6,11 @@
     python -m repro setup-time
     python -m repro multihost --vms 2
 
-Each subcommand builds the experiment, runs it on the discrete-event
-engine and prints the paper-style table.  Durations are simulated
-seconds; larger values are more stable and proportionally slower to
-simulate.
+The figure subcommands measure through the ``paper`` benchmark family
+(:mod:`repro.bench.workloads.paper`) and only render its tables here;
+``python -m repro.bench --family paper`` runs all of them at the
+committed sizing.  Durations are simulated seconds; larger values are
+more stable and proportionally slower to simulate.
 """
 
 import argparse
@@ -18,13 +19,13 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.experiments import (
-    ChainExperiment,
-    MultiHostChainExperiment,
-    ServiceGraphExperiment,
-    SetupTimeExperiment,
-)
+from repro.bench.workloads import paper
+from repro.experiments import MultiHostChainExperiment
 from repro.metrics import format_table
+
+
+#: Chain subcommand -> the DESIGN.md §4 experiment it measures.
+CHAIN_COMMANDS = {"fig3a": "F3a", "fig3b": "F3b", "latency": "T-lat"}
 
 
 def _parse_range(text: str) -> List[int]:
@@ -111,72 +112,43 @@ def _fastpath_kwargs(args: argparse.Namespace) -> dict:
     return kwargs
 
 
-def cmd_fig3(args: argparse.Namespace, memory_only: bool) -> int:
-    rows = []
-    last_experiment = None
-    for num_vms in args.lengths:
-        line = [num_vms]
-        for bypass in (False, True):
-            experiment = ChainExperiment(
-                num_vms=num_vms,
-                bypass=bypass,
-                memory_only=memory_only,
-                duration=args.duration,
-                frame_size=args.frame_size,
-                trace_sample=args.trace_sample,
-                snapshot_period=args.snapshot_period,
-                **_sched_kwargs(args),
-                **_overload_kwargs(args),
-                **_fastpath_kwargs(args)
-            )
-            result = experiment.run()
-            line.append(round(result.throughput_mpps, 3))
-            last_experiment = experiment
-        rows.append(line)
-        print("  %d VMs done" % num_vms, file=sys.stderr)
-    print(format_table(
-        ["# VMs", "traditional Mpps", "our approach Mpps"], rows
-    ))
-    _emit_obs(args, last_experiment)
-    return 0
+def _chain_kwargs(args: argparse.Namespace) -> dict:
+    """The ChainExperiment kwargs the chain subcommands share."""
+    return dict(
+        duration=args.duration,
+        frame_size=args.frame_size,
+        trace_sample=args.trace_sample,
+        snapshot_period=args.snapshot_period,
+        **_sched_kwargs(args),
+        **_overload_kwargs(args),
+        **_fastpath_kwargs(args)
+    )
 
 
-def cmd_latency(args: argparse.Namespace) -> int:
-    rows = []
+def _print_table(name: str, payload) -> None:
+    print(format_table(*paper.table(name, payload)))
+
+
+def cmd_chain(args: argparse.Namespace, name: str) -> int:
+    """fig3a / fig3b / latency: one of the paper family's chain sweeps
+    over ``--lengths``, rendered as that experiment's table."""
     last_experiment = None
-    for num_vms in args.lengths:
-        vanilla = ChainExperiment(num_vms=num_vms, bypass=False,
-                                  duration=args.duration,
-                                  source_rate_pps=args.rate).run()
-        experiment = ChainExperiment(
-            num_vms=num_vms, bypass=True, duration=args.duration,
-            source_rate_pps=args.rate,
-            trace_sample=args.trace_sample,
-            snapshot_period=args.snapshot_period,
-            **_sched_kwargs(args),
-            **_overload_kwargs(args),
-            **_fastpath_kwargs(args)
-        )
-        ours = experiment.run()
+
+    def on_run(experiment):
+        nonlocal last_experiment
         last_experiment = experiment
-        improvement = 1 - ours.mean_latency / vanilla.mean_latency
-        rows.append([num_vms, round(vanilla.mean_latency * 1e6, 2),
-                     round(ours.mean_latency * 1e6, 2),
-                     "%.0f%%" % (improvement * 100)])
-    print(format_table(
-        ["# VMs", "traditional us", "ours us", "improvement"], rows
-    ))
+        if experiment.bypass:
+            print("  %d VMs done" % experiment.num_vms, file=sys.stderr)
+
+    if name == "T-lat":
+        rows = paper.latency_sweep(args.lengths, rate_pps=args.rate,
+                                   on_run=on_run, **_chain_kwargs(args))
+    else:
+        sweep = paper.throughput_sweep if name == "F3a" else paper.nic_sweep
+        rows = sweep("num_vms", args.lengths, on_run=on_run,
+                     **_chain_kwargs(args))
+    _print_table(name, rows)
     _emit_obs(args, last_experiment)
-    return 0
-
-
-def cmd_setup_time(_args: argparse.Namespace) -> int:
-    result = SetupTimeExperiment().run()
-    rows = [[name, round(value * 1e3, 2)]
-            for name, value in result.stages()]
-    rows.append(["TOTAL", round(result.total * 1e3, 2)])
-    rows.append(["teardown", round(result.teardown_total * 1e3, 2)])
-    print(format_table(["stage", "ms"], rows))
     return 0
 
 
@@ -193,25 +165,6 @@ def cmd_multihost(args: argparse.Namespace) -> int:
                      result.wire_packets])
     print(format_table(
         ["approach", "Mpps", "bypasses", "wire packets"], rows
-    ))
-    return 0
-
-
-def cmd_service(args: argparse.Namespace) -> int:
-    rows = []
-    for bypass in (False, True):
-        result = ServiceGraphExperiment(
-            bypass=bypass, duration=args.duration, rate_pps=args.rate
-        ).run()
-        rows.append([
-            "highway" if bypass else "vanilla",
-            round(result.throughput_mpps, 3),
-            "%.0f%%" % (result.cache_hit_rate * 100),
-            result.monitor_flows,
-            result.active_bypasses,
-        ])
-    print(format_table(
-        ["approach", "Mpps", "cache hits", "flows", "bypasses"], rows
     ))
     return 0
 
@@ -305,16 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "fig3a":
-        return cmd_fig3(args, memory_only=True)
-    if args.command == "fig3b":
-        return cmd_fig3(args, memory_only=False)
-    if args.command == "latency":
-        return cmd_latency(args)
+    if args.command in CHAIN_COMMANDS:
+        return cmd_chain(args, CHAIN_COMMANDS[args.command])
     if args.command == "setup-time":
-        return cmd_setup_time(args)
+        _print_table("T-setup", paper.setup_time())
+        return 0
     if args.command == "service":
-        return cmd_service(args)
+        _print_table("A-graph",
+                     paper.service_graph(args.duration, args.rate))
+        return 0
     if args.command == "multihost":
         return cmd_multihost(args)
     return 2

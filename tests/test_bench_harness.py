@@ -5,6 +5,8 @@ threshold), so the search logic is tested exactly, independent of the
 simulator's own throughput numbers.
 """
 
+import os
+
 import pytest
 
 from repro.bench.cli import bench_main
@@ -251,9 +253,10 @@ class TestScenarios:
             assert scenario.name == name
             assert callable(scenario.run)
             assert scenario.family
-        # The four legacy families all appear as composites.
+        # Every workload family appears as a composite.
         families = {scenario.family for scenario in SCENARIOS.values()}
-        assert {"fastpath", "sched", "overload", "chaos"} <= families
+        assert {"fastpath", "sched", "overload", "chaos", "state",
+                "paper"} <= families
 
     def test_unknown_scenario(self):
         with pytest.raises(KeyError):
@@ -264,6 +267,22 @@ class TestScenarios:
         assert doc["schema_version"] == 1
         assert doc["trend"]
         assert all(check["passed"] for check in doc["checks"])
+
+    @pytest.mark.parametrize("name,tier", [("rule_scale", "megaflow"),
+                                           ("syn_flood", "xfsm")])
+    def test_ablation_does_not_outlive_its_run(self, name, tier):
+        """The tier flags are arguments, not process state: a default
+        run after an ablated one yields the default document."""
+        def body(**tiers):
+            doc = run_scenario(name, quick=True, **tiers)
+            del doc["meta"]
+            return doc
+
+        default = body()
+        ablated = body(**{tier: False})
+        assert ablated["config"]["%s_enabled" % tier] is False
+        assert ablated != default
+        assert body() == default
 
 
 # -- bench state + appctl -----------------------------------------------------
@@ -328,6 +347,20 @@ class TestCli:
             bench_main(["--matrix", "quick", "--scenarios", "rule_scale"])
         with pytest.raises(SystemExit):
             bench_main(["--scenarios", "nope"])
+        with pytest.raises(SystemExit):
+            bench_main(["--family", "paper", "--matrix", "quick"])
+        with pytest.raises(SystemExit):
+            bench_main(["--scenarios", "rule_scale", "--check"])
+
+    def test_family_validates_committed_artifact(self, tmp_path, capsys):
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        committed = os.path.join(root, "BENCH_fastpath.json")
+        assert bench_main(["--family", "fastpath",
+                           "--validate", committed]) == 0
+        assert "valid (repro-bench-fastpath/1)" in capsys.readouterr().out
+        # The same document is not a sched document.
+        assert bench_main(["--family", "sched",
+                           "--validate", committed]) == 1
 
     def test_single_scenario_writes_doc_and_trend(self, tmp_path):
         out_dir = str(tmp_path)

@@ -1,9 +1,11 @@
 """The unified benchmark schema, the trend file, and the regression
 gate built on top of them."""
 
+import copy
 import importlib.util
 import json
 import os
+import re
 
 import pytest
 
@@ -21,9 +23,10 @@ from repro.bench.schema import (
     validate_trend_file,
     validate_trend_line,
 )
+from repro.bench.workloads import paper
 
-_GATE_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                          "scripts", "bench_gate.py")
+_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+_GATE_PATH = os.path.join(_ROOT, "scripts", "bench_gate.py")
 _spec = importlib.util.spec_from_file_location("bench_gate", _GATE_PATH)
 bench_gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_gate)
@@ -152,7 +155,7 @@ class TestTrendLines:
 # -- the regression gate ------------------------------------------------------
 
 
-#: Every trend-metric name the scenario matrix and the four workload
+#: Every trend-metric name the scenario matrix and the six workload
 #: families can emit (quick and full sizings), with its gate
 #: direction.  A new headline metric must be added here — the
 #: committed-trend-file test below fails on unclassified names.
@@ -213,10 +216,32 @@ EXPECTED_DIRECTIONS.update({
     "synflood_attack_leaked": "neutral",
     "conservation_loss_fraction": "lower",
     "state_handovers": "neutral",
+    # paper family
+    "nic_cap_crossover_frame_bytes": "neutral",
+    "small_frame_speedup_ratio": "higher",
+    "latency_improvement_ratio_8vm": "higher",
+    "bypass_mean_latency_8vm_us": "lower",
+    "setup_total_seconds": "lower",
+    "setup_hotplug_seconds": "lower",
+    "teardown_total_seconds": "lower",
+    "worst_detect_latency_us": "lower",
+    "freeze_detection_seconds": "lower",
+    "accounted_bypass_mpps": "higher",
+    "unaccounted_bypass_mpps": "higher",
+    "service_speedup_ratio": "higher",
+    "live_packets_lost": "neutral",
 })
+for _figure in ("f3a", "f3b"):  # paper family, per chain length
+    for _n in range(1, 9):
+        EXPECTED_DIRECTIONS["%s_speedup_ratio_%dvm" % (_figure, _n)] \
+            = "higher"
+    for _n in (5, 8):  # the longest chain, quick and full
+        EXPECTED_DIRECTIONS["%s_traditional_mpps_%dvm" % (_figure, _n)] \
+            = "higher"
+        EXPECTED_DIRECTIONS["%s_bypass_mpps_%dvm" % (_figure, _n)] \
+            = "higher"
 
-_TRENDS_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
-                            "BENCH_TRENDS.jsonl")
+_TRENDS_PATH = os.path.join(_ROOT, "BENCH_TRENDS.jsonl")
 
 
 class TestGateDirections:
@@ -375,3 +400,77 @@ class TestGateMain:
     def test_first_run_creates_baseline(self, tmp_path):
         path = self.write(tmp_path, [trend(sha="only")])
         assert bench_gate.main(["--trends", path]) == 0
+
+
+# -- the paper family: code -> artifact -> document ---------------------------
+
+
+def _read(*parts):
+    with open(os.path.join(_ROOT, *parts), encoding="utf-8") as handle:
+        return handle.read()
+
+
+class TestPaperArtifact:
+    """``BENCH_paper.json`` is what the paper family measured at full
+    sizing, and ``EXPERIMENTS.md`` shows exactly that.  Reads committed
+    files only — the sweeps themselves run in ``bench-smoke``."""
+
+    @pytest.fixture(scope="class")
+    def doc(self):
+        return json.loads(_read("BENCH_paper.json"))
+
+    def test_committed_artifact_is_a_valid_full_run(self, doc):
+        assert doc["meta"]["quick"] is False
+        assert doc["config"] == paper.sizing(False)
+        assert paper.validate(doc) == []
+
+    def test_validate_rejects_a_missing_experiment(self, doc):
+        broken = copy.deepcopy(doc)
+        del broken["experiments"]["T-lat"]
+        assert paper.validate(broken) == ["missing experiment T-lat"]
+
+    def test_validate_rejects_checks_the_payload_does_not_support(
+            self, doc):
+        broken = copy.deepcopy(doc)
+        broken["experiments"]["A-handover"][1]["inversions"] = 0
+        assert paper.validate(broken) \
+            == ["checks do not follow from the payload"]
+
+    def test_every_design_row_has_passing_checks(self, doc):
+        section = _read("DESIGN.md").split("## 4.")[1].split("## 5.")[0]
+        design_ids = re.findall(r"^\| ([FTA][\w-]+) \|", section,
+                                re.MULTILINE)
+        assert design_ids == list(paper.EXPERIMENT_IDS)
+        checked = {}
+        for check in doc["checks"]:
+            checked.setdefault(check["name"].split(".")[0],
+                               []).append(check["passed"])
+        assert sorted(checked) == sorted(design_ids)
+        assert all(all(verdicts) for verdicts in checked.values())
+
+    def test_every_former_assert_is_a_mapped_check(self, doc):
+        """The 79 asserts of the deleted ``benchmarks/`` suite: each a
+        check in the artifact, each listed in the mapping table."""
+        names = [check["name"] for check in doc["checks"]]
+        assert len(names) == len(set(names)) == 79
+        mapped = re.findall(r"^\| `test_\w+\.py` \| .* \| `([^`]+)` \|$",
+                            _read("docs", "BENCHMARKS.md"), re.MULTILINE)
+        assert sorted(mapped) == sorted(names)
+
+    def test_experiments_md_is_rendered_from_the_artifact(self, doc):
+        text = _read("EXPERIMENTS.md")
+        blocks = re.findall(r"<!-- BEGIN paper:([\w-]+) -->", text)
+        assert sorted(blocks) == sorted(paper.EXPERIMENT_IDS)
+        assert paper.render_into(text, doc) == text
+
+    def test_host_clock_readings_stay_out_of_the_body(self, doc):
+        timed = doc["meta"]["host_clock"]["analyze_port_median_us"]
+        assert sorted(timed, key=int) == [
+            str(rules) for rules in
+            doc["experiments"]["A-detscale"]["table_rules"]]
+
+    def test_trend_names_follow_the_gate_convention(self, doc):
+        trend = paper.trend_metrics(doc)
+        assert set(trend) <= set(EXPECTED_DIRECTIONS)
+        assert trend["latency_improvement_ratio_8vm"] \
+            == doc["experiments"]["T-lat"][-1]["improvement"]
