@@ -75,9 +75,9 @@ class DualChannelPmd(DpdkrPmd):
         # so the RX side is a list of rings, polled round-robin.
         self.bypass_rx_rings: List[Ring] = []
         self._rx_rotation = 0
-        # Consumer-side stats blocks (heartbeat targets), keyed by ring
-        # identity; populated when the attach command carries one.
-        self._rx_stats: Dict[int, BypassStatsBlock] = {}
+        # Consumer-side stats blocks (heartbeat targets), one per entry
+        # of bypass_rx_rings: what the attach command carried, or None.
+        self._rx_stats: List[Optional[BypassStatsBlock]] = []
         self.bypass_stats: Optional[BypassStatsBlock] = None
         self.bypass_flow_id: Optional[int] = None
         # Stateful channel: a repro.state ChannelProgram carried by the
@@ -211,8 +211,7 @@ class DualChannelPmd(DpdkrPmd):
             )
         self.wake_rx()   # polls so far did not beat this ring's epoch
         self.bypass_rx_rings.append(ring)
-        if stats is not None:
-            self._rx_stats[id(ring)] = stats
+        self._rx_stats.append(stats)
 
     def detach_bypass_rx(self, ring: Optional[Ring] = None) -> None:
         """Stop polling ``ring`` (or the only attached ring)."""
@@ -230,8 +229,8 @@ class DualChannelPmd(DpdkrPmd):
                 "port %r does not poll that bypass ring" % self.name
             )
         self.wake_rx()   # polls from here on no longer beat its epoch
+        del self._rx_stats[self.bypass_rx_rings.index(ring)]
         self.bypass_rx_rings.remove(ring)
-        self._rx_stats.pop(id(ring), None)
 
     @property
     def bypass_tx_active(self) -> bool:
@@ -292,46 +291,51 @@ class DualChannelPmd(DpdkrPmd):
         ``pmd.rx_poll`` fault point) publishes nothing and drains
         nothing — the condition the host watchdog exists to catch.
         """
-        if self.killed or self._rx_frozen():
+        if (self.killed or self._rx_frozen_forever
+                or (self._rx_frozen_until is not None
+                    and self._rx_frozen())):
             return []
         faults = self._faults
+        rings = self.bypass_rx_rings
         # Only a PMD consuming a bypass counts as a pmd.rx_poll
         # occurrence — keeps occurrence numbering deterministic per
         # channel instead of interleaving every sink on the node.
-        if (faults is not None and self.bypass_rx_rings
+        if (faults is not None and rings
                 and faults.has_specs(PMD_RX_POLL)):
             action = faults.fire(PMD_RX_POLL)
             if action is not None:
                 self._apply_rx_fault(action)
                 return []
-        self.rings.heartbeat.beat()
+        shared = self.rings
+        shared.heartbeat.epoch += 1
         mbufs: List[Mbuf] = []
         if self.ordered_handover:
-            mbufs = self.rings.to_guest.dequeue_burst(max_count)
-            self.rx_via_normal += len(mbufs)
-            for mbuf in mbufs:
-                if mbuf.trace is not None:
-                    mbuf.trace.add(self._trace_now(), "guest-rx",
-                                   channel="normal", port=self.name)
-        ring_count = len(self.bypass_rx_rings)
-        if ring_count:
+            mbufs = shared.to_guest.dequeue_burst(max_count)
+            if mbufs:
+                self.rx_via_normal += len(mbufs)
+                for mbuf in mbufs:
+                    if mbuf.trace is not None:
+                        mbuf.trace.add(self._trace_now(), "guest-rx",
+                                       channel="normal", port=self.name)
+        if rings:
             # Fairness rotation: start from where the last *served* poll
             # left off, and advance only past a ring that actually
             # yielded packets — an empty poll must not burn a ring's
             # turn, or one busy peer can starve another indefinitely.
+            ring_count = len(rings)
+            room = max_count - len(mbufs)
             start = self._rx_rotation % ring_count
             first_served = None
             for offset in range(ring_count):
                 index = (start + offset) % ring_count
-                ring = self.bypass_rx_rings[index]
-                stats = self._rx_stats.get(id(ring))
-                if ring.is_empty or len(mbufs) >= max_count:
+                stats = self._rx_stats[index]
+                got = rings[index].dequeue_burst(room) if room > 0 else None
+                if not got:
                     # Nothing to take, which is most polls: publish
                     # liveness and move on.
                     if stats is not None:
                         stats.heartbeat(0)
                     continue
-                got = ring.dequeue_burst(max_count - len(mbufs))
                 if None in got:
                     # A corrupted slot surfaced at the consumer: there
                     # is nothing deliverable in it, so drop it — and
@@ -351,29 +355,33 @@ class DualChannelPmd(DpdkrPmd):
                     if first_served is None:
                         first_served = index
                     self.rx_via_bypass += len(got)
+                    room -= len(got)
                     for mbuf in got:
                         if mbuf.trace is not None:
                             mbuf.trace.add(self._trace_now(), "guest-rx",
                                            channel="bypass",
                                            port=self.name)
-                    mbufs.extend(got)
+                    if mbufs:
+                        mbufs.extend(got)
+                    else:
+                        mbufs = got
             if first_served is not None:
                 self._rx_rotation = (first_served + 1) % ring_count
         if not self.ordered_handover and len(mbufs) < max_count:
-            normal = self.rings.to_guest.dequeue_burst(
+            normal = shared.to_guest.dequeue_burst(
                 max_count - len(mbufs)
             )
             self.rx_via_normal += len(normal)
             mbufs.extend(normal)
         if mbufs:
+            token = self.holder_token
+            byte_count = 0
+            for mbuf in mbufs:
+                byte_count += mbuf.wire_length
+                if token is not None and mbuf.pool is not None:
+                    mbuf.pool.assign(mbuf, token)
             self.stats.ipackets += len(mbufs)
-            self.stats.ibytes += sum(m.wire_length for m in mbufs)
-            if self.holder_token is not None:
-                token = self.holder_token
-                for mbuf in mbufs:
-                    pool = mbuf.pool
-                    if pool is not None:
-                        pool.assign(mbuf, token)
+            self.stats.ibytes += byte_count
         return mbufs
 
     # -- the RX park contract (see DpdkrPmd.rx_park) ---------------------------
@@ -410,8 +418,7 @@ class DualChannelPmd(DpdkrPmd):
         """``polls`` idle polls: the port heartbeat and each attached
         bypass ring's epoch advance by that much, nothing is dequeued."""
         self.rings.heartbeat.epoch += polls
-        for ring in self.bypass_rx_rings:
-            stats = self._rx_stats.get(id(ring))
+        for stats in self._rx_stats:
             if stats is not None:
                 stats.rx_epoch += polls
 
@@ -428,18 +435,18 @@ class DualChannelPmd(DpdkrPmd):
             self.stats.oerrors += len(mbufs)
             return 0
         state = self.tx_state
-        if state == TxState.PENDING_BYPASS:
+        if state is TxState.PENDING_BYPASS:
             # Flip only when nothing of ours is still queued toward the
             # vSwitch; until then the normal channel stays in use.
             if self.rings.to_switch.is_empty:
                 self.tx_state = state = TxState.BYPASS
             else:
                 state = TxState.NORMAL
-        if state == TxState.NORMAL:
+        if state is TxState.NORMAL:
             sent = super().tx_burst(mbufs)
             self.tx_via_normal += sent
             return sent
-        if state == TxState.STALLED:
+        if state is TxState.STALLED:
             # Mid-teardown: refuse the burst (ring-full semantics); the
             # application retries or drops exactly as on congestion.
             self.tx_stall_rejects += len(mbufs)
@@ -452,31 +459,32 @@ class DualChannelPmd(DpdkrPmd):
             dropped_policy = offered - len(mbufs)
             if not mbufs:
                 return dropped_policy  # whole burst consumed by policy
-        sent = self.bypass_tx_ring.enqueue_burst(mbufs)
-        if sent and self.bypass_tx_ring.above_watermark:
-            self.bypass_congestion_events += 1
+        ring = self.bypass_tx_ring
+        sent = ring.enqueue_burst(mbufs)
+        offered = len(mbufs)
+        stats = self.stats
+        if sent < offered:
+            stats.oerrors += offered - sent
+            mbufs = mbufs[:sent]
         if sent:
-            now = self._trace_now()
-            for index in range(sent):
-                if mbufs[index].trace is not None:
-                    mbufs[index].trace.add(now, "guest-tx",
-                                           channel="bypass",
-                                           port=self.name)
-                    mbufs[index].trace.add(now, "bypass-ring",
-                                           ring=self.bypass_tx_ring.name)
-            byte_count = sum(
-                mbufs[index].wire_length for index in range(sent)
-            )
-            self.stats.opackets += sent
-            self.stats.obytes += byte_count
+            if ring.watermark is not None and ring.above_watermark:
+                self.bypass_congestion_events += 1
+            byte_count = 0
+            for mbuf in mbufs:
+                byte_count += mbuf.wire_length
+                if mbuf.trace is not None:
+                    now = self._trace_now()
+                    mbuf.trace.add(now, "guest-tx", channel="bypass",
+                                   port=self.name)
+                    mbuf.trace.add(now, "bypass-ring", ring=ring.name)
+            stats.opackets += sent
+            stats.obytes += byte_count
             self.tx_via_bypass += sent
             if self.accounting_enabled:
                 # The paper's stats trick: the PMD, not the switch, keeps
                 # the OpenFlow counters for bypassed traffic.
                 self.bypass_stats.account(self.bypass_flow_id, sent,
                                           byte_count)
-        if sent < len(mbufs):
-            self.stats.oerrors += len(mbufs) - sent
         return sent + dropped_policy
 
     def _xfsm_filter(self, mbufs: List[Mbuf]) -> List[Mbuf]:

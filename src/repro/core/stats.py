@@ -26,8 +26,9 @@ from typing import Dict, Tuple
 class PortHeartbeat:
     """A guest-published liveness epoch for one dpdkr port.
 
-    Lives in the port's shared dpdkr memzone; the guest PMD bumps it on
-    every receive poll and the host only ever reads it.  Because the
+    Lives in the port's shared dpdkr memzone; the guest PMD bumps
+    ``epoch`` on every receive poll (by one, or by the number of idle
+    polls it replays at once) and the host only ever reads it.  Because the
     normal channel outlives any bypass, this is the signal the
     quarantine ladder uses to decide a degraded peer is polling again.
     """
@@ -36,9 +37,6 @@ class PortHeartbeat:
 
     def __init__(self) -> None:
         self.epoch = 0
-
-    def beat(self) -> None:
-        self.epoch += 1
 
     def __repr__(self) -> str:
         return "<PortHeartbeat epoch=%d>" % self.epoch

@@ -93,12 +93,14 @@ class DpdkrPmd(EthDev):
     def rx_burst(self, max_count: int) -> List[Mbuf]:
         mbufs = self.rings.to_guest.dequeue_burst(max_count)
         if mbufs:
-            self.stats.ipackets += len(mbufs)
-            self.stats.ibytes += sum(m.wire_length for m in mbufs)
+            byte_count = 0
             for mbuf in mbufs:
+                byte_count += mbuf.wire_length
                 if mbuf.trace is not None:
                     mbuf.trace.add(self._trace_now(), "guest-rx",
                                    channel="normal", port=self.name)
+            self.stats.ipackets += len(mbufs)
+            self.stats.ibytes += byte_count
         return mbufs
 
     # -- the RX park contract: what lets a polling consumer leave the
@@ -121,16 +123,18 @@ class DpdkrPmd(EthDev):
 
     def tx_burst(self, mbufs: List[Mbuf]) -> int:
         sent = self.rings.to_switch.enqueue_burst(mbufs)
+        offered = len(mbufs)
+        stats = self.stats
+        if sent < offered:
+            stats.oerrors += offered - sent
+            mbufs = mbufs[:sent]
         if sent:
-            self.stats.opackets += sent
-            self.stats.obytes += sum(
-                mbufs[index].wire_length for index in range(sent)
-            )
-            for index in range(sent):
-                if mbufs[index].trace is not None:
-                    mbufs[index].trace.add(self._trace_now(), "guest-tx",
-                                           channel="normal",
-                                           port=self.name)
-        if sent < len(mbufs):
-            self.stats.oerrors += len(mbufs) - sent
+            byte_count = 0
+            for mbuf in mbufs:
+                byte_count += mbuf.wire_length
+                if mbuf.trace is not None:
+                    mbuf.trace.add(self._trace_now(), "guest-tx",
+                                   channel="normal", port=self.name)
+            stats.opackets += sent
+            stats.obytes += byte_count
         return sent

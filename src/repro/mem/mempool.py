@@ -101,6 +101,11 @@ class Mempool:
 
     def get_bulk(self, count: int) -> List[Mbuf]:
         """Allocate exactly ``count`` mbufs or none."""
+        if count <= 0:
+            # ``self._free[-0:]`` is the whole free list, not none of it.
+            if count < 0:
+                raise ValueError("cannot allocate %d mbufs" % count)
+            return []
         if len(self._free) < count:
             self.alloc_failures += 1
             raise MempoolEmptyError(

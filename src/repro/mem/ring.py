@@ -151,16 +151,18 @@ class Ring:
         self._head = (self._head + 1) & self._mask
         self.enqueued += 1
         if self.holder_token is not None:
-            self._charge((obj,), 1)
+            self._charge((obj,))
         if self.waiter is not None:
             self._wake_waiter()
 
-    def _charge(self, objs: Sequence[Any], count: int) -> None:
-        """Tag the first ``count`` of ``objs`` as held by this ring."""
+    def _charge(self, objs: Sequence[Any]) -> None:
+        """Tag ``objs``, just enqueued, as held by this ring."""
         token = self.holder_token
-        for index in range(count):
-            obj = objs[index]
-            pool = getattr(obj, "pool", None)
+        for obj in objs:
+            try:
+                pool = obj.pool
+            except AttributeError:
+                continue   # a ring carries any object; only mbufs have pools
             if pool is not None:
                 pool.assign(obj, token)
 
@@ -186,14 +188,11 @@ class Ring:
                 "ring %r: need %d slots, have %d"
                 % (self.name, count, self.free_count)
             )
-        head = self._head
-        for obj in objs:
-            self._slots[head & self._mask] = obj
-            head = (head + 1) & self._mask
-        self._head = head
+        self._store(self._head, objs, count)
+        self._head = (self._head + count) & self._mask
         self.enqueued += count
         if self.holder_token is not None:
-            self._charge(objs, count)
+            self._charge(objs)
         if count and self.waiter is not None:
             self._wake_waiter()
 
@@ -217,29 +216,48 @@ class Ring:
         a partial fit (``partial_enqueues``: transient backpressure) —
         the watchdog treats only the former as a stall symptom.
         """
-        space = self.free_count
-        count = min(space, len(objs))
+        offered = len(objs)
+        head = self._head
+        mask = self._mask
+        count = mask - ((head - self._tail) & mask)   # free_count
+        if count > offered:
+            count = offered
         if count == 0:
-            if objs:
+            if offered:
                 self.enqueue_failures += 1
             return 0
-        head = self._head
-        for index in range(count):
-            self._slots[head & self._mask] = objs[index]
-            head = (head + 1) & self._mask
-        self._head = head
+        if count < offered:
+            objs = objs[:count]
+            self.partial_enqueues += 1
+        if count == 1:
+            self._slots[head] = objs[0]
+        else:
+            self._store(head, objs, count)
+        self._head = (head + count) & mask
         self.enqueued += count
         if self.holder_token is not None:
-            self._charge(objs, count)
-        if count < len(objs):
-            self.partial_enqueues += 1
-        if self.waiter is not None:
-            self._wake_waiter()
-        if self.faults is not None and self.faults.has_specs(RING_CORRUPT):
-            action = self.faults.fire(RING_CORRUPT)
+            self._charge(objs)
+        waiter = self.waiter
+        if waiter is not None:   # _wake_waiter(), on the per-packet path
+            self.waiter = None
+            waiter.wake()
+        faults = self.faults
+        if faults is not None and faults.has_specs(RING_CORRUPT):
+            action = faults.fire(RING_CORRUPT)
             if action is not None:
                 self._corrupt(action)
         return count
+
+    def _store(self, head: int, objs: Sequence[Any], count: int) -> None:
+        """Copy ``count`` objects into the slots from ``head`` on, by
+        slices (two when the run wraps)."""
+        slots = self._slots
+        room = self.capacity - head
+        if count <= room:
+            slots[head:head + count] = objs
+        else:
+            slots[head:] = objs[:room]
+            slots[:count - room] = objs[room:]
 
     def _corrupt(self, action) -> None:
         """Apply one injected corruption (see ``faults.RING_CORRUPT``)."""
@@ -255,24 +273,35 @@ class Ring:
 
     def dequeue_burst(self, max_count: int) -> List[Any]:
         """Dequeue up to ``max_count`` objects (possibly empty list)."""
-        if self._head == self._tail:
+        tail = self._tail
+        count = (self._head - tail) & self._mask
+        if count > max_count:
+            count = max_count
+        if count <= 0:
             return []   # the common case on a polled ring
-        count = min(max_count, len(self))
-        if count == 0:
-            return []
-        return self._take(count)
+        if count > 1:
+            return self._take(count)
+        slots = self._slots
+        obj = slots[tail]
+        slots[tail] = None
+        self._tail = (tail + 1) & self._mask
+        self.dequeued += 1
+        return [obj]
 
     def _take(self, count: int) -> List[Any]:
+        """Copy ``count`` queued objects out by slices (two when the run
+        wraps) and clear their slots."""
         tail = self._tail
-        mask = self._mask
         slots = self._slots
-        out = [None] * count
-        for index in range(count):
-            position = tail & mask
-            out[index] = slots[position]
-            slots[position] = None
-            tail = (tail + 1) & mask
-        self._tail = tail
+        room = self.capacity - tail
+        if count <= room:
+            out = slots[tail:tail + count]
+            slots[tail:tail + count] = [None] * count
+        else:
+            out = slots[tail:] + slots[:count - room]
+            slots[tail:] = [None] * room
+            slots[:count - room] = [None] * (count - room)
+        self._tail = (tail + count) & self._mask
         self.dequeued += count
         return out
 

@@ -47,7 +47,15 @@ class LatencyRecorder:
             self._reservoir.append(value)
             self._sorted = None
             return
-        slot = self._rng.randrange(self.count)
+        # randrange(count), spelt out (CPython's rejection sampling over
+        # getrandbits): the same slots from the same seed at a third of
+        # the calls, once per packet.
+        count = self.count
+        bits = count.bit_length()
+        getrandbits = self._rng.getrandbits
+        slot = getrandbits(bits)
+        while slot >= count:
+            slot = getrandbits(bits)
         if slot < self.reservoir_size:
             self._reservoir[slot] = value
             self._sorted = None

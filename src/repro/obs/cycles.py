@@ -34,6 +34,7 @@ STAGES = (
     "actions",
     "tx",
     "housekeeping",
+    "rx_shed",
 )
 
 
@@ -57,12 +58,25 @@ class StageAccounting:
         self.packets: Dict[str, int] = {}
 
     def add(self, stage: str, seconds: float, packets: int = 0) -> None:
+        # ``table[stage] += x`` and not ``table.get(stage, 0.0) + x``:
+        # a stage is new to a table once per reset, and this runs five
+        # times per burst.
         if seconds:
-            self.seconds[stage] = self.seconds.get(stage, 0.0) + seconds
+            table = self.seconds
+            try:
+                table[stage] += seconds
+            except KeyError:
+                table[stage] = 0.0 + seconds
         if packets:
-            self.packets[stage] = self.packets.get(stage, 0) + packets
+            table = self.packets
+            try:
+                table[stage] += packets
+            except KeyError:
+                table[stage] = packets
 
     def reset(self) -> None:
+        """Zero the table in place: a :class:`StageTee` holds on to the
+        two dicts."""
         self.seconds.clear()
         self.packets.clear()
 
@@ -111,25 +125,55 @@ class StageAccounting:
 
 
 class StageTee:
-    """Fans one ``add()`` stream out to several stage tables.
+    """Attributes one ``add()`` stream to two stage tables at once.
 
     The datapath only ever calls ``stages.add(...)``; handing it a tee
     lets one port poll be attributed simultaneously to the core's
     aggregate table (``pmd/stats-show``) and the port's own table (the
     scheduler's reattribution unit) without the hot path knowing.
+
+    One ``add`` is one call: the tee resolves the four dicts of its two
+    tables when it is built (and again on :meth:`retarget`) and does
+    :meth:`StageAccounting.add`'s arithmetic on each itself — the same
+    floats reach every table in the same order.  The tables' ``reset``
+    and ``subtract`` work in place, so the dicts stay the ones bound.
     """
 
-    __slots__ = ("targets",)
+    __slots__ = ("core", "port", "_tables")
 
-    def __init__(self, *targets) -> None:
-        self.targets = [target for target in targets if target is not None]
+    def __init__(self, core: StageAccounting, port: StageAccounting) -> None:
+        self.port = port
+        self.retarget(core)
+
+    def retarget(self, core: StageAccounting) -> None:
+        """Attribute to ``core`` from now on (the port moved cores)."""
+        self.core = core
+        self._tables = (core.seconds, self.port.seconds,
+                        core.packets, self.port.packets)
 
     def add(self, stage: str, seconds: float, packets: int = 0) -> None:
-        for target in self.targets:
-            target.add(stage, seconds, packets)
+        core_seconds, port_seconds, core_packets, port_packets = self._tables
+        if seconds:
+            try:
+                core_seconds[stage] += seconds
+            except KeyError:
+                core_seconds[stage] = 0.0 + seconds
+            try:
+                port_seconds[stage] += seconds
+            except KeyError:
+                port_seconds[stage] = 0.0 + seconds
+        if packets:
+            try:
+                core_packets[stage] += packets
+            except KeyError:
+                core_packets[stage] = packets
+            try:
+                port_packets[stage] += packets
+            except KeyError:
+                port_packets[stage] = packets
 
     def __repr__(self) -> str:
-        return "<StageTee targets=%d>" % len(self.targets)
+        return "<StageTee core=%r port=%r>" % (self.core, self.port)
 
 
 class PmdCycleReport:

@@ -95,6 +95,9 @@ class BoundedUpcallQueue:
         self.clock = clock if clock is not None else (lambda: 0.0)
         self._control: Deque[Tuple[Mbuf, int, str]] = deque()
         self._miss: Deque[Tuple[Mbuf, int, str]] = deque()
+        # Upcalls queued, both classes.  Kept as a count rather than
+        # derived: every PMD iteration and every park reads it.
+        self.depth = 0
         self._port_counts: Dict[int, int] = {}
         self._buckets: Dict[int, TokenBucket] = {}
         # Cumulative outcome counters.
@@ -125,10 +128,6 @@ class BoundedUpcallQueue:
             waiter.wake()
 
     # -- introspection -------------------------------------------------
-
-    @property
-    def depth(self) -> int:
-        return len(self._control) + len(self._miss)
 
     @property
     def control_depth(self) -> int:
@@ -173,6 +172,7 @@ class BoundedUpcallQueue:
                 if self._miss:
                     # Newest miss makes room for control traffic.
                     victim, victim_port, _ = self._miss.pop()
+                    self.depth -= 1
                     self._port_counts[victim_port] -= 1
                     if not self._port_counts[victim_port]:
                         del self._port_counts[victim_port]
@@ -182,6 +182,7 @@ class BoundedUpcallQueue:
                     return self._account_shed(mbuf, in_port,
                                               "control_overflow")
             self._control.append((mbuf, in_port, reason))
+            self.depth += 1
             self.admitted_control += 1
             self.port_admitted[in_port] = (
                 self.port_admitted.get(in_port, 0) + 1)
@@ -210,6 +211,7 @@ class BoundedUpcallQueue:
         if self.depth >= policy.max_queue or len(self._miss) >= miss_cap:
             return self._account_shed(mbuf, in_port, "queue_full")
         self._miss.append((mbuf, in_port, reason))
+        self.depth += 1
         self._port_counts[in_port] = self._port_counts.get(in_port, 0) + 1
         self.admitted_miss += 1
         self.port_admitted[in_port] = self.port_admitted.get(in_port, 0) + 1
@@ -239,6 +241,7 @@ class BoundedUpcallQueue:
                     del self._port_counts[in_port]
             else:
                 break
+            self.depth -= 1
             self.dispatched += 1
             count += 1
             handler(mbuf, in_port, reason)

@@ -51,11 +51,15 @@ class RxqLoadTracker:
                packets: int = 0) -> None:
         """Attribute one port poll's cost to the (port, core) pair."""
         key = (ofport, core)
-        self._current_seconds[key] = \
-            self._current_seconds.get(key, 0.0) + seconds
+        try:
+            self._current_seconds[key] += seconds
+        except KeyError:   # the pair's first sample of the interval
+            self._current_seconds[key] = 0.0 + seconds
         if packets:
-            self._current_packets[key] = \
-                self._current_packets.get(key, 0) + packets
+            try:
+                self._current_packets[key] += packets
+            except KeyError:
+                self._current_packets[key] = packets
         self.samples += 1
 
     # -- interval management ---------------------------------------------------

@@ -7,8 +7,8 @@ composition and interrupts — but those are implemented completely and are
 covered by their own unit/property tests.
 """
 
-import heapq
 import math
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 
@@ -142,7 +142,7 @@ class Timer(Event):
         self.callbacks = self._armed
         env = self.env
         env._eid += 1
-        heapq.heappush(env._queue, (when, self.rank, env._eid, self))
+        heappush(env._queue, (when, self.rank, env._eid, self))
 
     def crash(self, exc: Exception) -> None:
         """The owner died: ``step`` raises once the callback returns."""
@@ -311,7 +311,10 @@ class Environment:
     """The simulation clock and event queue."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        # Current simulated time in seconds.  A plain attribute, written
+        # by step() and run() only: every layer reads the clock on its
+        # hot path, and a property would cost each of them a call.
+        self.now = 0.0
         self._queue: List = []
         self._eid = 0
         self._timers = 0   # timers created so far: the next one's rank
@@ -325,11 +328,6 @@ class Environment:
         self.frontier_rank = 0
         # Poll loops that left the queue (keys only; see PollLoop).
         self._parked: dict = {}
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     # -- factories ---------------------------------------------------------
 
@@ -353,16 +351,16 @@ class Environment:
 
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
         self._eid += 1
-        heapq.heappush(
-            self._queue, (self._now + delay, event.rank, self._eid, event))
+        heappush(
+            self._queue, (self.now + delay, event.rank, self._eid, event))
 
     def step(self) -> None:
         """Process the next scheduled event."""
         if not self._queue:
             raise SimulationError("no more events")
-        when, rank, _eid, event = heapq.heappop(self._queue)
-        if when != self._now:
-            self._now = when
+        when, rank, _eid, event = heappop(self._queue)
+        if when != self.now:
+            self.now = when
             self.frontier_rank = rank
         elif rank > self.frontier_rank:
             self.frontier_rank = rank
@@ -399,9 +397,9 @@ class Environment:
         beyond it (the event stays queued).  Parked poll loops are not in
         the queue: without ``until`` the run ends when only they remain.
         """
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                "cannot run backwards: now=%g until=%g" % (self._now, until)
+                "cannot run backwards: now=%g until=%g" % (self.now, until)
             )
         queue = self._queue
         step = self.step   # every event is still dispatched through step
@@ -411,12 +409,12 @@ class Environment:
         else:
             while queue and queue[0][0] <= until:
                 step()
-            self._now = until
+            self.now = until
             # Everything due at or before ``until`` has fired.
             self.frontier_rank = math.inf
         if self._parked:
             self.sync()
-        return self._now
+        return self.now
 
 
 def run_to_completion(generator: Generator[Event, Any, Any]) -> Any:

@@ -44,9 +44,11 @@ class IdleContract:
         """
         return None
 
-    def replay(self, polls: int) -> None:
-        """Apply what ``polls`` skipped idle iterations would have
-        published (counts: heartbeat epochs and the like)."""
+    # ``replay(polls)`` applies what ``polls`` skipped idle iterations
+    # would have published (counts: heartbeat epochs and the like).  An
+    # owner whose idle iteration publishes nothing leaves it None and
+    # is not called.
+    replay: Optional[Callable[[int], None]] = None
 
 
 class PollLoop:
@@ -96,6 +98,7 @@ class PollLoop:
             raise ValueError("a period loop has no idle polls to skip")
         self.period = period
         self._idle = idle
+        self._replay: Optional[Callable[[int], None]] = None
         self.busy_time = 0.0
         self.idle_time = 0.0
         self.iterations = 0
@@ -108,12 +111,13 @@ class PollLoop:
         # Window marks for sample_activity() (load-balancer sampling).
         self._busy_mark = 0.0
         self._idle_mark = 0.0
-        self._idle_delay = costs.idle_poll
         self._stopped = False
-        # While parked: ``next_poll`` and ``_idle_delay`` are the time
-        # and back-off delay of the first poll not yet accounted, and
-        # ``_wake_armed`` says the timer is queued for the real poll
-        # that ends the park.
+        # ``next_poll`` and ``idle_delay`` are the time and the back-off
+        # delay of the first poll not yet accounted — where the ladder
+        # of ``idle_grid()`` starts, for an owner that walks it in
+        # place.  While parked ``_wake_armed`` says the timer is queued
+        # for the real poll that ends the park.
+        self.idle_delay = costs.idle_poll
         self.next_poll = 0.0
         self._parked = False
         self._wake_armed = False
@@ -130,6 +134,8 @@ class PollLoop:
         self.process = Timer(self.env, self._poll, self.name)
         # A busy-poll iteration reads rings, not other loops' accounting.
         self.process.syncs = self.period is not None
+        if self._idle is not None:
+            self._replay = self._idle.replay
         self.process.arm()
         return self
 
@@ -141,7 +147,10 @@ class PollLoop:
         loop first accounts the polls it would have run by now.
         """
         if self._parked:
-            self._unpark()
+            self.catch_up()
+            self._parked = False
+            self._wake_armed = False
+            del self.env._parked[self]
         self._stopped = True
         if self.process is not None:
             self.process.is_alive = False
@@ -181,7 +190,7 @@ class PollLoop:
         back-off ladder from ``next_poll`` on (for an owner's look-ahead
         in :meth:`IdleContract.idle_until`)."""
         when = self.next_poll
-        delay = self._idle_delay
+        delay = self.idle_delay
         cap = self.idle_backoff_max
         while True:
             yield when
@@ -206,11 +215,11 @@ class PollLoop:
         min(2 * delay, idle_backoff_max)`` — the float operations of
         ``_poll``, in its order."""
         env = self.env
-        now = env._now
+        now = env.now
         when = self.next_poll
         if when > now:
             return
-        delay = self._idle_delay
+        delay = self.idle_delay
         cap = self.idle_backoff_max
         idle_time = self.idle_time
         polls = 0
@@ -225,35 +234,13 @@ class PollLoop:
             polls += 1
         if polls:
             self.next_poll = when
-            self._idle_delay = delay
+            self.idle_delay = delay
             self.idle_time = idle_time
             self.iterations += polls
             self.idle_iterations += polls
             self.replayed_polls += polls
-            self._idle.replay(polls)
-
-    def _park(self, delay: float) -> bool:
-        """Leave the queue if the owner vouches for the polls from
-        ``now + delay`` on; False means arm the timer as usual."""
-        if self._idle is None or self._stopped:
-            return False
-        self.next_poll = self.env._now + delay
-        until = self._idle.idle_until(self)
-        if until is None:
-            return False
-        self._parked = True
-        self.parks += 1
-        self.env._parked[self] = None
-        if until != math.inf:
-            self._wake_armed = True
-            self.process.arm_at(until)
-        return True
-
-    def _unpark(self) -> None:
-        self.catch_up()
-        self._parked = False
-        self._wake_armed = False
-        del self.env._parked[self]
+            if self._replay is not None:
+                self._replay(polls)
 
     def _poll(self, timer: Timer) -> None:
         """One firing: run an iteration, account its cost, re-arm — or
@@ -262,13 +249,22 @@ class PollLoop:
         place in the queue depends on that."""
         if self._stopped:
             return
+        env = self.env
         if self._parked:
-            self._unpark()
-            if self.next_poll != self.env._now:
-                timer.crash(SimulationError(
-                    "poll loop %r woke at %r, off its grid point %r"
-                    % (self.name, self.env._now, self.next_poll)))
-                return
+            # Woken by ``wake()`` the loop sits on its grid point with
+            # nothing left to replay (a poll due now has not fired while
+            # its own rank is the frontier); a timed park ends some
+            # polls further on.
+            if self.next_poll != env.now:
+                self.catch_up()
+                if self.next_poll != env.now:
+                    timer.crash(SimulationError(
+                        "poll loop %r woke at %r, off its grid point %r"
+                        % (self.name, env.now, self.next_poll)))
+                    return
+            self._parked = False
+            self._wake_armed = False
+            del env._parked[self]
         try:
             cost = self.iteration()
         except Exception as exc:  # noqa: BLE001 - step() raises it
@@ -283,18 +279,34 @@ class PollLoop:
                 self.idle_iterations += 1
             self.idle_time += max(period - cost, 0.0)
             timer.arm(max(cost, period))
-        elif cost > 0.0:
+            return
+        if cost > 0.0:
             self.busy_time += cost
-            self._idle_delay = self.costs.idle_poll
-            if not self._park(cost):
-                timer.arm(cost)
+            self.idle_delay = self.costs.idle_poll
+            delay = cost
         else:
             self.idle_iterations += 1
-            delay = self._idle_delay
+            delay = self.idle_delay
             self.idle_time += delay
-            self._idle_delay = min(delay * 2, self.idle_backoff_max)
-            if not self._park(delay):
-                timer.arm(delay)
+            backoff = delay * 2
+            if backoff > self.idle_backoff_max:
+                backoff = self.idle_backoff_max
+            self.idle_delay = backoff
+        # Leave the queue if the owner vouches for the polls from
+        # ``now + delay`` on; otherwise arm the timer as usual.
+        idle = self._idle
+        if idle is not None and not self._stopped:
+            self.next_poll = env.now + delay
+            until = idle.idle_until(self)
+            if until is not None:
+                self._parked = True
+                self.parks += 1
+                env._parked[self] = None
+                if until != math.inf:
+                    self._wake_armed = True
+                    timer.arm_at(until)
+                return
+        timer.arm(delay)
 
     def __repr__(self) -> str:
         return "<PollLoop %s iters=%d util=%.2f>" % (

@@ -67,8 +67,8 @@ class SourceApp:
         self.tx_failures = 0
         self.loop: Optional[PollLoop] = None
         self._env: Optional[Environment] = None
-        self._template_cycle = itertools.cycle(self.profile.templates)
-        self._seq = itertools.count()
+        self._next_template = 0   # index into profile.templates
+        self._seq = 0
         self._credit = 0.0
         self._last_credit_time = 0.0
 
@@ -86,38 +86,60 @@ class SourceApp:
         credit = self._credit + (now - self._last_credit_time) * self.rate_pps
         self._last_credit_time = now
         # Never accumulate more than a couple of bursts of credit.
-        self._credit = credit = min(credit, 4.0 * self.burst_size)
+        cap = 4.0 * self.burst_size
+        if credit > cap:
+            credit = cap
+        self._credit = credit
         return int(credit)
 
     def iteration(self) -> float:
-        now = self._env.now if self._env is not None else 0.0
-        allowed = self._allowance(now)
-        if allowed <= 0:
+        env = self._env
+        now = env.now if env is not None else 0.0
+        count = self._allowance(now)
+        if count <= 0:
             return 0.0   # between two packets of a paced stream: most polls
-        count = min(allowed, self.burst_size, self.pool.available)
+        if count > self.burst_size:
+            count = self.burst_size
+        pool = self.pool
+        available = pool.available
+        if count > available:
+            count = available
         if count <= 0:
             return 0.0
-        mbufs = self.pool.get_bulk(count)
+        mbufs = pool.get_bulk(count)
         tracer = self.tracer
+        templates = self.profile.templates
+        cycle = len(templates)
+        index = self._next_template
+        seq = self._seq
         for mbuf in mbufs:
-            template = next(self._template_cycle)
+            if index >= cycle:
+                index = 0
+            template = templates[index]
+            index += 1
             mbuf.packet = template.packet
             mbuf.wire_length = template.wire_length
             mbuf.userdata = template.flow_key  # pre-extracted
-            mbuf.seq = next(self._seq)
+            mbuf.seq = seq
+            seq += 1
             mbuf.ts_created = now
             mbuf.ts_injected = now
             if tracer is not None:
                 tracer.ingress(mbuf, source=self.name)
-        sent = self.port.tx_burst(mbufs)
-        for rejected in mbufs[sent:]:
-            self.tx_failures += 1
-            rejected.free()
+        self._next_template = index
+        self._seq = seq
+        port = self.port
+        sent = port.tx_burst(mbufs)
+        if sent < count:
+            for rejected in mbufs[sent:]:
+                self.tx_failures += 1
+                rejected.free()
         self.generated += sent
         if self.rate_pps is not None:
             self._credit -= count
-        return self.costs.burst_overhead + count * (
-            self.costs.vm_forward + self.port.tx_extra_cost
+        costs = self.costs
+        return costs.burst_overhead + count * (
+            costs.vm_forward + port.tx_extra_cost
         )
 
     # -- the idle contract (PollLoop.IdleContract) ---------------------------
@@ -138,9 +160,16 @@ class SourceApp:
         last = self._last_credit_time
         cap = 4.0 * self.burst_size
         horizon = self.LOOKAHEAD_POLLS
-        for polls, when in enumerate(loop.idle_grid()):
-            # _allowance(when), on copies
-            ahead = min(credit + (when - last) * rate, cap)
+        # loop.idle_grid(), walked in place: the ladder's and
+        # _allowance's float operations on copies, in their order.
+        when = loop.next_poll
+        delay = loop.idle_delay
+        backoff_max = loop.idle_backoff_max
+        polls = 0
+        while True:
+            ahead = credit + (when - last) * rate
+            if ahead > cap:
+                ahead = cap
             if ahead >= 1.0 or polls == horizon:
                 if not polls:
                     return None   # the very next poll: just arm it
@@ -152,9 +181,13 @@ class SourceApp:
                 return when
             credit = ahead
             last = when
+            polls += 1
+            when = when + delay
+            delay = delay * 2
+            if delay > backoff_max:
+                delay = backoff_max
 
-    def replay(self, polls: int) -> None:
-        """An idle iteration publishes nothing."""
+    replay = None   # an idle iteration publishes nothing
 
     def start(self, env: Environment) -> PollLoop:
         self._env = env

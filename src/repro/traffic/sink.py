@@ -31,37 +31,50 @@ class SinkApp:
         self.latency = LatencyRecorder() if record_latency else None
         self.loop: Optional[PollLoop] = None
         self._env: Optional[Environment] = None
+        # The port's half of the idle contract, looked up once by
+        # start(): a port without one (or a sink not started) is polled
+        # for real.
+        self._rx_park: Optional[Callable] = None
 
     def iteration(self) -> float:
         mbufs = self.port.rx_burst(self.burst_size)
         if not mbufs:
             return 0.0
-        now = self._env.now if self._env is not None else 0.0
-        self.received += len(mbufs)
+        env = self._env
+        now = env.now if env is not None else 0.0
+        latency = self.latency
+        name = self.name
+        byte_count = 0
         for mbuf in mbufs:
-            self.received_bytes += mbuf.wire_length
-            if self.latency is not None and mbuf.ts_injected >= 0:
-                self.latency.record(now - mbuf.ts_injected)
+            byte_count += mbuf.wire_length
+            if latency is not None and mbuf.ts_injected >= 0:
+                latency.record(now - mbuf.ts_injected)
             if mbuf.trace is not None:
-                mbuf.trace.finish(now, sink=self.name)
+                mbuf.trace.finish(now, sink=name)
             mbuf.free()
-        return (self.costs.burst_overhead
-                + len(mbufs) * self.costs.ring_op)
+        count = len(mbufs)
+        self.received += count
+        self.received_bytes += byte_count
+        costs = self.costs
+        return costs.burst_overhead + count * costs.ring_op
 
     # The idle contract (PollLoop.IdleContract): an idle iteration is
     # one empty ``port.rx_burst`` — a subclass's must be no more.
 
     def idle_until(self, loop: PollLoop) -> Optional[float]:
-        rx_park = getattr(self.port, "rx_park", None)
+        rx_park = self._rx_park
         if rx_park is None or not rx_park(loop):
             return None
         return math.inf
 
-    def replay(self, polls: int) -> None:
-        self.port.rx_replay(polls)
+    @property
+    def replay(self) -> Optional[Callable[[int], None]]:
+        """The port's own ``rx_replay``: the loop binds it as it starts."""
+        return getattr(self.port, "rx_replay", None)
 
     def start(self, env: Environment) -> PollLoop:
         self._env = env
+        self._rx_park = getattr(self.port, "rx_park", None)
         self.loop = PollLoop(env, self.name, self.iteration,
                              costs=self.costs, idle=self).start()
         return self.loop

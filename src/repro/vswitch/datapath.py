@@ -95,11 +95,12 @@ class PlanMemo:
         return len(self._plans)
 
     def plan_for(self, traversal: Traversal) -> FlowPlan:
-        plan = self._plans.get(traversal)
-        if plan is None:
+        try:
+            return self._plans[traversal]
+        except KeyError:
             plan = self._plans[traversal] = FlowPlan(traversal)
             self.compiles += 1
-        return plan
+            return plan
 
     def flush(self) -> None:
         if self._plans:
@@ -468,25 +469,15 @@ class Datapath:
             self.emc.insert(key, traversal)
         return traversal, cost
 
-    def _resolve_batch(self, key: FlowKey, batch: List[Mbuf],
-                       stages=None) -> "tuple[Optional[tuple], float]":
-        """Resolve one flow batch; one lookup serves every packet.
+    def _resolve_miss(self, key: FlowKey, batch: List[Mbuf], fill: int,
+                      stages=None) -> "tuple[Optional[tuple], float]":
+        """Resolve a flow batch the EMC did not know: SMC -> megaflow ->
+        dpcls, one walk for every packet of the batch.
 
         Same contract as :meth:`classify`, but counters and stage
-        attribution are bulk-incremented by the batch fill, and the
-        lookup walks all four tiers (EMC -> SMC -> megaflow -> dpcls).
+        attribution are bulk-incremented by the batch fill.
         """
-        fill = len(batch)
         costs = self.costs
-        if self.emc_enabled:
-            traversal = self.emc.lookup(key)
-            if traversal is not None:
-                self.emc_hits += fill
-                if stages is not None:
-                    stages.add("emc_lookup", costs.ovs_emc_hit,
-                               packets=fill)
-                self._trace_batch(batch, "emc", result="hit")
-                return traversal, costs.ovs_emc_hit
         traversal, cost, tier = self._walk_pipeline(key, fill)
         if traversal is None:
             self.upcalls_no_match += fill
@@ -645,59 +636,67 @@ class Datapath:
 
     # -- the poll iteration body --------------------------------------------------------
 
+    def _admit(self, port: OvsPort, mbufs: List[Mbuf],
+               stages=None) -> "tuple[List[Mbuf], float]":
+        """Ingress policing and overload early drop, for a datapath that
+        has either configured: returns what is left of the burst and the
+        cpu cost of the shedding."""
+        policer = self.policers.get(port.ofport)
+        if policer is not None:
+            mbufs = policer.filter_burst(mbufs)
+        shed_level = self.rx_shed.get(port.ofport)
+        if not shed_level or not mbufs:
+            return mbufs, 0.0
+        # Overload early drop: shed the tail of the burst before it
+        # costs a single classifier cycle.  Fractional levels carry
+        # debt across bursts so the realized drop rate converges on
+        # the configured level deterministically.
+        debt = self._shed_debt.get(port.ofport, 0.0)
+        debt += len(mbufs) * shed_level
+        drop_count = min(int(debt), len(mbufs))
+        self._shed_debt[port.ofport] = debt - drop_count
+        if not drop_count:
+            return mbufs, 0.0
+        keep = len(mbufs) - drop_count
+        now = self.clock()
+        for mbuf in mbufs[keep:]:
+            if mbuf.trace is not None:
+                mbuf.trace.add(now, "rx-shed", port=port.name)
+            mbuf.free()
+        self.rx_early_drops[port.ofport] = (
+            self.rx_early_drops.get(port.ofport, 0) + drop_count)
+        if self.coverage is not None:
+            self.coverage("rx_early_drop", drop_count)
+        shed_cost = self.costs.upcall_shed * drop_count
+        if stages is not None:
+            stages.add("rx_shed", shed_cost, packets=drop_count)
+        return mbufs[:keep], shed_cost
+
     def process_port(self, port: OvsPort, mbufs: List[Mbuf],
                      output_batches: Dict[int, List[Mbuf]],
                      stages=None) -> "tuple[float, int]":
         """Run the non-empty burst ``mbufs`` just received from ``port``
         through the pipeline; returns (cpu cost, packets processed)."""
-        policer = self.policers.get(port.ofport)
-        if policer is not None:
-            mbufs = policer.filter_burst(mbufs)
-            if not mbufs:
-                if stages is not None:
-                    stages.add("housekeeping", self.costs.burst_overhead)
-                return self.costs.burst_overhead, 0
         costs = self.costs
         shed_cost = 0.0
-        shed_level = self.rx_shed.get(port.ofport)
-        if shed_level:
-            # Overload early drop: shed the tail of the burst before it
-            # costs a single classifier cycle.  Fractional levels carry
-            # debt across bursts so the realized drop rate converges on
-            # the configured level deterministically.
-            debt = self._shed_debt.get(port.ofport, 0.0)
-            debt += len(mbufs) * shed_level
-            drop_count = min(int(debt), len(mbufs))
-            self._shed_debt[port.ofport] = debt - drop_count
-            if drop_count:
-                keep = len(mbufs) - drop_count
-                now = self.clock()
-                for mbuf in mbufs[keep:]:
-                    if mbuf.trace is not None:
-                        mbuf.trace.add(now, "rx-shed", port=port.name)
-                    mbuf.free()
-                mbufs = mbufs[:keep]
-                self.rx_early_drops[port.ofport] = (
-                    self.rx_early_drops.get(port.ofport, 0) + drop_count)
-                if self.coverage is not None:
-                    self.coverage("rx_early_drop", drop_count)
-                shed_cost = costs.upcall_shed * drop_count
+        if self.policers or self.rx_shed:
+            mbufs, shed_cost = self._admit(port, mbufs, stages)
+            if not mbufs:
                 if stages is not None:
-                    stages.add("rx_shed", shed_cost, packets=drop_count)
-                if not mbufs:
-                    if stages is not None:
-                        stages.add("housekeeping", costs.burst_overhead)
-                    return costs.burst_overhead + shed_cost, 0
-        rx_cost = (costs.nic_pmd_rx if port.kind == PortKind.PHY
-                   else costs.ring_op)
-        total_cost = shed_cost + costs.burst_overhead + rx_cost * len(mbufs)
+                    stages.add("housekeeping", costs.burst_overhead)
+                return costs.burst_overhead + shed_cost, 0
+        count = len(mbufs)
+        rx_cost = (costs.nic_pmd_rx if port.kind is PortKind.PHY
+                   else costs.ring_op) * count
+        total_cost = shed_cost + costs.burst_overhead + rx_cost
         now = self.clock()
         if stages is not None:
             stages.add("housekeeping", costs.burst_overhead)
-            stages.add("rx_normal", rx_cost * len(mbufs),
-                       packets=len(mbufs))
+            stages.add("rx_normal", rx_cost, count)
+        traced = False
         for mbuf in mbufs:
             if mbuf.trace is not None:
+                traced = True
                 mbuf.trace.add(now, "switch-rx", port=port.name)
         # Ingress mirroring: clone before the actions can consume the
         # packet.
@@ -707,18 +706,18 @@ class Datapath:
                     output_batches.setdefault(mirror.output, []).append(
                         mbuf.retain()
                     )
-                self.packets_mirrored += len(mbufs)
-                total_cost += costs.ring_op * len(mbufs)
+                self.packets_mirrored += count
+                total_cost += costs.ring_op * count
                 if stages is not None:
-                    stages.add("actions", costs.ring_op * len(mbufs))
+                    stages.add("actions", costs.ring_op * count)
         if self.vectorized:
             total_cost += self._process_batched(
-                mbufs, port.ofport, now, output_batches, stages)
+                mbufs, port.ofport, now, output_batches, stages, traced)
         else:
             total_cost += self._process_scalar(
                 mbufs, port.ofport, now, output_batches, stages)
-        self.packets_processed += len(mbufs)
-        return total_cost, len(mbufs)
+        self.packets_processed += count
+        return total_cost, count
 
     def _process_scalar(self, mbufs: List[Mbuf], in_port: int, now: float,
                         output_batches: Dict[int, List[Mbuf]],
@@ -760,32 +759,52 @@ class Datapath:
 
     def _process_batched(self, mbufs: List[Mbuf], in_port: int, now: float,
                          output_batches: Dict[int, List[Mbuf]],
-                         stages=None) -> float:
+                         stages=None, traced: bool = True) -> float:
         """dp_netdev-style flow batches: group the burst by flow key,
         resolve each distinct key once, apply actions batch-at-a-time.
 
         Packets of the same flow keep their relative order (each batch
         preserves burst order); packets of different flows may be
         reordered against each other, exactly like real OVS output
-        batching.
+        batching.  ``traced`` says some mbuf of the burst carries a
+        sampled path trace; without one no batch is walked to find out.
         """
-        batches: Dict[FlowKey, List[Mbuf]] = {}
-        for mbuf, key in zip(mbufs, self.rekeys.keys_at(mbufs, in_port)):
-            batch = batches.get(key)
-            if batch is None:
-                batches[key] = [mbuf]
-            else:
-                batch.append(mbuf)
+        keys = self.rekeys.keys_at(mbufs, in_port)
+        if len(mbufs) == 1:
+            groups = ((keys[0], mbufs),)   # a burst of one is its batch
+        else:
+            batches: Dict[FlowKey, List[Mbuf]] = {}
+            for mbuf, key in zip(mbufs, keys):
+                batch = batches.get(key)
+                if batch is None:
+                    batches[key] = [mbuf]
+                else:
+                    batch.append(mbuf)
+            groups = batches.items()
         costs = self.costs
+        ports = self.ports
+        emc = self.emc if self.emc_enabled else None
+        fill_counts = self.batch_fill_counts
         total_cost = 0.0
-        for key, batch in batches.items():
+        for key, batch in groups:
             fill = len(batch)
             self.flow_batches += 1
             self.packets_batched += fill
-            self.batch_fill_counts[fill] = \
-                self.batch_fill_counts.get(fill, 0) + 1
-            traversal, lookup_cost = self._resolve_batch(key, batch,
-                                                         stages=stages)
+            try:
+                fill_counts[fill] += 1
+            except KeyError:
+                fill_counts[fill] = 1
+            traversal = emc.lookup(key) if emc is not None else None
+            if traversal is not None:
+                lookup_cost = costs.ovs_emc_hit
+                self.emc_hits += fill
+                if stages is not None:
+                    stages.add("emc_lookup", lookup_cost, fill)
+                if traced:
+                    self._trace_batch(batch, "emc", result="hit")
+            else:
+                traversal, lookup_cost = self._resolve_miss(
+                    key, batch, fill, stages)
             total_cost += lookup_cost
             if traversal is None:
                 for mbuf in batch:
@@ -793,7 +812,9 @@ class Datapath:
                                              stages=stages)
                 continue
             plan = self.plans.plan_for(traversal)
-            byte_total = sum(mbuf.wire_length for mbuf in batch)
+            byte_total = 0
+            for mbuf in batch:
+                byte_total += mbuf.wire_length
             for entry in traversal:
                 entry.account(fill, byte_total, now)
             if plan.stateful:
@@ -814,18 +835,17 @@ class Datapath:
                            + costs.ovs_action_per_packet * fill)
             total_cost += action_cost
             if stages is not None:
-                stages.add("actions", action_cost, packets=fill)
-            if plan.output in self.ports:
-                # The whole batch leaves by one port: hand the list on.
-                queued = output_batches.get(plan.output)
-                if queued is None:
-                    output_batches[plan.output] = batch
-                else:
-                    queued.extend(batch)
-            else:
+                stages.add("actions", action_cost, fill)
+            output = plan.output
+            if output not in ports:
                 for mbuf in batch:
                     self.execute_actions(plan.actions, mbuf, in_port,
                                          output_batches)
+            elif output in output_batches:
+                output_batches[output].extend(batch)
+            else:
+                # The whole batch leaves by one port: hand the list on.
+                output_batches[output] = batch
         return total_cost
 
     def flush_outputs(self, output_batches: Dict[int, List[Mbuf]],
@@ -850,27 +870,28 @@ class Datapath:
                         stages.add("actions", costs.ring_op * len(mbufs))
             for ofport, mbufs in extra.items():
                 output_batches.setdefault(ofport, []).extend(mbufs)
+        ports = self.ports
         for ofport, mbufs in output_batches.items():
-            port = self.ports.get(ofport)
-            if port is None:
+            if ofport not in ports:   # a mirror's output port is gone
                 for mbuf in mbufs:
                     mbuf.free()
                 continue
+            port = ports[ofport]
             if not port.up:
                 for mbuf in mbufs:
                     port.tx_dropped += 1
                     mbuf.free()
                 continue
-            tx_cost = (costs.nic_pmd_tx if port.kind == PortKind.PHY
-                       else costs.ring_op)
-            total_cost += tx_cost * len(mbufs)
+            count = len(mbufs)
+            tx_cost = (costs.nic_pmd_tx if port.kind is PortKind.PHY
+                       else costs.ring_op) * count
+            total_cost += tx_cost
             if stages is not None:
-                stages.add("tx", tx_cost * len(mbufs),
-                           packets=len(mbufs))
-            now = self.clock()
+                stages.add("tx", tx_cost, count)
             for mbuf in mbufs:
                 if mbuf.trace is not None:
-                    mbuf.trace.add(now, "switch-tx", port=port.name)
+                    mbuf.trace.add(self.clock(), "switch-tx",
+                                   port=port.name)
             port.send_burst(mbufs)
         output_batches.clear()
         return total_cost

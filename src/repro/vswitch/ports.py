@@ -9,7 +9,7 @@ PMD's shared-memory counters (the paper's §2 last paragraph).
 """
 
 import enum
-from typing import List
+from typing import List, Optional
 
 from repro.dpdk.dpdkr import DpdkrSharedRings
 from repro.packet.mbuf import Mbuf
@@ -25,6 +25,9 @@ class OvsPort:
     """Base port: counters + the receive/send contract."""
 
     kind: PortKind
+    # The shared rings of a dpdkr port; a port without any (a NIC queue)
+    # has nothing a parked core could wait on.
+    rings: Optional[DpdkrSharedRings] = None
 
     def __init__(self, ofport: int, name: str) -> None:
         self.ofport = ofport
@@ -49,18 +52,24 @@ class OvsPort:
     # -- helpers -----------------------------------------------------------------
 
     def _account_rx(self, mbufs: List[Mbuf]) -> None:
-        if mbufs:
-            self.rx_packets += len(mbufs)
-            self.rx_bytes += sum(m.wire_length for m in mbufs)
+        """Count a received burst (callers skip the empty one)."""
+        byte_count = 0
+        for mbuf in mbufs:
+            byte_count += mbuf.wire_length
+        self.rx_packets += len(mbufs)
+        self.rx_bytes += byte_count
 
     def _account_tx(self, mbufs: List[Mbuf], accepted: int) -> int:
+        if accepted < len(mbufs):
+            for rejected in mbufs[accepted:]:
+                self.tx_dropped += 1
+                rejected.free()
+            mbufs = mbufs[:accepted]
+        byte_count = 0
+        for mbuf in mbufs:
+            byte_count += mbuf.wire_length
         self.tx_packets += accepted
-        self.tx_bytes += sum(
-            mbufs[index].wire_length for index in range(accepted)
-        )
-        for rejected in mbufs[accepted:]:
-            self.tx_dropped += 1
-            rejected.free()
+        self.tx_bytes += byte_count
         return accepted
 
     def __repr__(self) -> str:
@@ -89,7 +98,8 @@ class DpdkrOvsPort(OvsPort):
 
     def receive_burst(self, max_count: int) -> List[Mbuf]:
         mbufs = self.rings.to_switch.dequeue_burst(max_count)
-        self._account_rx(mbufs)
+        if mbufs:
+            self._account_rx(mbufs)
         return mbufs
 
     def send_burst(self, mbufs: List[Mbuf]) -> int:
@@ -108,7 +118,8 @@ class PhyOvsPort(OvsPort):
 
     def receive_burst(self, max_count: int) -> List[Mbuf]:
         mbufs = self.nic.host_rx_burst(max_count)
-        self._account_rx(mbufs)
+        if mbufs:
+            self._account_rx(mbufs)
         return mbufs
 
     def send_burst(self, mbufs: List[Mbuf]) -> int:

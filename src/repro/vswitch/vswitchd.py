@@ -57,7 +57,7 @@ class _CoreIdle(IdleContract):
             return None
         ports = switch._core_ports[self.core_index]
         for port in ports:
-            rings = getattr(port, "rings", None)
+            rings = port.rings
             if rings is None:
                 return None   # a NIC queue has no waiter: keep polling
             if port.up and not rings.to_switch.is_empty:
@@ -242,7 +242,7 @@ class VSwitchd:
             port_stages.reset()
         tee = self._port_tees.get(port.ofport)
         if tee is not None:
-            tee.targets[0] = self._core_stages[dst_core]
+            tee.retarget(self._core_stages[dst_core])
         self._wake_cores()
 
     def port_by_name(self, port_name: str) -> OvsPort:
@@ -331,7 +331,7 @@ class VSwitchd:
     def step_dataplane(self) -> float:
         """Run one PMD iteration on every core; returns total cpu cost."""
         return sum(
-            self._core_iteration(core_index)
+            self._core_iteration(core_index)()
             for core_index in range(self.n_pmd_cores)
         )
 
@@ -344,15 +344,17 @@ class VSwitchd:
 
         return on_port_cost
 
-    def _core_iteration(self, core_index: int) -> float:
-        """One PMD iteration for ``core_index``.
+    def _core_iteration(self, core_index: int):
+        """The PMD iteration of ``core_index``, as a callable: one call
+        into ``process_ports`` and nothing around it.
 
-        Looks the port list up through the scheduler-owned list object
-        (moves are live), tees per-port stage costs into the core table
-        *and* the port's own table, and feeds measured per-port cost
-        into the scheduler's load tracker.
+        Closes over the scheduler-owned port list (moves are live), tees
+        per-port stage costs into the core table *and* the port's own
+        table, and feeds measured per-port cost into the scheduler's
+        load tracker.
         """
-        return self.datapath.process_ports(
+        return functools.partial(
+            self.datapath.process_ports,
             self._core_ports[core_index],
             self._core_stages[core_index],
             self._port_tees,
@@ -390,7 +392,7 @@ class VSwitchd:
             loop = PollLoop(
                 self.env,
                 "%s.pmd%d" % (self.name, core_index),
-                functools.partial(self._core_iteration, core_index),
+                self._core_iteration(core_index),
                 costs=self.costs,
                 idle=_CoreIdle(self, core_index),
             ).start()

@@ -49,14 +49,14 @@ class ReferencePollLoop(PollLoop):
             timer.arm(max(cost, period))
         elif cost > 0.0:
             self.busy_time += cost
-            self._idle_delay = self.costs.idle_poll
+            self.idle_delay = self.costs.idle_poll
             timer.arm(cost)
         else:
             self.idle_iterations += 1
-            delay = self._idle_delay
+            delay = self.idle_delay
             self.idle_time += delay
             timer.arm(delay)
-            self._idle_delay = min(delay * 2, self.idle_backoff_max)
+            self.idle_delay = min(delay * 2, self.idle_backoff_max)
 
 
 @contextlib.contextmanager

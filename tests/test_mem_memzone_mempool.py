@@ -100,6 +100,22 @@ class TestMempool:
             pool.get_bulk(2)
         assert pool.available == 1
 
+    def test_get_bulk_of_nothing_takes_nothing(self):
+        # ``free[-0:]`` is the whole free list: get_bulk(0) used to hand
+        # out every mbuf of the pool without counting one allocation.
+        pool = Mempool("p", size=8)
+        assert pool.get_bulk(0) == []
+        assert pool.available == 8
+        assert pool.alloc_count == 0
+
+    def test_get_bulk_rejects_a_negative_count(self):
+        pool = Mempool("p", size=8)
+        with pytest.raises(ValueError):
+            pool.get_bulk(-2)
+        assert pool.available == 8
+        assert pool.alloc_count == 0
+        assert pool.alloc_failures == 0
+
     def test_put_foreign_mbuf_raises(self):
         pool_a = Mempool("a", size=1)
         pool_b = Mempool("b", size=1)

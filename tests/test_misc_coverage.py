@@ -160,12 +160,6 @@ class TestImixThroughChain:
         # Swap the sources' profiles for IMIX before running.
         for source in experiment.sources:
             source.profile = imix_profile()
-            source._template_cycle = iter(())  # rebuilt below
-            import itertools
-
-            source._template_cycle = itertools.cycle(
-                source.profile.templates
-            )
         result = experiment.run()
         assert result.forward_delivered > 0
         assert result.reverse_delivered > 0

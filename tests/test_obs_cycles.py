@@ -52,6 +52,18 @@ class TestStageAccounting:
         assert names == ["rx_normal", "tx", "custom_stage"]
         assert names.index("rx_normal") < names.index("tx")
 
+    def test_rx_shed_is_a_canonical_stage(self):
+        # The one stage the datapath emits that STAGES did not know: it
+        # sorted as an extra.  Appended, so no row of pmd/stats-show moves.
+        assert STAGES[-2:] == ("housekeeping", "rx_shed")
+        stages = StageAccounting()
+        stages.add("zz_custom", 1e-6)
+        stages.add("aa_custom", 1e-6)
+        stages.add("rx_shed", 1e-6, packets=3)
+        stages.add("housekeeping", 1e-6)
+        assert stages.stages_in_order() == [
+            "housekeeping", "rx_shed", "aa_custom", "zz_custom"]
+
     def test_rows_convert_to_cycles(self):
         stages = StageAccounting()
         stages.add("emc_lookup", 1e-6, packets=10)

@@ -9,6 +9,7 @@ signal.
 
 import pytest
 
+from repro.obs.cycles import STAGES
 from repro.openflow.actions import OutputAction
 from repro.openflow.controller import ControllerConnection, SimpleController
 from repro.openflow.match import Match
@@ -125,6 +126,13 @@ class TestRxEarlyDrop:
         # Conservation: rx == delivered + accounted drops.
         assert a.rx_packets == 32
         assert all(m.refcnt == 0 for m in mbufs[16:])
+        # The shed packets have their own stage, and every stage the
+        # datapath emitted for this burst is one pmd/stats-show knows.
+        core_stages = switch._core_stages[0]
+        assert core_stages.packets["rx_shed"] == 16
+        assert core_stages.seconds["rx_shed"] == (
+            switch.costs.upcall_shed * 16)
+        assert set(core_stages.seconds) <= set(STAGES)
 
     def test_debt_accumulates_across_small_bursts(self):
         connection = ControllerConnection()

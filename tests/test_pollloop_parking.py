@@ -17,10 +17,16 @@ import math
 import pytest
 
 from repro.core.bypass import RetryPolicy
+from repro.core.pmd import DualChannelPmd
+from repro.core.stats import BypassStatsBlock
 from repro.core.watchdog import WatchdogPolicy
+from repro.dpdk.dpdkr import DpdkrSharedRings
 from repro.faults import PMD_RX_POLL, FaultMode, FaultPlan
 from repro.mem.ring import Ring
+from repro.openflow.actions import OutputAction
+from repro.openflow.match import Match
 from repro.openflow.messages import PortMod
+from repro.openflow.table import FlowEntry
 from repro.orchestration import NfvNode
 from repro.sim.engine import Environment
 from repro.sim.nic import Nic
@@ -442,6 +448,91 @@ def test_run_returns_when_only_parked_loops_remain():
     assert (loop.iterations, loop.idle_time, loop.busy_time) \
         == (reference.iterations, reference.idle_time, reference.busy_time)
     assert loop.iterations > 200 and loop.busy_time == 1e-6
+
+
+# -- a paced source, its look-ahead, and the consumers it wakes -----------------
+
+# The source's poll grid after a busy iteration is 165 ns, then 250,
+# 500, 1000 ... ns apart up to 5 us.  Each rate puts a different number
+# of those grid points between two packets, so the look-ahead ends on
+# its first point (and just arms the timer), after one, after two or
+# three, or at its horizon with the packet still far off.
+PACED = {
+    "next_poll": (8e6, 0.0002),
+    "one_grid_point": (3e6, 0.0003),
+    "two_or_three_grid_points": (0.7e6, 0.0006),
+    "beyond_the_lookahead": (2e3, 0.004),
+}
+
+
+def paced_stream(rate_pps, until, bypass):
+    """A paced ``SourceApp`` on port a, a ``SinkApp`` on port b and a
+    one-core switch forwarding a -> b — or, with ``bypass``, a ring
+    attached by hand between the two PMDs.  Returns everything the two
+    kinds of loop may not disagree on."""
+    env = Environment()
+    switch = VSwitchd(env=env, n_pmd_cores=1)
+    a = switch.add_dpdkr_port("a")
+    b = switch.add_dpdkr_port("b")
+    switch.bridge.table.add(FlowEntry(Match(in_port=a.ofport),
+                                      [OutputAction(b.ofport)]))
+    tx = DualChannelPmd(0, DpdkrSharedRings.attach(a.rings.zone))
+    rx = DualChannelPmd(1, DpdkrSharedRings.attach(b.rings.zone))
+    stats = BypassStatsBlock("a-b", a.ofport, b.ofport)
+    if bypass:
+        ring = Ring("a-b", 1024)
+        rx.attach_bypass_rx(ring, stats)
+        tx.attach_bypass_tx(ring, stats, flow_id=1)
+    switch.start()
+    source = SourceApp("src", tx, rate_pps=rate_pps)
+    sink = SinkApp("sink", rx)
+    latencies = []
+    sink.latency.record = latencies.append
+    log = []
+
+    def logged(name, iteration):
+        def run():
+            cost = iteration()
+            if cost:
+                log.append((env.now, name, cost))
+            return cost
+        return run
+
+    source.iteration = logged("src", source.iteration)
+    sink.iteration = logged("sink", sink.iteration)
+    loops = [sink.start(env), source.start(env)] + switch._pmd_loops
+    for loop in switch._pmd_loops:
+        loop.iteration = logged(loop.name, loop.iteration)
+    env.run(until=until)
+    return {
+        "log": log,
+        "latencies": latencies,
+        "loops": {loop.name: (loop.iterations, loop.idle_iterations,
+                              loop.idle_time, loop.busy_time)
+                  for loop in loops},
+        "source": (source.generated, source.tx_failures,
+                   source.pool.in_use),
+        "sink": (sink.received, sink.received_bytes),
+        "pmds": [(pmd.rings.heartbeat.epoch, pmd.channel_stats(),
+                  pmd.stats.ipackets, pmd.stats.opackets)
+                 for pmd in (tx, rx)],
+        "bypass": (stats.rx_epoch, stats.rx_dequeued, stats.tx_packets),
+        "switch": (a.rx_packets, b.tx_packets, b.tx_dropped,
+                   switch.datapath.packets_processed),
+        "parks": {loop.name: loop.parks for loop in loops},
+    }
+
+
+@pytest.mark.parametrize("bypass", [False, True],
+                         ids=["through_the_switch", "over_a_bypass_ring"])
+@pytest.mark.parametrize("pace", sorted(PACED))
+def test_a_paced_source_feeding_parked_consumers(pace, bypass):
+    rate_pps, until = PACED[pace]
+    parks = differential(lambda: paced_stream(rate_pps, until, bypass))
+    assert parks["sink"] > 3
+    assert (parks["ovs.pmd0"] > 3) or bypass
+    # A source whose very next poll is due never leaves the queue.
+    assert (parks["src"] > 3) == (pace != "next_poll")
 
 
 # -- VSwitchd lifecycle ----------------------------------------------------------

@@ -29,11 +29,14 @@ EMC whose listener tombstones only the affected keys never serves a
 stale rule, agreeing with the linear table lookup under churn.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mem.mempool import Mempool
+from repro.obs.trace import PathTracer
 from repro.openflow.actions import (
     ControllerAction,
     GotoTableAction,
@@ -45,6 +48,7 @@ from repro.openflow.match import Match
 from repro.openflow.table import FlowEntry, FlowTable
 from repro.packet.flowkey import FlowKey
 from repro.packet.headers import ETH_TYPE_IPV4, IP_PROTO_UDP, Udp
+from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.state.programs import acl_program
 from repro.vswitch.classifier import TupleSpaceClassifier
 from repro.vswitch.emc import ExactMatchCache
@@ -386,6 +390,165 @@ def test_flow_plans_track_every_table_and_port_change(emc_enabled, ops):
     for harness in (scalar, vector):
         assert harness.pool.in_use == 0
         assert harness.pool.double_free_detected == 0
+
+
+# -- the one-packet burst vs. the scalar lane, feature by feature --------------
+#
+# A burst of one skips the batch grouping, a datapath with no policer,
+# shed level, mirror or traced mbuf skips those features' code, and one
+# output port is one list hand-off.  Each of those choices is made from
+# what the burst looks like, so each is driven here from both sides:
+# bursts of 1, 2, 3 and 32 packets, with nothing configured and with
+# each slow feature in turn.  Every packet of a burst is its own flow,
+# the SMC and megaflow tiers are off and the cost model prices one
+# batch's dispatch like one scalar dispatch, so a flow batch is one
+# packet and the two lanes must agree on *everything*: delivery order,
+# counters, the cost each iteration returns and the stage tables, with
+# ``==`` on the floats.
+
+LANE_BURSTS = (1, 2, 3, 32, 1, 3, 32, 2)   # each size cold, then cached
+LANE_FLOWS = tuple(range(2000, 2032))
+LANE_DENIED = LANE_FLOWS[1]
+LANE_FEATURES = ("nothing", "policer", "fractional_shed", "ingress_mirror",
+                 "egress_mirror", "traced_mbuf", "output_down",
+                 "output_deleted", "setfield_multi", "xfsm")
+LANE_COUNTERS = DATAPATH_COUNTERS + (
+    "emc_hits", "classifier_hits", "pipeline_drops", "packets_mirrored",
+    "rx_early_drops")
+RING_COUNTERS = ("enqueued", "dequeued", "enqueue_failures",
+                 "partial_enqueues", "dequeue_failures")
+PORT_COUNTERS = ("rx_packets", "rx_bytes", "tx_packets", "tx_bytes",
+                 "tx_dropped")
+
+
+class LaneHarness:
+    """p0 -> p1 (p2 takes mirror and multi-output copies) with one slow
+    feature configured, in one lane."""
+
+    def __init__(self, vectorized: bool, feature: str) -> None:
+        costs = dataclasses.replace(
+            DEFAULT_COST_MODEL,
+            ovs_scalar_dispatch=DEFAULT_COST_MODEL.ovs_batch_action)
+        self.switch = switch = VSwitchd(name="lane", costs=costs)
+        self.datapath = datapath = switch.datapath
+        datapath.vectorized = vectorized
+        datapath.smc_enabled = datapath.megaflow_enabled = False
+        self.feature = feature
+        self.ports = [switch.add_dpdkr_port(name) for name in PORT_NAMES]
+        self.pool = Mempool("lane", size=256)
+        self.tracer = PathTracer(sample_interval=1)
+        self.delivered = {name: [] for name in PORT_NAMES}
+        self.costs_returned = []
+        self.hops = []
+        self.seq = 0
+        p0, p1, p2 = (port.ofport for port in self.ports)
+        actions = [OutputAction(p1)]
+        if feature == "setfield_multi":
+            actions = [SetFieldAction("l4_dst", REWRITE_DST),
+                       OutputAction(p1), OutputAction(p2)]
+        elif feature == "xfsm":
+            datapath.register_xfsm(acl_program(
+                [Match(eth_type=ETH_TYPE_IPV4, ip_proto=IP_PROTO_UDP,
+                       l4_src=LANE_DENIED)]))
+            actions = [XfsmAction("acl"), OutputAction(p1)]
+        switch.bridge.table.add(FlowEntry(Match(in_port=p0), actions))
+        if feature == "policer":
+            # No clock: the bucket never refills, 40 packets pass.
+            switch.set_ingress_policing("p0", rate_pps=1000.0, burst=40.0)
+        elif feature == "fractional_shed":
+            datapath.rx_shed[p0] = 0.3
+        elif feature == "ingress_mirror":
+            switch.add_mirror("m", output="p2", select_src=["p0"])
+        elif feature == "egress_mirror":
+            switch.add_mirror("m", output="p2", select_dst=["p1"])
+        elif feature == "output_down":
+            self.ports[1].up = False
+
+    def burst(self, size: int, index: int) -> None:
+        if self.feature == "output_deleted" and index == 4:
+            # Plans and EMC entries for p1 exist by now.
+            self.switch.del_port(self.ports[1].ofport)
+        rx = self.ports[0].rings.to_switch
+        for offset in range(size):
+            mbuf = mk_mbuf(pool=self.pool, src_port=LANE_FLOWS[offset])
+            mbuf.seq = self.seq
+            self.seq += 1
+            if self.feature == "traced_mbuf" and offset == size // 2:
+                self.tracer.ingress(mbuf)
+                self.hops.append(mbuf.trace)
+            rx.enqueue(mbuf)
+        self.costs_returned.append(self.switch.step_dataplane())
+        for port in self.ports:
+            for mbuf in port.rings.to_guest.dequeue_burst(1024):
+                udp = mbuf.packet.get(Udp)
+                self.delivered[port.name].append(
+                    (mbuf.seq, udp.src_port, udp.dst_port))
+                mbuf.free()
+
+    def observe(self):
+        switch, datapath = self.switch, self.datapath
+        rings = [ring for port in self.ports
+                 for ring in (port.rings.to_switch, port.rings.to_guest)]
+        return {
+            "delivered": self.delivered,
+            "cost": self.costs_returned,
+            "datapath": {name: getattr(datapath, name)
+                         for name in LANE_COUNTERS},
+            "ports": [[getattr(port, name) for name in PORT_COUNTERS]
+                      for port in self.ports],
+            "rings": [[getattr(ring, name) for name in RING_COUNTERS]
+                      for ring in rings],
+            "stages": [(dict(table.seconds), dict(table.packets))
+                       for table in (switch._core_stages
+                                     + list(switch._port_stages.values()))],
+            "policed": [(policer.admitted, policer.dropped)
+                        for policer in datapath.policers.values()],
+            "traced": [[hop if hop in ("ingress", "switch-rx", "switch-tx")
+                        else "lookup" for hop in trace.hops()]
+                       for trace in self.hops],
+            "pool": (self.pool.in_use, self.pool.double_free_detected),
+        }
+
+
+@pytest.mark.parametrize("feature", LANE_FEATURES)
+def test_a_burst_of_one_flow_batches_equals_the_scalar_lane(feature):
+    scalar = LaneHarness(vectorized=False, feature=feature)
+    vector = LaneHarness(vectorized=True, feature=feature)
+    for index, size in enumerate(LANE_BURSTS):
+        scalar.burst(size, index)
+        vector.burst(size, index)
+        assert vector.observe() == scalar.observe(), (feature, index, size)
+    # The scenario did what its name says, in both lanes alike.
+    seen = vector.observe()
+    assert seen["pool"] == (0, 0)
+    assert sum(seen["cost"]) > 0.0
+    delivered = {name: len(got) for name, got in seen["delivered"].items()}
+    offered = sum(LANE_BURSTS)
+    expected = {
+        "nothing": {"p1": offered},
+        "policer": {"p1": 40},
+        "ingress_mirror": {"p1": offered, "p2": offered},
+        "egress_mirror": {"p1": offered, "p2": offered},
+        "traced_mbuf": {"p1": offered},
+        "output_down": {},
+        "setfield_multi": {"p1": offered, "p2": offered},
+    }.get(feature)
+    if expected is not None:
+        assert delivered == dict({"p0": 0, "p1": 0, "p2": 0}, **expected)
+    if feature == "fractional_shed":
+        assert 0 < delivered["p1"] < offered
+        assert seen["datapath"]["rx_early_drops"]
+    elif feature == "output_deleted":
+        assert 0 < delivered["p1"] < offered
+        assert seen["datapath"]["unknown_port_drops"] > 0
+    elif feature == "xfsm":
+        assert seen["datapath"]["xfsm_drops"] == sum(
+            1 for size in LANE_BURSTS if size > 1)
+    elif feature == "traced_mbuf":
+        assert all(trace == ["ingress", "switch-rx", "lookup", "switch-tx"]
+                   for trace in seen["traced"])
+    elif feature == "output_down":
+        assert seen["ports"][1][PORT_COUNTERS.index("tx_dropped")] == offered
 
 
 # -- precise invalidation property -----------------------------------------

@@ -58,6 +58,7 @@ class TestQueueConservation:
             else:
                 queue.dispatch(handler, budget=op[1])
             # Standing invariants, checked at every step.
+            assert queue.depth == len(queue._control) + len(queue._miss)
             assert queue.depth <= policy.max_queue
             assert len(offered) == (queue.dispatched + queue.depth
                                     + queue.shed_total)

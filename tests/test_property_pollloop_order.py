@@ -23,6 +23,7 @@ from repro.mem.ring import Ring
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.engine import Environment
 from repro.sim.pollloop import PollLoop
+from repro.traffic.generator import SourceApp
 
 from tests.helpers import sweep_seeded
 from tests.support.reference_pollloop import ReferencePollLoop
@@ -301,3 +302,51 @@ def test_the_scenarios_park():
     assert expected[3] == 0
     assert outcome[3] > 50
     assert outcome[:3] == expected[:3]
+
+
+# -- SourceApp's look-ahead against the ladder it no longer iterates ----------
+
+
+def lookahead_over_idle_grid(source, loop):
+    """``SourceApp.idle_until`` as it stood while it walked
+    ``loop.idle_grid()``: the generator, ``enumerate`` and ``min``."""
+    rate = source.rate_pps
+    credit = source._credit
+    last = source._last_credit_time
+    cap = 4.0 * source.burst_size
+    horizon = source.LOOKAHEAD_POLLS
+    for polls, when in enumerate(loop.idle_grid()):
+        ahead = min(credit + (when - last) * rate, cap)
+        if ahead >= 1.0 or polls == horizon:
+            if not polls:
+                return None, source._credit, source._last_credit_time
+            return when, credit, last
+        credit = ahead
+        last = when
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rate=st.floats(min_value=1e2, max_value=2e7),
+    credit=st.floats(min_value=0.0, max_value=1.5),
+    since_credit=st.floats(min_value=0.0, max_value=1e-4),
+    next_poll=st.floats(min_value=1e-3, max_value=1.0),
+    busy_cost=st.floats(min_value=1e-8, max_value=1e-5),
+    doublings=st.integers(0, 6),
+)
+def test_the_sources_lookahead_walks_the_idle_grid(
+        rate, credit, since_credit, next_poll, busy_cost, doublings):
+    """The in-place walk performs the generator's float operations in
+    the generator's order: same park time, same pacer state, to the bit,
+    wherever on the back-off ladder the loop stands."""
+    env = Environment()
+    source = SourceApp("src", port=None, rate_pps=rate)
+    loop = PollLoop(env, "src", source.iteration, idle=source)
+    loop.next_poll = next_poll + busy_cost
+    loop.idle_delay = min(loop.costs.idle_poll * 2 ** doublings,
+                          loop.idle_backoff_max)
+    source._credit = credit
+    source._last_credit_time = next_poll - since_credit
+    expected = lookahead_over_idle_grid(source, loop)
+    until = source.idle_until(loop)
+    assert (until, source._credit, source._last_credit_time) == expected

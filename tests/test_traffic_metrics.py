@@ -177,6 +177,26 @@ class TestLatencyRecorder:
         assert len(recorder._reservoir) == 10
         assert recorder.count == 10000
 
+    def test_reservoir_slots_are_randrange_slots(self):
+        # record() spells randrange(count) out over getrandbits; the
+        # reservoir (hence every percentile ever committed) must stay
+        # the one Vitter's algorithm R draws with randrange itself.
+        import random
+
+        recorder = LatencyRecorder(reservoir_size=16, seed=7)
+        rng = random.Random(7)
+        reservoir = []
+        for count in range(1, 5001):
+            value = float(count)
+            recorder.record(value)
+            if len(reservoir) < 16:
+                reservoir.append(value)
+                continue
+            slot = rng.randrange(count)
+            if slot < 16:
+                reservoir[slot] = value
+        assert recorder._reservoir == reservoir
+
     def test_merge(self):
         a = LatencyRecorder()
         b = LatencyRecorder()
