@@ -1,5 +1,5 @@
-"""Fast-path benchmark family: vectorized vs scalar, precise vs
-generation-wipe EMC invalidation
+"""Fast-path benchmark family: the flow-batched switch hop, precise EMC
+invalidation under flowmod churn, the megaflow tier at rule scale
 (``python -m repro.bench --family fastpath``).
 
 Runs a small, deterministic set of workloads and produces one schema-v1
@@ -67,16 +67,16 @@ def hit_rate(hits, misses):
     return hits / total if total else 0.0
 
 
-def chain_fastpath(vectorized, duration, flows=64, burst_size=32):
+def chain_fastpath(duration, flows=64, burst_size=32):
     """One vanilla (all hops through OVS) fig3a-style memory chain."""
     experiment = ChainExperiment(
         num_vms=3, bypass=False, memory_only=True, duration=duration,
-        flows=flows, burst_size=burst_size, vectorized=vectorized,
+        flows=flows, burst_size=burst_size,
     )
     result = experiment.run()
     datapath = experiment.node.switch.datapath
     return {
-        "vectorized": vectorized,
+        "vectorized": True,
         "flows": flows,
         "burst_size": burst_size,
         "throughput_mpps": round(result.throughput_mpps, 4),
@@ -92,15 +92,14 @@ def chain_fastpath(vectorized, duration, flows=64, burst_size=32):
     }
 
 
-def emc_invalidation_workload(mode, bursts, flows=32, burst_size=32,
+def emc_invalidation_workload(bursts, flows=32, burst_size=32,
                               churn_every=4):
     """Rolling-flowmod workload: steady traffic over ``flows`` UDP flows
     while unrelated rules are added and deleted every ``churn_every``
     bursts.  Precise invalidation keeps the traffic's EMC entries alive
-    across the churn; generation wipe loses the whole cache each time.
+    across the churn (a whole-cache wipe would lose them each time).
     """
-    switch = VSwitchd(name="bench-emc-%s" % mode)
-    switch.datapath.emc_invalidation = mode
+    switch = VSwitchd(name="bench-emc-precise")
     rx = switch.add_dpdkr_port("rx")
     tx = switch.add_dpdkr_port("tx")
     switch.bridge.table.add(FlowEntry(
@@ -125,7 +124,7 @@ def emc_invalidation_workload(mode, bursts, flows=32, burst_size=32,
         tx.rings.to_guest.dequeue_burst(burst_size)
     emc = switch.datapath.emc
     return {
-        "invalidation": mode,
+        "invalidation": "precise",
         "flows": flows,
         "bursts": bursts,
         "flowmods": 2 * ((bursts - 1) // churn_every),
@@ -217,52 +216,13 @@ def megaflow_rule_scale_workload(enabled, bursts, extra_rules=64,
     }
 
 
-def chain_pair(duration, memory_only, measure):
-    out = {}
-    for bypass in (False, True):
-        result = ChainExperiment(
-            num_vms=3 if memory_only else 2, bypass=bypass,
-            memory_only=memory_only, duration=duration,
-        ).run()
-        out["bypass" if bypass else "vanilla"] = measure(result)
-    return out
-
-
 # -- checks -------------------------------------------------------------------
 
 
 def run_checks(doc):
     """The baseline invariants; each returns (name, passed, detail)."""
-    fast = doc["workloads"]["fig3a_fastpath"]
-    vec, scalar = fast["vectorized"], fast["scalar"]
-    inval = doc["workloads"]["emc_invalidation"]
-    fig3b = doc["workloads"]["fig3b_nic_chain"]
-    latency = doc["workloads"]["latency_chain"]
     mega = doc["workloads"]["megaflow_rule_scale"]
     checks = [
-        ("vectorized_cycles_per_packet_lower",
-         vec["cycles_per_packet"] < scalar["cycles_per_packet"],
-         "%.2f < %.2f" % (vec["cycles_per_packet"],
-                          scalar["cycles_per_packet"])),
-        ("vectorized_throughput_not_worse",
-         vec["throughput_mpps"] >= scalar["throughput_mpps"],
-         "%.4f >= %.4f" % (vec["throughput_mpps"],
-                           scalar["throughput_mpps"])),
-        ("precise_invalidation_higher_hit_rate",
-         inval["precise"]["emc_hit_rate"]
-         > inval["generation"]["emc_hit_rate"],
-         "%.4f > %.4f" % (inval["precise"]["emc_hit_rate"],
-                          inval["generation"]["emc_hit_rate"])),
-        ("bypass_beats_vanilla_nic_chain",
-         fig3b["bypass"]["throughput_mpps"]
-         > fig3b["vanilla"]["throughput_mpps"],
-         "%.4f > %.4f" % (fig3b["bypass"]["throughput_mpps"],
-                          fig3b["vanilla"]["throughput_mpps"])),
-        ("bypass_cuts_latency",
-         latency["bypass"]["mean_latency_us"]
-         < latency["vanilla"]["mean_latency_us"],
-         "%.2f < %.2f" % (latency["bypass"]["mean_latency_us"],
-                          latency["vanilla"]["mean_latency_us"])),
         ("megaflow_cycles_per_packet_lower",
          mega["enabled"]["cycles_per_packet"]
          < mega["disabled"]["cycles_per_packet"],
@@ -309,33 +269,20 @@ def validate(doc):
     """Structural schema check; returns a list of problems (empty = ok)."""
     problems = validate_document(doc, family=FAMILY)
     workloads = doc.get("workloads", {})
-    for name in ("fig3a_fastpath", "emc_invalidation", "fig3b_nic_chain",
-                 "latency_chain", "megaflow_rule_scale"):
+    for name, variants, required in (
+        ("fig3a_fastpath", ("vectorized",), REQUIRED_FASTPATH_KEYS),
+        ("emc_invalidation", ("precise",), REQUIRED_INVALIDATION_KEYS),
+        ("megaflow_rule_scale", ("enabled", "disabled"),
+         REQUIRED_MEGAFLOW_KEYS),
+    ):
         if name not in workloads:
             problems.append("missing workload %s" % name)
-    fast = workloads.get("fig3a_fastpath", {})
-    for variant in ("vectorized", "scalar"):
-        missing = missing_keys(fast.get(variant), REQUIRED_FASTPATH_KEYS)
-        if missing:
-            problems.append("fig3a_fastpath.%s missing %s"
-                            % (variant, missing))
-    inval = workloads.get("emc_invalidation", {})
-    for variant in ("precise", "generation"):
-        missing = missing_keys(inval.get(variant),
-                               REQUIRED_INVALIDATION_KEYS)
-        if missing:
-            problems.append("emc_invalidation.%s missing %s"
-                            % (variant, missing))
-    for name in ("fig3b_nic_chain", "latency_chain"):
-        for variant in ("vanilla", "bypass"):
-            if variant not in workloads.get(name, {}):
-                problems.append("%s missing %s" % (name, variant))
-    mega = workloads.get("megaflow_rule_scale", {})
-    for variant in ("enabled", "disabled"):
-        missing = missing_keys(mega.get(variant), REQUIRED_MEGAFLOW_KEYS)
-        if missing:
-            problems.append("megaflow_rule_scale.%s missing %s"
-                            % (variant, missing))
+        for variant in variants:
+            missing = missing_keys(workloads.get(name, {}).get(variant),
+                                   required)
+            if missing:
+                problems.append("%s.%s missing %s"
+                                % (name, variant, missing))
     return problems
 
 
@@ -346,15 +293,11 @@ def trend_metrics(doc):
     """Headline numbers for one ``BENCH_TRENDS.jsonl`` line."""
     fast = doc["workloads"]["fig3a_fastpath"]
     inval = doc["workloads"]["emc_invalidation"]
-    fig3b = doc["workloads"]["fig3b_nic_chain"]
-    latency = doc["workloads"]["latency_chain"]
     mega = doc["workloads"]["megaflow_rule_scale"]
     return {
         "vec_cycles_per_packet": fast["vectorized"]["cycles_per_packet"],
         "vec_throughput_mpps": fast["vectorized"]["throughput_mpps"],
         "precise_emc_hit_rate": inval["precise"]["emc_hit_rate"],
-        "bypass_nic_mpps": fig3b["bypass"]["throughput_mpps"],
-        "bypass_latency_us": latency["bypass"]["mean_latency_us"],
         "megaflow_hit_rate": mega["enabled"]["megaflow_hit_rate"],
         "rule_scale_cycles_per_packet":
             mega["enabled"]["cycles_per_packet"],
@@ -377,37 +320,19 @@ def run_bench(quick, seed=None):
     doc["workloads"] = {}
     workloads = doc["workloads"]
 
-    print("[1/5] fig3a memory chain, vectorized vs scalar "
-          "(3 VMs, 64 flows, burst 32)...", file=sys.stderr)
+    print("[1/3] fig3a memory chain (3 VMs, 64 flows, burst 32)...",
+          file=sys.stderr)
     workloads["fig3a_fastpath"] = {
-        "vectorized": chain_fastpath(True, chain_duration),
-        "scalar": chain_fastpath(False, chain_duration),
+        "vectorized": chain_fastpath(chain_duration),
     }
 
-    print("[2/5] EMC invalidation under rolling flowmods...",
+    print("[2/3] EMC invalidation under rolling flowmods...",
           file=sys.stderr)
     workloads["emc_invalidation"] = {
-        "precise": emc_invalidation_workload("precise", churn_bursts),
-        "generation": emc_invalidation_workload("generation", churn_bursts),
+        "precise": emc_invalidation_workload(churn_bursts),
     }
 
-    print("[3/5] fig3b NIC chain, bypass vs vanilla...", file=sys.stderr)
-    workloads["fig3b_nic_chain"] = chain_pair(
-        chain_duration, memory_only=False,
-        measure=lambda result: {
-            "throughput_mpps": round(result.throughput_mpps, 4),
-        },
-    )
-
-    print("[4/5] chain latency, bypass vs vanilla...", file=sys.stderr)
-    workloads["latency_chain"] = chain_pair(
-        chain_duration, memory_only=True,
-        measure=lambda result: {
-            "mean_latency_us": round(result.mean_latency * 1e6, 3),
-        },
-    )
-
-    print("[5/5] megaflow rule scale, enabled vs disabled "
+    print("[3/3] megaflow rule scale, enabled vs disabled "
           "(64 filler rules, all-new flows)...", file=sys.stderr)
     workloads["megaflow_rule_scale"] = {
         "enabled": megaflow_rule_scale_workload(True, rule_scale_bursts),

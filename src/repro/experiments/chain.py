@@ -112,11 +112,9 @@ class ChainExperiment:
         ring_size: int = 1024,
         flows: int = 4,
         source_rate_pps: Optional[float] = None,
-        wire_load: float = 1.0,
         burst_size: int = 32,
         emc_enabled: bool = True,
         megaflow_enabled: bool = True,
-        vectorized: bool = True,
         accounting_enabled: bool = True,
         trace_sample: Optional[int] = None,
         snapshot_period: Optional[float] = None,
@@ -152,11 +150,9 @@ class ChainExperiment:
         self.ring_size = ring_size
         self.flows = flows
         self.source_rate_pps = source_rate_pps
-        self.wire_load = wire_load
         self.burst_size = burst_size
         self.emc_enabled = emc_enabled
         self.megaflow_enabled = megaflow_enabled
-        self.vectorized = vectorized
         self.accounting_enabled = accounting_enabled
         self.trace_sample = trace_sample
         self.snapshot_period = snapshot_period
@@ -168,7 +164,7 @@ class ChainExperiment:
         self.fail_mode = fail_mode
         self.overload = overload
         self.overload_policy = overload_policy
-        self.profile = profile
+        self.profile = profile or uniform_profile(frame_size, flows=flows)
         if extra_rules < 0:
             raise ValueError("extra_rules must be >= 0")
         if churn_hz < 0:
@@ -235,7 +231,6 @@ class ChainExperiment:
         datapath = self.node.switch.datapath
         datapath.burst_size = self.burst_size
         datapath.emc_enabled = self.emc_enabled
-        datapath.vectorized = self.vectorized
         # The A-emc ablation measures life without the caches: disabling
         # the EMC also disables the SMC and the megaflow cache so the
         # classifier takes every hit.  --no-megaflow ablates the
@@ -332,9 +327,6 @@ class ChainExperiment:
             self.flowmods_applied += 2
 
     def _build_endpoints(self) -> None:
-        profile = self.profile or uniform_profile(
-            self.frame_size, flows=self.flows
-        )
         tracer = (self.node.obs.tracer
                   if self.trace_sample is not None else None)
         if self.memory_only:
@@ -344,7 +336,7 @@ class ChainExperiment:
             # Forward direction: VM1 sources out of p1, VMN sinks at p0.
             self.sources.append(SourceApp(
                 "src.fw", first_handle.pmd(self._port(first, 1)),
-                profile=profile, costs=self.costs,
+                profile=self.profile, costs=self.costs,
                 rate_pps=self.source_rate_pps,
                 burst_size=self.burst_size, tracer=tracer,
                 on_time=self.source_on_time,
@@ -358,7 +350,7 @@ class ChainExperiment:
             if self.reverse_traffic:
                 self.sources.append(SourceApp(
                     "src.rv", last_handle.pmd(self._port(last, 0)),
-                    profile=profile, costs=self.costs,
+                    profile=self.profile, costs=self.costs,
                     rate_pps=self.source_rate_pps,
                     burst_size=self.burst_size, tracer=tracer,
                     on_time=self.source_on_time,
@@ -437,16 +429,15 @@ class ChainExperiment:
         else:
             tracer = (obs.tracer
                       if self.trace_sample is not None else None)
-            profile = uniform_profile(self.frame_size, flows=self.flows)
             self.sinks["forward"] = WireSink(env, self.node.nics["nic1"])
             self.sinks["reverse"] = WireSink(env, self.node.nics["nic0"])
             self.sources.append(WireSource(
-                env, self.node.nics["nic0"], profile=profile,
-                load=self.wire_load, tracer=tracer,
+                env, self.node.nics["nic0"], profile=self.profile,
+                tracer=tracer,
             ))
             self.sources.append(WireSource(
-                env, self.node.nics["nic1"], profile=profile,
-                load=self.wire_load, tracer=tracer,
+                env, self.node.nics["nic1"], profile=self.profile,
+                tracer=tracer,
             ))
         if self.snapshot_period is not None:
             obs.start_snapshotting(env, period=self.snapshot_period)

@@ -14,7 +14,7 @@ from repro.dpdk.eal import Eal
 from repro.dpdk.virtio_serial import VirtioSerial
 from repro.mem.memzone import MemzoneRegistry
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.sim.engine import Environment, Process
+from repro.sim.engine import Environment, Process, run_to_completion
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.faults import FaultPlan
@@ -225,56 +225,52 @@ class Hypervisor:
                 "VM %r already has ivshmem for %r" % (vm_name, zone_name)
             )
         self.registry.lookup(zone_name)  # fail fast on bogus zones
+        procedure = self._plug_process(vm, zone_name)
         if self.env is None:
-            self._monitor_fault(vm, "qemu.plug", sync=True)
-            self._complete_plug(vm, zone_name)
-            return None
-        return self.env.process(
-            self._plug_process(vm, zone_name),
-            name="qemu.plug.%s" % zone_name,
-        )
+            return run_to_completion(procedure)
+        return self.env.process(procedure,
+                                name="qemu.plug.%s" % zone_name)
+
+    def _pause(self, cost: float):
+        """Spend ``cost`` modelled seconds (nothing without a clock)."""
+        if self.env is not None:
+            yield self.env.timeout(cost)
 
     def _plug_process(self, vm: VirtualMachine, zone_name: str):
-        yield self.env.timeout(self.costs.qemu_monitor_cmd)
+        yield from self._pause(self.costs.qemu_monitor_cmd)
         yield from self._monitor_fault(vm, "qemu.plug")
-        yield self.env.timeout(self.costs.ivshmem_hotplug)
+        yield from self._pause(self.costs.ivshmem_hotplug)
         self._complete_plug(vm, zone_name)
 
-    def _monitor_fault(self, vm: VirtualMachine, point: str,
-                       sync: bool = False):
+    def _monitor_fault(self, vm: VirtualMachine, point: str):
         """Fire the fault plan for a monitor command (plug/unplug).
 
-        Simulation mode: a generator to ``yield from`` — DELAY stretches
-        the command, DROP parks it forever (the caller's timeout is the
-        only way out), ERROR raises, CRASH kills the target VM first.
-        Sync mode (``sync=True``): called for its side effects; DROP has
-        no hung-forever analogue, so it degrades to ERROR.
+        ERROR raises, CRASH kills the target VM first.  With a clock
+        DELAY stretches the command and DROP parks it forever (the
+        caller's timeout is the only way out); without one DELAY is a
+        no-op and DROP, having no hung-forever analogue, degrades to
+        ERROR.
         """
         if self.faults is None:
-            return () if sync else iter(())
+            return
         from repro.faults import FaultMode
 
         action = self.faults.fire(point)
         if action is None:
-            return () if sync else iter(())
+            return
         if action.mode is FaultMode.CRASH:
             if vm.name in self.vms:
                 self.destroy_vm(vm.name)
             raise HypervisorError(action.message)
-        if action.mode is FaultMode.ERROR:
+        if action.mode is FaultMode.ERROR or (
+                self.env is None and action.mode is FaultMode.DROP):
             raise HypervisorError(action.message)
-        if sync:
-            if action.mode is FaultMode.DROP:
-                raise HypervisorError(action.message)
-            return ()  # DELAY is meaningless without a clock
-
-        def _effects():
-            if action.mode is FaultMode.DELAY:
-                yield self.env.timeout(action.delay)
-            elif action.mode is FaultMode.DROP:
-                yield self.env.event()  # never fires: the command hangs
-
-        return _effects()
+        if self.env is None:
+            return
+        if action.mode is FaultMode.DELAY:
+            yield self.env.timeout(action.delay)
+        elif action.mode is FaultMode.DROP:
+            yield self.env.event()  # never fires: the command hangs
 
     def _complete_plug(self, vm: VirtualMachine, zone_name: str) -> None:
         if not vm.running:
@@ -296,17 +292,14 @@ class Hypervisor:
             raise HypervisorError(
                 "VM %r has no ivshmem for %r" % (vm_name, zone_name)
             )
+        procedure = self._unplug_process(vm, zone_name)
         if self.env is None:
-            self._monitor_fault(vm, "qemu.unplug", sync=True)
-            self._complete_unplug(vm, zone_name)
-            return None
-        return self.env.process(
-            self._unplug_process(vm, zone_name),
-            name="qemu.unplug.%s" % zone_name,
-        )
+            return run_to_completion(procedure)
+        return self.env.process(procedure,
+                                name="qemu.unplug.%s" % zone_name)
 
     def _unplug_process(self, vm: VirtualMachine, zone_name: str):
-        yield self.env.timeout(self.costs.qemu_monitor_cmd)
+        yield from self._pause(self.costs.qemu_monitor_cmd)
         yield from self._monitor_fault(vm, "qemu.unplug")
         self._complete_unplug(vm, zone_name)
 

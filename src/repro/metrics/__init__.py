@@ -1,8 +1,8 @@
-"""Measurement utilities: latency reservoirs, rate meters, report tables."""
+"""Measurement utilities: latency reservoirs, rates, report tables."""
 
 from repro.metrics.latency import LatencyRecorder
-from repro.metrics.rates import RateMeter, mpps, to_mpps
-from repro.metrics.report import format_table, format_series
+from repro.metrics.rates import to_mpps
+from repro.metrics.report import format_table
 from repro.metrics.resilience import ResilienceCounters
 from repro.metrics.timeline import (
     EventTimeline,
@@ -15,14 +15,11 @@ from repro.metrics.timeline import (
 __all__ = [
     "EventTimeline",
     "LatencyRecorder",
-    "RateMeter",
     "ResilienceCounters",
     "TimelineEvent",
     "attach_highway_tracing",
     "attach_lifecycle_tracing",
     "attach_overload_tracing",
-    "format_series",
     "format_table",
-    "mpps",
     "to_mpps",
 ]

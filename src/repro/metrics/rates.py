@@ -1,81 +1,8 @@
 """Throughput accounting."""
 
-from typing import List, Tuple
-
 
 def to_mpps(packets: int, seconds: float) -> float:
     """Packets over a window, expressed in million packets per second."""
     if seconds <= 0:
         return 0.0
     return packets / seconds / 1e6
-
-
-def mpps(value: float) -> str:
-    """Human formatting for an Mpps figure."""
-    return "%.3f Mpps" % value
-
-
-class RateMeter:
-    """Windowed rate: sample (time, cumulative count) pairs."""
-
-    def __init__(self, name: str = "rate") -> None:
-        self.name = name
-        self._samples: List[Tuple[float, int]] = []
-
-    def sample(self, now: float, cumulative_count: int) -> None:
-        self._samples.append((now, cumulative_count))
-
-    @property
-    def samples(self) -> List[Tuple[float, int]]:
-        return list(self._samples)
-
-    def rate_between(self, start_index: int, end_index: int) -> float:
-        """Packets/second between two samples.
-
-        Indices follow Python sequence semantics: negative values count
-        from the newest sample (``-1`` is the latest), so
-        ``rate_between(0, -1)`` is the whole-run rate.  Out-of-range
-        indices raise :class:`IndexError` with the meter's name and
-        sample count rather than a bare list error.
-        """
-        total = len(self._samples)
-        for index in (start_index, end_index):
-            if not -total <= index < total:
-                raise IndexError(
-                    "%s: sample index %d out of range (%d samples)"
-                    % (self.name, index, total)
-                )
-        t0, c0 = self._samples[start_index]
-        t1, c1 = self._samples[end_index]
-        if t1 <= t0:
-            return 0.0
-        return (c1 - c0) / (t1 - t0)
-
-    @property
-    def overall_rate(self) -> float:
-        if len(self._samples) < 2:
-            return 0.0
-        return self.rate_between(0, len(self._samples) - 1)
-
-    def interval_rates(self) -> List[float]:
-        return [
-            self.rate_between(index, index + 1)
-            for index in range(len(self._samples) - 1)
-        ]
-
-    def steady_state_rate(self, skip_head: int = 1,
-                          skip_tail: int = 0) -> float:
-        """The rate with warmup and drain windows excluded.
-
-        ``skip_head`` samples are dropped from the front (ramp-up) and
-        ``skip_tail`` from the back (drain); the rate is computed
-        between the first and last survivors.  Falls back to
-        :attr:`overall_rate` when fewer than two samples would remain.
-        """
-        if skip_head < 0 or skip_tail < 0:
-            raise ValueError("skip counts must be non-negative")
-        remaining = len(self._samples) - skip_head - skip_tail
-        if remaining < 2:
-            return self.overall_rate
-        return self.rate_between(skip_head,
-                                 len(self._samples) - 1 - skip_tail)

@@ -25,15 +25,6 @@ def format_table(headers: Sequence[str],
     return "\n".join(lines)
 
 
-def format_series(name: str, xs: Sequence[object],
-                  ys: Sequence[object]) -> str:
-    """Render one figure series as ``name: (x, y) ...`` pairs."""
-    points = ", ".join(
-        "(%s, %s)" % (_fmt(x), _fmt(y)) for x, y in zip(xs, ys)
-    )
-    return "%s: %s" % (name, points)
-
-
 def _fmt(value: object) -> str:
     if isinstance(value, float):
         return "%.4g" % value

@@ -20,9 +20,8 @@ class CostModel:
 
     # --- vSwitch datapath, per packet -----------------------------------
     # Datapath lookup + action execution on the OVS PMD core.  Lookup
-    # costs are charged once per *flow batch* on the vectorized path
-    # (every packet of the batch shares the resolution) and once per
-    # packet on the scalar path.
+    # costs are charged once per *flow batch* (every packet of the batch
+    # shares the resolution).
     ovs_emc_hit: float = 70 * NS
     ovs_smc_hit: float = 110 * NS     # signature hit + subtable verify
     ovs_megaflow_hit: float = 160 * NS  # masked probe, no revalidation
@@ -30,10 +29,8 @@ class CostModel:
     ovs_miss_upcall: float = 50 * US
     # Action execution.  Applying the actions to a packet (header
     # writes, moving the mbuf to its output batch) is inherently
-    # per-packet on both paths; what vectorization amortizes is the
-    # action-*list* construction: the scalar path rebuilds and
-    # dispatches it per packet, the batched path builds it once per
-    # flow batch.
+    # per-packet; what batching amortizes is the action-*list*
+    # construction, built and dispatched once per flow batch.
     # XFSM evaluation in the stateful fast-path tier: one bounded hash
     # lookup plus a guard walk — deliberately in the EMC-hit cost class
     # (the whole point of executing stateful logic in the datapath
@@ -41,9 +38,8 @@ class CostModel:
     # per batch: packets of one flow batch share a flow key but not
     # their TCP flags, so each drives its own transition.
     ovs_xfsm_exec: float = 65 * NS
-    ovs_action_per_packet: float = 45 * NS   # both paths, per packet
-    ovs_scalar_dispatch: float = 50 * NS     # scalar path, per packet
-    ovs_batch_action: float = 40 * NS        # batched path, per batch
+    ovs_action_per_packet: float = 45 * NS
+    ovs_batch_action: float = 40 * NS        # per flow batch
     # Bounded upcall path: the fast-path side of a miss is an enqueue
     # (or an accounted shed) instead of the full 50 us slow path, which
     # is charged per dispatched upcall at the end of the iteration.
@@ -86,7 +82,6 @@ class CostModel:
             ovs_classifier_hit=self.ovs_classifier_hit * factor,
             ovs_xfsm_exec=self.ovs_xfsm_exec * factor,
             ovs_action_per_packet=self.ovs_action_per_packet * factor,
-            ovs_scalar_dispatch=self.ovs_scalar_dispatch * factor,
             ovs_batch_action=self.ovs_batch_action * factor,
             upcall_enqueue=self.upcall_enqueue * factor,
             upcall_shed=self.upcall_shed * factor,

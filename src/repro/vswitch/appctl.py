@@ -154,12 +154,12 @@ def cache_stats(vswitchd: VSwitchd) -> str:
 
 
 def fastpath_show(vswitchd: VSwitchd) -> str:
-    """``appctl dpif/fastpath-show``: the vectorized fast-path view.
+    """``appctl dpif/fastpath-show``: the fast-path view.
 
-    One screen answering "which lookup tier is serving traffic, how full
-    are the flow batches, and is invalidation precise or sledgehammer":
-    EMC / SMC statistics, the dpcls subtable ranking, the plan and
-    re-key memos, and the flow-batch fill histogram.
+    One screen answering "which lookup tier is serving traffic and how
+    full are the flow batches": EMC / SMC statistics, the dpcls subtable
+    ranking, the plan and re-key memos, and the flow-batch fill
+    histogram.
     """
     datapath = vswitchd.datapath
     emc = datapath.emc
@@ -170,14 +170,11 @@ def fastpath_show(vswitchd: VSwitchd) -> str:
     dpcls_hits = (datapath.classifier_hits - datapath.smc_hits
                   - datapath.megaflow_hits)
     lines = [
-        "fast path: %s, burst size %d"
-        % ("vectorized (flow batches)" if datapath.vectorized
-           else "scalar (per-packet)", datapath.burst_size),
-        "lookup tiers: emc=%s smc=%s megaflow=%s invalidation=%s"
+        "fast path: burst size %d" % datapath.burst_size,
+        "lookup tiers: emc=%s smc=%s megaflow=%s"
         % ("on" if datapath.emc_enabled else "off",
            "on" if datapath.smc_enabled else "off",
-           "on" if datapath.megaflow_enabled else "off",
-           datapath.emc_invalidation),
+           "on" if datapath.megaflow_enabled else "off"),
         "miss chain: emc=%d -> smc=%d -> megaflow=%d -> dpcls=%d "
         "-> upcall=%d"
         % (datapath.emc_hits, datapath.smc_hits, datapath.megaflow_hits,

@@ -146,10 +146,6 @@ def signature_of(entry: FlowEntry) -> MaskSignature:
     )
 
 
-# Backward-compatible private alias (pre-SMC name).
-_signature_of = signature_of
-
-
 class TupleSpaceClassifier:
     """The dpcls: subtable-per-mask lookup structure."""
 

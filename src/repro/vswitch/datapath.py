@@ -3,10 +3,10 @@
 One :class:`Datapath` instance is the forwarding engine of a bridge; its
 :meth:`process_ports` is the body of a PMD core's poll iteration.
 
-The default fast path is **vectorized**, modelled on OVS's ``dp_netdev``
-flow batches: flow keys are computed for the whole received burst up
-front, packets are grouped per distinct key, one lookup resolves every
-packet of a batch, and the batch replays a plan compiled once per traversal.
+The fast path is modelled on OVS's ``dp_netdev`` flow batches: flow keys
+are computed for the whole received burst up front, packets are grouped
+per distinct key, one lookup resolves every packet of a batch, and the
+batch replays a plan compiled once per traversal.
 Lookup itself is four-tiered, exactly like OVS-DPDK:
 
 1. **EMC** — exact flow key -> full pipeline traversal, precise
@@ -19,12 +19,10 @@ Lookup itself is four-tiered, exactly like OVS-DPDK:
 4. **dpcls** — ranked tuple-space search with goto_table pipeline
    walking (:mod:`repro.vswitch.classifier`).
 
-``vectorized = False`` selects the legacy scalar path (per-packet
-EMC -> classifier resolution and per-packet action dispatch); it is kept
-as the baseline the benchmarks and the equivalence property test compare
-against.  Both paths return the simulated CPU cost of the iteration —
-the quantity that makes the vSwitch a *shared* bottleneck for every
-chain hop in the paper's Figure 3.
+Every entry point returns the simulated CPU cost of the work done — the
+quantity that makes the vSwitch a *shared* bottleneck for every chain
+hop in the paper's Figure 3.  The pre-batching scalar lane and the
+whole-cache wipe are oracles in ``tests/support/reference_datapath.py``.
 """
 
 from typing import Callable, Dict, List, Optional, Tuple
@@ -119,7 +117,6 @@ class Datapath:
         upcall_handler: Optional[UpcallHandler] = None,
         emc_enabled: bool = True,
         burst_size: int = 32,
-        vectorized: bool = True,
         smc_enabled: bool = True,
         megaflow_enabled: bool = True,
     ) -> None:
@@ -131,11 +128,6 @@ class Datapath:
         self.emc_enabled = emc_enabled
         self.smc_enabled = smc_enabled
         self.megaflow_enabled = megaflow_enabled
-        self.vectorized = vectorized
-        # "precise" tombstones only the EMC keys a flowmod affects;
-        # "generation" restores the old whole-cache wipe (kept as the
-        # baseline the invalidation benchmark compares against).
-        self.emc_invalidation = "precise"
         self.emc = ExactMatchCache()
         self.smc = SignatureMatchCache()
         self.megaflow = MegaflowCache()
@@ -162,9 +154,8 @@ class Datapath:
         self.rx_shed: Dict[int, float] = {}
         self.rx_early_drops: Dict[int, int] = {}
         self._shed_debt: Dict[int, float] = {}
-        # Cumulative fast-path statistics (all count packets, so the
-        # scalar and vectorized paths stay comparable; smc_hits and
-        # megaflow_hits are the subsets of classifier_hits resolved
+        # Cumulative fast-path statistics (all count packets; smc_hits
+        # and megaflow_hits are the subsets of classifier_hits resolved
         # through a validated hint / a cached wildcard entry).
         self.emc_hits = 0
         self.smc_hits = 0
@@ -184,13 +175,12 @@ class Datapath:
         self.xfsm_evaluated = 0
         self.xfsm_drops = 0
         self.xfsm_unknown_drops = 0
-        # Flow-batch statistics (vectorized path only).
+        # Flow-batch statistics.
         self.flow_batches = 0
         self.packets_batched = 0
         self.batch_fill_counts: Dict[int, int] = {}
-        # The batched lane resolves once and replays per packet: one
-        # flow plan per traversal, one re-keyed flow key per (flow,
-        # port).  The scalar lane uses neither.
+        # Resolve once, replay per packet: one flow plan per traversal,
+        # one re-keyed flow key per (flow, port).
         self.plans = PlanMemo()
         self.rekeys = RekeyMemo()
         # Optional control-path coverage hook (wired by Observability):
@@ -199,10 +189,6 @@ class Datapath:
 
     def _on_table_change(self, kind: str, entry: FlowEntry) -> None:
         self.plans.flush()
-        if self.emc_invalidation != "precise":
-            self.emc.invalidate_all()
-            self.megaflow.flush()
-            return
         if kind == "added":
             # A new rule may outrank cached resolutions for any key it
             # covers (keys are stable across the pipeline: goto+set-field
@@ -399,83 +385,30 @@ class Datapath:
 
     def classify(self, mbuf: Mbuf, in_port: int,
                  stages=None) -> "tuple[Optional[tuple], float]":
-        """Resolve one packet through the pipeline (the scalar path).
-
-        Returns ``(traversal, cpu cost)`` where traversal is the tuple
-        of flow entries matched in pipeline order, or None on a table-0
-        miss (upcall).  A miss in a later table, a goto to a missing
-        table or a non-increasing goto all terminate the pipeline as an
-        OF1.3 drop (the traversal so far is returned; its combined
-        actions produce no output).
-
-        ``stages`` (a :class:`repro.obs.cycles.StageAccounting`) splits
-        the lookup cost between the emc_lookup / classifier_lookup /
-        miss_upcall stages for ``pmd/stats-show``.  The scalar resolver
-        never consults the SMC — that tier belongs to the vectorized
-        path; this one is the pre-batching baseline.
-        """
+        """Resolve one packet: ``(traversal, cpu cost)``, traversal None
+        on a table-0 miss — a flow batch of one, see :meth:`_resolve_miss`."""
         key = cached_flow_key(mbuf, in_port)
-        if self.emc_enabled:
-            traversal = self.emc.lookup(key)
-            if traversal is not None:
-                self.emc_hits += 1
-                if stages is not None:
-                    stages.add("emc_lookup", self.costs.ovs_emc_hit,
-                               packets=1)
-                if mbuf.trace is not None:
-                    mbuf.trace.add(self.clock(), "emc", result="hit")
-                return traversal, self.costs.ovs_emc_hit
-        entries = []
-        table_id = 0
-        cost = 0.0
-        while True:
-            entry = self.classifiers[table_id].lookup(key)
-            cost += self.costs.ovs_classifier_hit
-            if entry is None:
-                if table_id == 0:
-                    self.upcalls_no_match += 1
-                    if mbuf.trace is not None:
-                        mbuf.trace.add(self.clock(), "upcall",
-                                       reason="no_match")
-                    if self.upcall_queue is not None:
-                        # Bounded path: only the failed walk is charged
-                        # here; enqueue/dispatch costs land in _punt.
-                        if stages is not None:
-                            stages.add("miss_upcall", cost, packets=1)
-                        return None, cost
-                    if stages is not None:
-                        stages.add("miss_upcall",
-                                   self.costs.ovs_miss_upcall, packets=1)
-                    return None, self.costs.ovs_miss_upcall
-                self.pipeline_drops += 1
-                break
-            entries.append(entry)
-            goto = goto_table_of(entry.actions)
-            if goto is None:
-                break
-            if (goto.table_id <= table_id
-                    or goto.table_id not in self.classifiers):
-                self.pipeline_drops += 1
-                break
-            table_id = goto.table_id
-        self.classifier_hits += 1
+        traversal = self.emc.lookup(key) if self.emc_enabled else None
+        if traversal is None:
+            return self._resolve_miss(key, [mbuf], 1, stages)
+        self.emc_hits += 1
         if stages is not None:
-            stages.add("classifier_lookup", cost, packets=1)
-        if mbuf.trace is not None:
-            mbuf.trace.add(self.clock(), "classifier",
-                           tables=table_id + 1)
-        traversal = tuple(entries)
-        if self.emc_enabled:
-            self.emc.insert(key, traversal)
-        return traversal, cost
+            stages.add("emc_lookup", self.costs.ovs_emc_hit, 1)
+        self._trace_batch([mbuf], "emc", result="hit")
+        return traversal, self.costs.ovs_emc_hit
 
     def _resolve_miss(self, key: FlowKey, batch: List[Mbuf], fill: int,
                       stages=None) -> "tuple[Optional[tuple], float]":
         """Resolve a flow batch the EMC did not know: SMC -> megaflow ->
         dpcls, one walk for every packet of the batch.
 
-        Same contract as :meth:`classify`, but counters and stage
-        attribution are bulk-incremented by the batch fill.
+        Returns ``(traversal, cpu cost)``: the flow entries matched in
+        pipeline order, or None on a table-0 miss (upcall).  A miss in a
+        later table, a goto to a missing table or a non-increasing goto
+        end the pipeline as an OF1.3 drop (the traversal so far, whose
+        combined actions produce no output).  Counters and the
+        ``stages`` split of the lookup cost are bulk-incremented by the
+        batch fill.
         """
         costs = self.costs
         traversal, cost, tier = self._walk_pipeline(key, fill)
@@ -491,8 +424,8 @@ class Datapath:
             upcall_cost = costs.ovs_miss_upcall * fill
             if stages is not None:
                 stages.add("miss_upcall", upcall_cost, packets=fill)
-            # Like the scalar path, the upcall dominates: the failed
-            # lookup's cost is folded into it rather than itemized.
+            # The upcall dominates: the failed lookup's cost is folded
+            # into it rather than itemized.
             return None, upcall_cost
         self.classifier_hits += fill
         if tier == "smc":
@@ -523,10 +456,9 @@ class Datapath:
         """Run one packet through its rule's XFSM delegations.
 
         Returns ``(cpu cost, allowed)``; a denied (or unresolvable)
-        packet is freed here.  Evaluation is per packet even on the
-        vectorized path: packets of one flow batch share a flow key but
-        not their TCP flags, and a SYN must drive a different
-        transition than the ACK behind it.
+        packet is freed here.  Evaluation is per packet: packets of one
+        flow batch share a flow key but not their TCP flags, and a SYN
+        must drive a different transition than the ACK behind it.
         """
         from repro.state.xfsm import event_for
 
@@ -710,52 +642,10 @@ class Datapath:
                 total_cost += costs.ring_op * count
                 if stages is not None:
                     stages.add("actions", costs.ring_op * count)
-        if self.vectorized:
-            total_cost += self._process_batched(
-                mbufs, port.ofport, now, output_batches, stages, traced)
-        else:
-            total_cost += self._process_scalar(
-                mbufs, port.ofport, now, output_batches, stages)
+        total_cost += self._process_batched(
+            mbufs, port.ofport, now, output_batches, stages, traced)
         self.packets_processed += count
         return total_cost, count
-
-    def _process_scalar(self, mbufs: List[Mbuf], in_port: int, now: float,
-                        output_batches: Dict[int, List[Mbuf]],
-                        stages=None) -> float:
-        """Legacy per-packet resolution + per-packet action dispatch."""
-        costs = self.costs
-        action_cost = costs.ovs_action_per_packet + costs.ovs_scalar_dispatch
-        total_cost = 0.0
-        for mbuf in mbufs:
-            traversal, lookup_cost = self.classify(mbuf, in_port,
-                                                   stages=stages)
-            total_cost += lookup_cost
-            if traversal is None:
-                total_cost += self._punt(mbuf, in_port, "no_match",
-                                         stages=stages)
-                continue
-            combined = []
-            for entry in traversal:
-                entry.account(1, mbuf.wire_length, now)
-                combined.extend(
-                    action for action in entry.actions
-                    if not isinstance(action, GotoTableAction)
-                )
-            stateful = [action for action in combined
-                        if isinstance(action, XfsmAction)]
-            if stateful:
-                combined = [action for action in combined
-                            if not isinstance(action, XfsmAction)]
-                xfsm_cost, allowed = self._xfsm_packet(
-                    stateful, mbuf, in_port, now, stages=stages)
-                total_cost += xfsm_cost
-                if not allowed:
-                    continue
-            total_cost += action_cost
-            if stages is not None:
-                stages.add("actions", action_cost, packets=1)
-            self.execute_actions(combined, mbuf, in_port, output_batches)
-        return total_cost
 
     def _process_batched(self, mbufs: List[Mbuf], in_port: int, now: float,
                          output_batches: Dict[int, List[Mbuf]],

@@ -9,8 +9,8 @@ mirroring real OVS-DPDK:
   keys it serves lets a single flowmod tombstone only the affected keys
   (``invalidate_entry`` / ``invalidate_matching``) instead of wiping the
   whole cache.  The crude whole-cache *generation* bump is retained as
-  ``invalidate_all`` for callers that want the old behaviour (and as the
-  baseline the benchmarks compare against).
+  ``invalidate_all`` for callers that want the old behaviour (the
+  datapath does not; the tests' whole-cache-wipe oracle does).
 * **Probabilistic insertion.**  Above an occupancy threshold only one in
   ``insert_inv_prob`` new keys is admitted (OVS's ``emc-insert-inv-prob``),
   so elephant flows are not thrashed out by a storm of mice.  The coin is

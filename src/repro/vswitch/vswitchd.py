@@ -411,19 +411,12 @@ class VSwitchd:
         """The control loop of the ``started``-th :meth:`start`: it ends
         with the :meth:`stop` that follows, even if the switch has been
         started again by the time it next looks."""
-        env = self.env
         while self._running and self._starts == started:
-            if self.failmode is not None:
-                self.failmode.tick(env.now)
-            handled = self.bridge.pump()
-            if self.failmode is not None and self.failmode.expiry_frozen:
-                self.failmode.frozen_expiry_skips += 1
-            else:
-                self.bridge.expire_flows(env.now)
+            handled = self.step_control()
             delay = self.control_interval
             if handled:
                 delay += handled * self.costs.flowmod_processing
-            yield env.timeout(delay)
+            yield self.env.timeout(delay)
 
     def stop(self) -> None:
         self._running = False

@@ -75,8 +75,8 @@ class TestDumps:
             node.vms["vm2"].pmd("dpdkr1").tx_burst([mk_mbuf()])
             node.switch.step_dataplane()
         text = appctl.fastpath_show(node.switch)
-        assert "fast path: vectorized (flow batches)" in text
-        assert "invalidation=precise" in text
+        assert "fast path: burst size 32" in text
+        assert "lookup tiers: emc=on smc=on megaflow=on\n" in text
         assert "emc: 1 entries" in text
         assert "smc:" in text
         assert "subtable [" in text

@@ -100,6 +100,17 @@ class TestNicChain:
         cap = 2 * line_rate_pps(64) / 1e6  # both directions
         assert result.throughput_mpps <= cap * 1.01
 
+    def test_custom_profile_reaches_the_wire_sources(self):
+        from repro.traffic import uniform_profile
+
+        profile = uniform_profile(256, flows=2, name="custom")
+        experiment = ChainExperiment(num_vms=1, memory_only=False,
+                                     duration=0.0005, profile=profile)
+        experiment.run()
+        assert len(experiment.sources) == 2
+        assert all(source.profile is profile
+                   for source in experiment.sources)
+
 
 class TestSetupTime:
     def test_order_of_100ms(self):

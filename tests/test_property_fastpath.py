@@ -1,8 +1,9 @@
-"""Property: the vectorized (flow-batched) fast path is observationally
-equivalent to the legacy scalar per-packet path.
+"""Property: the flow-batched fast path is observationally equivalent
+to the scalar per-packet lane it replaced.
 
-Two identical switches — one ``vectorized``, one not — are driven with
-the same random interleaving of traffic bursts (with duplicate flows per
+Two identical switches — one as shipped, one with the scalar lane of
+``tests/support/reference_datapath.py`` installed — are driven with the
+same random interleaving of traffic bursts (with duplicate flows per
 burst), flowmods between bursts, and set-field rewrites mid-burst, then
 compared:
 
@@ -15,7 +16,12 @@ compared:
 * aggregate datapath counters (packets processed, upcalls, pipeline
   drops, resolved packets) agree.  The per-tier split (EMC vs SMC vs
   classifier hits) intentionally differs — the SMC tier only exists on
-  the vectorized path — but the totals must not.
+  the batched lane — but the totals must not.
+
+Every harness that forwarded a packet proves which lane carried it:
+``flow_batches`` is 0 on the oracle side and positive on the batched
+side (``assert_lanes_ran``), so a differential cannot quietly compare
+the batched lane with itself.
 
 A second property is the flow-plan differential: the batched lane
 replays plans compiled once per traversal, the scalar lane compiles
@@ -28,8 +34,6 @@ A third property pins down precise EMC invalidation: a datapath-style
 EMC whose listener tombstones only the affected keys never serves a
 stale rule, agreeing with the linear table lookup under churn.
 """
-
-import dataclasses
 
 import pytest
 from hypothesis import example, given, settings
@@ -55,6 +59,7 @@ from repro.vswitch.emc import ExactMatchCache
 from repro.vswitch.vswitchd import VSwitchd
 
 from tests.helpers import mk_mbuf
+from tests.support.reference_datapath import install_scalar_lane
 
 PORT_NAMES = ("p0", "p1", "p2")
 FLOW_SRC_PORTS = (1000, 1001, 1002, 1003)
@@ -94,7 +99,8 @@ class Harness:
     def __init__(self, vectorized: bool) -> None:
         self.switch = VSwitchd(name="br-%s"
                                % ("vec" if vectorized else "scalar"))
-        self.switch.datapath.vectorized = vectorized
+        if not vectorized:
+            install_scalar_lane(self.switch.datapath)
         self.ports = [self.switch.add_dpdkr_port(name)
                       for name in PORT_NAMES]
         self.entries = []       # parallel across harnesses
@@ -152,6 +158,14 @@ class Harness:
                 )
 
 
+def assert_lanes_ran(scalar, vector) -> None:
+    """If the run forwarded a packet, ``scalar`` carried it on the
+    oracle lane and ``vector`` on the batched one."""
+    if vector.switch.datapath.packets_processed:
+        assert scalar.switch.datapath.flow_batches == 0
+        assert vector.switch.datapath.flow_batches > 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(ops_strategy)
 def test_vectorized_path_equals_scalar_path(ops):
@@ -175,6 +189,7 @@ def test_vectorized_path_equals_scalar_path(ops):
             assert [rec for rec in got_scalar if rec[1] == flow] \
                 == [rec for rec in got_vector if rec[1] == flow]
 
+    assert_lanes_ran(scalar, vector)
     dp_scalar = scalar.switch.datapath
     dp_vector = vector.switch.datapath
     assert dp_scalar.packets_processed == dp_vector.packets_processed
@@ -369,6 +384,7 @@ def test_flow_plans_track_every_table_and_port_change(emc_enabled, ops):
             assert [rec for rec in got_scalar if rec[1] == flow] \
                 == [rec for rec in got_vector if rec[1] == flow]
 
+    assert_lanes_ran(scalar, vector)
     dp_scalar = scalar.switch.datapath
     dp_vector = vector.switch.datapath
     for counter in DATAPATH_COUNTERS:
@@ -400,8 +416,8 @@ def test_flow_plans_track_every_table_and_port_change(emc_enabled, ops):
 # what the burst looks like, so each is driven here from both sides:
 # bursts of 1, 2, 3 and 32 packets, with nothing configured and with
 # each slow feature in turn.  Every packet of a burst is its own flow,
-# the SMC and megaflow tiers are off and the cost model prices one
-# batch's dispatch like one scalar dispatch, so a flow batch is one
+# the SMC and megaflow tiers are off and the oracle is told to price a
+# scalar dispatch like one batch's dispatch, so a flow batch is one
 # packet and the two lanes must agree on *everything*: delivery order,
 # counters, the cost each iteration returns and the stage tables, with
 # ``==`` on the floats.
@@ -426,12 +442,11 @@ class LaneHarness:
     feature configured, in one lane."""
 
     def __init__(self, vectorized: bool, feature: str) -> None:
-        costs = dataclasses.replace(
-            DEFAULT_COST_MODEL,
-            ovs_scalar_dispatch=DEFAULT_COST_MODEL.ovs_batch_action)
-        self.switch = switch = VSwitchd(name="lane", costs=costs)
+        self.switch = switch = VSwitchd(name="lane")
         self.datapath = datapath = switch.datapath
-        datapath.vectorized = vectorized
+        if not vectorized:
+            install_scalar_lane(
+                datapath, dispatch=DEFAULT_COST_MODEL.ovs_batch_action)
         datapath.smc_enabled = datapath.megaflow_enabled = False
         self.feature = feature
         self.ports = [switch.add_dpdkr_port(name) for name in PORT_NAMES]
@@ -518,6 +533,7 @@ def test_a_burst_of_one_flow_batches_equals_the_scalar_lane(feature):
         scalar.burst(size, index)
         vector.burst(size, index)
         assert vector.observe() == scalar.observe(), (feature, index, size)
+    assert_lanes_ran(scalar, vector)
     # The scenario did what its name says, in both lanes alike.
     seen = vector.observe()
     assert seen["pool"] == (0, 0)

@@ -2,8 +2,8 @@
 
 A rule whose actions are ``[xfsm:<program>, output:N]`` delegates its
 packets to a registered XFSM program before forwarding.  These tests
-pin the execution semantics on both the scalar and the vectorized
-path (per-*packet* evaluation even inside a flow batch), the
+pin the execution semantics on both the scalar oracle lane and the
+batched one (per-*packet* evaluation even inside a flow batch), the
 fail-closed handling of unknown programs, the ``xfsm_exec`` stage
 accounting and cost-model constant, the ``xfsm`` trace hop, precise
 state invalidation on rule removal, and the ``state/show`` appctl and
@@ -30,6 +30,7 @@ from repro.vswitch.appctl import AppCtl, state_show
 from repro.vswitch.vswitchd import VSwitchd
 
 from tests.helpers import mk_mbuf
+from tests.support.reference_datapath import install_scalar_lane
 
 
 def tcp_mbuf(flags, src_ip="10.0.0.1", dst_ip="8.8.8.8",
@@ -51,7 +52,9 @@ class Harness:
     def __init__(self, vectorized=False, program=None,
                  register=True):
         self.switch = VSwitchd(name="br-state")
-        self.switch.datapath.vectorized = vectorized
+        self.vectorized = vectorized
+        if not vectorized:
+            install_scalar_lane(self.switch.datapath)
         self.inside = self.switch.add_dpdkr_port("in0")
         self.outside = self.switch.add_dpdkr_port("out0")
         self.program = program or firewall_program()
@@ -74,6 +77,8 @@ class Harness:
         for mbuf in mbufs:
             port.rings.to_switch.enqueue(mbuf)
         self.switch.step_dataplane()
+        # The lane the harness asked for is the lane that ran.
+        assert (self.switch.datapath.flow_batches > 0) == self.vectorized
 
     def delivered(self, port):
         return port.rings.to_guest.dequeue_burst(1024)

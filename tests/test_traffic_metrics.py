@@ -6,8 +6,6 @@ from repro.dpdk.dpdkr import DpdkrPmd, DpdkrSharedRings
 from repro.mem.memzone import MemzoneRegistry
 from repro.metrics import (
     LatencyRecorder,
-    RateMeter,
-    format_series,
     format_table,
     to_mpps,
 )
@@ -249,48 +247,6 @@ class TestRatesAndReport:
         assert to_mpps(1_000_000, 1.0) == 1.0
         assert to_mpps(100, 0.0) == 0.0
 
-    def test_rate_meter(self):
-        meter = RateMeter()
-        meter.sample(0.0, 0)
-        meter.sample(1.0, 1000)
-        meter.sample(2.0, 3000)
-        assert meter.overall_rate == 1500
-        assert meter.interval_rates() == [1000, 2000]
-
-    def test_rate_between_validates_indices(self):
-        meter = RateMeter("m")
-        meter.sample(0.0, 0)
-        meter.sample(1.0, 100)
-        # Negative indices follow Python list semantics.
-        assert meter.rate_between(0, -1) == 100
-        assert meter.rate_between(-2, -1) == 100
-        with pytest.raises(IndexError):
-            meter.rate_between(0, 2)
-        with pytest.raises(IndexError):
-            meter.rate_between(-3, 1)
-        with pytest.raises(IndexError):
-            RateMeter().rate_between(0, 0)
-
-    def test_rate_between_non_advancing_clock(self):
-        meter = RateMeter()
-        meter.sample(1.0, 10)
-        meter.sample(1.0, 20)
-        assert meter.rate_between(0, 1) == 0.0
-
-    def test_steady_state_rate_trims_warmup_and_drain(self):
-        meter = RateMeter()
-        meter.sample(0.0, 0)      # warmup: nothing flowed yet
-        meter.sample(1.0, 0)
-        meter.sample(2.0, 1000)   # steady state: 1000/s
-        meter.sample(3.0, 2000)
-        meter.sample(4.0, 2000)   # drain: source stopped
-        assert meter.overall_rate == 500
-        assert meter.steady_state_rate(skip_head=2, skip_tail=1) == 1000
-        # Too few survivors: falls back to the overall rate.
-        assert meter.steady_state_rate(skip_head=3, skip_tail=2) == 500
-        with pytest.raises(ValueError):
-            meter.steady_state_rate(skip_head=-1)
-
     def test_format_table_alignment(self):
         text = format_table(["a", "long_header"],
                             [[1, 2.5], ["xyz", 100]])
@@ -298,8 +254,3 @@ class TestRatesAndReport:
         assert len(lines) == 4
         assert "long_header" in lines[0]
         assert all(len(line) <= len(lines[0]) + 6 for line in lines)
-
-    def test_format_series(self):
-        text = format_series("ours", [2, 3], [20.5, 20.4])
-        assert text.startswith("ours:")
-        assert "(2, 20.5)" in text

