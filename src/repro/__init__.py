@@ -11,7 +11,7 @@ Quick start::
 
     from repro.experiments import ChainExperiment
 
-    result = ChainExperiment(num_vms=4, bypass=True).run(duration=0.05)
+    result = ChainExperiment(num_vms=4, bypass=True, duration=0.05).run()
     print(result.throughput_mpps)
 
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the

@@ -117,16 +117,10 @@ def bench_main(argv=None) -> int:
     parser.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="also write the harness registry in "
                              "Prometheus text format")
-    parser.add_argument("--megaflow", dest="megaflow",
-                        action="store_true", default=True,
-                        help="keep the megaflow cache tier on (default)")
     parser.add_argument("--no-megaflow", dest="megaflow",
                         action="store_false",
                         help="ablate the megaflow cache tier in the "
                              "scenarios that honor it (rule_scale)")
-    parser.add_argument("--xfsm", dest="xfsm", action="store_true",
-                        default=True,
-                        help="keep the XFSM stateful tier on (default)")
     parser.add_argument("--no-xfsm", dest="xfsm", action="store_false",
                         help="ablate the XFSM tier in the scenarios "
                              "that honor it (stateful_churn, syn_flood) "

@@ -285,33 +285,11 @@ class ChainLoadRunner:
     frame counts as lost only when it truly never reached a sink.
     """
 
-    def __init__(
-        self,
-        num_vms: int = 3,
-        bypass: bool = True,
-        duration: float = 0.002,
-        drain: Optional[float] = None,
-        frame_size: int = 64,
-        flows: int = 4,
-        profile=None,
-        extra_rules: int = 0,
-        churn_hz: float = 0.0,
-        n_ovs_cores: int = 2,
-        burst_size: int = 32,
-        **experiment_kwargs,
-    ) -> None:
-        self.num_vms = num_vms
-        self.bypass = bypass
-        self.duration = duration
-        self.drain = drain if drain is not None else max(
-            duration, 0.001)
-        self.frame_size = frame_size
-        self.flows = flows
-        self.profile = profile
-        self.extra_rules = extra_rules
-        self.churn_hz = churn_hz
-        self.n_ovs_cores = n_ovs_cores
-        self.burst_size = burst_size
+    def __init__(self, drain: Optional[float] = None,
+                 **experiment_kwargs) -> None:
+        """``drain`` defaults to the experiment's duration (at least
+        1 ms); everything else is the experiment's own keyword."""
+        self.drain = drain
         self.experiment_kwargs = experiment_kwargs
         self.last_experiment = None
 
@@ -319,21 +297,13 @@ class ChainLoadRunner:
         from repro.experiments.chain import ChainExperiment
 
         experiment = ChainExperiment(
-            num_vms=self.num_vms,
-            bypass=self.bypass,
             memory_only=True,
-            frame_size=self.frame_size,
-            duration=self.duration,
-            flows=self.flows,
             source_rate_pps=offered_pps / 2.0,
-            burst_size=self.burst_size,
-            n_ovs_cores=self.n_ovs_cores,
-            profile=self.profile,
-            extra_rules=self.extra_rules,
-            churn_hz=self.churn_hz,
             **self.experiment_kwargs,
         )
-        result = experiment.run(drain=self.drain)
+        drain = self.drain if self.drain is not None else max(
+            experiment.duration, 0.001)
+        result = experiment.run(drain=drain)
         self.last_experiment = experiment
         return OfferedPoint(
             offered_pps=offered_pps,

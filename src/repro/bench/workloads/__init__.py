@@ -58,7 +58,8 @@ def resolve_seed(seed: Optional[int],
         try:
             return int(env)
         except ValueError:
-            pass
+            raise ValueError(
+                "REPRO_FAULT_SEED=%r is not an integer" % env) from None
     return default
 
 

@@ -30,7 +30,7 @@ from repro.openflow.actions import OutputAction
 from repro.openflow.controller import ControllerConnection, SimpleController
 from repro.openflow.match import Match
 from repro.openflow.table import FlowEntry
-from repro.overload import FailModePolicy, UpcallPolicy
+from repro.overload import FailModePolicy, OverloadPolicy, UpcallPolicy
 from repro.overload.failmode import FALLBACK_COOKIE
 from repro.packet.builder import make_udp_packet
 from repro.packet.flowkey import extract_flow_key
@@ -75,12 +75,11 @@ def run_storm_variant(variant, duration, warmup):
     bounded = variant == "bounded"
     switch = VSwitchd(
         env=env, connection=ControllerConnection(), name="bench-overload",
-        bounded_upcalls=bounded,
         upcall_policy=(UpcallPolicy(
             max_queue=512, control_reserve=32, port_quota=256,
             port_rate_pps=2000.0, port_burst=64.0, dispatch_batch=8,
         ) if bounded else None),
-        overload=bounded,
+        overload_policy=OverloadPolicy() if bounded else None,
     )
     good_rx = switch.add_dpdkr_port("good-rx", ofport=1)
     storm_rx = switch.add_dpdkr_port("storm-rx", ofport=2)

@@ -48,10 +48,9 @@ ZIPF_EXPONENT = 1.0
 def build_switch(env, auto_lb_interval=None):
     switch = VSwitchd(
         env=env, n_pmd_cores=N_CORES, name="bench-sched",
-        auto_lb=auto_lb_interval is not None,
         auto_lb_policy=(
             AutoLbPolicy(rebalance_interval=auto_lb_interval)
-            if auto_lb_interval is not None else AutoLbPolicy()
+            if auto_lb_interval is not None else None
         ),
     )
     rx_ports, tx_ports = [], []

@@ -4,7 +4,6 @@
     python -m repro fig3b
     python -m repro latency --rate 1e6
     python -m repro setup-time
-    python -m repro multihost --vms 2
 
 The figure subcommands measure through the ``paper`` benchmark family
 (:mod:`repro.bench.workloads.paper`) and only render its tables here;
@@ -20,7 +19,6 @@ import sys
 from typing import List, Optional
 
 from repro.bench.workloads import paper
-from repro.experiments import MultiHostChainExperiment
 from repro.metrics import format_table
 
 
@@ -66,52 +64,6 @@ def _emit_obs(args: argparse.Namespace, experiment) -> None:
         print(obs.report())
 
 
-def _sched_kwargs(args: argparse.Namespace) -> dict:
-    """ChainExperiment scheduler kwargs from the --pmd-* flags."""
-    kwargs = {
-        "rxq_assign": getattr(args, "pmd_rxq_assign", "roundrobin"),
-        "auto_lb": getattr(args, "pmd_auto_lb", False),
-    }
-    overrides = {}
-    if getattr(args, "pmd_auto_lb_interval", None) is not None:
-        overrides["rebalance_interval"] = args.pmd_auto_lb_interval
-    if getattr(args, "pmd_auto_lb_load_threshold", None) is not None:
-        overrides["load_threshold"] = args.pmd_auto_lb_load_threshold
-    if getattr(args, "pmd_auto_lb_improvement", None) is not None:
-        overrides["improvement_threshold"] = args.pmd_auto_lb_improvement
-    if overrides:
-        from repro.sched.autolb import AutoLbPolicy
-
-        kwargs["auto_lb_policy"] = AutoLbPolicy(**overrides)
-    return kwargs
-
-
-def _overload_kwargs(args: argparse.Namespace) -> dict:
-    """ChainExperiment overload kwargs from the --fail-mode/--overload
-    flags (absent flags leave the experiment defaults untouched)."""
-    kwargs = {}
-    if getattr(args, "fail_mode", None) is not None:
-        kwargs["fail_mode"] = args.fail_mode
-    if getattr(args, "unbounded_upcalls", False):
-        kwargs["bounded_upcalls"] = False
-    if getattr(args, "overload_control", False):
-        kwargs["overload"] = True
-    if getattr(args, "upcall_max_queue", None) is not None:
-        from repro.overload import UpcallPolicy
-
-        kwargs["upcall_policy"] = UpcallPolicy(
-            max_queue=args.upcall_max_queue)
-    return kwargs
-
-
-def _fastpath_kwargs(args: argparse.Namespace) -> dict:
-    """ChainExperiment fast-path kwargs (--megaflow/--no-megaflow)."""
-    kwargs = {}
-    if not getattr(args, "megaflow", True):
-        kwargs["megaflow_enabled"] = False
-    return kwargs
-
-
 def _chain_kwargs(args: argparse.Namespace) -> dict:
     """The ChainExperiment kwargs the chain subcommands share."""
     return dict(
@@ -119,9 +71,7 @@ def _chain_kwargs(args: argparse.Namespace) -> dict:
         frame_size=args.frame_size,
         trace_sample=args.trace_sample,
         snapshot_period=args.snapshot_period,
-        **_sched_kwargs(args),
-        **_overload_kwargs(args),
-        **_fastpath_kwargs(args)
+        megaflow_enabled=args.megaflow,
     )
 
 
@@ -149,23 +99,6 @@ def cmd_chain(args: argparse.Namespace, name: str) -> int:
                      **_chain_kwargs(args))
     _print_table(name, rows)
     _emit_obs(args, last_experiment)
-    return 0
-
-
-def cmd_multihost(args: argparse.Namespace) -> int:
-    rows = []
-    for bypass in (False, True):
-        result = MultiHostChainExperiment(
-            vms_per_host=args.vms, bypass=bypass,
-            duration=args.duration,
-        ).run()
-        rows.append(["bypass" if bypass else "vanilla",
-                     round(result.throughput_mpps, 3),
-                     result.bypasses_host1 + result.bypasses_host2,
-                     result.wire_packets])
-    print(format_table(
-        ["approach", "Mpps", "bypasses", "wire packets"], rows
-    ))
     return 0
 
 
@@ -197,40 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--obs-out", default=None, metavar="DIR",
                        help="write metrics.prom / snapshots.jsonl / "
                             "traces.jsonl / report.txt for the last run")
-        p.add_argument("--pmd-rxq-assign", default="roundrobin",
-                       choices=("roundrobin", "cycles", "group"),
-                       help="rxq-to-core assignment policy "
-                            "(default: roundrobin)")
-        p.add_argument("--pmd-auto-lb", action="store_true",
-                       help="enable the PMD auto load balancer")
-        p.add_argument("--pmd-auto-lb-interval", type=float,
-                       default=None, metavar="SECONDS",
-                       help="auto-LB check interval (simulated seconds)")
-        p.add_argument("--pmd-auto-lb-load-threshold", type=float,
-                       default=None, metavar="FRACTION",
-                       help="busy fraction a core must reach before the "
-                            "auto-LB considers rebalancing")
-        p.add_argument("--pmd-auto-lb-improvement", type=float,
-                       default=None, metavar="FRACTION",
-                       help="variance improvement required to apply a "
-                            "rebalance")
-        p.add_argument("--fail-mode", default=None,
-                       choices=("standalone", "secure"),
-                       help="controller fail mode "
-                            "(default: standalone)")
-        p.add_argument("--unbounded-upcalls", action="store_true",
-                       help="use the legacy inline upcall path instead "
-                            "of the bounded queue")
-        p.add_argument("--upcall-max-queue", type=int, default=None,
-                       metavar="N",
-                       help="bounded upcall queue depth (default: 256)")
-        p.add_argument("--overload-control", action="store_true",
-                       help="enable the RX overload monitor "
-                            "(qlen-driven early drop)")
-        p.add_argument("--megaflow", dest="megaflow",
-                       action="store_true", default=True,
-                       help="enable the megaflow (wildcard) cache tier "
-                            "(default)")
         p.add_argument("--no-megaflow", dest="megaflow",
                        action="store_false",
                        help="ablate the megaflow cache tier")
@@ -249,10 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "service, highway on vs off")
     psvc.add_argument("--duration", type=float, default=0.004)
     psvc.add_argument("--rate", type=float, default=8e6)
-    pmh = sub.add_parser("multihost", help="chain across two hosts")
-    pmh.add_argument("--vms", type=int, default=2,
-                     help="VMs per host")
-    pmh.add_argument("--duration", type=float, default=0.003)
     return parser
 
 
@@ -267,8 +162,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         _print_table("A-graph",
                      paper.service_graph(args.duration, args.rate))
         return 0
-    if args.command == "multihost":
-        return cmd_multihost(args)
     return 2
 
 

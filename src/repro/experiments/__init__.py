@@ -1,14 +1,6 @@
 """Reusable experiment harnesses (shared by benchmarks and examples)."""
 
-from repro.experiments.chain import (
-    ChainExperiment,
-    ChainResult,
-    run_chain_sweep,
-)
-from repro.experiments.multihost import (
-    MultiHostChainExperiment,
-    MultiHostResult,
-)
+from repro.experiments.chain import ChainExperiment, ChainResult
 from repro.experiments.service_graph import (
     ServiceGraphExperiment,
     ServiceGraphResult,
@@ -21,11 +13,8 @@ from repro.experiments.setup_time import (
 __all__ = [
     "ChainExperiment",
     "ChainResult",
-    "MultiHostChainExperiment",
-    "MultiHostResult",
     "ServiceGraphExperiment",
     "ServiceGraphResult",
     "SetupTimeExperiment",
     "SetupTimeResult",
-    "run_chain_sweep",
 ]

@@ -109,7 +109,6 @@ class ChainExperiment:
         warmup_fraction: float = 0.2,
         n_ovs_cores: int = 2,
         costs: CostModel = DEFAULT_COST_MODEL,
-        ring_size: int = 1024,
         flows: int = 4,
         source_rate_pps: Optional[float] = None,
         burst_size: int = 32,
@@ -118,14 +117,6 @@ class ChainExperiment:
         accounting_enabled: bool = True,
         trace_sample: Optional[int] = None,
         snapshot_period: Optional[float] = None,
-        rxq_assign: str = "roundrobin",
-        auto_lb: bool = False,
-        auto_lb_policy=None,
-        bounded_upcalls: bool = True,
-        upcall_policy=None,
-        fail_mode: str = "standalone",
-        overload: bool = False,
-        overload_policy=None,
         profile: Optional[TrafficProfile] = None,
         extra_rules: int = 0,
         churn_hz: float = 0.0,
@@ -147,7 +138,6 @@ class ChainExperiment:
         self.warmup_fraction = warmup_fraction
         self.n_ovs_cores = n_ovs_cores
         self.costs = costs
-        self.ring_size = ring_size
         self.flows = flows
         self.source_rate_pps = source_rate_pps
         self.burst_size = burst_size
@@ -156,14 +146,6 @@ class ChainExperiment:
         self.accounting_enabled = accounting_enabled
         self.trace_sample = trace_sample
         self.snapshot_period = snapshot_period
-        self.rxq_assign = rxq_assign
-        self.auto_lb = auto_lb
-        self.auto_lb_policy = auto_lb_policy
-        self.bounded_upcalls = bounded_upcalls
-        self.upcall_policy = upcall_policy
-        self.fail_mode = fail_mode
-        self.overload = overload
-        self.overload_policy = overload_policy
         self.profile = profile or uniform_profile(frame_size, flows=flows)
         if extra_rules < 0:
             raise ValueError("extra_rules must be >= 0")
@@ -217,16 +199,7 @@ class ChainExperiment:
             costs=self.costs,
             n_pmd_cores=self.n_ovs_cores,
             highway_enabled=self.bypass,
-            ring_size=self.ring_size,
             trace_sample_interval=self.trace_sample,
-            rxq_assign=self.rxq_assign,
-            auto_lb=self.auto_lb,
-            auto_lb_policy=self.auto_lb_policy,
-            bounded_upcalls=self.bounded_upcalls,
-            upcall_policy=self.upcall_policy,
-            fail_mode=self.fail_mode,
-            overload=self.overload,
-            overload_policy=self.overload_policy,
         )
         datapath = self.node.switch.datapath
         datapath.burst_size = self.burst_size
@@ -242,7 +215,6 @@ class ChainExperiment:
             handle = self.node.create_vm(
                 "vm%d" % vm_index,
                 [self._port(vm_index, 0), self._port(vm_index, 1)],
-                ring_size=self.ring_size,
             )
             for pmd in handle.pmds.values():
                 pmd.accounting_enabled = self.accounting_enabled
@@ -392,15 +364,14 @@ class ChainExperiment:
 
     # -- execution ------------------------------------------------------------------
 
-    def run(self, duration: Optional[float] = None,
-            drain: Optional[float] = None) -> ChainResult:
+    def run(self, drain: Optional[float] = None) -> ChainResult:
         """Run the chain; ``drain`` (simulated seconds) stops the
         sources after the measurement window and lets the pipeline
         empty, so the result carries exact offered/delivered/loss
         conservation totals (the RFC2544 harness's input)."""
         if self.env is None:
             self.build()
-        duration = self.duration if duration is None else duration
+        duration = self.duration
         env = self.env
         node = self.node
         # Phase 1: control plane only — let every bypass establish before
@@ -519,17 +490,3 @@ class ChainExperiment:
                 and link.setup_request.completed
             ]
         return result
-
-
-def run_chain_sweep(
-    lengths,
-    bypass: bool,
-    memory_only: bool = True,
-    **kwargs,
-) -> List[ChainResult]:
-    """One Figure-3 series: throughput for each chain length."""
-    return [
-        ChainExperiment(num_vms=length, bypass=bypass,
-                        memory_only=memory_only, **kwargs).run()
-        for length in lengths
-    ]

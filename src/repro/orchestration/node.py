@@ -21,7 +21,6 @@ from repro.hypervisor.compute_agent import ComputeAgent
 from repro.hypervisor.qemu import Hypervisor, VirtualMachine
 from repro.mem.memzone import MemzoneRegistry
 from repro.obs.plane import Observability
-from repro.sched.autolb import AutoLbPolicy, DEFAULT_AUTO_LB_POLICY
 from repro.openflow.controller import ControllerConnection, SimpleController
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sim.engine import Environment
@@ -58,23 +57,21 @@ class NfvNode:
         costs: CostModel = DEFAULT_COST_MODEL,
         n_pmd_cores: int = 2,
         highway_enabled: bool = True,
-        ring_size: int = 1024,
         retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
         faults: Optional["FaultPlan"] = None,
         watchdog_policy: WatchdogPolicy = DEFAULT_WATCHDOG_POLICY,
         obs: Optional[Observability] = None,
         trace_sample_interval: Optional[int] = None,
-        rxq_assign: str = "roundrobin",
-        auto_lb: bool = False,
-        auto_lb_policy: Optional["AutoLbPolicy"] = None,
-        bounded_upcalls: bool = True,
-        upcall_policy=None,
-        fail_mode: str = "standalone",
-        failmode_policy=None,
-        overload: bool = False,
-        overload_policy=None,
-        megaflow_enabled: bool = True,
+        **switch_kwargs,
     ) -> None:
+        """``switch_kwargs`` go to :class:`VSwitchd` verbatim — the
+        scheduler, upcall, fail-mode and overload options are declared
+        there and nowhere else."""
+        if obs is not None and trace_sample_interval is not None:
+            raise ValueError(
+                "trace_sample_interval=%r configures the plane NfvNode "
+                "builds; the obs= plane passed in has its own tracer"
+                % (trace_sample_interval,))
         self.env = env
         self.costs = costs
         self.faults = faults
@@ -90,18 +87,8 @@ class NfvNode:
             connection=self.connection,
             costs=costs,
             n_pmd_cores=n_pmd_cores,
-            rxq_assign=rxq_assign,
-            auto_lb=auto_lb,
-            auto_lb_policy=(auto_lb_policy if auto_lb_policy is not None
-                            else DEFAULT_AUTO_LB_POLICY),
-            bounded_upcalls=bounded_upcalls,
-            upcall_policy=upcall_policy,
-            fail_mode=fail_mode,
-            failmode_policy=failmode_policy,
-            overload=overload,
-            overload_policy=overload_policy,
+            **switch_kwargs,
         )
-        self.switch.datapath.megaflow_enabled = megaflow_enabled
         if self.switch.failmode is not None:
             self.switch.failmode.faults = faults
         self.controller = SimpleController(self.connection)
@@ -113,7 +100,7 @@ class NfvNode:
         self.highway_enabled = highway_enabled
         if highway_enabled:
             self.manager = enable_transparent_highway(
-                self.switch, self.agent, env=env, ring_size=ring_size,
+                self.switch, self.agent, env=env,
                 retry_policy=retry_policy, faults=faults,
                 watchdog_policy=watchdog_policy,
             )
@@ -138,9 +125,8 @@ class NfvNode:
 
     # -- ports -----------------------------------------------------------------
 
-    def add_dpdkr_port(self, port_name: str,
-                       ring_size: int = 1024) -> DpdkrOvsPort:
-        port = self.switch.add_dpdkr_port(port_name, ring_size=ring_size)
+    def add_dpdkr_port(self, port_name: str) -> DpdkrOvsPort:
+        port = self.switch.add_dpdkr_port(port_name)
         self.ports[port_name] = port
         self.obs.register_dpdkr_port(port.rings)
         return port
@@ -160,13 +146,12 @@ class NfvNode:
 
     # -- VMs --------------------------------------------------------------------------
 
-    def create_vm(self, vm_name: str, port_names: List[str],
-                  ring_size: int = 1024) -> VmHandle:
+    def create_vm(self, vm_name: str, port_names: List[str]) -> VmHandle:
         """Create dpdkr ports (if needed), boot a VM plugged into them,
         and attach a dual-channel PMD to each port."""
         for port_name in port_names:
             if port_name not in self.ports:
-                self.add_dpdkr_port(port_name, ring_size=ring_size)
+                self.add_dpdkr_port(port_name)
         vm = self.hypervisor.create_vm(
             vm_name,
             boot_zones=[dpdkr_zone_name(p) for p in port_names],

@@ -8,6 +8,7 @@ the demo testbed ran OVS-DPDK with a single PMD core that every
 VM-to-VM hop had to share.
 """
 
+import dataclasses
 import functools
 import math
 from typing import Dict, List, Optional
@@ -17,6 +18,7 @@ from repro.mem.memzone import MemzoneRegistry
 from repro.obs.cycles import PmdCycleReport, StageAccounting, StageTee
 from repro.openflow.controller import ControllerConnection
 from repro.overload import (
+    DEFAULT_UPCALL_POLICY,
     BoundedUpcallQueue,
     FailModeManager,
     FailModePolicy,
@@ -24,11 +26,7 @@ from repro.overload import (
     OverloadPolicy,
     UpcallPolicy,
 )
-from repro.sched.autolb import (
-    AutoLbPolicy,
-    AutoLoadBalancer,
-    DEFAULT_AUTO_LB_POLICY,
-)
+from repro.sched.autolb import AutoLbPolicy, AutoLoadBalancer
 from repro.sched.scheduler import PmdScheduler, RebalancePlan
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sim.engine import Environment
@@ -36,6 +34,11 @@ from repro.sim.nic import Nic
 from repro.sim.pollloop import IdleContract, PollLoop
 from repro.vswitch.bridge import Bridge
 from repro.vswitch.ports import DpdkrOvsPort, OvsPort, PhyOvsPort
+
+
+#: Simulated seconds between two passes of the control loop (controller
+#: messages, flow expiry).
+CONTROL_INTERVAL = 0.0005
 
 
 class _CoreIdle(IdleContract):
@@ -79,18 +82,21 @@ class VSwitchd:
         connection: Optional[ControllerConnection] = None,
         costs: CostModel = DEFAULT_COST_MODEL,
         n_pmd_cores: int = 1,
-        control_interval: float = 0.0005,
         name: str = "ovs",
         rxq_assign: str = "roundrobin",
-        auto_lb: bool = False,
-        auto_lb_policy: AutoLbPolicy = DEFAULT_AUTO_LB_POLICY,
-        bounded_upcalls: bool = True,
-        upcall_policy: Optional[UpcallPolicy] = None,
+        auto_lb_policy: Optional[AutoLbPolicy] = None,
+        upcall_policy: Optional[UpcallPolicy] = DEFAULT_UPCALL_POLICY,
         fail_mode: str = "standalone",
         failmode_policy: Optional[FailModePolicy] = None,
-        overload: bool = False,
         overload_policy: Optional[OverloadPolicy] = None,
     ) -> None:
+        """The three optional tiers are on iff their policy is given:
+        ``auto_lb_policy`` (``None``: no auto load balancer),
+        ``overload_policy`` (``None``: no RX overload monitor) and
+        ``upcall_policy`` (``None``: misses upcall inline, unbounded).
+        ``UpcallPolicy`` and ``OverloadPolicy`` are mutable — ``appctl
+        overload/set`` edits a live switch — so the switch works on its
+        own copies."""
         if n_pmd_cores < 1:
             raise ValueError("need at least one PMD core")
         self.env = env
@@ -98,7 +104,6 @@ class VSwitchd:
         self.costs = costs
         self.name = name
         self.n_pmd_cores = n_pmd_cores
-        self.control_interval = control_interval
         clock = (lambda: env.now) if env is not None else None
         self.bridge = Bridge(
             name="br0", connection=connection, costs=costs, clock=clock
@@ -109,9 +114,10 @@ class VSwitchd:
         # fail-mode manager interposes on the upcall handler (it passes
         # through to bridge._upcall while the controller is reachable).
         self.upcall_queue: Optional[BoundedUpcallQueue] = None
-        if bounded_upcalls or upcall_policy is not None:
+        if upcall_policy is not None:
             self.upcall_queue = BoundedUpcallQueue(
-                upcall_policy, clock=clock or (lambda: 0.0)
+                dataclasses.replace(upcall_policy),
+                clock=clock or (lambda: 0.0),
             )
             self.datapath.upcall_queue = self.upcall_queue
         self.failmode: Optional[FailModeManager] = None
@@ -124,8 +130,6 @@ class VSwitchd:
                 clock=clock or (lambda: 0.0),
             )
             self.datapath.upcall_handler = self.failmode.handle_upcall
-        self._overload_requested = overload
-        self._overload_policy = overload_policy
         self._next_ofport = 1
         # The scheduler owns the core -> ports map; ``_core_ports``
         # aliases its lists (same objects — the PMD loops close over
@@ -150,13 +154,14 @@ class VSwitchd:
             for core_index in range(n_pmd_cores)
         ]
         self.auto_lb: Optional[AutoLoadBalancer] = (
-            AutoLoadBalancer(self, auto_lb_policy) if auto_lb else None
+            AutoLoadBalancer(self, auto_lb_policy)
+            if auto_lb_policy is not None else None
         )
         # The overload monitor needs the scheduler (rebalance grace) and
         # cross-links with the auto-lb (shedding masks the busy signal).
         self.overload: Optional[OverloadMonitor] = (
-            OverloadMonitor(self, self._overload_policy)
-            if self._overload_requested else None
+            OverloadMonitor(self, dataclasses.replace(overload_policy))
+            if overload_policy is not None else None
         )
         if self.auto_lb is not None and self.overload is not None:
             self.auto_lb.overload_monitor = self.overload
@@ -413,7 +418,7 @@ class VSwitchd:
         started again by the time it next looks."""
         while self._running and self._starts == started:
             handled = self.step_control()
-            delay = self.control_interval
+            delay = CONTROL_INTERVAL
             if handled:
                 delay += handled * self.costs.flowmod_processing
             yield self.env.timeout(delay)

@@ -97,6 +97,14 @@ class TestDocumentSchema:
         assert workloads.resolve_seed(None, default=42) == 303
         assert workloads.resolve_seed(5, default=42) == 5
 
+    def test_resolve_seed_rejects_a_malformed_sweep_seed(self, monkeypatch):
+        """A typo in the sweep's seed must not fall back to the family
+        default and report the sweep green."""
+        monkeypatch.setenv("REPRO_FAULT_SEED", "3o3")
+        with pytest.raises(ValueError, match="REPRO_FAULT_SEED='3o3'"):
+            workloads.resolve_seed(None, default=42)
+        assert workloads.resolve_seed(5, default=42) == 5
+
 
 # -- trend lines --------------------------------------------------------------
 

@@ -44,12 +44,6 @@ class TestCommands:
         assert "traditional Mpps" in out
         assert out.count("\n") >= 4
 
-    def test_multihost(self, capsys):
-        assert main(["multihost", "--vms", "1",
-                     "--duration", "0.001"]) == 0
-        out = capsys.readouterr().out
-        assert "wire packets" in out
-
     def test_latency_small(self, capsys):
         assert main(["latency", "--lengths", "2",
                      "--duration", "0.001"]) == 0

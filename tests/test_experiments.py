@@ -5,9 +5,16 @@ they pin the paper's qualitative results so a regression in the data
 path or the cost model fails fast.
 """
 
+import ast
+import inspect
+import pathlib
+
 import pytest
 
+from repro.bench.harness import ChainLoadRunner
 from repro.experiments import ChainExperiment, SetupTimeExperiment
+from repro.orchestration import NfvNode
+from repro.vswitch.vswitchd import VSwitchd
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +134,49 @@ class TestSetupTime:
         result = SetupTimeExperiment(measure_teardown=False).run()
         summed = sum(value for _name, value in result.stages())
         assert summed == pytest.approx(result.total, rel=0.01)
+
+
+def named_parameters(cls):
+    return [
+        name for name, parameter
+        in inspect.signature(cls.__init__).parameters.items()
+        if name != "self" and parameter.kind is not parameter.VAR_KEYWORD
+    ]
+
+
+class TestOneSpellingPerKnob:
+    """DESIGN.md §5 decision 10: a keyword is declared by the class
+    that reads it; a layer that only passes it on does not name it."""
+
+    def test_switch_options_are_declared_by_the_switch_alone(self):
+        switch = set(named_parameters(VSwitchd))
+        assert not switch & {"auto_lb", "bounded_upcalls", "overload"}
+        # What the node shares with the switch it reads itself (env and
+        # costs also wire the hypervisor and the agent) or defaults
+        # differently (two PMD cores, the paper's testbed).
+        assert switch & set(named_parameters(NfvNode)) == {
+            "env", "costs", "n_pmd_cores"}
+        assert switch & set(named_parameters(ChainExperiment)) == {"costs"}
+        assert named_parameters(ChainLoadRunner) == ["drain"]
+
+    def test_knob_counts_do_not_creep_back(self):
+        assert len(named_parameters(VSwitchd)) <= 12
+        assert len(named_parameters(NfvNode)) <= 9
+        assert len(named_parameters(ChainExperiment)) <= 23
+
+    def test_each_switch_option_is_named_by_one_constructor_in_src(self):
+        options = {"rxq_assign", "auto_lb_policy", "upcall_policy",
+                   "fail_mode", "failmode_policy", "overload_policy"}
+        declared = {option: [] for option in options}
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        for path in src.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name == "__init__"):
+                    for arg in node.args.args + node.args.kwonlyargs:
+                        if arg.arg in options:
+                            declared[arg.arg].append(
+                                path.relative_to(src).as_posix())
+        assert declared == {
+            option: ["repro/vswitch/vswitchd.py"] for option in options
+        }

@@ -1,8 +1,5 @@
-"""Tests for chains spanning two hosts over a wire."""
+"""Tests for the cable between two hosts' NICs."""
 
-import pytest
-
-from repro.experiments import MultiHostChainExperiment
 from repro.mem.mempool import Mempool
 from repro.sim.engine import Environment
 from repro.sim.nic import Nic, connect_nics
@@ -32,50 +29,3 @@ class TestConnectNics:
         nic_b.host_tx_burst([mk_mbuf(frame_size=64)])
         env.run(until=1e-3)
         assert nic_a.rx_packets == 1
-
-
-class TestMultiHostChain:
-    def test_end_to_end_delivery(self):
-        experiment = MultiHostChainExperiment(
-            vms_per_host=2, bypass=True, duration=0.003,
-            source_rate_pps=1e6,
-        )
-        result = experiment.run()
-        assert result.delivered > 1000
-        # Intra-host links bypassed on both hosts (1 adjacency each).
-        assert result.bypasses_host1 == 1
-        assert result.bypasses_host2 == 1
-        # The inter-host segment really used the wire.
-        assert result.wire_packets >= result.delivered
-
-    def test_conservation_across_hosts(self):
-        experiment = MultiHostChainExperiment(
-            vms_per_host=2, bypass=True, duration=0.003,
-            source_rate_pps=5e5,
-        )
-        result = experiment.run()
-        generated = experiment.source.generated
-        # Sub-saturation: everything generated is delivered or in flight.
-        in_flight = generated - result.delivered
-        assert 0 <= in_flight < 2048
-
-    def test_bypass_still_wins_across_hosts_at_64b(self):
-        vanilla = MultiHostChainExperiment(
-            vms_per_host=3, bypass=False, duration=0.003).run()
-        ours = MultiHostChainExperiment(
-            vms_per_host=3, bypass=True, duration=0.003).run()
-        assert ours.throughput_mpps > 1.2 * vanilla.throughput_mpps
-        assert vanilla.bypasses_host1 == 0
-
-    def test_single_vm_hosts_have_nothing_to_bypass(self):
-        result = MultiHostChainExperiment(
-            vms_per_host=1, bypass=True, duration=0.002,
-            source_rate_pps=1e6,
-        ).run()
-        assert result.bypasses_host1 == 0
-        assert result.bypasses_host2 == 0
-        assert result.delivered > 1000
-
-    def test_invalid_size_rejected(self):
-        with pytest.raises(ValueError):
-            MultiHostChainExperiment(vms_per_host=0)

@@ -126,6 +126,29 @@ class TestNfvNode:
         with pytest.raises(RuntimeError):
             node.add_nic("nic0")
 
+    def test_switch_options_are_forwarded_verbatim(self):
+        from repro.overload import UpcallPolicy
+
+        node = NfvNode(rxq_assign="cycles", fail_mode="secure",
+                       upcall_policy=UpcallPolicy(max_queue=7,
+                                                  control_reserve=1))
+        assert node.switch.scheduler.policy.name == "cycles"
+        assert node.switch.failmode.mode.value == "secure"
+        assert node.switch.upcall_queue.policy.max_queue == 7
+        with pytest.raises(TypeError):
+            NfvNode(no_such_switch_option=1)
+
+    def test_a_supplied_plane_and_a_sample_interval_are_rejected(self):
+        """The interval configures the plane the node would build; with
+        a plane passed in it used to be dropped without a word."""
+        from repro.obs import Observability
+
+        plane = Observability(trace_sample_interval=4)
+        assert NfvNode(obs=plane).obs is plane
+        assert NfvNode(trace_sample_interval=8).obs.tracer.enabled
+        with pytest.raises(ValueError, match="trace_sample_interval=8"):
+            NfvNode(obs=plane, trace_sample_interval=8)
+
 
 class TestOrchestrator:
     def build_chain_graph(self, length=2):

@@ -14,13 +14,14 @@ from repro.openflow.actions import OutputAction
 from repro.openflow.controller import ControllerConnection, SimpleController
 from repro.openflow.match import Match
 from repro.overload import OverloadPolicy, UpcallPolicy
+from repro.sched import AutoLbPolicy
 from repro.vswitch.vswitchd import VSwitchd
 
 from tests.helpers import drain, mk_mbuf
 
 
 def build_switch(**kwargs):
-    kwargs.setdefault("overload", True)
+    kwargs.setdefault("overload_policy", OverloadPolicy())
     kwargs.setdefault(
         "upcall_policy",
         UpcallPolicy(max_queue=8, control_reserve=0, port_quota=8,
@@ -97,8 +98,7 @@ class TestMonitor:
         assert a.ofport in switch.datapath.rx_shed
 
     def test_monitor_noop_without_queue(self):
-        switch = build_switch(bounded_upcalls=False,
-                              upcall_policy=None)
+        switch = build_switch(upcall_policy=None)
         switch.add_dpdkr_port("dpdkr0")
         switch.overload.iteration()
         assert switch.overload.checks_run == 1
@@ -161,7 +161,7 @@ class TestRxEarlyDrop:
 
 class TestAutoLbCooperation:
     def test_shedding_overrides_no_overload_skip(self):
-        switch = build_switch(auto_lb=True)
+        switch = build_switch(auto_lb_policy=AutoLbPolicy())
         a = switch.add_dpdkr_port("dpdkr0")
         auto_lb = switch.auto_lb
         assert auto_lb.overload_monitor is switch.overload

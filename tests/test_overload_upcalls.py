@@ -230,6 +230,6 @@ class TestAppctl:
 
     def test_unbounded_switch_reports_legacy_path(self):
         switch = VSwitchd(connection=ControllerConnection(),
-                          bounded_upcalls=False)
+                          upcall_policy=None)
         text = AppCtl(switch).run("overload/show")
         assert "unbounded (legacy inline path)" in text

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cli import build_parser
 from repro.metrics.timeline import EventTimeline, attach_sched_tracing
 from repro.openflow.actions import OutputAction
 from repro.openflow.match import Match
@@ -349,7 +348,7 @@ class TestAppctlSched:
         assert "last plan" in out
 
     def test_sched_show_with_auto_lb(self):
-        switch = VSwitchd(n_pmd_cores=2, auto_lb=True)
+        switch = VSwitchd(n_pmd_cores=2, auto_lb_policy=AutoLbPolicy())
         out = sched_show(switch)
         assert "auto-lb: enabled" in out
         assert "load_threshold" in out
@@ -379,33 +378,3 @@ class TestSchedTimeline:
         switch.rebalance()
         assert timeline.filter("sched-rebalance")
         assert timeline.filter("sched-port-moved")
-
-
-class TestCliFlags:
-    def test_sched_flags_parse(self):
-        args = build_parser().parse_args([
-            "fig3a", "--pmd-rxq-assign", "cycles", "--pmd-auto-lb",
-            "--pmd-auto-lb-interval", "0.001",
-            "--pmd-auto-lb-load-threshold", "0.9",
-            "--pmd-auto-lb-improvement", "0.3",
-        ])
-        assert args.pmd_rxq_assign == "cycles"
-        assert args.pmd_auto_lb is True
-        assert args.pmd_auto_lb_interval == 0.001
-        assert args.pmd_auto_lb_load_threshold == 0.9
-        assert args.pmd_auto_lb_improvement == 0.3
-
-    def test_bad_policy_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig3a", "--pmd-rxq-assign",
-                                       "hash"])
-
-    def test_sched_kwargs_builds_policy(self):
-        from repro.cli import _sched_kwargs
-
-        args = build_parser().parse_args([
-            "fig3a", "--pmd-auto-lb", "--pmd-auto-lb-interval", "0.004",
-        ])
-        kwargs = _sched_kwargs(args)
-        assert kwargs["auto_lb"] is True
-        assert kwargs["auto_lb_policy"].rebalance_interval == 0.004

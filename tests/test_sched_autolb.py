@@ -47,8 +47,8 @@ class RecordingSink(SinkApp):
                 + len(mbufs) * self.costs.ring_op)
 
 
-def build_rig(n_cores, rx_ofports, rates, auto_lb=False,
-              auto_lb_policy=None, sink_cls=SinkApp, flows=1):
+def build_rig(n_cores, rx_ofports, rates, auto_lb_policy=None,
+              sink_cls=SinkApp, flows=1):
     """One switch + per-port source/sink pairs under Zipf rates.
 
     Default is one flow per stream: flow batching legitimately
@@ -57,10 +57,8 @@ def build_rig(n_cores, rx_ofports, rates, auto_lb=False,
     Saturation tests pass ``flows=4`` for a costlier, realistic mix.
     """
     env = Environment()
-    kwargs = {"auto_lb": auto_lb}
-    if auto_lb_policy is not None:
-        kwargs["auto_lb_policy"] = auto_lb_policy
-    switch = VSwitchd(env=env, n_pmd_cores=n_cores, **kwargs)
+    switch = VSwitchd(env=env, n_pmd_cores=n_cores,
+                      auto_lb_policy=auto_lb_policy)
     profile = uniform_profile(64, flows=flows)
     sources, sinks = [], []
     for index, (ofport, rate) in enumerate(zip(rx_ofports, rates)):
@@ -104,7 +102,7 @@ class TestAutoLbImprovesSkewedLoad:
         rates = hot_port_rates(2.0e7, 8)
         policy = AutoLbPolicy(rebalance_interval=0.002)
         env, switch, sources, sinks = build_rig(
-            4, HOT_OFPORTS, rates, auto_lb=auto_lb,
+            4, HOT_OFPORTS, rates,
             auto_lb_policy=policy if auto_lb else None, flows=4,
         )
         if auto_lb:
@@ -125,7 +123,7 @@ class TestAutoLbImprovesSkewedLoad:
         rates = [1e5] * 4  # gentle, uniform: nothing to fix
         policy = AutoLbPolicy(rebalance_interval=0.002)
         env, switch, sources, sinks = build_rig(
-            4, (1, 2, 3, 4), rates, auto_lb=True, auto_lb_policy=policy,
+            4, (1, 2, 3, 4), rates, auto_lb_policy=policy,
         )
         switch.set_rxq_assign("cycles")
         run_and_drain(env, switch, sources, sinks, until=0.02)

@@ -168,7 +168,7 @@ class TestControllerPlusOutput:
         # Inline upcalls: the bridge's handler frees its reference
         # inside execute_actions.  Retaining for the output only after
         # that revived an mbuf that was already back in its pool.
-        switch = VSwitchd(bounded_upcalls=False)
+        switch = VSwitchd(upcall_policy=None)
         if not vectorized:
             install_scalar_lane(switch.datapath)
         a = switch.add_dpdkr_port("dpdkr0")
@@ -188,7 +188,7 @@ class TestControllerPlusOutput:
         assert pool.available == 4 and pool.double_free_detected == 0
 
     def test_packet_out_takes_the_same_references(self):
-        switch = VSwitchd(bounded_upcalls=False)
+        switch = VSwitchd(upcall_policy=None)
         b = switch.add_dpdkr_port("dpdkr1")
         pool = Mempool("pkts", size=4)
         mbuf = mk_mbuf(pool=pool)
