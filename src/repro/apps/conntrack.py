@@ -178,7 +178,6 @@ class StatefulFirewallApp(DpdkApp):
         name: str,
         inside_port: EthDev,
         outside_port: EthDev,
-        tracker: Optional[ConnectionTracker] = None,
         costs: CostModel = DEFAULT_COST_MODEL,
         burst_size: int = 32,
         clock=None,
@@ -192,7 +191,7 @@ class StatefulFirewallApp(DpdkApp):
             cost_multiplier=2.2,  # state lookup + update per packet
         )
         self.inside_port = inside_port
-        self.tracker = tracker or ConnectionTracker()
+        self.tracker = ConnectionTracker()
         self.clock = clock or (lambda: 0.0)
         self.allowed = 0
         self.blocked = 0

@@ -48,6 +48,15 @@ def _print_checks(doc) -> None:
                                     check["detail"]))
 
 
+def _reject_ignored(parser, args, honored, selection: str) -> None:
+    """A tier flag nothing selected honors would be accepted, ignored
+    and produce the plain run's document under an ablation's name."""
+    for tier in ("megaflow", "xfsm"):
+        if not getattr(args, tier) and tier not in honored:
+            parser.error("--no-%s is not honored by %s (see the flag's "
+                         "help)" % (tier, selection))
+
+
 def _family_main(args) -> int:
     module = workloads.get(args.family)
     if args.validate:
@@ -61,8 +70,8 @@ def _family_main(args) -> int:
                           else "valid (%s)" % module.SCHEMA))
         return 1 if problems else 0
 
-    # The state family is the one whose run_bench honors a tier flag.
-    tiers = {"xfsm": args.xfsm} if args.family == "state" else {}
+    tiers = {tier: getattr(args, tier)
+             for tier in getattr(module, "HONORS", ())}
     doc = module.run_bench(args.quick, seed=args.seed, **tiers)
     problems = module.validate(doc)
     if problems:  # the generator must always satisfy its own schema
@@ -141,6 +150,14 @@ def bench_main(argv=None) -> int:
         parser.error("--matrix, --scenarios and --family are mutually "
                      "exclusive")
     if args.family:
+        _reject_ignored(parser, args,
+                        getattr(workloads.get(args.family), "HONORS", ()),
+                        "--family %s" % args.family)
+        ablated = not (args.megaflow and args.xfsm)
+        if ablated and not (args.out or args.validate):
+            parser.error("--no-xfsm/--no-megaflow make --family %s a "
+                         "control run: give --out (the default is the "
+                         "committed artifact)" % args.family)
         return _family_main(args)
     if args.out or args.check or args.validate:
         parser.error("--out/--check/--validate go with --family")
@@ -156,6 +173,10 @@ def bench_main(argv=None) -> int:
     if unknown:
         parser.error("unknown scenario(s): %s (see --list)"
                      % ", ".join(unknown))
+    _reject_ignored(parser, args,
+                    {tier for name in names
+                     for tier in SCENARIOS[name].honors},
+                    "the selected scenarios")
 
     os.makedirs(args.out_dir, exist_ok=True)
     trends_path = args.trends or os.path.join(args.out_dir,

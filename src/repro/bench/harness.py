@@ -28,6 +28,7 @@ other part of the observability plane.
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.experiments.chain import ChainExperiment
 from repro.metrics.latency import LatencyRecorder
 from repro.obs.registry import MetricsRegistry
 
@@ -294,8 +295,6 @@ class ChainLoadRunner:
         self.last_experiment = None
 
     def __call__(self, offered_pps: float) -> OfferedPoint:
-        from repro.experiments.chain import ChainExperiment
-
         experiment = ChainExperiment(
             memory_only=True,
             source_rate_pps=offered_pps / 2.0,

@@ -19,10 +19,12 @@ sizing; ``--matrix full`` is the committed-artifact sizing.
 """
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro.bench import workloads
 from repro.bench.harness import ChainLoadRunner, Rfc2544Harness
 from repro.bench.schema import SCHEMA_VERSION, run_meta
+from repro.bench.workloads import sched, state as state_mod
 from repro.obs.registry import MetricsRegistry
 from repro.traffic.profiles import elephants_mice_profile, skewed_profile
 
@@ -277,8 +279,6 @@ def _run_rebalance_under_load(quick, seed, registry):
     ofport layout, same Zipf load split, measured live with the auto
     balancer on vs the static hash.
     """
-    from repro.bench.workloads import sched
-
     duration = 0.01 if quick else 0.02
     warmup = 0.008
     total_pps = 2.0e7
@@ -406,8 +406,6 @@ def _run_syn_flood(quick, seed, registry, xfsm=True):
     SYNs must write zero state entries at any rate; ``--no-xfsm``
     ablates the tier and the checks demonstrate the leak instead.
     """
-    from repro.bench.workloads import state as state_mod
-
     rates = (1e5, 4e5) if quick else (1e5, 4e5, 1e6)
     duration = 0.004 if quick else 0.01
     legit_flows = 8
@@ -453,8 +451,6 @@ def _run_syn_flood(quick, seed, registry, xfsm=True):
 
 def _composite(family: str):
     def run(quick, seed, registry, **tiers):
-        from repro.bench import workloads
-
         module = workloads.get(family)
         doc = module.run_bench(quick, seed=seed, **tiers)
         doc["trend"] = {key: round(float(value), 6) for key, value
@@ -539,15 +535,3 @@ def run_scenario(name: str, quick: bool = True,
     tiers = {"megaflow": megaflow, "xfsm": xfsm}
     return scenario.run(quick, seed, registry,
                         **{tier: tiers[tier] for tier in scenario.honors})
-
-
-def trend_metrics_of(doc: Dict[str, Any]) -> Dict[str, float]:
-    """The headline metrics a scenario document carries."""
-    trend = doc.get("trend")
-    if not isinstance(trend, dict) or not trend:
-        raise ValueError("scenario document carries no trend metrics")
-    return trend
-
-
-def scenario_names() -> List[str]:
-    return list(SCENARIOS)

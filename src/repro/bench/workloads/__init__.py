@@ -8,8 +8,10 @@ driver (:mod:`repro.bench.cli`, ``--family``) and the scenario matrix
 ``FAMILY``/``SCHEMA``/``GENERATOR``/``DEFAULT_OUT``
     identity: family tag, schema string, producing command, output path;
 ``run_bench(quick, seed=None) -> doc``
-    run the measurements and return a schema-v1 document (``state``
-    also takes ``xfsm=False``, the ``--no-xfsm`` ablation);
+    run the measurements and return a schema-v1 document;
+``HONORS`` (optional)
+    tier ablations ``run_bench`` also takes as keywords, like
+    ``Scenario.honors`` (``state``: ``("xfsm",)``, the ``--no-xfsm`` run);
 ``run_checks(doc)``
     the family's pass/fail invariants;
 ``validate(doc)``

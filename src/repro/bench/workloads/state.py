@@ -29,6 +29,7 @@ checks into leak-demonstration checks — the ablation's evidence.
 
 import sys
 
+from repro.apps.conntrack import StatefulFirewallApp
 from repro.bench.schema import validate_document
 from repro.bench.workloads import (
     attach_checks,
@@ -60,6 +61,7 @@ SCHEMA = "repro-bench-state/1"
 GENERATOR = "python -m repro.bench --family state"
 DEFAULT_OUT = "BENCH_state.json"
 DEFAULT_SEED = 11
+HONORS = ("xfsm",)
 
 # Fast detection + fast re-admission (mirrors the runtime-health test
 # sizing) so the conservation choreography fits in < 1 s of sim time.
@@ -182,8 +184,6 @@ def _start_endpoint(env, pmd, name, profile, rate_pps):
 def syn_flood_guest(duration, legit_flows, legit_pps, attack_pps):
     """The guest baseline: a 3-VM chain with the StatefulFirewallApp in
     the middle, SYN-flooded from the outside endpoint."""
-    from repro.apps.conntrack import StatefulFirewallApp
-
     env = Environment()
     node = NfvNode(env=env)
     node.create_vm("vmin", ["a0"])

@@ -20,6 +20,7 @@ from typing import List, Optional
 
 from repro.bench.workloads import paper
 from repro.metrics import format_table
+from repro.obs.export import prometheus_text
 
 
 #: Chain subcommand -> the DESIGN.md §4 experiment it measures.
@@ -37,8 +38,6 @@ def _parse_range(text: str) -> List[int]:
 def _write_obs_artifacts(obs, out_dir: str) -> None:
     """Dump one experiment's observability state: Prometheus text,
     JSONL snapshots, finished traces and the rendered report."""
-    from repro.obs.export import prometheus_text
-
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "metrics.prom"), "w") as handle:
         handle.write(prometheus_text(obs.registry))

@@ -45,9 +45,7 @@ by injecting faults through :class:`~repro.faults.FaultPlan`.
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Set,
-)
+from typing import Callable, Dict, FrozenSet, List, Optional, Set
 
 from repro.core.detector import P2PLink, P2PLinkDetector
 from repro.core.stats import BypassStatsBlock
@@ -57,16 +55,16 @@ from repro.core.watchdog import (
     HealthState,
     WatchdogPolicy,
 )
+from repro.dpdk.dpdkr import dpdkr_zone_name
+from repro.faults import FaultPlan
 from repro.hypervisor.compute_agent import AgentRequest, ComputeAgent
 from repro.mem.memzone import MemzoneError, MemzoneRegistry
 from repro.mem.ring import Ring, RingMode
 from repro.metrics.resilience import ResilienceCounters
 from repro.sim.engine import Environment, run_to_completion
+from repro.state.xfsm import ChannelProgram
 from repro.vswitch.ports import DpdkrOvsPort
 from repro.vswitch.vswitchd import VSwitchd
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults import FaultPlan
 
 
 class LinkState(enum.Enum):
@@ -175,11 +173,6 @@ class BypassLink:
     setup_request: Optional[AgentRequest] = None
     teardown_request: Optional[AgentRequest] = None
 
-    @property
-    def setup_time(self) -> float:
-        """Seconds from p-2-p recognition to the sender using the bypass."""
-        return self.t_active - self.t_detected
-
 
 @dataclass
 class QuarantineRecord:
@@ -215,7 +208,7 @@ class BypassManager:
         env: Optional[Environment] = None,
         ring_size: int = 1024,
         retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-        faults: Optional["FaultPlan"] = None,
+        faults: Optional[FaultPlan] = None,
         watchdog_policy: WatchdogPolicy = DEFAULT_WATCHDOG_POLICY,
     ) -> None:
         self.vswitchd = vswitchd
@@ -283,13 +276,6 @@ class BypassManager:
 
     def link_for_src(self, src_ofport: int) -> Optional[BypassLink]:
         return self._active.get(src_ofport)
-
-    def port_has_bypass(self, ofport: int) -> bool:
-        return any(
-            bl.state == LinkState.ACTIVE
-            and ofport in (bl.link.src_ofport, bl.link.dst_ofport)
-            for bl in self._active.values()
-        )
 
     # -- detector events -----------------------------------------------------------
 
@@ -474,8 +460,6 @@ class BypassManager:
             # the *same* program object the datapath registry holds —
             # per-flow state follows the flows onto the bypass and back
             # without ever being copied.
-            from repro.state.xfsm import ChannelProgram
-
             program = self.vswitchd.datapath.xfsm_programs.get(
                 bypass_link.link.xfsm_program)
             if program is None or not program.state_safe:
@@ -688,14 +672,10 @@ class BypassManager:
         watchdog checks this before any path does a blind
         ``registry.lookup`` (the crash-window race).
         """
-        from repro.dpdk.dpdkr import dpdkr_zone_name
-
         return dpdkr_zone_name(port_name) in self.registry
 
     def consumer_heartbeat_epoch(self, port_name: str) -> Optional[int]:
         """The port's guest-published heartbeat epoch (None: no signal)."""
-        from repro.dpdk.dpdkr import dpdkr_zone_name
-
         zone_name = dpdkr_zone_name(port_name)
         if zone_name not in self.registry:
             return None
@@ -706,8 +686,6 @@ class BypassManager:
 
     def normal_backlog(self, port_name: str) -> int:
         """Occupancy of the port's normal (switch -> guest) ring."""
-        from repro.dpdk.dpdkr import dpdkr_zone_name
-
         zone_name = dpdkr_zone_name(port_name)
         if zone_name not in self.registry:
             return 0

@@ -39,11 +39,7 @@ manager's job.
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.openflow.actions import (
-    OutputAction,
-    is_pure_single_output,
-    xfsm_delegation,
-)
+from repro.openflow.actions import is_pure_single_output, xfsm_delegation
 from repro.openflow.table import FlowEntry, FlowTable
 
 

@@ -39,6 +39,7 @@ from repro.mem.ring import Ring
 from repro.packet.flowkey import cached_flow_key
 from repro.packet.mbuf import Mbuf
 from repro.sim.costmodel import DEFAULT_COST_MODEL
+from repro.state.xfsm import event_for
 
 
 class TxState(enum.Enum):
@@ -491,8 +492,6 @@ class DualChannelPmd(DpdkrPmd):
         """Run the channel's XFSM over a bypass burst; denied packets
         are freed and counted (they are *consumed*, not TX failures —
         the vSwitch path would have dropped them identically)."""
-        from repro.state.xfsm import event_for
-
         channel = self.bypass_xfsm
         program = channel.program
         now = self._trace_now()

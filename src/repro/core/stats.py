@@ -16,30 +16,12 @@ publishes a heartbeat epoch and its cumulative dequeue cursor into the
 same shared memory on every receive poll, which is what lets the
 host-side watchdog distinguish "nothing to deliver" from "nobody is
 draining" without any extra control-plane traffic.
-:class:`PortHeartbeat` is the per-port equivalent living in the dpdkr
-zone, so guest liveness stays observable after a bypass is torn down.
+:class:`~repro.dpdk.dpdkr.PortHeartbeat` is the per-port equivalent
+living in the dpdkr zone, so guest liveness stays observable after a
+bypass is torn down.
 """
 
 from typing import Dict, Tuple
-
-
-class PortHeartbeat:
-    """A guest-published liveness epoch for one dpdkr port.
-
-    Lives in the port's shared dpdkr memzone; the guest PMD bumps
-    ``epoch`` on every receive poll (by one, or by the number of idle
-    polls it replays at once) and the host only ever reads it.  Because the
-    normal channel outlives any bypass, this is the signal the
-    quarantine ladder uses to decide a degraded peer is polling again.
-    """
-
-    __slots__ = ("epoch",)
-
-    def __init__(self) -> None:
-        self.epoch = 0
-
-    def __repr__(self) -> str:
-        return "<PortHeartbeat epoch=%d>" % self.epoch
 
 
 class BypassStatsBlock:

@@ -16,23 +16,20 @@ Two pieces:
   counterpart of applying the paper's patches to OVS.
 """
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.core.bypass import (
     BypassManager, DEFAULT_RETRY_POLICY, RetryPolicy,
 )
 from repro.core.detector import P2PLinkDetector
 from repro.core.watchdog import DEFAULT_WATCHDOG_POLICY, WatchdogPolicy
+from repro.faults import FaultPlan
 from repro.hypervisor.compute_agent import ComputeAgent
 from repro.openflow.table import FlowEntry
-from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sim.engine import Environment
 from repro.vswitch.bridge import StatsAugmentor
 from repro.vswitch.ports import DpdkrOvsPort
 from repro.vswitch.vswitchd import VSwitchd
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults import FaultPlan
 
 
 class BypassStatsAugmentor(StatsAugmentor):
@@ -69,7 +66,7 @@ def enable_transparent_highway(
     env: Optional[Environment] = None,
     ring_size: int = 1024,
     retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-    faults: Optional["FaultPlan"] = None,
+    faults: Optional[FaultPlan] = None,
     watchdog_policy: WatchdogPolicy = DEFAULT_WATCHDOG_POLICY,
 ) -> BypassManager:
     """Retrofit ``vswitchd`` with the paper's transparent highway.

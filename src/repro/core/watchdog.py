@@ -10,7 +10,7 @@ host can already read:
 * the consumer PMD publishes a heartbeat epoch + dequeue cursor into
   the channel's :class:`~repro.core.stats.BypassStatsBlock` on every
   receive poll, and a port-level
-  :class:`~repro.core.stats.PortHeartbeat` into its dpdkr zone;
+  :class:`~repro.dpdk.dpdkr.PortHeartbeat` into its dpdkr zone;
 * once per :attr:`WatchdogPolicy.poll_interval` the watchdog snapshots
   those against the ring's occupancy and classifies each ACTIVE link:
 
@@ -50,11 +50,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.mem.ring import RingIntegrityError
+from repro.sim.engine import Environment
 from repro.sim.pollloop import PollLoop
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - core.bypass builds the watchdog
     from repro.core.bypass import BypassLink, BypassManager
-    from repro.sim.engine import Environment
 
 
 class HealthState(enum.Enum):
@@ -81,11 +81,12 @@ class WatchdogPolicy:
     poll_interval: float = 0.005   # seconds between checks
     stall_polls: int = 3           # frozen-cursor checks before STALLED
     heartbeat_polls: int = 6       # frozen-heartbeat checks before WEDGED
-    validate_ring: bool = True     # run Ring.validate() every check
-    check_cost: float = 1.5e-6     # simulated CPU per checked link
 
 
 DEFAULT_WATCHDOG_POLICY = WatchdogPolicy()
+
+#: Simulated CPU per checked link.
+CHECK_COST = 1.5e-6
 
 
 @dataclass
@@ -121,7 +122,7 @@ class BypassWatchdog:
         self.state_entries_swept = 0
         self.loop: Optional[PollLoop] = None
 
-    def start(self, env: "Environment") -> "BypassWatchdog":
+    def start(self, env: Environment) -> "BypassWatchdog":
         """Run on a fixed-period poll loop (simulation mode)."""
         if self.loop is not None:
             raise RuntimeError("bypass watchdog already started")
@@ -133,7 +134,7 @@ class BypassWatchdog:
 
     def _iteration(self) -> float:
         checked = self.check_once()
-        return self.policy.check_cost * checked if checked else 0.0
+        return CHECK_COST * checked if checked else 0.0
 
     def check_once(self) -> int:
         """One pass over every ACTIVE link; returns how many it checked.
@@ -200,7 +201,7 @@ class BypassWatchdog:
             # watchdog (the crash-window race).
             return HealthState.PEER_CRASHED
         ring = bypass_link.ring
-        if policy.validate_ring and ring is not None:
+        if ring is not None:
             try:
                 ring.validate(expected_generation=track.generation)
             except RingIntegrityError:

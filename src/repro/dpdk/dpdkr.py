@@ -24,6 +24,25 @@ def dpdkr_zone_name(port_name: str) -> str:
     return "rte_eth_ring.%s" % port_name
 
 
+class PortHeartbeat:
+    """A guest-published liveness epoch for one dpdkr port.
+
+    Lives in the port's shared dpdkr memzone; the guest PMD bumps
+    ``epoch`` on every receive poll (by one, or by the number of idle
+    polls it replays at once) and the host only ever reads it.  Because the
+    normal channel outlives any bypass, this is the signal the
+    quarantine ladder uses to decide a degraded peer is polling again.
+    """
+
+    __slots__ = ("epoch",)
+
+    def __init__(self) -> None:
+        self.epoch = 0
+
+    def __repr__(self) -> str:
+        return "<PortHeartbeat epoch=%d>" % self.epoch
+
+
 class DpdkrSharedRings:
     """The shared-memory structure of one dpdkr port."""
 
@@ -50,10 +69,7 @@ class DpdkrSharedRings:
         # swept back to its pool.
         self.to_switch.holder_token = "ring:%s.to_switch" % port_name
         self.to_guest.holder_token = "ring:%s.to_guest" % port_name
-        # Guest-written, host-read liveness epoch.  Imported lazily:
-        # repro.core pulls in the vswitch stack, which needs this module.
-        from repro.core.stats import PortHeartbeat
-
+        # Guest-written, host-read liveness epoch.
         self.heartbeat = self.zone.put("heartbeat", PortHeartbeat())
 
     @classmethod
@@ -64,8 +80,6 @@ class DpdkrSharedRings:
         rings.zone = zone
         rings.to_switch = zone.get("tx")
         rings.to_guest = zone.get("rx")
-        from repro.core.stats import PortHeartbeat
-
         # Tolerate zones built before heartbeats existed (hand-rolled
         # test fixtures): publish into a private block nobody reads.
         rings.heartbeat = (

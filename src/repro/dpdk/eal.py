@@ -11,7 +11,7 @@ agent plugs the bypass zone, the guest PMD genuinely cannot reach it.
 from typing import Dict, List, Optional
 
 from repro.dpdk.ethdev import EthDev
-from repro.mem.memzone import Memzone, MemzoneError, MemzoneRegistry
+from repro.mem.memzone import Memzone, MemzoneRegistry
 from repro.mem.mempool import Mempool
 
 
@@ -27,13 +27,12 @@ class Eal:
         registry: MemzoneRegistry,
         *,
         vm_name: Optional[str] = None,
-        name: Optional[str] = None,
     ) -> None:
         """``vm_name=None`` means the primary/host process (sees all zones);
         otherwise lookups are restricted to zones mapped into that VM."""
         self.registry = registry
         self.vm_name = vm_name
-        self.name = name or (vm_name or "host")
+        self.name = vm_name or "host"
         self._ports: Dict[int, EthDev] = {}
         self._mempools: Dict[str, Mempool] = {}
         self._next_port_id = 0
@@ -118,9 +117,6 @@ class Eal:
     @property
     def port_count(self) -> int:
         return len(self._ports)
-
-    def ports(self) -> List[EthDev]:
-        return [self._ports[pid] for pid in sorted(self._ports)]
 
     def __repr__(self) -> str:
         role = "primary" if self.is_primary else "guest:%s" % self.vm_name

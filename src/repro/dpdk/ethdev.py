@@ -23,10 +23,6 @@ class DevStats:
     imissed: int = 0   # rx drops (ring full on the far side)
     oerrors: int = 0   # tx failures (ring full)
 
-    def snapshot(self) -> "DevStats":
-        return DevStats(self.ipackets, self.opackets, self.ibytes,
-                        self.obytes, self.imissed, self.oerrors)
-
 
 class EthDev:
     """Abstract port device."""
@@ -51,13 +47,6 @@ class EthDev:
         self.port_id = port_id
         self.name = name
         self.stats = DevStats()
-        self.started = False
-
-    def start(self) -> None:
-        self.started = True
-
-    def stop(self) -> None:
-        self.started = False
 
     def rx_burst(self, max_count: int) -> List[Mbuf]:
         """Receive up to ``max_count`` packets (non-blocking)."""

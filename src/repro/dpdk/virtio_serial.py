@@ -7,12 +7,10 @@ channel degrades to synchronous delivery (handy in unit tests).
 """
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
+from repro.faults import SERIAL_TO_GUEST, SERIAL_TO_HOST, FaultMode, FaultPlan
 from repro.sim.engine import Environment
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults import FaultPlan
 
 
 @dataclass
@@ -40,7 +38,7 @@ class VirtioSerial:
         name: str,
         env: Optional[Environment] = None,
         one_way_latency: float = 0.009,
-        faults: Optional["FaultPlan"] = None,
+        faults: Optional[FaultPlan] = None,
     ) -> None:
         self.name = name
         self.env = env
@@ -83,10 +81,6 @@ class VirtioSerial:
     def _deliver(self, message: ControlMessage, *, to_guest: bool) -> None:
         extra_delay = 0.0
         if self.faults is not None:
-            from repro.faults import (
-                SERIAL_TO_GUEST, SERIAL_TO_HOST, FaultMode,
-            )
-
             point = SERIAL_TO_GUEST if to_guest else SERIAL_TO_HOST
             action = self.faults.fire(point)
             if action is not None:

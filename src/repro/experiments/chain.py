@@ -18,13 +18,17 @@ Traffic is bidirectional 64-byte frames unless configured otherwise.
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.apps.conntrack import StatefulFirewallApp
 from repro.apps.forwarder import ForwarderApp
 from repro.metrics.latency import LatencyRecorder
 from repro.metrics.rates import to_mpps
 from repro.obs.cycles import StageAccounting
+from repro.openflow.match import Match
+from repro.openflow.table import FlowEntry
 from repro.orchestration.node import NfvNode
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sim.engine import Environment
+from repro.state.programs import firewall_program
 from repro.traffic.generator import SourceApp, WireSource
 from repro.traffic.profiles import TrafficProfile, uniform_profile
 from repro.traffic.sink import SinkApp, WireSink
@@ -69,12 +73,6 @@ class ChainResult:
     def lost_total(self) -> int:
         return max(0, self.offered_total - self.delivered_total
                    - self.policy_dropped)
-
-    @property
-    def loss_fraction(self) -> float:
-        if not self.offered_total:
-            return 0.0
-        return self.lost_total / self.offered_total
 
     @property
     def mean_latency(self) -> float:
@@ -227,8 +225,6 @@ class ChainExperiment:
     def _install_rules(self) -> None:
         node = self.node
         if self.stateful == "xfsm":
-            from repro.state.programs import firewall_program
-
             self.xfsm_program = firewall_program()
             node.register_xfsm(self.xfsm_program)
         # Inter-VM adjacencies, both directions (the bypassable links).
@@ -266,9 +262,6 @@ class ChainExperiment:
     _FILLER_MASK_SHIFTS = (0, 8, 16, 24)
 
     def _install_filler_rules(self, count: int) -> None:
-        from repro.openflow.match import Match
-        from repro.openflow.table import FlowEntry
-
         full = (1 << 48) - 1
         table = self.node.switch.bridge.table
         for index in range(count):
@@ -285,9 +278,6 @@ class ChainExperiment:
         """Rolling flowmods at ``churn_hz``: add then delete an unused
         rule, alternating — the EMC/SMC invalidation pressure the churn
         sweep measures, applied to a rule the traffic never matches."""
-        from repro.openflow.match import Match
-        from repro.openflow.table import FlowEntry
-
         env = self.env
         table = self.node.switch.bridge.table
         churn_match = Match(in_port=0xBE7C)  # no such port
@@ -339,8 +329,6 @@ class ChainExperiment:
         for vm_index in middle:
             handle = self.node.vms["vm%d" % vm_index]
             if vm_index == guest_fw_index:
-                from repro.apps.conntrack import StatefulFirewallApp
-
                 env = self.env
                 # Forward traffic enters a middle VM at p0: that side is
                 # the perimeter's inside.

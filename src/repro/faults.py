@@ -105,10 +105,6 @@ class FaultMode(enum.Enum):
     CRASH = "crash"
 
 
-class InjectedFaultError(RuntimeError):
-    """The error surfaced by an ERROR/CRASH-mode injection."""
-
-
 @dataclass
 class FaultSpec:
     """One rule: when ``point`` fires, maybe inject ``mode``.

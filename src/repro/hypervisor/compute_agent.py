@@ -29,16 +29,15 @@ bypass) reads those timestamps.
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
+from repro.dpdk.dpdkr import dpdkr_zone_name
 from repro.dpdk.virtio_serial import ControlMessage
+from repro.faults import VM_CRASH_DURING_SETUP, FaultMode, FaultPlan
 from repro.hypervisor.qemu import Hypervisor, HypervisorError, VirtualMachine
 from repro.mem.ring import Ring
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sim.engine import Environment, Event, run_to_completion
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults import FaultPlan
 
 _request_ids = itertools.count(1)
 
@@ -85,7 +84,7 @@ class ComputeAgent:
         hypervisor: Hypervisor,
         env: Optional[Environment] = None,
         costs: CostModel = DEFAULT_COST_MODEL,
-        faults: Optional["FaultPlan"] = None,
+        faults: Optional[FaultPlan] = None,
     ) -> None:
         self.hypervisor = hypervisor
         self.env = env
@@ -263,8 +262,6 @@ class ComputeAgent:
         """
         if self.faults is None:
             return
-        from repro.faults import VM_CRASH_DURING_SETUP
-
         if not self.faults.has_specs(VM_CRASH_DURING_SETUP):
             return
         action = self.faults.fire(VM_CRASH_DURING_SETUP)
@@ -291,8 +288,6 @@ class ComputeAgent:
         """
         if self.faults is None:
             return
-        from repro.faults import FaultMode
-
         action = self.faults.fire(point)
         if action is None:
             return
@@ -453,8 +448,6 @@ class ComputeAgent:
         mbufs are freed, a smashed slot has nothing to free and is never
         forwarded as garbage.
         """
-        from repro.dpdk.dpdkr import dpdkr_zone_name
-
         leftovers = ring.drain() if ring is not None else []
         intact = [mbuf for mbuf in leftovers if mbuf is not None]
         salvaged = 0

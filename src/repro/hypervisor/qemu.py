@@ -8,16 +8,15 @@ the compute agent uses — ``device_add``/``device_del`` for ivshmem —
 with the hot-plug latency that dominates bypass setup time.
 """
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.dpdk.eal import Eal
 from repro.dpdk.virtio_serial import VirtioSerial
+from repro.faults import VM_CRASH, FaultMode, FaultPlan
 from repro.mem.memzone import MemzoneRegistry
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sim.engine import Environment, Process, run_to_completion
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults import FaultPlan
+from repro.sim.pollloop import PollLoop
 
 
 class HypervisorError(RuntimeError):
@@ -58,7 +57,7 @@ class Hypervisor:
         registry: MemzoneRegistry,
         env: Optional[Environment] = None,
         costs: CostModel = DEFAULT_COST_MODEL,
-        faults: Optional["FaultPlan"] = None,
+        faults: Optional[FaultPlan] = None,
     ) -> None:
         self.registry = registry
         self.env = env
@@ -165,8 +164,6 @@ class Hypervisor:
         """
         if self.faults is None or not self.vms:
             return None
-        from repro.faults import VM_CRASH
-
         if not self.faults.has_specs(VM_CRASH):
             return None
         action = self.faults.fire(VM_CRASH)
@@ -183,8 +180,6 @@ class Hypervisor:
 
     def start_chaos(self, env: Environment, period: float = 0.001):
         """Run :meth:`chaos_tick` on a housekeeping loop (sim mode)."""
-        from repro.sim.pollloop import PollLoop
-
         def iteration() -> float:
             self.chaos_tick()
             return 0.0
@@ -253,8 +248,6 @@ class Hypervisor:
         """
         if self.faults is None:
             return
-        from repro.faults import FaultMode
-
         action = self.faults.fire(point)
         if action is None:
             return

@@ -13,10 +13,9 @@ mapped into it (boot-time dpdkr zones, or hot-plugged bypass zones), and
 unmapping makes them unreachable again.
 """
 
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults import FaultPlan
+from repro.faults import MEMZONE_RESERVE, FaultMode, FaultPlan
 
 
 class MemzoneError(RuntimeError):
@@ -54,9 +53,6 @@ class Memzone:
     def __contains__(self, key: str) -> bool:
         return key in self._objects
 
-    def keys(self) -> Iterator[str]:
-        return iter(self._objects)
-
     def __repr__(self) -> str:
         return "<Memzone %r objects=%d mapped_by=%s>" % (
             self.name, len(self._objects), self.mapped_by
@@ -71,7 +67,7 @@ class MemzoneRegistry:
     ports and bypass channels.
     """
 
-    def __init__(self, faults: Optional["FaultPlan"] = None) -> None:
+    def __init__(self, faults: Optional[FaultPlan] = None) -> None:
         self._zones: Dict[str, Memzone] = {}
         self.faults = faults
 
@@ -79,8 +75,6 @@ class MemzoneRegistry:
                 owner: Optional[str] = None) -> Memzone:
         """Allocate a new named zone; name collisions are errors."""
         if self.faults is not None:
-            from repro.faults import MEMZONE_RESERVE, FaultMode
-
             action = self.faults.fire(MEMZONE_RESERVE)
             # Allocation has no latency model, so every non-clean mode
             # degrades to an allocation failure the caller must absorb.

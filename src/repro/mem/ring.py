@@ -20,7 +20,7 @@ the C layout and stays O(1).
 import enum
 from typing import Any, List, Optional, Sequence
 
-from repro.faults import RING_CORRUPT
+from repro.faults import RING_CORRUPT, FaultMode
 
 
 class RingError(RuntimeError):
@@ -261,8 +261,6 @@ class Ring:
 
     def _corrupt(self, action) -> None:
         """Apply one injected corruption (see ``faults.RING_CORRUPT``)."""
-        from repro.faults import FaultMode
-
         if action.mode is FaultMode.CRASH:
             self.generation += 1
         elif not self.is_empty:

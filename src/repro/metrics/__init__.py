@@ -9,7 +9,6 @@ from repro.metrics.timeline import (
     TimelineEvent,
     attach_highway_tracing,
     attach_lifecycle_tracing,
-    attach_overload_tracing,
 )
 
 __all__ = [
@@ -19,7 +18,6 @@ __all__ = [
     "TimelineEvent",
     "attach_highway_tracing",
     "attach_lifecycle_tracing",
-    "attach_overload_tracing",
     "format_table",
     "to_mpps",
 ]

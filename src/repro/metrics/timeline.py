@@ -103,24 +103,6 @@ def attach_sched_tracing(timeline: EventTimeline, scheduler) -> None:
     )
 
 
-def attach_overload_tracing(timeline: EventTimeline, switch) -> None:
-    """Subscribe a timeline to a VSwitchd's overload-control events.
-
-    Covers all three layers: upcall sheds from the bounded queue,
-    controller outage/recovery transitions from the fail-mode manager,
-    and RX shed level changes from the overload monitor.  Each source is
-    optional — only what the switch actually has gets wired.
-    """
-    def listener(event, attrs):
-        timeline.record(event, **attrs)
-
-    for source in (getattr(switch, "upcall_queue", None),
-                   getattr(switch, "failmode", None),
-                   getattr(switch, "overload", None)):
-        if source is not None:
-            source.on_event.append(listener)
-
-
 def attach_highway_tracing(timeline: EventTimeline, detector,
                            manager) -> None:
     """Subscribe a timeline to the detector and bypass manager."""

@@ -9,7 +9,7 @@ perturbing the run.
 import json
 from typing import Any, Dict, List, Optional
 
-from repro.obs.registry import MetricsRegistry, Sample
+from repro.obs.registry import MetricsRegistry
 
 
 def _escape_label_value(value: str) -> str:

@@ -20,6 +20,7 @@ from repro.obs.cycles import (
 from repro.obs.export import Snapshotter, prometheus_text
 from repro.obs.registry import MetricsRegistry, Sample
 from repro.obs.trace import PathTracer
+from repro.sim.pollloop import PollLoop
 
 
 class Observability:
@@ -29,14 +30,12 @@ class Observability:
         self,
         clock: Optional[Callable[[], float]] = None,
         trace_sample_interval: Optional[int] = None,
-        max_traces: int = 1024,
     ) -> None:
         self.clock = clock or (lambda: 0.0)
         self.registry = MetricsRegistry()
         self.tracer = PathTracer(
             clock=self.clock,
             sample_interval=trace_sample_interval,
-            max_traces=max_traces,
         )
         self.snapshotter = Snapshotter(self.registry, self.clock)
         self._snapshot_loop = None
@@ -54,15 +53,6 @@ class Observability:
             ("packets_seen", "traces_started", "traces_finished"),
             help="path tracer sampling progress",
         )
-
-    # -- tracing toggle ------------------------------------------------------
-
-    def enable_tracing(self, sample_interval: int = 64) -> PathTracer:
-        self.tracer.sample_interval = sample_interval
-        return self.tracer
-
-    def disable_tracing(self) -> None:
-        self.tracer.sample_interval = None
 
     # -- subsystem registration ----------------------------------------------
 
@@ -534,33 +524,6 @@ class Observability:
 
         self.registry.register_collector(collect)
 
-    def register_repairer(self, repairer) -> None:
-        """Track a ChainRepairer: lifecycle counters, per-NF state, and
-        coverage events for every transition."""
-
-        def collect() -> Iterable[Sample]:
-            for counter in ("crashes_detected", "repairs_started",
-                            "repairs_succeeded", "repairs_failed",
-                            "demotions", "flows_replayed",
-                            "packets_flushed"):
-                yield Sample("repro_lifecycle_%s_total" % counter, {},
-                             float(getattr(repairer, counter)), "counter",
-                             "chain repairer lifecycle counters")
-            for record in repairer.records.values():
-                labels = {"nf": record.name, "state": record.state}
-                yield Sample("repro_lifecycle_nf_state", labels, 1.0,
-                             "gauge", "current per-NF repair state")
-                yield Sample("repro_lifecycle_nf_restarts_total",
-                             {"nf": record.name},
-                             float(record.restarts), "counter",
-                             "restart attempts consumed per NF")
-
-        self.registry.register_collector(collect)
-        coverage = self.registry.coverage
-        repairer.on_event.append(
-            lambda event, nf: coverage(
-                "lifecycle_%s" % event.replace("-", "_")))
-
     def register_resilience(self, counters) -> None:
         """Every ResilienceCounters field, one labeled sample each."""
 
@@ -655,19 +618,12 @@ class Observability:
     def start_snapshotting(self, env, period: float = 0.001):
         """Run the snapshotter on a housekeeping PollLoop (like the
         bypass watchdog); returns the loop."""
-        from repro.sim.pollloop import PollLoop
-
         if self._snapshot_loop is not None:
             raise RuntimeError("snapshotter already running")
         self._snapshot_loop = PollLoop(
             env, "obs.snapshot", self.snapshotter.iteration, period=period,
         ).start()
         return self._snapshot_loop
-
-    def stop_snapshotting(self) -> None:
-        if self._snapshot_loop is not None:
-            self._snapshot_loop.stop()
-            self._snapshot_loop = None
 
     def snapshot_now(self) -> None:
         """Take one snapshot immediately (run end, appctl)."""

@@ -15,7 +15,6 @@ from repro.openflow.actions import (
     OutputAction,
     SetFieldAction,
     PORT_CONTROLLER,
-    actions_equal,
 )
 from repro.openflow.match import FIELD_WIDTHS, Match, MatchError
 from repro.openflow.messages import (
@@ -47,13 +46,11 @@ from repro.openflow.flowsyntax import (
     format_flow,
     parse_flow,
 )
-from repro.openflow.learning import LearningSwitchApp
 
 __all__ = [
     "Action",
     "FlowSyntaxError",
     "GotoTableAction",
-    "LearningSwitchApp",
     "format_flow",
     "parse_flow",
     "BarrierReply",
@@ -88,5 +85,4 @@ __all__ = [
     "SetFieldAction",
     "SimpleController",
     "TableModResult",
-    "actions_equal",
 ]

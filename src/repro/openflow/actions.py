@@ -9,6 +9,8 @@ performs the rewrite).
 
 from typing import List, Sequence
 
+from repro.openflow.match import FIELD_WIDTHS, MatchError
+
 PORT_CONTROLLER = 0xFFFFFFFD  # OFPP_CONTROLLER
 PORT_FLOOD = 0xFFFFFFFB       # OFPP_FLOOD
 
@@ -101,8 +103,6 @@ class SetFieldAction(Action):
     __slots__ = ("field", "value")
 
     def __init__(self, field: str, value: int) -> None:
-        from repro.openflow.match import FIELD_WIDTHS, MatchError
-
         if field not in FIELD_WIDTHS:
             raise MatchError("unknown settable field %r" % field)
         self.field = field
@@ -159,13 +159,6 @@ def xfsm_delegation(actions: Sequence[Action]):
             and output.port != PORT_FLOOD):
         return None
     return xfsm.program, xfsm.from_inside, output.port
-
-
-def actions_equal(first: Sequence[Action], second: Sequence[Action]) -> bool:
-    """Order-sensitive action-list equality (OpenFlow lists are ordered)."""
-    return len(first) == len(second) and all(
-        a == b for a, b in zip(first, second)
-    )
 
 
 def output_ports(actions: Sequence[Action]) -> List[int]:

@@ -15,7 +15,6 @@ from repro.openflow import wire
 from repro.openflow.actions import Action
 from repro.openflow.match import Match
 from repro.openflow.messages import (
-    BarrierRequest,
     EchoRequest,
     FeaturesReply,
     FeaturesRequest,
@@ -49,12 +48,11 @@ class ControllerConnection:
     how outage scenarios keep the controller unreachable for a window.
     """
 
-    def __init__(self, encode_on_wire: bool = True,
-                 max_pending: int = 4096, faults=None) -> None:
-        if max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
+    #: Bound of each direction queue, in messages.
+    max_pending = 4096
+
+    def __init__(self, encode_on_wire: bool = True, faults=None) -> None:
         self.encode_on_wire = encode_on_wire
-        self.max_pending = max_pending
         self.faults = faults
         self.connected = True
         self.peer_available = True
@@ -151,11 +149,6 @@ class ControllerConnection:
     def pending_for_controller(self) -> int:
         return len(self._to_controller)
 
-    @property
-    def dropped_total(self) -> int:
-        return (self.dropped_to_switch + self.dropped_to_controller
-                + self.dropped_disconnected + self.faults_dropped)
-
 
 class SimpleController:
     """A minimal controller: installs steering rules, gathers stats.
@@ -167,10 +160,8 @@ class SimpleController:
     * ``on_flow_removed(message)`` — expirations and deletions.
     """
 
-    def __init__(self, connection: ControllerConnection,
-                 name: str = "controller") -> None:
+    def __init__(self, connection: ControllerConnection) -> None:
         self.connection = connection
-        self.name = name
         self.features: Optional[FeaturesReply] = None
         self.flow_stats: List[FlowStatsReply] = []
         self.port_stats: List[PortStatsReply] = []
@@ -242,9 +233,6 @@ class SimpleController:
         self.connection.controller_send(
             PacketOut(actions=list(actions), data=data)
         )
-
-    def barrier(self) -> None:
-        self.connection.controller_send(BarrierRequest())
 
     def echo(self, data: bytes = b"ping") -> None:
         self.connection.controller_send(EchoRequest(data=data))

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.openflow.actions import (
     Action,
     ControllerAction,
+    GotoTableAction,
     OutputAction,
     SetFieldAction,
 )
@@ -136,8 +137,6 @@ def parse_actions(text: str) -> List[Action]:
         if lowered.startswith("goto_table:") or lowered.startswith(
             "resubmit:"
         ):
-            from repro.openflow.actions import GotoTableAction
-
             actions.append(
                 GotoTableAction(int(part.split(":", 1)[1], 0))
             )
@@ -238,8 +237,6 @@ def format_match(match: Match) -> str:
 def format_actions(actions: Sequence[Action]) -> str:
     if not actions:
         return "drop"
-    from repro.openflow.actions import GotoTableAction
-
     parts = []
     for action in actions:
         if isinstance(action, GotoTableAction):

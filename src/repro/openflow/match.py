@@ -15,6 +15,7 @@ analysis:
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.packet.flowkey import FlowKey
+from repro.packet.headers import ETH_TYPE_IPV4, ETH_TYPE_IPV6
 
 # Field name -> bit width. The field set mirrors FlowKey.
 FIELD_WIDTHS: Dict[str, int] = {
@@ -102,8 +103,6 @@ class Match:
 
     @staticmethod
     def _check_prerequisites(fields: Dict[str, Tuple[int, int]]) -> None:
-        from repro.packet.headers import ETH_TYPE_IPV4, ETH_TYPE_IPV6
-
         for name in fields:
             prereq = _PREREQUISITES.get(name)
             if prereq is None:

@@ -13,7 +13,7 @@ import enum
 import itertools
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence
 
-from repro.openflow.actions import Action
+from repro.openflow.actions import Action, output_ports
 from repro.openflow.match import Match
 from repro.packet.flowkey import FlowKey
 
@@ -252,8 +252,6 @@ class FlowTable:
         ``out_port`` additionally restricts deletion to entries with an
         output action to that port (OpenFlow's out_port filter).
         """
-        from repro.openflow.actions import output_ports
-
         removed: List[FlowEntry] = []
         for entry in list(self._entries):
             if cookie is not None and entry.cookie != cookie:

@@ -16,8 +16,11 @@ from typing import List, Tuple
 
 from repro.openflow.actions import (
     Action,
+    GotoTableAction,
     OutputAction,
     SetFieldAction,
+    XfsmAction,
+    goto_table_of,
 )
 from repro.openflow.match import Match
 from repro.openflow.messages import (
@@ -197,8 +200,6 @@ XFSM_EXPERIMENTER = 0x4F537461  # "OSta"
 
 
 def encode_actions(actions) -> bytes:
-    from repro.openflow.actions import GotoTableAction, XfsmAction
-
     body = b""
     for action in actions:
         if isinstance(action, GotoTableAction):
@@ -266,8 +267,6 @@ def decode_actions(data: bytes) -> List[Action]:
                     "unsupported experimenter %#x" % experimenter
                 )
             name = data[offset + 10:offset + 10 + name_len].decode("utf-8")
-            from repro.openflow.actions import XfsmAction
-
             actions.append(XfsmAction(name, from_inside=bool(from_inside)))
         else:
             raise WireError("unsupported action type %d" % action_type)
@@ -276,8 +275,6 @@ def decode_actions(data: bytes) -> List[Action]:
 
 
 def _encode_instructions(actions) -> bytes:
-    from repro.openflow.actions import goto_table_of
-
     if not actions:
         return b""
     blob = b""
@@ -294,8 +291,6 @@ def _encode_instructions(actions) -> bytes:
 
 
 def _decode_instructions(data: bytes) -> List[Action]:
-    from repro.openflow.actions import GotoTableAction
-
     actions: List[Action] = []
     goto: List[Action] = []
     offset = 0

@@ -175,10 +175,6 @@ class ServiceGraph:
             and link.src not in classified_sources
         ]
 
-    def links_from(self, endpoint) -> List[GraphLink]:
-        endpoint = self._resolve(endpoint)
-        return [link for link in self.links if link.src == endpoint]
-
     def port_key(self, endpoint: Endpoint) -> str:
         """The dpdkr port name an endpoint compiles to."""
         if endpoint.is_external:

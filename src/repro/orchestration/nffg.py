@@ -28,6 +28,7 @@ from repro.packet.headers import (
     IP_PROTO_UDP,
     ETH_TYPE_IPV4,
     MacAddress,
+    int_to_ipv4,
     ipv4_to_int,
 )
 
@@ -194,8 +195,6 @@ def dump_nffg(graph: ServiceGraph) -> Dict:
             elif field == "vlan_vid":
                 match["vlan_id"] = _value_of(value)
             elif field in ("ip_src", "ip_dst"):
-                from repro.packet.headers import int_to_ipv4
-
                 key = "source_ip" if field == "ip_src" else "dest_ip"
                 if isinstance(value, tuple):
                     address, mask = value

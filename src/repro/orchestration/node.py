@@ -8,28 +8,28 @@ the guest PMD managers stay consistent.
 """
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.bypass import (
-    BypassManager, DEFAULT_RETRY_POLICY, RetryPolicy,
+    BypassManager, DEFAULT_RETRY_POLICY, LinkState, RetryPolicy,
 )
 from repro.core.watchdog import DEFAULT_WATCHDOG_POLICY, WatchdogPolicy
 from repro.core.pmd import DualChannelPmd, GuestPmdManager
 from repro.core.transparency import enable_transparent_highway
 from repro.dpdk.dpdkr import dpdkr_zone_name
+from repro.faults import FaultPlan
 from repro.hypervisor.compute_agent import ComputeAgent
 from repro.hypervisor.qemu import Hypervisor, VirtualMachine
 from repro.mem.memzone import MemzoneRegistry
 from repro.obs.plane import Observability
+from repro.openflow.actions import OutputAction, XfsmAction
 from repro.openflow.controller import ControllerConnection, SimpleController
+from repro.openflow.match import Match
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sim.engine import Environment
 from repro.sim.nic import Nic
 from repro.vswitch.ports import DpdkrOvsPort, PhyOvsPort
 from repro.vswitch.vswitchd import VSwitchd
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults import FaultPlan
 
 
 @dataclass
@@ -39,10 +39,6 @@ class VmHandle:
     vm: VirtualMachine
     guest: GuestPmdManager
     pmds: Dict[str, DualChannelPmd] = field(default_factory=dict)
-
-    @property
-    def name(self) -> str:
-        return self.vm.name
 
     def pmd(self, port_name: str) -> DualChannelPmd:
         return self.pmds[port_name]
@@ -58,7 +54,7 @@ class NfvNode:
         n_pmd_cores: int = 2,
         highway_enabled: bool = True,
         retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-        faults: Optional["FaultPlan"] = None,
+        faults: Optional[FaultPlan] = None,
         watchdog_policy: WatchdogPolicy = DEFAULT_WATCHDOG_POLICY,
         obs: Optional[Observability] = None,
         trace_sample_interval: Optional[int] = None,
@@ -168,7 +164,7 @@ class NfvNode:
 
     # -- fault injection ----------------------------------------------------------------
 
-    def install_fault_plan(self, plan: Optional["FaultPlan"]) -> None:
+    def install_fault_plan(self, plan: Optional[FaultPlan]) -> None:
         """Arm (or disarm, with ``None``) a fault plan on every wired
         component — including serial channels of VMs that already exist.
 
@@ -195,9 +191,6 @@ class NfvNode:
 
     def install_p2p_rule(self, src_port_name: str, dst_port_name: str,
                          priority: int = 0x8000) -> None:
-        from repro.openflow.actions import OutputAction
-        from repro.openflow.match import Match
-
         self.controller.install_flow(
             Match(in_port=self.ofport(src_port_name)),
             [OutputAction(self.ofport(dst_port_name))],
@@ -216,9 +209,6 @@ class NfvNode:
                           program: str, from_inside: bool = True,
                           priority: int = 0x8000) -> None:
         """Steer ``src -> dst`` through a registered XFSM program."""
-        from repro.openflow.actions import OutputAction, XfsmAction
-        from repro.openflow.match import Match
-
         self.controller.install_flow(
             Match(in_port=self.ofport(src_port_name)),
             [XfsmAction(program, from_inside=from_inside),
@@ -245,8 +235,6 @@ class NfvNode:
         """Bypass links whose sender PMD is actually on the bypass."""
         if self.manager is None:
             return 0
-        from repro.core.bypass import LinkState
-
         return sum(
             1 for link in self.manager.active_links.values()
             if link.state == LinkState.ACTIVE

@@ -45,7 +45,6 @@ class RepairPolicy:
     base_backoff: float = 0.002    # delay before restart attempt n+1
     backoff_factor: float = 2.0
     max_backoff: float = 0.05
-    check_cost: float = 2e-6       # simulated CPU per health pass
 
     def restart_delay(self, restarts: int) -> float:
         return min(
@@ -55,6 +54,9 @@ class RepairPolicy:
 
 
 DEFAULT_REPAIR_POLICY = RepairPolicy()
+
+#: Simulated CPU per health pass.
+CHECK_COST = 2e-6
 
 
 @dataclass
@@ -118,7 +120,7 @@ class ChainRepairer:
 
     def _iteration(self) -> float:
         self.check_once()
-        return self.policy.check_cost
+        return CHECK_COST
 
     def _now(self) -> float:
         env = self.node.env

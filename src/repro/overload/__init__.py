@@ -19,18 +19,13 @@ packet-in queues).  This package turns "fast until it falls over" into
 """
 
 from repro.overload.failmode import (
-    DEFAULT_FAILMODE_POLICY,
     FALLBACK_COOKIE,
     FailMode,
     FailModeManager,
     FailModePolicy,
     StandaloneFallback,
 )
-from repro.overload.shedding import (
-    DEFAULT_OVERLOAD_POLICY,
-    OverloadMonitor,
-    OverloadPolicy,
-)
+from repro.overload.shedding import OverloadMonitor, OverloadPolicy
 from repro.overload.upcall import (
     CONTROL_REASONS,
     DEFAULT_UPCALL_POLICY,
@@ -41,8 +36,6 @@ from repro.overload.upcall import (
 __all__ = [
     "BoundedUpcallQueue",
     "CONTROL_REASONS",
-    "DEFAULT_FAILMODE_POLICY",
-    "DEFAULT_OVERLOAD_POLICY",
     "DEFAULT_UPCALL_POLICY",
     "FALLBACK_COOKIE",
     "FailMode",

@@ -51,29 +51,28 @@ class FailModePolicy:
 
     max_pending_packet_ins: int = 256
     backoff_base: float = 0.005
-    backoff_multiplier: float = 2.0
     backoff_max: float = 0.25
-    fallback_priority: int = 1
-    fallback_idle_timeout: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_pending_packet_ins < 0:
             raise ValueError("max_pending_packet_ins must be >= 0")
         if self.backoff_base <= 0 or self.backoff_max < self.backoff_base:
             raise ValueError("backoff window must satisfy 0 < base <= max")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
 
 
-DEFAULT_FAILMODE_POLICY = FailModePolicy()
+#: Reconnect backoff grows by this factor per failed attempt.
+BACKOFF_MULTIPLIER = 2.0
+#: Fallback flows sit below anything a controller installs and never
+#: idle out: recovery deletes them by cookie.
+FALLBACK_PRIORITY = 1
+FALLBACK_IDLE_TIMEOUT = 0.0
 
 
 class StandaloneFallback:
     """The learning-switch brain used while the controller is away.
 
-    A local reimplementation of the reactive L2 program in
-    :mod:`repro.openflow.learning`, but running *inside* the switch: it
-    learns source MACs, installs cookie-tagged low-priority flows for
+    A reactive L2 program running *inside* the switch: it learns
+    source MACs, installs cookie-tagged low-priority flows for
     known destinations, and floods unknowns through
     ``datapath.inject`` — no controller round-trip involved.
     """
@@ -132,9 +131,9 @@ class StandaloneFallback:
         table.add(FlowEntry(
             match=Match(eth_dst=dst_value),
             actions=[OutputAction(out_port)],
-            priority=self.policy.fallback_priority,
+            priority=FALLBACK_PRIORITY,
             cookie=FALLBACK_COOKIE,
-            idle_timeout=self.policy.fallback_idle_timeout,
+            idle_timeout=FALLBACK_IDLE_TIMEOUT,
             install_time=self.clock(),
         ))
         self._installed[dst_value] = out_port
@@ -166,14 +165,14 @@ class FailModeManager:
 
     def __init__(self, bridge, connection, mode: str = "standalone",
                  policy: Optional[FailModePolicy] = None,
-                 clock: Optional[Callable[[], float]] = None,
-                 faults: Optional[FaultPlan] = None) -> None:
+                 clock: Optional[Callable[[], float]] = None) -> None:
         self.bridge = bridge
         self.connection = connection
         self.mode = FailMode(mode)
         self.policy = policy if policy is not None else FailModePolicy()
         self.clock = clock if clock is not None else (lambda: 0.0)
-        self.faults = faults
+        # Armed by assignment (NfvNode does): gates reconnect attempts.
+        self.faults: Optional[FaultPlan] = None
         self.fallback = StandaloneFallback(bridge, self.policy, self.clock)
         self.state = "connected"
         self.outage_start = 0.0
@@ -277,7 +276,7 @@ class FailModeManager:
             self._recover(now)
             return
         self.reconnect_failures += 1
-        self._backoff = min(self._backoff * self.policy.backoff_multiplier,
+        self._backoff = min(self._backoff * BACKOFF_MULTIPLIER,
                             self.policy.backoff_max)
         self._next_attempt = now + self._backoff
 

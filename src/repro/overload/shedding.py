@@ -21,6 +21,8 @@ both directions:
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.sim.pollloop import PollLoop
+
 
 @dataclass
 class OverloadPolicy:
@@ -41,9 +43,6 @@ class OverloadPolicy:
             raise ValueError("max_shed must be in (0, 1)")
         if self.shed_step <= 0 or self.recover_step <= 0:
             raise ValueError("shed/recover steps must be positive")
-
-
-DEFAULT_OVERLOAD_POLICY = OverloadPolicy()
 
 
 class OverloadMonitor:
@@ -170,8 +169,6 @@ class OverloadMonitor:
     # -- lifecycle -----------------------------------------------------
 
     def start(self, env) -> None:
-        from repro.sim.pollloop import PollLoop
-
         if self.loop is not None:
             return
         self.loop = PollLoop(

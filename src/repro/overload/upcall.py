@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
+from repro.overload.tokenbucket import TokenBucket
 from repro.packet.mbuf import Mbuf
 
 #: Upcall reasons that ride in the high-priority control class.
@@ -194,10 +195,6 @@ class BoundedUpcallQueue:
 
         # Bulk miss class: token bucket -> port quota -> global cap.
         if policy.port_rate_pps > 0:
-            # Deferred import: repro.vswitch pulls in vswitchd, which
-            # imports this package back.
-            from repro.vswitch.policer import TokenBucket
-
             bucket = self._buckets.get(in_port)
             if bucket is None or bucket.rate != policy.port_rate_pps:
                 bucket = TokenBucket(policy.port_rate_pps,

@@ -22,7 +22,6 @@ from repro.packet.headers import (
 from repro.packet.packet import Packet
 
 ETHERNET_OVERHEAD = 14
-MIN_FRAME = 64  # classic minimum Ethernet frame (without FCS here)
 
 
 def _resolve_mac(mac) -> MacAddress:

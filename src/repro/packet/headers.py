@@ -9,6 +9,8 @@ and compare cheaply in flow tables.
 import struct
 from dataclasses import dataclass, field
 
+from repro.packet.checksum import internet_checksum
+
 ETH_TYPE_IPV4 = 0x0800
 ETH_TYPE_ARP = 0x0806
 ETH_TYPE_VLAN = 0x8100
@@ -213,8 +215,6 @@ class IPv4:
     dst: int = 0
 
     def pack(self, *, fill_checksum: bool = True) -> bytes:
-        from repro.packet.checksum import internet_checksum
-
         version_ihl = (4 << 4) | 5
         flags_frag = (self.flags & 0x7) << 13 | (self.fragment_offset & 0x1FFF)
         header = struct.pack(

@@ -54,11 +54,6 @@ class Packet:
         self.headers: List[Header] = headers if headers is not None else []
         self.payload = payload
 
-    def add(self, header: Header) -> "Packet":
-        """Append ``header`` to the stack; returns self for chaining."""
-        self.headers.append(header)
-        return self
-
     def get(self, header_type: Type[HeaderT]) -> Optional[HeaderT]:
         """Return the first header of ``header_type``, or None."""
         for header in self.headers:

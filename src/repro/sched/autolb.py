@@ -34,8 +34,6 @@ class AutoLbPolicy:
     load_threshold: float = 0.85
     # Required fractional variance improvement before applying.
     improvement_threshold: float = 0.25
-    # Skip the first N intervals so EWMAs see real traffic first.
-    warmup_intervals: int = 1
 
     def __post_init__(self) -> None:
         if self.rebalance_interval <= 0:
@@ -47,6 +45,9 @@ class AutoLbPolicy:
 
 
 DEFAULT_AUTO_LB_POLICY = AutoLbPolicy()
+
+#: Skip the first N intervals so EWMAs see real traffic first.
+WARMUP_INTERVALS = 1
 
 
 class AutoLoadBalancer:
@@ -101,7 +102,7 @@ class AutoLoadBalancer:
         tracker = self.scheduler.tracker
         tracker.roll()
         self.checks_run += 1
-        if tracker.intervals <= self.policy.warmup_intervals:
+        if tracker.intervals <= WARMUP_INTERVALS:
             self.skipped_warmup += 1
             return 0.0
         busy = self._busy_fractions()

@@ -18,10 +18,14 @@ reassignment is deterministic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import Dict, List, Protocol
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.vswitch.ports import OvsPort
+
+class Rxq(Protocol):
+    """What the scheduler reads of a port it places: the switch hands
+    it ``vswitch.ports.OvsPort``s, which import nothing from here."""
+
+    ofport: int
 
 
 class AssignmentPolicy:
@@ -29,11 +33,11 @@ class AssignmentPolicy:
 
     name = "abstract"
 
-    def place(self, port: OvsPort, scheduler) -> int:
+    def place(self, port: Rxq, scheduler) -> int:
         """Core for a newly added port (no rebalance of the others)."""
         raise NotImplementedError
 
-    def assign(self, ports: List[OvsPort], scheduler) -> Dict[int, int]:
+    def assign(self, ports: List[Rxq], scheduler) -> Dict[int, int]:
         """Full reassignment: ``{ofport: core}`` over every port."""
         raise NotImplementedError
 
@@ -47,10 +51,10 @@ class RoundRobinPolicy(AssignmentPolicy):
 
     name = "roundrobin"
 
-    def place(self, port: OvsPort, scheduler) -> int:
+    def place(self, port: Rxq, scheduler) -> int:
         return port.ofport % scheduler.n_cores
 
-    def assign(self, ports: List[OvsPort], scheduler) -> Dict[int, int]:
+    def assign(self, ports: List[Rxq], scheduler) -> Dict[int, int]:
         return {port.ofport: port.ofport % scheduler.n_cores
                 for port in ports}
 
@@ -63,10 +67,10 @@ class CyclesPolicy(AssignmentPolicy):
 
     name = "cycles"
 
-    def place(self, port: OvsPort, scheduler) -> int:
+    def place(self, port: Rxq, scheduler) -> int:
         return _least_loaded_core(scheduler, range(scheduler.n_cores))
 
-    def assign(self, ports: List[OvsPort], scheduler) -> Dict[int, int]:
+    def assign(self, ports: List[Rxq], scheduler) -> Dict[int, int]:
         return _greedy_assign(ports, scheduler,
                               usable=list(range(scheduler.n_cores)),
                               pinned={})
@@ -81,13 +85,13 @@ class GroupPolicy(AssignmentPolicy):
 
     name = "group"
 
-    def place(self, port: OvsPort, scheduler) -> int:
+    def place(self, port: Rxq, scheduler) -> int:
         pinned = scheduler.pinned_core(port.ofport)
         if pinned is not None:
             return pinned
         return _least_loaded_core(scheduler, _usable_cores(scheduler))
 
-    def assign(self, ports: List[OvsPort], scheduler) -> Dict[int, int]:
+    def assign(self, ports: List[Rxq], scheduler) -> Dict[int, int]:
         pinned = {
             port.ofport: scheduler.pinned_core(port.ofport)
             for port in ports
@@ -111,7 +115,7 @@ def _least_loaded_core(scheduler, cores) -> int:
                                         core))
 
 
-def _greedy_assign(ports: List[OvsPort], scheduler, usable: List[int],
+def _greedy_assign(ports: List[Rxq], scheduler, usable: List[int],
                    pinned: Dict[int, int]) -> Dict[int, int]:
     """Heaviest-first greedy onto the least-charged usable core.
 

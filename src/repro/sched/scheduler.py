@@ -20,13 +20,10 @@ asserting the zero-loss/zero-reorder property end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.sched.load import RxqLoadTracker
-from repro.sched.policy import AssignmentPolicy, make_policy
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.vswitch.ports import OvsPort
+from repro.sched.policy import AssignmentPolicy, Rxq, make_policy
 
 
 @dataclass(frozen=True)
@@ -84,20 +81,19 @@ class PmdScheduler:
         self,
         n_cores: int,
         policy: str = "roundrobin",
-        tracker: Optional[RxqLoadTracker] = None,
     ) -> None:
         if n_cores < 1:
             raise ValueError("need at least one PMD core")
         self.n_cores = n_cores
-        self.core_ports: List[List[OvsPort]] = [[] for _ in range(n_cores)]
-        self.tracker = tracker if tracker is not None else RxqLoadTracker()
+        self.core_ports: List[List[Rxq]] = [[] for _ in range(n_cores)]
+        self.tracker = RxqLoadTracker()
         self.policy: AssignmentPolicy = make_policy(policy)
         self._pins: Dict[int, int] = {}       # ofport -> core
         self.isolated_cores: Set[int] = set()
         # Fired as (port, src_core, dst_core) for every applied move,
         # before the port joins the new core's list -- the vswitchd
         # hooks stage-accounting reattribution here.
-        self.on_move: List[Callable[[OvsPort, int, int], None]] = []
+        self.on_move: List[Callable[[Rxq, int, int], None]] = []
         # Fired with the applied RebalancePlan (manual or auto).
         self.on_apply: List[Callable[[RebalancePlan], None]] = []
         self.rebalances = 0
@@ -111,9 +107,6 @@ class PmdScheduler:
         if not 0 <= core < self.n_cores:
             raise ValueError("core %d out of range" % core)
         self._pins[ofport] = core
-
-    def unpin(self, ofport: int) -> None:
-        self._pins.pop(ofport, None)
 
     def pinned_core(self, ofport: int) -> Optional[int]:
         return self._pins.get(ofport)
@@ -132,13 +125,13 @@ class PmdScheduler:
 
     # -- membership ---------------------------------------------------------------
 
-    def add_port(self, port: OvsPort) -> int:
+    def add_port(self, port: Rxq) -> int:
         """Place a new port; returns the core index chosen."""
         core = self.policy.place(port, self)
         self.core_ports[core].append(port)
         return core
 
-    def remove_port(self, port: OvsPort) -> Optional[int]:
+    def remove_port(self, port: Rxq) -> Optional[int]:
         """Forget a port everywhere; returns the core it was on."""
         removed_core = None
         for core, ports in enumerate(self.core_ports):
@@ -156,7 +149,7 @@ class PmdScheduler:
                     return core
         return None
 
-    def ports(self) -> List[OvsPort]:
+    def ports(self) -> List[Rxq]:
         return [port for ports in self.core_ports for port in ports]
 
     # -- planning -----------------------------------------------------------------

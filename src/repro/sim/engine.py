@@ -51,10 +51,6 @@ class Event:
         return self._triggered
 
     @property
-    def ok(self) -> bool:
-        return self._ok
-
-    @property
     def value(self) -> Any:
         if self._value is Event.PENDING:
             raise SimulationError("event value not yet available")

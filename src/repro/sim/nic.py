@@ -30,16 +30,6 @@ def line_rate_pps(frame_size: int,
     return rate_bps / wire_bits
 
 
-def connect_nics(first: "Nic", second: "Nic") -> None:
-    """Wire two NICs back to back (a cable between two hosts).
-
-    Frames leaving either NIC at line rate arrive on the other's RX
-    ring.  Overrides any previously-installed ``on_wire_tx`` sink.
-    """
-    first.on_wire_tx = second.wire_receive
-    second.on_wire_tx = first.wire_receive
-
-
 class Nic:
     """One physical port: RX/TX rings plus a line-rate wire drain."""
 
@@ -47,13 +37,12 @@ class Nic:
         self,
         env: Environment,
         name: str,
-        rate_bps: int = NIC_10G_LINE_RATE_BPS,
         ring_size: int = 4096,
         on_wire_tx: Optional[Callable] = None,
     ) -> None:
         self.env = env
         self.name = name
-        self.rate_bps = rate_bps
+        self.rate_bps = NIC_10G_LINE_RATE_BPS
         self.rx_ring = Ring("%s.rx" % name, ring_size, RingMode.SP_SC)
         self.tx_ring = Ring("%s.tx" % name, ring_size, RingMode.SP_SC)
         # Called for each frame leaving on the wire; a test harness uses it

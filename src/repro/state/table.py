@@ -82,7 +82,6 @@ class StateTable:
         capacity: int = 65536,
         idle_timeout: float = 30.0,
         lookup_scope: KeyScope = canonical_scope,
-        update_scope: Optional[KeyScope] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError("state table capacity must be positive")
@@ -90,7 +89,7 @@ class StateTable:
         self.capacity = capacity
         self.idle_timeout = idle_timeout
         self.lookup_scope = lookup_scope
-        self.update_scope = update_scope or lookup_scope
+        self.update_scope = lookup_scope
         self._entries: "OrderedDict[Any, StateEntry]" = OrderedDict()
         self.lookups = 0
         self.hits = 0

@@ -121,9 +121,6 @@ class Verdict:
     reason: str = ""
 
 
-VERDICT_ALLOW_DEFAULT = Verdict(True, DEFAULT_STATE, "default")
-
-
 class Xfsm:
     """One compiled stateful program over one state table."""
 

@@ -213,7 +213,6 @@ class WireSource:
         load: float = 1.0,
         pool_size: int = 16384,
         burst_size: int = 32,
-        name: Optional[str] = None,
         tracer=None,
     ) -> None:
         if not 0.0 < load <= 1.0:
@@ -223,7 +222,7 @@ class WireSource:
         self.profile = profile or uniform_profile()
         self.load = load
         self.burst_size = burst_size
-        self.name = name or "%s.src" % nic.name
+        self.name = "%s.src" % nic.name
         self.tracer = tracer
         self.pool = Mempool("%s.pool" % self.name, size=pool_size)
         self.generated = 0

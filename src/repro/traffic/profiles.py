@@ -10,6 +10,7 @@ from typing import List, Sequence, Tuple
 
 from repro.packet.builder import make_tcp_packet, make_udp_packet
 from repro.packet.flowkey import FlowKey, extract_flow_key
+from repro.packet.headers import Tcp
 from repro.packet.packet import Packet
 
 
@@ -169,16 +170,13 @@ def syn_flood_profile(
     flows are ordinary UDP.  Under a stateful firewall every SYN tries
     to open a state entry — the bounded-occupancy soak's input.
     """
-    from repro.packet.builder import make_tcp_packet as _mk
-    from repro.packet.headers import Tcp
-
     templates: List[Template] = []
     attack_templates = max(1, int(
         legit_flows * attack_share / (1.0 - attack_share)
     ))
     for index in range(attack_templates):
         source = index % attack_sources
-        packet = _mk(
+        packet = make_tcp_packet(
             src_ip=0xC0A80000 + source, dst_ip=0x0A000001,
             src_port=1024 + index, dst_port=80,
             frame_size=frame_size, flags=Tcp.SYN,

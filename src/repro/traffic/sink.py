@@ -88,24 +88,19 @@ class SinkApp:
 class WireSink:
     """Counts frames leaving a NIC on the wire side."""
 
-    def __init__(self, env: Environment, nic: Nic,
-                 record_latency: bool = True,
-                 on_frame: Optional[Callable] = None) -> None:
+    def __init__(self, env: Environment, nic: Nic) -> None:
         self.env = env
         self.nic = nic
         self.received = 0
         self.received_bytes = 0
-        self.latency = LatencyRecorder() if record_latency else None
-        self.on_frame = on_frame
+        self.latency = LatencyRecorder()
         nic.on_wire_tx = self._handle
 
     def _handle(self, mbuf) -> None:
         self.received += 1
         self.received_bytes += mbuf.wire_length
-        if self.latency is not None and mbuf.ts_injected >= 0:
+        if mbuf.ts_injected >= 0:
             self.latency.record(self.env.now - mbuf.ts_injected)
         if mbuf.trace is not None:
             mbuf.trace.finish(self.env.now, sink=self.nic.name)
-        if self.on_frame is not None:
-            self.on_frame(mbuf)
         mbuf.free()

@@ -10,6 +10,7 @@ operator sees one consistent story.
 
 from typing import List, Optional
 
+from repro.obs.export import prometheus_text
 from repro.openflow.flowsyntax import format_flow, parse_flow
 from repro.openflow.table import FlowEntry
 from repro.vswitch.ports import DpdkrOvsPort
@@ -316,10 +317,9 @@ def bypass_health(manager=None) -> str:
     lines = [
         "bypass watchdog: %d check pass(es), %d link(s) tracked"
         % (watchdog.checks_run, len(watchdog.health)),
-        " policy: poll_interval=%.3fs stall_polls=%d heartbeat_polls=%d "
-        "validate_ring=%s"
+        " policy: poll_interval=%.3fs stall_polls=%d heartbeat_polls=%d"
         % (policy.poll_interval, policy.stall_polls,
-           policy.heartbeat_polls, "yes" if policy.validate_ring else "no"),
+           policy.heartbeat_polls),
     ]
     for key, verdict, detail in watchdog.rows():
         lines.append(" src ofport %d: %s  %s" % (key, verdict, detail))
@@ -695,13 +695,16 @@ def metrics_dump(obs=None) -> str:
     """``appctl metrics/dump``: full registry, Prometheus text format."""
     if obs is None:
         return "observability: not wired"
-    from repro.obs.export import prometheus_text
-
     return prometheus_text(obs.registry).rstrip("\n")
 
 
-def trace_dump(obs=None, limit: int = 10) -> str:
-    """``appctl trace/dump``: the most recent sampled packet paths."""
+def trace_dump(obs=None, argument: str = "") -> str:
+    """``appctl trace/dump [LIMIT]``: the most recent sampled packet
+    paths (10 unless told otherwise)."""
+    try:
+        limit = int(argument) if argument.strip() else 10
+    except ValueError:
+        return "usage: trace/dump [LIMIT]"
     if obs is None:
         return "observability: not wired"
     return obs.tracer.render(limit=limit)
@@ -760,10 +763,7 @@ class AppCtl:
             "overload/set": lambda: overload_set(self.vswitchd, argument),
             "coverage/show": lambda: coverage_show(self.obs),
             "metrics/dump": lambda: metrics_dump(self.obs),
-            "trace/dump": lambda: trace_dump(
-                self.obs,
-                limit=int(argument) if argument.strip() else 10,
-            ),
+            "trace/dump": lambda: trace_dump(self.obs, argument),
             "bypass/show": lambda: bypass_show(self.vswitchd,
                                                self.manager),
             "bypass/faults": lambda: bypass_faults(self.manager),

@@ -12,8 +12,13 @@ ordinary.
 
 from typing import List, Optional
 
+from repro.openflow.actions import (
+    GotoTableAction,
+    SetFieldAction,
+    goto_table_of,
+    output_ports,
+)
 from repro.openflow.controller import ControllerConnection
-from repro.openflow.match import Match
 from repro.openflow.messages import (
     BarrierReply,
     BarrierRequest,
@@ -67,13 +72,12 @@ class Bridge:
     def __init__(
         self,
         name: str = "br0",
-        datapath_id: int = 1,
         connection: Optional[ControllerConnection] = None,
         costs: CostModel = DEFAULT_COST_MODEL,
         clock=None,
     ) -> None:
         self.name = name
-        self.datapath_id = datapath_id
+        self.datapath_id = 1
         self.connection = connection
         self.costs = costs
         self.clock = clock or (lambda: 0.0)
@@ -174,12 +178,6 @@ class Bridge:
 
     @staticmethod
     def _validate_actions(flowmod: FlowMod) -> Optional[str]:
-        from repro.openflow.actions import (
-            GotoTableAction,
-            SetFieldAction,
-            goto_table_of,
-        )
-
         goto = goto_table_of(flowmod.actions)
         if goto is None:
             return None
@@ -288,8 +286,6 @@ class Bridge:
                 entry.byte_count + extra_bytes)
 
     def _handle_flow_stats(self, request: FlowStatsRequest) -> None:
-        from repro.openflow.actions import output_ports
-
         now = self.clock()
         stats: List[FlowStatsEntry] = []
         all_entries = [

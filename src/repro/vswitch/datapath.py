@@ -40,6 +40,7 @@ from repro.packet.flowkey import FlowKey, RekeyMemo, cached_flow_key
 from repro.packet.headers import Ethernet, IPv4, MacAddress, Tcp, Udp, Vlan
 from repro.packet.mbuf import Mbuf
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
+from repro.state.xfsm import event_for
 from repro.vswitch.classifier import TupleSpaceClassifier, signature_of
 from repro.vswitch.emc import ExactMatchCache, Traversal
 from repro.vswitch.megaflow import FlowWildcards, MegaflowCache
@@ -115,19 +116,17 @@ class Datapath:
         costs: CostModel = DEFAULT_COST_MODEL,
         clock: Optional[Callable[[], float]] = None,
         upcall_handler: Optional[UpcallHandler] = None,
-        emc_enabled: bool = True,
         burst_size: int = 32,
-        smc_enabled: bool = True,
-        megaflow_enabled: bool = True,
     ) -> None:
         self.table = table
         self.costs = costs
         self.clock = clock or (lambda: 0.0)
         self.upcall_handler = upcall_handler
         self.burst_size = burst_size
-        self.emc_enabled = emc_enabled
-        self.smc_enabled = smc_enabled
-        self.megaflow_enabled = megaflow_enabled
+        # The lookup tiers, each switched by plain assignment.
+        self.emc_enabled = True
+        self.smc_enabled = True
+        self.megaflow_enabled = True
         self.emc = ExactMatchCache()
         self.smc = SignatureMatchCache()
         self.megaflow = MegaflowCache()
@@ -248,9 +247,6 @@ class Datapath:
             return self.ports.pop(ofport)
         except KeyError:
             raise ValueError("no port %d" % ofport) from None
-
-    def port(self, ofport: int) -> OvsPort:
-        return self.ports[ofport]
 
     # -- batch statistics -----------------------------------------------------
 
@@ -460,8 +456,6 @@ class Datapath:
         flow batch share a flow key but not their TCP flags, and a SYN
         must drive a different transition than the ACK behind it.
         """
-        from repro.state.xfsm import event_for
-
         costs = self.costs
         cost = 0.0
         allowed = True

@@ -220,12 +220,6 @@ class ExactMatchCache:
         )
 
     @property
-    def occupancy(self) -> float:
-        """Stored fraction of capacity (stale entries included — they
-        still take slots until collected)."""
-        return len(self._entries) / self.capacity
-
-    @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0

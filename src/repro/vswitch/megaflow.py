@@ -86,12 +86,6 @@ class MegaflowEntry:
         self.alive = True
         self.hit_count = 0
 
-    def matches(self, key: FlowKey) -> bool:
-        return all(
-            (getattr(key, name) & mask) == value
-            for (name, mask), value in zip(self.mask, self.values)
-        )
-
     def __repr__(self) -> str:
         inside = ",".join(
             "%s=%#x/%#x" % (name, value, mask)

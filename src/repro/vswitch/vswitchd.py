@@ -33,6 +33,8 @@ from repro.sim.engine import Environment
 from repro.sim.nic import Nic
 from repro.sim.pollloop import IdleContract, PollLoop
 from repro.vswitch.bridge import Bridge
+from repro.vswitch.mirror import Mirror
+from repro.vswitch.policer import IngressPolicer
 from repro.vswitch.ports import DpdkrOvsPort, OvsPort, PhyOvsPort
 
 
@@ -262,8 +264,6 @@ class VSwitchd:
                    select_src: Optional[List[str]] = None,
                    select_dst: Optional[List[str]] = None):
         """Mirror traffic of the named ports to the ``output`` port."""
-        from repro.vswitch.mirror import Mirror
-
         if any(m.name == name for m in self.datapath.mirrors):
             raise ValueError("mirror %r already exists" % name)
         mirror = Mirror(
@@ -300,8 +300,6 @@ class VSwitchd:
         listeners as mirror changes (bypass eligibility is affected the
         same way).
         """
-        from repro.vswitch.policer import IngressPolicer
-
         port = self.port_by_name(port_name)
         clock = (lambda: self.env.now) if self.env is not None \
             else (lambda: 0.0)
@@ -443,9 +441,6 @@ class VSwitchd:
         """Pin a port to a core (``pmd-rxq-affinity`` analog); honored
         by the ``group`` policy."""
         self.scheduler.pin(self.port_by_name(port_name).ofport, core)
-
-    def unpin_port(self, port_name: str) -> None:
-        self.scheduler.unpin(self.port_by_name(port_name).ofport)
 
     def isolate_core(self, core: int, isolated: bool = True) -> None:
         """Exclude a core from non-pinned assignment (``group`` only)."""

@@ -155,3 +155,5 @@ class TestDispatcher:
     def test_unknown_command(self, node):
         ctl = AppCtl(node.switch)
         assert "unknown command" in ctl.run("frobnicate")
+        # A malformed argument is a usage line, not a bare ValueError.
+        assert ctl.run("trace/dump", "abc") == "usage: trace/dump [LIMIT]"

@@ -352,6 +352,25 @@ class TestCli:
         with pytest.raises(SystemExit):
             bench_main(["--scenarios", "rule_scale", "--check"])
 
+    @pytest.mark.parametrize("argv, named", [
+        # A tier flag nothing selected honors used to be accepted and
+        # ignored: the plain run's document under an ablation's name.
+        (["--family", "sched", "--no-xfsm", "--no-megaflow"],
+         "--no-megaflow"),
+        (["--scenarios", "zero_loss_pktsize", "--no-megaflow"],
+         "--no-megaflow"),
+        (["--scenarios", "rule_scale", "--no-xfsm"], "--no-xfsm"),
+        # The ablated state family is a control run; without --out it
+        # used to overwrite the committed BENCH_state.json.
+        (["--family", "state", "--no-xfsm"], "--no-xfsm"),
+    ])
+    def test_tier_flag_nothing_honors_is_an_error(self, argv, named,
+                                                  capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main(argv)
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err
+
     def test_family_validates_committed_artifact(self, tmp_path, capsys):
         root = os.path.join(os.path.dirname(__file__), os.pardir)
         committed = os.path.join(root, "BENCH_fastpath.json")

@@ -6,6 +6,7 @@ path or the cost model fails fast.
 """
 
 import ast
+import importlib
 import inspect
 import pathlib
 
@@ -163,6 +164,32 @@ class TestOneSpellingPerKnob:
         assert len(named_parameters(VSwitchd)) <= 12
         assert len(named_parameters(NfvNode)) <= 9
         assert len(named_parameters(ChainExperiment)) <= 23
+
+    @pytest.mark.parametrize("path, count", [
+        # PR 22: the options no call site anywhere set became constants
+        # or plain attributes (83 -> 60 over these seventeen classes).
+        ("repro.apps.conntrack.StatefulFirewallApp", 6),
+        ("repro.core.watchdog.WatchdogPolicy", 3),
+        ("repro.dpdk.eal.Eal", 2),
+        ("repro.obs.plane.Observability", 2),
+        ("repro.openflow.controller.ControllerConnection", 2),
+        ("repro.openflow.controller.SimpleController", 1),
+        ("repro.orchestration.repair.RepairPolicy", 5),
+        ("repro.overload.failmode.FailModeManager", 5),
+        ("repro.overload.failmode.FailModePolicy", 3),
+        ("repro.sched.autolb.AutoLbPolicy", 3),
+        ("repro.sched.scheduler.PmdScheduler", 2),
+        ("repro.sim.nic.Nic", 4),
+        ("repro.state.table.StateTable", 4),
+        ("repro.traffic.generator.WireSource", 7),
+        ("repro.traffic.sink.WireSink", 2),
+        ("repro.vswitch.bridge.Bridge", 4),
+        ("repro.vswitch.datapath.Datapath", 5),
+    ])
+    def test_an_option_nobody_sets_is_not_an_option(self, path, count):
+        module, name = path.rsplit(".", 1)
+        cls = getattr(importlib.import_module(module), name)
+        assert len(named_parameters(cls)) <= count, named_parameters(cls)
 
     def test_each_switch_option_is_named_by_one_constructor_in_src(self):
         options = {"rxq_assign", "auto_lb_policy", "upcall_policy",
