@@ -39,9 +39,13 @@ def main():
     node.create_vm("db", ["db0"])
     node.create_vm("ids", ["ids0"])
     ctl = AppCtl(node.switch, node.manager)
+    # The control plane is timed (~0.1 s per establishment): the
+    # operator waits for it to settle before looking.
+    settle = node.settle_control_plane
 
     shell(ctl, "add-flow", "in_port=1,actions=output:2")
     shell(ctl, "add-flow", "in_port=2,actions=output:1")
+    settle()
     shell(ctl, "bypass/show")
 
     send(node, "web0")
@@ -50,6 +54,7 @@ def main():
     print("\n--- operator mirrors web0 into the IDS ---")
     node.switch.add_mirror("ids-tap", output="ids0",
                            select_src=["web0"])
+    settle()
     shell(ctl, "show")
     shell(ctl, "bypass/show")
     send(node, "web0")
@@ -57,28 +62,32 @@ def main():
     print("IDS captured %d packets (bypass yielded to the mirror)"
           % len(captured))
     node.switch.remove_mirror("ids-tap")
+    settle()
     print("mirror removed -> bypasses: %d" % node.active_bypasses)
 
     print("\n--- operator rate-limits db0 and takes it down ---")
     node.switch.set_ingress_policing("db0", rate_pps=10000)
+    settle()
     shell(ctl, "show")
     node.connection.controller_send(
         PortMod(port_no=node.ofport("db0"), down=True)
     )
-    node.switch.step_control()
+    settle()
     shell(ctl, "bypass/show")
     node.connection.controller_send(
         PortMod(port_no=node.ofport("db0"), down=False)
     )
-    node.switch.step_control()
     node.switch.set_ingress_policing("db0", rate_pps=0)
+    settle()
 
     print("\n--- save, wipe, restore ---")
     saved = ctl.run("save-flows")
     print(saved)
     print(ctl.run("del-flows"))
+    settle()
     print("bypasses after wipe: %d" % node.active_bypasses)
     print(ctl.run("restore-flows", saved))
+    settle()
     print("bypasses after restore: %d" % node.active_bypasses)
 
     checks = verify_host_invariants(node)

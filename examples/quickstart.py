@@ -59,7 +59,7 @@ def main():
     # the guest PMD maintained in shared memory.
     node.controller.request_flow_stats()
     node.controller.request_port_stats()
-    node.switch.step_control()
+    node.settle_control_plane()
     node.controller.poll()
     flow_stat = node.controller.latest_flow_stats.stats[0]
     print("\ncontroller-visible flow stats: %d packets, %d bytes"

@@ -12,15 +12,10 @@ channel lifecycle through the compute agent:
   unplug; afterwards release the zone.  The stats block is retained
   forever so flow/port statistics stay correct.
 
-Each procedure is written once, as a generator.  With an
-:class:`~repro.sim.engine.Environment` a single FIFO worker process runs
-them (one compute agent, one request at a time), which also serializes
-the detect-while-establishing races: a link revoked mid-establishment is
-simply torn down right after it becomes active.  Without one,
-:func:`~repro.sim.engine.run_to_completion` runs the same generator on
-the spot.  Only the leaf wait (:meth:`BypassManager._await_request`) and
-the policies that need a clock — flap damping, backoff and quarantine
-scheduling — look at ``env``.
+Each procedure is one generator, run by a single FIFO worker process
+(one compute agent, one request at a time), which also serializes the
+detect-while-establishing races: a link revoked mid-establishment is
+simply torn down right after it becomes active.
 
 Every forced path (rollback of a failed attempt, the janitor after a
 failed teardown, the watchdog's live fallback, an endpoint VM dying)
@@ -61,7 +56,7 @@ from repro.hypervisor.compute_agent import AgentRequest, ComputeAgent
 from repro.mem.memzone import MemzoneError, MemzoneRegistry
 from repro.mem.ring import Ring, RingMode
 from repro.metrics.resilience import ResilienceCounters
-from repro.sim.engine import Environment, run_to_completion
+from repro.sim.engine import Environment
 from repro.state.xfsm import ChannelProgram
 from repro.vswitch.ports import DpdkrOvsPort
 from repro.vswitch.vswitchd import VSwitchd
@@ -205,7 +200,7 @@ class BypassManager:
         vswitchd: VSwitchd,
         agent: ComputeAgent,
         detector: P2PLinkDetector,
-        env: Optional[Environment] = None,
+        env: Environment,
         ring_size: int = 1024,
         retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
         faults: Optional[FaultPlan] = None,
@@ -232,11 +227,11 @@ class BypassManager:
         self.on_link_degraded: List[Callable] = []
         self.on_link_readmitted: List[Callable[[BypassLink], None]] = []
         self.on_readmission_deferred: List[Callable[[int], None]] = []
-        # FIFO worker queue of (procedure, link), served by the worker
-        # process when there is a clock.
+        # FIFO worker queue of (procedure, link).
         self._ops: List = []
-        self._ops_available = None
-        self._worker = None
+        self._ops_available = env.event()
+        self._worker = env.process(self._worker_process(),
+                                   name="bypass.worker")
         # Self-healing state.
         self._quarantine: Dict[int, QuarantineRecord] = {}
         self._flap_history: Dict[int, List[float]] = {}
@@ -256,13 +251,8 @@ class BypassManager:
         # wired by NfvNode.  A crashed guest's leases ("vm:<name>") are
         # swept back into these pools by the crash handler.
         self.mempools: List = []
-        # Runtime health: periodic with a clock, check_once() without.
         self.watchdog = BypassWatchdog(self, watchdog_policy)
-        if env is not None:
-            self._ops_available = env.event()
-            self._worker = env.process(self._worker_process(),
-                                       name="bypass.worker")
-            self.watchdog.start(env)
+        self.watchdog.start(env)
 
     # -- state access ---------------------------------------------------------
 
@@ -278,9 +268,6 @@ class BypassManager:
         return self._active.get(src_ofport)
 
     # -- detector events -----------------------------------------------------------
-
-    def _now(self) -> float:
-        return self.env.now if self.env is not None else 0.0
 
     def _eligible_ports(self, link: P2PLink):
         """The (src, dst) DpdkrOvsPorts of an acceleratable link, or None."""
@@ -300,13 +287,9 @@ class BypassManager:
             return
         key = link.src_ofport
         if key in self._quarantine:
-            if self.env is not None:
-                # The quarantine's scheduled re-attempt owns re-admission;
-                # detector churn must not short-circuit the backoff.
-                return
-            # Sync mode has no clock to schedule with: the next detector
-            # event *is* the re-attempt trigger.
-            self.resilience.quarantine_reattempts += 1
+            # The quarantine's scheduled re-attempt owns re-admission;
+            # detector churn must not short-circuit the backoff.
+            return
         if self._flap_damped(key):
             return
         self._admit_link(link)
@@ -314,9 +297,7 @@ class BypassManager:
     def _flap_damped(self, key: int) -> bool:
         """Record a creation event; True when the link is churning too
         fast and admission was deferred to the damper."""
-        if self.env is None:
-            return False  # no clock to measure churn against
-        now = self._now()
+        now = self.env.now
         window = self.retry_policy.flap_window
         history = self._flap_history.setdefault(key, [])
         history.append(now)
@@ -362,7 +343,7 @@ class BypassManager:
             link=link,
             src_port_name=src_port.name,
             dst_port_name=dst_port.name,
-            t_detected=self._now(),
+            t_detected=self.env.now,
         )
         self._active[link.src_ofport] = bypass_link
         self.history.append(bypass_link)
@@ -370,19 +351,16 @@ class BypassManager:
 
     def _on_p2p_removed(self, link: P2PLink) -> None:
         record = self._quarantine.get(link.src_ofport)
-        if record is not None and record.link == link and \
-                self.env is not None:
+        if record is not None and record.link == link:
             # The rule that kept failing is gone; stop re-attempting
             # (the scheduled re-attempt notices and drops the record
-            # too, whichever runs first).  Sync mode has no scheduled
-            # re-attempt, so there the record must survive removal:
-            # a re-created rule is the only re-attempt trigger it has.
+            # too, whichever runs first).
             del self._quarantine[link.src_ofport]
         bypass_link = self._active.get(link.src_ofport)
         if bypass_link is None or bypass_link.link != link:
             return
         bypass_link.revoked = True
-        bypass_link.t_teardown_started = self._now()
+        bypass_link.t_teardown_started = self.env.now
         if bypass_link.state == LinkState.ACTIVE:
             self._enqueue_op(self._teardown, bypass_link)
         # If still PENDING/ESTABLISHING, the worker notices `revoked`
@@ -391,12 +369,7 @@ class BypassManager:
     # -- operation execution ----------------------------------------------------------
 
     def _enqueue_op(self, procedure, bypass_link: BypassLink) -> None:
-        """Run a lifecycle procedure under the driver this manager has:
-        queued behind the FIFO worker when there is a clock, to
-        completion right here when there is not."""
-        if self.env is None:
-            run_to_completion(procedure(bypass_link))
-            return
+        """Queue a lifecycle procedure behind the FIFO worker."""
         self._ops.append((procedure, bypass_link))
         if not self._ops_available.triggered:
             self._ops_available.succeed()
@@ -412,14 +385,11 @@ class BypassManager:
             yield from procedure(bypass_link)
 
     def _await_request(self, request: AgentRequest, timeout: float):
-        """The leaf wait: until the agent finishes or ``timeout`` passes.
-        Without a clock the request already ran to completion inside the
-        agent call that returned it."""
-        if self.env is not None:
-            yield self.env.any_of([
-                request.done_event,
-                self.env.timeout(timeout),
-            ])
+        """Wait until the agent finishes or ``timeout`` passes."""
+        yield self.env.any_of([
+            request.done_event,
+            self.env.timeout(timeout),
+        ])
 
     # provisioning --------------------------------------------------------------------
 
@@ -528,14 +498,10 @@ class BypassManager:
             self._enter_quarantine(bypass_link)
             return
         self.resilience.retries += 1
-        if self.env is None:
-            # No clock to back off against: re-attempt immediately.
-            self._enqueue_op(self._establish, bypass_link)
-        else:
-            self.env.process(
-                self._retry_later(bypass_link),
-                name="bypass.retry.%d" % bypass_link.link.src_ofport,
-            )
+        self.env.process(
+            self._retry_later(bypass_link),
+            name="bypass.retry.%d" % bypass_link.link.src_ofport,
+        )
 
     def _retry_later(self, bypass_link: BypassLink):
         yield self.env.timeout(
@@ -553,7 +519,7 @@ class BypassManager:
 
     def _mark_active(self, bypass_link: BypassLink) -> None:
         _transition(bypass_link, LinkState.ACTIVE)
-        bypass_link.t_active = self._now()
+        bypass_link.t_active = self.env.now
         record = self._quarantine.pop(bypass_link.link.src_ofport, None)
         if bypass_link.attempts > 1 or record is not None:
             self.resilience.links_recovered += 1
@@ -609,13 +575,12 @@ class BypassManager:
         record.reason = reason
         record.heartbeat_mark = heartbeat_mark
         self.resilience.quarantines += 1
-        if self.env is not None:
-            delay = self.retry_policy.quarantine_delay(record.failures)
-            record.until = self._now() + delay
-            self.env.process(
-                self._quarantine_reattempt(key, record, delay),
-                name="bypass.quarantine.%d" % key,
-            )
+        delay = self.retry_policy.quarantine_delay(record.failures)
+        record.until = self.env.now + delay
+        self.env.process(
+            self._quarantine_reattempt(key, record, delay),
+            name="bypass.quarantine.%d" % key,
+        )
         return record
 
     def _quarantine_reattempt(self, key: int, record: QuarantineRecord,
@@ -643,7 +608,7 @@ class BypassManager:
             self.resilience.readmissions_deferred += 1
             for callback in self.on_readmission_deferred:
                 callback(key)
-            record.until = self._now() + delay
+            record.until = self.env.now + delay
             self.env.process(
                 self._quarantine_reattempt(key, record, delay),
                 name="bypass.quarantine.%d" % key,
@@ -731,7 +696,7 @@ class BypassManager:
         for callback in self.on_link_degraded:
             callback(bypass_link, verdict)
         _transition(bypass_link, LinkState.TEARING_DOWN)
-        bypass_link.t_teardown_started = self._now()
+        bypass_link.t_teardown_started = self.env.now
         res.packets_salvaged += self._force_dismantle(bypass_link)
         self._enter_quarantine(
             bypass_link,
@@ -820,7 +785,7 @@ class BypassManager:
 
     def _finish_teardown(self, bypass_link: BypassLink) -> None:
         _transition(bypass_link, LinkState.REMOVED)
-        bypass_link.t_removed = self._now()
+        bypass_link.t_removed = self.env.now
         current = self._active.get(bypass_link.link.src_ofport)
         if current is bypass_link:
             del self._active[bypass_link.link.src_ofport]
@@ -840,9 +805,8 @@ class BypassManager:
     def _on_vm_failure(self, vm_name: str) -> None:
         """A VM died: immediately dismantle every bypass touching it.
 
-        Unlike the orderly teardown, this runs synchronously even in
-        simulation mode — it is the host-side janitor reacting to a
-        death, and the surviving PMD is reconfigured by delivering the
+        Unlike the orderly teardown, this runs synchronously — it is
+        the host-side janitor reacting to a death, and the surviving PMD is reconfigured by delivering the
         control message directly (the dead peer cannot participate in
         any protocol).  Packets sitting in a ring whose receiver died
         are unrecoverable and are counted in
@@ -870,7 +834,7 @@ class BypassManager:
                 continue
             _transition(bypass_link, LinkState.TEARING_DOWN)
             bypass_link.revoked = True
-            bypass_link.t_teardown_started = self._now()
+            bypass_link.t_teardown_started = self.env.now
             # A dead receiver loses the ring's contents; a dead sender
             # poses no ordering hazard, so the survivor gets them.
             self._force_dismantle(bypass_link)

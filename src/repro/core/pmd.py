@@ -571,8 +571,7 @@ class GuestPmdManager:
         pmd = DualChannelPmd(port_id=-1, rings=rings)
         pmd.faults = self.faults
         env = self.vm.serial.env
-        if env is not None:
-            pmd.clock = lambda: env.now
+        pmd.clock = lambda: env.now
         pmd.holder_token = "vm:%s" % self.vm.name
         self.vm.eal.register_port(pmd)
         self.pmds[port_name] = pmd

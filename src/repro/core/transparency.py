@@ -63,7 +63,7 @@ class BypassStatsAugmentor(StatsAugmentor):
 def enable_transparent_highway(
     vswitchd: VSwitchd,
     agent: ComputeAgent,
-    env: Optional[Environment] = None,
+    env: Environment,
     ring_size: int = 1024,
     retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
     faults: Optional[FaultPlan] = None,
@@ -93,7 +93,7 @@ def enable_transparent_highway(
     detector = P2PLinkDetector(vswitchd.bridge.table,
                                is_eligible_port=is_eligible,
                                xfsm_lookup=datapath.xfsm_programs.get)
-    manager = BypassManager(vswitchd, agent, detector, env=env,
+    manager = BypassManager(vswitchd, agent, detector, env,
                             ring_size=ring_size,
                             retry_policy=retry_policy, faults=faults,
                             watchdog_policy=watchdog_policy)

@@ -40,8 +40,8 @@ live fallback (ordered handover in reverse), and from there to the
 quarantine ladder with the ``degraded`` reason, whose re-admission is
 gated on the peer heartbeating again.
 
-In simulation the watchdog runs on a fixed-period
-:class:`~repro.sim.pollloop.PollLoop`; synchronous tests drive
+The watchdog runs on a fixed-period
+:class:`~repro.sim.pollloop.PollLoop`; tests may also drive
 :meth:`BypassWatchdog.check_once` by hand.
 """
 
@@ -123,7 +123,7 @@ class BypassWatchdog:
         self.loop: Optional[PollLoop] = None
 
     def start(self, env: Environment) -> "BypassWatchdog":
-        """Run on a fixed-period poll loop (simulation mode)."""
+        """Run on a fixed-period poll loop."""
         if self.loop is not None:
             raise RuntimeError("bypass watchdog already started")
         self.loop = PollLoop(
@@ -170,7 +170,7 @@ class BypassWatchdog:
                 # datapath lookups to lazily evict them; the watchdog's
                 # periodic pass is their garbage collector.
                 self.state_entries_swept += \
-                    bypass_link.xfsm.program.table.sweep(manager._now())
+                    bypass_link.xfsm.program.table.sweep(manager.env.now)
             verdict = self._check_link(bypass_link, track)
             track.verdict = verdict
             track.checks += 1

@@ -2,8 +2,8 @@
 
 The compute agent uses this to reconfigure the in-guest PMD (attach /
 detach a bypass channel) without touching the network path.  Delivery is
-in-order with a configurable one-way latency; with no environment the
-channel degrades to synchronous delivery (handy in unit tests).
+in-order, one engine process per message, after a configurable one-way
+latency.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +36,7 @@ class VirtioSerial:
     def __init__(
         self,
         name: str,
-        env: Optional[Environment] = None,
+        env: Environment,
         one_way_latency: float = 0.009,
         faults: Optional[FaultPlan] = None,
     ) -> None:
@@ -100,27 +100,6 @@ class VirtioSerial:
                         "request_id": message.args.get("request_id"),
                         "reason": action.message,
                     })
-        if self.env is None:
-            # Same NACK semantics as the simulated path: a receiver that
-            # rejects the command answers with an error reply instead of
-            # unwinding through the channel into the sender's stack.
-            try:
-                self._dispatch(message, to_guest=to_guest)
-            except Exception as error:  # noqa: BLE001 - NACK, don't crash
-                if message.command == "error":
-                    # An error reply that itself failed to deliver ends
-                    # here — NACKing a NACK would ping-pong forever.
-                    self.dropped_messages += 1
-                    return
-                reply = ControlMessage("error", {
-                    "request_id": message.args.get("request_id"),
-                    "reason": str(error),
-                })
-                if to_guest:
-                    self.guest_send(reply)
-                else:
-                    self.host_send(reply)
-            return
         self.env.process(
             self._delayed_dispatch(message, to_guest, extra_delay),
             name="%s.deliver" % self.name,
@@ -141,6 +120,11 @@ class VirtioSerial:
             # back while the message was in flight.  Surface a NACK to
             # the sender; crashing the channel would take the simulated
             # host down with it.
+            if message.command == "error":
+                # An error reply that itself failed to deliver ends
+                # here — NACKing a NACK would ping-pong forever.
+                self.dropped_messages += 1
+                return
             reply = ControlMessage("error", {
                 "request_id": message.args.get("request_id"),
                 "reason": str(error),

@@ -15,12 +15,10 @@ vSwitch:
   sender onto the vSwitch path, then unplug the device from both VMs —
   no packet is lost or reordered.
 
-Each procedure is written once, as a generator, and run by one of two
-drivers: an engine process when the agent has an
-:class:`~repro.sim.engine.Environment`, :func:`run_to_completion` when
-it does not.  Only the leaf waits know which.  A third entry point,
-:meth:`ComputeAgent.force_dismantle`, is the host-side janitor every
-failure path uses when no protocol can run.
+Each procedure is one generator run as an engine process, so every step
+costs modelled time and can be delayed, lost or outlived by the caller's
+timeout.  A third entry point, :meth:`ComputeAgent.force_dismantle`, is
+the host-side janitor every failure path uses when no protocol can run.
 
 Every request records a stage-by-stage timeline; the setup-time
 experiment (paper: ~100 ms from p-2-p recognition to the PMD using the
@@ -37,7 +35,7 @@ from repro.faults import VM_CRASH_DURING_SETUP, FaultMode, FaultPlan
 from repro.hypervisor.qemu import Hypervisor, HypervisorError, VirtualMachine
 from repro.mem.ring import Ring
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.sim.engine import Environment, Event, run_to_completion
+from repro.sim.engine import Environment, Event
 
 _request_ids = itertools.count(1)
 
@@ -82,7 +80,7 @@ class ComputeAgent:
     def __init__(
         self,
         hypervisor: Hypervisor,
-        env: Optional[Environment] = None,
+        env: Environment,
         costs: CostModel = DEFAULT_COST_MODEL,
         faults: Optional[FaultPlan] = None,
     ) -> None:
@@ -91,11 +89,8 @@ class ComputeAgent:
         self.costs = costs
         self.faults = faults
         self._port_owner: Dict[str, str] = {}
-        self._pending_replies: Dict[int, Event] = {}
-        # Without a clock: replies actually *delivered* back to the
-        # host, keyed by reply id (a dropped reply never lands here even
-        # though the send was logged).
-        self._delivered_replies: Dict[int, ControlMessage] = {}
+        # reply id -> (event the request waits on, owning VM)
+        self._pending_replies: Dict[int, Tuple[Event, str]] = {}
         self._reply_serial = itertools.count(1)
         self.requests: list = []
         self.dead_vms: set = set()
@@ -171,8 +166,7 @@ class ComputeAgent:
     ) -> AgentRequest:
         """Establish a directed bypass src -> dst over ``zone_name``.
 
-        In simulation mode returns immediately; wait on
-        ``request.done_event``.  Synchronous otherwise.
+        Returns immediately; wait on ``request.done_event``.
         """
         request = self._new_request("setup", src_port_name, dst_port_name,
                                     zone_name, flow_id=flow_id)
@@ -199,23 +193,15 @@ class ComputeAgent:
             dst_port_name=dst,
             zone_name=zone_name,
             flow_id=flow_id,
-            t_requested=self._now(),
+            t_requested=self.env.now,
+            done_event=self.env.event(),
         )
-        if self.env is not None:
-            request.done_event = self.env.event()
         self.requests.append(request)
         return request
 
     def _start(self, request: AgentRequest, steps) -> AgentRequest:
-        """Run ``steps`` under the driver this agent has: an engine
-        process when there is a clock, to completion right here when
-        there is not."""
-        body = self._serve(request, steps)
-        if self.env is None:
-            run_to_completion(body)
-        else:
-            self.env.process(body, name="agent.%s.%d"
-                             % (request.kind, request.request_id))
+        self.env.process(self._serve(request, steps), name="agent.%s.%d"
+                         % (request.kind, request.request_id))
         return request
 
     def _serve(self, request: AgentRequest, steps):
@@ -224,11 +210,7 @@ class ComputeAgent:
         except Exception as error:  # noqa: BLE001 - surfaced via .error
             request.error = str(error)
         request.completed = True
-        if request.done_event is not None:
-            request.done_event.succeed(request)
-
-    def _now(self) -> float:
-        return self.env.now if self.env is not None else 0.0
+        request.done_event.succeed(request)
 
     def _vm_of(self, port_name: str) -> VirtualMachine:
         return self.hypervisor.vms[self.owner_of(port_name)]
@@ -271,31 +253,21 @@ class ComputeAgent:
         if victim in self.hypervisor.vms:
             self.hypervisor.crash_vm(victim)
 
-    # -- leaf waits: the only code that differs between the two drivers ------
-    #
-    # Each is a generator to ``yield from``.  With an environment it
-    # yields the engine event to wait on; without one it finishes
-    # without yielding, because there the awaited work already ran
-    # synchronously inside the call that started it.
+    # -- waits (generators to ``yield from``) ----------------------------------
 
     def _inject(self, point: str):
         """Fire the fault plan at an agent RPC point.
 
-        ERROR/CRASH raise.  With a clock DELAY stretches the request and
-        DROP parks it forever (only the caller's timeout recovers);
-        without one DELAY is a no-op and DROP surfaces as an error,
-        because nothing can hang synchronously.
+        ERROR/CRASH raise, DELAY stretches the request and DROP parks it
+        forever (only the caller's timeout recovers).
         """
         if self.faults is None:
             return
         action = self.faults.fire(point)
         if action is None:
             return
-        if action.mode in (FaultMode.ERROR, FaultMode.CRASH) or (
-                self.env is None and action.mode is FaultMode.DROP):
+        if action.mode in (FaultMode.ERROR, FaultMode.CRASH):
             raise HypervisorError(action.message)
-        if self.env is None:
-            return
         if action.mode is FaultMode.DELAY:
             yield self.env.timeout(action.delay)
         elif action.mode is FaultMode.DROP:
@@ -303,26 +275,20 @@ class ComputeAgent:
 
     def _pause(self, request: AgentRequest, cost: float):
         """Spend ``cost`` modelled seconds."""
-        if self.env is not None:
-            yield self.env.timeout(cost)
+        yield self.env.timeout(cost)
         self._check_cancel(request)
 
     def _join(self, request: AgentRequest, hotplugs: list):
-        """Wait for parallel hot-(un)plugs; without a clock each already
-        completed inside the hypervisor call that returned it."""
-        if self.env is not None:
-            yield self.env.all_of(hotplugs)
+        """Wait for parallel hot-(un)plugs."""
+        yield self.env.all_of(hotplugs)
         self._check_cancel(request)
 
     def _pmd_command(self, request: AgentRequest, port_name: str,
                      command: str, role: str, **extra):
         """Send one PMD command over virtio-serial and await its reply.
 
-        A reply that never comes fails the request: with a clock the
-        caller's timeout (or the VM's death) ends the wait; without one
-        the channel delivers and replies synchronously, so a reply that
-        is not there when ``host_send`` returns was dropped in transit.
-        A NACK fails the request either way.
+        A reply that never comes is ended by the caller's timeout or
+        the VM's death; a NACK fails the request.
         """
         vm = self._vm_of(port_name)
         if vm.name in self.dead_vms or vm.name not in self.hypervisor.vms:
@@ -339,18 +305,10 @@ class ComputeAgent:
         }
         if role == "tx" and command == "attach_bypass":
             args["flow_id"] = request.flow_id
-        event = self.env.event() if self.env is not None else None
+        event = self.env.event()
+        self._pending_replies[reply_id] = (event, vm.name)
         vm.serial.host_send(ControlMessage(command, args))
-        if event is not None:
-            self._pending_replies[reply_id] = (event, vm.name)
-            reply = yield event
-        else:
-            reply = self._delivered_replies.pop(reply_id, None)
-            if reply is None:
-                raise HypervisorError(
-                    "no PMD reply for %s(%s) on %r (message lost)"
-                    % (command, role, port_name)
-                )
+        reply = yield event
         self._check_cancel(request)
         if reply.command == "error":
             raise HypervisorError(
@@ -363,8 +321,6 @@ class ComputeAgent:
         entry = self._pending_replies.pop(reply_id, None)
         if entry is not None:
             entry[0].succeed(message)
-        elif self.env is None:
-            self._delivered_replies[reply_id] = message
 
     # -- the two lifecycle procedures, each written once ----------------------
 
@@ -373,27 +329,27 @@ class ComputeAgent:
         # 1. The OVS -> agent RPC itself.
         yield from self._inject("agent.rpc.send")
         yield from self._pause(request, self.costs.agent_rpc)
-        request.t_rpc_done = self._now()
+        request.t_rpc_done = self.env.now
         # 2. ivshmem hot-plug into both VMs, in parallel.
         yield from self._join(request, [
             self.hypervisor.plug_ivshmem(self.owner_of(port_name),
                                          request.zone_name)
             for port_name in (request.src_port_name, request.dst_port_name)
         ])
-        request.t_zones_plugged = self._now()
+        request.t_zones_plugged = self.env.now
         self._fire_setup_crash(request)
         # 3. Receiver PMD first: make-before-break.
         yield from self._pmd_command(request, request.dst_port_name,
                                      "attach_bypass", "rx")
-        request.t_rx_configured = self._now()
+        request.t_rx_configured = self.env.now
         # 4. Sender PMD: from the next poll iteration, TX rides the bypass.
         yield from self._pmd_command(request, request.src_port_name,
                                      "attach_bypass", "tx")
-        request.t_tx_configured = self._now()
+        request.t_tx_configured = self.env.now
         # 5. The agent -> OVS completion reply.
         yield from self._inject("agent.rpc.reply")
         self._check_cancel(request)
-        request.t_completed = self._now()
+        request.t_completed = self.env.now
 
     def _teardown_steps(self, request: AgentRequest, ring: Ring):
         """Ordered teardown: tx stalled -> rx off -> salvage -> resume.
@@ -407,15 +363,15 @@ class ComputeAgent:
         """
         yield from self._inject("agent.rpc.send")
         yield from self._pause(request, self.costs.agent_rpc)
-        request.t_rpc_done = self._now()
+        request.t_rpc_done = self.env.now
         # 1. Sender off the bypass, stalled until the handover is done.
         yield from self._pmd_command(request, request.src_port_name,
                                      "detach_bypass", "tx", stall=True)
-        request.t_tx_configured = self._now()
+        request.t_tx_configured = self.env.now
         # 2. Receiver stops polling the bypass ring.
         yield from self._pmd_command(request, request.dst_port_name,
                                      "detach_bypass", "rx")
-        request.t_rx_configured = self._now()
+        request.t_rx_configured = self.env.now
         # 3. Re-home any leftovers onto the normal channel (in order:
         #    the sender is quiesced, so nothing can overtake them).  An
         #    overflowing normal ring (receiver badly behind) costs the
@@ -423,7 +379,7 @@ class ComputeAgent:
         request.salvaged_packets, lost = self._salvage(
             ring, request.dst_port_name)
         request.lost_packets += lost
-        request.t_drained = self._now()
+        request.t_drained = self.env.now
         # 4. Release the sender onto the vSwitch path.
         yield from self._pmd_command(request, request.src_port_name,
                                      "resume_tx", "tx")
@@ -433,7 +389,7 @@ class ComputeAgent:
             for port_name in (request.src_port_name, request.dst_port_name)
         ])
         yield from self._inject("agent.rpc.reply")
-        request.t_completed = self._now()
+        request.t_completed = self.env.now
 
     # -- salvage and forced dismantle ------------------------------------------
 

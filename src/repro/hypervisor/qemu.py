@@ -15,7 +15,7 @@ from repro.dpdk.virtio_serial import VirtioSerial
 from repro.faults import VM_CRASH, FaultMode, FaultPlan
 from repro.mem.memzone import MemzoneRegistry
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.sim.engine import Environment, Process, run_to_completion
+from repro.sim.engine import Environment, Process
 from repro.sim.pollloop import PollLoop
 
 
@@ -55,7 +55,7 @@ class Hypervisor:
     def __init__(
         self,
         registry: MemzoneRegistry,
-        env: Optional[Environment] = None,
+        env: Environment,
         costs: CostModel = DEFAULT_COST_MODEL,
         faults: Optional[FaultPlan] = None,
     ) -> None:
@@ -179,7 +179,7 @@ class Hypervisor:
         return victim
 
     def start_chaos(self, env: Environment, period: float = 0.001):
-        """Run :meth:`chaos_tick` on a housekeeping loop (sim mode)."""
+        """Run :meth:`chaos_tick` on a housekeeping loop."""
         def iteration() -> float:
             self.chaos_tick()
             return 0.0
@@ -206,13 +206,11 @@ class Hypervisor:
 
     # -- ivshmem hot-plug (QEMU monitor device_add/device_del) -----------------
 
-    def plug_ivshmem(self, vm_name: str, zone_name: str
-                     ) -> Optional[Process]:
+    def plug_ivshmem(self, vm_name: str, zone_name: str) -> Process:
         """Hot-plug ``zone_name`` into the VM.
 
-        With an environment this takes :attr:`CostModel.ivshmem_hotplug`
-        simulated seconds (QEMU device_add + guest PCI rescan) and returns
-        the process to wait on; without one it is immediate.
+        Takes :attr:`CostModel.ivshmem_hotplug` simulated seconds (QEMU
+        device_add + guest PCI rescan); returns the process to wait on.
         """
         vm = self._vm(vm_name)
         if vm.has_zone(zone_name):
@@ -220,31 +218,21 @@ class Hypervisor:
                 "VM %r already has ivshmem for %r" % (vm_name, zone_name)
             )
         self.registry.lookup(zone_name)  # fail fast on bogus zones
-        procedure = self._plug_process(vm, zone_name)
-        if self.env is None:
-            return run_to_completion(procedure)
-        return self.env.process(procedure,
+        return self.env.process(self._plug_process(vm, zone_name),
                                 name="qemu.plug.%s" % zone_name)
 
-    def _pause(self, cost: float):
-        """Spend ``cost`` modelled seconds (nothing without a clock)."""
-        if self.env is not None:
-            yield self.env.timeout(cost)
-
     def _plug_process(self, vm: VirtualMachine, zone_name: str):
-        yield from self._pause(self.costs.qemu_monitor_cmd)
+        yield self.env.timeout(self.costs.qemu_monitor_cmd)
         yield from self._monitor_fault(vm, "qemu.plug")
-        yield from self._pause(self.costs.ivshmem_hotplug)
+        yield self.env.timeout(self.costs.ivshmem_hotplug)
         self._complete_plug(vm, zone_name)
 
     def _monitor_fault(self, vm: VirtualMachine, point: str):
         """Fire the fault plan for a monitor command (plug/unplug).
 
-        ERROR raises, CRASH kills the target VM first.  With a clock
-        DELAY stretches the command and DROP parks it forever (the
-        caller's timeout is the only way out); without one DELAY is a
-        no-op and DROP, having no hung-forever analogue, degrades to
-        ERROR.
+        ERROR raises, CRASH kills the target VM first, DELAY stretches
+        the command and DROP parks it forever (the caller's timeout is
+        the only way out).
         """
         if self.faults is None:
             return
@@ -255,11 +243,8 @@ class Hypervisor:
             if vm.name in self.vms:
                 self.destroy_vm(vm.name)
             raise HypervisorError(action.message)
-        if action.mode is FaultMode.ERROR or (
-                self.env is None and action.mode is FaultMode.DROP):
+        if action.mode is FaultMode.ERROR:
             raise HypervisorError(action.message)
-        if self.env is None:
-            return
         if action.mode is FaultMode.DELAY:
             yield self.env.timeout(action.delay)
         elif action.mode is FaultMode.DROP:
@@ -277,22 +262,18 @@ class Hypervisor:
         vm.ivshmem_devices.append(zone_name)
         self.hotplugs += 1
 
-    def unplug_ivshmem(self, vm_name: str, zone_name: str
-                       ) -> Optional[Process]:
-        """Hot-unplug; returns a waitable process in simulation mode."""
+    def unplug_ivshmem(self, vm_name: str, zone_name: str) -> Process:
+        """Hot-unplug; returns the process to wait on."""
         vm = self._vm(vm_name)
         if not vm.has_zone(zone_name):
             raise HypervisorError(
                 "VM %r has no ivshmem for %r" % (vm_name, zone_name)
             )
-        procedure = self._unplug_process(vm, zone_name)
-        if self.env is None:
-            return run_to_completion(procedure)
-        return self.env.process(procedure,
+        return self.env.process(self._unplug_process(vm, zone_name),
                                 name="qemu.unplug.%s" % zone_name)
 
     def _unplug_process(self, vm: VirtualMachine, zone_name: str):
-        yield from self._pause(self.costs.qemu_monitor_cmd)
+        yield self.env.timeout(self.costs.qemu_monitor_cmd)
         yield from self._monitor_fault(vm, "qemu.unplug")
         self._complete_unplug(vm, zone_name)
 

@@ -56,25 +56,21 @@ class NfvNode:
         retry_policy: RetryPolicy = DEFAULT_RETRY_POLICY,
         faults: Optional[FaultPlan] = None,
         watchdog_policy: WatchdogPolicy = DEFAULT_WATCHDOG_POLICY,
-        obs: Optional[Observability] = None,
         trace_sample_interval: Optional[int] = None,
         **switch_kwargs,
     ) -> None:
-        """``switch_kwargs`` go to :class:`VSwitchd` verbatim — the
+        """Without ``env`` the node runs on an engine of its own.
+        ``switch_kwargs`` go to :class:`VSwitchd` verbatim — the
         scheduler, upcall, fail-mode and overload options are declared
         there and nowhere else."""
-        if obs is not None and trace_sample_interval is not None:
-            raise ValueError(
-                "trace_sample_interval=%r configures the plane NfvNode "
-                "builds; the obs= plane passed in has its own tracer"
-                % (trace_sample_interval,))
+        env = env or Environment()
         self.env = env
         self.costs = costs
         self.faults = faults
         self.registry = MemzoneRegistry(faults=faults)
-        clock = (lambda: env.now) if env is not None else None
-        self.obs = obs if obs is not None else Observability(
-            clock=clock, trace_sample_interval=trace_sample_interval,
+        self.obs = Observability(
+            clock=lambda: env.now,
+            trace_sample_interval=trace_sample_interval,
         )
         self.connection = ControllerConnection(faults=faults)
         self.switch = VSwitchd(
@@ -88,15 +84,15 @@ class NfvNode:
         if self.switch.failmode is not None:
             self.switch.failmode.faults = faults
         self.controller = SimpleController(self.connection)
-        self.hypervisor = Hypervisor(self.registry, env=env, costs=costs,
+        self.hypervisor = Hypervisor(self.registry, env, costs=costs,
                                      faults=faults)
-        self.agent = ComputeAgent(self.hypervisor, env=env, costs=costs,
+        self.agent = ComputeAgent(self.hypervisor, env, costs=costs,
                                   faults=faults)
         self.manager: Optional[BypassManager] = None
         self.highway_enabled = highway_enabled
         if highway_enabled:
             self.manager = enable_transparent_highway(
-                self.switch, self.agent, env=env,
+                self.switch, self.agent, env,
                 retry_policy=retry_policy, faults=faults,
                 watchdog_policy=watchdog_policy,
             )
@@ -128,9 +124,7 @@ class NfvNode:
         return port
 
     def add_nic(self, nic_name: str, ring_size: int = 4096) -> PhyOvsPort:
-        """Attach a 10 G NIC as a phy port (requires an environment)."""
-        if self.env is None:
-            raise RuntimeError("NICs need a simulation environment")
+        """Attach a 10 G NIC as a phy port."""
         nic = Nic(self.env, nic_name, ring_size=ring_size)
         self.nics[nic_name] = nic
         port = self.switch.add_phy_port(nic_name, nic)
@@ -217,15 +211,10 @@ class NfvNode:
         )
 
     def settle_control_plane(self, extra_time: float = 0.25) -> None:
-        """Let flowmods land and bypasses establish.
-
-        Sync mode pumps once; simulation mode advances time far enough
-        for detection + two hot-plugs + PMD reconfiguration (~0.1 s per
-        link, serialized through the single agent worker).
-        """
-        if self.env is None:
-            self.switch.step_control()
-            return
+        """Let flowmods land and bypasses establish: start the switch
+        if it is not running and advance time far enough for detection +
+        two hot-plugs + PMD reconfiguration (~0.1 s per link, serialized
+        through the single agent worker)."""
         if not self.switch._running:
             self.switch.start()
         self.env.run(until=self.env.now + extra_time)

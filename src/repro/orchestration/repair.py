@@ -104,7 +104,7 @@ class ChainRepairer:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self, env) -> "ChainRepairer":
-        """Run the health pass on a housekeeping loop (sim mode)."""
+        """Run the health pass on a housekeeping loop."""
         if self.loop is not None:
             raise RuntimeError("chain repairer already started")
         self.loop = PollLoop(
@@ -122,10 +122,6 @@ class ChainRepairer:
         self.check_once()
         return CHECK_COST
 
-    def _now(self) -> float:
-        env = self.node.env
-        return env.now if env is not None else 0.0
-
     def _emit(self, event: str, nf_name: str) -> None:
         for callback in self.on_event:
             callback(event, nf_name)
@@ -134,7 +130,7 @@ class ChainRepairer:
 
     def check_once(self) -> int:
         """One pass over every VNF; returns how many needed action."""
-        now = self._now()
+        now = self.node.env.now
         acted = 0
         for record in self.records.values():
             if record.state == "running":
@@ -208,8 +204,7 @@ class ChainRepairer:
             }
             app = spec.app_factory(pmds)
             self.deployment.apps[name] = app
-            if self.node.env is not None:
-                app.start(self.node.env)
+            app.start(self.node.env)
         # Replay the NF's steering flows: the delete half invalidates
         # exactly the cached entries that pointed at the dead instance,
         # the install half re-triggers p-2-p detection so eligible

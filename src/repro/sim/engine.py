@@ -411,20 +411,3 @@ class Environment:
         if self._parked:
             self.sync()
         return self.now
-
-
-def run_to_completion(generator: Generator[Event, Any, Any]) -> Any:
-    """Drive a process body that has no :class:`Environment` to wait in.
-
-    A procedure written once for both modes keeps its waits in leaf
-    helpers that yield only when there is a clock; without one the body
-    must therefore finish without yielding.  Returns its return value.
-    """
-    try:
-        waited_on = next(generator)
-    except StopIteration as stop:
-        return stop.value
-    generator.close()
-    raise SimulationError(
-        "process body waited on %r without an Environment" % (waited_on,)
-    )

@@ -11,7 +11,7 @@ paper's Figure 3(b).
 
 from typing import Callable, Optional
 
-from repro.mem.ring import Ring, RingMode
+from repro.mem.ring import Ring, RingFullError, RingMode
 from repro.sim.engine import Environment
 
 NIC_10G_LINE_RATE_BPS = 10_000_000_000
@@ -67,7 +67,7 @@ class Nic:
         """
         try:
             self.rx_ring.enqueue(mbuf)
-        except Exception:
+        except RingFullError:
             self.rx_dropped += 1
             mbuf.free()
             return False

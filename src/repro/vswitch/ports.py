@@ -9,9 +9,10 @@ PMD's shared-memory counters (the paper's §2 last paragraph).
 """
 
 import enum
-from typing import List, Optional
+from typing import List
 
 from repro.dpdk.dpdkr import DpdkrSharedRings
+from repro.mem.ring import Ring
 from repro.packet.mbuf import Mbuf
 from repro.sim.nic import Nic
 
@@ -25,9 +26,9 @@ class OvsPort:
     """Base port: counters + the receive/send contract."""
 
     kind: PortKind
-    # The shared rings of a dpdkr port; a port without any (a NIC queue)
-    # has nothing a parked core could wait on.
-    rings: Optional[DpdkrSharedRings] = None
+    # What ``receive_burst`` dequeues from: a parked core tests it for
+    # emptiness and waits on it.
+    rx_ring: Ring
 
     def __init__(self, ofport: int, name: str) -> None:
         self.ofport = ofport
@@ -94,6 +95,7 @@ class DpdkrOvsPort(OvsPort):
     def __init__(self, ofport: int, rings: DpdkrSharedRings) -> None:
         super().__init__(ofport, rings.port_name)
         self.rings = rings
+        self.rx_ring = rings.to_switch
         self.bypass_active = False
 
     def receive_burst(self, max_count: int) -> List[Mbuf]:
@@ -115,6 +117,7 @@ class PhyOvsPort(OvsPort):
     def __init__(self, ofport: int, name: str, nic: Nic) -> None:
         super().__init__(ofport, name)
         self.nic = nic
+        self.rx_ring = nic.rx_ring
 
     def receive_burst(self, max_count: int) -> List[Mbuf]:
         mbufs = self.nic.host_rx_burst(max_count)

@@ -44,12 +44,11 @@ CONTROL_INTERVAL = 0.0005
 
 
 class _CoreIdle(IdleContract):
-    """When a PMD core may stop polling: every port it serves is a dpdkr
-    port whose guest TX ring is empty (or which is down) and no upcall
-    waits for dispatch.  An idle PMD iteration publishes nothing, so
-    there is nothing to replay; the rings, the upcall queue and
-    ``VSwitchd._wake_cores`` (ports added, removed, moved between cores
-    or brought up) end the park."""
+    """When a PMD core may stop polling: every port it serves has an
+    empty RX ring (or is down) and no upcall waits for dispatch.  An
+    idle PMD iteration publishes nothing, so there is nothing to replay;
+    the rings, the upcall queue and ``VSwitchd._wake_cores`` (ports
+    added, removed, moved between cores or brought up) end the park."""
 
     def __init__(self, switch: "VSwitchd", core_index: int) -> None:
         self.switch = switch
@@ -62,13 +61,10 @@ class _CoreIdle(IdleContract):
             return None
         ports = switch._core_ports[self.core_index]
         for port in ports:
-            rings = port.rings
-            if rings is None:
-                return None   # a NIC queue has no waiter: keep polling
-            if port.up and not rings.to_switch.is_empty:
+            if port.up and not port.rx_ring.is_empty:
                 return None
         for port in ports:
-            port.rings.to_switch.watch(loop)
+            port.rx_ring.watch(loop)
         if queue is not None:
             queue.watch(loop)
         return math.inf

@@ -20,6 +20,7 @@ def node():
 class TestAddDelFlows:
     def test_add_flow_triggers_detector(self, node):
         appctl.add_flow(node.switch, "in_port=1,actions=output:2")
+        node.settle_control_plane()
         assert node.active_bypasses == 1
 
     def test_add_flow_attributes(self, node):
@@ -35,7 +36,10 @@ class TestAddDelFlows:
     def test_del_flows_all(self, node):
         appctl.add_flow(node.switch, "in_port=1,actions=output:2")
         appctl.add_flow(node.switch, "in_port=2,actions=output:1")
+        node.settle_control_plane()
+        assert node.active_bypasses == 2
         assert appctl.del_flows(node.switch) == 2
+        node.settle_control_plane()
         assert node.active_bypasses == 0
 
     def test_del_flows_spec(self, node):
@@ -48,6 +52,7 @@ class TestAddDelFlows:
 class TestDumps:
     def test_dump_flows_includes_bypass_counters(self, node):
         appctl.add_flow(node.switch, "in_port=1,actions=output:2")
+        node.settle_control_plane()
         node.vms["vm1"].pmd("dpdkr0").tx_burst([mk_mbuf(frame_size=64)])
         text = appctl.dump_flows(node.switch)
         assert "n_packets=1" in text
@@ -56,6 +61,7 @@ class TestDumps:
 
     def test_show_lists_bypass_flag(self, node):
         appctl.add_flow(node.switch, "in_port=1,actions=output:2")
+        node.settle_control_plane()
         text = appctl.show(node.switch)
         assert "dpdkr0" in text and "BYPASS" in text
         assert "2 ports" in text
@@ -89,6 +95,7 @@ class TestDumps:
 
     def test_bypass_show(self, node):
         appctl.add_flow(node.switch, "in_port=1,actions=output:2")
+        node.settle_control_plane()
         node.vms["vm1"].pmd("dpdkr0").tx_burst([mk_mbuf(frame_size=64)])
         text = appctl.bypass_show(node.switch, node.manager)
         assert "1 active channel" in text
@@ -109,8 +116,10 @@ class TestDumps:
 
     def test_bypass_show_history(self, node):
         appctl.add_flow(node.switch, "in_port=1,actions=output:2")
+        node.settle_control_plane()
         node.vms["vm1"].pmd("dpdkr0").tx_burst([mk_mbuf(frame_size=64)])
         appctl.del_flows(node.switch, "in_port=1")
+        node.settle_control_plane()
         text = appctl.bypass_show(node.switch, node.manager)
         assert "0 active channel" in text
         assert "1 channel(s) removed, 1 packets carried" in text
@@ -123,10 +132,14 @@ class TestSaveRestore:
                         "table=1,tcp,tp_dst=80,actions=drop")
         saved = appctl.save_flows(node.switch)
         assert "table=1" in saved
+        node.settle_control_plane()
+        assert node.active_bypasses == 1
         appctl.del_flows(node.switch)
+        node.settle_control_plane()
         assert node.active_bypasses == 0
         count = appctl.restore_flows(node.switch, saved)
         assert count == 2
+        node.settle_control_plane()
         # Restoring the p-2-p rule re-established the bypass.
         assert node.active_bypasses == 1
         assert appctl.save_flows(node.switch) == saved
@@ -147,6 +160,7 @@ class TestDispatcher:
     def test_dispatch(self, node):
         ctl = AppCtl(node.switch, node.manager)
         ctl.run("add-flow", "in_port=1,actions=output:2")
+        node.settle_control_plane()
         assert node.active_bypasses == 1
         assert "BYPASS" in ctl.run("show")
         assert "active channel" in ctl.run("bypass/show")

@@ -1,12 +1,11 @@
-"""One lifecycle, two drivers.
+"""One lifecycle, one driver.
 
 Every establish/teardown procedure in ``core.bypass`` and
-``hypervisor.compute_agent`` is a single generator, run by an engine
-process when the node has an ``Environment`` and by
-``run_to_completion`` when it does not.  These tests hold the two
-drivers to the same outcome under every control-plane fault, pin the
-lifecycle's transition table, and cover the one ring-salvage routine on
-the three paths that used to forward (or choke on) a smashed slot.
+``hypervisor.compute_agent`` is a single generator run as an engine
+process.  These tests hold it to a clean outcome under every
+control-plane fault, pin the lifecycle's transition table, and cover the
+one ring-salvage routine on the three paths that used to forward (or
+choke on) a smashed slot.
 """
 
 import itertools
@@ -37,7 +36,6 @@ from repro.faults import (
 from repro.openflow.match import Match
 from repro.orchestration import NfvNode
 from repro.orchestration.validation import verify_host_invariants
-from repro.sim.engine import Environment, SimulationError, run_to_completion
 
 from tests.helpers import mk_mbuf
 
@@ -50,9 +48,9 @@ CONTROL_PLANE_POINTS = [
 ]
 
 
-def build_node(env=None, retry_policy=None):
+def build_node(retry_policy=None):
     kwargs = {} if retry_policy is None else {"retry_policy": retry_policy}
-    node = NfvNode(env=env, **kwargs)
+    node = NfvNode(**kwargs)
     node.create_vm("vm1", ["dpdkr0"])
     node.create_vm("vm2", ["dpdkr1"])
     return node
@@ -109,45 +107,36 @@ def outcome(node):
 
 
 class TestSimAndSyncDriversAgree:
+    """(The name is the test id the floor knows; the synchronous driver
+    it once compared against is gone.)"""
+
     @pytest.mark.parametrize("occurrence", [1, 2, 3])
     @pytest.mark.parametrize("point", CONTROL_PLANE_POINTS)
     def test_same_outcome_under_a_control_plane_error(self, point,
                                                       occurrence):
-        outcomes = []
-        for env in (Environment(), None):
-            plan = FaultPlan(seed=7)
-            plan.inject(point, FaultMode.ERROR, occurrences=(occurrence,))
-            node = build_node(env)
-            establish_then_teardown(node, plan)
-            verify_host_invariants(node)
-            outcomes.append(outcome(node))
-        simulated, synchronous = outcomes
-        assert simulated == synchronous
+        plan = FaultPlan(seed=7)
+        plan.inject(point, FaultMode.ERROR, occurrences=(occurrence,))
+        node = build_node()
+        establish_then_teardown(node, plan)
+        verify_host_invariants(node)
+        result = outcome(node)
         # Whatever the fault hit, the rule is gone and so is the channel.
-        assert simulated["tracked"] == []
-        assert simulated["zones"] == []
-        assert not simulated["bypass_tx_active"]
-        assert not simulated["bypass_rx_active"]
+        assert result["tracked"] == []
+        assert result["zones"] == []
+        assert not result["bypass_tx_active"]
+        assert not result["bypass_rx_active"]
         assert all(state in (LinkState.REMOVED, LinkState.QUARANTINED)
-                   for state, _ in simulated["links"])
+                   for state, _ in result["links"])
         # Orderly or forced, the teardown re-homed what was in the ring.
-        assert simulated["rehomed"] == IN_FLIGHT
-        assert simulated["lost"] == 0
-
-    def test_a_wait_without_a_clock_is_a_bug_not_a_hang(self):
-        env = Environment()
-
-        def waits():
-            yield env.timeout(1.0)
-
-        with pytest.raises(SimulationError):
-            run_to_completion(waits())
-
-        def returns_at_once():
-            return 42
-            yield  # pragma: no cover - makes this a generator
-
-        assert run_to_completion(returns_at_once()) == 42
+        assert result["rehomed"] == IN_FLIGHT
+        assert result["lost"] == 0
+        # One injected error costs at most one extra attempt or one
+        # forced teardown, never a quarantine.
+        recovery = result["recovery"]
+        assert recovery["quarantines"] == 0
+        assert recovery["retries"] + recovery["teardown_failures"] <= 1
+        assert result["mapped"] == {"vm1": [dpdkr_zone_name("dpdkr0")],
+                                    "vm2": [dpdkr_zone_name("dpdkr1")]}
 
 
 class TestTransitionTable:
@@ -167,11 +156,10 @@ class TestTransitionTable:
                     bypass._transition(link, new)
                 assert link.state == old
 
-    @pytest.mark.parametrize("simulated", [True, False])
     def test_the_table_has_no_edge_the_lifecycle_never_takes(
-            self, simulated, monkeypatch):
+            self, monkeypatch):
         """A clean cycle, a retried attempt and a spent retry budget
-        between them walk every edge — under either driver."""
+        between them walk every edge."""
         taken = set()
         checked = bypass._transition
 
@@ -182,18 +170,15 @@ class TestTransitionTable:
 
         monkeypatch.setattr(bypass, "_transition", recording)
 
-        establish_then_teardown(
-            build_node(Environment() if simulated else None))
+        establish_then_teardown(build_node())
 
         retried = FaultPlan(seed=1)
         retried.inject(AGENT_RPC_SEND, FaultMode.ERROR, occurrences=(1,))
-        establish_then_teardown(
-            build_node(Environment() if simulated else None), retried)
+        establish_then_teardown(build_node(), retried)
 
         spent = FaultPlan(seed=1)
         spent.inject(AGENT_RPC_SEND, FaultMode.ERROR, occurrences=(1,))
-        node = build_node(Environment() if simulated else None,
-                          retry_policy=RetryPolicy(max_attempts=1))
+        node = build_node(retry_policy=RetryPolicy(max_attempts=1))
         node.install_fault_plan(spent)
         node.install_p2p_rule("dpdkr0", "dpdkr1")
         settle(node)
@@ -229,6 +214,9 @@ class TestSmashedSlotIsLostOnEveryDismantlePath:
 
     def test_orderly_teardown(self):
         node, link, batch = self.corrupted_channel()
+        # The watchdog would find the smashed slot within one poll and
+        # degrade the link first; hold it off so the orderly path does.
+        node.manager.watchdog.loop.stop()
         node.controller.delete_flow(Match(in_port=node.ofport("dpdkr0")))
         node.settle_control_plane()
         assert link.state == LinkState.REMOVED

@@ -225,6 +225,10 @@ class TestQuarantine:
         assert of in node.manager.quarantined_links
         assert node.active_bypasses == 0
         assert not node.vms["vm1"].pmd("dpdkr0").bypass_tx_active
+        # The timer owns re-admission: a detector event in between
+        # admits nothing.
+        node.manager._on_p2p_created(node.manager.detector.link_for(of))
+        assert len(node.manager.history) == 1
 
         env.run(until=2.0)
         # Two quarantine rounds later the fault spec is exhausted and

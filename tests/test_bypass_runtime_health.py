@@ -8,14 +8,16 @@ quarantined with the ``degraded`` reason until the peer proves (by
 heartbeating) that it polls again — at which point it is re-admitted
 automatically.
 
-Sync-mode tests drive :meth:`BypassWatchdog.check_once` by hand and pin
-each verdict (STALLED / WEDGED / DEAD_PEER / CORRUPT) exactly; the
-simulation-mode tests run the whole loop live under traffic, asserting
-zero loss and zero reordering end to end.  Everything is deterministic
-and seedable: ``REPRO_FAULT_SEED`` / ``REPRO_RUNTIME_FAULT_KIND``
-parameterize the sweep the CI matrix fans out over.
+The by-hand tests hold the watchdog's own loop off, drive
+:meth:`BypassWatchdog.check_once` themselves and pin each verdict
+(STALLED / WEDGED / DEAD_PEER / CORRUPT) exactly; the live tests run
+the whole loop under traffic, asserting zero loss and zero reordering
+end to end.  Everything is deterministic and seedable:
+``REPRO_FAULT_SEED`` / ``REPRO_RUNTIME_FAULT_KIND`` parameterize the
+sweep the CI matrix fans out over.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -42,7 +44,9 @@ FAST_READMIT = RetryPolicy(quarantine_backoff=0.15,
 
 
 def build_sync_node():
-    node = NfvNode()
+    # One poll an hour: every check these tests count is their own.
+    node = NfvNode(watchdog_policy=dataclasses.replace(
+        FAST_WATCHDOG, poll_interval=3600.0))
     node.create_vm("vm1", ["dpdkr0"])
     node.create_vm("vm2", ["dpdkr1"])
     node.install_p2p_rule("dpdkr0", "dpdkr1")

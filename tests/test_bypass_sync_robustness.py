@@ -1,14 +1,11 @@
-"""Sync-mode establishment robustness and stranded-packet accounting.
+"""Establishment robustness and stranded-packet accounting.
 
-The sync path (no simulation environment) is what quick scripts and the
-CLI use; it must make the same promise the simulated path does — an
-establishment that failed anywhere may not leave the sender on a
-half-configured channel.  Historically the sync path had its own copy of
-the establish procedure (``_run_op_sync``), which never looked at
-``AgentRequest.error`` and marked the link ACTIVE even when the agent
-had failed; these are the regression tests for that bug.  Both modes
-now run the one ``BypassManager._establish`` generator (the sync one
-through ``run_to_completion``), so the check cannot drift again.
+An establishment that failed anywhere may not leave the sender on a
+half-configured channel.  The synchronous twin of the establish
+procedure (``_run_op_sync``, long gone, as is the clock-less driver that
+replaced it) never looked at ``AgentRequest.error`` and marked the link
+ACTIVE even when the agent had failed; these are the regression tests
+for that bug, on the one ``BypassManager._establish`` the engine runs.
 """
 
 from repro.core.bypass import LinkState, RetryPolicy
@@ -24,7 +21,7 @@ from repro.sim.engine import Environment
 from tests.helpers import mk_mbuf
 
 
-def build_sync_node(plan=None, retry_policy=None):
+def build_node(plan=None, retry_policy=None):
     kwargs = {}
     if retry_policy is not None:
         kwargs["retry_policy"] = retry_policy
@@ -35,14 +32,14 @@ def build_sync_node(plan=None, retry_policy=None):
 
 
 class TestSyncEstablishmentChecksAgentError:
-    """The sync-path never-checks-``request.error`` regression."""
+    """The never-checks-``request.error`` regression."""
 
     def test_failed_plug_does_not_mark_link_active(self):
         plan = FaultPlan(seed=1)
         # Every plug fails: with a budget of 1 there is no second try,
         # so a link wrongly marked ACTIVE would be caught red-handed.
         plan.inject(QEMU_PLUG, "error", probability=1.0)
-        node = build_sync_node(
+        node = build_node(
             plan, retry_policy=RetryPolicy(max_attempts=1))
         node.install_p2p_rule("dpdkr0", "dpdkr1")
         node.settle_control_plane()
@@ -64,7 +61,7 @@ class TestSyncEstablishmentChecksAgentError:
     def test_transient_error_is_retried_to_active(self):
         plan = FaultPlan(seed=2)
         plan.inject(AGENT_RPC_SEND, "error", occurrences=(1,))
-        node = build_sync_node(plan)
+        node = build_node(plan)
         node.install_p2p_rule("dpdkr0", "dpdkr1")
         node.settle_control_plane()
 
@@ -78,34 +75,6 @@ class TestSyncEstablishmentChecksAgentError:
         assert r.rollbacks == 1
         assert r.links_recovered == 1
         assert node.vms["vm1"].pmd("dpdkr0").bypass_tx_active
-        verify_host_invariants(node)
-
-    def test_sync_quarantine_readmits_on_next_detector_event(self):
-        from repro.openflow.match import Match
-
-        plan = FaultPlan(seed=3)
-        plan.inject(AGENT_RPC_SEND, "error", probability=1.0,
-                    max_triggers=2)
-        node = build_sync_node(
-            plan, retry_policy=RetryPolicy(max_attempts=2))
-        node.install_p2p_rule("dpdkr0", "dpdkr1")
-        node.settle_control_plane()
-        of = node.ofport("dpdkr0")
-        assert of in node.manager.quarantined_links
-
-        # Sync mode has no clock: the next created event is the
-        # re-attempt trigger.  Cycle the rule.
-        node.controller.delete_flow(Match(in_port=of))
-        node.settle_control_plane()
-        node.install_p2p_rule("dpdkr0", "dpdkr1")
-        node.settle_control_plane()
-
-        link = node.manager.link_for_src(of)
-        assert link is not None and link.state == LinkState.ACTIVE
-        assert of not in node.manager.quarantined_links
-        r = node.manager.resilience
-        assert r.quarantine_reattempts == 1
-        assert r.links_recovered == 1
         verify_host_invariants(node)
 
 

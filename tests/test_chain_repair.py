@@ -75,7 +75,7 @@ class TestRepairCycle:
                           ("nf-repair-started", "vnf2"),
                           ("nf-repaired", "vnf2")]
         # The replayed flows re-trigger detection: bypasses come back.
-        node.settle_control_plane()
+        node.settle_control_plane(extra_time=0.5)
         assert node.active_bypasses == 4
 
     def test_healthy_chain_needs_no_action(self):

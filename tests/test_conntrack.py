@@ -168,7 +168,7 @@ class TestStatefulFirewall:
         node.install_p2p_rule("fw_out", "s0")
         node.install_p2p_rule("s0", "fw_out")
         node.install_p2p_rule("fw_in", "c0")
-        node.settle_control_plane()
+        node.settle_control_plane(extra_time=0.5)
         assert node.active_bypasses == 4
         app = StatefulFirewallApp(
             "sfw",

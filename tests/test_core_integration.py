@@ -1,4 +1,4 @@
-"""End-to-end integration of the transparent highway (synchronous mode).
+"""End-to-end integration of the transparent highway.
 
 Builds the full host: vSwitch + hypervisor + compute agent + two VMs with
 dual-channel PMDs, then drives OpenFlow rules through a controller
@@ -8,58 +8,31 @@ dynamic fallback and statistics transparency.
 
 import pytest
 
-from repro.core import GuestPmdManager, LinkState, enable_transparent_highway
-from repro.dpdk.dpdkr import dpdkr_zone_name
-from repro.hypervisor import ComputeAgent, Hypervisor
-from repro.mem.memzone import MemzoneRegistry
+from repro.core import LinkState
 from repro.openflow.actions import OutputAction
-from repro.openflow.controller import ControllerConnection, SimpleController
 from repro.openflow.match import Match
-from repro.vswitch.vswitchd import VSwitchd
+from repro.orchestration import NfvNode
 
 from tests.helpers import mk_mbuf
 
 
-class Host:
-    """A fully-wired single-host NFV node (sync mode) for tests."""
+class Host(NfvNode):
+    """The node the benches run, plus a port name -> PMD map."""
 
     def __init__(self, vm_ports):
         """``vm_ports`` maps vm name -> list of dpdkr port names."""
-        self.registry = MemzoneRegistry()
-        self.connection = ControllerConnection()
-        self.switch = VSwitchd(registry=self.registry,
-                               connection=self.connection)
-        self.controller = SimpleController(self.connection)
-        self.hypervisor = Hypervisor(self.registry)
-        self.agent = ComputeAgent(self.hypervisor)
-        self.ports = {}
+        super().__init__()
         self.pmds = {}
-        self.vms = {}
         for vm_name, port_names in vm_ports.items():
-            for port_name in port_names:
-                self.ports[port_name] = self.switch.add_dpdkr_port(port_name)
-            vm = self.hypervisor.create_vm(
-                vm_name,
-                boot_zones=[dpdkr_zone_name(p) for p in port_names],
-            )
-            self.vms[vm_name] = vm
-            guest = GuestPmdManager(vm)
-            for port_name in port_names:
-                self.agent.register_port_owner(port_name, vm_name)
-                self.pmds[port_name] = guest.create_pmd(port_name)
-        self.manager = enable_transparent_highway(self.switch, self.agent)
+            self.pmds.update(self.create_vm(vm_name, port_names).pmds)
 
     def install_p2p(self, src, dst, priority=0x8000):
-        self.controller.install_flow(
-            Match(in_port=self.ports[src].ofport),
-            [OutputAction(self.ports[dst].ofport)],
-            priority=priority,
-        )
-        self.switch.step_control()
+        self.install_p2p_rule(src, dst, priority=priority)
+        self.settle_control_plane()
 
     def delete_p2p(self, src):
         self.controller.delete_flow(Match(in_port=self.ports[src].ofport))
-        self.switch.step_control()
+        self.settle_control_plane()
 
 
 @pytest.fixture
@@ -101,7 +74,7 @@ class TestEstablishment:
                   eth_type=ETH_TYPE_IPV4),
             [OutputAction(host.ports["dpdkr1"].ofport)],
         )
-        host.switch.step_control()
+        host.settle_control_plane()
         assert host.manager.active_links == {}
         mbuf = mk_mbuf()
         host.pmds["dpdkr0"].tx_burst([mbuf])
@@ -110,18 +83,13 @@ class TestEstablishment:
         assert host.ports["dpdkr0"].rx_packets == 1
 
     def test_phy_destination_not_bypassed(self):
-        from repro.sim.engine import Environment
-        from repro.sim.nic import Nic
-
-        env = Environment()
         host = Host({"vm1": ["dpdkr0"]})
-        nic = Nic(env, "eth0")
-        phy = host.switch.add_phy_port("eth0", nic)
+        phy = host.add_nic("eth0")
         host.controller.install_flow(
             Match(in_port=host.ports["dpdkr0"].ofport),
             [OutputAction(phy.ofport)],
         )
-        host.switch.step_control()
+        host.settle_control_plane()
         assert host.manager.active_links == {}
 
 
@@ -158,7 +126,7 @@ class TestDynamicFallback:
                   eth_type=ETH_TYPE_IPV4, ip_proto=IP_PROTO_TCP, l4_dst=80),
             [OutputAction(99)], priority=0xF000,
         )
-        host.switch.step_control()
+        host.settle_control_plane()
         assert host.manager.active_links == {}
         # The 5 in-flight packets were salvaged onto the normal channel.
         received = host.pmds["dpdkr1"].rx_burst(32)
@@ -174,7 +142,7 @@ class TestDynamicFallback:
             Match(in_port=host.ports["dpdkr0"].ofport),
             [OutputAction(host.ports["dpdkr2"].ofport)],
         )
-        host.switch.step_control()
+        host.settle_control_plane()
         link = host.manager.link_for_src(host.ports["dpdkr0"].ofport)
         assert link.link.dst_ofport == host.ports["dpdkr2"].ofport
         assert host.pmds["dpdkr2"].bypass_rx_active

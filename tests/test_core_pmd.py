@@ -9,6 +9,7 @@ from repro.dpdk.virtio_serial import ControlMessage
 from repro.hypervisor.qemu import Hypervisor
 from repro.mem.memzone import MemzoneRegistry
 from repro.mem.ring import Ring
+from repro.sim.engine import Environment
 
 from tests.helpers import mk_mbuf
 
@@ -203,7 +204,7 @@ class TestGuestPmdManager:
     @pytest.fixture
     def stack(self, registry):
         DpdkrSharedRings(registry, "dpdkr0")
-        hypervisor = Hypervisor(registry)
+        hypervisor = Hypervisor(registry, Environment())
         vm = hypervisor.create_vm("vm1",
                                   boot_zones=[dpdkr_zone_name("dpdkr0")])
         manager = GuestPmdManager(vm)
@@ -299,7 +300,7 @@ class TestTxStateEdges:
         # Same race, through the virtio-serial command path: the error
         # comes back as a reply carrying the request id.
         DpdkrSharedRings(registry, "dpdkr0")
-        hypervisor = Hypervisor(registry)
+        hypervisor = Hypervisor(registry, Environment())
         vm = hypervisor.create_vm("vm1",
                                   boot_zones=[dpdkr_zone_name("dpdkr0")])
         manager = GuestPmdManager(vm)

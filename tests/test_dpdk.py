@@ -108,7 +108,8 @@ class TestDpdkrSharedRings:
 
 class TestVirtioSerial:
     def test_sync_request_reply(self):
-        channel = VirtioSerial("vm1.serial")
+        env = Environment()
+        channel = VirtioSerial("vm1.serial", env)
         log = []
 
         def guest(message):
@@ -118,29 +119,34 @@ class TestVirtioSerial:
         channel.guest_handler = guest
         channel.host_handler = lambda m: log.append(("host", m.command))
         channel.host_send(ControlMessage("ping", {"request_id": 1}))
+        assert log == []   # nothing is delivered on the sender's stack
+        env.run()
         assert log == [("guest", "ping"), ("host", "ok")]
 
     def test_no_handler_nacks_instead_of_raising(self):
-        # Sync mode mirrors the simulated path: a delivery failure comes
-        # back as an in-band error reply, never as an exception through
-        # the sender's stack.
-        channel = VirtioSerial("vm1.serial")
+        # A delivery failure comes back as an in-band error reply,
+        # never as an exception out of the engine.
+        env = Environment()
+        channel = VirtioSerial("vm1.serial", env)
         nacks = []
         channel.host_handler = lambda m: nacks.append(m) or None
         channel.host_send(ControlMessage("ping", {"request_id": 7}))
+        env.run()
         assert [m.command for m in nacks] == ["error"]
         assert nacks[0].args["request_id"] == 7
 
     def test_no_handler_on_either_side_drops_the_nack(self):
         # When even the NACK cannot be delivered, the channel swallows
         # it (counting a drop) instead of ping-ponging errors forever.
-        channel = VirtioSerial("vm1.serial")
+        env = Environment()
+        channel = VirtioSerial("vm1.serial", env)
         channel.host_send(ControlMessage("ping"))
+        env.run()
         assert channel.dropped_messages == 1
 
     def test_latency_applied(self):
         env = Environment()
-        channel = VirtioSerial("vm1.serial", env=env, one_way_latency=0.005)
+        channel = VirtioSerial("vm1.serial", env, one_way_latency=0.005)
         arrivals = []
         channel.guest_handler = lambda m: arrivals.append(env.now)
         channel.host_send(ControlMessage("a"))
@@ -149,7 +155,7 @@ class TestVirtioSerial:
 
     def test_in_order_delivery(self):
         env = Environment()
-        channel = VirtioSerial("vm1.serial", env=env, one_way_latency=0.001)
+        channel = VirtioSerial("vm1.serial", env, one_way_latency=0.001)
         arrivals = []
         channel.guest_handler = lambda m: arrivals.append(m.command)
         for index in range(5):
@@ -159,7 +165,7 @@ class TestVirtioSerial:
 
     def test_reply_round_trip_latency(self):
         env = Environment()
-        channel = VirtioSerial("vm1.serial", env=env, one_way_latency=0.004)
+        channel = VirtioSerial("vm1.serial", env, one_way_latency=0.004)
         done = []
         channel.guest_handler = lambda m: ControlMessage("ok", m.args)
         channel.host_handler = lambda m: done.append(env.now)
@@ -168,7 +174,7 @@ class TestVirtioSerial:
         assert done == [pytest.approx(0.008)]
 
     def test_logs_kept(self):
-        channel = VirtioSerial("vm1.serial")
+        channel = VirtioSerial("vm1.serial", Environment())
         channel.guest_handler = lambda m: None
         channel.host_send(ControlMessage("a"))
         assert [m.command for m in channel.to_guest_log] == ["a"]

@@ -146,6 +146,8 @@ class TestHypervisorNotifications:
         node = build_node()
         zone = node.registry.reserve("z")
         node.hypervisor.plug_ivshmem("vm1", "z")
+        node.settle_control_plane()
+        assert zone.mapped_by == ["vm1"]
         node.hypervisor.force_unplug("vm1", "z")
         assert zone.mapped_by == []
         with pytest.raises(Exception):

@@ -19,13 +19,13 @@ class TestHypervisor:
     def test_create_vm_with_boot_zones(self):
         registry = MemzoneRegistry()
         registry.reserve("z1")
-        hypervisor = Hypervisor(registry)
+        hypervisor = Hypervisor(registry, Environment())
         vm = hypervisor.create_vm("vm1", boot_zones=["z1"])
         assert vm.has_zone("z1")
         assert "vm1" in registry.lookup("z1").mapped_by
 
     def test_duplicate_vm_rejected(self):
-        hypervisor = Hypervisor(MemzoneRegistry())
+        hypervisor = Hypervisor(MemzoneRegistry(), Environment())
         hypervisor.create_vm("vm1")
         with pytest.raises(HypervisorError):
             hypervisor.create_vm("vm1")
@@ -33,7 +33,7 @@ class TestHypervisor:
     def test_destroy_vm_unmaps(self):
         registry = MemzoneRegistry()
         registry.reserve("z1")
-        hypervisor = Hypervisor(registry)
+        hypervisor = Hypervisor(registry, Environment())
         hypervisor.create_vm("vm1", boot_zones=["z1"])
         hypervisor.destroy_vm("vm1")
         assert registry.lookup("z1").mapped_by == []
@@ -41,21 +41,24 @@ class TestHypervisor:
             hypervisor.destroy_vm("vm1")
 
     def test_sync_plug_unplug(self):
+        env = Environment()
         registry = MemzoneRegistry()
         registry.reserve("bypass.1")
-        hypervisor = Hypervisor(registry)
+        hypervisor = Hypervisor(registry, env)
         vm = hypervisor.create_vm("vm1")
         hypervisor.plug_ivshmem("vm1", "bypass.1")
+        env.run()
         assert vm.has_zone("bypass.1")
         with pytest.raises(HypervisorError):
             hypervisor.plug_ivshmem("vm1", "bypass.1")  # already plugged
         hypervisor.unplug_ivshmem("vm1", "bypass.1")
+        env.run()
         assert not vm.has_zone("bypass.1")
         with pytest.raises(HypervisorError):
             hypervisor.unplug_ivshmem("vm1", "bypass.1")
 
     def test_plug_unknown_zone_fails_fast(self):
-        hypervisor = Hypervisor(MemzoneRegistry())
+        hypervisor = Hypervisor(MemzoneRegistry(), Environment())
         hypervisor.create_vm("vm1")
         with pytest.raises(Exception):
             hypervisor.plug_ivshmem("vm1", "nope")
@@ -64,7 +67,7 @@ class TestHypervisor:
         env = Environment()
         registry = MemzoneRegistry()
         registry.reserve("bypass.1")
-        hypervisor = Hypervisor(registry, env=env)
+        hypervisor = Hypervisor(registry, env)
         vm = hypervisor.create_vm("vm1")
         process = hypervisor.plug_ivshmem("vm1", "bypass.1")
         env.run(until=0.01)
@@ -76,13 +79,13 @@ class TestHypervisor:
         assert process.value is None and env.now == pytest.approx(expected)
 
 
-def build_two_vm_stack(env=None):
+def build_two_vm_stack(env):
     """Two VMs with dpdkr ports + guest PMD managers + an agent."""
     registry = MemzoneRegistry()
     DpdkrSharedRings(registry, "dpdkr0")
     DpdkrSharedRings(registry, "dpdkr1")
-    hypervisor = Hypervisor(registry, env=env)
-    agent = ComputeAgent(hypervisor, env=env)
+    hypervisor = Hypervisor(registry, env)
+    agent = ComputeAgent(hypervisor, env)
     guests = {}
     for vm_name, port_name in (("vm1", "dpdkr0"), ("vm2", "dpdkr1")):
         vm = hypervisor.create_vm(vm_name,
@@ -98,39 +101,51 @@ def build_two_vm_stack(env=None):
 
 
 class TestComputeAgentSync:
+    """Each request played out to quiescence (``env.run()``) before the
+    asserts; the class name is the test id the floor knows."""
+
     def test_setup_attaches_both_pmds(self):
-        _reg, _hyp, agent, guests, _ring = build_two_vm_stack()
+        env = Environment()
+        _reg, _hyp, agent, guests, _ring = build_two_vm_stack(env)
         request = agent.setup_bypass("dpdkr0", "dpdkr1", "bypass.x",
                                      flow_id=42)
-        assert request.completed
+        assert not request.completed
+        env.run()
+        assert request.completed and request.error is None
         assert guests["vm1"].pmd("dpdkr0").bypass_tx_active
         assert guests["vm1"].pmd("dpdkr0").bypass_flow_id == 42
         assert guests["vm2"].pmd("dpdkr1").bypass_rx_active
 
     def test_teardown_reverses(self):
-        _reg, hyp, agent, guests, ring = build_two_vm_stack()
+        env = Environment()
+        _reg, hyp, agent, guests, ring = build_two_vm_stack(env)
         agent.setup_bypass("dpdkr0", "dpdkr1", "bypass.x", flow_id=42)
+        env.run()
         request = agent.teardown_bypass("dpdkr0", "dpdkr1", "bypass.x",
                                         ring=ring)
-        assert request.completed
+        env.run()
+        assert request.completed and request.error is None
         assert not guests["vm1"].pmd("dpdkr0").bypass_tx_active
         assert not guests["vm2"].pmd("dpdkr1").bypass_rx_active
         assert not hyp.vms["vm1"].has_zone("bypass.x")
         assert not hyp.vms["vm2"].has_zone("bypass.x")
 
     def test_teardown_salvages_in_flight_packets(self):
-        registry, _hyp, agent, guests, ring = build_two_vm_stack()
+        env = Environment()
+        registry, _hyp, agent, guests, ring = build_two_vm_stack(env)
         agent.setup_bypass("dpdkr0", "dpdkr1", "bypass.x", flow_id=42)
+        env.run()
         stuck = [mk_mbuf() for _ in range(3)]
         ring.enqueue_bulk(stuck)
         request = agent.teardown_bypass("dpdkr0", "dpdkr1", "bypass.x",
                                         ring=ring)
+        env.run()
         assert request.salvaged_packets == 3
         received = guests["vm2"].pmd("dpdkr1").rx_burst(32)
         assert received == stuck
 
     def test_unknown_port_rejected(self):
-        _reg, _hyp, agent, _guests, _ring = build_two_vm_stack()
+        _reg, _hyp, agent, _guests, _ring = build_two_vm_stack(Environment())
         with pytest.raises(HypervisorError):
             agent.owner_of("dpdkr9")
 

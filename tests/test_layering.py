@@ -11,6 +11,11 @@ Three rules, checked by ``ast`` over the source (nothing is imported):
 each outside a short allow-list whose entries say why they stay.  A
 deferred import is how Python code says "there is a cycle here", so one
 that dodges no cycle misleads the reader about the layering.
+
+A fourth rule, same census: the engine is the only driver of the bypass
+control plane, so an ``Optional[Environment]`` or an ``env is None``
+test — how a clock-less twin of a timed procedure starts — appears only
+where the allow-list says what runs without an engine.
 """
 
 import ast
@@ -36,6 +41,26 @@ ALLOWED_DEFERRED_IMPORTS = {
 ALLOWED_GUARDED_IMPORTS = {
     ("core/watchdog.py", "repro.core.bypass"):
         "the same loop: BypassLink / BypassManager annotations",
+}
+
+
+#: module -> (Optional[Environment] annotations, ``env is [not] None``
+#: tests, why something there lives without an engine).
+ALLOWED_ENGINELESS = {
+    "vswitch/vswitchd.py": (
+        1, 4, "the engine-less switch, step_dataplane()/step_control(): "
+        "perfbench's switch_miss_churn and bench/workloads/fastpath.py "
+        "run it"),
+    "obs/plane.py": (
+        0, 1, "scrapes that switch: no engine, no event counter to export"),
+    "orchestration/node.py": (
+        1, 0, "NfvNode(env=None) builds its own Environment on one line"),
+    "traffic/generator.py": (
+        1, 1, "a SourceApp has no engine until start(env)"),
+    "traffic/sink.py": (
+        1, 1, "a SinkApp has no engine until start(env)"),
+    "experiments/chain.py": (
+        1, 1, "a ChainExperiment has no engine until build()"),
 }
 
 
@@ -83,6 +108,31 @@ def census():
     return edges, deferred, guarded
 
 
+def _is_env(node):
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    return name in ("env", "_env")
+
+
+def engineless_census():
+    """``{module: (Optional[Environment] annotations, env-is-None
+    tests)}`` for every module that has either."""
+    found = {}
+    for module, tree in _modules():
+        optional = tests = 0
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) \
+                    and getattr(node.value, "id", None) == "Optional" \
+                    and getattr(node.slice, "id", None) == "Environment":
+                optional += 1
+            elif isinstance(node, ast.Compare) and _is_env(node.left) \
+                    and isinstance(node.ops[0], (ast.Is, ast.IsNot)) \
+                    and getattr(node.comparators[0], "value", 0) is None:
+                tests += 1
+        if optional or tests:
+            found[module] = (optional, tests)
+    return found
+
+
 def _mutual(edges):
     """Package pairs that import each other directly."""
     return sorted((a, b) for a, b in edges if a < b and (b, a) in edges)
@@ -117,3 +167,9 @@ def test_no_deferred_or_guarded_import_without_a_reason():
     # repro.faults imports nothing from repro: nothing needs to dodge it.
     assert "repro.faults" not in {name for _module, name
                                   in deferred + guarded}
+
+
+def test_nothing_but_the_switch_runs_without_an_engine():
+    allowed = {module: counts[:2]
+               for module, counts in ALLOWED_ENGINELESS.items()}
+    assert engineless_census() == allowed

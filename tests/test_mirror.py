@@ -24,7 +24,7 @@ def install(node, src, dst, **kwargs):
         Match(in_port=node.ofport(src)),
         [OutputAction(node.ofport(dst))], **kwargs
     )
-    node.switch.step_control()
+    node.settle_control_plane()
 
 
 class TestMirrorDefinition:
@@ -124,6 +124,7 @@ class TestMirrorVsHighway:
         assert node.active_bypasses == 1
         node.switch.add_mirror("m", output="span0",
                                select_src=["dpdkr0"])
+        node.settle_control_plane()
         assert node.active_bypasses == 0
         assert not node.vms["vm1"].pmd("dpdkr0").bypass_tx_active
 
@@ -133,6 +134,7 @@ class TestMirrorVsHighway:
         install(node, "dpdkr0", "dpdkr1")
         assert node.active_bypasses == 0
         node.switch.remove_mirror("m")
+        node.settle_control_plane()
         assert node.active_bypasses == 1
 
     def test_unrelated_mirror_leaves_bypass_alone(self, node):
@@ -141,4 +143,5 @@ class TestMirrorVsHighway:
         node.create_vm("vm4", ["dpdkr3"])
         node.switch.add_mirror("m", output="span0",
                                select_src=["dpdkr3"])
+        node.settle_control_plane()
         assert node.active_bypasses == 1

@@ -184,7 +184,7 @@ class TestDetectorInterplay:
             actions=[OutputAction(node.ofport("dpdkr1"))],
             table_id=1,
         ))
-        node.switch.step_control()
+        node.settle_control_plane()
         # All traffic does reach dpdkr1, but through a pipeline the
         # detector (correctly, conservatively) does not analyse.
         assert node.active_bypasses == 0

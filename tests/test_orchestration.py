@@ -121,11 +121,6 @@ class TestNfvNode:
         assert node.active_bypasses == 0
         assert node.manager is None
 
-    def test_nic_requires_env(self):
-        node = NfvNode()
-        with pytest.raises(RuntimeError):
-            node.add_nic("nic0")
-
     def test_switch_options_are_forwarded_verbatim(self):
         from repro.overload import UpcallPolicy
 
@@ -137,17 +132,6 @@ class TestNfvNode:
         assert node.switch.upcall_queue.policy.max_queue == 7
         with pytest.raises(TypeError):
             NfvNode(no_such_switch_option=1)
-
-    def test_a_supplied_plane_and_a_sample_interval_are_rejected(self):
-        """The interval configures the plane the node would build; with
-        a plane passed in it used to be dropped without a word."""
-        from repro.obs import Observability
-
-        plane = Observability(trace_sample_interval=4)
-        assert NfvNode(obs=plane).obs is plane
-        assert NfvNode(trace_sample_interval=8).obs.tracer.enabled
-        with pytest.raises(ValueError, match="trace_sample_interval=8"):
-            NfvNode(obs=plane, trace_sample_interval=8)
 
 
 class TestOrchestrator:
@@ -245,6 +229,7 @@ class TestOrchestrator:
         assert deployment.installed_rules.count(link) == 1
         assert len(deployment.installed_rules) == 2
         # The bypass survived the replay cycle (fresh detection).
+        node.settle_control_plane()
         assert node.active_bypasses == 2
 
     def test_redeploy_after_undeploy_restores_bypass(self):

@@ -151,6 +151,7 @@ class TestPolicingVsHighway:
         node.settle_control_plane()
         assert node.active_bypasses == 1
         node.switch.set_ingress_policing("dpdkr0", rate_pps=1e6)
+        node.settle_control_plane()
         assert node.active_bypasses == 0
         # Traffic now crosses the switch and is subject to the limit.
         mbuf = mk_mbuf()
@@ -168,4 +169,5 @@ class TestPolicingVsHighway:
         node.settle_control_plane()
         assert node.active_bypasses == 0
         node.switch.set_ingress_policing("dpdkr0", rate_pps=0)
+        node.settle_control_plane()
         assert node.active_bypasses == 1

@@ -29,9 +29,8 @@ from repro.openflow.messages import PortMod
 from repro.openflow.table import FlowEntry
 from repro.orchestration import NfvNode
 from repro.sim.engine import Environment
-from repro.sim.nic import Nic
 from repro.sim.pollloop import IdleContract, PollLoop
-from repro.traffic.generator import SourceApp
+from repro.traffic.generator import SourceApp, WireSource
 from repro.traffic.sink import SinkApp
 from repro.vswitch.vswitchd import VSwitchd
 
@@ -128,17 +127,20 @@ class Rig:
 
     def outcome(self):
         return {"snapshots": self.snapshots, "latencies": self.latencies,
+                "events": self.env.events_processed,
                 "parks": {loop.name: loop.parks for loop in self.loops}}
 
 
 def differential(scenario):
     """``scenario()`` on the reference and on ``PollLoop``: everything
-    but the park counts must be equal; returns those of the parked run."""
+    but the park counts and the engine's event count (fewer) must be
+    equal; returns the park counts of the parked run."""
     with every_poll_an_event():
         expected = scenario()
     outcome = scenario()
     assert not any(expected.pop("parks").values())
     parks = outcome.pop("parks")
+    assert outcome.pop("events") < expected.pop("events")
     assert outcome == expected
     return parks
 
@@ -354,19 +356,28 @@ def test_an_upcall_queued_from_outside_the_pmd_iteration():
     differential(scenario)
 
 
-def test_a_core_with_a_phy_port_does_not_park():
-    env = Environment()
-    switch = VSwitchd(env=env, n_pmd_cores=2)
-    switch.add_phy_port("eth0", Nic(env, "eth0"))
-    switch.add_dpdkr_port("dpdkr0")
-    switch.start()
-    env.run(until=0.001)
-    phy_core = switch.scheduler.core_of(switch.port_by_name("eth0").ofport)
-    with_phy = switch._pmd_loops[phy_core]
-    without = switch._pmd_loops[1 - phy_core]
-    assert with_phy.parks == 0 and with_phy.replayed_polls == 0
-    assert without.parks == 1 and without.replayed_polls > 0
-    assert with_phy.iterations == without.iterations
+def test_a_wire_burst_wakes_the_core_parked_on_a_nic_queue():
+    """A core that serves a PHY port parks on the NIC's RX ring like on
+    any other.  The wire delivers a 32-frame burst every 215 us, one
+    ``Ring.enqueue`` per frame from a rank-0 process; the first of them
+    must get the core polling at the grid point the reference polls at."""
+    def scenario():
+        rig = switched_rig(rate_pps=5e3)
+        node = rig.node
+        eth0 = node.add_nic("eth0")
+        node.controller.install_flow(
+            Match(in_port=eth0.ofport),
+            [OutputAction(node.ofport("dpdkr1"))])
+        wire = WireSource(rig.env, eth0.nic, load=0.01)
+        rig.run(0.005, samples=10)
+        assert eth0.rx_packets == wire.generated > 600
+        assert rig.sink.received > eth0.rx_packets - 32
+        outcome = rig.outcome()
+        phy_core = node.switch.scheduler.core_of(eth0.ofport)
+        outcome["parks"] = {"phy": outcome["parks"]["ovs.pmd%d" % phy_core]}
+        return outcome
+
+    assert differential(scenario)["phy"] > 20
 
 
 # -- the loop's own lifecycle ---------------------------------------------------
@@ -519,6 +530,7 @@ def paced_stream(rate_pps, until, bypass):
         "bypass": (stats.rx_epoch, stats.rx_dequeued, stats.tx_packets),
         "switch": (a.rx_packets, b.tx_packets, b.tx_dropped,
                    switch.datapath.packets_processed),
+        "events": env.events_processed,
         "parks": {loop.name: loop.parks for loop in loops},
     }
 

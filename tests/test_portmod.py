@@ -21,7 +21,7 @@ def port_mod(node, port_name, down):
     node.connection.controller_send(
         PortMod(port_no=node.ofport(port_name), down=down)
     )
-    node.switch.step_control()
+    node.settle_control_plane()
 
 
 class TestWire:

@@ -131,7 +131,7 @@ def test_bypass_lifecycle_consistency(ops):
 
         detector_links = node.manager.detector.links
         manager_links = node.manager.active_links
-        # Manager state mirrors the detector exactly (sync mode).
+        # Once settled, manager state mirrors the detector exactly.
         assert set(manager_links) == set(detector_links)
         # PMD channel state mirrors the links.
         for ofport, handle_name in (

@@ -20,13 +20,21 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from repro.mem.ring import Ring
+from repro.openflow.actions import OutputAction
+from repro.openflow.match import Match
+from repro.openflow.table import FlowEntry
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.engine import Environment
+from repro.sim.nic import Nic
 from repro.sim.pollloop import PollLoop
 from repro.traffic.generator import SourceApp
+from repro.vswitch.vswitchd import VSwitchd
 
-from tests.helpers import sweep_seeded
-from tests.support.reference_pollloop import ReferencePollLoop
+from tests.helpers import mk_mbuf, sweep_seeded
+from tests.support.reference_pollloop import (
+    ReferencePollLoop,
+    every_poll_an_event,
+)
 
 TICK = 2.0 ** -22          # ~238 ns, exact in binary: sums never round
 COSTS = dataclasses.replace(DEFAULT_COST_MODEL, idle_poll=TICK)
@@ -302,6 +310,62 @@ def test_the_scenarios_park():
     assert expected[3] == 0
     assert outcome[3] > 50
     assert outcome[:3] == expected[:3]
+
+
+# -- a PMD core parked on a NIC queue -------------------------------------------
+
+
+def drive_nic(gaps, burst):
+    """A one-core switch forwarding eth0 -> out0 while a rank-0 process
+    delivers ``burst`` frames from the wire every ``gaps`` ticks (one
+    ``Ring.enqueue`` each); a ``period`` observer samples the core."""
+    env = Environment()
+    switch = VSwitchd(env=env, costs=COSTS)
+    nic = Nic(env, "eth0", ring_size=64)
+    phy = switch.add_phy_port("eth0", nic)
+    out = switch.add_dpdkr_port("out0")
+    switch.bridge.table.add(FlowEntry(Match(in_port=phy.ofport),
+                                      [OutputAction(out.ofport)]))
+    log = []
+
+    def wire():
+        for count in range(120):
+            yield env.timeout(gaps[count % len(gaps)] * TICK)
+            accepted = sum(nic.wire_receive(mk_mbuf())
+                           for _ in range(burst))
+            log.append((env.now, "wire", accepted))
+
+    switch.start()
+    core, = switch._pmd_loops
+    env.process(wire(), name="wire")
+    observations = []
+
+    def observer():
+        observations.append((
+            core.iterations, core.idle_iterations, core.idle_time,
+            core.busy_time, phy.rx_packets, nic.rx_dropped,
+            len(out.rings.to_guest)))
+        return 0.0
+
+    type(core)(env, "observer", observer, costs=COSTS,
+               period=3 * TICK).start()
+    env.run(until=2000 * TICK)
+    return log, observations, core.parks
+
+
+@sweep_seeded
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 24), min_size=1, max_size=6),
+       st.integers(1, 40))
+def test_a_core_parked_on_a_nic_queue_matches_the_reference(gaps, burst):
+    """The NIC wake site.  Arrivals land on tick multiples, where the
+    core's first polls after each burst are due too, and a burst larger
+    than the core drains in one poll leaves the ring non-empty."""
+    with every_poll_an_event():
+        expected = drive_nic(gaps, burst)
+    log, observations, parks = drive_nic(gaps, burst)
+    assert expected[2] == 0 and parks > 0
+    assert (log, observations) == expected[:2]
 
 
 # -- SourceApp's look-ahead against the ladder it no longer iterates ----------

@@ -200,6 +200,22 @@ class TestNic:
         assert nic.rx_dropped == 3
         assert pool.available == 16 - 3  # dropped mbufs were freed
 
+    def test_only_a_full_ring_is_an_rx_drop(self):
+        """Anything else ``enqueue`` raises is a fault of the simulator,
+        not of the wire: it propagates, uncounted, the mbuf untouched."""
+        nic = Nic(Environment(), "eth0", ring_size=4)
+
+        class BrokenWaiter:
+            def wake(self):
+                raise TypeError("not an overflow")
+
+        nic.rx_ring.watch(BrokenWaiter())
+        mbuf = mk_mbuf(frame_size=64)
+        with pytest.raises(TypeError):
+            nic.wire_receive(mbuf)
+        assert nic.rx_dropped == 0
+        assert mbuf.refcnt == 1
+
     def test_host_rx_burst(self):
         env = Environment()
         nic = Nic(env, "eth0")
