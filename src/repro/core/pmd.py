@@ -28,13 +28,14 @@ integration suite asserts end-to-end.
 """
 
 import enum
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dpdk.dpdkr import DpdkrPmd, DpdkrSharedRings, dpdkr_zone_name
 from repro.dpdk.virtio_serial import ControlMessage
 from repro.core.stats import BypassStatsBlock
 from repro.faults import PMD_RX_POLL, FaultMode, FaultPlan
 from repro.hypervisor.qemu import VirtualMachine
+from repro.mem.mempool import charge
 from repro.mem.ring import Ring
 from repro.packet.flowkey import cached_flow_key
 from repro.packet.mbuf import Mbuf
@@ -375,12 +376,11 @@ class DualChannelPmd(DpdkrPmd):
             self.rx_via_normal += len(normal)
             mbufs.extend(normal)
         if mbufs:
-            token = self.holder_token
             byte_count = 0
             for mbuf in mbufs:
                 byte_count += mbuf.wire_length
-                if token is not None and mbuf.pool is not None:
-                    mbuf.pool.assign(mbuf, token)
+            if self.holder_token is not None:
+                charge(mbufs, self.holder_token)
             self.stats.ipackets += len(mbufs)
             self.stats.ibytes += byte_count
         return mbufs
@@ -431,42 +431,66 @@ class DualChannelPmd(DpdkrPmd):
             self._rx_waiter = None
             waiter.wake()
 
-    def tx_burst(self, mbufs: List[Mbuf]) -> int:
+    def _tx_ring(self) -> Optional[Ring]:
+        """The ring a burst goes to now — the ordered-handover flip
+        happens here — or None while the port refuses every burst whole
+        (killed or STALLED; :meth:`tx_room` counts the refusal)."""
         if self.killed:
-            self.stats.oerrors += len(mbufs)
-            return 0
+            return None
         state = self.tx_state
+        if state is TxState.NORMAL:
+            return self.rings.to_switch
         if state is TxState.PENDING_BYPASS:
             # Flip only when nothing of ours is still queued toward the
             # vSwitch; until then the normal channel stays in use.
-            if self.rings.to_switch.is_empty:
-                self.tx_state = state = TxState.BYPASS
-            else:
-                state = TxState.NORMAL
-        if state is TxState.NORMAL:
+            if not self.rings.to_switch.is_empty:
+                return self.rings.to_switch
+            self.tx_state = TxState.BYPASS
+        elif state is TxState.STALLED:
+            return None
+        return self.bypass_tx_ring
+
+    def tx_room(self, count: int) -> int:
+        ring = self._tx_ring()
+        if ring is None:
+            if not self.killed:
+                # Mid-teardown: refuse the burst (ring-full semantics);
+                # the application retries or drops exactly as on
+                # congestion.
+                self.tx_stall_rejects += count
+            self.stats.oerrors += count
+            return 0
+        if ring is self.bypass_tx_ring and self.bypass_xfsm is not None:
+            return count   # every packet the policy drops frees a slot
+        room = ring.enqueue_room(count)
+        if room < count:
+            self.stats.oerrors += count - room
+        return room
+
+    def tx_burst(self, mbufs: List[Mbuf]) -> int:
+        ring = self._tx_ring()
+        if ring is None:
+            return self.tx_room(len(mbufs))   # refused whole, counted there
+        if ring is not self.bypass_tx_ring:
             sent = super().tx_burst(mbufs)
             self.tx_via_normal += sent
             return sent
-        if state is TxState.STALLED:
-            # Mid-teardown: refuse the burst (ring-full semantics); the
-            # application retries or drops exactly as on congestion.
-            self.tx_stall_rejects += len(mbufs)
-            self.stats.oerrors += len(mbufs)
-            return 0
-        dropped_policy = 0
-        if self.bypass_xfsm is not None and mbufs:
-            offered = len(mbufs)
-            mbufs = self._xfsm_filter(mbufs)
-            dropped_policy = offered - len(mbufs)
-            if not mbufs:
-                return dropped_policy  # whole burst consumed by policy
-        ring = self.bypass_tx_ring
-        sent = ring.enqueue_burst(mbufs)
         offered = len(mbufs)
         stats = self.stats
-        if sent < offered:
-            stats.oerrors += offered - sent
-            mbufs = mbufs[:sent]
+        if self.bypass_xfsm is not None and mbufs:
+            # A stateful channel evaluates a packet only with a ring
+            # slot in hand, so what it admits always fits; a ring short
+            # of the whole burst counts as that here, before any denial
+            # could make the burst fit after all.
+            mbufs, taken = self._xfsm_filter(
+                mbufs, ring.enqueue_room(offered))
+            stats.oerrors += offered - taken
+            sent = ring.enqueue_burst(mbufs) if mbufs else 0
+        else:
+            sent = taken = ring.enqueue_burst(mbufs)
+            if sent < offered:
+                stats.oerrors += offered - sent
+                mbufs = mbufs[:sent]
         if sent:
             if ring.watermark is not None and ring.above_watermark:
                 self.bypass_congestion_events += 1
@@ -486,17 +510,31 @@ class DualChannelPmd(DpdkrPmd):
                 # the OpenFlow counters for bypassed traffic.
                 self.bypass_stats.account(self.bypass_flow_id, sent,
                                           byte_count)
-        return sent + dropped_policy
+        return taken
 
-    def _xfsm_filter(self, mbufs: List[Mbuf]) -> List[Mbuf]:
-        """Run the channel's XFSM over a bypass burst; denied packets
-        are freed and counted (they are *consumed*, not TX failures —
-        the vSwitch path would have dropped them identically)."""
+    def _xfsm_filter(self, mbufs: List[Mbuf],
+                     room: int) -> Tuple[List[Mbuf], int]:
+        """Run the channel's XFSM over the head of a bypass burst, one
+        packet per ring slot in hand: returns ``(admitted, consumed)``.
+
+        ``mbufs[:consumed]`` are spoken for — admitted (at most ``room``
+        of them, so they all fit) or denied, and a denied packet is
+        freed and counted here (*consumed*, not a TX failure — the
+        vSwitch path would have dropped it identically).  The walk stops
+        before the first packet it has no slot for: ``mbufs[consumed:]``
+        are neither evaluated nor touched, the caller's to free or
+        retry, so a packet meets the program once, with a slot behind
+        it, as on the vSwitch path where the TX ring comes first.
+        """
         channel = self.bypass_xfsm
         program = channel.program
         now = self._trace_now()
         admitted: List[Mbuf] = []
+        consumed = 0
         for mbuf in mbufs:
+            if len(admitted) == room:
+                break
+            consumed += 1
             self.xfsm_evaluated += 1
             key = cached_flow_key(mbuf, in_port=0)
             verdict = program.evaluate(event_for(
@@ -510,7 +548,7 @@ class DualChannelPmd(DpdkrPmd):
                                result="drop", state=verdict.state,
                                executor="pmd")
             mbuf.free()
-        return admitted
+        return admitted, consumed
 
     # -- observability --------------------------------------------------------
 

@@ -135,6 +135,12 @@ class DpdkrPmd(EthDev):
         """Publish what ``polls`` idle ``rx_burst`` calls would have:
         nothing, on the vanilla PMD."""
 
+    def tx_room(self, count: int) -> int:
+        room = self.rings.to_switch.enqueue_room(count)
+        if room < count:
+            self.stats.oerrors += count - room
+        return room
+
     def tx_burst(self, mbufs: List[Mbuf]) -> int:
         sent = self.rings.to_switch.enqueue_burst(mbufs)
         offered = len(mbufs)

@@ -53,8 +53,24 @@ class EthDev:
         raise NotImplementedError
 
     def tx_burst(self, mbufs: List[Mbuf]) -> int:
-        """Transmit; returns the number accepted (rest stay with caller)."""
+        """Transmit; returns ``n``: ``mbufs[:n]`` are the device's (sent,
+        or consumed by its policy), ``mbufs[n:]`` stay with the caller,
+        untouched."""
         raise NotImplementedError
+
+    def tx_room(self, count: int) -> int:
+        """How many of ``count`` packets due now ``tx_burst`` would take.
+
+        A generator asks before it builds a burst.  A device that
+        answers less than ``count`` has counted the refusal of the
+        difference exactly as ``tx_burst`` would have (``oerrors``, ring
+        failure counters), so the caller builds and offers only the
+        answer and the books read as if it had offered them all.  The
+        default — "all of them" — is for a device that cannot know
+        without the packets; what its ``tx_burst`` then refuses the
+        caller frees, as ever.
+        """
+        return count
 
     def __repr__(self) -> str:
         return "<%s port=%d %r>" % (

@@ -22,7 +22,7 @@ others were in flight.
 """
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.packet.mbuf import Mbuf
 
@@ -57,13 +57,11 @@ class ReclaimReport:
 class Mempool:
     """Fixed-size pool of recycled :class:`Mbuf` descriptors."""
 
-    def __init__(self, name: str, size: int = 4096,
-                 track_ownership: bool = True) -> None:
+    def __init__(self, name: str, size: int = 4096) -> None:
         if size <= 0:
             raise ValueError("mempool size must be positive")
         self.name = name
         self.size = size
-        self.track_ownership = track_ownership
         self._free: List[Mbuf] = [Mbuf(pool=self) for _ in range(size)]
         for mbuf in self._free:
             mbuf.in_pool = True
@@ -149,16 +147,63 @@ class Mempool:
         self._free.append(mbuf)
         self.free_count_total += 1
 
+    def free_burst(self, mbufs: List[Mbuf]) -> None:
+        """``mbuf.free()`` for each of ``mbufs``, in order, at one call
+        for the burst (``rte_pktmbuf_free_bulk``).
+
+        The loop takes the leading run of mbufs a free has nothing to
+        check on — this pool's, one reference, not in the free list —
+        and returns it with one ``extend``; from the first mbuf that is
+        anything else (retained, foreign or pool-less, already freed)
+        the rest go through :meth:`Mbuf.free` one by one, which routes
+        or raises exactly as it always did, after the run before it is
+        home and counted.
+        """
+        free = self._free
+        room = self.size - len(free)
+        plain = 0
+        rest = ()
+        for mbuf in mbufs:
+            if (mbuf.refcnt != 1 or mbuf.pool is not self or mbuf.in_pool
+                    or plain >= room):
+                rest = mbufs[plain:]
+                mbufs = mbufs[:plain]
+                break
+            mbuf.refcnt = 0
+            mbuf.holder = None
+            mbuf.in_pool = True
+            plain += 1
+        free.extend(mbufs)
+        self.free_count_total += plain
+        for mbuf in rest:
+            mbuf.free()
+
     # -- ownership ledger ---------------------------------------------------
 
     def assign(self, mbuf: Mbuf, holder: str) -> None:
         """Tag ``mbuf`` as held by ``holder``.
 
-        Called from ring enqueue and guest PMD rx paths; a buffer with
-        no tokenized touchpoints simply never carries a tag.
+        A buffer with no tokenized touchpoints simply never carries a
+        tag.
         """
-        if self.track_ownership:
-            mbuf.holder = holder
+        mbuf.holder = holder
+
+    def assign_burst(self, objs: Sequence[Any], holder: str) -> None:
+        """:meth:`assign` for a burst led by one of this pool's
+        descriptors: what ring enqueue and guest PMD rx call, once per
+        burst, through :func:`charge`.  A descriptor of another pool
+        goes to that pool's :meth:`assign`; an object without a pool
+        carries no tag.
+        """
+        for obj in objs:
+            try:
+                pool = obj.pool
+            except AttributeError:
+                continue
+            if pool is self:
+                obj.holder = holder
+            elif pool is not None:
+                pool.assign(obj, holder)
 
     def holders(self) -> Dict[str, int]:
         """Holder token -> number of mbufs tagged with it."""
@@ -212,3 +257,22 @@ class Mempool:
         return "<Mempool %r %d/%d free>" % (
             self.name, len(self._free), self.size
         )
+
+
+def charge(objs: Sequence[Any], holder: str) -> None:
+    """Tag a burst as held by ``holder``: one
+    :meth:`Mempool.assign_burst`, on the pool of the first descriptor
+    that has one — the head of the burst, and every descriptor's pool,
+    on a chain fed by one source.  Objects without a pool ahead of it
+    are passed over at no call each.
+    """
+    passed = 0
+    for obj in objs:
+        try:
+            pool = obj.pool
+        except AttributeError:
+            pool = None   # a ring carries any object; only mbufs have pools
+        if pool is not None:
+            pool.assign_burst(objs[passed:] if passed else objs, holder)
+            return
+        passed += 1

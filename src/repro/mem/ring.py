@@ -21,6 +21,7 @@ import enum
 from typing import Any, List, Optional, Sequence
 
 from repro.faults import RING_CORRUPT, FaultMode
+from repro.mem.mempool import charge
 
 
 class RingError(RuntimeError):
@@ -151,20 +152,9 @@ class Ring:
         self._head = (self._head + 1) & self._mask
         self.enqueued += 1
         if self.holder_token is not None:
-            self._charge((obj,))
+            charge((obj,), self.holder_token)
         if self.waiter is not None:
             self._wake_waiter()
-
-    def _charge(self, objs: Sequence[Any]) -> None:
-        """Tag ``objs``, just enqueued, as held by this ring."""
-        token = self.holder_token
-        for obj in objs:
-            try:
-                pool = obj.pool
-            except AttributeError:
-                continue   # a ring carries any object; only mbufs have pools
-            if pool is not None:
-                pool.assign(obj, token)
 
     def dequeue(self) -> Any:
         """Dequeue one object; raises :class:`RingEmptyError` when empty."""
@@ -192,7 +182,7 @@ class Ring:
         self._head = (self._head + count) & self._mask
         self.enqueued += count
         if self.holder_token is not None:
-            self._charge(objs)
+            charge(objs, self.holder_token)
         if count and self.waiter is not None:
             self._wake_waiter()
 
@@ -207,6 +197,23 @@ class Ring:
         return self._take(count)
 
     # -- burst: best effort ----------------------------------------------------
+
+    def enqueue_room(self, offered: int) -> int:
+        """How many of ``offered`` objects :meth:`enqueue_burst` would
+        take now (``rte_ring_free_count``, capped), counting the refusal
+        as that call would: a producer that asks first and then offers
+        only what fits leaves ``enqueue_failures`` and
+        ``partial_enqueues`` where offering everything would have.
+        """
+        mask = self._mask
+        room = mask - ((self._head - self._tail) & mask)
+        if room >= offered:
+            return offered
+        if room:
+            self.partial_enqueues += 1
+        else:
+            self.enqueue_failures += 1
+        return room
 
     def enqueue_burst(self, objs: Sequence[Any]) -> int:
         """Enqueue as many of ``objs`` as fit; returns the number enqueued.
@@ -236,7 +243,7 @@ class Ring:
         self._head = (head + count) & mask
         self.enqueued += count
         if self.holder_token is not None:
-            self._charge(objs)
+            charge(objs, self.holder_token)
         waiter = self.waiter
         if waiter is not None:   # _wake_waiter(), on the per-packet path
             self.waiter = None

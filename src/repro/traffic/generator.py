@@ -106,34 +106,49 @@ class SourceApp:
             count = available
         if count <= 0:
             return 0.0
-        mbufs = pool.get_bulk(count)
-        tracer = self.tracer
+        # Ask first (rte_ring_free_count before building a burst): the
+        # port has already counted what it will not take, so only the
+        # packets it will are built.  The sequence numbers and templates
+        # of the others are spent all the same — a packet that is sent
+        # is the one that would have been sent had all been built.
+        port = self.port
+        room = port.tx_room(count)
         templates = self.profile.templates
         cycle = len(templates)
         index = self._next_template
         seq = self._seq
-        for mbuf in mbufs:
+        sent = 0
+        if room > 0:
+            mbufs = pool.get_bulk(room)
+            tracer = self.tracer
+            for mbuf in mbufs:
+                if index >= cycle:
+                    index = 0
+                template = templates[index]
+                index += 1
+                mbuf.packet = template.packet
+                mbuf.wire_length = template.wire_length
+                mbuf.userdata = template.flow_key  # pre-extracted
+                mbuf.seq = seq
+                seq += 1
+                mbuf.ts_created = now
+                mbuf.ts_injected = now
+                if tracer is not None:
+                    tracer.ingress(mbuf, source=self.name)
+            sent = port.tx_burst(mbufs)
+            if sent < room:
+                # Only a port that could not tell without the packets
+                # (EthDev.tx_room's default) refuses what it asked for.
+                pool.free_burst(mbufs[sent:])
+        skipped = count - room
+        if skipped:
             if index >= cycle:
                 index = 0
-            template = templates[index]
-            index += 1
-            mbuf.packet = template.packet
-            mbuf.wire_length = template.wire_length
-            mbuf.userdata = template.flow_key  # pre-extracted
-            mbuf.seq = seq
-            seq += 1
-            mbuf.ts_created = now
-            mbuf.ts_injected = now
-            if tracer is not None:
-                tracer.ingress(mbuf, source=self.name)
+            index = (index + skipped - 1) % cycle + 1
+            seq += skipped
         self._next_template = index
         self._seq = seq
-        port = self.port
-        sent = port.tx_burst(mbufs)
-        if sent < count:
-            for rejected in mbufs[sent:]:
-                self.tx_failures += 1
-                rejected.free()
+        self.tx_failures += count - sent
         self.generated += sent
         if self.rate_pps is not None:
             self._credit -= count

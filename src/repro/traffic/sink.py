@@ -51,7 +51,12 @@ class SinkApp:
                 latency.record(now - mbuf.ts_injected)
             if mbuf.trace is not None:
                 mbuf.trace.finish(now, sink=name)
-            mbuf.free()
+        pool = mbufs[0].pool
+        if pool is not None:
+            pool.free_burst(mbufs)   # rte_pktmbuf_free_bulk
+        else:
+            for mbuf in mbufs:
+                mbuf.free()
         count = len(mbufs)
         self.received += count
         self.received_bytes += byte_count

@@ -30,10 +30,26 @@ class ReferenceLedgerMempool(Mempool):
         if id(mbuf) in self._where:
             self._drop_from_ledger(mbuf)
 
+    def free_burst(self, mbufs) -> None:
+        try:
+            super().free_burst(mbufs)
+        finally:
+            # What the burst loop sent home never went through put().
+            for mbuf in mbufs:
+                if mbuf.in_pool and id(mbuf) in self._where:
+                    self._drop_from_ledger(mbuf)
+
     def assign(self, mbuf: Mbuf, holder: str) -> None:
         super().assign(mbuf, holder)
-        if not self.track_ownership:
-            return
+        self._move(mbuf, holder)
+
+    def assign_burst(self, objs, holder: str) -> None:
+        super().assign_burst(objs, holder)   # foreign ones reach assign()
+        for obj in objs:
+            if getattr(obj, "pool", None) is self:
+                self._move(obj, holder)
+
+    def _move(self, mbuf: Mbuf, holder: str) -> None:
         current = self._where.get(id(mbuf))
         if current == holder:
             return

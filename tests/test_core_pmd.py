@@ -5,11 +5,15 @@ import pytest
 from repro.core.pmd import DualChannelPmd, GuestPmdManager
 from repro.core.stats import BypassStatsBlock
 from repro.dpdk.dpdkr import DpdkrSharedRings, dpdkr_zone_name
+from repro.dpdk.ethdev import EthDev
 from repro.dpdk.virtio_serial import ControlMessage
 from repro.hypervisor.qemu import Hypervisor
+from repro.mem import Mempool
 from repro.mem.memzone import MemzoneRegistry
 from repro.mem.ring import Ring
 from repro.sim.engine import Environment
+from repro.state.programs import acl_program
+from repro.state.xfsm import ChannelProgram
 
 from tests.helpers import mk_mbuf
 
@@ -434,3 +438,131 @@ class TestChannelStats:
         assert stats["bypass_enqueue_failures"] == 1
         assert stats["tx_via_bypass"] == 3
         assert stats["normal_enqueue_failures"] == 0
+
+
+class _DenySrcPort:
+    """An ACL rule: drop one UDP source port."""
+
+    def __init__(self, port):
+        self.port = port
+
+    def matches(self, key):
+        return key.l4_src == self.port
+
+
+class TestStatefulChannelTx:
+    """``tx_burst`` on an XFSM channel returns a prefix: ``mbufs[:n]``
+    are consumed (sent, or dropped by the policy), ``mbufs[n:]`` are
+    the caller's, untouched."""
+
+    @pytest.fixture
+    def stateful(self, pmd, stats_block):
+        ring = Ring("bypass", 8)
+        channel = ChannelProgram(acl_program([_DenySrcPort(666)]))
+        pmd.ordered_handover = False   # attach straight into BYPASS
+        pmd.attach_bypass_tx(ring, stats_block, flow_id=7, xfsm=channel)
+        return pmd, ring
+
+    def burst(self, pool, src_ports):
+        return [mk_mbuf(pool=pool, src_port=port) for port in src_ports]
+
+    def test_denied_packet_behind_a_rejected_one_stays_the_callers(
+            self, stateful):
+        # "sent + dropped by policy" (1 + 1 had the whole burst been
+        # evaluated) is not an index into the caller's list: a caller
+        # freeing mbufs[2:] would free the denied mbuf a second time
+        # and leak the second one.
+        pmd, ring = stateful
+        pool = Mempool("p", size=16)
+        ring.enqueue_bulk(self.burst(pool, [1] * 6))   # one slot left
+        mbufs = self.burst(pool, [1, 2, 3, 666])
+        taken = pmd.tx_burst(mbufs)
+        assert taken == 1
+        assert pmd.xfsm_evaluated == 1 and pmd.xfsm_drops == 0
+        assert pmd.stats.oerrors == 3
+        assert ring.partial_enqueues == 1
+        for rejected in mbufs[taken:]:
+            rejected.free()   # what every caller does; none raises
+        queued = ring.drain()
+        assert queued[-1] is mbufs[0]
+        for mbuf in queued:
+            mbuf.free()
+        assert pool.in_use == 0 and pool.double_free_detected == 0
+
+    def test_denied_packets_ahead_of_the_cut_are_consumed(self, stateful):
+        pmd, ring = stateful
+        pool = Mempool("p", size=16)
+        ring.enqueue_bulk(self.burst(pool, [1] * 5))   # two slots left
+        mbufs = self.burst(pool, [666, 1, 666, 2, 3])
+        taken = pmd.tx_burst(mbufs)
+        assert taken == 4   # two dropped by policy, two sent, one refused
+        assert pmd.xfsm_drops == 2 and pmd.tx_via_bypass == 2
+        assert pmd.stats.oerrors == 1
+        assert mbufs[0].in_pool and mbufs[2].in_pool
+        assert not mbufs[4].in_pool
+        mbufs[4].free()
+        for mbuf in ring.drain():
+            mbuf.free()
+        assert pool.in_use == 0
+
+    def test_full_ring_evaluates_nothing(self, stateful):
+        pmd, ring = stateful
+        ring.enqueue_bulk([mk_mbuf() for _ in range(7)])
+        mbufs = [mk_mbuf(src_port=666), mk_mbuf()]
+        assert pmd.tx_burst(mbufs) == 0
+        assert pmd.xfsm_evaluated == 0
+        assert ring.enqueue_failures == 1 and pmd.stats.oerrors == 2
+        assert all(mbuf.refcnt == 1 for mbuf in mbufs)
+
+
+class TestTxRoom:
+    """The query counts a refusal exactly as ``tx_burst`` would."""
+
+    def test_normal_channel_counts_the_ring_refusal(self, registry):
+        pmd = DualChannelPmd(0, DpdkrSharedRings(registry, "p0",
+                                                 ring_size=8))
+        ring = pmd.rings.to_switch
+        assert pmd.tx_room(4) == 4
+        assert (ring.partial_enqueues, ring.enqueue_failures) == (0, 0)
+        ring.enqueue_bulk([mk_mbuf() for _ in range(5)])
+        assert pmd.tx_room(4) == 2
+        assert ring.partial_enqueues == 1 and pmd.stats.oerrors == 2
+        ring.enqueue_bulk([mk_mbuf(), mk_mbuf()])
+        assert pmd.tx_room(4) == 0
+        assert ring.enqueue_failures == 1 and pmd.stats.oerrors == 6
+        assert pmd.stats.opackets == 0 and len(ring) == 7
+
+    def test_pending_bypass_flips_on_the_query(self, pmd, bypass_ring,
+                                               stats_block):
+        pmd.attach_bypass_tx(bypass_ring, stats_block, flow_id=7)
+        pmd.rings.to_switch.enqueue(mk_mbuf())
+        assert pmd.tx_room(4) == 4 and pmd.bypass_tx_active
+        assert pmd.tx_extra_cost == 0.0   # still on the normal channel
+        pmd.rings.to_switch.dequeue()
+        assert pmd.tx_room(4) == 4
+        assert pmd.tx_extra_cost > 0.0    # flipped to BYPASS
+
+    def test_stalled_and_killed_refuse_whole(self, pmd, bypass_ring,
+                                             stats_block):
+        pmd.ordered_handover = True
+        pmd.attach_bypass_tx(bypass_ring, stats_block, flow_id=7)
+        pmd.detach_bypass_tx(stall=True)
+        assert pmd.tx_room(5) == 0
+        assert pmd.tx_stall_rejects == 5 and pmd.stats.oerrors == 5
+        assert pmd.tx_burst([mk_mbuf()]) == 0
+        assert pmd.tx_stall_rejects == 6 and pmd.stats.oerrors == 6
+        pmd.killed = True
+        assert pmd.tx_room(3) == 0
+        assert pmd.tx_stall_rejects == 6 and pmd.stats.oerrors == 9
+
+    def test_stateful_channel_cannot_tell(self, pmd, stats_block):
+        ring = Ring("bypass", 8)
+        ring.enqueue_bulk([mk_mbuf() for _ in range(7)])
+        pmd.ordered_handover = False
+        pmd.attach_bypass_tx(ring, stats_block, flow_id=7,
+                             xfsm=ChannelProgram(acl_program([])))
+        assert pmd.tx_room(4) == 4   # a denied packet needs no slot
+        assert ring.enqueue_failures == 0 and pmd.stats.oerrors == 0
+
+    def test_plain_device_takes_whatever_is_due(self):
+        assert EthDev(0, "dev").tx_room(17) == 17

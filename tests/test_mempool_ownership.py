@@ -11,9 +11,12 @@ the two hot-path touchpoints that feed it: rings with a
 import pytest
 
 from repro.mem import Mempool, MempoolDoubleFreeError, Ring
+from repro.mem.mempool import charge
 from repro.orchestration import NfvNode
+from repro.packet.mbuf import Mbuf
 
 from tests.helpers import mk_mbuf
+from tests.support.reference_ledger import ReferenceLedgerMempool
 
 
 class TestLedgerBasics:
@@ -36,14 +39,6 @@ class TestLedgerBasics:
         assert mbuf.holder is None
         assert pool.holders() == {}
         assert pool.available == 8
-
-    def test_untracked_pool_ignores_assign(self):
-        pool = Mempool("p", size=8, track_ownership=False)
-        mbuf = pool.get()
-        pool.assign(mbuf, "vm:x")
-        assert mbuf.holder is None
-        assert pool.holders() == {}
-        mbuf.free()
 
     def test_reassign_to_same_holder_is_noop(self):
         pool = Mempool("p", size=8)
@@ -145,6 +140,182 @@ class TestReclaim:
         assert len(again) == 2
         for mbuf in again:
             mbuf.free()
+
+
+def _one_by_one(pool, mbufs):
+    for mbuf in mbufs:
+        mbuf.free()
+
+
+def _in_one_burst(pool, mbufs):
+    pool.free_burst(mbufs)
+
+
+# Bursts for TestFreeBurst: each builds, from a fresh pool and a
+# second one, the list of mbufs to free.
+
+def plain(pool, other):
+    pool.assign(pool._mbufs[0], "stale")   # a tag on a free mbuf
+    mbufs = pool.get_bulk(5)
+    for mbuf in mbufs:
+        pool.assign(mbuf, "vm:x")
+    return mbufs
+
+
+def retained_reference_only_drops_a_count(pool, other):
+    mbufs = pool.get_bulk(4)
+    mbufs[1].retain()
+    return mbufs
+
+
+def retained_then_freed_twice_in_one_burst(pool, other):
+    mbufs = pool.get_bulk(3)
+    return [mbufs[0], mbufs[1].retain(), mbufs[1], mbufs[2]]
+
+
+def foreign_pool_goes_home(pool, other):
+    return pool.get_bulk(2) + other.get_bulk(2) + pool.get_bulk(1)
+
+
+def pool_less_descriptor(pool, other):
+    return pool.get_bulk(1) + [Mbuf()] + pool.get_bulk(1)
+
+
+def same_mbuf_twice_raises_mid_burst(pool, other):
+    mbufs = pool.get_bulk(3)
+    return [mbufs[0], mbufs[1], mbufs[0], mbufs[2]]
+
+
+def refcnt_already_zero(pool, other):
+    mbufs = pool.get_bulk(3)
+    mbufs[1].refcnt = 0
+    return mbufs
+
+
+def already_in_the_free_list(pool, other):
+    mbufs = pool.get_bulk(3)
+    pool.put(mbufs[1])   # put() leaves refcnt alone: 1 and in_pool
+    return mbufs
+
+
+def over_free_backstop(pool, other):
+    # A descriptor that claims the pool but is not one of its own,
+    # offered while every real one is home.
+    return [Mbuf(pool=pool)]
+
+
+def over_free_backstop_mid_burst(pool, other):
+    return pool.get_bulk(2) + [Mbuf(pool=pool)]
+
+
+FREE_BURSTS = {build.__name__: build for build in (
+    plain,
+    retained_reference_only_drops_a_count,
+    retained_then_freed_twice_in_one_burst,
+    foreign_pool_goes_home,
+    pool_less_descriptor,
+    same_mbuf_twice_raises_mid_burst,
+    refcnt_already_zero,
+    already_in_the_free_list,
+    over_free_backstop,
+    over_free_backstop_mid_burst,
+)}
+
+
+class TestFreeBurst:
+    """``Mempool.free_burst`` is ``mbuf.free()`` per mbuf: each case
+    builds the same burst twice and frees one copy each way — the pools
+    must end identical, down to the free-list order and the exception.
+    """
+
+    @staticmethod
+    def run(build, free):
+        pool, other = Mempool("p", size=8), Mempool("other", size=4)
+        mbufs = build(pool, other)
+        try:
+            free(pool, mbufs)
+            raised = None
+        except (RuntimeError, ValueError) as exc:
+            raised = (type(exc), str(exc))
+        descriptors = pool._mbufs + other._mbufs
+        return {
+            "raised": raised,
+            "burst": [(descriptors.index(m) if m in descriptors else -1,
+                       m.refcnt, m.in_pool, m.holder) for m in mbufs],
+            "free_lists": [[descriptors.index(m) if m in descriptors else -1
+                            for m in p._free] for p in (pool, other)],
+            "books": [(p.available, p.free_count_total, p.alloc_count,
+                       p.double_free_detected) for p in (pool, other)],
+        }
+
+    @pytest.mark.parametrize("name", sorted(FREE_BURSTS))
+    def test_burst_free_is_free_per_mbuf(self, name):
+        expected = self.run(FREE_BURSTS[name], _one_by_one)
+        assert self.run(FREE_BURSTS[name], _in_one_burst) == expected
+
+    def test_the_cases_hit_every_check(self):
+        raised = {name: self.run(build, _in_one_burst)["raised"]
+                  for name, build in FREE_BURSTS.items()}
+        assert raised["plain"] is None
+        assert raised["foreign_pool_goes_home"] is None
+        assert raised["same_mbuf_twice_raises_mid_burst"] == (
+            RuntimeError, "double free of mbuf")
+        assert raised["refcnt_already_zero"] == (
+            RuntimeError, "double free of mbuf")
+        assert raised["already_in_the_free_list"][0] is \
+            MempoolDoubleFreeError
+        assert "over-freed" in raised["over_free_backstop"][1]
+        assert "over-freed" in raised["over_free_backstop_mid_burst"][1]
+
+    def test_counts_are_right_when_it_raises_mid_burst(self):
+        pool = Mempool("p", size=8)
+        mbufs = pool.get_bulk(4)
+        pool.put(mbufs[2])
+        with pytest.raises(MempoolDoubleFreeError):
+            pool.free_burst(mbufs)
+        # Two went home before the bad one, which was counted; the
+        # fourth is still the caller's.
+        assert pool.free_count_total == 3 and pool.available == 7
+        assert pool.double_free_detected == 1
+        assert not mbufs[3].in_pool and mbufs[3].refcnt == 1
+
+
+class TestBurstLedger:
+    def test_one_pool_burst_is_tagged_whole(self):
+        pool = Mempool("p", size=8)
+        mbufs = pool.get_bulk(4)
+        pool.assign_burst(mbufs, "ring:a")
+        assert pool.holders() == {"ring:a": 4}
+
+    def test_mixed_pool_burst_routes_each_descriptor(self):
+        pool, other = Mempool("p", size=8), Mempool("other", size=8)
+        stranger = object()   # a ring carries any object
+        burst = (pool.get_bulk(2) + [Mbuf(), stranger] + other.get_bulk(2)
+                 + pool.get_bulk(1))
+        charge(burst, "ring:a")
+        assert pool.holders() == {"ring:a": 3}
+        assert other.holders() == {"ring:a": 2}
+        assert burst[2].holder is None
+
+    def test_burst_led_by_a_pool_less_object(self):
+        pool = Mempool("p", size=8)
+        burst = [object(), Mbuf()] + pool.get_bulk(2)
+        charge(burst, "vm:x")
+        assert pool.holders() == {"vm:x": 2}
+        assert burst[1].holder is None
+
+    def test_ring_and_pmd_charge_through_the_burst_hook(self):
+        # The crash-reclaim oracle subclasses the pool: a store that
+        # bypassed assign_burst would leave its buckets behind.
+        pool = ReferenceLedgerMempool("p", size=8)
+        ring = Ring("r", capacity=8)
+        ring.holder_token = "ring:r"
+        ring.enqueue_burst(pool.get_bulk(3))
+        ring.enqueue_bulk(pool.get_bulk(2))
+        ring.enqueue(pool.get())
+        assert pool.reference_holders() == pool.holders() == {"ring:r": 6}
+        pool.free_burst(ring.drain())
+        assert pool.reference_holders() == pool.holders() == {}
 
 
 class TestRingCharging:

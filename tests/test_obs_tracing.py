@@ -140,6 +140,22 @@ class TestTransparencyProof:
         assert "emc" in hops or "classifier" in hops
         assert "bypass-ring" not in hops
 
+    def test_no_trace_dies_at_a_saturated_source(self):
+        # ingress stamps before tx_burst: when the source built packets
+        # its full TX ring then refused, three of four sampled traces
+        # sat on mbufs freed at the source and never finished.
+        experiment = ChainExperiment(
+            num_vms=3, bypass=False, memory_only=True,
+            duration=0.002, trace_sample=64,
+        )
+        result = experiment.run(drain=0.001)
+        tracer = experiment.obs.tracer
+        assert sum(s.tx_failures for s in experiment.sources) > 0
+        assert result.delivered_total == sum(
+            s.generated for s in experiment.sources)
+        assert tracer.packets_seen == result.delivered_total
+        assert tracer.traces_started == tracer.traces_finished > 100
+
     def test_pre_establishment_packets_take_the_switch(self):
         # Same rule, same VMs: packets sent before the bypass finishes
         # establishing flow through OVS, later packets take the ring —
