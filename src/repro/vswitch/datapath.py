@@ -51,6 +51,11 @@ from repro.vswitch.smc import SignatureMatchCache
 UpcallHandler = Callable[[Mbuf, int, str], None]
 
 
+# The stage a resolved lookup's cost is charged to, by resolving tier.
+_LOOKUP_STAGE = {"smc": "smc_lookup", "megaflow": "megaflow_lookup",
+                 "dpcls": "classifier_lookup"}
+
+
 def _free_upcall(mbuf: Mbuf, in_port: int, reason: str) -> None:
     """The upcall handler of a datapath that has none: drop."""
     mbuf.free()
@@ -304,7 +309,7 @@ class Datapath:
     # -- lookup ------------------------------------------------------------------
 
     def _walk_pipeline(
-        self, key: FlowKey, fill: int
+        self, key: FlowKey, fill: int, probed: bool = False
     ) -> Tuple[Optional[Traversal], float, str]:
         """Resolve ``key`` through SMC + megaflow + the classifier.
 
@@ -319,7 +324,8 @@ class Datapath:
         no revalidation); a megaflow miss walks the classifier with a
         :class:`FlowWildcards` accumulator so the resolution seeds a
         new minimally-masked megaflow entry covering the whole
-        aggregate, later pipeline tables included.
+        aggregate, later pipeline tables included.  ``probed`` says the
+        caller already probed the megaflow cache for ``key`` and missed.
         """
         costs = self.costs
         entries: List[FlowEntry] = []
@@ -348,7 +354,7 @@ class Datapath:
                 if self.smc_enabled:
                     self.smc.account(False)
                 if self.megaflow_enabled:
-                    cached = self.megaflow.lookup(key)
+                    cached = None if probed else self.megaflow.lookup(key)
                     if cached is not None:
                         return cached, cost + costs.ovs_megaflow_hit, \
                             "megaflow"
@@ -386,7 +392,8 @@ class Datapath:
         key = cached_flow_key(mbuf, in_port)
         traversal = self.emc.lookup(key) if self.emc_enabled else None
         if traversal is None:
-            return self._resolve_miss(key, [mbuf], 1, stages)
+            return self._resolve_miss(key, [mbuf], 1, stages,
+                                      mbuf.trace is not None)
         self.emc_hits += 1
         if stages is not None:
             stages.add("emc_lookup", self.costs.ovs_emc_hit, 1)
@@ -394,7 +401,8 @@ class Datapath:
         return traversal, self.costs.ovs_emc_hit
 
     def _resolve_miss(self, key: FlowKey, batch: List[Mbuf], fill: int,
-                      stages=None) -> "tuple[Optional[tuple], float]":
+                      stages, traced: bool
+                      ) -> "tuple[Optional[tuple], float]":
         """Resolve a flow batch the EMC did not know: SMC -> megaflow ->
         dpcls, one walk for every packet of the batch.
 
@@ -404,13 +412,26 @@ class Datapath:
         end the pipeline as an OF1.3 drop (the traversal so far, whose
         combined actions produce no output).  Counters and the
         ``stages`` split of the lookup cost are bulk-incremented by the
-        batch fill.
+        batch fill.  ``traced`` says some mbuf of the batch carries a
+        sampled path trace.
+
+        With the SMC off the megaflow cache is the first tier a miss
+        reaches, so it is probed here and a hit walks nothing.
         """
         costs = self.costs
-        traversal, cost, tier = self._walk_pipeline(key, fill)
+        if self.megaflow_enabled and not self.smc_enabled:
+            traversal = self.megaflow.lookup(key)
+            if traversal is not None:
+                cost, tier = costs.ovs_megaflow_hit, "megaflow"
+            else:
+                traversal, cost, tier = self._walk_pipeline(
+                    key, fill, probed=True)
+        else:
+            traversal, cost, tier = self._walk_pipeline(key, fill)
         if traversal is None:
             self.upcalls_no_match += fill
-            self._trace_batch(batch, "upcall", reason="no_match")
+            if traced:
+                self._trace_batch(batch, "upcall", reason="no_match")
             if self.upcall_queue is not None:
                 # Bounded path: charge the failed walk; the enqueue and
                 # dispatch costs are itemized by _punt and dispatch.
@@ -429,12 +450,10 @@ class Datapath:
         elif tier == "megaflow":
             self.megaflow_hits += fill
         if stages is not None:
-            stage = {"smc": "smc_lookup",
-                     "megaflow": "megaflow_lookup"}.get(
-                         tier, "classifier_lookup")
-            stages.add(stage, cost, packets=fill)
-        self._trace_batch(batch, "classifier",
-                          tables=len(traversal), tier=tier)
+            stages.add(_LOOKUP_STAGE[tier], cost, packets=fill)
+        if traced:
+            self._trace_batch(batch, "classifier",
+                              tables=len(traversal), tier=tier)
         if self.emc_enabled:
             self.emc.insert(key, traversal)
         return traversal, cost
@@ -688,7 +707,7 @@ class Datapath:
                     self._trace_batch(batch, "emc", result="hit")
             else:
                 traversal, lookup_cost = self._resolve_miss(
-                    key, batch, fill, stages)
+                    key, batch, fill, stages, traced)
             total_cost += lookup_cost
             if traversal is None:
                 for mbuf in batch:

@@ -13,8 +13,10 @@ mirroring real OVS-DPDK:
   datapath does not; the tests' whole-cache-wipe oracle does).
 * **Probabilistic insertion.**  Above an occupancy threshold only one in
   ``insert_inv_prob`` new keys is admitted (OVS's ``emc-insert-inv-prob``),
-  so elephant flows are not thrashed out by a storm of mice.  The coin is
-  a deterministic LCG — reruns stay bit-identical.
+  so elephant flows are not thrashed out by a storm of mice.  Occupancy
+  counts every slot, tombstoned and stale ones included, not only the
+  live keys ``len()`` reports.  The coin is a deterministic LCG — reruns
+  stay bit-identical.
 * **Stale-aware eviction.**  At capacity an invalidated/stale victim is
   preferred over a live one; the two cases are counted separately
   (``stale_evictions`` vs ``evictions``).
@@ -22,6 +24,9 @@ mirroring real OVS-DPDK:
 Correctness only requires that no stale rule ever forwards a packet
 after a flowmod; a tombstoned key behaves exactly like a stale
 generation (counted as ``stale_hits``, lazily collected on lookup).
+Under churn most slots are such tombstones, so the live keys are also
+kept in an index of their own: ``invalidate_matching`` and ``len()``
+visit only them.
 """
 
 from typing import Dict, Iterable, Optional, Set, Tuple
@@ -46,10 +51,10 @@ _EVICTION_PROBE_DEPTH = 8
 
 def _components(value) -> Iterable[FlowEntry]:
     """The flow entries referenced by a cached value (for the back-index)."""
-    if isinstance(value, FlowEntry):
-        return (value,)
     if isinstance(value, tuple):
         return value
+    if isinstance(value, FlowEntry):
+        return (value,)
     return ()
 
 
@@ -70,6 +75,9 @@ class ExactMatchCache:
         self.insert_threshold = insert_threshold
         self.generation = 0
         self._entries: Dict[FlowKey, Tuple[int, Traversal]] = {}
+        # The keys of _entries stamped with the current generation, in
+        # the order they became live (a dict used as an ordered set).
+        self._live: Dict[FlowKey, None] = {}
         # flow_id -> keys whose cached traversal contains that entry.
         self._by_entry: Dict[int, Set[FlowKey]] = {}
         # Deterministic LCG state for the insertion coin (no wall-clock
@@ -100,6 +108,7 @@ class ExactMatchCache:
 
     def _delete(self, key: FlowKey) -> None:
         _generation, value = self._entries.pop(key)
+        self._live.pop(key, None)
         self._unlink(key, value)
 
     # -- lookup --------------------------------------------------------------
@@ -127,7 +136,8 @@ class ExactMatchCache:
     # -- insertion ------------------------------------------------------------
 
     def _admit(self) -> bool:
-        """The probabilistic-insertion coin (deterministic LCG)."""
+        """The probabilistic-insertion coin (deterministic LCG).  The
+        occupancy it weighs is every slot, tombstones included."""
         if self.insert_inv_prob <= 1:
             return True
         if len(self._entries) < self.capacity * self.insert_threshold:
@@ -168,6 +178,7 @@ class ExactMatchCache:
         elif len(self._entries) >= self.capacity:
             self._evict_one()
         self._entries[key] = (self.generation, traversal)
+        self._live[key] = None
         self._link(key, traversal)
         self.insertions += 1
 
@@ -176,6 +187,7 @@ class ExactMatchCache:
     def invalidate_all(self) -> None:
         """Invalidate every cached entry (whole-cache generation bump)."""
         self.generation += 1
+        self._live.clear()
 
     def invalidate_entry(self, entry: FlowEntry) -> int:
         """Tombstone every key whose traversal contains ``entry``
@@ -185,10 +197,10 @@ class ExactMatchCache:
             return 0
         evicted = 0
         for key in list(keys):
-            cached = self._entries.get(key)
-            if cached is None or cached[0] != self.generation:
+            if key not in self._live:
                 continue  # already stale or collected
-            self._entries[key] = (_TOMBSTONE, cached[1])
+            del self._live[key]
+            self._entries[key] = (_TOMBSTONE, self._entries[key][1])
             evicted += 1
         self.precise_evictions += evicted
         return evicted
@@ -196,28 +208,24 @@ class ExactMatchCache:
     def invalidate_matching(self, match) -> int:
         """Tombstone every live key that ``match`` covers (a newly added
         rule may now outrank the cached resolution).  Returns the count."""
-        evicted = 0
-        for key, (generation, value) in self._entries.items():
-            if generation != self.generation:
-                continue
-            if match.matches(key):
-                self._entries[key] = (_TOMBSTONE, value)
-                evicted += 1
-        self.precise_evictions += evicted
-        return evicted
+        entries = self._entries
+        covered = [key for key in self._live if match.matches(key)]
+        for key in covered:
+            del self._live[key]
+            entries[key] = (_TOMBSTONE, entries[key][1])
+        self.precise_evictions += len(covered)
+        return len(covered)
 
     def flush(self) -> None:
         """Drop storage as well (used when memory accounting matters)."""
         self._entries.clear()
+        self._live.clear()
         self._by_entry.clear()
         self.generation += 1
 
     def __len__(self) -> int:
         # Live entries only: stale ones are lazily collected on lookup.
-        return sum(
-            1 for generation, _value in self._entries.values()
-            if generation == self.generation
-        )
+        return len(self._live)
 
     @property
     def hit_rate(self) -> float:

@@ -159,8 +159,9 @@ class MegaflowCache:
         dead: List[MegaflowEntry] = []
         found: Optional[Tuple[FlowEntry, ...]] = None
         for mask, bucket in self._masks.items():
-            values = tuple(getattr(key, name) & field_mask
-                           for name, field_mask in mask)
+            # A list, not a generator: one call, not one per field.
+            values = tuple([getattr(key, name) & field_mask
+                            for name, field_mask in mask])
             entry = bucket.get(values)
             if entry is None:
                 continue
@@ -185,8 +186,8 @@ class MegaflowCache:
                traversal: Tuple[FlowEntry, ...]) -> MegaflowEntry:
         """Cache ``traversal`` under ``key`` masked down to ``wc``."""
         mask = wc.mask_tuple()
-        values = tuple(getattr(key, name) & field_mask
-                       for name, field_mask in mask)
+        values = tuple([getattr(key, name) & field_mask
+                        for name, field_mask in mask])
         bucket = self._masks.get(mask)
         if bucket is not None:
             existing = bucket.get(values)
@@ -272,32 +273,32 @@ class MegaflowCache:
     def invalidate_matching(self, match: Match) -> int:
         """Tombstone every entry whose region overlaps ``match`` (a
         newly added rule could outrank the cached winner there)."""
+        fields = match.fields   # a copy: taken once, not once per entry
         killed = 0
         for entry in self._entries.values():
-            if entry.alive and self._region_overlaps(entry, match):
+            if entry.alive and self._region_overlaps(entry, fields):
                 entry.alive = False
                 killed += 1
         self.invalidations += killed
         return killed
 
     @staticmethod
-    def _region_overlaps(entry: MegaflowEntry, match: Match) -> bool:
+    def _region_overlaps(entry: MegaflowEntry,
+                         fields: Dict[str, Tuple[int, int]]) -> bool:
         """Whether some key can satisfy both the entry's region and the
-        match.  Disjoint iff some field disagrees on shared mask bits.
+        match whose ``fields`` are given.  Disjoint iff some field
+        disagrees on shared mask bits.
 
         Unlike :meth:`Match.overlaps` this works on arbitrary bit
         masks — megaflow masks on exact-only fields (``in_port``,
         ``l4_src``, ...) are legal here even though :class:`Match`
         itself refuses to construct them.
         """
-        entry_fields = {name: (value, mask)
-                        for (name, mask), value
-                        in zip(entry.mask, entry.values)}
-        for name, (match_value, match_mask) in match.fields.items():
-            cached = entry_fields.get(name)
-            if cached is None:
-                continue  # region unconstrained on this field
-            value, mask = cached
+        for (name, mask), value in zip(entry.mask, entry.values):
+            constraint = fields.get(name)
+            if constraint is None:
+                continue  # match unconstrained on this field
+            match_value, match_mask = constraint
             common = mask & match_mask
             if (value & common) != (match_value & common):
                 return False

@@ -247,6 +247,17 @@ class TestDatapathIntegration:
         assert datapath.classifier.lookups == 1  # only the first packet
         assert len(drain(b.rings.to_guest)) == 4
 
+    @pytest.mark.parametrize("smc", [False, True])
+    def test_megaflow_probed_once_per_resolution(self, smc):
+        # With the SMC off the miss path probes the megaflow cache before
+        # the walk; a miss there must not be probed (and counted) again.
+        switch, a, _b = self.setup_switch(smc=smc)
+        for sequence in range(4):
+            a.rings.to_switch.enqueue(new_flow_mbuf(sequence))
+            switch.step_dataplane()
+        megaflow = switch.datapath.megaflow
+        assert (megaflow.hits, megaflow.misses) == (3, 1)
+
     def test_disabled_megaflow_goes_to_dpcls(self):
         switch, a, b = self.setup_switch(megaflow=False, smc=False)
         for sequence in range(4):
