@@ -41,6 +41,7 @@ from repro.packet.flowkey import cached_flow_key
 from repro.packet.mbuf import Mbuf
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.state.xfsm import event_for
+from repro.waiters import Waitable
 
 
 class TxState(enum.Enum):
@@ -65,8 +66,28 @@ class TxState(enum.Enum):
     STALLED = "stalled"
 
 
-class DualChannelPmd(DpdkrPmd):
-    """dpdkr PMD handling a normal channel plus an optional bypass."""
+# The states as globals, for the burst path: an enum member read costs
+# about four global reads.
+_NORMAL = TxState.NORMAL
+_PENDING_BYPASS = TxState.PENDING_BYPASS
+_BYPASS = TxState.BYPASS
+
+
+class DualChannelPmd(DpdkrPmd, Waitable):
+    """dpdkr PMD handling a normal channel plus an optional bypass.
+
+    The TX path is *bound* when its state changes, not resolved per
+    burst: :meth:`_bind_tx` runs wherever ``tx_state``,
+    ``bypass_tx_ring``, ``bypass_xfsm`` or ``accounting_enabled`` is
+    written and leaves the ring a burst goes to and ``tx_extra_cost``
+    in plain attributes.  Two checks stay per burst, in :meth:`_tx_ring`:
+    ``killed``, and PENDING_BYPASS's drain gate.
+
+    The parked loop that consumes this port registers on the PMD itself
+    (:class:`Waitable`) besides its rings: whatever changes what an idle
+    poll reads or publishes without an enqueue — a ring attached or
+    detached, a fault plan installed, the VM killed — wakes it.
+    """
 
     def __init__(self, port_id: int, rings: DpdkrSharedRings) -> None:
         super().__init__(port_id, rings)
@@ -95,16 +116,13 @@ class DualChannelPmd(DpdkrPmd):
         # Runtime-fault hooks: a plan with pmd.rx_poll specs can freeze
         # this consumer; clock (sim time) bounds DELAY-mode freezes.
         self._faults: Optional[FaultPlan] = None
-        # The parked poll loop this port's RX side would have to wake
-        # (set by rx_park, one-shot).
-        self._rx_waiter = None
         self.clock: Optional[Callable[[], float]] = None
         self._rx_frozen_until: Optional[float] = None
         self._rx_frozen_forever = False
         # The paper's stats trick costs a little CPU on every bypass TX;
         # accounting_enabled=False is the ablation that measures it (and
         # demonstrates the transparency that is lost without it).
-        self.accounting_enabled = True
+        self._accounting_enabled = True
         self.stats_update_cost = 4e-9
         # ordered_handover=False reverts to the paper's naive flip
         # (immediate switch, bypass polled first) — the A-handover
@@ -129,6 +147,8 @@ class DualChannelPmd(DpdkrPmd):
         # Flipped by GuestPmdManager.kill() when the VM process dies
         # abruptly: a dead guest polls nothing and accepts nothing.
         self.killed = False
+        # The bound TX path: _tx_bound and tx_extra_cost (see _bind_tx).
+        self._bind_tx()
 
     @property
     def faults(self) -> Optional[FaultPlan]:
@@ -137,7 +157,39 @@ class DualChannelPmd(DpdkrPmd):
     @faults.setter
     def faults(self, plan: Optional[FaultPlan]) -> None:
         self._faults = plan
-        self.wake_rx()   # a new plan may count or freeze the next poll
+        self.wake_waiters()   # a new plan may count or freeze the next poll
+
+    @property
+    def accounting_enabled(self) -> bool:
+        """Whether bypass TX keeps the OpenFlow counters (the paper's
+        stats trick); False is the ablation that measures its cost."""
+        return self._accounting_enabled
+
+    @accounting_enabled.setter
+    def accounting_enabled(self, enabled: bool) -> None:
+        self._accounting_enabled = enabled
+        self._bind_tx()
+
+    def _bind_tx(self) -> None:
+        """Bind the TX path to the state just written: the ring for
+        NORMAL and BYPASS (None for the two states :meth:`_tx_ring`
+        decides per burst) and the per-packet ``tx_extra_cost`` — the
+        shared-stats update and the channel program, paid on the bypass
+        only."""
+        state = self.tx_state
+        extra = 0.0
+        if state is _NORMAL:
+            bound = self.rings.to_switch
+        elif state is _BYPASS:
+            bound = self.bypass_tx_ring
+            if self._accounting_enabled:
+                extra += self.stats_update_cost
+            if self.bypass_xfsm is not None:
+                extra += self.xfsm_exec_cost
+        else:
+            bound = None
+        self._tx_bound = bound
+        self.tx_extra_cost = extra
 
     # -- channel configuration (driven over virtio-serial) -------------------
 
@@ -162,6 +214,7 @@ class DualChannelPmd(DpdkrPmd):
         self.bypass_xfsm = xfsm
         self.tx_state = (TxState.PENDING_BYPASS if self.ordered_handover
                          else TxState.BYPASS)
+        self._bind_tx()
 
     def detach_bypass_tx(self, stall: bool = False) -> None:
         """Leave the bypass.
@@ -181,6 +234,7 @@ class DualChannelPmd(DpdkrPmd):
         self.tx_state = (TxState.STALLED
                          if stall and self.ordered_handover
                          else TxState.NORMAL)
+        self._bind_tx()
 
     def resume_tx(self) -> None:
         """Release a STALLED sender onto the normal channel.
@@ -197,6 +251,7 @@ class DualChannelPmd(DpdkrPmd):
                 % (self.name, self.tx_state.value)
             )
         self.tx_state = TxState.NORMAL
+        self._bind_tx()
 
     def attach_bypass_rx(self, ring: Ring,
                          stats: Optional[BypassStatsBlock] = None) -> None:
@@ -211,7 +266,7 @@ class DualChannelPmd(DpdkrPmd):
             raise RuntimeError(
                 "port %r already polls this bypass ring" % self.name
             )
-        self.wake_rx()   # polls so far did not beat this ring's epoch
+        self.wake_waiters()   # polls so far did not beat this ring's epoch
         self.bypass_rx_rings.append(ring)
         self._rx_stats.append(stats)
 
@@ -230,23 +285,13 @@ class DualChannelPmd(DpdkrPmd):
             raise RuntimeError(
                 "port %r does not poll that bypass ring" % self.name
             )
-        self.wake_rx()   # polls from here on no longer beat its epoch
+        self.wake_waiters()   # polls from here on no longer beat its epoch
         del self._rx_stats[self.bypass_rx_rings.index(ring)]
         self.bypass_rx_rings.remove(ring)
 
     @property
     def bypass_tx_active(self) -> bool:
-        return self.tx_state in (TxState.PENDING_BYPASS, TxState.BYPASS)
-
-    @property
-    def tx_extra_cost(self) -> float:
-        extra = 0.0
-        if self.tx_state == TxState.BYPASS:
-            if self.accounting_enabled:
-                extra += self.stats_update_cost
-            if self.bypass_xfsm is not None:
-                extra += self.xfsm_exec_cost
-        return extra
+        return self.tx_state in (_PENDING_BYPASS, _BYPASS)
 
     @property
     def bypass_rx_active(self) -> bool:
@@ -311,10 +356,12 @@ class DualChannelPmd(DpdkrPmd):
         shared = self.rings
         shared.heartbeat.epoch += 1
         mbufs: List[Mbuf] = []
+        count = 0   # len(mbufs), kept as it grows
         if self.ordered_handover:
             mbufs = shared.to_guest.dequeue_burst(max_count)
             if mbufs:
-                self.rx_via_normal += len(mbufs)
+                count = len(mbufs)
+                self.rx_via_normal += count
                 for mbuf in mbufs:
                     if mbuf.trace is not None:
                         mbuf.trace.add(self._trace_now(), "guest-rx",
@@ -325,7 +372,7 @@ class DualChannelPmd(DpdkrPmd):
             # yielded packets — an empty poll must not burn a ring's
             # turn, or one busy peer can starve another indefinitely.
             ring_count = len(rings)
-            room = max_count - len(mbufs)
+            room = max_count - count
             start = self._rx_rotation % ring_count
             first_served = None
             for offset in range(ring_count):
@@ -336,7 +383,7 @@ class DualChannelPmd(DpdkrPmd):
                     # Nothing to take, which is most polls: publish
                     # liveness and move on.
                     if stats is not None:
-                        stats.heartbeat(0)
+                        stats.rx_epoch += 1
                     continue
                 if None in got:
                     # A corrupted slot surfaced at the consumer: there
@@ -351,13 +398,16 @@ class DualChannelPmd(DpdkrPmd):
                     self.rx_integrity_drops += smashed
                     if stats is not None:
                         stats.rx_integrity_errors += smashed
+                taken = len(got)
                 if stats is not None:
-                    stats.heartbeat(len(got))
-                if got:
+                    stats.rx_epoch += 1
+                    stats.rx_dequeued += taken
+                if taken:
                     if first_served is None:
                         first_served = index
-                    self.rx_via_bypass += len(got)
-                    room -= len(got)
+                    self.rx_via_bypass += taken
+                    room -= taken
+                    count += taken
                     for mbuf in got:
                         if mbuf.trace is not None:
                             mbuf.trace.add(self._trace_now(), "guest-rx",
@@ -369,19 +419,24 @@ class DualChannelPmd(DpdkrPmd):
                         mbufs = got
             if first_served is not None:
                 self._rx_rotation = (first_served + 1) % ring_count
-        if not self.ordered_handover and len(mbufs) < max_count:
-            normal = shared.to_guest.dequeue_burst(
-                max_count - len(mbufs)
-            )
+        if not self.ordered_handover and count < max_count:
+            normal = shared.to_guest.dequeue_burst(max_count - count)
             self.rx_via_normal += len(normal)
+            count += len(normal)
             mbufs.extend(normal)
-        if mbufs:
+        if count:
             byte_count = 0
             for mbuf in mbufs:
                 byte_count += mbuf.wire_length
-            if self.holder_token is not None:
-                charge(mbufs, self.holder_token)
-            self.stats.ipackets += len(mbufs)
+            token = self.holder_token
+            if token is not None:
+                # charge(), on the per-packet path: one assign_burst.
+                pool = mbufs[0].pool
+                if pool is not None:
+                    pool.assign_burst(mbufs, token)
+                else:
+                    charge(mbufs, token)
+            self.stats.ipackets += count
             self.stats.ibytes += byte_count
         return mbufs
 
@@ -392,8 +447,10 @@ class DualChannelPmd(DpdkrPmd):
         and publishes liveness, so the consumer may park only while all
         of that is a matter of counting: not killed, not frozen (a
         freeze thaws with time), no ``pmd.rx_poll`` spec to count
-        occurrences against.  Whatever changes any of it calls
-        :meth:`wake_rx`."""
+        occurrences against.  Whatever changes any of it wakes the
+        waiters registered on this PMD.  ``waiter`` is registered where
+        it is not already: on the rings, the plan and the PMD itself.
+        """
         if (self.killed or self._rx_frozen_forever
                 or self._rx_frozen_until is not None):
             return False
@@ -402,17 +459,20 @@ class DualChannelPmd(DpdkrPmd):
         if faults is not None and rings and faults.has_specs(PMD_RX_POLL):
             return False
         normal = self.rings.to_guest
-        if not normal.is_empty:
+        if normal.head != normal.tail:
             return False
         for ring in rings:
-            if not ring.is_empty:
+            if ring.head != ring.tail:
                 return False
-        normal.watch(waiter)
+        if waiter not in normal.waiters:
+            normal.watch(waiter)
         for ring in rings:
-            ring.watch(waiter)
-        if faults is not None:
+            if waiter not in ring.waiters:
+                ring.watch(waiter)
+        if faults is not None and waiter not in faults.waiters:
             faults.watch(waiter)
-        self._rx_waiter = waiter
+        if waiter not in self.waiters:
+            self.watch(waiter)
         return True
 
     def rx_replay(self, polls: int) -> None:
@@ -423,35 +483,28 @@ class DualChannelPmd(DpdkrPmd):
             if stats is not None:
                 stats.rx_epoch += polls
 
-    def wake_rx(self) -> None:
-        """What an idle poll would read or publish is about to change:
-        make the parked consumer, if any, poll for real."""
-        waiter = self._rx_waiter
-        if waiter is not None:
-            self._rx_waiter = None
-            waiter.wake()
-
     def _tx_ring(self) -> Optional[Ring]:
         """The ring a burst goes to now — the ordered-handover flip
         happens here — or None while the port refuses every burst whole
-        (killed or STALLED; :meth:`tx_room` counts the refusal)."""
+        (killed or STALLED; :meth:`tx_room` counts the refusal).  A
+        burst calls it only when the bound ring is None or the port is
+        killed."""
         if self.killed:
             return None
-        state = self.tx_state
-        if state is TxState.NORMAL:
-            return self.rings.to_switch
-        if state is TxState.PENDING_BYPASS:
+        if self.tx_state is _PENDING_BYPASS:
             # Flip only when nothing of ours is still queued toward the
             # vSwitch; until then the normal channel stays in use.
-            if not self.rings.to_switch.is_empty:
-                return self.rings.to_switch
+            normal = self.rings.to_switch
+            if normal.head != normal.tail:
+                return normal
             self.tx_state = TxState.BYPASS
-        elif state is TxState.STALLED:
-            return None
-        return self.bypass_tx_ring
+            self._bind_tx()
+        return self._tx_bound
 
     def tx_room(self, count: int) -> int:
-        ring = self._tx_ring()
+        ring = self._tx_bound
+        if ring is None or self.killed:
+            ring = self._tx_ring()
         if ring is None:
             if not self.killed:
                 # Mid-teardown: refuse the burst (ring-full semantics);
@@ -468,7 +521,9 @@ class DualChannelPmd(DpdkrPmd):
         return room
 
     def tx_burst(self, mbufs: List[Mbuf]) -> int:
-        ring = self._tx_ring()
+        ring = self._tx_bound
+        if ring is None or self.killed:
+            ring = self._tx_ring()
         if ring is None:
             return self.tx_room(len(mbufs))   # refused whole, counted there
         if ring is not self.bypass_tx_ring:
@@ -505,7 +560,7 @@ class DualChannelPmd(DpdkrPmd):
             stats.opackets += sent
             stats.obytes += byte_count
             self.tx_via_bypass += sent
-            if self.accounting_enabled:
+            if self._accounting_enabled:
                 # The paper's stats trick: the PMD, not the switch, keeps
                 # the OpenFlow counters for bypassed traffic.
                 self.bypass_stats.account(self.bypass_flow_id, sent,
@@ -619,7 +674,7 @@ class GuestPmdManager:
         """Abrupt death: every PMD stops polling and transmitting."""
         for pmd in self.pmds.values():
             pmd.killed = True
-            pmd.wake_rx()
+            pmd.wake_waiters()
 
     def install_faults(self, faults: Optional[FaultPlan]) -> None:
         """Re-arm this VM's PMDs with ``faults`` (late plan install)."""

@@ -50,7 +50,8 @@ class BypassStatsBlock:
         self.flow_packets: Dict[int, int] = {}
         self.flow_bytes: Dict[int, int] = {}
         # Consumer-side liveness: bumped by the receiving PMD on every
-        # poll of the bypass ring (epoch) and every dequeue (cursor).
+        # poll of the bypass ring (epoch += 1) and by what each poll
+        # dequeued (cursor), inline in DualChannelPmd.rx_burst.
         # rx_epoch > 0 is the consumer's "sign-on" — before that the
         # watchdog has no baseline and stays quiet.
         self.rx_epoch = 0
@@ -71,11 +72,6 @@ class BypassStatsBlock:
         self.flow_bytes[flow_id] = (
             self.flow_bytes.get(flow_id, 0) + byte_count
         )
-
-    def heartbeat(self, dequeued: int) -> None:
-        """Called by the receiving PMD after each poll of the ring."""
-        self.rx_epoch += 1
-        self.rx_dequeued += dequeued
 
     def flow_counters(self, flow_id: int) -> Tuple[int, int]:
         return (self.flow_packets.get(flow_id, 0),

@@ -122,13 +122,15 @@ class DpdkrPmd(EthDev):
     # by attribute; a device without them is polled for real.
 
     def rx_park(self, waiter) -> bool:
-        """Arm ``waiter.wake()`` on everything that could change what an
+        """Register ``waiter`` (:meth:`repro.waiters.Waitable.watch`,
+        where it is not yet) on everything that could change what an
         idle ``rx_burst`` reads or publishes; False when the next poll
         may not be idle."""
         ring = self.rings.to_guest
-        if not ring.is_empty:
+        if ring.head != ring.tail:
             return False
-        ring.watch(waiter)
+        if waiter not in ring.waiters:
+            ring.watch(waiter)
         return True
 
     def rx_replay(self, polls: int) -> None:

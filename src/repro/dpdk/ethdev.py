@@ -31,17 +31,14 @@ class EthDev:
     # only consulted when stamping path-trace spans.
     clock = None
 
+    # Extra per-packet CPU cost the sender pays on this device: zero
+    # for plain devices; the dual-channel PMD rebinds it to the
+    # shared-memory statistics update (and its channel program) while a
+    # bypass is active.
+    tx_extra_cost = 0.0
+
     def _trace_now(self) -> float:
         return self.clock() if self.clock is not None else 0.0
-
-    @property
-    def tx_extra_cost(self) -> float:
-        """Extra per-packet CPU cost the sender pays on this device.
-
-        Zero for plain devices; the dual-channel PMD charges the
-        shared-memory statistics update here while a bypass is active.
-        """
-        return 0.0
 
     def __init__(self, port_id: int, name: str) -> None:
         self.port_id = port_id

@@ -65,6 +65,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.waiters import Waitable
+
 AGENT_RPC_SEND = "agent.rpc.send"
 AGENT_RPC_REPLY = "agent.rpc.reply"
 QEMU_PLUG = "qemu.plug"
@@ -155,12 +157,16 @@ class FaultAction:
     message: str
 
 
-class FaultPlan:
+class FaultPlan(Waitable):
     """A seeded set of fault specs plus the occurrence bookkeeping.
 
     One plan instance is shared by every component of a node; occurrence
     counts are therefore global per point (the third ``qemu.plug`` on the
     host is occurrence 3 regardless of which VM it targets).
+
+    Parked poll loops register on the plan (:class:`Waitable`): a
+    consumer that skips idle polls must resume real ones before they
+    start counting as occurrences, so adding a spec wakes them.
     """
 
     def __init__(self, seed: int = 0,
@@ -170,24 +176,13 @@ class FaultPlan:
         self._specs: Dict[str, List[FaultSpec]] = {}
         self.occurrences: Dict[str, int] = {}
         self.injected: List[FaultAction] = []
-        # Parked poll loops (keys only) to wake when a spec is added: a
-        # consumer that skips idle polls must resume real ones before
-        # they start counting as occurrences (see :meth:`watch`).
-        self._waiters: Dict[object, None] = {}
         for spec in specs:
             self.add(spec)
 
     def add(self, spec: FaultSpec) -> FaultSpec:
-        if self._waiters:
-            waiters, self._waiters = self._waiters, {}
-            for waiter in waiters:
-                waiter.wake()
+        self.wake_waiters()
         self._specs.setdefault(spec.point, []).append(spec)
         return spec
-
-    def watch(self, waiter) -> None:
-        """Call ``waiter.wake()`` once, when the next spec is added."""
-        self._waiters[waiter] = None
 
     def inject(self, point: str, mode, **kwargs) -> FaultSpec:
         """Shorthand: build and register a :class:`FaultSpec`."""

@@ -113,7 +113,16 @@ class Mempool:
         out = self._free[-count:]
         del self._free[-count:]
         for mbuf in out:
-            mbuf.reset()
+            # Mbuf.reset(), without the call per descriptor.
+            mbuf.packet = None
+            mbuf.wire_length = 0
+            mbuf.port = -1
+            mbuf.seq = -1
+            mbuf.ts_created = -1.0
+            mbuf.ts_injected = -1.0
+            mbuf.refcnt = 1
+            mbuf.userdata = None
+            mbuf.trace = None
             mbuf.in_pool = False
         self.alloc_count += count
         return out
@@ -191,7 +200,9 @@ class Mempool:
     def assign_burst(self, objs: Sequence[Any], holder: str) -> None:
         """:meth:`assign` for a burst led by one of this pool's
         descriptors: what ring enqueue and guest PMD rx call, once per
-        burst, through :func:`charge`.  A descriptor of another pool
+        burst, on the head's pool (:func:`charge` for any other burst).
+        The one ledger hook of the data path: a subclass that keeps
+        books of its own overrides it.  A descriptor of another pool
         goes to that pool's :meth:`assign`; an object without a pool
         carries no tag.
         """
@@ -264,7 +275,9 @@ def charge(objs: Sequence[Any], holder: str) -> None:
     :meth:`Mempool.assign_burst`, on the pool of the first descriptor
     that has one — the head of the burst, and every descriptor's pool,
     on a chain fed by one source.  Objects without a pool ahead of it
-    are passed over at no call each.
+    are passed over at no call each.  The per-packet paths (ring
+    enqueue, guest PMD rx) call ``assign_burst`` on the head's pool
+    directly and come here only for a head without one.
     """
     passed = 0
     for obj in objs:

@@ -22,6 +22,7 @@ from typing import Any, List, Optional, Sequence
 
 from repro.faults import RING_CORRUPT, FaultMode
 from repro.mem.mempool import charge
+from repro.waiters import Waitable
 
 
 class RingError(RuntimeError):
@@ -53,8 +54,18 @@ def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
 
-class Ring:
-    """Fixed-capacity FIFO with DPDK-style bulk/burst operations."""
+class Ring(Waitable):
+    """Fixed-capacity FIFO with DPDK-style bulk/burst operations.
+
+    ``head`` (next slot to write) and ``tail`` (next slot to read) are
+    public: the ring is empty iff they are equal, which a parked
+    consumer's owner tests without a call.  Every successful enqueue
+    wakes the registered consumer loop while it sleeps
+    (:class:`repro.waiters.Waitable`; one consumer, so one
+    registration).
+    """
+
+    max_waiters = 1
 
     def __init__(
         self,
@@ -75,8 +86,10 @@ class Ring:
         self.watermark = watermark
         self._mask = capacity - 1
         self._slots: List[Any] = [None] * capacity
-        self._head = 0  # next slot to write (producer index)
-        self._tail = 0  # next slot to read (consumer index)
+        self.head = 0  # next slot to write (producer index)
+        self.tail = 0  # next slot to read (consumer index)
+        # The consumer loop registered by watch(); read per enqueue.
+        self.waiters = ()
         # Generation tag: stamped by whoever provisions the ring (the
         # bypass manager uses the zone serial) and checked by the
         # watchdog, so a validator holding a stale handle can tell "this
@@ -97,32 +110,11 @@ class Ring:
         # reclaimed.  None (the default) keeps the hot path free of
         # ledger work for untracked rings.
         self.holder_token: Optional[str] = None
-        # One-slot consumer waiter: a parked poll loop whose ``wake()``
-        # the next successful enqueue calls (see :meth:`watch`).
-        self.waiter = None
-
-    # -- the consumer waiter ------------------------------------------------
-
-    def watch(self, waiter) -> None:
-        """Call ``waiter.wake()`` once, at the next successful enqueue.
-
-        The slot holds one waiter (a ring has one polling consumer); a
-        different waiter found in it is woken rather than dropped, which
-        is always safe — a woken loop just polls.
-        """
-        prior = self.waiter
-        if prior is not None and prior is not waiter:
-            prior.wake()
-        self.waiter = waiter
-
-    def _wake_waiter(self) -> None:
-        waiter, self.waiter = self.waiter, None
-        waiter.wake()
 
     # -- occupancy ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return (self._head - self._tail) & self._mask
+        return (self.head - self.tail) & self._mask
 
     @property
     def free_count(self) -> int:
@@ -131,7 +123,7 @@ class Ring:
 
     @property
     def is_empty(self) -> bool:
-        return self._head == self._tail
+        return self.head == self.tail
 
     @property
     def is_full(self) -> bool:
@@ -148,22 +140,22 @@ class Ring:
         if self.free_count < 1:
             self.enqueue_failures += 1
             raise RingFullError("ring %r full" % self.name)
-        self._slots[self._head & self._mask] = obj
-        self._head = (self._head + 1) & self._mask
+        self._slots[self.head & self._mask] = obj
+        self.head = (self.head + 1) & self._mask
         self.enqueued += 1
         if self.holder_token is not None:
             charge((obj,), self.holder_token)
-        if self.waiter is not None:
-            self._wake_waiter()
+        if self.waiters:
+            self.wake_waiters()
 
     def dequeue(self) -> Any:
         """Dequeue one object; raises :class:`RingEmptyError` when empty."""
         if self.is_empty:
             self.dequeue_failures += 1
             raise RingEmptyError("ring %r empty" % self.name)
-        obj = self._slots[self._tail & self._mask]
-        self._slots[self._tail & self._mask] = None
-        self._tail = (self._tail + 1) & self._mask
+        obj = self._slots[self.tail & self._mask]
+        self._slots[self.tail & self._mask] = None
+        self.tail = (self.tail + 1) & self._mask
         self.dequeued += 1
         return obj
 
@@ -178,13 +170,13 @@ class Ring:
                 "ring %r: need %d slots, have %d"
                 % (self.name, count, self.free_count)
             )
-        self._store(self._head, objs, count)
-        self._head = (self._head + count) & self._mask
+        self._store(self.head, objs, count)
+        self.head = (self.head + count) & self._mask
         self.enqueued += count
         if self.holder_token is not None:
             charge(objs, self.holder_token)
-        if count and self.waiter is not None:
-            self._wake_waiter()
+        if count and self.waiters:
+            self.wake_waiters()
 
     def dequeue_bulk(self, count: int) -> List[Any]:
         """Dequeue exactly ``count`` objects or none (raises RingEmptyError)."""
@@ -206,7 +198,7 @@ class Ring:
         ``partial_enqueues`` where offering everything would have.
         """
         mask = self._mask
-        room = mask - ((self._head - self._tail) & mask)
+        room = mask - ((self.head - self.tail) & mask)
         if room >= offered:
             return offered
         if room:
@@ -224,9 +216,9 @@ class Ring:
         the watchdog treats only the former as a stall symptom.
         """
         offered = len(objs)
-        head = self._head
+        head = self.head
         mask = self._mask
-        count = mask - ((head - self._tail) & mask)   # free_count
+        count = mask - ((head - self.tail) & mask)   # free_count
         if count > offered:
             count = offered
         if count == 0:
@@ -240,14 +232,23 @@ class Ring:
             self._slots[head] = objs[0]
         else:
             self._store(head, objs, count)
-        self._head = (head + count) & mask
+        self.head = (head + count) & mask
         self.enqueued += count
-        if self.holder_token is not None:
-            charge(objs, self.holder_token)
-        waiter = self.waiter
-        if waiter is not None:   # _wake_waiter(), on the per-packet path
-            self.waiter = None
-            waiter.wake()
+        token = self.holder_token
+        if token is not None:
+            # charge(), on the per-packet path: one assign_burst on the
+            # head's pool, the helper only for a head without one.
+            try:
+                pool = objs[0].pool
+            except AttributeError:
+                pool = None
+            if pool is not None:
+                pool.assign_burst(objs, token)
+            else:
+                charge(objs, token)
+        for waiter in self.waiters:   # wake_waiters(), likewise
+            if waiter.sleeping:
+                waiter.wake()
         faults = self.faults
         if faults is not None and faults.has_specs(RING_CORRUPT):
             action = faults.fire(RING_CORRUPT)
@@ -271,15 +272,15 @@ class Ring:
         if action.mode is FaultMode.CRASH:
             self.generation += 1
         elif not self.is_empty:
-            self._slots[self._tail & self._mask] = None
+            self._slots[self.tail & self._mask] = None
         else:
             return
         self.corruptions_injected += 1
 
     def dequeue_burst(self, max_count: int) -> List[Any]:
         """Dequeue up to ``max_count`` objects (possibly empty list)."""
-        tail = self._tail
-        count = (self._head - tail) & self._mask
+        tail = self.tail
+        count = (self.head - tail) & self._mask
         if count > max_count:
             count = max_count
         if count <= 0:
@@ -289,14 +290,14 @@ class Ring:
         slots = self._slots
         obj = slots[tail]
         slots[tail] = None
-        self._tail = (tail + 1) & self._mask
+        self.tail = (tail + 1) & self._mask
         self.dequeued += 1
         return [obj]
 
     def _take(self, count: int) -> List[Any]:
         """Copy ``count`` queued objects out by slices (two when the run
         wraps) and clear their slots."""
-        tail = self._tail
+        tail = self.tail
         slots = self._slots
         room = self.capacity - tail
         if count <= room:
@@ -306,7 +307,7 @@ class Ring:
             out = slots[tail:] + slots[:count - room]
             slots[tail:] = [None] * room
             slots[:count - room] = [None] * (count - room)
-        self._tail = (tail + count) & self._mask
+        self.tail = (tail + count) & self._mask
         self.dequeued += count
         return out
 
@@ -320,7 +321,7 @@ class Ring:
         """Return the oldest object without removing it."""
         if self.is_empty:
             raise RingEmptyError("ring %r empty" % self.name)
-        return self._slots[self._tail & self._mask]
+        return self._slots[self.tail & self._mask]
 
     def validate(self, expected_generation: Optional[int] = None) -> None:
         """Check structural invariants; raise :class:`RingIntegrityError`.
@@ -332,13 +333,13 @@ class Ring:
         is O(occupancy); the watchdog runs it once per poll interval,
         not per packet.
         """
-        if not 0 <= self._head < self.capacity:
+        if not 0 <= self.head < self.capacity:
             raise RingIntegrityError(
-                "ring %r: head %d out of bounds" % (self.name, self._head)
+                "ring %r: head %d out of bounds" % (self.name, self.head)
             )
-        if not 0 <= self._tail < self.capacity:
+        if not 0 <= self.tail < self.capacity:
             raise RingIntegrityError(
-                "ring %r: tail %d out of bounds" % (self.name, self._tail)
+                "ring %r: tail %d out of bounds" % (self.name, self.tail)
             )
         occupancy = len(self)
         flow = self.enqueued - self.dequeued
@@ -349,10 +350,10 @@ class Ring:
                 % (self.name, occupancy, self.enqueued, self.dequeued)
             )
         for offset in range(occupancy):
-            if self._slots[(self._tail + offset) & self._mask] is None:
+            if self._slots[(self.tail + offset) & self._mask] is None:
                 raise RingIntegrityError(
                     "ring %r: occupied slot %d holds None"
-                    % (self.name, (self._tail + offset) & self._mask)
+                    % (self.name, (self.tail + offset) & self._mask)
                 )
         if (expected_generation is not None
                 and self.generation != expected_generation):

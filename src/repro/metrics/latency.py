@@ -20,6 +20,9 @@ class LatencyRecorder:
         self.reservoir_size = reservoir_size
         self._rng = random.Random(seed)
         self._reservoir: List[float] = []
+        # The reservoir only grows, to reservoir_size: once full it
+        # stays full, and record() stops measuring it.
+        self._full = False
         self._sorted: Optional[List[float]] = None
         self.count = 0
         self.total = 0.0
@@ -27,6 +30,10 @@ class LatencyRecorder:
         # report 0.0 on an empty recorder instead of the inf sentinel.
         self._min = float("inf")
         self._max = 0.0
+        # count.bit_length() as of the last draw, valid while count
+        # stays below _bits_until (the next power of two).
+        self._bits = 0
+        self._bits_until = 0
 
     @property
     def min_value(self) -> float:
@@ -43,15 +50,21 @@ class LatencyRecorder:
             self._min = value
         if value > self._max:
             self._max = value
-        if len(self._reservoir) < self.reservoir_size:
-            self._reservoir.append(value)
+        if not self._full:
+            reservoir = self._reservoir
+            reservoir.append(value)
             self._sorted = None
+            self._full = len(reservoir) == self.reservoir_size
             return
         # randrange(count), spelt out (CPython's rejection sampling over
         # getrandbits): the same slots from the same seed at a third of
-        # the calls, once per packet.
+        # the calls, once per packet.  The bit length changes only at a
+        # power of two.
         count = self.count
-        bits = count.bit_length()
+        if count >= self._bits_until:
+            self._bits = count.bit_length()
+            self._bits_until = 1 << self._bits
+        bits = self._bits
         getrandbits = self._rng.getrandbits
         slot = getrandbits(bits)
         while slot >= count:

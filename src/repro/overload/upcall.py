@@ -31,6 +31,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.overload.tokenbucket import TokenBucket
 from repro.packet.mbuf import Mbuf
+from repro.waiters import Waitable
 
 #: Upcall reasons that ride in the high-priority control class.
 CONTROL_REASONS = ("action", "revalidation")
@@ -81,13 +82,17 @@ class UpcallPolicy:
 DEFAULT_UPCALL_POLICY = UpcallPolicy()
 
 
-class BoundedUpcallQueue:
+class BoundedUpcallQueue(Waitable):
     """Two-class bounded queue between the fast path and the slow path.
 
     Entries are ``(mbuf, in_port, reason)``.  The queue owns admitted
     mbufs until dispatch; shed mbufs are freed immediately with the shed
     reason recorded in counters, per-port accounting, the packet trace,
     and the coverage map.
+
+    Parked PMD poll loops register on the queue (:class:`Waitable`):
+    any core's iteration dispatches a non-empty queue, so every admitted
+    upcall wakes them.
     """
 
     def __init__(self, policy: Optional[UpcallPolicy] = None,
@@ -115,18 +120,6 @@ class BoundedUpcallQueue:
         # Hooks: coverage(name) and on_event(name, attrs) listeners.
         self.coverage: Optional[Callable[..., None]] = None
         self.on_event: List[Callable[[str, dict], None]] = []
-        # Parked PMD poll loops (keys only), woken by the next admitted
-        # upcall: any core's iteration dispatches a non-empty queue.
-        self._waiters: Dict[object, None] = {}
-
-    def watch(self, waiter) -> None:
-        """Call ``waiter.wake()`` once, when the next upcall is queued."""
-        self._waiters[waiter] = None
-
-    def _wake_waiters(self) -> None:
-        waiters, self._waiters = self._waiters, {}
-        for waiter in waiters:
-            waiter.wake()
 
     # -- introspection -------------------------------------------------
 
@@ -189,8 +182,8 @@ class BoundedUpcallQueue:
                 self.port_admitted.get(in_port, 0) + 1)
             if self.depth > self.high_watermark:
                 self.high_watermark = self.depth
-            if self._waiters:
-                self._wake_waiters()
+            if self.waiters:
+                self.wake_waiters()
             return True
 
         # Bulk miss class: token bucket -> port quota -> global cap.
@@ -214,8 +207,8 @@ class BoundedUpcallQueue:
         self.port_admitted[in_port] = self.port_admitted.get(in_port, 0) + 1
         if self.depth > self.high_watermark:
             self.high_watermark = self.depth
-        if self._waiters:
-            self._wake_waiters()
+        if self.waiters:
+            self.wake_waiters()
         return True
 
     # -- dispatch ------------------------------------------------------

@@ -68,7 +68,9 @@ class Mbuf:
         self.trace: Any = None
 
     def reset(self) -> None:
-        """Restore alloc-time state (called by the mempool on get)."""
+        """Restore alloc-time state (called by the mempool on get;
+        ``Mempool.get_bulk`` does the same stores inline, so a slot
+        added here goes there too — a test compares the two)."""
         self.packet = None
         self.wire_length = 0
         self.port = -1

@@ -132,14 +132,6 @@ class Timer(Event):
         self.callbacks = self._armed
         self.env._schedule(self, delay)
 
-    def arm_at(self, when: float) -> None:
-        """Fire the callback at simulated time ``when`` (not before
-        now): how a parked poll loop rejoins its own poll grid."""
-        self.callbacks = self._armed
-        env = self.env
-        env._eid += 1
-        heappush(env._queue, (when, self.rank, env._eid, self))
-
     def crash(self, exc: Exception) -> None:
         """The owner died: ``step`` raises once the callback returns."""
         self.is_alive = False

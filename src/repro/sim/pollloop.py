@@ -15,9 +15,15 @@ loop would first have seen the change, and the polls it skipped are
 replayed — same float operations, same order — so every observable is
 what polling through would have produced.  Only
 ``Environment.events_processed`` can tell the difference.
+
+What ends a park is a :class:`repro.waiters.Waitable` the loop is
+registered on.  The registration stays across parks; the producer wakes
+the loop while the loop sleeps (``PollLoop.sleeping``) and does nothing
+otherwise.
 """
 
 import math
+from heapq import heappush
 from typing import Callable, Iterator, Optional
 
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
@@ -35,12 +41,13 @@ class IdleContract:
         """Called after an iteration, with the next poll due at
         ``loop.next_poll``.  Return None when that poll may find work
         or the owner cannot tell; ``math.inf`` when every poll from
-        there on is idle until ``loop.wake()`` — the owner has armed
-        ``wake`` on everything that could change what an idle poll
-        reads or publishes; or the point of ``loop.idle_grid()`` up to
-        which idleness is a matter of time alone (the loop polls for
-        real there).  A needless wake is always exact: a real poll is
-        what the reference does.
+        there on is idle until ``loop.wake()`` — the loop is registered
+        (:meth:`repro.waiters.Waitable.watch`, once: a registration
+        stays) on everything that could change what an idle poll reads
+        or publishes, which wakes it while it sleeps; or the point of
+        ``loop.idle_grid()`` up to which idleness is a matter of time
+        alone (the loop polls for real there).  A needless wake is
+        always exact: a real poll is what the reference does.
         """
         return None
 
@@ -115,12 +122,14 @@ class PollLoop:
         # ``next_poll`` and ``idle_delay`` are the time and the back-off
         # delay of the first poll not yet accounted — where the ladder
         # of ``idle_grid()`` starts, for an owner that walks it in
-        # place.  While parked ``_wake_armed`` says the timer is queued
-        # for the real poll that ends the park.
+        # place.  ``sleeping``: parked until woken, and not yet woken —
+        # the one state in which a producer calls ``wake()``; a parked
+        # loop that is not sleeping has its timer queued for the real
+        # poll that ends the park.
         self.idle_delay = costs.idle_poll
         self.next_poll = 0.0
         self._parked = False
-        self._wake_armed = False
+        self.sleeping = False
         # The loop's one engine event; callers check its ``is_alive``.
         self.process: Optional[Timer] = None
 
@@ -149,7 +158,7 @@ class PollLoop:
         if self._parked:
             self.catch_up()
             self._parked = False
-            self._wake_armed = False
+            self.sleeping = False
             del self.env._parked[self]
         self._stopped = True
         if self.process is not None:
@@ -201,12 +210,19 @@ class PollLoop:
 
     def wake(self) -> None:
         """Something an idle poll reads or publishes changed: poll for
-        real at the first grid point that has not fired yet.  Cheap and
-        harmless on a loop that is not parked."""
-        if self._parked and not self._wake_armed:
+        real at the first grid point that has not fired yet.  Acts only
+        while the loop sleeps; harmless on any other loop."""
+        if self.sleeping:
+            self.sleeping = False
             self.catch_up()
-            self._wake_armed = True
-            self.process.arm_at(self.next_poll)
+            # Re-arm at the grid point: the queue key ``Timer.arm``
+            # pushes, at an absolute time and without its two calls.
+            timer = self.process
+            timer.callbacks = timer._armed
+            env = self.env
+            env._eid += 1
+            heappush(env._queue,
+                     (self.next_poll, timer.rank, env._eid, timer))
 
     def catch_up(self) -> None:
         """(Parked loops only.)  Replay the skipped polls that lie behind
@@ -263,7 +279,7 @@ class PollLoop:
                         % (self.name, env.now, self.next_poll)))
                     return
             self._parked = False
-            self._wake_armed = False
+            self.sleeping = False
             del env._parked[self]
         try:
             cost = self.iteration()
@@ -293,20 +309,25 @@ class PollLoop:
                 backoff = self.idle_backoff_max
             self.idle_delay = backoff
         # Leave the queue if the owner vouches for the polls from
-        # ``now + delay`` on; otherwise arm the timer as usual.
+        # ``now + delay`` on — until woken, or until a later point of
+        # the grid; otherwise re-arm for the next poll.
+        when = env.now + delay
         idle = self._idle
         if idle is not None and not self._stopped:
-            self.next_poll = env.now + delay
+            self.next_poll = when
             until = idle.idle_until(self)
             if until is not None:
                 self._parked = True
                 self.parks += 1
                 env._parked[self] = None
-                if until != math.inf:
-                    self._wake_armed = True
-                    timer.arm_at(until)
-                return
-        timer.arm(delay)
+                if until == math.inf:
+                    self.sleeping = True
+                    return
+                when = until
+        # ``timer.arm(delay)`` — or at ``until`` — as ``wake()`` does.
+        timer.callbacks = timer._armed
+        env._eid += 1
+        heappush(env._queue, (when, timer.rank, env._eid, timer))
 
     def __repr__(self) -> str:
         return "<PollLoop %s iters=%d util=%.2f>" % (

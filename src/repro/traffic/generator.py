@@ -95,7 +95,21 @@ class SourceApp:
     def iteration(self) -> float:
         env = self._env
         now = env.now if env is not None else 0.0
-        count = self._allowance(now)
+        rate = self.rate_pps
+        if self.on_time is not None:
+            count = self._allowance(now)
+        elif rate is None:
+            count = self.burst_size
+        else:
+            # _allowance() of an always-on paced source, inline: same
+            # float operations, in its order.
+            credit = self._credit + (now - self._last_credit_time) * rate
+            self._last_credit_time = now
+            cap = 4.0 * self.burst_size
+            if credit > cap:
+                credit = cap
+            self._credit = credit
+            count = int(credit)
         if count <= 0:
             return 0.0   # between two packets of a paced stream: most polls
         if count > self.burst_size:
@@ -150,7 +164,7 @@ class SourceApp:
         self._seq = seq
         self.tx_failures += count - sent
         self.generated += sent
-        if self.rate_pps is not None:
+        if rate is not None:
             self._credit -= count
         costs = self.costs
         return costs.burst_overhead + count * (
@@ -168,9 +182,8 @@ class SourceApp:
 
     def idle_until(self, loop: PollLoop) -> Optional[float]:
         rate = self.rate_pps
-        if (rate is None or self.on_time is not None
-                or self.pool.available <= 0):
-            return None   # saturating, duty-cycled or out of mbufs
+        if rate is None or self.on_time is not None:
+            return None   # saturating or duty-cycled
         credit = self._credit
         last = self._last_credit_time
         cap = 4.0 * self.burst_size
@@ -186,8 +199,11 @@ class SourceApp:
             if ahead > cap:
                 ahead = cap
             if ahead >= 1.0 or polls == horizon:
-                if not polls:
-                    return None   # the very next poll: just arm it
+                if not polls or self.pool.available <= 0:
+                    # The very next poll: just arm it.  Out of mbufs:
+                    # the next packet waits for one, which the sink's
+                    # free does not announce.
+                    return None
                 # The pacer's state is read by nothing but the next real
                 # poll, so it takes the values the skipped polls leave
                 # behind right away instead of poll by poll.

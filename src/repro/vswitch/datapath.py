@@ -47,6 +47,9 @@ from repro.vswitch.megaflow import FlowWildcards, MegaflowCache
 from repro.vswitch.ports import OvsPort, PortKind
 from repro.vswitch.smc import SignatureMatchCache
 
+# A global read, per burst, instead of an enum member's.
+_PHY = PortKind.PHY
+
 # Called with (mbuf, in_port, reason) on table miss / controller action.
 UpcallHandler = Callable[[Mbuf, int, str], None]
 
@@ -631,7 +634,7 @@ class Datapath:
                     stages.add("housekeeping", costs.burst_overhead)
                 return costs.burst_overhead + shed_cost, 0
         count = len(mbufs)
-        rx_cost = (costs.nic_pmd_rx if port.kind is PortKind.PHY
+        rx_cost = (costs.nic_pmd_rx if port.kind is _PHY
                    else costs.ring_op) * count
         total_cost = shed_cost + costs.burst_overhead + rx_cost
         now = self.clock()
@@ -786,7 +789,7 @@ class Datapath:
                     mbuf.free()
                 continue
             count = len(mbufs)
-            tx_cost = (costs.nic_pmd_tx if port.kind is PortKind.PHY
+            tx_cost = (costs.nic_pmd_tx if port.kind is _PHY
                        else costs.ring_op) * count
             total_cost += tx_cost
             if stages is not None:

@@ -98,15 +98,29 @@ class DpdkrOvsPort(OvsPort):
         self.rx_ring = rings.to_switch
         self.bypass_active = False
 
+    # The counters are kept inline, a hop being one call: only a burst
+    # the guest's ring refused in part goes through _account_tx.
+
     def receive_burst(self, max_count: int) -> List[Mbuf]:
-        mbufs = self.rings.to_switch.dequeue_burst(max_count)
+        mbufs = self.rx_ring.dequeue_burst(max_count)
         if mbufs:
-            self._account_rx(mbufs)
+            byte_count = 0
+            for mbuf in mbufs:
+                byte_count += mbuf.wire_length
+            self.rx_packets += len(mbufs)
+            self.rx_bytes += byte_count
         return mbufs
 
     def send_burst(self, mbufs: List[Mbuf]) -> int:
         accepted = self.rings.to_guest.enqueue_burst(mbufs)
-        return self._account_tx(mbufs, accepted)
+        if accepted < len(mbufs):
+            return self._account_tx(mbufs, accepted)
+        byte_count = 0
+        for mbuf in mbufs:
+            byte_count += mbuf.wire_length
+        self.tx_packets += accepted
+        self.tx_bytes += byte_count
+        return accepted
 
 
 class PhyOvsPort(OvsPort):

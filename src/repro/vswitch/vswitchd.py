@@ -48,7 +48,10 @@ class _CoreIdle(IdleContract):
     empty RX ring (or is down) and no upcall waits for dispatch.  An
     idle PMD iteration publishes nothing, so there is nothing to replay;
     the rings, the upcall queue and ``VSwitchd._wake_cores`` (ports
-    added, removed, moved between cores or brought up) end the park."""
+    added, removed, moved between cores or brought up) end the park.
+    The core registers on a ring or the queue only where it is not
+    registered already: a registration stays, and one left on the ring
+    of a port moved away costs at most a needless wake."""
 
     def __init__(self, switch: "VSwitchd", core_index: int) -> None:
         self.switch = switch
@@ -61,11 +64,14 @@ class _CoreIdle(IdleContract):
             return None
         ports = switch._core_ports[self.core_index]
         for port in ports:
-            if port.up and not port.rx_ring.is_empty:
+            ring = port.rx_ring
+            if port.up and ring.head != ring.tail:
                 return None
         for port in ports:
-            port.rx_ring.watch(loop)
-        if queue is not None:
+            ring = port.rx_ring
+            if loop not in ring.waiters:
+                ring.watch(loop)
+        if queue is not None and loop not in queue.waiters:
             queue.watch(loop)
         return math.inf
 

@@ -1,5 +1,6 @@
 """The build-then-free source, kept as the oracle the ask-first
-``SourceApp`` is checked against.
+``SourceApp`` is checked against; and the per-burst TX resolver, the
+oracle of the dual-channel PMD's bound TX path.
 
 Until the source asked its port first (``EthDev.tx_room``),
 ``SourceApp.iteration`` allocated every packet the pacer allowed,
@@ -13,6 +14,7 @@ counted by ``tx_burst`` itself, which is what the new source's books
 must read like.
 """
 
+from repro.core.pmd import TxState
 from repro.traffic.generator import SourceApp
 
 
@@ -66,3 +68,32 @@ class BuildThenFreeSource(SourceApp):
         return costs.burst_overhead + count * (
             costs.vm_forward + port.tx_extra_cost
         )
+
+
+def resolve_tx(pmd):
+    """``(ring, tx_extra_cost)`` of a burst ``pmd`` would send now,
+    worked out from its state at the burst, as ``DualChannelPmd`` did
+    before it bound its TX path: the ring is None while the port refuses
+    every burst (killed or STALLED); PENDING_BYPASS sends on the normal
+    channel until that has drained and then flips — computed here, not
+    made.  The extra cost is the bypass's alone: the shared-stats update
+    when accounting is on, then the channel program."""
+    state = pmd.tx_state
+    ring = None
+    if not pmd.killed:
+        if state is TxState.PENDING_BYPASS:
+            if pmd.rings.to_switch.is_empty:
+                state = TxState.BYPASS
+            else:
+                ring = pmd.rings.to_switch
+        if state is TxState.NORMAL:
+            ring = pmd.rings.to_switch
+        elif state is TxState.BYPASS:
+            ring = pmd.bypass_tx_ring
+    extra = 0.0
+    if state is TxState.BYPASS:
+        if pmd.accounting_enabled:
+            extra += pmd.stats_update_cost
+        if pmd.bypass_xfsm is not None:
+            extra += pmd.xfsm_exec_cost
+    return ring, extra

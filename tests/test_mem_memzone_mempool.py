@@ -8,6 +8,7 @@ from repro.mem import (
     MemzoneError,
     MemzoneRegistry,
 )
+from repro.packet.mbuf import Mbuf
 
 
 class TestMemzoneRegistry:
@@ -130,6 +131,25 @@ class TestMempool:
         mbuf.free()
         again = pool.get()
         assert again.port == -1
+
+    def test_get_bulk_resets_every_slot_as_reset_does(self):
+        """``get_bulk`` resets its descriptors inline: slot for slot
+        over ``Mbuf.__slots__`` they equal one ``get`` hands out, which
+        calls ``Mbuf.reset()`` — so a slot that ``reset`` learns to
+        clear and ``get_bulk`` does not fails here."""
+        # What a free leaves for the allocator to see: the pool's
+        # pointer, a single reference and no ledger tag.
+        kept = {"pool", "refcnt", "in_pool", "holder"}
+        pool = Mempool("p", size=4)
+        for mbuf in pool.get_bulk(4):
+            for slot in Mbuf.__slots__:
+                if slot not in kept:
+                    setattr(mbuf, slot, ("stale", slot))
+            mbuf.free()
+        by_reset = pool.get()
+        for mbuf in pool.get_bulk(3):
+            for slot in Mbuf.__slots__:
+                assert getattr(mbuf, slot) == getattr(by_reset, slot), slot
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):

@@ -161,7 +161,7 @@ class TestIntegrity:
 
         ring = Ring("r", capacity=8)
         ring.enqueue_bulk([1, 2, 3])
-        ring._slots[ring._tail & ring._mask] = None  # bit-rot the head
+        ring._slots[ring.tail & ring._mask] = None  # bit-rot the head
         with pytest.raises(RingIntegrityError):
             ring.validate()
 

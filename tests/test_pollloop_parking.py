@@ -21,7 +21,7 @@ from repro.core.pmd import DualChannelPmd
 from repro.core.stats import BypassStatsBlock
 from repro.core.watchdog import WatchdogPolicy
 from repro.dpdk.dpdkr import DpdkrSharedRings
-from repro.faults import PMD_RX_POLL, FaultMode, FaultPlan
+from repro.faults import AGENT_RPC_SEND, PMD_RX_POLL, FaultMode, FaultPlan
 from repro.mem.ring import Ring
 from repro.openflow.actions import OutputAction
 from repro.openflow.match import Match
@@ -401,6 +401,174 @@ def test_stopping_parked_loops_accounts_the_skipped_polls(restart):
         return rig.outcome()
 
     differential(scenario)
+
+
+# -- stale registrations ---------------------------------------------------------
+# A loop stays registered on whatever it parked on, also once it no
+# longer reads it.  The most that may cost is a needless wake-up: each
+# scenario leaves one behind, checks (on the parked run) that it is
+# there when it matters, and compares the rest with the reference.
+
+
+def parked(loop):
+    """True for a loop that parks (the reference never does)."""
+    return type(loop) is PollLoop
+
+
+def detached_ring_stream():
+    """A paced source on port a sends over a bypass ring to a sink on
+    port b; at 0.2 ms the sink's PMD stops polling the ring while the
+    source, whose TX stays attached, keeps writing into it."""
+    env = Environment()
+    switch = VSwitchd(env=env, n_pmd_cores=1)
+    a = switch.add_dpdkr_port("a")
+    b = switch.add_dpdkr_port("b")
+    tx = DualChannelPmd(0, DpdkrSharedRings.attach(a.rings.zone))
+    rx = DualChannelPmd(1, DpdkrSharedRings.attach(b.rings.zone))
+    stats = BypassStatsBlock("a-b", a.ofport, b.ofport)
+    ring = Ring("a-b", 64)
+    rx.attach_bypass_rx(ring, stats)
+    tx.attach_bypass_tx(ring, stats, flow_id=1)
+    switch.start()
+    source = SourceApp("src", tx, rate_pps=1e5)
+    sink = SinkApp("sink", rx)
+    latencies = []
+    sink.latency.record = latencies.append
+    loops = [sink.start(env), source.start(env)] + switch._pmd_loops
+    marks = {}
+
+    def detach():
+        rx.detach_bypass_rx(ring)
+        marks["parks"] = sink.loop.parks
+
+    env.timeout(2e-4).callbacks.append(lambda _event: detach())
+    env.run(until=1.5e-3)
+    if parked(sink.loop):
+        # Still registered on the ring it no longer polls, and woken
+        # for nothing by most of the packets written after it left.
+        assert sink.loop in ring.waiters
+        assert sink.loop.parks - marks["parks"] > 40
+    return {
+        "latencies": latencies,
+        "loops": {loop.name: (loop.iterations, loop.idle_iterations,
+                              loop.idle_time, loop.busy_time)
+                  for loop in loops},
+        "source": (source.generated, source.tx_failures, len(ring),
+                   ring.enqueue_failures),
+        "sink": (sink.received, rx.rings.heartbeat.epoch),
+        "bypass": (stats.rx_epoch, stats.rx_dequeued, stats.tx_packets),
+        "events": env.events_processed,
+        "parks": {loop.name: loop.parks for loop in loops},
+    }
+
+
+def test_a_detached_bypass_ring_written_by_a_late_producer():
+    differential(detached_ring_stream)
+
+
+def test_a_port_moved_off_a_sleeping_core_and_back():
+    """dpdkr0 leaves the core that serves it while that core sleeps
+    registered on its ring, and comes back 5 ms later to a core that
+    was displaced from that registration in the meantime."""
+    seen = []
+
+    def scenario():
+        rig = switched_rig()
+        node, switch = rig.node, rig.node.switch
+        port_no = node.ofport("dpdkr0")
+        ring = node.ports["dpdkr0"].rx_ring
+        rig.run(0.01)
+        home = switch.scheduler.core_of(port_no)
+
+        def move(core):
+            loop = switch._pmd_loops[switch.scheduler.core_of(port_no)]
+            if parked(loop):
+                seen.append((loop.sleeping, loop in ring.waiters))
+            switch.set_rxq_assign("group")
+            switch.pin_port("dpdkr0", core)
+            switch.rebalance()
+
+        rig.at(0.010013, lambda: move(1 - home))
+        rig.run(0.015)
+        rig.at(0.015013, lambda: move(home))
+        rig.run(0.02)
+        assert switch.scheduler.core_of(port_no) == home
+        return rig.outcome()
+
+    differential(scenario)
+    assert seen == [(True, True), (True, True)]
+
+
+def test_adding_specs_with_several_consumers_asleep():
+    """Two bypassed streams, both sinks asleep on an empty plan.  A spec
+    at a point no consumer counts wakes both for nothing; the
+    ``pmd.rx_poll`` spec that follows numbers the polls of both sinks
+    in one global sequence, so a poll counted late by either moves
+    which of them the freeze hits."""
+    asleep = []
+
+    def scenario():
+        rig = Rig()
+        node = rig.node
+        rig.plan = plan = FaultPlan(seed=11)
+        node.install_fault_plan(plan)
+        node.create_vm("vm3", ["dpdkr2"])
+        node.create_vm("vm4", ["dpdkr3"])
+        node.install_p2p_rule("dpdkr2", "dpdkr3")
+        source = SourceApp("src2", node.vms["vm3"].pmd("dpdkr2"),
+                           rate_pps=3e4)
+        sink = SinkApp("sink2", node.vms["vm4"].pmd("dpdkr3"))
+        sink.latency.record = rig.latencies.append
+        rig.loops += [source.start(rig.env), sink.start(rig.env)]
+        rig.run(0.3)
+        assert node.active_bypasses == 2
+
+        def add(point, mode, **kwargs):
+            if parked(rig.sink.loop):
+                asleep.append(sum(loop.sleeping for loop in plan.waiters))
+            plan.inject(point, mode, **kwargs)
+
+        rig.at(0.300013, lambda: add(AGENT_RPC_SEND, FaultMode.DROP,
+                                     probability=0.0))
+        rig.at(0.305013, lambda: add(PMD_RX_POLL, FaultMode.DELAY,
+                                     occurrences=(3, 8), delay=0.002))
+        rig.run(0.32, samples=8)
+        assert [action.occurrence for action in plan.injected] == [3, 8]
+        return rig.outcome()
+
+    differential(scenario)
+    assert asleep == [2, 2]
+
+
+def test_a_stopped_loop_left_registered_on_a_ring():
+    """The sink stops while registered on its RX ring; the switch keeps
+    writing to that ring, which must not wake the stopped loop, and a
+    second sink started on the same port displaces it."""
+    stale = []
+
+    def scenario():
+        rig = switched_rig()
+        rig.run(0.005)
+        pmd = rig.node.vms["vm2"].pmd("dpdkr1")
+        ring = pmd.rings.to_guest
+        old = rig.sink.loop
+        rig.at(0.005013, rig.sink.stop)
+
+        def start_again():
+            if parked(old):
+                stale.append((old in ring.waiters, len(ring) > 0))
+            rig.sink = SinkApp("sink.again", pmd)
+            rig.sink.latency.record = rig.latencies.append
+            rig.loops.append(rig.sink.start(rig.env))
+
+        rig.at(0.008013, start_again)
+        rig.run(0.012)
+        if parked(old):
+            assert ring.waiters == (rig.sink.loop,)
+        return rig.outcome()
+
+    differential(scenario)
+    assert stale == [(True, True)]
 
 
 # -- where the simulator's own time did not go -----------------------------------

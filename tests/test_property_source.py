@@ -11,6 +11,10 @@ saturating — and after every step the two worlds must read the same:
 the packets delivered, the cost charged, every counter a refusal moves,
 the pacer's credit.  The new source may differ in one thing only: what
 the port refused was never allocated.
+
+The same script checks the PMD's bound TX path: whatever the control
+plane did between two bursts, the ring it bound and ``tx_extra_cost``
+are what ``reference_source.resolve_tx`` works out per burst.
 """
 
 from types import SimpleNamespace
@@ -28,7 +32,7 @@ from repro.state.xfsm import ChannelProgram
 from repro.traffic import SourceApp, uniform_profile
 
 from tests.helpers import sweep_seeded
-from tests.support.reference_source import BuildThenFreeSource
+from tests.support.reference_source import BuildThenFreeSource, resolve_tx
 
 # Swapped under a running source: the template cursor must survive a
 # shorter profile on both sides alike.
@@ -90,6 +94,8 @@ class World:
                 pmd.resume_tx()
         elif op == "kill":
             pmd.killed = arg
+        elif op == "account":
+            pmd.accounting_enabled = arg
         elif op == "hold":
             pool = self.source.pool
             taken = pool.get_bulk(min(arg, pool.available))
@@ -142,6 +148,7 @@ controls = st.one_of(
     st.tuples(st.just("detach"), st.booleans()),
     st.tuples(st.just("resume"), st.none()),
     st.tuples(st.just("kill"), st.sampled_from([True, False, False])),
+    st.tuples(st.just("account"), st.booleans()),
     st.tuples(st.just("hold"), st.integers(60, 96)),
     st.tuples(st.just("release"), st.none()),
     st.tuples(st.just("profile"), st.sampled_from([2, 3])),
@@ -178,3 +185,31 @@ def test_ask_first_source_matches_build_then_free(rate_pps, script):
         source = asking.source
         assert (source.pool.alloc_count - asking.held_allocs
                 == source.generated)
+
+
+@sweep_seeded
+@settings(max_examples=250, deadline=None)
+@given(st.sampled_from([None, 4e6]),
+       st.lists(steps, min_size=1, max_size=50))
+# Attach onto a queued normal ring (the drain gate holds), detach with
+# a stall, resume, kill, the accounting ablation, a stateful attach.
+@example(None, [(None, 0, 0, 0.0), (("attach", False), 0, 0, 0.0),
+                (("account", False), 64, 0, 1e-6),
+                (("detach", True), 0, 0, 1e-6), (("resume", None), 0, 0, 0.0),
+                (("kill", True), 0, 0, 0.0), (("kill", False), 0, 0, 0.0),
+                (("attach", True), 64, 0, 1e-6)])
+# The drain gate opens between two bursts: no packet is due at the
+# poll after the normal ring drained, so the check makes the flip.
+@example(4e6, [(None, 0, 0, 1e-6), (("attach", False), 64, 0, 0.0)])
+def test_the_bound_tx_path_is_the_per_burst_resolution(rate_pps, script):
+    world = World(SourceApp, rate_pps)
+    pmd = world.pmd
+    for step in script:
+        world.step(*step)
+        ring, extra = resolve_tx(pmd)
+        assert pmd._tx_ring() is ring   # PENDING_BYPASS may flip here
+        # == on floats: the same additions in the same order.
+        assert pmd.tx_extra_cost == extra
+        if not pmd.killed and pmd.tx_state in (TxState.NORMAL,
+                                               TxState.BYPASS):
+            assert pmd._tx_bound is ring   # nothing left to resolve

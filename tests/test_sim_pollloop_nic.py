@@ -206,6 +206,8 @@ class TestNic:
         nic = Nic(Environment(), "eth0", ring_size=4)
 
         class BrokenWaiter:
+            sleeping = True   # a waiter's minimum: the flag and wake()
+
             def wake(self):
                 raise TypeError("not an overflow")
 
