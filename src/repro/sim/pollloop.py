@@ -22,12 +22,17 @@ the loop while the loop sleeps (``PollLoop.sleeping``) and does nothing
 otherwise.
 """
 
-import math
 from heapq import heappush
+from math import frexp, inf, ldexp
 from typing import Callable, Iterator, Optional
 
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sim.engine import Environment, SimulationError, Timer
+
+
+# A catch-up loops over its last polls at the cap when there are fewer
+# than this many: the closed form costs about as much as sixteen polls.
+_LOOPED_CAP_POLLS = 16
 
 
 class IdleContract:
@@ -229,7 +234,10 @@ class PollLoop:
         the engine's frontier: a poll at grid point ``when`` with back-off ``delay``
         does ``idle_time += delay; when = when + delay; delay =
         min(2 * delay, idle_backoff_max)`` — the float operations of
-        ``_poll``, in its order."""
+        ``_poll``, in its order.  The ladder is walked poll by poll;
+        once the delay is at the cap, ``when`` and ``idle_time`` each
+        take ``_add_repeated``'s closed form, which lands on the same
+        bits."""
         env = self.env
         now = env.now
         when = self.next_poll
@@ -245,9 +253,20 @@ class PollLoop:
             idle_time += delay
             when = when + delay
             delay = delay * 2
+            polls += 1
             if delay > cap:   # min(2 * delay, cap) without the call
                 delay = cap
-            polls += 1
+                if when < now - _LOOPED_CAP_POLLS * cap:
+                    # Every poll from here adds ``cap``: those strictly
+                    # before ``now`` at once, then the one due now by
+                    # rank.
+                    when, steps = _add_repeated(when, cap, now, inf)
+                    if when == now and self.process.rank < env.frontier_rank:
+                        when = when + cap
+                        steps += 1
+                    idle_time = _add_repeated(idle_time, cap, inf, steps)[0]
+                    polls += steps
+                    break
         if polls:
             self.next_poll = when
             self.idle_delay = delay
@@ -320,7 +339,7 @@ class PollLoop:
                 self._parked = True
                 self.parks += 1
                 env._parked[self] = None
-                if until == math.inf:
+                if until == inf:
                     self.sleeping = True
                     return
                 when = until
@@ -333,3 +352,45 @@ class PollLoop:
         return "<PollLoop %s iters=%d util=%.2f>" % (
             self.name, self.iterations, self.utilization
         )
+
+
+def _add_repeated(x: float, step: float, limit: float, count: float
+                  ) -> "tuple[float, int]":
+    """``x`` after at most ``count`` rounds of ``x = x + step``, stopping
+    at the first ``x >= limit``, and the rounds taken: the loop's result,
+    bit for bit, in O(binades crossed).  Needs ``x > 0`` and ``step >
+    0``.
+
+    Inside one binade ``[edge/2, edge)`` every sum rounds on the same
+    grid, and once ``x >= step`` Sterbenz makes ``fl(x + step) - x``
+    exact (below ``step``, ``x + step > 2x`` crosses the edge): every
+    round adds the same ``s`` — except that the first one after a tie
+    rounds to even once, and from an even ``x`` the same ``s``
+    repeats.  So one round is taken alone, and from its result
+    ``k`` more give ``x + k*s`` exactly, for ``k = floor((bound - x) /
+    s)`` and ``bound = min(edge, limit)``: both differences are whole
+    numbers of ulps, at most 2^52, so the rounded quotient never crosses
+    an integer, and a sum that lands on the edge itself is what rounding
+    gives there too.  A round that crosses an edge is taken alone.
+    """
+    taken = 0
+    edge = ldexp(1.0, frexp(x)[1])
+    while taken < count and x < limit:
+        x = x + step
+        taken += 1
+        if x >= edge:   # the next round, from a new binade, goes alone
+            edge = ldexp(1.0, frexp(x)[1])
+            continue
+        if x >= limit:
+            continue
+        s = (x + step) - x
+        if not s:   # x + step rounds back to x: x never moves again
+            if count == inf:
+                raise SimulationError("poll grid stalls at %r" % x)
+            return x, count
+        k = int(((limit if limit < edge else edge) - x) / s)
+        if k > count - taken:
+            k = count - taken
+        x = x + k * s
+        taken += k
+    return x, taken

@@ -25,9 +25,12 @@ is a cost per packet.
 
 import importlib.util
 import os
+import sys
 
 from perfbench import adapter
 from repro.experiments.chain import ChainExperiment
+from repro.sim.engine import Environment, Timer
+from repro.sim.pollloop import PollLoop
 
 from tests.test_golden_modelled_clock import (
     test_handover_under_load_is_bit_identical as golden_scenario,
@@ -43,13 +46,16 @@ GOLDEN_EVENTS = 84820
 # 27.16 calls per event (2,303,498 calls), plus 10 %.  Lower it when the
 # count falls; raising it needs a reason.  It read 35.37 while parked
 # loops re-registered on every ring at every park and the guest PMD
-# resolved its TX ring twice a burst.
+# resolved its TX ring twice a burst, and reads 27.27 since a long
+# catch-up costs a few calls in place of one loop pass per poll.
 CEILING_CALLS_PER_EVENT = 29.9
 # 20.86 calls per delivered packet (252,370 calls, 12,096 packets: a
 # 3-VM vanilla chain, both directions saturated, 1 ms plus warm-up and
 # control-plane settle), plus 10 %.  It read 48.65 while the sources
 # built 32 mbufs a poll and freed the three in four their full TX ring
-# refused, and 24.13 before the TX path was bound per state change.
+# refused, and 24.13 before the TX path was bound per state change.  It
+# reads 22.06 since a long catch-up costs a few calls in place of one
+# loop pass per poll: the 1 ms run is mostly control-plane settle.
 CEILING_CALLS_PER_DELIVERED_PACKET = 23.0
 # 31.74 calls per packet (761,734 calls, 24,000 packets: perfbench's
 # switch_miss_churn --quick, seed 1), plus 10 %.  Lower it when the count
@@ -62,7 +68,8 @@ CEILING_CALLS_PER_PACKET_ON_THE_MISS_PATH = 34.9
 # the count falls; raising it needs a reason.  It read 86.13 while a
 # parked loop re-registered on every ring at every park, the guest PMD
 # resolved its TX ring twice a burst and the ledger, pacer, allocator
-# and latency recorder each cost a call or two more per hop.
+# and latency recorder each cost a call or two more per hop.  It reads
+# 66.46 (4,784,812 calls) since a long catch-up costs a few calls.
 CEILING_CALLS_PER_PACKET_SUB_SATURATION = 73.0
 
 
@@ -111,3 +118,36 @@ def test_calls_per_packet_below_saturation_stay_under_the_ceiling():
         "%d calls / %d delivered = %.2f per packet" % (
             calls, delivered, per_packet))
     assert per_packet > 30
+
+
+def catch_up_lines(polls):
+    """Python lines run by one catch-up over ``polls`` polls at the cap,
+    ``next_poll`` and ``idle_time`` both inside [8, 16) s throughout."""
+    env = Environment()
+    loop = PollLoop(env, "parked", lambda: 0.0)
+    loop.process = Timer(env, loop._poll, loop.name)
+    cap = loop.idle_delay = loop.idle_backoff_max
+    loop.next_poll = loop.idle_time = 8.0
+    env.now = 8.0 + (polls - 0.5) * cap
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        loop.catch_up()
+    finally:
+        sys.settrace(None)
+    assert loop.replayed_polls == polls
+    return lines
+
+
+def test_a_long_catch_up_costs_what_a_short_one_does():
+    """Replayed polls cost O(binades crossed), not O(polls): a line
+    count, so a per-poll loop creeping back fails on any machine."""
+    short, long = catch_up_lines(10 ** 3), catch_up_lines(10 ** 6)
+    assert abs(long - short) <= 10, (short, long)
+    assert short < 100

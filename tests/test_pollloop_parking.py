@@ -403,6 +403,76 @@ def test_stopping_parked_loops_accounts_the_skipped_polls(restart):
     differential(scenario)
 
 
+def long_park():
+    """A paced source sends a -> b through a one-core switch and is
+    stopped, parked, at 2 ms; the sink (a bypass ring attached to its
+    RX side as well, so its idle polls publish two epochs) and the core
+    then stay parked.  At 0.2 s their accounting is zeroed while they
+    are parked, and at 0.21 s the switch — the core and the control
+    loop whose ticks sync every parked loop — is stopped.  Nothing fires
+    after that: the sync when ``run`` returns at 0.75 s replays the
+    sink's 108,000 polls at the cap in one catch-up, across the 0.25 and
+    0.5 s binade edges of ``next_poll``; at 0.8 s the sink is stopped
+    while parked."""
+    env = Environment()
+    switch = VSwitchd(env=env, n_pmd_cores=1)
+    a = switch.add_dpdkr_port("a")
+    b = switch.add_dpdkr_port("b")
+    switch.bridge.table.add(FlowEntry(Match(in_port=a.ofport),
+                                      [OutputAction(b.ofport)]))
+    tx = DualChannelPmd(0, DpdkrSharedRings.attach(a.rings.zone))
+    rx = DualChannelPmd(1, DpdkrSharedRings.attach(b.rings.zone))
+    stats = BypassStatsBlock("a-b", a.ofport, b.ofport)
+    rx.attach_bypass_rx(Ring("a-b", 64), stats)
+    switch.start()
+    source = SourceApp("src", tx, rate_pps=1e5)
+    sink = SinkApp("sink", rx)
+    loops = [sink.start(env), source.start(env)] + switch._pmd_loops
+    snapshots = []
+
+    def snapshot():
+        snapshots.append({
+            "loops": {loop.name: (loop.iterations, loop.idle_iterations,
+                                  loop.idle_time, loop.busy_time,
+                                  loop.idle_delay)
+                      for loop in loops},
+            "epochs": (tx.rings.heartbeat.epoch, rx.rings.heartbeat.epoch,
+                       stats.rx_epoch),
+            "packets": (source.generated, sink.received),
+        })
+
+    def at(when, action):
+        env.timeout(when - env.now).callbacks.append(lambda _event: action())
+
+    def reset():
+        switch.reset_pmd_accounting()
+        sink.loop.reset_accounting()
+
+    at(0.002, source.loop.stop)
+    at(0.2, reset)
+    at(0.21, switch.stop)
+    env.run(until=0.22)
+    snapshot()
+    events = env.events_processed
+    replayed = sink.loop.replayed_polls
+    env.run(until=0.75)
+    snapshot()
+    if parked(sink.loop):
+        assert env.events_processed == events
+        assert sink.loop.replayed_polls - replayed > 10 ** 5
+    at(0.8, sink.loop.stop)
+    env.run(until=0.85)
+    snapshot()
+    assert sink.received == source.generated > 100
+    return {"snapshots": snapshots, "events": env.events_processed,
+            "parks": {loop.name: loop.parks for loop in loops}}
+
+
+def test_a_long_park_across_binade_edges_a_reset_and_a_stop():
+    parks = differential(long_park)
+    assert parks["sink"] > 100 and parks["ovs.pmd0"] > 100
+
+
 # -- stale registrations ---------------------------------------------------------
 # A loop stays registered on whatever it parked on, also once it no
 # longer reads it.  The most that may cost is a needless wake-up: each

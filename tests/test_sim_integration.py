@@ -107,9 +107,11 @@ class TestLiveChainWithApps:
         forwarder.start(env)
         source.start(env)
         sink.start(env)
-        env.run(until=0.5)
+        # The links go active one after the other, at 0.101 and 0.202 s:
+        # the stream crosses both transitions and then both bypasses.
+        env.run(until=0.22)
         source.stop()
-        env.run(until=0.55)
+        env.run(until=0.23)
         assert node.active_bypasses == 2
         assert sink.received == source.generated
         assert sink.received > 100000
