@@ -11,19 +11,13 @@ tell whether a bypass is active underneath.
 """
 
 from repro.apps.base import DpdkApp, PortPair
-from repro.apps.conntrack import (
-    ConnState,
-    ConnectionTracker,
-    StatefulFirewallApp,
-)
+from repro.apps.conntrack import StatefulFirewallApp
 from repro.apps.forwarder import ForwarderApp
 from repro.apps.firewall import FirewallApp, FirewallRule
 from repro.apps.monitor import MonitorApp
 from repro.apps.cache import WebCacheApp
 
 __all__ = [
-    "ConnState",
-    "ConnectionTracker",
     "DpdkApp",
     "FirewallApp",
     "FirewallRule",

@@ -15,7 +15,7 @@ Three workloads, one question each:
 * ``syn_flood`` — the boundedness claim: a SYN flood from outside a
   stateful perimeter must not write a single state entry (the drop edge
   never persists), while legitimate bidirectional traffic flows.  Run
-  against both the guest tracker and the XFSM table.
+  against both the guest firewall and the datapath XFSM.
 * ``bypass_state_conservation`` — the hard correctness claim: a bypass
   channel carrying the stateful firewall is degraded mid-traffic by a
   frozen consumer, falls back losslessly to the switch path (same state
@@ -142,13 +142,13 @@ def stateful_chain(stateful, bypass, duration, rate_pps, flows=32,
     # reports the policy work it actually did instead of a
     # free-looking 0 cycles/packet.
     busy += pmd_xfsm_seconds
+    program = experiment.xfsm_program
+    if program is None and experiment.guest_firewall is not None:
+        program = experiment.guest_firewall.program
     occupancy = capacity = 0
-    if experiment.xfsm_program is not None:
-        occupancy = len(experiment.xfsm_program.table)
-        capacity = experiment.xfsm_program.table.capacity
-    elif experiment.guest_firewall is not None:
-        occupancy = len(experiment.guest_firewall.tracker)
-        capacity = experiment.guest_firewall.tracker.max_connections
+    if program is not None:
+        occupancy = len(program.table)
+        capacity = program.table.capacity
     return {
         "stateful": stateful,
         "bypass": bypass,
@@ -212,9 +212,9 @@ def syn_flood_guest(duration, legit_flows, legit_pps, attack_pps):
         endpoint[0].stop()
     env.run(until=env.now + 0.01)
     return _flood_row("guest", True, legit_flows, inside, outside,
-                      occupancy=len(firewall.tracker),
-                      capacity=firewall.tracker.max_connections,
-                      blocked=firewall.blocked)
+                      occupancy=firewall.program.table.occupancy,
+                      capacity=firewall.program.table.capacity,
+                      blocked=firewall.program.dropped)
 
 
 def syn_flood_xfsm(duration, legit_flows, legit_pps, attack_pps,
@@ -603,7 +603,7 @@ def run_bench(quick, seed=None, xfsm=True):
                                       rate, num_vms=2),
     }
 
-    print("[2/3] SYN flood boundedness, guest tracker vs XFSM table...",
+    print("[2/3] SYN flood boundedness, guest firewall vs XFSM adjacency...",
           file=sys.stderr)
     workloads["syn_flood"] = {
         "guest": syn_flood_guest(flood_duration, legit_flows=8,

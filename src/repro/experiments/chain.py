@@ -340,8 +340,8 @@ class ChainExperiment:
                     clock=lambda: env.now,
                 )
                 self.apps.append(self.guest_firewall)
-                self.node.obs.register_conntrack(
-                    self.guest_firewall.tracker, "vm%d" % vm_index)
+                self.node.obs.register_guest_program(
+                    self.guest_firewall.program, "vm%d" % vm_index)
                 continue
             self.apps.append(ForwarderApp(
                 "vm%d.app" % vm_index,
@@ -436,7 +436,7 @@ class ChainExperiment:
         datapath = self.node.switch.datapath
         drops = datapath.xfsm_drops + datapath.xfsm_unknown_drops
         if self.guest_firewall is not None:
-            drops += self.guest_firewall.blocked
+            drops += self.guest_firewall.program.dropped
         for handle in self.node.vms.values():
             for pmd in handle.pmds.values():
                 drops += getattr(pmd, "xfsm_drops", 0)

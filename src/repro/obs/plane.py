@@ -169,27 +169,9 @@ class Observability:
                              float(getattr(datapath, counter)), "counter",
                              "datapath XFSM execution counters")
             for program_name in sorted(datapath.xfsm_programs):
-                program = datapath.xfsm_programs[program_name]
-                labels = {"switch": name, "program": program_name}
-                table = program.table
-                yield Sample("repro_state_table_occupancy", labels,
-                             float(table.occupancy), "gauge",
-                             "state-table entries currently held")
-                yield Sample("repro_state_table_capacity", labels,
-                             float(table.capacity), "gauge",
-                             "state-table entry bound")
-                for counter in ("lookups", "hits", "misses", "inserts",
-                                "updates", "evictions_idle",
-                                "evictions_capacity", "invalidations",
-                                "deletes"):
-                    yield Sample("repro_state_table_%s_total" % counter,
-                                 labels,
-                                 float(getattr(table, counter)), "counter",
-                                 "per-program state-table counters")
-                for counter, value in program.counters().items():
-                    yield Sample("repro_state_program_%s_total" % counter,
-                                 labels, float(value), "counter",
-                                 "per-program XFSM verdict counters")
+                yield from _program_samples(
+                    datapath.xfsm_programs[program_name],
+                    {"switch": name, "program": program_name})
 
         self.registry.register_collector(collect_state)
 
@@ -470,28 +452,12 @@ class Observability:
 
         self.registry.register_collector(collect)
 
-    def register_conntrack(self, tracker, vm_name: str) -> None:
-        """Track a guest ConnectionTracker (lazy: the tracker keeps
-        mutating its plain counters and is read only at scrape time)."""
-        labels = {"vm": vm_name}
-
-        def collect() -> Iterable[Sample]:
-            yield Sample("repro_conntrack_connections", dict(labels),
-                         float(len(tracker)), "gauge",
-                         "connections currently tracked")
-            yield Sample("repro_conntrack_capacity", dict(labels),
-                         float(tracker.max_connections), "gauge",
-                         "connection-table bound")
-            for counter in ("created_total", "evicted_idle",
-                            "evicted_on_lookup", "rejected_full"):
-                yield Sample("repro_conntrack_%s" % counter
-                             + ("" if counter.endswith("total")
-                                else "_total"),
-                             dict(labels),
-                             float(getattr(tracker, counter)), "counter",
-                             "connection tracker lifecycle counters")
-
-        self.registry.register_collector(collect)
+    def register_guest_program(self, program, vm_name: str) -> None:
+        """Track an XFSM program a guest VNF runs over its own state
+        table: the datapath programs' per-program block, labelled by
+        ``vm`` instead of ``switch``."""
+        self.registry.register_collector(lambda: _program_samples(
+            program, {"vm": vm_name, "program": program.name}))
 
     def register_mempool(self, pool) -> None:
         """Track a Mempool: occupancy, lifecycle counters, and the
@@ -692,3 +658,24 @@ def _loop_samples(loop, stages: Optional[StageAccounting]
                 yield Sample("repro_pmd_stage_packets_total",
                              stage_labels, float(packets), "counter",
                              "packets attributed to one datapath stage")
+
+
+def _program_samples(program, labels) -> Iterable[Sample]:
+    """One XFSM program and its state table, under ``labels``."""
+    table = program.table
+    yield Sample("repro_state_table_occupancy", labels,
+                 float(table.occupancy), "gauge",
+                 "state-table entries currently held")
+    yield Sample("repro_state_table_capacity", labels,
+                 float(table.capacity), "gauge",
+                 "state-table entry bound")
+    for counter in ("lookups", "hits", "misses", "inserts", "updates",
+                    "evictions_idle", "evictions_capacity",
+                    "invalidations", "deletes"):
+        yield Sample("repro_state_table_%s_total" % counter, labels,
+                     float(getattr(table, counter)), "counter",
+                     "per-program state-table counters")
+    for counter, value in program.counters().items():
+        yield Sample("repro_state_program_%s_total" % counter, labels,
+                     float(value), "counter",
+                     "per-program XFSM verdict counters")

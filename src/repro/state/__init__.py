@@ -4,9 +4,9 @@ Per-flow :class:`~repro.state.table.StateTable` storage plus the
 :class:`~repro.state.xfsm.Xfsm` program model, executed (1) in the
 vSwitch datapath after cache-hit resolution (the ``xfsm_exec`` stage)
 and (2) inside the bypass PMD, so p-2-p channels can carry stateful
-NFs without tearing down.  :mod:`repro.state.programs` compiles the
-guest applications (conntrack, stateful firewall, ACL, NAT, rate
-limiting) onto the abstraction.
+NFs without tearing down.  :mod:`repro.state.programs` holds the
+network functions (connection tracking, the stateful firewall the guest
+app runs too, ACL, NAT, rate limiting) as programs over the abstraction.
 """
 
 from repro.state.table import (

@@ -1,16 +1,18 @@
-"""Compiled XFSM programs: the guest NFs, recompiled onto the fast path.
+"""Compiled XFSM programs: the network functions of the stateful tier.
 
-Each factory returns an :class:`~repro.state.xfsm.Xfsm` semantically
-equivalent to one of the guest applications in :mod:`repro.apps` — the
-property tests in ``tests/test_property_state.py`` hold the two
-implementations against each other packet-for-packet:
+Each factory returns an :class:`~repro.state.xfsm.Xfsm` that the
+vSwitch datapath and a bypass PMD execute.  The connection machine has
+one implementation: the guest stateful firewall runs
+:func:`firewall_program` too, so moving it between guest, switch and
+channel changes where it runs, never what it decides.
+``tests/test_property_state.py`` holds both connection programs against
+an independent tracker written without a transition table.
 
-* :func:`conntrack_program` — the :class:`~repro.apps.conntrack.
-  ConnectionTracker` TCP/UDP machine (observation only, always allow);
-* :func:`firewall_program` — the :class:`~repro.apps.conntrack.
-  StatefulFirewallApp` perimeter policy (inside may initiate, outside
-  may only reply).  No rewrites, so it is **state-safe** and may ride a
-  p-2-p bypass channel;
+* :func:`conntrack_program` — the TCP/UDP connection machine
+  (observation only, always allow);
+* :func:`firewall_program` — the perimeter policy (inside may initiate,
+  outside may only reply).  No rewrites, so it is **state-safe** and
+  may ride a p-2-p bypass channel;
 * :func:`acl_program` — :class:`~repro.apps.firewall.FirewallApp`'s
   stateless deny-rule ACL (no state table writes at all);
 * :func:`nat_program` — source NAT with per-flow port allocation.  It
@@ -39,7 +41,7 @@ from repro.state.xfsm import (
     always,
 )
 
-# The connection-machine state names mirror apps.conntrack.ConnState.
+# The connection machine's states.
 NEW = "NEW"
 SYN_SENT = "SYN_SENT"
 ESTABLISHED = "ESTABLISHED"
@@ -86,10 +88,10 @@ def _non_tcp_reply_seen(event: Event, data: Dict[str, Any]) -> bool:
 
 
 def _tracking_edges(state: str) -> List[Transition]:
-    """The ConnectionTracker._advance machine, one state's edge list.
+    """The connection machine, one state's edge list.
 
-    Edge order reproduces the guest tracker's flag precedence exactly:
-    RST beats FIN beats SYN+ACK beats SYN beats bare ACK."""
+    Edge order is the flag precedence: RST beats FIN beats SYN+ACK
+    beats SYN beats bare ACK."""
     edges = [
         Transition(_is_rst, to_state=CLOSED, update=_record_direction,
                    name="rst"),
@@ -140,7 +142,8 @@ def _outside_packet(event: Event, _data) -> bool:
 
 def firewall_program(name: str = "stateful_fw", capacity: int = 65536,
                      idle_timeout: float = 30.0) -> Xfsm:
-    """The perimeter policy of ``StatefulFirewallApp``, as an XFSM."""
+    """The perimeter policy: inside may initiate, outside may only
+    reply to a connection the inside opened."""
     table = StateTable(name=name, capacity=capacity,
                        idle_timeout=idle_timeout,
                        lookup_scope=canonical_scope)

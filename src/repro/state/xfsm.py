@@ -91,7 +91,11 @@ def always(_event: Event, _data: Dict[str, Any]) -> bool:
 @dataclass(frozen=True)
 class TokenBucket:
     """Per-entry token-bucket spec; token state lives in the entry's
-    registers so it migrates with the flow."""
+    registers so it migrates with the flow.
+
+    Kept apart from ``repro.overload.tokenbucket.TokenBucket``, which
+    owns its tokens and a clock: one shared class would have to branch
+    on whether its caller holds the state."""
 
     rate_pps: float
     burst: float

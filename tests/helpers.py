@@ -2,6 +2,9 @@
 
 import os
 
+from repro.apps.conntrack import StatefulFirewallApp
+from repro.dpdk.dpdkr import DpdkrPmd, DpdkrSharedRings
+from repro.mem.memzone import MemzoneRegistry
 from repro.packet.builder import make_udp_packet
 from repro.packet.mbuf import Mbuf
 
@@ -14,6 +17,32 @@ def mk_mbuf(packet=None, pool=None, **udp_kwargs):
     mbuf.packet = packet
     mbuf.wire_length = packet.wire_length
     return mbuf
+
+
+class GuestFirewall:
+    """A StatefulFirewallApp on a pair of dpdkr ports, fed one packet
+    at a time; ``push`` answers 'was it forwarded?'.  ``capacity`` and
+    ``idle_timeout`` size the app's state table."""
+
+    def __init__(self, capacity=65536, idle_timeout=30.0):
+        registry = MemzoneRegistry()
+        self.inside = DpdkrPmd(0, DpdkrSharedRings(registry, "in"))
+        self.outside = DpdkrPmd(1, DpdkrSharedRings(registry, "out"))
+        self.now = 0.0
+        self.app = StatefulFirewallApp("sfw", self.inside, self.outside,
+                                       clock=lambda: self.now)
+        self.table = self.app.program.table
+        self.table.capacity = capacity
+        self.table.idle_timeout = idle_timeout
+
+    def push(self, mbuf, from_inside, now=None):
+        if now is not None:
+            self.now = now
+        rx = self.inside if from_inside else self.outside
+        tx = self.outside if from_inside else self.inside
+        rx.rings.to_guest.enqueue(mbuf)
+        self.app.iteration()
+        return len(tx.rings.to_switch.dequeue_burst(8)) == 1
 
 
 def drain(ring, max_count=1024):

@@ -1,19 +1,25 @@
-"""Tests for connection tracking and the stateful firewall."""
+"""Tests for the stateful firewall and the connection machine it runs.
+
+``TestConnectionTracker`` pins the connection states of
+``firewall_program`` — the program :class:`StatefulFirewallApp` runs —
+and the guest's table bound; ``TestStatefulFirewall`` drives the app
+through its ports.
+"""
 
 import pytest
 
-from repro.apps.conntrack import (
-    ConnState,
-    ConnectionTracker,
-    StatefulFirewallApp,
-)
+from repro.apps.conntrack import StatefulFirewallApp
 from repro.dpdk.dpdkr import DpdkrPmd, DpdkrSharedRings
+from repro.experiments import ChainExperiment
 from repro.mem.memzone import MemzoneRegistry
+from repro.obs.export import prometheus_text
 from repro.packet.builder import make_tcp_packet, make_udp_packet
 from repro.packet.flowkey import extract_flow_key
 from repro.packet.headers import Tcp
+from repro.state.programs import firewall_program
+from repro.state.xfsm import event_for
 
-from tests.helpers import mk_mbuf
+from tests.helpers import GuestFirewall, mk_mbuf
 
 
 def tcp_mbuf(flags, src_ip="10.0.0.1", dst_ip="8.8.8.8",
@@ -24,74 +30,80 @@ def tcp_mbuf(flags, src_ip="10.0.0.1", dst_ip="8.8.8.8",
     ))
 
 
+def reply_mbuf(flags, src_port=40000):
+    return tcp_mbuf(flags, src_ip="8.8.8.8", dst_ip="10.0.0.1",
+                    src_port=80, dst_port=src_port)
+
+
 def key_of(mbuf):
     return extract_flow_key(mbuf.packet, 0)
 
 
+def observe(program, mbuf, now, from_inside):
+    return program.evaluate(event_for(key_of(mbuf), mbuf, now,
+                                      from_inside))
+
+
 class TestConnectionTracker:
     def test_tcp_handshake_states(self):
-        tracker = ConnectionTracker()
+        program = firewall_program()
         syn = tcp_mbuf(Tcp.SYN)
-        conn = tracker.observe(key_of(syn), syn, 0.0, from_inside=True)
-        assert conn.state == ConnState.SYN_SENT
-        synack = tcp_mbuf(Tcp.SYN | Tcp.ACK, src_ip="8.8.8.8",
-                          dst_ip="10.0.0.1", src_port=80, dst_port=40000)
-        tracker.observe(key_of(synack), synack, 0.1, from_inside=False)
-        assert conn.state == ConnState.ESTABLISHED
-        assert len(tracker) == 1  # both directions, one connection
+        assert observe(program, syn, 0.0, True).state == "SYN_SENT"
+        synack = reply_mbuf(Tcp.SYN | Tcp.ACK)
+        assert observe(program, synack, 0.1, False).state == "ESTABLISHED"
+        assert program.table.occupancy == 1  # both directions, one entry
 
     def test_fin_teardown(self):
-        tracker = ConnectionTracker()
-        syn = tcp_mbuf(Tcp.SYN)
-        conn = tracker.observe(key_of(syn), syn, 0.0, True)
+        program = firewall_program()
+        observe(program, tcp_mbuf(Tcp.SYN), 0.0, True)
         fin1 = tcp_mbuf(Tcp.FIN | Tcp.ACK)
-        tracker.observe(key_of(fin1), fin1, 1.0, True)
-        assert conn.state == ConnState.FIN_WAIT
-        fin2 = tcp_mbuf(Tcp.FIN | Tcp.ACK, src_ip="8.8.8.8",
-                        dst_ip="10.0.0.1", src_port=80, dst_port=40000)
-        tracker.observe(key_of(fin2), fin2, 1.1, False)
-        assert conn.state == ConnState.CLOSED
-        assert tracker.expire(now=1.2) == 1
+        assert observe(program, fin1, 1.0, True).state == "FIN_WAIT"
+        fin2 = reply_mbuf(Tcp.FIN | Tcp.ACK)
+        assert observe(program, fin2, 1.1, False).state == "CLOSED"
+        # A CLOSED connection admits nothing more from outside.
+        assert not observe(program, reply_mbuf(Tcp.ACK), 1.2, False).allow
 
     def test_rst_closes(self):
-        tracker = ConnectionTracker()
-        syn = tcp_mbuf(Tcp.SYN)
-        conn = tracker.observe(key_of(syn), syn, 0.0, True)
-        rst = tcp_mbuf(Tcp.RST)
-        tracker.observe(key_of(rst), rst, 0.5, True)
-        assert conn.state == ConnState.CLOSED
+        program = firewall_program()
+        observe(program, tcp_mbuf(Tcp.SYN), 0.0, True)
+        assert observe(program, tcp_mbuf(Tcp.RST), 0.5, True).state \
+            == "CLOSED"
 
     def test_udp_established_after_both_directions(self):
-        tracker = ConnectionTracker()
+        program = firewall_program()
         out = mk_mbuf(packet=make_udp_packet(src_ip="10.0.0.1",
                                              dst_ip="8.8.8.8",
                                              src_port=5000, dst_port=53))
-        conn = tracker.observe(key_of(out), out, 0.0, True)
-        assert conn.state == ConnState.NEW
+        assert observe(program, out, 0.0, True).state == "NEW"
         back = mk_mbuf(packet=make_udp_packet(src_ip="8.8.8.8",
                                               dst_ip="10.0.0.1",
                                               src_port=53, dst_port=5000))
-        tracker.observe(key_of(back), back, 0.1, False)
-        assert conn.state == ConnState.ESTABLISHED
-        assert conn.packets_in == 1 and conn.packets_out == 1
+        assert observe(program, back, 0.1, False).state == "ESTABLISHED"
+        entry = program.table.lookup(key_of(out), 0.2)
+        assert entry.data == {"originated_inside": True,
+                              "out": True, "in": True}
 
     def test_idle_eviction(self):
-        tracker = ConnectionTracker(idle_timeout=10.0)
-        syn = tcp_mbuf(Tcp.SYN)
-        tracker.observe(key_of(syn), syn, 0.0, True)
-        assert tracker.expire(now=5.0) == 0
-        assert tracker.expire(now=10.0) == 1
-        assert len(tracker) == 0
+        program = firewall_program(idle_timeout=10.0)
+        observe(program, tcp_mbuf(Tcp.SYN), 0.0, True)
+        assert program.table.sweep(now=5.0) == 0
+        assert program.table.sweep(now=10.0) == 1
+        assert program.table.occupancy == 0
 
     def test_capacity_bound(self):
-        tracker = ConnectionTracker(max_connections=2)
+        """A full guest table evicts its least recently used flow, as
+        the datapath's does: three inside SYNs into two slots, then a
+        reply on each flow — the first flow's reply finds no entry."""
+        guest = GuestFirewall(capacity=2)
         for port in (1, 2, 3):
-            mbuf = tcp_mbuf(Tcp.SYN, src_port=40000 + port)
-            result = tracker.observe(key_of(mbuf), mbuf, 0.0, True)
-            if port == 3:
-                assert result is None
-        assert tracker.rejected_full == 1
-        assert len(tracker) == 2
+            assert guest.push(tcp_mbuf(Tcp.SYN, src_port=40000 + port),
+                              from_inside=True)
+        assert guest.table.occupancy == 2
+        assert guest.table.evictions_capacity == 1
+        replies = [guest.push(reply_mbuf(Tcp.SYN | Tcp.ACK, 40000 + port),
+                              from_inside=False)
+                   for port in (1, 2, 3)]
+        assert replies == [False, True, True]
 
 
 class TestStatefulFirewall:
@@ -116,7 +128,7 @@ class TestStatefulFirewall:
         self.feed_outside(outside, [attack])
         app.iteration()
         assert inside.rings.to_switch.dequeue_burst(8) == []
-        assert app.blocked == 1
+        assert app.program.dropped == 1
         assert attack.refcnt == 0
 
     def test_outbound_then_reply_allowed(self, firewall):
@@ -130,7 +142,7 @@ class TestStatefulFirewall:
         self.feed_outside(outside, [reply])
         app.iteration()
         assert inside.rings.to_switch.dequeue_burst(8) == [reply]
-        assert app.blocked == 0 and app.allowed == 2
+        assert app.program.dropped == 0 and app.program.allowed == 2
 
     def test_closed_connection_rejects_reply(self, firewall):
         inside, outside, app = firewall
@@ -145,7 +157,7 @@ class TestStatefulFirewall:
         self.feed_outside(outside, [late])
         app.iteration()
         assert inside.rings.to_switch.dequeue_burst(8) == []
-        assert app.blocked == 1
+        assert app.program.dropped == 1
 
     def test_non_transport_passes(self, firewall):
         inside, outside, app = firewall
@@ -185,4 +197,19 @@ class TestStatefulFirewall:
         node.vms["server"].pmd("s0").tx_burst([attack])
         app.iteration()
         assert node.vms["client"].pmd("c0").rx_burst(8) == []
-        assert app.blocked == 1
+        assert app.program.dropped == 1
+
+
+def test_guest_chain_exports_its_program():
+    """A chain with the guest firewall exports the app's program in the
+    state-table family, labelled by the VM it runs in."""
+    experiment = ChainExperiment(
+        num_vms=3, memory_only=True, duration=0.002, flows=4,
+        reverse_traffic=False, stateful="guest")
+    result = experiment.run(drain=0.001)
+    program = experiment.guest_firewall.program
+    assert program.evaluations > 0
+    assert result.policy_dropped == program.dropped == 0
+    text = prometheus_text(experiment.node.obs.registry)
+    assert 'repro_state_program_evaluations_total{program="stateful_fw",' \
+        'vm="vm2"} %d' % program.evaluations in text

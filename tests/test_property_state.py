@@ -1,18 +1,21 @@
-"""Property: the XFSM-compiled NFs are forward-equivalent to the
-guest applications they replace.
+"""Property: the XFSM connection programs decide what an independent
+tracker decides, and the guest firewall decides what its program does.
 
 The stateful tier's whole promise is that compiling a VNF onto the
 datapath (or a bypass channel) changes *where* the policy runs, never
-*what* it decides.  Hypothesis drives both implementations with the
+*what* it decides.  Hypothesis drives every implementation with the
 same random interleaving of flows, directions, TCP flags/UDP traffic
 and idle gaps (including gaps past the idle timeout, so eviction
 timing is part of the property):
 
-* ``firewall_program`` vs the real :class:`StatefulFirewallApp`
-  pipeline — same per-packet forward/block decision, same tracked-flow
-  population;
-* ``conntrack_program`` vs :class:`ConnectionTracker` — same state
-  label after every packet, same table occupancy.
+* ``firewall_program`` vs the reference tracker's perimeter decision
+  (``tests/support/reference_conntrack.py``) — same per-packet verdict,
+  same tracked-flow population, below capacity; and, in the same loop,
+  the real :class:`StatefulFirewallApp` on its dpdkr ports vs the
+  program at a drawn table capacity (2 or 65536) — at capacity both
+  evict the least recently used flow;
+* ``conntrack_program`` vs the reference ``ConnectionTracker`` — same
+  state label after every packet, same table occupancy.
 
 Two seeded (non-hypothesis) soaks complete the satellite: the
 conservation choreography across bypass establish -> degrade ->
@@ -26,18 +29,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.apps.conntrack import ConnectionTracker, StatefulFirewallApp
-from repro.dpdk.dpdkr import DpdkrPmd, DpdkrSharedRings
-from repro.mem.memzone import MemzoneRegistry
 from repro.packet.builder import make_tcp_packet, make_udp_packet
 from repro.packet.flowkey import extract_flow_key
 from repro.packet.headers import Tcp
 from repro.state.programs import conntrack_program, firewall_program
 from repro.state.xfsm import event_for
 
-from tests.helpers import mk_mbuf
+from tests.helpers import GuestFirewall, mk_mbuf, sweep_seeded
+from tests.support.reference_conntrack import (
+    ConnectionTracker,
+    reference_verdict,
+)
 
 OUTSIDE_IP = "8.8.8.8"
+FLOWS = 4
 KINDS = ("syn", "synack", "ack", "fin", "rst", "udp")
 FLAGS = {
     "syn": Tcp.SYN,
@@ -52,7 +57,7 @@ FLAGS = {
 # is part of the equivalence claim, not a special case.
 ops_strategy = st.lists(
     st.tuples(
-        st.integers(0, 3),
+        st.integers(0, FLOWS - 1),
         st.booleans(),
         st.sampled_from(KINDS),
         st.sampled_from([0.0, 0.01, 0.5, 31.0]),
@@ -81,68 +86,61 @@ def build_mbuf(flow, from_inside, kind):
     return mk_mbuf(packet=packet)
 
 
-class GuestFirewall:
-    """The real StatefulFirewallApp on a pair of dpdkr ports, fed one
-    packet at a time; ``push`` answers 'was it forwarded?'."""
-
-    def __init__(self):
-        registry = MemzoneRegistry()
-        self.inside = DpdkrPmd(0, DpdkrSharedRings(registry, "in"))
-        self.outside = DpdkrPmd(1, DpdkrSharedRings(registry, "out"))
-        self.now = 0.0
-        self.app = StatefulFirewallApp("sfw", self.inside, self.outside,
-                                       clock=lambda: self.now)
-
-    def push(self, mbuf, from_inside):
-        rx = self.inside if from_inside else self.outside
-        tx = self.outside if from_inside else self.inside
-        rx.rings.to_guest.enqueue(mbuf)
-        self.app.iteration()
-        return len(tx.rings.to_switch.dequeue_burst(8)) == 1
+def evaluate(program, mbuf, now, from_inside):
+    return program.evaluate(event_for(
+        extract_flow_key(mbuf.packet, 0), mbuf, now,
+        from_inside=from_inside))
 
 
+@sweep_seeded
 @settings(max_examples=50, deadline=None)
-@given(ops_strategy)
-def test_firewall_program_equals_guest_firewall(ops):
-    guest = GuestFirewall()
-    program = firewall_program()
+@given(ops_strategy, st.sampled_from([2, 65536]))
+def test_firewall_program_equals_guest_firewall(ops, capacity):
+    program = firewall_program(capacity=capacity)
+    guest = GuestFirewall(capacity=capacity)
+    # The reference refuses a new flow when full where the table evicts
+    # its least recently used one: it is an oracle only below capacity.
+    reference = ConnectionTracker() if capacity > FLOWS else None
     now = 0.0
     for index, (flow, from_inside, kind, gap) in enumerate(ops):
         now += gap
-        guest.now = now
-        mbuf_guest = build_mbuf(flow, from_inside, kind)
-        mbuf_xfsm = build_mbuf(flow, from_inside, kind)
-        forwarded = guest.push(mbuf_guest, from_inside)
-        verdict = program.evaluate(event_for(
-            extract_flow_key(mbuf_xfsm.packet, 0), mbuf_xfsm, now,
-            from_inside=from_inside))
-        assert verdict.allow == forwarded, \
-            "op %d (%s flow=%d inside=%s): guest %s, xfsm %s" % (
-                index, kind, flow, from_inside,
-                "forwarded" if forwarded else "blocked",
-                "allowed" if verdict.allow else "dropped")
-        # Same tracked-flow population at every step: the two tables
-        # agree not just on verdicts but on what they remember.
-        assert program.table.occupancy == len(guest.app.tracker)
-    assert program.dropped == guest.app.blocked
+        where = "op %d (%s flow=%d inside=%s capacity=%d)" % (
+            index, kind, flow, from_inside, capacity)
+        allow = evaluate(program, build_mbuf(flow, from_inside, kind),
+                         now, from_inside).allow
+        forwarded = guest.push(build_mbuf(flow, from_inside, kind),
+                               from_inside, now)
+        assert forwarded == allow, "%s: guest %s, program %s" % (
+            where, forwarded, allow)
+        assert guest.table.occupancy == program.table.occupancy, where
+        if reference is not None:
+            mbuf = build_mbuf(flow, from_inside, kind)
+            expected = reference_verdict(
+                reference, extract_flow_key(mbuf.packet, 0), mbuf, now,
+                from_inside)
+            assert allow == expected, "%s: reference %s, program %s" % (
+                where, expected, allow)
+            # The two tables agree not just on verdicts but on what
+            # they remember.
+            assert program.table.occupancy == len(reference), where
+    assert guest.app.program.dropped == program.dropped
 
 
+@sweep_seeded
 @settings(max_examples=50, deadline=None)
 @given(ops_strategy)
-def test_conntrack_program_equals_guest_tracker(ops):
+def test_conntrack_program_equals_reference_tracker(ops):
     tracker = ConnectionTracker()
     program = conntrack_program()
     now = 0.0
     for flow, from_inside, kind, gap in ops:
         now += gap
-        mbuf_guest = build_mbuf(flow, from_inside, kind)
-        mbuf_xfsm = build_mbuf(flow, from_inside, kind)
+        mbuf_reference = build_mbuf(flow, from_inside, kind)
         connection = tracker.observe(
-            extract_flow_key(mbuf_guest.packet, 0), mbuf_guest, now,
-            from_inside=from_inside)
-        verdict = program.evaluate(event_for(
-            extract_flow_key(mbuf_xfsm.packet, 0), mbuf_xfsm, now,
-            from_inside=from_inside))
+            extract_flow_key(mbuf_reference.packet, 0), mbuf_reference,
+            now, from_inside=from_inside)
+        verdict = evaluate(program, build_mbuf(flow, from_inside, kind),
+                           now, from_inside)
         assert verdict.allow  # observation only, both sides
         assert connection is not None
         assert verdict.state == connection.state.name

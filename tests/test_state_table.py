@@ -1,16 +1,15 @@
 """The bounded per-flow state table (repro.state.table) and the
-conntrack determinism/observability satellite.
+guest firewall's use of it.
 
 The StateTable is the storage half of the OpenState tier: split
 lookup/update scopes, LRU capacity bound, idle **eviction on lookup**
 (expiry is a pure function of the simulated clock, so reruns are
 bit-identical), and the EMC-style precise-invalidation contract.  The
-second half of this file pins the matching guest-side behaviour: the
-ConnectionTracker's evict-on-lookup determinism and its
-``repro_conntrack_*`` metrics collector.
+second half of this file pins the same discipline on the table the
+guest :class:`~repro.apps.conntrack.StatefulFirewallApp` runs over, and
+its ``repro_state_*{vm=...}`` metrics.
 """
 
-from repro.apps.conntrack import ConnectionTracker
 from repro.obs.export import prometheus_text
 from repro.obs.plane import Observability
 from repro.openflow.match import Match
@@ -24,7 +23,7 @@ from repro.state.table import (
     source_scope,
 )
 
-from tests.helpers import mk_mbuf
+from tests.helpers import GuestFirewall, mk_mbuf
 
 import pytest
 
@@ -150,38 +149,28 @@ class TestStateTable:
 
 
 class TestConntrackEvictOnLookup:
-    """Satellite: the guest tracker mirrors the table's discipline —
-    an idle-expired connection dies at the lookup that notices, with a
-    dedicated counter, deterministically."""
+    """The guest firewall's table keeps the state-table discipline: an
+    idle-expired connection dies at the lookup that notices, counted,
+    deterministically."""
 
-    def observe(self, tracker, now):
-        mbuf = mk_mbuf()
-        tracker.observe(extract_flow_key(mbuf.packet, 0), mbuf, now,
-                        from_inside=True)
+    def guest(self, now=0.0):
+        guest = GuestFirewall(idle_timeout=1.0)
+        guest.push(mk_mbuf(), from_inside=True, now=now)
+        return guest
 
     def test_lookup_with_clock_evicts_idle_entry(self):
-        tracker = ConnectionTracker(idle_timeout=1.0)
-        self.observe(tracker, 0.0)
-        assert tracker.lookup(FORWARD, now=0.5) is not None
-        assert tracker.lookup(FORWARD, now=1.5) is None
-        assert len(tracker) == 0
-        assert tracker.evicted_on_lookup == 1
-        assert tracker.evicted_idle == 1
-
-    def test_lookup_without_clock_never_evicts(self):
-        # Legacy callers that pass no clock read-only probe the table.
-        tracker = ConnectionTracker(idle_timeout=1.0)
-        self.observe(tracker, 0.0)
-        assert tracker.lookup(FORWARD) is not None
-        assert tracker.evicted_on_lookup == 0
+        table = self.guest().table
+        assert table.lookup(FORWARD, now=0.5) is not None
+        assert table.lookup(FORWARD, now=1.5) is None
+        assert len(table) == 0
+        assert table.evictions_idle == 1
 
     def test_eviction_point_is_deterministic(self):
         def run():
-            tracker = ConnectionTracker(idle_timeout=1.0)
-            self.observe(tracker, 0.0)
-            probes = [tracker.lookup(FORWARD, now=t) is not None
+            table = self.guest().table
+            probes = [table.lookup(FORWARD, now=t) is not None
                       for t in (0.25, 0.75, 0.9999, 1.0, 1.5)]
-            return probes, tracker.evicted_on_lookup, len(tracker)
+            return probes, table.evictions_idle, len(table)
 
         first, second = run(), run()
         assert first == second
@@ -189,28 +178,27 @@ class TestConntrackEvictOnLookup:
         assert first[1] == 1  # evicted exactly once, at the 1.0 probe
 
     def test_observe_after_lookup_eviction_recreates(self):
-        tracker = ConnectionTracker(idle_timeout=1.0)
-        self.observe(tracker, 0.0)
-        assert tracker.lookup(FORWARD, now=2.0) is None
-        self.observe(tracker, 2.0)
-        assert len(tracker) == 1
-        assert tracker.created_total == 2
+        guest = self.guest()
+        assert guest.table.lookup(FORWARD, now=2.0) is None
+        guest.push(mk_mbuf(), from_inside=True, now=2.0)
+        assert len(guest.table) == 1
+        assert guest.table.inserts == 2
 
 
 class TestConntrackCollector:
-    def test_exports_repro_conntrack_metrics(self):
-        tracker = ConnectionTracker(max_connections=128,
-                                    idle_timeout=1.0)
-        mbuf = mk_mbuf()
-        tracker.observe(extract_flow_key(mbuf.packet, 0), mbuf, 0.0,
-                        from_inside=True)
-        tracker.lookup(FORWARD, now=5.0)  # one evict-on-lookup
+    def test_exports_guest_program_state_metrics(self):
+        guest = GuestFirewall(capacity=128, idle_timeout=1.0)
+        guest.push(mk_mbuf(), from_inside=True)
+        guest.table.lookup(FORWARD, now=5.0)  # one evict-on-lookup
         obs = Observability()
-        obs.register_conntrack(tracker, vm_name="vm1")
+        obs.register_guest_program(guest.app.program, vm_name="vm1")
         text = prometheus_text(obs.registry)
-        assert 'repro_conntrack_connections{vm="vm1"} 0' in text
-        assert 'repro_conntrack_capacity{vm="vm1"} 128' in text
-        assert 'repro_conntrack_created_total{vm="vm1"} 1' in text
-        assert 'repro_conntrack_evicted_on_lookup_total{vm="vm1"} 1' \
+        labels = '{program="stateful_fw",vm="vm1"}'
+        assert "repro_state_table_occupancy%s 0" % labels in text
+        assert "repro_state_table_capacity%s 128" % labels in text
+        assert "repro_state_table_inserts_total%s 1" % labels in text
+        assert "repro_state_table_evictions_idle_total%s 1" % labels \
             in text
-        assert 'repro_conntrack_rejected_full_total{vm="vm1"} 0' in text
+        assert "repro_state_table_evictions_capacity_total%s 0" % labels \
+            in text
+        assert "repro_state_program_allowed_total%s 1" % labels in text
