@@ -8,8 +8,10 @@ total repeats exactly from run to run, across ``PYTHONHASHSEED``s and
 across machines — a change that moves it moved the host cost, and one
 that leaves it alone probably did not.  This script runs one perfbench
 workload (``perfbench/adapter.py``, imported, not edited), profiles its
-measured phase only — from the moment the workload says its set-up is
-done to the end of ``measure()`` — and prints the count.
+measured phase — from the moment the workload says its set-up is done
+to the end of ``measure()`` — and prints the count per delivered
+packet.  It also prints the set-up phase, from ``setup()`` to that
+moment: its calls and the ``Mbuf`` descriptors it built.
 
 Usage::
 
@@ -40,25 +42,41 @@ def count_calls(fn):
     return stats.total_calls, stats
 
 
-def measured_phase_calls(workload):
-    """Set ``workload`` up and measure it, counting calls from its
-    ``_setup_done()`` — where perfbench splits set-up from measurement —
-    to the end of ``measure()``."""
-    profiler = cProfile.Profile()
+def phase_stats(workload):
+    """Set ``workload`` up and measure it under two profilers: one from
+    ``setup()`` to its ``_setup_done()`` — where perfbench splits set-up
+    from measurement — and one from there to the end of ``measure()``.
+    Returns ``(set-up stats, measured stats)``."""
+    setup, measured = cProfile.Profile(), cProfile.Profile()
     setup_done = workload._setup_done
 
     def setup_done_then_count():
+        setup.disable()
         setup_done()
-        profiler.enable()
+        measured.enable()
 
     workload._setup_done = setup_done_then_count
+    setup.enable()
     try:
         workload.setup()
         workload.measure()
     finally:
-        profiler.disable()
-    stats = pstats.Stats(profiler)
+        setup.disable()
+        measured.disable()
+    return pstats.Stats(setup), pstats.Stats(measured)
+
+
+def measured_phase_calls(workload):
+    """``(calls, stats)`` of the measured phase of :func:`phase_stats`."""
+    _setup, stats = phase_stats(workload)
     return stats.total_calls, stats
+
+
+def mbufs_built(stats):
+    """``Mbuf`` constructions counted in ``stats``."""
+    return sum(row[1] for (filename, _line, name), row in stats.stats.items()
+               if name == "__init__"
+               and filename.endswith(os.path.join("packet", "mbuf.py")))
 
 
 def main(argv=None):
@@ -78,11 +96,15 @@ def main(argv=None):
         parser.error("unknown workload %r (one of %s)" % (
             args.workload, ", ".join(sorted(adapter.WORKLOADS))))
     workload = adapter.WORKLOADS[args.workload](args.seed, args.quick)
-    calls, stats = measured_phase_calls(workload)
+    setup, stats = phase_stats(workload)
+    calls = stats.total_calls
     delivered = workload.collect()["delivered"]
-    print("%s seed %d%s: %d calls / %d delivered packets = %.2f calls/pkt"
-          % (args.workload, args.seed, " --quick" if args.quick else "",
-             calls, delivered, calls / delivered))
+    label = "%s seed %d%s" % (args.workload, args.seed,
+                              " --quick" if args.quick else "")
+    print("%s set-up: %d calls, %d Mbufs built"
+          % (label, setup.total_calls, mbufs_built(setup)))
+    print("%s: %d calls / %d delivered packets = %.2f calls/pkt"
+          % (label, calls, delivered, calls / delivered))
     if args.top:
         rows = sorted(stats.stats.items(), key=lambda item: -item[1][1])
         for (filename, line, name), row in rows[:args.top]:

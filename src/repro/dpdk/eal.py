@@ -12,7 +12,6 @@ from typing import Dict, List, Optional
 
 from repro.dpdk.ethdev import EthDev
 from repro.mem.memzone import Memzone, MemzoneRegistry
-from repro.mem.mempool import Mempool
 
 
 class EalError(RuntimeError):
@@ -34,7 +33,6 @@ class Eal:
         self.vm_name = vm_name
         self.name = vm_name or "host"
         self._ports: Dict[int, EthDev] = {}
-        self._mempools: Dict[str, Mempool] = {}
         self._next_port_id = 0
 
     @property
@@ -68,21 +66,6 @@ class Eal:
             return [self.registry.lookup(name) for name in
                     list(self.registry._zones)]
         return self.registry.zones_visible_to(self.vm_name)
-
-    # -- mempools -------------------------------------------------------------
-
-    def create_mempool(self, pool_name: str, size: int = 4096) -> Mempool:
-        if pool_name in self._mempools:
-            raise EalError("mempool %r already exists" % pool_name)
-        pool = Mempool("%s.%s" % (self.name, pool_name), size=size)
-        self._mempools[pool_name] = pool
-        return pool
-
-    def get_mempool(self, pool_name: str) -> Mempool:
-        try:
-            return self._mempools[pool_name]
-        except KeyError:
-            raise EalError("no mempool %r" % pool_name) from None
 
     # -- ethdev registry ---------------------------------------------------------
 

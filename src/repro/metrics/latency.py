@@ -134,13 +134,13 @@ class LatencyRecorder:
         """
         if other.count == 0:
             return
+        total = self.total
         for value in other._reservoir:
             self.record(value)
-        # Adjust population stats beyond the sampled values.
-        extra = other.count - len(other._reservoir)
-        if extra > 0:
-            self.count += extra
-            self.total += other.mean * extra
+        # Population stats beyond the sampled values: the other's
+        # count and total are exact, its reservoir only a sample.
+        self.count += other.count - len(other._reservoir)
+        self.total = total + other.total
         self._min = min(self._min, other._min)
         self._max = max(self._max, other._max)
 

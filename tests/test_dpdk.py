@@ -58,15 +58,6 @@ class TestEal:
         assert host.port(port_id) is new
         assert new.port_id == port_id
 
-    def test_mempools(self):
-        host = Eal(MemzoneRegistry())
-        pool = host.create_mempool("mbufs", size=16)
-        assert host.get_mempool("mbufs") is pool
-        with pytest.raises(EalError):
-            host.create_mempool("mbufs")
-        with pytest.raises(EalError):
-            host.get_mempool("other")
-
 
 class TestDpdkrSharedRings:
     def test_zone_naming(self):

@@ -155,8 +155,10 @@ def _in_one_burst(pool, mbufs):
 # second one, the list of mbufs to free.
 
 def plain(pool, other):
-    pool.assign(pool._mbufs[0], "stale")   # a tag on a free mbuf
+    stale = pool.get()   # lent and returned: a free mbuf that exists
     mbufs = pool.get_bulk(5)
+    stale.free()
+    pool.assign(stale, "stale")   # a tag on a free mbuf
     for mbuf in mbufs:
         pool.assign(mbuf, "vm:x")
     return mbufs

@@ -204,6 +204,17 @@ class TestLatencyRecorder:
         assert a.count == 2
         assert a.mean == 2.0
 
+    def test_merge_keeps_the_population_total_past_the_reservoir(self):
+        source = LatencyRecorder()
+        for value in range(20000):
+            source.record(float(value))
+        assert source.count > source.reservoir_size
+        target = LatencyRecorder()
+        target.merge(source)
+        assert target.count == 20000
+        assert target.total == source.total
+        assert target.mean == 9999.5
+
     def test_bad_fraction(self):
         with pytest.raises(ValueError):
             LatencyRecorder().percentile(1.5)
