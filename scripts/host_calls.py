@@ -11,7 +11,11 @@ workload (``perfbench/adapter.py``, imported, not edited), profiles its
 measured phase — from the moment the workload says its set-up is done
 to the end of ``measure()`` — and prints the count per delivered
 packet.  It also prints the set-up phase, from ``setup()`` to that
-moment: its calls and the ``Mbuf`` descriptors it built.
+moment: its calls and the ``Mbuf`` descriptors it built.  A second,
+unprofiled pass builds the workload again under ``tracemalloc`` and
+prints the peak of Python-allocated memory over construction, set-up
+and measurement: like the count, it repeats exactly on any machine with
+the same Python, where the process's peak RSS does not.
 
 Usage::
 
@@ -26,6 +30,7 @@ import cProfile
 import os
 import pstats
 import sys
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -72,6 +77,20 @@ def measured_phase_calls(workload):
     return stats.total_calls, stats
 
 
+def traced_peak_mib(make_workload):
+    """Peak ``tracemalloc`` MiB over ``make_workload()`` and the set-up
+    and measurement of the workload it returns."""
+    tracemalloc.start()
+    try:
+        workload = make_workload()
+        workload.setup()
+        workload.measure()
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (1 << 20)
+
+
 def mbufs_built(stats):
     """``Mbuf`` constructions counted in ``stats``."""
     return sum(row[1] for (filename, _line, name), row in stats.stats.items()
@@ -95,7 +114,8 @@ def main(argv=None):
     if args.workload not in adapter.WORKLOADS:
         parser.error("unknown workload %r (one of %s)" % (
             args.workload, ", ".join(sorted(adapter.WORKLOADS))))
-    workload = adapter.WORKLOADS[args.workload](args.seed, args.quick)
+    make = adapter.WORKLOADS[args.workload]
+    workload = make(args.seed, args.quick)
     setup, stats = phase_stats(workload)
     calls = stats.total_calls
     delivered = workload.collect()["delivered"]
@@ -111,6 +131,12 @@ def main(argv=None):
             print("  %10d  %7.2f/pkt  %s:%d %s" % (
                 row[1], row[1] / delivered, os.path.basename(filename),
                 line, name))
+    # The adapter keeps one copy of switch_miss_churn's packets per
+    # process; the traced pass builds its own, as a perfbench run does.
+    adapter._churn_packets.cache_clear()
+    peak = traced_peak_mib(lambda: make(args.seed, args.quick))
+    print("%s traced peak: %.2f MiB (construction, set-up and measure)"
+          % (label, peak))
     return 0
 
 

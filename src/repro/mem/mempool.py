@@ -148,7 +148,6 @@ class Mempool:
             mbuf.wire_length = 0
             mbuf.port = -1
             mbuf.seq = -1
-            mbuf.ts_created = -1.0
             mbuf.ts_injected = -1.0
             mbuf.refcnt = 1
             mbuf.userdata = None

@@ -1,5 +1,6 @@
 """Convenience constructors for common test/workload packets."""
 
+import functools
 from typing import Optional
 
 from repro.packet.checksum import pseudo_header_checksum
@@ -22,6 +23,12 @@ from repro.packet.headers import (
 from repro.packet.packet import Packet
 
 ETHERNET_OVERHEAD = 14
+
+
+@functools.lru_cache(maxsize=256)
+def _zero_pad(length: int) -> bytes:
+    """One zero-filled pad per length, shared: ``bytes`` are immutable."""
+    return bytes(length)
 
 
 def _resolve_mac(mac) -> MacAddress:
@@ -48,7 +55,8 @@ def pad_to(packet: Packet, frame_size: int) -> Packet:
         raise ValueError(
             "packet is %d bytes, cannot pad down to %d" % (current, frame_size)
         )
-    packet.payload = packet.payload + b"\x00" * (frame_size - current)
+    pad = _zero_pad(frame_size - current)
+    packet.payload = packet.payload + pad if packet.payload else pad
     # Fix the IP/UDP length fields so the padded frame stays well-formed.
     ipv4 = packet.get(IPv4)
     if ipv4 is not None:

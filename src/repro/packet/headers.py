@@ -3,9 +3,12 @@
 Every header knows how to ``pack()`` itself to wire bytes and how to
 ``unpack(data)`` itself from them (classmethod returning ``(header,
 consumed_bytes)``).  Addresses are kept as small value types so they hash
-and compare cheaply in flow tables.
+and compare cheaply in flow tables.  Every class is a slotted dataclass:
+an instance holds its fields and nothing else, so a header takes no
+attribute it does not declare.
 """
 
+import re
 import struct
 from dataclasses import dataclass, field
 
@@ -34,7 +37,13 @@ class HeaderError(ValueError):
     """Raised when a header cannot be parsed or encoded."""
 
 
-@dataclass(frozen=True, order=True)
+# Address text as ``ovs-ofctl`` takes it; ``int()`` alone would also take
+# signs, spaces, underscores and non-ASCII digits.
+_MAC_TEXT = re.compile(r"[0-9A-Fa-f]{2}(?::[0-9A-Fa-f]{2}){5}")
+_IPV4_TEXT = re.compile(r"\.".join([r"([0-9]{1,3})"] * 4))
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class MacAddress:
     """A 48-bit Ethernet MAC address stored as an integer."""
 
@@ -46,16 +55,11 @@ class MacAddress:
 
     @classmethod
     def from_string(cls, text: str) -> "MacAddress":
-        """Parse ``aa:bb:cc:dd:ee:ff``."""
-        parts = text.split(":")
-        if len(parts) != 6:
+        """Parse ``aa:bb:cc:dd:ee:ff``: six octets of exactly two ASCII
+        hex digits (no sign, space, underscore or non-ASCII digit)."""
+        if _MAC_TEXT.fullmatch(text) is None:
             raise HeaderError("malformed MAC address: %r" % text)
-        value = 0
-        for part in parts:
-            if len(part) != 2:
-                raise HeaderError("malformed MAC address: %r" % text)
-            value = (value << 8) | int(part, 16)
-        return cls(value)
+        return cls(int(text.replace(":", ""), 16))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "MacAddress":
@@ -83,14 +87,15 @@ class MacAddress:
 
 
 def ipv4_to_int(text: str) -> int:
-    """Parse dotted-quad ``a.b.c.d`` into a 32-bit integer."""
-    parts = text.split(".")
-    if len(parts) != 4:
+    """Parse dotted-quad ``a.b.c.d`` into a 32-bit integer: four octets
+    of one to three ASCII decimal digits, each at most 255."""
+    match = _IPV4_TEXT.fullmatch(text)
+    if match is None:
         raise HeaderError("malformed IPv4 address: %r" % text)
     value = 0
-    for part in parts:
+    for part in match.groups():
         octet = int(part)
-        if not 0 <= octet <= 255:
+        if octet > 255:
             raise HeaderError("malformed IPv4 address: %r" % text)
         value = (value << 8) | octet
     return value
@@ -103,7 +108,7 @@ def int_to_ipv4(value: int) -> str:
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-@dataclass
+@dataclass(slots=True)
 class Ethernet:
     """Ethernet II header."""
 
@@ -129,7 +134,7 @@ class Ethernet:
         return ETHERNET_HEADER_LEN
 
 
-@dataclass
+@dataclass(slots=True)
 class Vlan:
     """802.1Q VLAN tag (follows the Ethernet header)."""
 
@@ -159,7 +164,7 @@ class Vlan:
         return VLAN_HEADER_LEN
 
 
-@dataclass
+@dataclass(slots=True)
 class Arp:
     """ARP for IPv4 over Ethernet."""
 
@@ -199,7 +204,7 @@ class Arp:
         return ARP_IPV4_LEN
 
 
-@dataclass
+@dataclass(slots=True)
 class IPv4:
     """IPv4 header (options unsupported; ihl fixed at 5)."""
 
@@ -281,7 +286,7 @@ class IPv4:
         return IPV4_MIN_HEADER_LEN
 
 
-@dataclass
+@dataclass(slots=True)
 class IPv6:
     """IPv6 header (no extension-header parsing)."""
 
@@ -328,7 +333,7 @@ class IPv6:
         return IPV6_HEADER_LEN
 
 
-@dataclass
+@dataclass(slots=True)
 class Tcp:
     """TCP header (options unsupported; data offset fixed at 5)."""
 
@@ -388,7 +393,7 @@ class Tcp:
         return TCP_MIN_HEADER_LEN
 
 
-@dataclass
+@dataclass(slots=True)
 class Udp:
     """UDP header."""
 
@@ -417,7 +422,7 @@ class Udp:
         return UDP_HEADER_LEN
 
 
-@dataclass
+@dataclass(slots=True)
 class Icmp:
     """ICMP echo-style header."""
 

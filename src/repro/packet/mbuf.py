@@ -2,7 +2,8 @@
 
 An :class:`Mbuf` wraps a :class:`~repro.packet.packet.Packet` (or raw
 bytes) together with the receive metadata that the data-plane components
-care about: input port, wire length, timestamps and a reference count.
+care about: wire length, sequence number, injection timestamp and a
+reference count.
 Mbufs are allocated from and recycled into a
 :class:`~repro.mem.mempool.Mempool` exactly like ``rte_mbuf``.
 """
@@ -24,11 +25,13 @@ class Mbuf:
         Frame length in bytes as it would appear on the wire (used by the
         byte counters and the NIC serialization model).
     port:
-        Receive port id, set by the PMD on rx.
+        Receive port id, -1 after every allocation.  Nothing in the
+        simulator stamps it: the datapath passes the input port beside
+        the descriptor (``in_port``) instead.
     seq:
         Generator sequence number (latency probes match on it).
-    ts_created / ts_injected:
-        Simulation timestamps (seconds) stamped by the traffic generator;
+    ts_injected:
+        Simulation timestamp (seconds) stamped by the traffic generator;
         latency = drain time - ``ts_injected``.
     """
 
@@ -37,7 +40,6 @@ class Mbuf:
         "wire_length",
         "port",
         "seq",
-        "ts_created",
         "ts_injected",
         "refcnt",
         "pool",
@@ -59,8 +61,7 @@ class Mbuf:
         self.wire_length = 0
         self.port = -1
         self.seq = -1
-        self.ts_created = -1.0  # -1 = never stamped
-        self.ts_injected = -1.0
+        self.ts_injected = -1.0  # -1 = never stamped
         self.refcnt = 1
         self.userdata: Any = None
         # Sampled path-tracing span list (repro.obs.trace); None on the
@@ -75,7 +76,6 @@ class Mbuf:
         self.wire_length = 0
         self.port = -1
         self.seq = -1
-        self.ts_created = -1.0
         self.ts_injected = -1.0
         self.refcnt = 1
         self.userdata = None

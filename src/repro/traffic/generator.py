@@ -145,7 +145,6 @@ class SourceApp:
                 mbuf.userdata = template.flow_key  # pre-extracted
                 mbuf.seq = seq
                 seq += 1
-                mbuf.ts_created = now
                 mbuf.ts_injected = now
                 if tracer is not None:
                     tracer.ingress(mbuf, source=self.name)
@@ -281,7 +280,6 @@ class WireSource:
                         mbuf.wire_length = template.wire_length
                         mbuf.userdata = template.flow_key
                         mbuf.seq = next(self._seq)
-                        mbuf.ts_created = now
                         mbuf.ts_injected = now
                         if self.tracer is not None:
                             self.tracer.ingress(mbuf, source=self.name)

@@ -49,7 +49,6 @@ class BuildThenFreeSource(SourceApp):
             mbuf.userdata = template.flow_key
             mbuf.seq = seq
             seq += 1
-            mbuf.ts_created = now
             mbuf.ts_injected = now
             if tracer is not None:
                 tracer.ingress(mbuf, source=self.name)

@@ -21,6 +21,7 @@ from repro.packet.headers import (
     ETH_TYPE_IPV4,
     IP_PROTO_TCP,
     IP_PROTO_UDP,
+    HeaderError,
     ipv4_to_int,
 )
 
@@ -107,6 +108,21 @@ class TestParseFlow:
             "dl_src=02:00:00:00:00:01,actions=output:1"
         )
         assert match.get("eth_src")[0] == 0x020000000001
+
+    @pytest.mark.parametrize("text", [
+        # ovs-ofctl rejects both fields; int() took every character.
+        "ip,nw_src=1_0.0.0.1,dl_src=+1:+2: 3:04:05:06,actions=output:2",
+        "ip,nw_src=1_0.0.0.1,actions=output:2",
+        "dl_src=+1:+2: 3:04:05:06,actions=output:2",
+        "dl_dst=02:00:00:00:00:\u0661\u0662,actions=output:2",
+        "ip,nw_dst=10.0.0.+1,actions=output:2",
+        "ip,nw_src=10.0.0.0_0/8,actions=output:2",
+        "actions=mod_dl_src:+2:00:00:00:00:01,output:2",
+        "actions=mod_nw_dst:10.0.0.\u0669,output:2",
+    ])
+    def test_malformed_addresses_are_rejected(self, text):
+        with pytest.raises(HeaderError):
+            parse_flow(text)
 
     def test_timeouts_and_cookie(self):
         _m, _a, attributes = parse_flow(

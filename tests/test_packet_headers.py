@@ -1,6 +1,7 @@
 """Unit tests for protocol header encode/decode."""
 
 import struct
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -52,6 +53,19 @@ class TestMacAddress:
         with pytest.raises(HeaderError):
             MacAddress.from_string("0200:00:aa:bb:cc:dd")
 
+    @pytest.mark.parametrize("text", [
+        "+1:+2: 3:04:05:06",        # signs and a space int(x, 16) takes
+        "01:02:03:04:05:0\u0661",   # a non-ASCII (Arabic-Indic) digit
+        "01:02:03:04:05:0x",        # was a bare ValueError
+    ])
+    def test_rejects_anything_but_two_hex_digits_per_octet(self, text):
+        with pytest.raises(HeaderError):
+            MacAddress.from_string(text)
+
+    def test_accepts_upper_case_hex(self):
+        assert MacAddress.from_string("02:00:00:AA:bb:Cc").value \
+            == 0x020000AABBCC
+
     def test_ordering_and_hash(self):
         a = MacAddress(1)
         b = MacAddress(2)
@@ -70,6 +84,22 @@ class TestIpv4Helpers:
     def test_rejects_short(self):
         with pytest.raises(HeaderError):
             ipv4_to_int("10.0.0")
+
+    @pytest.mark.parametrize("text", [
+        "1_0.0.0.1",                # an underscore int() takes
+        "+10.0.0.1",                # a sign int() takes
+        "10.0.0. 1",                # a space int() takes
+        "10.0.0.1\n",
+        "\u0661\u0660.0.0.1",        # non-ASCII (Arabic-Indic) digits
+        "10.0.0.0001",              # four digits in an octet
+        "10.0..1",                  # was a bare ValueError
+    ])
+    def test_rejects_anything_but_one_to_three_digits_per_octet(self, text):
+        with pytest.raises(HeaderError):
+            ipv4_to_int(text)
+
+    def test_accepts_leading_zeros_within_three_digits(self):
+        assert ipv4_to_int("010.000.0.01") == 0x0A000001
 
     def test_int_out_of_range(self):
         with pytest.raises(HeaderError):
@@ -217,3 +247,25 @@ class TestUdpIcmp:
         import pytest as _pytest
         with _pytest.raises(HeaderError):
             Udp.unpack(b"\x00" * 7)
+
+
+class TestSlottedHeaders:
+    """The one meaning slotted headers change: there is no per-instance
+    ``__dict__`` to take an attribute the class does not declare."""
+
+    @pytest.mark.parametrize("header", [
+        Ethernet(), Vlan(), Arp(), IPv4(), IPv6(), Tcp(), Udp(), Icmp(),
+    ], ids=lambda header: type(header).__name__)
+    def test_setting_an_undeclared_attribute_raises(self, header):
+        with pytest.raises(AttributeError):
+            header.note = "ad hoc"
+
+    def test_mac_address_stays_frozen(self):
+        mac = MacAddress(1)
+        with pytest.raises(FrozenInstanceError):
+            mac.value = 2
+        # A frozen slotted dataclass refuses an undeclared name with a
+        # TypeError on Python 3.11 (FrozenInstanceError before slots).
+        with pytest.raises((AttributeError, TypeError)):
+            mac.note = "ad hoc"
+        assert mac == MacAddress(1) and not hasattr(mac, "note")
