@@ -11,7 +11,8 @@ workload (``perfbench/adapter.py``, imported, not edited), profiles its
 measured phase — from the moment the workload says its set-up is done
 to the end of ``measure()`` — and prints the count per delivered
 packet.  It also prints the set-up phase, from ``setup()`` to that
-moment: its calls and the ``Mbuf`` descriptors it built.  A second,
+moment: its calls, the engine events it dispatched and the ``Mbuf``
+descriptors it built.  A second,
 unprofiled pass builds the workload again under ``tracemalloc`` and
 prints the peak of Python-allocated memory over construction, set-up
 and measurement: like the count, it repeats exactly on any machine with
@@ -91,11 +92,22 @@ def traced_peak_mib(make_workload):
     return peak / (1 << 20)
 
 
+def engine_events(stats):
+    """Engine events dispatched in ``stats``: calls of
+    ``Environment.step``, through which every event goes."""
+    return _calls(stats, os.path.join("sim", "engine.py"), "step")
+
+
 def mbufs_built(stats):
     """``Mbuf`` constructions counted in ``stats``."""
+    return _calls(stats, os.path.join("packet", "mbuf.py"), "__init__")
+
+
+def _calls(stats, path, function):
+    """Calls in ``stats`` of the functions named ``function`` in files
+    ending in ``path``."""
     return sum(row[1] for (filename, _line, name), row in stats.stats.items()
-               if name == "__init__"
-               and filename.endswith(os.path.join("packet", "mbuf.py")))
+               if name == function and filename.endswith(path))
 
 
 def main(argv=None):
@@ -121,8 +133,9 @@ def main(argv=None):
     delivered = workload.collect()["delivered"]
     label = "%s seed %d%s" % (args.workload, args.seed,
                               " --quick" if args.quick else "")
-    print("%s set-up: %d calls, %d Mbufs built"
-          % (label, setup.total_calls, mbufs_built(setup)))
+    print("%s set-up: %d calls, %d engine events, %d Mbufs built"
+          % (label, setup.total_calls, engine_events(setup),
+             mbufs_built(setup)))
     print("%s: %d calls / %d delivered packets = %.2f calls/pkt"
           % (label, calls, delivered, calls / delivered))
     if args.top:

@@ -30,9 +30,10 @@ from repro.openflow.messages import (
     PortStatsReply,
     PortStatsRequest,
 )
+from repro.waiters import Waitable
 
 
-class ControllerConnection:
+class ControllerConnection(Waitable):
     """A bidirectional OpenFlow channel (controller <-> switch).
 
     With ``encode_on_wire`` (default) every message is serialized to
@@ -46,6 +47,9 @@ class ControllerConnection:
     down, sends while down are dropped and counted, and ``reconnect()``
     restores it — but only while ``peer_available`` is True, which is
     how outage scenarios keep the controller unreachable for a window.
+
+    A parked switch control loop waits on the channel: a message queued
+    for the switch and a disconnect wake it.
     """
 
     #: Bound of each direction queue, in messages.
@@ -80,6 +84,7 @@ class ControllerConnection:
         if self.connected:
             self.connected = False
             self.disconnects += 1
+            self.wake_waiters()
 
     def reconnect(self) -> bool:
         """Attempt to re-establish; fails while the peer is unreachable."""
@@ -118,6 +123,7 @@ class ControllerConnection:
             self.dropped_to_switch += 1
             return
         self._to_switch.append(delivered)
+        self.wake_waiters()
 
     def controller_recv(self) -> Optional[OpenFlowMessage]:
         if not self._to_controller:

@@ -48,6 +48,7 @@ from repro.packet.mbuf import Mbuf
 from repro.packet.packet import Packet
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.vswitch.datapath import Datapath
+from repro.waiters import Waitable
 
 
 class StatsAugmentor:
@@ -66,8 +67,14 @@ class StatsAugmentor:
         return 0, 0, 0, 0
 
 
-class Bridge:
-    """One OpenFlow bridge over one datapath."""
+class Bridge(Waitable):
+    """One OpenFlow bridge over one datapath.
+
+    ``timed_entries`` counts the entries with an idle or hard timeout
+    over every table: while there is one, expiry is a matter of time
+    and the switch's control loop ticks.  Adding one wakes the bridge's
+    waiters (that loop, parked).
+    """
 
     def __init__(
         self,
@@ -88,6 +95,8 @@ class Bridge:
             clock=self.clock,
             upcall_handler=self._upcall,
         )
+        self.timed_entries = 0
+        self.table.add_listener(self._count_timed)
         # Pipeline tables (table 0 = self.table); later tables appear
         # lazily when a flowmod targets them.
         self.tables = self.datapath.tables
@@ -174,7 +183,17 @@ class Bridge:
         if table is None:
             table = FlowTable(table_id=table_id)
             self.datapath.attach_table(table_id, table)
+            table.add_listener(self._count_timed)
         return table
+
+    def _count_timed(self, kind: str, entry: FlowEntry) -> None:
+        if not (entry.idle_timeout or entry.hard_timeout):
+            return
+        if kind == "added":
+            self.timed_entries += 1
+            self.wake_waiters()
+        elif kind == "removed":
+            self.timed_entries -= 1
 
     @staticmethod
     def _validate_actions(flowmod: FlowMod) -> Optional[str]:

@@ -76,6 +76,37 @@ class _CoreIdle(IdleContract):
         return math.inf
 
 
+class _ControlIdle(IdleContract):
+    """When the control loop may stop ticking: no message waits for the
+    switch, the controller is up and the fail mode knows it (a tick
+    while down drives the back-off reconnects and counts
+    ``frozen_expiry_skips``), and no entry has an idle or hard timeout
+    (a tick expires entries and stamps ``last_used`` when bypass
+    counters advanced).  Such a tick changes nothing and publishes
+    nothing.  The controller connection (a message queued, a
+    disconnect) and the bridge (a timed entry added) end the park."""
+
+    def __init__(self, switch: "VSwitchd") -> None:
+        self.switch = switch
+
+    def idle_until(self, loop: PollLoop) -> Optional[float]:
+        bridge = self.switch.bridge
+        if bridge.timed_entries:
+            return None
+        connection = bridge.connection
+        if connection is not None:
+            if connection.pending_for_switch or not connection.connected:
+                return None
+            failmode = self.switch.failmode
+            if failmode is not None and failmode.state != "connected":
+                return None
+            if loop not in connection.waiters:
+                connection.watch(loop)
+        if loop not in bridge.waiters:
+            bridge.watch(loop)
+        return math.inf
+
+
 class VSwitchd:
     """One vSwitch instance on a host."""
 
@@ -170,9 +201,8 @@ class VSwitchd:
         if self.auto_lb is not None and self.overload is not None:
             self.auto_lb.overload_monitor = self.overload
         self._pmd_loops: List[PollLoop] = []
-        self._control_loop = None
+        self._control_loop: Optional[PollLoop] = None
         self._running = False
-        self._starts = 0   # start() calls so far
         # Called with the Mirror after add/remove; the transparent
         # highway subscribes to revoke bypasses on mirrored ports.
         self.on_mirror_change: List = []
@@ -402,29 +432,37 @@ class VSwitchd:
                 idle=_CoreIdle(self, core_index),
             ).start()
             self._pmd_loops.append(loop)
-        self._starts += 1
-        self._control_loop = self.env.process(
-            self._control_process(self._starts),
-            name="%s.control" % self.name
-        )
+        # The control loop ticks every CONTROL_INTERVAL (idle polls at
+        # that price, no back-off) and parks while a tick would change
+        # nothing; its timer syncs: a tick can answer a stats request.
+        self._control_loop = PollLoop(
+            self.env,
+            "%s.control" % self.name,
+            self._control_iteration,
+            costs=dataclasses.replace(self.costs,
+                                      idle_poll=CONTROL_INTERVAL),
+            idle_backoff_max=CONTROL_INTERVAL,
+            idle=_ControlIdle(self),
+        ).start()
+        self._control_loop.process.syncs = True
         if self.auto_lb is not None:
             self.auto_lb.start(self.env)
         if self.overload is not None:
             self.overload.start(self.env)
 
-    def _control_process(self, started: int):
-        """The control loop of the ``started``-th :meth:`start`: it ends
-        with the :meth:`stop` that follows, even if the switch has been
-        started again by the time it next looks."""
-        while self._running and self._starts == started:
-            handled = self.step_control()
-            delay = CONTROL_INTERVAL
-            if handled:
-                delay += handled * self.costs.flowmod_processing
-            yield self.env.timeout(delay)
+    def _control_iteration(self) -> float:
+        """One control tick: the next is due CONTROL_INTERVAL later,
+        plus the processing cost of the messages this one handled."""
+        handled = self.step_control()
+        if handled:
+            return CONTROL_INTERVAL + handled * self.costs.flowmod_processing
+        return 0.0
 
     def stop(self) -> None:
         self._running = False
+        if self._control_loop is not None:
+            self._control_loop.stop()
+            self._control_loop = None
         if self.auto_lb is not None:
             self.auto_lb.stop()
         if self.overload is not None:

@@ -22,7 +22,9 @@ and re-establishment, where every hop carries a burst of one and every
 loop parks between packets, so a fixed cost per burst, park or wake-up
 is a cost per packet.  The fifth holds that workload's set-up, where a
 source's pool reserves 8,192 mbufs and builds none of them: a
-descriptor is built the first time it is lent.
+descriptor is built the first time it is lent.  One more count is of
+engine events, not calls: a chain's control-plane settle, where the
+switch's control loop sleeps between flowmods.
 """
 
 import importlib.util
@@ -46,7 +48,9 @@ _spec = importlib.util.spec_from_file_location("host_calls", _PATH)
 host_calls = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(host_calls)
 
-GOLDEN_EVENTS = 84820
+# 84,820 while the switch's control loop ticked every 0.5 ms with
+# nothing to do.
+GOLDEN_EVENTS = 84224
 # 27.16 calls per event (2,303,498 calls), plus 10 %.  Lower it when the
 # count falls; raising it needs a reason.  It read 35.37 while parked
 # loops re-registered on every ring at every park and the guest PMD
@@ -80,11 +84,17 @@ CEILING_CALLS_PER_PACKET_ON_THE_MISS_PATH = 34.9
 # 4,784,824 since the three mbufs the stream holds at once are built
 # when first lent.
 CEILING_CALLS_PER_PACKET_SUB_SATURATION = 73.0
-# 11,562 calls from setup() to _setup_done() (perfbench's handover_load
+# 2,338 calls from setup() to _setup_done() (perfbench's handover_load
 # --quick, seed 1), plus 10 %.  Lower it when the count falls; raising
 # it needs a reason.  It read 19,755 while every pool built all its
-# descriptors in its constructor: 8,192 of them for the one source.
-CEILING_SETUP_CALLS_SUB_SATURATION = 12718
+# descriptors in its constructor: 8,192 of them for the one source, and
+# 11,562 while the switch's control loop ticked through the settle.
+CEILING_SETUP_CALLS_SUB_SATURATION = 2572
+# Engine events settle_control_plane() dispatches for a 3-VM memory-only
+# vanilla chain: 3 (the control loop handles the queued flowmods, polls
+# once more and parks).  It read 1,202 while that loop ticked every
+# 0.5 ms through the 0.6 s settle with nothing to do.
+CEILING_SETTLE_EVENTS = 10
 
 
 def test_calls_per_engine_event_stay_under_the_ceiling():
@@ -150,7 +160,28 @@ def test_setup_below_saturation_builds_no_mbuf(handover_load_phases):
     assert host_calls.mbufs_built(stats) > 0
     assert setup.total_calls <= CEILING_SETUP_CALLS_SUB_SATURATION, (
         "%d set-up calls" % setup.total_calls)
-    assert setup.total_calls > 5000
+    assert setup.total_calls > 1100
+
+
+def test_settling_a_vanilla_chain_dispatches_few_events():
+    """Between flowmods the control plane of a chain without bypasses
+    has nothing to do, and no loop ticks through the wait."""
+    experiment = ChainExperiment(num_vms=3, bypass=False, memory_only=True,
+                                 duration=0.0002)
+    experiment.build()
+    node, env = experiment.node, experiment.env
+    settle = node.settle_control_plane
+    events = []
+
+    def counted(*args, **kwargs):
+        before = env.events_processed
+        settle(*args, **kwargs)
+        events.append(env.events_processed - before)
+
+    node.settle_control_plane = counted
+    experiment.run()
+    assert len(events) == 1
+    assert events[0] <= CEILING_SETTLE_EVENTS, events
 
 
 def catch_up_lines(polls):

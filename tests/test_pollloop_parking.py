@@ -23,9 +23,11 @@ from repro.core.watchdog import WatchdogPolicy
 from repro.dpdk.dpdkr import DpdkrSharedRings
 from repro.faults import AGENT_RPC_SEND, PMD_RX_POLL, FaultMode, FaultPlan
 from repro.mem.ring import Ring
+from repro.openflow import wire
 from repro.openflow.actions import OutputAction
+from repro.openflow.controller import ControllerConnection
 from repro.openflow.match import Match
-from repro.openflow.messages import PortMod
+from repro.openflow.messages import FlowRemoved, PortMod, next_xid
 from repro.openflow.table import FlowEntry
 from repro.orchestration import NfvNode
 from repro.sim.engine import Environment
@@ -65,11 +67,15 @@ class Rig:
         self.sink = SinkApp("sink", node.vms["vm2"].pmd("dpdkr1"))
         self.latencies = []
         self.sink.latency.record = self.latencies.append
-        node.install_p2p_rule("dpdkr0", "dpdkr1")
+        self.steer()
         self.loops = [self.source.start(env), self.sink.start(env)]
         self.loops += node.switch._pmd_loops
         self.snapshots = []
         self.plan = None
+
+    def steer(self):
+        """Install the rule that sends vm1's traffic to vm2."""
+        self.node.install_p2p_rule("dpdkr0", "dpdkr1")
 
     def at(self, when, action):
         """Run ``action()`` from a rank-0 event at simulated ``when``."""
@@ -789,11 +795,16 @@ def test_a_paced_source_feeding_parked_consumers(pace, bypass):
 
 
 def test_a_restarted_switch_runs_one_control_loop():
-    """``stop()`` then ``start()``: the first control process used to
-    see ``_running`` True again and pump the bridge beside the second."""
+    """``stop()`` then ``start()``: one control loop pumps the bridge
+    while the switch runs, and none once it is stopped.  A controller
+    connection and a hard-timeout entry keep the loop from parking, so
+    it ticks every 0.5 ms."""
     env = Environment()
-    switch = VSwitchd(env=env, n_pmd_cores=1)
+    switch = VSwitchd(env=env, n_pmd_cores=1,
+                      connection=ControllerConnection())
     switch.add_dpdkr_port("dpdkr0")
+    switch.bridge.table.add(FlowEntry(Match(in_port=1), [OutputAction(1)],
+                                      hard_timeout=60.0))
     pumps = []
     pump = switch.bridge.pump
     switch.bridge.pump = lambda: pumps.append(env.now) or pump()
@@ -809,4 +820,210 @@ def test_a_restarted_switch_runs_one_control_loop():
     switch.start()
     assert 20 <= pumps_in(0.01) <= 22    # 40 with two control loops
     switch.stop()
-    assert pumps_in(0.01) <= 1
+    assert pumps_in(0.01) == 0
+
+
+# -- the control plane: vswitchd's control loop ------------------------------
+
+
+class ControlRig(Rig):
+    """A :class:`Rig` that also records the control plane: every message
+    the switch sends the controller as its serialized bytes (xid made
+    relative to the rig's first) and send time, and, per snapshot, the
+    control loop's accounting, each flow entry's timers and the
+    fail-mode counters."""
+
+    def __init__(self, **kwargs):
+        self.xid_base = next_xid()
+        super().__init__(**kwargs)
+        self.loops.append(self.node.switch._control_loop)
+        self.sent = []
+        # Called with each message as it is sent: a controller that
+        # answers at once, from inside the switch's tick.
+        self.respond = None
+        connection = self.node.connection
+        send = connection.switch_send
+
+        def logged(message):
+            frame = wire.encode(message)
+            xid = int.from_bytes(frame[4:8], "big") - self.xid_base
+            self.sent.append((self.env.now, frame[:4], xid, frame[8:]))
+            send(message)
+            if self.respond is not None:
+                self.respond(message)
+
+        connection.switch_send = logged
+
+    def snapshot(self):
+        out = super().snapshot()
+        switch = self.node.switch
+        out["flows"] = [
+            (table_id, repr(entry.match), entry.priority,
+             entry.install_time, entry.last_used, entry.packet_count)
+            for table_id, table in sorted(switch.bridge.tables.items())
+            for entry in table]
+        out["failmode"] = switch.failmode.stats()
+        out["sent"] = len(self.sent)
+        return out
+
+    def outcome(self):
+        out = super().outcome()
+        out["sent"] = self.sent
+        return out
+
+    def timed_rule(self, in_port, out_port, **timeouts):
+        """Add a rule straight to table 0, as ``ovs-ofctl add-flow``
+        does: outside any control tick."""
+        node = self.node
+        self.node.switch.bridge.table.add(FlowEntry(
+            Match(in_port=node.ofport(in_port)),
+            [OutputAction(node.ofport(out_port))],
+            priority=0x7000, install_time=self.env.now, **timeouts))
+
+
+def test_flowmods_reach_a_parked_control_loop():
+    """Flowmods and an echo sent while the control loop sleeps — from a
+    rank-0 event and between ``env.run`` calls — are handled at the
+    tick the ticking loop would have handled them in."""
+    def scenario():
+        rig = ControlRig()
+        node = rig.node
+        controller = node.controller
+        divert = Match(in_port=node.ofport("dpdkr0"), eth_type=0x0800)
+        rig.run(0.03)
+        rig.at(0.0301234, lambda: controller.install_flow(
+            divert, [OutputAction(node.ofport("dpdkr1"))], priority=0x9000))
+        rig.run(0.05)
+        controller.echo(b"parked")
+        controller.delete_flow(divert, strict=True, priority=0x9000)
+        rig.run(0.08)
+        assert len(rig.sent) == 2   # the echo reply, FLOW_REMOVED
+        return rig.outcome()
+
+    parks = differential(scenario)
+    assert parks["ovs.control"] >= 3
+
+
+def test_timed_entries_expire_at_the_same_tick():
+    """A hard and an idle timeout added outside any tick (one from an
+    event, one between runs) wake the parked loop; it ticks until both
+    are gone and sends the same FLOW_REMOVED bytes at the same times.
+    The controller echoes each FLOW_REMOVED at once: that request
+    arrives inside the tick that expired the entry, after its pump, and
+    is answered at the next tick."""
+    def scenario():
+        rig = ControlRig()
+        rig.respond = lambda message: (
+            isinstance(message, FlowRemoved)
+            and rig.node.controller.echo(b"expired"))
+        rig.run(0.02)
+        rig.at(0.0200517, lambda: rig.timed_rule(
+            "dpdkr1", "dpdkr0", hard_timeout=0.013))
+        rig.run(0.04)
+        rig.timed_rule("dpdkr0", "dpdkr1", idle_timeout=0.007)
+        rig.run(0.07)
+        assert rig.node.switch.bridge.timed_entries == 0
+        assert len(rig.sent) == 4
+        return rig.outcome()
+
+    parks = differential(scenario)
+    assert parks["ovs.control"] >= 3
+
+
+class IdleSteering(ControlRig):
+    def steer(self):
+        self.timed_rule("dpdkr0", "dpdkr1", idle_timeout=0.03)
+
+
+def test_an_idle_timeout_on_a_bypassed_rule():
+    """The steering rule carries an idle timeout and rides a bypass: the
+    ticks keep refreshing ``last_used`` from the bypass counters, then
+    the source stops and the rule idles out, taking the link with it."""
+    def scenario():
+        rig = IdleSteering()
+        node = rig.node
+        rig.run(0.16, samples=8)
+        assert node.active_bypasses == 1
+        rig.at(0.1600311, rig.source.stop)
+        rig.run(0.25, samples=8)
+        assert node.active_bypasses == 0
+        assert len(node.switch.bridge.table) == 0
+        return rig.outcome()
+
+    parks = differential(scenario)
+    assert parks["ovs.control"] >= 1
+
+
+def test_stats_requests_answered_by_a_parked_loop():
+    """Flow and port stats asked for while the loop sleeps: the replies
+    merge the bypass counters, read at the tick that answers."""
+    def scenario():
+        rig = ControlRig()
+        node = rig.node
+        rig.run(0.15)
+        assert node.active_bypasses == 1
+        rig.at(0.1500173, node.controller.request_flow_stats)
+        rig.run(0.16)
+        node.controller.request_port_stats()
+        rig.run(0.17)
+        assert len(rig.sent) == 2
+        return rig.outcome()
+
+    parks = differential(scenario)
+    assert parks["ovs.control"] >= 3
+
+
+def outage_scenario(mode):
+    """The steering rule is withdrawn (traffic misses, PACKET_INs flow),
+    the controller goes away for 30 ms and comes back.  In ``secure``
+    mode a hard-timeout entry sits in the table through the outage."""
+    rig = ControlRig(fail_mode=mode)
+    node = rig.node
+    connection = node.connection
+    rig.run(0.02)
+    node.controller.delete_flow(Match(in_port=node.ofport("dpdkr0")))
+    if mode == "secure":
+        rig.timed_rule("dpdkr1", "dpdkr0", hard_timeout=0.05)
+    rig.run(0.03)
+
+    def outage():
+        connection.peer_available = False
+        connection.disconnect()
+
+    def restore():
+        connection.peer_available = True
+
+    rig.at(0.0300411, outage)
+    rig.at(0.0600103, restore)
+    rig.run(0.15, samples=12)
+    failmode = node.switch.failmode
+    assert failmode.outages == failmode.reconnects == 1
+    assert failmode.reconnect_failures >= 2
+    return rig.outcome()
+
+
+def test_a_controller_outage_in_standalone_mode():
+    """Disconnect, the learning-switch fallback and back-off reconnects
+    tick; recovery removes the fallback flows, then the loop parks."""
+    def scenario():
+        outcome = outage_scenario("standalone")
+        assert outcome["snapshots"][-1]["failmode"]["fallback_floods"] > 0
+        return outcome
+
+    parks = differential(scenario)
+    assert parks["ovs.control"] >= 2
+
+
+def test_a_controller_outage_in_secure_mode_freezes_expiry():
+    """Secure mode: expiry is frozen through the outage (every tick
+    counts a skip), PACKET_INs are buffered and replayed, and the hard
+    timeout fires shifted by the outage."""
+    def scenario():
+        outcome = outage_scenario("secure")
+        final = outcome["snapshots"][-1]["failmode"]
+        assert final["frozen_expiry_skips"] > 10
+        assert final["packet_ins_replayed"] > 0
+        return outcome
+
+    parks = differential(scenario)
+    assert parks["ovs.control"] >= 2
