@@ -95,7 +95,7 @@ def main():
     cache = deployment.apps["cache"]
     print("\nafter 20 ms of traffic at 1 Mpps:")
     print("  firewall: passed=%d dropped=%d"
-          % (firewall.passed, firewall.dropped))
+          % (firewall.program.allowed, firewall.program.dropped))
     print("  monitor:  %d distinct flows tracked" % monitor.flow_count)
     print("  cache:    hits=%d misses=%d" % (cache.hits, cache.misses))
     print("  sinks:    web=%d other=%d"

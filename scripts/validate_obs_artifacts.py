@@ -16,13 +16,18 @@ at the artifact directory, and fails the job unless:
 It also validates benchmark artifacts against the unified schema
 (:mod:`repro.bench.schema`): ``--bench`` schema-checks benchmark JSON
 documents (family resolved from their ``schema`` tag), ``--trends``
-schema-checks a ``BENCH_TRENDS.jsonl`` file.
+schema-checks a ``BENCH_TRENDS.jsonl`` file, and ``--bench-metrics``
+checks the harness registry ``python -m repro.bench --metrics-out``
+wrote: Prometheus grammar and grouping, every metric a
+``repro_bench_*`` one (empty when no scenario ran the RFC 2544
+harness).
 
 Usage::
 
     python scripts/validate_obs_artifacts.py <artifact-dir>
     python scripts/validate_obs_artifacts.py --bench BENCH_*.json
     python scripts/validate_obs_artifacts.py --trends BENCH_TRENDS.jsonl
+    python scripts/validate_obs_artifacts.py --bench-metrics metrics.prom
 """
 
 import argparse
@@ -46,6 +51,8 @@ REQUIRED_METRIC_PREFIXES = (
     "coverage_total",
 )
 
+BENCH_METRIC_PREFIX = "repro_bench_"
+
 SWITCH_PATH_HOPS = {"switch-rx", "emc", "classifier", "upcall",
                     "switch-tx"}
 
@@ -65,6 +72,21 @@ def check_metrics(path):
     for prefix in REQUIRED_METRIC_PREFIXES:
         if prefix not in text:
             fail("%s: missing metric family %r" % (path, prefix))
+    print("ok: %s (%d sample lines)" % (path, count))
+
+
+def check_bench_metrics(path):
+    with open(path) as handle:
+        text = handle.read()
+    if not text.strip():
+        print("ok: %s (empty: no harness scenario ran)" % path)
+        return
+    count = validate_prometheus_text(text)
+    for line in text.splitlines():
+        if line and not line.startswith("#") \
+                and not line.startswith(BENCH_METRIC_PREFIX):
+            fail("%s: not a %s* metric: %r"
+                 % (path, BENCH_METRIC_PREFIX, line))
     print("ok: %s (%d sample lines)" % (path, count))
 
 
@@ -158,8 +180,12 @@ def main(argv):
                         help="benchmark documents to schema-check")
     parser.add_argument("--trends", default=None, metavar="JSONL",
                         help="trend file to schema-check")
+    parser.add_argument("--bench-metrics", default=None, metavar="PROM",
+                        help="harness registry dump (--metrics-out) "
+                             "to check")
     args = parser.parse_args(argv[1:])
-    if not args.artifact_dir and not args.bench and not args.trends:
+    if not (args.artifact_dir or args.bench or args.trends
+            or args.bench_metrics):
         parser.print_help()
         return 2
     if args.artifact_dir:
@@ -173,6 +199,8 @@ def main(argv):
         check_bench_doc(path)
     if args.trends:
         check_trend_file(args.trends)
+    if args.bench_metrics:
+        check_bench_metrics(args.bench_metrics)
     return 0
 
 

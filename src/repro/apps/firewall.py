@@ -1,4 +1,9 @@
-"""A stateless 5-tuple firewall VNF (the service-graph example)."""
+"""A stateless 5-tuple firewall VNF (the service-graph example).
+
+The policy is :func:`~repro.state.programs.acl_program`, the XFSM the
+datapath and the bypass PMDs run when the ACL is compiled onto the fast
+path; here it runs in the guest.
+"""
 
 from dataclasses import dataclass
 from typing import List, Optional
@@ -8,6 +13,8 @@ from repro.dpdk.ethdev import EthDev
 from repro.packet.flowkey import cached_flow_key
 from repro.packet.mbuf import Mbuf
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
+from repro.state.programs import acl_program
+from repro.state.xfsm import event_for
 
 
 @dataclass(frozen=True)
@@ -29,7 +36,10 @@ class FirewallRule:
 
 
 class FirewallApp(DpdkApp):
-    """Default-allow firewall: drops packets matching any deny rule."""
+    """Default-allow firewall: drops packets matching any deny rule.
+
+    ``program.allowed`` / ``program.dropped`` count the verdicts.
+    """
 
     def __init__(
         self,
@@ -47,21 +57,15 @@ class FirewallApp(DpdkApp):
             burst_size=burst_size,
             cost_multiplier=1.6,  # per-packet rule evaluation
         )
-        self.deny_rules = list(deny_rules or [])
-        self.passed = 0
-        self.dropped = 0
-
-    def add_rule(self, rule: FirewallRule) -> None:
-        self.deny_rules.append(rule)
+        self.program = acl_program(deny_rules or ())
 
     def process(self, mbufs: List[Mbuf], pair: PortPair) -> List[Mbuf]:
+        evaluate = self.program.evaluate
         out: List[Mbuf] = []
         for mbuf in mbufs:
-            key = cached_flow_key(mbuf, in_port=0)
-            if any(rule.matches(key) for rule in self.deny_rules):
-                self.dropped += 1
-                mbuf.free()
-            else:
-                self.passed += 1
+            event = event_for(cached_flow_key(mbuf, 0), mbuf, 0.0)
+            if evaluate(event).allow:
                 out.append(mbuf)
+            else:
+                mbuf.free()
         return out

@@ -146,6 +146,9 @@ def bench_main(argv=None) -> int:
     for chunk in args.scenarios:
         names.extend(name.strip() for name in chunk.split(",")
                      if name.strip())
+    # A scenario named twice runs once: a rerun repeats its document to
+    # the byte, and its harnesses would export each series twice.
+    names = list(dict.fromkeys(names))
     if sum(map(bool, (args.matrix, names, args.family))) > 1:
         parser.error("--matrix, --scenarios and --family are mutually "
                      "exclusive")

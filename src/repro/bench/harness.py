@@ -20,17 +20,18 @@ uses its drain-mode conservation totals (every offered frame is either
 delivered or genuinely lost — no in-flight ambiguity).  Tests inject
 synthetic runners.
 
-Every measurement also lands in a ``repro_bench_*`` metric family on
-the harness's registry, so benchmark progress scrapes exactly like any
-other part of the observability plane.
+The harness keeps its last trial and search as plain attributes and
+exports them through one collector on its registry as ``repro_bench_*``
+metrics labeled by scenario, so benchmark progress scrapes exactly like
+any other part of the observability plane.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.experiments.chain import ChainExperiment
 from repro.metrics.latency import LatencyRecorder
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, Sample
 
 #: The quantiles every latency summary reports.
 LATENCY_QUANTILES = (
@@ -153,42 +154,42 @@ class Rfc2544Harness:
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.measurements = 0
-        reg = self.registry
-        self._m_measurements = reg.counter(
-            "repro_bench_measurements_total",
-            "Offered-load trials run by the RFC2544 harness",
-            labels=("scenario",),
-        )
-        self._m_offered = reg.gauge(
-            "repro_bench_offered_pps",
-            "Offered load of the most recent trial",
-            labels=("scenario",),
-        )
-        self._m_delivered = reg.gauge(
-            "repro_bench_delivered_pps",
-            "Delivery rate of the most recent trial",
-            labels=("scenario",),
-        )
-        self._m_loss = reg.gauge(
-            "repro_bench_loss_fraction",
-            "Loss fraction of the most recent trial",
-            labels=("scenario",),
-        )
-        self._m_latency = reg.gauge(
-            "repro_bench_latency_us",
-            "Latency quantiles of the most recent trial",
-            labels=("scenario", "quantile"),
-        )
-        self._m_zero_loss = reg.gauge(
-            "repro_bench_zero_loss_pps",
-            "Result of the most recent zero-loss search",
-            labels=("scenario",),
-        )
-        self._m_iterations = reg.gauge(
-            "repro_bench_search_iterations",
-            "Trials the most recent zero-loss search needed",
-            labels=("scenario",),
-        )
+        self.last_point: Optional[OfferedPoint] = None
+        self.last_latency_us: Dict[str, float] = {}
+        self.last_search: Optional[SearchResult] = None
+        self.registry.register_collector(self._samples)
+
+    def _samples(self) -> Iterable[Sample]:
+        """The ``repro_bench_*`` series of this harness's last trial and
+        search, once each has happened."""
+        labels = {"scenario": self.scenario}
+        point = self.last_point
+        if point is not None:
+            yield Sample("repro_bench_measurements_total", dict(labels),
+                         float(self.measurements), "counter",
+                         "Offered-load trials run by the RFC2544 harness")
+            yield Sample("repro_bench_offered_pps", dict(labels),
+                         float(point.offered_pps), "gauge",
+                         "Offered load of the most recent trial")
+            yield Sample("repro_bench_delivered_pps", dict(labels),
+                         float(point.throughput_mpps * 1e6), "gauge",
+                         "Delivery rate of the most recent trial")
+            yield Sample("repro_bench_loss_fraction", dict(labels),
+                         float(point.loss_fraction), "gauge",
+                         "Loss fraction of the most recent trial")
+        for quantile, value in self.last_latency_us.items():
+            yield Sample("repro_bench_latency_us",
+                         dict(labels, quantile=quantile), float(value),
+                         "gauge",
+                         "Latency quantiles of the most recent trial")
+        search = self.last_search
+        if search is not None:
+            yield Sample("repro_bench_zero_loss_pps", dict(labels),
+                         float(search.zero_loss_pps), "gauge",
+                         "Result of the most recent zero-loss search")
+            yield Sample("repro_bench_search_iterations", dict(labels),
+                         float(search.iterations), "gauge",
+                         "Trials the most recent zero-loss search needed")
 
     # -- single trial ---------------------------------------------------------
 
@@ -197,16 +198,11 @@ class Rfc2544Harness:
             raise ValueError("offered_pps must be positive")
         point = self.runner(offered_pps)
         self.measurements += 1
-        scenario = self.scenario
-        self._m_measurements.labels(scenario).inc()
-        self._m_offered.labels(scenario).set(point.offered_pps)
-        self._m_delivered.labels(scenario).set(
-            point.throughput_mpps * 1e6)
-        self._m_loss.labels(scenario).set(point.loss_fraction)
+        self.last_point = point
         for name, _fraction in LATENCY_QUANTILES:
             value = point.latency_us.get("%s_us" % name)
             if value is not None:
-                self._m_latency.labels(scenario, name).set(value)
+                self.last_latency_us[name] = value
         return point
 
     def passes(self, point: OfferedPoint) -> bool:
@@ -265,8 +261,7 @@ class Rfc2544Harness:
         return self._finish_search(result)
 
     def _finish_search(self, result: SearchResult) -> SearchResult:
-        self._m_zero_loss.labels(self.scenario).set(result.zero_loss_pps)
-        self._m_iterations.labels(self.scenario).set(result.iterations)
+        self.last_search = result
         return result
 
     # -- offered-vs-loss curve ------------------------------------------------

@@ -165,7 +165,7 @@ class ServiceGraphExperiment:
             cache_misses=cache.misses,
             cache_hit_rate=cache.hit_rate,
             monitor_flows=monitor.flow_count,
-            firewall_passed=firewall.passed,
+            firewall_passed=firewall.program.allowed,
             active_bypasses=self.node.active_bypasses,
             classified_port_switched_packets=(
                 self.node.ports["monitor.out"].rx_packets

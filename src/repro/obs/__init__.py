@@ -22,20 +22,11 @@ from repro.obs.export import (
     validate_prometheus_text,
 )
 from repro.obs.plane import Observability
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Sample,
-)
+from repro.obs.registry import MetricsRegistry, Sample
 from repro.obs.trace import PathTracer, Span, Trace, span_hop
 
 __all__ = [
     "CYCLES_PER_SECOND",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "Observability",
     "PathTracer",

@@ -14,6 +14,7 @@ output, and everything is driven by the simulated clock — reruns are
 bit-identical.
 """
 
+import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 # The paper's testbed CPU: Xeon E5-2690 v2 @ 3.0 GHz.
@@ -85,8 +86,9 @@ class StageAccounting:
         zero.  The vSwitch scheduler uses this to keep per-core tables
         honest when a port moves cores or leaves: the departing port's
         own table is subtracted from the core it accumulated on, so the
-        core table always decomposes the work done for ports it still
-        owns (plus core-local stages like tx/flush)."""
+        core's other stages decompose the work done for ports it still
+        owns (plus core-local stages like tx/flush); the switch charges
+        what was removed to the core's ``departed`` stage."""
         for stage, seconds in other.seconds.items():
             remaining = self.seconds.get(stage, 0.0) - seconds
             if remaining > 1e-18:
@@ -232,14 +234,15 @@ class PmdCycleReport:
         return "\n".join(lines)
 
     def reconciles(self, tolerance: float = 1e-9) -> bool:
-        """True when every stage table stays within its loop's busy time
-        (stage costs are a decomposition, never an independent tally)."""
-        for loop, stages in self._entries:
-            if stages is None:
-                continue
-            if stages.total_seconds > loop.busy_time + tolerance:
-                return False
-        return True
+        """True when every stage table sums to its loop's busy time
+        within a relative ``tolerance``: the stages are a decomposition
+        of the busy time, neither an independent tally nor a part of
+        it."""
+        return all(
+            math.isclose(stages.total_seconds, loop.busy_time,
+                         rel_tol=tolerance)
+            for loop, stages in self._entries if stages is not None
+        )
 
     def __repr__(self) -> str:
         return "<PmdCycleReport loops=%d>" % len(self._entries)

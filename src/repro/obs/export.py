@@ -7,9 +7,12 @@ perturbing the run.
 """
 
 import json
-from typing import Any, Dict, List, Optional
+import re
+from typing import Any, Dict, List
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, Sample
+
+_METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*\Z")
 
 
 def _escape_label_value(value: str) -> str:
@@ -17,16 +20,12 @@ def _escape_label_value(value: str) -> str:
             .replace("\n", "\\n"))
 
 
-def _format_labels(labels: Dict[str, str],
-                   extra: Optional[Dict[str, str]] = None) -> str:
-    merged = dict(labels)
-    if extra:
-        merged.update(extra)
-    if not merged:
+def _format_labels(labels: Dict[str, str]) -> str:
+    if not labels:
         return ""
     inner = ",".join(
         '%s="%s"' % (key, _escape_label_value(str(value)))
-        for key, value in sorted(merged.items())
+        for key, value in sorted(labels.items())
     )
     return "{%s}" % inner
 
@@ -44,38 +43,23 @@ def _format_value(value: float) -> str:
 def prometheus_text(registry: MetricsRegistry) -> str:
     """Render every sample in the Prometheus exposition text format.
 
-    HELP/TYPE headers are emitted once per metric name; histograms
-    expand into ``_bucket`` / ``_sum`` / ``_count`` series.
+    Each metric name is one group under one HELP/TYPE header, as the
+    format requires: groups in order of first appearance, samples in
+    collection order within a group.
     """
-    lines: List[str] = []
-    seen_headers = set()
+    groups: Dict[str, List[Sample]] = {}
     for sample in registry.collect():
-        if sample.name not in seen_headers:
-            seen_headers.add(sample.name)
-            if sample.help:
-                lines.append("# HELP %s %s"
-                             % (sample.name,
-                                sample.help.replace("\n", " ")))
-            lines.append("# TYPE %s %s" % (sample.name, sample.kind))
-        if sample.kind == "histogram":
-            for bound, cumulative in sample.buckets or ():
-                lines.append("%s_bucket%s %d" % (
-                    sample.name,
-                    _format_labels(sample.labels,
-                                   {"le": _format_value(bound)}),
-                    cumulative,
-                ))
-            lines.append("%s_sum%s %s" % (
-                sample.name, _format_labels(sample.labels),
-                _format_value(sample.value),
-            ))
-            lines.append("%s_count%s %d" % (
-                sample.name, _format_labels(sample.labels),
-                sample.count or 0,
-            ))
-        else:
+        groups.setdefault(sample.name, []).append(sample)
+    lines: List[str] = []
+    for name, samples in groups.items():
+        first = samples[0]
+        if first.help:
+            lines.append("# HELP %s %s"
+                         % (name, first.help.replace("\n", " ")))
+        lines.append("# TYPE %s %s" % (name, first.kind))
+        for sample in samples:
             lines.append("%s%s %s" % (
-                sample.name, _format_labels(sample.labels),
+                name, _format_labels(sample.labels),
                 _format_value(sample.value),
             ))
     return "\n".join(lines) + "\n"
@@ -86,10 +70,13 @@ def validate_prometheus_text(text: str) -> int:
 
     Raises :class:`ValueError` on the first malformed line.  This is the
     validator the CI smoke job runs — it checks the *grammar* (name,
-    optional label block, numeric value) without needing a Prometheus
+    optional label block, numeric value) and that each metric name's
+    samples form one contiguous group, without needing a Prometheus
     install in the container.
     """
     count = 0
+    current = None
+    finished = set()
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line or line.startswith("#"):
             continue
@@ -114,9 +101,16 @@ def validate_prometheus_text(text: str) -> int:
                 raise ValueError("line %d: expected 'name value'" % lineno)
             name, value_part = parts
         name = name.strip()
-        if not name or not all(c.isalnum() or c in "_:" for c in name):
+        if not _METRIC_NAME.match(name):
             raise ValueError("line %d: bad metric name %r"
                              % (lineno, name))
+        if name != current:
+            if name in finished:
+                raise ValueError("line %d: metric %r resumes after %r; "
+                                 "one name must be one group"
+                                 % (lineno, name, current))
+            finished.add(current)
+            current = name
         value_part = value_part.strip()
         if value_part not in ("+Inf", "-Inf", "NaN"):
             float(value_part)  # raises ValueError when malformed
@@ -150,19 +144,12 @@ def snapshot_dict(registry: MetricsRegistry, now: float) -> Dict[str, Any]:
     """One point-in-time snapshot as a JSON-serializable dict."""
     metrics: List[Dict[str, Any]] = []
     for sample in registry.collect():
-        entry: Dict[str, Any] = {
+        metrics.append({
             "name": sample.name,
             "labels": sample.labels,
             "value": sample.value,
             "kind": sample.kind,
-        }
-        if sample.kind == "histogram":
-            entry["count"] = sample.count
-            entry["buckets"] = [
-                ["+Inf" if bound == float("inf") else bound, cumulative]
-                for bound, cumulative in (sample.buckets or ())
-            ]
-        metrics.append(entry)
+        })
     return {"time": now, "metrics": metrics}
 
 

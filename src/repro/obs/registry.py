@@ -1,228 +1,43 @@
 """The central metrics registry: one place every subsystem reports into.
 
-Modeled on the Prometheus client data model (labeled counter / gauge /
-histogram families) plus OVS's *coverage counters* (``coverage/show``) —
-cheap named event tallies that answer "did this code path ever run, and
-how often lately".
+Modeled on the Prometheus client data model (named, labeled samples of
+a counter or gauge type) plus OVS's *coverage counters*
+(``coverage/show``) — cheap named event tallies that answer "did this
+code path ever run, and how often lately".
 
-Two registration styles coexist deliberately:
-
-* **direct instruments** — hot paths that want to own their counter call
-  ``family.labels(...).inc()``;
-* **collector callbacks** — the migration path for the repo's scattered
-  ad-hoc counters (EMC hits, ring failure counts,
-  :class:`~repro.metrics.resilience.ResilienceCounters`, ...).  A
-  collector reads the *existing* attributes lazily at scrape time, so the
-  original call sites keep mutating their plain ints and pay nothing for
-  being observable.
+There is one way in: a **collector** — a callback registered with
+:meth:`MetricsRegistry.register_collector` (or the one-liner
+:meth:`MetricsRegistry.register_object`) that reads the *existing*
+attributes of the object it wraps lazily at scrape time.  The hot paths
+keep mutating their plain ints (EMC hits, ring failure counts,
+:class:`~repro.metrics.resilience.ResilienceCounters`, ...) and pay
+nothing for being observable.
 """
 
-import bisect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
-
-LabelValues = Tuple[str, ...]
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 
 @dataclass(frozen=True)
 class Sample:
-    """One exported time-series point.
-
-    ``kind`` is the Prometheus metric type (``counter`` / ``gauge`` /
-    ``histogram``); histogram samples carry their bucket table in
-    ``buckets`` as ``(upper_bound, cumulative_count)`` pairs plus
-    ``value`` = sum and ``count`` = population.
-    """
+    """One exported time-series point; ``kind`` is the Prometheus
+    metric type (``counter`` / ``gauge``)."""
 
     name: str
     labels: Dict[str, str]
     value: float
     kind: str = "gauge"
     help: str = ""
-    buckets: Optional[Tuple[Tuple[float, int], ...]] = None
-    count: Optional[int] = None
-
-
-class Counter:
-    """A monotonically increasing value."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up (got %r)" % amount)
-        self.value += amount
-
-
-class Gauge:
-    """A value that can go either way, or be computed at scrape time."""
-
-    __slots__ = ("value", "_fn")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
-
-    def set(self, value: float) -> None:
-        self._fn = None
-        self.value = value
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Compute the gauge lazily at every scrape (migration hook)."""
-        self._fn = fn
-
-    def read(self) -> float:
-        return float(self._fn()) if self._fn is not None else self.value
-
-
-DEFAULT_BUCKETS = (
-    1e-7, 2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
-    1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, float("inf"),
-)
-
-
-class Histogram:
-    """Fixed-bucket histogram (cumulative, Prometheus-style)."""
-
-    __slots__ = ("bounds", "bucket_counts", "total", "count")
-
-    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
-        bounds = sorted(float(b) for b in buckets)
-        if not bounds or bounds[-1] != float("inf"):
-            bounds.append(float("inf"))
-        self.bounds = bounds
-        self.bucket_counts = [0] * len(bounds)
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
-        self.total += value
-        self.count += 1
-
-    def cumulative(self) -> Tuple[Tuple[float, int], ...]:
-        running = 0
-        out = []
-        for bound, bucket in zip(self.bounds, self.bucket_counts):
-            running += bucket
-            out.append((bound, running))
-        return tuple(out)
-
-
-class MetricFamily:
-    """A named metric plus all its labeled children."""
-
-    def __init__(self, name: str, kind: str, help: str,
-                 label_names: Tuple[str, ...],
-                 make_child: Callable[[], Any]) -> None:
-        self.name = name
-        self.kind = kind
-        self.help = help
-        self.label_names = label_names
-        self._make_child = make_child
-        self._children: Dict[LabelValues, Any] = {}
-
-    def labels(self, *values, **kv) -> Any:
-        """The child instrument for one label combination.
-
-        Accepts either positional values (in declaration order) or
-        keywords; an unlabeled family takes no arguments.
-        """
-        if kv:
-            if values:
-                raise ValueError("pass labels positionally or by name, "
-                                 "not both")
-            try:
-                values = tuple(str(kv.pop(n)) for n in self.label_names)
-            except KeyError as exc:
-                raise ValueError("missing label %s for metric %r"
-                                 % (exc, self.name)) from None
-            if kv:
-                raise ValueError("unknown labels %s for metric %r"
-                                 % (sorted(kv), self.name))
-        else:
-            values = tuple(str(v) for v in values)
-        if len(values) != len(self.label_names):
-            raise ValueError(
-                "metric %r takes labels %s, got %d value(s)"
-                % (self.name, list(self.label_names), len(values))
-            )
-        child = self._children.get(values)
-        if child is None:
-            child = self._children[values] = self._make_child()
-        return child
-
-    def collect(self) -> Iterable[Sample]:
-        for values, child in sorted(self._children.items()):
-            labels = dict(zip(self.label_names, values))
-            if self.kind == "histogram":
-                yield Sample(self.name, labels, child.total, self.kind,
-                             self.help, buckets=child.cumulative(),
-                             count=child.count)
-            elif self.kind == "gauge":
-                yield Sample(self.name, labels, child.read(), self.kind,
-                             self.help)
-            else:
-                yield Sample(self.name, labels, child.value, self.kind,
-                             self.help)
-
-
-_VALID_FIRST = set("abcdefghijklmnopqrstuvwxyz"
-                   "ABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
 
 
 class MetricsRegistry:
-    """Owns every metric family; the scrape surface for the exporters."""
+    """Owns every collector; the scrape surface for the exporters."""
 
     def __init__(self) -> None:
-        self._families: Dict[str, MetricFamily] = {}
         self._collectors: List[Callable[[], Iterable[Sample]]] = []
         self._coverage: Dict[str, int] = {}
 
-    # -- family constructors -------------------------------------------------
-
-    def _family(self, name: str, kind: str, help: str,
-                labels: Sequence[str], make_child) -> MetricFamily:
-        if not name or name[0] not in _VALID_FIRST:
-            raise ValueError("invalid metric name %r" % name)
-        existing = self._families.get(name)
-        if existing is not None:
-            if (existing.kind != kind
-                    or existing.label_names != tuple(labels)):
-                raise ValueError(
-                    "metric %r already registered as %s%s"
-                    % (name, existing.kind, list(existing.label_names))
-                )
-            return existing
-        family = MetricFamily(name, kind, help, tuple(labels), make_child)
-        self._families[name] = family
-        return family
-
-    def counter(self, name: str, help: str = "",
-                labels: Sequence[str] = ()) -> MetricFamily:
-        return self._family(name, "counter", help, labels, Counter)
-
-    def gauge(self, name: str, help: str = "",
-              labels: Sequence[str] = ()) -> MetricFamily:
-        return self._family(name, "gauge", help, labels, Gauge)
-
-    def histogram(self, name: str, help: str = "",
-                  labels: Sequence[str] = (),
-                  buckets: Sequence[float] = DEFAULT_BUCKETS
-                  ) -> MetricFamily:
-        return self._family(name, "histogram", help, labels,
-                            lambda: Histogram(buckets))
-
-    # -- collector callbacks (the ad-hoc-counter migration path) ---------------
+    # -- collectors -----------------------------------------------------------
 
     def register_collector(
         self, collector: Callable[[], Iterable[Sample]]
@@ -238,19 +53,16 @@ class MetricsRegistry:
     def register_object(self, prefix: str, obj: Any,
                         attributes: Sequence[str],
                         labels: Optional[Dict[str, Any]] = None,
-                        kind: str = "counter",
                         help: str = "") -> None:
-        """Export ``obj.<attr>`` as ``<prefix>_<attr>`` lazily.
-
-        The common migration one-liner: every named attribute becomes a
-        sample read at scrape time.
-        """
+        """Export ``obj.<attr>`` as the counter ``<prefix>_<attr>``
+        lazily: every named attribute becomes a sample read at scrape
+        time."""
         label_dict = {k: str(v) for k, v in (labels or {}).items()}
 
         def collect() -> Iterable[Sample]:
             for attr in attributes:
                 yield Sample("%s_%s" % (prefix, attr), dict(label_dict),
-                             float(getattr(obj, attr)), kind, help)
+                             float(getattr(obj, attr)), "counter", help)
 
         self.register_collector(collect)
 
@@ -278,11 +90,9 @@ class MetricsRegistry:
     # -- scraping ----------------------------------------------------------------
 
     def collect(self) -> List[Sample]:
-        """Every current sample: families first, then collectors, then
+        """Every current sample: collectors in registration order, then
         coverage counters (as ``coverage_total{event=...}``)."""
         samples: List[Sample] = []
-        for name in sorted(self._families):
-            samples.extend(self._families[name].collect())
         for collector in self._collectors:
             samples.extend(collector())
         for name in sorted(self._coverage):
@@ -303,6 +113,6 @@ class MetricsRegistry:
         raise KeyError("no sample %r with labels %r" % (name, wanted))
 
     def __repr__(self) -> str:
-        return "<MetricsRegistry families=%d collectors=%d coverage=%d>" % (
-            len(self._families), len(self._collectors), len(self._coverage)
+        return "<MetricsRegistry collectors=%d coverage=%d>" % (
+            len(self._collectors), len(self._coverage)
         )

@@ -255,29 +255,38 @@ class VSwitchd:
         port = self.datapath.remove_port(ofport)
         core_index = self.scheduler.remove_port(port)
         self._wake_cores()
-        # Reattribution: the core's aggregate stage table stops
-        # claiming work done for a port it no longer owns — without
-        # this, pmd/stats-show silently mixes departed ports into the
-        # core's story forever.
         port_stages = self._port_stages.pop(ofport, None)
         self._port_tees.pop(ofport, None)
         if port_stages is not None and core_index is not None:
-            self._core_stages[core_index].subtract(port_stages)
+            self._detach_port_stages(core_index, port_stages)
         return port
+
+    def _detach_port_stages(self, core_index: int,
+                            port_stages: StageAccounting) -> None:
+        """Reattribution: a core's stage table stops claiming a port's
+        lookups, actions and rx once the port moves away or leaves —
+        without this, pmd/stats-show silently mixes departed ports into
+        the core's story forever.  The core's loop still did that work,
+        so its time is charged to the core's ``departed`` stage and the
+        table keeps summing to the loop's busy time."""
+        core = self._core_stages[core_index]
+        held = core.total_seconds
+        core.subtract(port_stages)
+        core.add("departed", held - core.total_seconds)
 
     def _on_port_moved(self, port: OvsPort, src_core: int,
                        dst_core: int) -> None:
         """Scheduler move hook: reattribute stage accounting.
 
-        The port's accumulated stages leave the old core's table (that
-        work is history the new core never did) and the port table
-        restarts from zero on the new core — never silently mixing two
-        cores' attributions.  The loops' busy/idle accounting is
+        The port's accumulated stages become the old core's
+        ``departed`` time (history the new core never did) and the
+        port table restarts from zero on the new core — never silently
+        mixing two cores' attributions.  The loops' busy/idle accounting is
         untouched: it is the authority and already correct per core.
         """
         port_stages = self._port_stages.get(port.ofport)
         if port_stages is not None:
-            self._core_stages[src_core].subtract(port_stages)
+            self._detach_port_stages(src_core, port_stages)
             port_stages.reset()
         tee = self._port_tees.get(port.ofport)
         if tee is not None:

@@ -3,6 +3,7 @@
 import os
 
 from repro.apps.conntrack import StatefulFirewallApp
+from repro.bench.harness import OfferedPoint
 from repro.dpdk.dpdkr import DpdkrPmd, DpdkrSharedRings
 from repro.mem.memzone import MemzoneRegistry
 from repro.packet.builder import make_udp_packet
@@ -45,6 +46,25 @@ class GuestFirewall:
         return len(tx.rings.to_switch.dequeue_burst(8)) == 1
 
 
+def capacity_runner(capacity_pps, latency_us=None):
+    """Deliver everything up to a hard capacity, drop the rest."""
+
+    def run(offered_pps):
+        duration = 0.01
+        sent = int(offered_pps * duration)
+        delivered = int(min(offered_pps, capacity_pps) * duration)
+        return OfferedPoint(
+            offered_pps=offered_pps, duration=duration, sent=sent,
+            delivered=delivered,
+            throughput_mpps=delivered / duration / 1e6,
+            latency_us=dict(latency_us or {"p50_us": 5.0, "p95_us": 9.0,
+                                           "p99_us": 11.0,
+                                           "p999_us": 14.0}),
+        )
+
+    return run
+
+
 def drain(ring, max_count=1024):
     """Dequeue everything currently in ``ring``."""
     return ring.dequeue_burst(max_count)
@@ -57,3 +77,24 @@ def sweep_seeded(test):
 
         return seed(int(os.environ["REPRO_FAULT_SEED"]))(test)
     return test
+
+
+def metric_shape_problems(samples):
+    """What breaks "one metric name, one type, one label set" in a
+    scrape: a name exported as two kinds, a name exported with two sets
+    of label keys, or one series (name + label values) exported twice."""
+    kinds, label_keys, series, problems = {}, {}, set(), []
+    for sample in samples:
+        name = sample.name
+        kind = kinds.setdefault(name, sample.kind)
+        if kind != sample.kind:
+            problems.append("%s: kind %s and %s" % (name, kind, sample.kind))
+        keys = label_keys.setdefault(name, frozenset(sample.labels))
+        if keys != frozenset(sample.labels):
+            problems.append("%s: labels %s and %s"
+                            % (name, sorted(keys), sorted(sample.labels)))
+        one = (name, tuple(sorted(sample.labels.items())))
+        if one in series:
+            problems.append("%s: series %r twice" % (name, dict(one[1])))
+        series.add(one)
+    return problems

@@ -86,12 +86,14 @@ class TestFirewall:
         feed(ports[0], [blocked, allowed])
         app.iteration()
         assert sent_by(ports[1]) == [allowed]
-        assert app.dropped == 1 and app.passed == 1
+        assert app.program.dropped == 1 and app.program.allowed == 1
         assert blocked.refcnt == 0
 
     def test_ip_based_rule(self, ports):
-        app = FirewallApp("fw", *ports)
-        app.add_rule(FirewallRule(ip_src=ipv4_to_int("10.0.0.66")))
+        app = FirewallApp(
+            "fw", *ports,
+            deny_rules=[FirewallRule(ip_src=ipv4_to_int("10.0.0.66"))],
+        )
         bad = mk_mbuf(packet=make_udp_packet(src_ip="10.0.0.66"))
         good = mk_mbuf(packet=make_udp_packet(src_ip="10.0.0.1"))
         feed(ports[0], [bad, good])

@@ -20,28 +20,11 @@ from repro.bench.scenarios import SCENARIOS, get_scenario, run_scenario
 from repro.bench.schema import append_trend_line, make_trend_line
 from repro.bench.state import BenchState
 from repro.metrics.latency import LatencyRecorder
+from repro.obs.export import validate_prometheus_text
 from repro.obs.registry import MetricsRegistry
 from repro.vswitch.appctl import AppCtl
 from repro.vswitch.vswitchd import VSwitchd
-
-
-def capacity_runner(capacity_pps, latency_us=None):
-    """Deliver everything up to a hard capacity, drop the rest."""
-
-    def run(offered_pps):
-        duration = 0.01
-        sent = int(offered_pps * duration)
-        delivered = int(min(offered_pps, capacity_pps) * duration)
-        return OfferedPoint(
-            offered_pps=offered_pps, duration=duration, sent=sent,
-            delivered=delivered,
-            throughput_mpps=delivered / duration / 1e6,
-            latency_us=dict(latency_us or {"p50_us": 5.0, "p95_us": 9.0,
-                                           "p99_us": 11.0,
-                                           "p999_us": 14.0}),
-        )
-
-    return run
+from tests.helpers import capacity_runner
 
 
 # -- OfferedPoint -------------------------------------------------------------
@@ -383,14 +366,18 @@ class TestCli:
 
     def test_single_scenario_writes_doc_and_trend(self, tmp_path):
         out_dir = str(tmp_path)
-        code = bench_main(["--scenarios", "rule_scale", "--quick",
-                           "--out-dir", out_dir,
+        # Named twice, run once: one trend line, one series per label.
+        code = bench_main(["--scenarios", "rule_scale,rule_scale",
+                           "--quick", "--out-dir", out_dir,
                            "--metrics-out",
                            str(tmp_path / "bench.prom")])
         assert code == 0
         doc_path = tmp_path / "BENCH_scenario_rule_scale.json"
         assert doc_path.exists()
         trends = tmp_path / "BENCH_TRENDS.jsonl"
-        assert trends.exists()
+        assert len(trends.read_text().splitlines()) == 1
         prom = (tmp_path / "bench.prom").read_text()
-        assert "repro_bench_measurements_total" in prom
+        assert 'repro_bench_measurements_total{scenario="rules_0"} 1\n' \
+            in prom
+        assert validate_prometheus_text(prom) == \
+            prom.count("\nrepro_bench_")

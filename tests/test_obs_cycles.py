@@ -107,10 +107,31 @@ class TestPmdCycleReport:
         assert "c/p" in text
 
     def test_reconciles_when_stage_total_within_busy(self):
+        # "Within" is a relative 1e-9 of the busy time, either side:
+        # the stages must account for all of it, not just fit under it.
         stages = StageAccounting()
         stages.add("rx_normal", 1e-6)
+        stages.add("tx", 1e-6)
         report = PmdCycleReport()
-        report.track(FakeLoop("ok", busy=2e-6, idle=0.0), stages)
+        report.track(FakeLoop("ok", busy=2e-6 * (1 + 1e-12), idle=0.0),
+                     stages)
+        assert report.reconciles()
+        short = PmdCycleReport()
+        short.track(FakeLoop("short", busy=2e-6 * (1 + 1e-6), idle=0.0),
+                    stages)
+        assert not short.reconciles()
+
+    def test_reconcile_fails_on_underclaimed_stages(self):
+        stages = StageAccounting()
+        stages.add("rx_normal", 1e-6)  # half the busy time unexplained
+        report = PmdCycleReport()
+        report.track(FakeLoop("leak", busy=2e-6, idle=0.0), stages)
+        assert not report.reconciles()
+
+    def test_an_idle_loop_with_an_empty_table_reconciles(self):
+        report = PmdCycleReport()
+        report.track(FakeLoop("idle", busy=0.0, idle=1e-3),
+                     StageAccounting())
         assert report.reconciles()
 
     def test_reconcile_fails_on_overclaimed_stages(self):

@@ -1,7 +1,5 @@
 """Tests for the exporters (repro.obs.export)."""
 
-import json
-
 import pytest
 
 from repro.obs.export import (
@@ -12,17 +10,29 @@ from repro.obs.export import (
     snapshot_dict,
     validate_prometheus_text,
 )
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, Sample
 
 
 def small_registry():
     registry = MetricsRegistry()
-    registry.counter("pkts_total", help="packets seen",
-                     labels=("port",)).labels("p0").inc(7)
-    registry.gauge("depth", help="ring depth").labels().set(3.5)
-    registry.histogram("lat_seconds", buckets=(1e-6, 1e-3)) \
-        .labels().observe(5e-4)
+    registry.register_collector(lambda: [
+        Sample("pkts_total", {"port": "p0"}, 7.0, "counter",
+               "packets seen"),
+        Sample("depth", {}, 3.5, "gauge", "ring depth"),
+    ])
     registry.coverage("event_hit", 2)
+    return registry
+
+
+def per_loop_registry():
+    """Two collectors that each yield the same two names, the shape of
+    one poll-loop collector per loop."""
+    registry = MetricsRegistry()
+    for loop in ("pmd0", "pmd1"):
+        registry.register_collector(lambda loop=loop: [
+            Sample("busy", {"loop": loop}, 1.0, "gauge", "busy time"),
+            Sample("iters_total", {"loop": loop}, 2.0, "counter"),
+        ])
     return registry
 
 
@@ -34,16 +44,30 @@ class TestPrometheusText:
         assert "# HELP pkts_total packets seen" in text
         assert "depth 3.5" in text
         assert 'coverage_total{event="event_hit"} 2' in text
-        # Histogram expansion with the +Inf bucket and _sum/_count.
-        assert 'lat_seconds_bucket{le="+Inf"} 1' in text
-        assert "lat_seconds_sum 0.0005" in text
-        assert "lat_seconds_count 1" in text
-        assert validate_prometheus_text(text) > 5
+        assert validate_prometheus_text(text) == 3
+
+    def test_each_name_renders_as_one_group(self):
+        lines = prometheus_text(per_loop_registry()).splitlines()
+        assert lines == [
+            "# HELP busy busy time",
+            "# TYPE busy gauge",
+            'busy{loop="pmd0"} 1',
+            'busy{loop="pmd1"} 1',
+            "# TYPE iters_total counter",
+            'iters_total{loop="pmd0"} 2',
+            'iters_total{loop="pmd1"} 2',
+        ]
+
+    def test_validator_rejects_a_name_split_across_groups(self):
+        split = ('busy{loop="pmd0"} 1\niters_total{loop="pmd0"} 2\n'
+                 'busy{loop="pmd1"} 1\n')
+        with pytest.raises(ValueError, match="resumes"):
+            validate_prometheus_text(split)
 
     def test_label_values_escaped(self):
         registry = MetricsRegistry()
-        registry.counter("weird_total", labels=("name",)) \
-            .labels('a"b\\c').inc()
+        registry.register_collector(lambda: [
+            Sample("weird_total", {"name": 'a"b\\c'}, 1.0, "counter")])
         text = prometheus_text(registry)
         assert r'weird_total{name="a\"b\\c"} 1' in text
         validate_prometheus_text(text)
@@ -74,16 +98,7 @@ class TestSnapshots:
         assert parsed[0]["metrics"] == parsed[1]["metrics"]
         # Every metric entry survives json round trip intact.
         names = {m["name"] for m in parsed[0]["metrics"]}
-        assert {"pkts_total", "depth", "lat_seconds",
-                "coverage_total"} <= names
-
-    def test_histogram_inf_bound_serializes(self):
-        snap = snapshot_dict(small_registry(), 0.0)
-        text = jsonl_snapshots([snap])
-        json.loads(text)  # must be strictly valid JSON (no Infinity)
-        hist = [m for m in snap["metrics"]
-                if m["name"] == "lat_seconds"][0]
-        assert hist["buckets"][-1][0] == "+Inf"
+        assert {"pkts_total", "depth", "coverage_total"} <= names
 
     def test_parse_rejects_non_snapshot(self):
         with pytest.raises(ValueError):

@@ -6,18 +6,24 @@ from dataclasses import fields as dataclass_fields
 
 import pytest
 
+from repro.bench.harness import Rfc2544Harness
 from repro.cli import main as cli_main
 from repro.experiments.chain import ChainExperiment
-from repro.obs import Observability
+from repro.obs import MetricsRegistry, Observability
 from repro.obs.cycles import seconds_to_cycles
 from repro.obs.export import (
     parse_jsonl_snapshots,
     prometheus_text,
     validate_prometheus_text,
 )
+from repro.openflow.actions import OutputAction
+from repro.openflow.match import Match
 from repro.orchestration import NfvNode
 from repro.sim.engine import Environment
+from repro.traffic.generator import SourceApp
+from repro.traffic.sink import SinkApp
 from repro.vswitch.appctl import AppCtl
+from tests.helpers import capacity_runner, metric_shape_problems
 
 
 def run_bypass_chain(**kwargs):
@@ -30,15 +36,61 @@ def run_bypass_chain(**kwargs):
     return experiment, result
 
 
+@pytest.fixture(scope="module")
+def chains():
+    """A vanilla and a bypass 3-VM chain, run once for the module."""
+    return {bypass: run_bypass_chain(bypass=bypass)[0]
+            for bypass in (False, True)}
+
+
+def two_vm_node():
+    node = NfvNode()
+    node.create_vm("vm1", ["dpdkr0"])
+    node.create_vm("vm2", ["dpdkr1"])
+    node.install_p2p_rule("dpdkr0", "dpdkr1")
+    node.settle_control_plane()
+    return node
+
+
+def sample_names(text):
+    return [line.split("{")[0].split()[0] for line in text.splitlines()
+            if line and not line.startswith("#")]
+
+
+class TestScrapeShape:
+    """What a scraper may rely on, checked on real scrapes: the
+    registry takes whatever its collectors yield."""
+
+    def test_every_name_is_one_group(self, chains):
+        for registry in (two_vm_node().obs.registry,
+                         chains[True].obs.registry):
+            text = prometheus_text(registry)
+            names = sample_names(text)
+            groups = [name for index, name in enumerate(names)
+                      if index == 0 or names[index - 1] != name]
+            assert len(groups) == len(set(groups))
+            assert text.count("# TYPE ") == len(set(names))
+            validate_prometheus_text(text)
+
+    def test_one_kind_one_label_set_no_duplicate_series(self, chains):
+        harnesses = MetricsRegistry()
+        for scenario in ("a", "b"):
+            harness = Rfc2544Harness(capacity_runner(1e6),
+                                     registry=harnesses,
+                                     scenario=scenario)
+            harness.zero_loss_search(1e5, 1e7)
+        for registry in (chains[False].obs.registry,
+                         chains[True].obs.registry, harnesses):
+            samples = registry.collect()
+            assert len({sample.name for sample in samples}) > 5
+            assert metric_shape_problems(samples) == []
+
+
 class TestResilienceExport:
     def test_every_resilience_field_reachable_via_metrics_dump(self):
         # The acceptance criterion: each ResilienceCounters field shows
         # up in the appctl metrics/dump output, labeled by field name.
-        node = NfvNode()
-        node.create_vm("vm1", ["dpdkr0"])
-        node.create_vm("vm2", ["dpdkr1"])
-        node.install_p2p_rule("dpdkr0", "dpdkr1")
-        node.settle_control_plane()
+        node = two_vm_node()
         appctl = AppCtl(node.switch, node.manager, obs=node.obs)
         text = appctl.run("metrics/dump")
         for field in dataclass_fields(node.manager.resilience):
@@ -146,7 +198,7 @@ class TestCycleReconciliation:
     def test_stage_tables_reconcile_with_poll_loops(self):
         experiment, result = run_bypass_chain(trace_sample=64)
         report = experiment.obs.pmd_cycle_report()
-        # Stage attribution never claims more than the loop ran.
+        # Stage attribution sums to what each loop ran.
         assert report.reconciles()
         # Both switch PMD cores and the guest app loops are tracked.
         names = [loop.name for loop in report.loops]
@@ -162,6 +214,47 @@ class TestCycleReconciliation:
                      - seconds_to_cycles(loop.busy_time + loop.idle_time)
                      ) <= 1  # independent rounding
         assert result.throughput_mpps > 0
+
+    def test_vanilla_stage_tables_sum_to_busy_time(self, chains):
+        report = chains[False].obs.pmd_cycle_report()
+        worked = {loop.name for loop, stages in report.loop_rows()
+                  if stages is not None and loop.busy_time > 0}
+        assert {"ovs.pmd0", "ovs.pmd1", "vm2.app"} <= worked
+        assert report.reconciles()
+
+    def test_stage_tables_close_across_a_handover(self):
+        # A sub-saturation stream across an ordered teardown and
+        # re-establishment: the switch cores park between bursts and
+        # catch up on the skipped polls, the likeliest place for busy
+        # time to leak out of the stage tables.
+        env = Environment()
+        node = NfvNode(env=env)
+        for vm, port in (("vm1", "src0"), ("vm2", "dst0"), ("vm3", "div0")):
+            node.create_vm(vm, [port])
+        node.switch.start()
+        node.install_p2p_rule("src0", "dst0")
+        node.settle_control_plane(extra_time=0.12)
+        source = SourceApp("src", node.vms["vm1"].pmd("src0"),
+                           rate_pps=0.1e6)
+        for app in (SinkApp("sink", node.vms["vm2"].pmd("dst0")),
+                    SinkApp("sink.divert", node.vms["vm3"].pmd("div0")),
+                    source):
+            app.start(env)
+        divert = Match(in_port=node.ofport("src0"), eth_type=0x0800,
+                       ip_proto=6, l4_dst=80)
+        node.controller.install_flow(
+            divert, [OutputAction(node.ofport("div0"))], priority=0x9000)
+        env.run(until=env.now + 0.07)
+        assert node.active_bypasses == 0
+        node.controller.delete_flow(divert, strict=True, priority=0x9000)
+        env.run(until=env.now + 0.105)
+        assert node.active_bypasses == 1
+        source.stop()
+        env.run(until=env.now + 0.0025)
+        report = node.obs.pmd_cycle_report()
+        assert any(loop.busy_time > 0 and loop.replayed_polls > 0
+                   for loop in report.loops)
+        assert report.reconciles()
 
     def test_guest_stage_split_shows_bypass_rx(self):
         experiment, _result = run_bypass_chain()

@@ -2,99 +2,59 @@
 
 import pytest
 
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Sample,
-)
-
-
-class TestInstruments:
-    def test_counter_only_goes_up(self):
-        counter = Counter()
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == 3.5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_set_inc_dec(self):
-        gauge = Gauge()
-        gauge.set(5.0)
-        gauge.inc()
-        gauge.dec(2.0)
-        assert gauge.read() == 4.0
-
-    def test_gauge_function_wins_until_set(self):
-        gauge = Gauge()
-        backing = {"v": 7.0}
-        gauge.set_function(lambda: backing["v"])
-        assert gauge.read() == 7.0
-        backing["v"] = 9.0
-        assert gauge.read() == 9.0
-        gauge.set(1.0)  # an explicit set clears the lazy function
-        assert gauge.read() == 1.0
-
-    def test_histogram_buckets_cumulative(self):
-        histogram = Histogram(buckets=(1.0, 10.0))
-        for value in (0.5, 0.7, 5.0, 100.0):
-            histogram.observe(value)
-        table = dict(histogram.cumulative())
-        assert table[1.0] == 2
-        assert table[10.0] == 3
-        assert table[float("inf")] == 4
-        assert histogram.count == 4
-        assert histogram.total == pytest.approx(106.2)
-
-    def test_histogram_always_has_inf_bucket(self):
-        histogram = Histogram(buckets=(1.0,))
-        assert histogram.bounds[-1] == float("inf")
+from repro.obs.export import prometheus_text, validate_prometheus_text
+from repro.obs.registry import MetricsRegistry, Sample
+from tests.helpers import metric_shape_problems
 
 
 class TestFamilies:
+    """A metric family — one name and its labeled series — as the
+    collectors build it; the registry takes whatever they yield, so a
+    family's shape is checked on the scrape (``metric_shape_problems``,
+    held over real scrapes in ``tests/test_obs_plane.py``)."""
+
     def test_labeled_counter_children_are_distinct(self):
         registry = MetricsRegistry()
-        family = registry.counter("pkts_total", labels=("port",))
-        family.labels("p0").inc(3)
-        family.labels("p1").inc(5)
+        for port, count in (("p0", 3), ("p1", 5)):
+            stats = type("Stats", (), {"total": count})()
+            registry.register_object("pkts", stats, ("total",),
+                                     labels={"port": port})
         assert registry.sample_value("pkts_total", {"port": "p0"}) == 3
         assert registry.sample_value("pkts_total", {"port": "p1"}) == 5
+        assert metric_shape_problems(registry.collect()) == []
 
     def test_keyword_labels(self):
         registry = MetricsRegistry()
-        family = registry.counter("x_total", labels=("a", "b"))
-        family.labels(a="1", b="2").inc()
+        stats = type("Stats", (), {"total": 1})()
+        registry.register_object("x", stats, ("total",),
+                                 labels={"a": 1, "b": 2})
         assert registry.sample_value("x_total", {"a": "1", "b": "2"}) == 1
 
     def test_label_arity_enforced(self):
-        registry = MetricsRegistry()
-        family = registry.counter("y_total", labels=("a",))
-        with pytest.raises(ValueError):
-            family.labels("1", "2")
-        with pytest.raises(ValueError):
-            family.labels(b="2")
-        with pytest.raises(ValueError):
-            family.labels("1", a="1")
+        samples = [Sample("y_total", {"a": "1"}, 1.0, "counter"),
+                   Sample("y_total", {"a": "2", "b": "2"}, 1.0, "counter")]
+        assert metric_shape_problems(samples) == [
+            "y_total: labels ['a'] and ['a', 'b']"]
 
     def test_reregistration_must_match(self):
-        registry = MetricsRegistry()
-        registry.counter("z_total", labels=("a",))
-        # Same shape: returns the same family.
-        again = registry.counter("z_total", labels=("a",))
-        again.labels("1").inc()
-        with pytest.raises(ValueError):
-            registry.gauge("z_total", labels=("a",))
-        with pytest.raises(ValueError):
-            registry.counter("z_total", labels=("b",))
+        same_shape = [Sample("z_total", {"a": "1"}, 1.0, "counter"),
+                      Sample("z_total", {"a": "2"}, 1.0, "counter")]
+        assert metric_shape_problems(same_shape) == []
+        other_kind = same_shape + [Sample("z_total", {"a": "3"}, 1.0)]
+        assert metric_shape_problems(other_kind) == [
+            "z_total: kind counter and gauge"]
+        twice = same_shape + [Sample("z_total", {"a": "1"}, 2.0,
+                                     "counter")]
+        assert metric_shape_problems(twice) == [
+            "z_total: series {'a': '1'} twice"]
 
     def test_invalid_metric_name_rejected(self):
-        registry = MetricsRegistry()
-        with pytest.raises(ValueError):
-            registry.counter("9bad")
-        with pytest.raises(ValueError):
-            registry.counter("")
+        for name in ("9bad", ""):
+            registry = MetricsRegistry()
+            registry.register_collector(
+                lambda name=name: [Sample(name, {}, 1.0)])
+            with pytest.raises(ValueError):
+                validate_prometheus_text(prometheus_text(registry))
 
 
 class TestCollectors:

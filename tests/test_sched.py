@@ -243,8 +243,15 @@ class TestVSwitchdAttribution:
         port_total = switch._port_stages[a.ofport].total_seconds
         assert port_total > 0
         switch.del_port(a.ofport)
-        after = switch._core_stages[core].total_seconds
-        assert after == pytest.approx(before - port_total)
+        # The port's stages leave the core's own; the core's loop still
+        # did that work, so it stays on the table as ``departed``.
+        seconds = switch._core_stages[core].seconds
+        assert seconds["departed"] == pytest.approx(port_total)
+        assert sum(value for stage, value in seconds.items()
+                   if stage != "departed") == \
+            pytest.approx(before - port_total)
+        assert switch._core_stages[core].total_seconds == \
+            pytest.approx(before)
         assert a.ofport not in switch._port_stages
         assert a.ofport not in switch._port_tees
 
@@ -263,9 +270,12 @@ class TestVSwitchdAttribution:
         switch.pin_port("a", 1 - src_core)
         plan = switch.scheduler.rebalance()
         assert any(move.ofport == a.ofport for move in plan.moves)
-        # Old core's table no longer claims the port's history...
+        # Old core's table no longer claims the port's history as its
+        # lookups and actions: it is the core's ``departed`` time...
+        src_seconds = switch._core_stages[src_core].seconds
+        assert src_seconds["departed"] == pytest.approx(port_total)
         assert switch._core_stages[src_core].total_seconds == \
-            pytest.approx(core_before - port_total)
+            pytest.approx(core_before)
         # ...and the port table restarted from zero.
         assert switch._port_stages[a.ofport].total_seconds == 0.0
         # New traffic is attributed to the new core through the tee.
