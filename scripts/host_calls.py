@@ -72,12 +72,6 @@ def phase_stats(workload):
     return pstats.Stats(setup), pstats.Stats(measured)
 
 
-def measured_phase_calls(workload):
-    """``(calls, stats)`` of the measured phase of :func:`phase_stats`."""
-    _setup, stats = phase_stats(workload)
-    return stats.total_calls, stats
-
-
 def traced_peak_mib(make_workload):
     """Peak ``tracemalloc`` MiB over ``make_workload()`` and the set-up
     and measurement of the workload it returns."""

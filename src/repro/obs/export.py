@@ -71,16 +71,19 @@ def validate_prometheus_text(text: str) -> int:
     Raises :class:`ValueError` on the first malformed line.  This is the
     validator the CI smoke job runs — it checks the *grammar* (name,
     optional label block, numeric value) and that each metric name's
-    samples form one contiguous group, without needing a Prometheus
-    install in the container.
+    samples form one contiguous group in which no series (name plus
+    sorted label pairs) repeats, without needing a Prometheus install in
+    the container.
     """
     count = 0
     current = None
     finished = set()
+    series = set()  # label sets seen in the current group
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line or line.startswith("#"):
             continue
         body = line
+        pairs = []
         if "{" in body:
             name, rest = body.split("{", 1)
             if "}" not in rest:
@@ -95,6 +98,7 @@ def validate_prometheus_text(text: str) -> int:
                                            and val.endswith('"')):
                     raise ValueError("line %d: bad label %r"
                                      % (lineno, pair))
+                pairs.append((key.strip(), val))
         else:
             parts = body.split()
             if len(parts) != 2:
@@ -111,6 +115,12 @@ def validate_prometheus_text(text: str) -> int:
                                  % (lineno, name, current))
             finished.add(current)
             current = name
+            series.clear()
+        identity = tuple(sorted(pairs))
+        if identity in series:
+            raise ValueError("line %d: series %r exported twice"
+                             % (lineno, line))
+        series.add(identity)
         value_part = value_part.strip()
         if value_part not in ("+Inf", "-Inf", "NaN"):
             float(value_part)  # raises ValueError when malformed

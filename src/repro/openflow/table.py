@@ -7,11 +7,19 @@ p-2-p link detector (subscribes to change events to re-analyse port
 connectivity).  Change listeners receive ``(kind, entry)`` with kind in
 ``{"added", "modified", "removed"}`` — exactly the hook the prototype adds
 inside vswitchd.
+
+Every mutation costs at most one pass over the table.  The entry list is
+kept in priority order beside ``_ranks`` (each entry's negated priority,
+so ``bisect`` finds a priority's run without calling back into Python)
+and ``_index``, which maps ``(priority, match)`` to the one entry holding
+it: an add replaces an identical rule, so there is never a second.
 """
 
+import bisect
 import enum
 import itertools
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from repro.openflow.actions import Action, output_ports
 from repro.openflow.match import Match
@@ -101,7 +109,9 @@ class FlowTable:
 
     def __init__(self, table_id: int = 0) -> None:
         self.table_id = table_id
-        self._entries: List[FlowEntry] = []  # kept sorted by -priority
+        self._entries: List[FlowEntry] = []  # by -priority, FIFO ties
+        self._ranks: List[int] = []  # -entry.priority, beside _entries
+        self._index: Dict[Tuple[int, Match], FlowEntry] = {}
         self._listeners: List[ChangeListener] = []
         self.lookup_count = 0
         self.matched_count = 0
@@ -160,51 +170,73 @@ class FlowTable:
     # -- mutation ----------------------------------------------------------------
 
     def add(
-        self,
-        entry: FlowEntry,
-        *,
-        replace: bool = True,
-        check_overlap: bool = False,
+        self, entry: FlowEntry, *, check_overlap: bool = False
     ) -> TableModResult:
-        """OFPFC_ADD: insert, replacing an identical (match, priority) rule.
+        """OFPFC_ADD: insert, replacing the rule with the same match and
+        priority if there is one.
 
         With ``check_overlap`` the add is refused (ValueError) when an
         existing same-priority entry overlaps the new one — OpenFlow's
         OFPFF_CHECK_OVERLAP flag.
         """
+        rank = -entry.priority
         if check_overlap:
-            for existing in self._entries:
+            ranks = self._ranks
+            for existing in self._entries[
+                    bisect.bisect_left(ranks, rank):
+                    bisect.bisect_right(ranks, rank)]:
                 if (
-                    existing.priority == entry.priority
-                    and existing.match.overlaps(entry.match)
+                    existing.match.overlaps(entry.match)
                     and existing.match != entry.match
                 ):
                     raise ValueError(
                         "overlap check failed against %r" % existing
                     )
-        removed: List[FlowEntry] = []
-        if replace:
-            for existing in list(self._entries):
-                if (
-                    existing.priority == entry.priority
-                    and existing.match == entry.match
-                ):
-                    self._entries.remove(existing)
-                    removed.append(existing)
-        self._insert_sorted(entry)
-        for old in removed:
+        key = (entry.priority, entry.match)
+        old = self._index.get(key)
+        if old is not None:
+            self._unlink(old)  # its index slot is the new entry's
+        # After the last entry of equal or higher priority (FIFO ties).
+        position = bisect.bisect_right(self._ranks, rank)
+        self._entries.insert(position, entry)
+        self._ranks.insert(position, rank)
+        self._index[key] = entry
+        if old is not None:
             self._notify("removed", old)
         self._notify("added", entry)
-        return TableModResult(added=[entry], modified=[], removed=removed)
+        return TableModResult(added=[entry], modified=[],
+                              removed=[] if old is None else [old])
 
-    def _insert_sorted(self, entry: FlowEntry) -> None:
-        # Insert after existing entries of the same priority (FIFO ties).
-        index = len(self._entries)
-        for position, existing in enumerate(self._entries):
-            if existing.priority < entry.priority:
-                index = position
-                break
-        self._entries.insert(index, entry)
+    def _unlink(self, entry: FlowEntry) -> None:
+        """Take ``entry``, which is in the table, out of the ordered list
+        (the caller sees to the index)."""
+        position = self._entries.index(
+            entry, bisect.bisect_left(self._ranks, -entry.priority))
+        del self._entries[position]
+        del self._ranks[position]
+
+    def _strict(self, match: Match, priority: int,
+                cookie: Optional[int]) -> List[FlowEntry]:
+        """The entry at exactly (priority, match), if its cookie fits."""
+        entry = self._index.get((priority, match))
+        if entry is None or (cookie is not None and entry.cookie != cookie):
+            return []
+        return [entry]
+
+    def _drop(self, verdicts: List) -> List["tuple[FlowEntry, object]"]:
+        """Drop, in one pass, each entry whose verdict (one per entry, in
+        table order) is truthy; returns ``(entry, verdict)`` pairs in table
+        order."""
+        removed = [(entry, verdict)
+                   for entry, verdict in zip(self._entries, verdicts)
+                   if verdict]
+        if removed:
+            self._entries = [entry for entry, verdict
+                             in zip(self._entries, verdicts) if not verdict]
+            self._ranks = [-entry.priority for entry in self._entries]
+            for entry, _verdict in removed:
+                del self._index[entry.priority, entry.match]
+        return removed
 
     def modify(
         self,
@@ -221,19 +253,17 @@ class FlowTable:
         ``match``; strict requires identical match and priority.  Counters
         and timeouts are preserved (per spec).
         """
-        modified: List[FlowEntry] = []
-        for entry in self._entries:
-            if cookie is not None and entry.cookie != cookie:
-                continue
-            if strict:
-                selected = (
-                    entry.priority == priority and entry.match == match
-                )
-            else:
-                selected = match.covers(entry.match)
-            if selected:
-                entry.actions = list(actions)
-                modified.append(entry)
+        if strict:
+            modified = self._strict(match, priority, cookie)
+        else:
+            modified = [
+                entry for entry in self._entries
+                if (cookie is None or entry.cookie == cookie)
+                and match.covers(entry.match)
+            ]
+        for entry in modified:
+            entry.actions = list(actions)
+        # Every entry is rewritten before a listener hears of any.
         for entry in modified:
             self._notify("modified", entry)
         return TableModResult(added=[], modified=modified, removed=[])
@@ -252,33 +282,30 @@ class FlowTable:
         ``out_port`` additionally restricts deletion to entries with an
         output action to that port (OpenFlow's out_port filter).
         """
-        removed: List[FlowEntry] = []
-        for entry in list(self._entries):
-            if cookie is not None and entry.cookie != cookie:
-                continue
-            if strict:
-                selected = (
-                    entry.priority == priority and entry.match == match
-                )
-            else:
-                selected = match.covers(entry.match)
-            if selected and out_port is not None:
-                selected = out_port in output_ports(entry.actions)
-            if selected:
-                self._entries.remove(entry)
-                removed.append(entry)
+        if strict:
+            removed = [
+                entry for entry in self._strict(match, priority, cookie)
+                if out_port is None
+                or out_port in output_ports(entry.actions)
+            ]
+            for entry in removed:
+                del self._index[priority, match]
+                self._unlink(entry)
+        else:
+            removed = [entry for entry, _selected in self._drop([
+                (cookie is None or entry.cookie == cookie)
+                and match.covers(entry.match)
+                and (out_port is None
+                     or out_port in output_ports(entry.actions))
+                for entry in self._entries])]
         for entry in removed:
             self._notify("removed", entry)
         return TableModResult(added=[], modified=[], removed=removed)
 
     def expire(self, now: float) -> List["tuple[FlowEntry, ExpiryReason]"]:
         """Remove timed-out entries; returns (entry, reason) pairs."""
-        expired = []
-        for entry in list(self._entries):
-            reason = entry.is_expired(now)
-            if reason is not None:
-                self._entries.remove(entry)
-                expired.append((entry, reason))
+        expired = self._drop(
+            [entry.is_expired(now) for entry in self._entries])
         for entry, _reason in expired:
             self._notify("removed", entry)
         return expired
@@ -286,6 +313,8 @@ class FlowTable:
     def clear(self) -> List[FlowEntry]:
         """Remove everything (bridge deletion / controller flush)."""
         removed, self._entries = self._entries, []
+        self._ranks = []
+        self._index = {}
         for entry in removed:
             self._notify("removed", entry)
         return removed

@@ -22,8 +22,11 @@ and re-establishment, where every hop carries a burst of one and every
 loop parks between packets, so a fixed cost per burst, park or wake-up
 is a cost per packet.  The fifth holds that workload's set-up, where a
 source's pool reserves 8,192 mbufs and builds none of them: a
-descriptor is built the first time it is lent.  One more count is of
-engine events, not calls: a chain's control-plane settle, where the
+descriptor is built the first time it is lent.  The sixth and seventh
+hold ``switch_miss_churn``'s set-up, 130 rules installed, and how it
+grows with the rule count: an add finds the rule it replaces in an
+index, not by comparing its match with every rule's.  One more count is
+of engine events, not calls: a chain's control-plane settle, where the
 switch's control loop sleeps between flowmods.
 """
 
@@ -72,8 +75,22 @@ CEILING_CALLS_PER_DELIVERED_PACKET = 23.0
 # switch_miss_churn --quick, seed 1), plus 10 %.  Lower it when the count
 # falls; raising it needs a reason.  It read 48.77 while every flow key
 # took five header scans and every megaflow hit a pipeline walk, and
-# 31.80 before a switch port counted its bytes inline.
+# 31.80 before a switch port counted its bytes inline.  It reads 31.76
+# (762,148 calls) since a strict flowmod finds its rule by hashing the
+# match instead of walking the table.
 CEILING_CALLS_PER_PACKET_ON_THE_MISS_PATH = 34.9
+# 6,203 calls from setup() to _setup_done() (perfbench's
+# switch_miss_churn --quick, seed 1: 130 rules installed), plus 10 %.
+# Lower it when the count falls; raising it needs a reason.  It read
+# 22,072 while each add compared its match with every same-priority
+# rule's to find the one it replaces: 8,128 Match.__eq__ calls for 128
+# filler rules of one priority.
+CEILING_SETUP_CALLS_ON_THE_MISS_PATH = 6823
+# Set-up calls with 512 filler rules over those with 128: 3.91 (24,251 /
+# 6,203 calls).  Linear growth is 4 plus the fixed cost's dilution; it
+# read 12.88 (284,344 / 22,072) while installing n rules cost n²/2
+# match comparisons.
+CEILING_SETUP_GROWTH_512_OVER_128_RULES = 4.5
 # 66.37 calls per delivered packet (4,778,217 calls, 71,999 packets:
 # perfbench's handover_load --quick, seed 1), plus 10 %.  Lower it when
 # the count falls; raising it needs a reason.  It read 86.13 while a
@@ -88,7 +105,9 @@ CEILING_CALLS_PER_PACKET_SUB_SATURATION = 73.0
 # --quick, seed 1), plus 10 %.  Lower it when the count falls; raising
 # it needs a reason.  It read 19,755 while every pool built all its
 # descriptors in its constructor: 8,192 of them for the one source, and
-# 11,562 while the switch's control loop ticked through the settle.
+# 11,562 while the switch's control loop ticked through the settle.  It
+# reads 2,344 since the flow table keeps a (priority, match) index: a
+# few calls more per add into a table of a few rules.
 CEILING_SETUP_CALLS_SUB_SATURATION = 2572
 # Engine events settle_control_plane() dispatches for a 3-VM memory-only
 # vanilla chain: 3 (the control loop handles the queued flowmods, polls
@@ -122,15 +141,50 @@ def test_calls_per_delivered_packet_at_saturation_stay_under_the_ceiling():
     assert per_packet > 12
 
 
-def test_calls_per_packet_on_the_miss_path_stay_under_the_ceiling():
+@pytest.fixture(scope="module")
+def miss_path_phases():
+    """``(set-up stats, measured stats, delivered)`` of one
+    ``switch_miss_churn --quick`` run, seed 1."""
     workload = adapter.WORKLOADS["switch_miss_churn"](1, True)
-    calls, _stats = host_calls.measured_phase_calls(workload)
-    delivered = workload.collect()["delivered"]
+    setup, measured = host_calls.phase_stats(workload)
+    return setup, measured, workload.collect()["delivered"]
+
+
+def test_calls_per_packet_on_the_miss_path_stay_under_the_ceiling(
+        miss_path_phases):
+    _setup, stats, delivered = miss_path_phases
+    calls = stats.total_calls
     per_packet = calls / delivered
     assert per_packet <= CEILING_CALLS_PER_PACKET_ON_THE_MISS_PATH, (
         "%d calls / %d delivered = %.2f per packet" % (
             calls, delivered, per_packet))
     assert per_packet > 15
+
+
+def test_setup_on_the_miss_path_stays_under_the_ceiling(miss_path_phases):
+    setup, _stats, _delivered = miss_path_phases
+    assert setup.total_calls <= CEILING_SETUP_CALLS_ON_THE_MISS_PATH, (
+        "%d set-up calls" % setup.total_calls)
+    assert setup.total_calls > 3000
+
+
+def miss_path_setup_calls(filler_rules):
+    """Calls of ``switch_miss_churn``'s ``setup()`` with ``filler_rules``
+    same-priority filler rules in place of its 128."""
+    workload = adapter.WORKLOADS["switch_miss_churn"](1, True)
+    workload.FILLER_RULES = filler_rules
+    calls, _stats = host_calls.count_calls(workload.setup)
+    assert len(workload.switch.bridge.table) == filler_rules + 1
+    return calls
+
+
+def test_installing_rules_costs_linear_calls():
+    """A flowmod's price does not grow with the table: four times the
+    rules cost at most 4.5 times the calls, where n² growth gives 16."""
+    small, large = miss_path_setup_calls(128), miss_path_setup_calls(512)
+    assert large <= CEILING_SETUP_GROWTH_512_OVER_128_RULES * small, (
+        "%d calls for 512 rules, %d for 128: %.2fx" % (
+            large, small, large / small))
 
 
 @pytest.fixture(scope="module")

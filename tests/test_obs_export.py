@@ -64,6 +64,20 @@ class TestPrometheusText:
         with pytest.raises(ValueError, match="resumes"):
             validate_prometheus_text(split)
 
+    def test_validator_rejects_a_series_exported_twice(self):
+        text = prometheus_text(per_loop_registry())
+        twice = text.replace('busy{loop="pmd1"} 1',
+                             'busy{loop="pmd1"} 1\n'
+                             'busy{loop="pmd0"} 3')
+        assert validate_prometheus_text(text) == 4
+        with pytest.raises(ValueError,
+                           match=r'line 5: series .*pmd0.* twice'):
+            validate_prometheus_text(twice)
+        # The same label pairs in another order name the same series.
+        with pytest.raises(ValueError, match="line 2: series"):
+            validate_prometheus_text('x{a="1",b="2"} 1\n'
+                                     'x{b="2",a="1"} 2\n')
+
     def test_label_values_escaped(self):
         registry = MetricsRegistry()
         registry.register_collector(lambda: [

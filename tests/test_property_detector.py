@@ -75,8 +75,7 @@ def test_detector_soundness(rules):
     table = FlowTable()
     detector = P2PLinkDetector(table)
     for match, actions, priority in rules:
-        table.add(FlowEntry(match, actions, priority=priority),
-                  replace=True)
+        table.add(FlowEntry(match, actions, priority=priority))
     for src_port, link in detector.links.items():
         for key in sample_keys(src_port):
             winner = table.lookup(key)
