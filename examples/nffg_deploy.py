@@ -5,7 +5,8 @@ The paper's prototype lives inside the un-orchestrator NFV node, whose
 northbound API takes NF-FG JSON.  This example feeds such a document
 (a firewall -> monitor chain with a web split) to the orchestrator,
 then inspects the result through the ovs-appctl-style commands —
-including ``bypass/show``, the command the paper's modification adds —
+including ``bypass/show``, the command the paper's modification adds,
+and ``chain/health`` over the repairer supervising the deployment —
 and a control-plane event timeline.
 
 Run:  python examples/nffg_deploy.py
@@ -14,7 +15,12 @@ Run:  python examples/nffg_deploy.py
 import json
 
 from repro.metrics import EventTimeline, attach_highway_tracing
-from repro.orchestration import NfvNode, Orchestrator, load_nffg
+from repro.orchestration import (
+    ChainRepairer,
+    NfvNode,
+    Orchestrator,
+    load_nffg,
+)
 from repro.sim.engine import Environment
 from repro.vswitch.appctl import AppCtl
 
@@ -59,17 +65,23 @@ def main():
     graph = load_nffg(NFFG_DOCUMENT)
     print("loaded NF-FG %r: %d VNFs, %d flow rules"
           % (graph.name, len(graph.vnfs), len(graph.links)))
-    deployment = Orchestrator(node).deploy(graph)
+    orchestrator = Orchestrator(node)
+    deployment = orchestrator.deploy(graph)
     print("deployed: %d VMs, %d app instances"
           % (len(deployment.vm_handles), len(deployment.apps)))
+    repairer = ChainRepairer(orchestrator, deployment).start(env)
 
-    ctl = AppCtl(node.switch, node.manager)
+    ctl = AppCtl(node.switch, node.manager, node.obs)
     print("\n$ ovs-ofctl show")
     print(ctl.run("show"))
     print("\n$ ovs-ofctl dump-flows")
     print(ctl.run("dump-flows"))
     print("\n$ ovs-appctl bypass/show")
     print(ctl.run("bypass/show"))
+    env.run(until=env.now + 0.01)  # a few repairer health passes
+    print("\n$ ovs-appctl chain/health")
+    print(ctl.run("chain/health"))
+    repairer.stop()
     print("\ncontrol-plane timeline:")
     print(timeline.render())
     establishments = timeline.spans("p2p-detected", "bypass-active",

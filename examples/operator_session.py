@@ -4,15 +4,16 @@
 Walks the ovs-ofctl / ovs-appctl surface end to end: installing flows
 from text, watching bypasses in ``bypass/show``, mirroring a port into
 an IDS (and seeing the bypass yield to it), rate-limiting a port,
-taking a port down, and saving/restoring the whole flow configuration.
+taking a port down, reading the subsystem views (slices of the node's
+metrics registry), and saving/restoring the whole flow configuration.
 
 Run:  python examples/operator_session.py
 """
 
+from repro.mem import Mempool
 from repro.openflow.messages import PortMod
 from repro.orchestration import NfvNode, verify_host_invariants
 from repro.packet.builder import make_udp_packet
-from repro.packet.mbuf import Mbuf
 from repro.vswitch.appctl import AppCtl
 
 
@@ -24,8 +25,9 @@ def shell(ctl, command, argument=""):
 
 def send(node, port_name, count=3):
     pmd = node.vms[node.agent.owner_of(port_name)].pmd(port_name)
+    pool = node.mempools[0]
     for index in range(count):
-        mbuf = Mbuf()
+        mbuf = pool.get()
         mbuf.packet = make_udp_packet(src_port=4000 + index,
                                       frame_size=64)
         mbuf.wire_length = 64
@@ -38,7 +40,9 @@ def main():
     node.create_vm("web", ["web0"])
     node.create_vm("db", ["db0"])
     node.create_vm("ids", ["ids0"])
-    ctl = AppCtl(node.switch, node.manager)
+    # The traffic's pool is tracked: mempool/show reads its ledger.
+    node.track_mempool(Mempool("operator", size=64))
+    ctl = AppCtl(node.switch, node.manager, node.obs)
     # The control plane is timed (~0.1 s per establishment): the
     # operator waits for it to settle before looking.
     settle = node.settle_control_plane
@@ -69,6 +73,8 @@ def main():
     node.switch.set_ingress_policing("db0", rate_pps=10000)
     settle()
     shell(ctl, "show")
+    send(node, "db0")
+    shell(ctl, "policer/show")
     node.connection.controller_send(
         PortMod(port_no=node.ofport("db0"), down=True)
     )
@@ -79,6 +85,18 @@ def main():
     )
     node.switch.set_ingress_policing("db0", rate_pps=0)
     settle()
+
+    print("\n--- the subsystem views: slices of metrics/dump ---")
+    for view in ("dpif/fastpath-show", "sched/show", "overload/show",
+                 "bypass/faults", "bypass/health", "state/show",
+                 "mempool/show"):
+        shell(ctl, view)
+
+    print("\n--- tuning and the cycle, coverage and trace reports ---")
+    shell(ctl, "overload/set", "max_queue 128")
+    shell(ctl, "sched/rebalance")
+    for command in ("pmd/stats-show", "coverage/show", "trace/dump"):
+        shell(ctl, command)
 
     print("\n--- save, wipe, restore ---")
     saved = ctl.run("save-flows")

@@ -47,7 +47,7 @@ The watchdog runs on a fixed-period
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.mem.ring import RingIntegrityError
 from repro.sim.engine import Environment
@@ -246,20 +246,6 @@ class BypassWatchdog:
                 # the guest is hung, not merely idle.
                 return HealthState.WEDGED
         return HealthState.HEALTHY
-
-    def rows(self) -> List[List]:
-        """``[link, verdict, detail]`` rows for ``bypass/health``."""
-        out = []
-        for key in sorted(self.health):
-            track = self.health[key]
-            out.append([
-                key,
-                track.verdict.value,
-                "checks=%d stall_streak=%d frozen_streak=%d signed_on=%s"
-                % (track.checks, track.stall_streak, track.frozen_streak,
-                   "yes" if track.signed_on else "no"),
-            ])
-        return out
 
     def __repr__(self) -> str:
         return "<BypassWatchdog links=%d checks=%d>" % (

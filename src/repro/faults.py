@@ -29,7 +29,6 @@ point                     where it fires
 ``ring.corrupt``          shared-ring slot/generation corruption on enqueue
 ``controller.conn``       OpenFlow channel send (either direction)
 ``controller.reconnect``  fail-mode manager reconnect attempt
-``vm.crash``              hypervisor chaos tick: kill one running VM
 ``vm.crash_during_setup`` compute agent: the receiver VM dies mid-setup
 ========================  ====================================================
 
@@ -50,14 +49,12 @@ consumer for ``delay`` seconds and ERROR/CRASH to a permanent wedge;
 instead bumps the ring's generation tag).  Both are documented with
 their consumers in :mod:`repro.core.pmd` and :mod:`repro.mem.ring`.
 
-The two VM-lifecycle points ignore the mode entirely — any triggered
-occurrence kills a VM via :meth:`Hypervisor.crash_vm` (abrupt process
-death, not graceful teardown).  ``vm.crash`` is polled by the
-hypervisor's chaos tick and picks victims round-robin (or the VM named
-by the spec's ``message``); ``vm.crash_during_setup`` fires inside the
-compute agent's establishment sequence, after the bypass zones are
-plugged but before the receiver's PMD is configured — the worst-case
-crash window for channel state.
+The VM-lifecycle point ``vm.crash_during_setup`` ignores the mode
+entirely — any triggered occurrence kills the receiving VM via
+:meth:`Hypervisor.crash_vm` (abrupt process death, not graceful
+teardown).  It fires inside the compute agent's establishment sequence,
+after the bypass zones are plugged but before the receiver's PMD is
+configured — the worst-case crash window for channel state.
 """
 
 import enum
@@ -78,7 +75,6 @@ PMD_RX_POLL = "pmd.rx_poll"
 RING_CORRUPT = "ring.corrupt"
 CONTROLLER_CONN = "controller.conn"
 CONTROLLER_RECONNECT = "controller.reconnect"
-VM_CRASH = "vm.crash"
 VM_CRASH_DURING_SETUP = "vm.crash_during_setup"
 
 KNOWN_POINTS = (
@@ -93,7 +89,6 @@ KNOWN_POINTS = (
     RING_CORRUPT,
     CONTROLLER_CONN,
     CONTROLLER_RECONNECT,
-    VM_CRASH,
     VM_CRASH_DURING_SETUP,
 )
 

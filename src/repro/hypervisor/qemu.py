@@ -12,11 +12,10 @@ from typing import Dict, List, Optional
 
 from repro.dpdk.eal import Eal
 from repro.dpdk.virtio_serial import VirtioSerial
-from repro.faults import VM_CRASH, FaultMode, FaultPlan
+from repro.faults import FaultMode, FaultPlan
 from repro.mem.memzone import MemzoneRegistry
 from repro.sim.costmodel import CostModel, DEFAULT_COST_MODEL
 from repro.sim.engine import Environment, Process
-from repro.sim.pollloop import PollLoop
 
 
 class HypervisorError(RuntimeError):
@@ -77,8 +76,6 @@ class Hypervisor:
         # name is booted again, or superseded by a graceful destroy).
         self.crashed_vms = set()
         self.crashes = 0
-        # Round-robin cursor for the vm.crash chaos point.
-        self._chaos_cursor = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -153,41 +150,6 @@ class Hypervisor:
     def was_crashed(self, name: str) -> bool:
         """True when ``name``'s most recent death was a crash."""
         return name in self.crashed_vms
-
-    def chaos_tick(self) -> Optional[str]:
-        """Fire the ``vm.crash`` fault point against one running VM.
-
-        The victim is the fault action's ``message`` when it names a
-        running VM, otherwise the next VM in name order (round-robin) —
-        deterministic under a seeded plan.  Returns the crashed VM's
-        name, or None when nothing fired.
-        """
-        if self.faults is None or not self.vms:
-            return None
-        if not self.faults.has_specs(VM_CRASH):
-            return None
-        action = self.faults.fire(VM_CRASH)
-        if action is None:
-            return None
-        if action.message in self.vms:
-            victim = action.message
-        else:
-            names = sorted(self.vms)
-            victim = names[self._chaos_cursor % len(names)]
-        self._chaos_cursor += 1
-        self.crash_vm(victim)
-        return victim
-
-    def start_chaos(self, env: Environment, period: float = 0.001):
-        """Run :meth:`chaos_tick` on a housekeeping loop."""
-        def iteration() -> float:
-            self.chaos_tick()
-            return 0.0
-
-        loop = PollLoop(env, "hypervisor.chaos", iteration,
-                        costs=self.costs, period=period)
-        loop.start()
-        return loop
 
     def force_unplug(self, vm_name: str, zone_name: str) -> None:
         """Immediate unplug for failure handling (no monitor latency)."""

@@ -2,13 +2,13 @@
 
 The self-healing :class:`~repro.core.bypass.BypassManager` reports every
 recovery action through one :class:`ResilienceCounters` block; the
-``appctl bypass/faults`` command and the fault-injection benchmarks read
-it.  Counters only ever increase, so deterministic tests can assert
-exact values under a seeded :class:`~repro.faults.FaultPlan`.
+``appctl bypass/faults`` view (through the metrics registry) and the
+fault-injection benchmarks read it.  Counters only ever increase, so
+deterministic tests can assert exact values under a seeded
+:class:`~repro.faults.FaultPlan`.
 """
 
-from dataclasses import dataclass, fields
-from typing import List
+from dataclasses import dataclass
 
 
 @dataclass
@@ -42,11 +42,6 @@ class ResilienceCounters:
     peer_crashes: int = 0          # VM crashes that touched bypass state
     mbufs_reclaimed: int = 0       # mbufs swept off dead holders' ledgers
     crashed_peer_readmissions: int = 0  # re-admitted after a peer crash
-
-    def rows(self) -> List[List]:
-        """``[counter, value]`` rows for :func:`~repro.metrics.format_table`."""
-        return [[f.name.replace("_", " "), getattr(self, f.name)]
-                for f in fields(self)]
 
     @property
     def total_faults_survived(self) -> int:

@@ -6,8 +6,15 @@ periodic snapshotter, and knows how to subscribe every existing
 subsystem — without changing how those subsystems count.  All
 registrations are *lazy collectors*: the wrapped object keeps mutating
 its plain attributes and is read only when something scrapes.
+
+What an operator can see about a subsystem, and under what name, is
+decided here and nowhere else: the collectors below name every sample
+``repro_<area>_<name>[_total]`` (see docs/OBSERVABILITY.md), and
+:data:`OPERATOR_VIEWS` maps each ``appctl`` view to the name prefixes it
+prints out of ``metrics/dump``.
 """
 
+from collections import Counter
 from dataclasses import fields as dataclass_fields
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
@@ -21,6 +28,26 @@ from repro.obs.export import Snapshotter, prometheus_text
 from repro.obs.registry import MetricsRegistry, Sample
 from repro.obs.trace import PathTracer
 from repro.sim.pollloop import PollLoop
+
+#: ``appctl`` command -> the metric-name prefixes it prints: the
+#: ``metrics/dump`` sample lines (registry order, no HELP/TYPE) whose
+#: names start with one of them.
+OPERATOR_VIEWS = {
+    "dpif/fastpath-show": (
+        "repro_datapath_", "repro_emc_", "repro_smc_", "repro_megaflow_",
+        "repro_classifier_", "repro_flowplan_", "repro_rekey_",
+        "repro_pollloop_utilization"),
+    "sched/show": ("repro_sched_",),
+    "policer/show": ("repro_policer_",),
+    "overload/show": ("repro_overload_",),
+    "bypass/faults": ("repro_resilience_", "repro_bypass_packets_lost",
+                      "repro_bypass_quarantine", "repro_faults_"),
+    "bypass/health": ("repro_watchdog_", "repro_resilience_",
+                      "repro_bypass_quarantine"),
+    "state/show": ("repro_state_", "repro_watchdog_state_swept"),
+    "chain/health": ("repro_chain_",),
+    "mempool/show": ("repro_mempool_",),
+}
 
 
 class Observability:
@@ -122,6 +149,43 @@ class Observability:
         # coverage counters (control path only: flowmod frequency).
         datapath.coverage = self.registry.coverage
 
+        def collect_fastpath() -> Iterable[Sample]:
+            labels = {"switch": name}
+            yield Sample("repro_datapath_burst_size", labels,
+                         float(datapath.burst_size), "gauge",
+                         "packets a PMD takes per RX poll")
+            for tier in ("emc", "smc", "megaflow"):
+                yield Sample("repro_datapath_tier_enabled",
+                             {"switch": name, "tier": tier},
+                             float(getattr(datapath, tier + "_enabled")),
+                             "gauge", "lookup tier switched on")
+                yield Sample("repro_%s_entries" % tier, labels,
+                             float(len(getattr(datapath, tier))), "gauge",
+                             "entries currently cached")
+            yield Sample("repro_megaflow_masks", labels,
+                         float(datapath.megaflow.mask_count), "gauge",
+                         "distinct megaflow masks")
+            classifier = datapath.classifier
+            for counter in ("lookups", "subtables_probed", "rank_decays"):
+                yield Sample("repro_classifier_%s_total" % counter, labels,
+                             float(getattr(classifier, counter)),
+                             "counter", "dpcls lookup counters")
+            yield Sample("repro_classifier_subtables", labels,
+                         float(classifier.subtable_count), "gauge",
+                         "dpcls subtables (one per mask)")
+            for rank, (fields, rules, max_priority, hits) in enumerate(
+                    classifier.ranking()):
+                subtable = {"switch": name, "rank": str(rank),
+                            "fields": fields}
+                for metric, value in (("rules", rules),
+                                      ("max_priority", max_priority),
+                                      ("hits", hits)):
+                    yield Sample("repro_classifier_subtable_%s" % metric,
+                                 subtable, float(value), "gauge",
+                                 "one dpcls subtable, by probe rank")
+
+        self.registry.register_collector(collect_fastpath)
+
         def collect_batch_fill() -> Iterable[Sample]:
             for fill, count in sorted(datapath.batch_fill_counts.items()):
                 yield Sample(
@@ -202,6 +266,9 @@ class Observability:
                 yield Sample("repro_policer_rate_pps", port_labels,
                              float(policer.rate_pps), "gauge",
                              "configured policing rate")
+                yield Sample("repro_policer_burst", port_labels,
+                             float(policer.bucket.burst), "gauge",
+                             "policing bucket depth")
                 yield Sample("repro_policer_tokens", port_labels,
                              float(policer.bucket.tokens), "gauge",
                              "tokens currently in the policing bucket")
@@ -213,6 +280,12 @@ class Observability:
                 yield Sample("repro_overload_upcall_depth", dict(labels),
                              float(queue.depth), "gauge",
                              "upcalls currently queued")
+                yield Sample("repro_overload_upcall_control_depth",
+                             dict(labels), float(queue.control_depth),
+                             "gauge", "control-class upcalls queued")
+                yield from _policy_samples(
+                    "repro_overload_upcall_policy", queue.policy, labels,
+                    "bounded upcall queue limits")
                 yield Sample("repro_overload_upcall_high_watermark",
                              dict(labels),
                              float(queue.high_watermark), "gauge",
@@ -333,6 +406,11 @@ class Observability:
 
         def collect_sched() -> Iterable[Sample]:
             tracker = scheduler.tracker
+            yield Sample("repro_sched_policy",
+                         {"switch": name, "policy": scheduler.policy.name},
+                         1.0, "gauge", "rxq assignment policy in force")
+            yield Sample("repro_sched_cores", dict(labels),
+                         float(scheduler.n_cores), "gauge", "PMD cores")
             yield Sample("repro_sched_rebalances_total", dict(labels),
                          float(scheduler.rebalances), "counter",
                          "rebalance plans applied")
@@ -356,6 +434,25 @@ class Observability:
                     float(len(scheduler.core_ports[core])), "gauge",
                     "ports currently assigned to one core",
                 )
+                yield Sample(
+                    "repro_sched_core_isolated", core_labels,
+                    1.0 if core in scheduler.isolated_cores else 0.0,
+                    "gauge", "core reserved for the ports pinned to it",
+                )
+                for port in scheduler.core_ports[core]:
+                    port_labels = {"switch": name, "port": port.name,
+                                   "ofport": str(port.ofport)}
+                    yield Sample(
+                        "repro_sched_port_core", port_labels,
+                        float(core), "gauge", "core polling one port",
+                    )
+                    pinned = scheduler.pinned_core(port.ofport)
+                    if pinned is not None:
+                        yield Sample(
+                            "repro_sched_port_pinned_core", port_labels,
+                            float(pinned), "gauge",
+                            "core a port is pinned to",
+                        )
             for (ofport, core), load in tracker.pairs():
                 pair_labels = dict(labels)
                 pair_labels["ofport"] = str(ofport)
@@ -365,9 +462,39 @@ class Observability:
                     float(seconds_to_cycles(load)), "gauge",
                     "EWMA per-interval cycles for one (port, core) pair",
                 )
+            plan = scheduler.last_plan
+            if plan is not None:
+                yield Sample(
+                    "repro_sched_last_improvement", dict(labels),
+                    plan.improvement, "gauge",
+                    "variance improvement of the last applied plan",
+                )
+                for when in ("before", "after"):
+                    yield Sample(
+                        "repro_sched_last_variance_%s" % when, dict(labels),
+                        getattr(plan, "variance_" + when), "gauge",
+                        "core-load variance around the last applied plan",
+                    )
+                for move in plan.moves:
+                    yield Sample(
+                        "repro_sched_last_move",
+                        {"switch": name, "port": move.port_name,
+                         "src_core": str(move.src_core),
+                         "dst_core": str(move.dst_core)},
+                        1.0, "gauge", "one port move of the last plan",
+                    )
             auto_lb = getattr(switch, "auto_lb", None)
             if auto_lb is None:
                 return
+            yield from _policy_samples(
+                "repro_sched_autolb_policy", auto_lb.policy, labels,
+                "auto-LB thresholds")
+            for core, busy in enumerate(auto_lb.last_busy_fractions):
+                yield Sample(
+                    "repro_sched_autolb_busy_fraction",
+                    {"switch": name, "core": str(core)}, busy, "gauge",
+                    "per-core busy fraction at the last auto-LB check",
+                )
             yield Sample("repro_sched_autolb_checks_total", dict(labels),
                          float(auto_lb.checks_run), "counter",
                          "auto-LB check passes")
@@ -390,13 +517,6 @@ class Observability:
                 "counter",
                 "no-overload skips overridden by active RX shedding",
             )
-            plan = scheduler.last_plan
-            if plan is not None:
-                yield Sample(
-                    "repro_sched_last_improvement", dict(labels),
-                    plan.improvement, "gauge",
-                    "variance improvement of the last applied plan",
-                )
 
         self.registry.register_collector(collect_sched)
 
@@ -512,11 +632,27 @@ class Observability:
         self.register_resilience(manager.resilience)
 
         def collect() -> Iterable[Sample]:
+            watchdog = manager.watchdog
             yield Sample("repro_watchdog_checks_total", {},
-                         float(manager.watchdog.checks_run), "counter",
+                         float(watchdog.checks_run), "counter",
                          "watchdog check passes")
+            yield from _policy_samples(
+                "repro_watchdog_policy", watchdog.policy, {},
+                "watchdog detection thresholds")
+            for key in sorted(watchdog.health):
+                track = watchdog.health[key]
+                yield Sample("repro_watchdog_link_verdict",
+                             {"src_ofport": str(key),
+                              "verdict": track.verdict.value},
+                             1.0, "gauge", "watchdog verdict per link")
+                for attr in ("checks", "stall_streak", "frozen_streak",
+                             "signed_on"):
+                    yield Sample("repro_watchdog_link_%s" % attr,
+                                 {"src_ofport": str(key)},
+                                 float(getattr(track, attr)), "gauge",
+                                 "watchdog memory of one tracked link")
             yield Sample("repro_watchdog_state_swept_total", {},
-                         float(manager.watchdog.state_entries_swept),
+                         float(watchdog.state_entries_swept),
                          "counter",
                          "idle state entries swept off bypass channels")
             yield Sample("repro_state_channels_provisioned_total", {},
@@ -533,6 +669,22 @@ class Observability:
             yield Sample("repro_bypass_quarantined_links", {},
                          float(len(manager.quarantined_links)), "gauge",
                          "links in quarantine")
+            for src_ofport in sorted(manager.quarantined_links):
+                record = manager.quarantined_links[src_ofport]
+                labels = {"src_ofport": str(src_ofport),
+                          "dst_ofport": str(record.link.dst_ofport),
+                          "reason": record.reason}
+                yield Sample("repro_bypass_quarantine_failures", labels,
+                             float(record.failures), "gauge",
+                             "quarantine entries of one link")
+                yield Sample("repro_bypass_quarantine_next_attempt_seconds",
+                             labels, record.until, "gauge",
+                             "earliest re-admission attempt (sim time)")
+                if record.heartbeat_mark is not None:
+                    yield Sample("repro_bypass_quarantine_heartbeat_mark",
+                                 labels, float(record.heartbeat_mark),
+                                 "gauge", "consumer heartbeat epoch the "
+                                 "peer must move past to be re-admitted")
             yield Sample("repro_bypass_packets_lost_total", {},
                          float(manager.packets_lost_to_failures),
                          "counter", "packets lost to failures")
@@ -546,6 +698,27 @@ class Observability:
                 yield Sample("repro_bypass_rx_epoch", labels,
                              float(stats.rx_epoch), "gauge",
                              "consumer heartbeat epoch")
+            for bypass_link in manager.active_links.values():
+                program = bypass_link.link.xfsm_program
+                if program is not None:
+                    yield Sample("repro_state_bypass_channel",
+                                 {"src": bypass_link.src_port_name,
+                                  "dst": bypass_link.dst_port_name,
+                                  "program": program,
+                                  "state": bypass_link.state.value},
+                                 1.0, "gauge",
+                                 "bypass channel carrying an XFSM program")
+            plan = manager.faults
+            if plan is not None:
+                yield Sample("repro_faults_seed", {}, float(plan.seed),
+                             "gauge", "seed of the armed fault plan")
+                for point, occurrences, injected in plan.summary_rows():
+                    for metric, value in (("occurrences", occurrences),
+                                          ("injected", injected)):
+                        yield Sample("repro_faults_%s_total" % metric,
+                                     {"point": point}, float(value),
+                                     "counter",
+                                     "armed fault plan, per injection point")
 
         self.registry.register_collector(collect)
         coverage = self.registry.coverage
@@ -560,6 +733,35 @@ class Observability:
             lambda bl: coverage("bypass_link_readmitted"))
         manager.on_readmission_deferred.append(
             lambda key: coverage("bypass_readmission_deferred"))
+
+    def register_repairer(self, repairer) -> None:
+        """Track a ChainRepairer: each NF's state, restarts and crashes,
+        the repair policy and the lifecycle counters."""
+
+        def collect() -> Iterable[Sample]:
+            yield from _policy_samples("repro_chain_policy",
+                                       repairer.policy, {},
+                                       "chain repair budget and pacing")
+            for nf in sorted(repairer.records):
+                record = repairer.records[nf]
+                yield Sample("repro_chain_nf_state",
+                             {"nf": nf, "state": record.state}, 1.0,
+                             "gauge", "lifecycle state of one NF")
+                yield Sample("repro_chain_nf_restarts_total", {"nf": nf},
+                             float(record.restarts), "counter",
+                             "restart attempts one NF consumed")
+                yield Sample("repro_chain_nf_crashes_total", {"nf": nf},
+                             float(record.crashes_seen), "counter",
+                             "crashes seen of one NF")
+            for counter in ("crashes_detected", "repairs_started",
+                            "repairs_succeeded", "repairs_failed",
+                            "demotions", "flows_replayed",
+                            "packets_flushed"):
+                yield Sample("repro_chain_%s_total" % counter, {},
+                             float(getattr(repairer, counter)), "counter",
+                             "chain repairer lifecycle counters")
+
+        self.registry.register_collector(collect)
 
     # -- per-PMD cycle accounting ----------------------------------------------
 
@@ -597,13 +799,25 @@ class Observability:
 
     # -- reporting -----------------------------------------------------------------
 
+    def dump(self) -> str:
+        """``metrics/dump``: the registry in Prometheus text format."""
+        return prometheus_text(self.registry).rstrip("\n")
+
+    def view(self, prefixes: Tuple[str, ...]) -> str:
+        """An ``appctl`` view: the :meth:`dump` sample lines whose metric
+        names start with one of ``prefixes``, in registry order."""
+        lines = [line for line in self.dump().splitlines()
+                 if line.startswith(prefixes)]
+        return "\n".join(lines) or "no samples named %s*" % "*, ".join(
+            prefixes)
+
     def report(self, trace_limit: int = 10) -> str:
         """The full end-of-run observability report (CLI ``--obs-report``)."""
         sections = [
             ("pmd/stats-show", self.pmd_cycle_report().render()),
             ("coverage/show", self.registry.coverage_report()),
             ("trace/dump", self.tracer.render(limit=trace_limit)),
-            ("metrics/dump", prometheus_text(self.registry).rstrip("\n")),
+            ("metrics/dump", self.dump()),
         ]
         blocks = []
         for title, body in sections:
@@ -660,6 +874,17 @@ def _loop_samples(loop, stages: Optional[StageAccounting]
                              "packets attributed to one datapath stage")
 
 
+def _policy_samples(name: str, policy, labels,
+                    help: str) -> Iterable[Sample]:
+    """Every numeric field of a policy dataclass as ``name{knob=...}``."""
+    for field in dataclass_fields(policy):
+        value = getattr(policy, field.name)
+        if isinstance(value, (int, float)):
+            knob_labels = dict(labels)
+            knob_labels["knob"] = field.name
+            yield Sample(name, knob_labels, float(value), "gauge", help)
+
+
 def _program_samples(program, labels) -> Iterable[Sample]:
     """One XFSM program and its state table, under ``labels``."""
     table = program.table
@@ -669,6 +894,19 @@ def _program_samples(program, labels) -> Iterable[Sample]:
     yield Sample("repro_state_table_capacity", labels,
                  float(table.capacity), "gauge",
                  "state-table entry bound")
+    yield Sample("repro_state_table_idle_timeout_seconds", labels,
+                 float(table.idle_timeout), "gauge",
+                 "idle time after which an entry is evicted")
+    yield Sample("repro_state_program_state_safe", labels,
+                 1.0 if program.state_safe else 0.0, "gauge",
+                 "program may ride a bypass channel with its state")
+    states = Counter(entry.state for entry in table.entries())
+    for state in sorted(states):
+        state_labels = dict(labels)
+        state_labels["state"] = state
+        yield Sample("repro_state_table_entries", state_labels,
+                     float(states[state]), "gauge",
+                     "state-table entries in one XFSM state")
     for counter in ("lookups", "hits", "misses", "inserts", "updates",
                     "evictions_idle", "evictions_capacity",
                     "invalidations", "deletes"):

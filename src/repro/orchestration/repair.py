@@ -87,7 +87,7 @@ class ChainRepairer:
             name: NfRecord(name) for name in deployment.graph.vnfs
         }
         self.bridges: List[GraphLink] = []  # demotion detour rules
-        # Monotonic counters (``appctl chain/health``, obs collectors).
+        # Monotonic counters (exported by the node's obs collector).
         self.crashes_detected = 0
         self.repairs_started = 0
         self.repairs_succeeded = 0
@@ -100,6 +100,7 @@ class ChainRepairer:
         # nf-demoted, nf-removed.
         self.on_event: List[Callable[[str, str], None]] = []
         self.loop: Optional[PollLoop] = None
+        self.node.obs.register_repairer(self)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -266,17 +267,6 @@ class ChainRepairer:
                 flushed += 1
                 mbuf.free()
         return flushed
-
-    # -- introspection -----------------------------------------------------
-
-    def rows(self) -> List[List]:
-        """``[nf, state, restarts, crashes]`` rows for ``chain/health``."""
-        return [
-            [record.name, record.state, record.restarts,
-             record.crashes_seen]
-            for record in sorted(self.records.values(),
-                                 key=lambda r: r.name)
-        ]
 
     def __repr__(self) -> str:
         return "<ChainRepairer nfs=%d crashes=%d repaired=%d>" % (

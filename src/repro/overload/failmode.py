@@ -317,22 +317,3 @@ class FailModeManager:
             ))
             self.bridge.packet_ins_sent += 1
             self.packet_ins_replayed += 1
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "mode": self.mode.value,
-            "state": self.state,
-            "outages": self.outages,
-            "reconnect_attempts": self.reconnect_attempts,
-            "reconnect_failures": self.reconnect_failures,
-            "reconnects": self.reconnects,
-            "pending_packet_ins": self.pending_packet_ins,
-            "packet_ins_buffered": self.packet_ins_buffered,
-            "packet_ins_replayed": self.packet_ins_replayed,
-            "packet_ins_shed": self.packet_ins_shed,
-            "fallback_packets": self.fallback.packets_forwarded,
-            "fallback_floods": self.fallback.floods,
-            "fallback_flows": self.fallback.flows_installed,
-            "fallback_flows_removed": self.fallback_flows_removed,
-            "frozen_expiry_skips": self.frozen_expiry_skips,
-        }

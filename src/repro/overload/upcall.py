@@ -236,18 +236,3 @@ class BoundedUpcallQueue(Waitable):
             count += 1
             handler(mbuf, in_port, reason)
         return count
-
-    def stats(self) -> Dict[str, float]:
-        """Flat snapshot for appctl / debugging."""
-        out: Dict[str, float] = {
-            "depth": self.depth,
-            "control_depth": self.control_depth,
-            "high_watermark": self.high_watermark,
-            "admitted_miss": self.admitted_miss,
-            "admitted_control": self.admitted_control,
-            "dispatched": self.dispatched,
-            "evicted_for_control": self.evicted_for_control,
-        }
-        for why in SHED_REASONS:
-            out["shed_" + why] = self.shed.get(why, 0)
-        return out

@@ -7,7 +7,7 @@ This package is the OVS ``dpif-netdev`` answer to that problem:
 * :mod:`repro.sched.load` — per-(port, core) processing-cycle EWMAs
   sampled from the datapath's own cost attribution;
 * :mod:`repro.sched.policy` — the assignment policies
-  (``roundrobin`` / ``cycles`` / ``group``, the ``pmd-rxq-assign``
+  (``roundrobin`` / ``cycles``, the ``pmd-rxq-assign``
   analog, with ``pmd-rxq-affinity``-style pinning and isolation);
 * :mod:`repro.sched.scheduler` — :class:`PmdScheduler`, the owner of
   the core → ports map, dry-run rebalance planning and safe handover;
@@ -24,7 +24,6 @@ from repro.sched.load import RxqLoadTracker
 from repro.sched.policy import (
     AssignmentPolicy,
     CyclesPolicy,
-    GroupPolicy,
     POLICIES,
     RoundRobinPolicy,
     make_policy,
@@ -37,7 +36,6 @@ __all__ = [
     "AutoLoadBalancer",
     "CyclesPolicy",
     "DEFAULT_AUTO_LB_POLICY",
-    "GroupPolicy",
     "POLICIES",
     "PmdScheduler",
     "PortMove",

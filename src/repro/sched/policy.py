@@ -1,15 +1,14 @@
 """Assignment policies: the ``pmd-rxq-assign`` analog.
 
-Three policies, mirroring OVS ``dpif-netdev``:
+Two policies, mirroring OVS ``dpif-netdev``:
 
 * ``roundrobin`` — the static hash this repo always had
   (``ofport % n_cores``), kept as the baseline the benchmarks beat;
 * ``cycles`` — sorted-greedy over *measured* load: heaviest port to the
-  least-loaded core (OVS ``pmd-rxq-assign=cycles``);
-* ``group`` — the same sorted-greedy, but honouring per-port pinning
-  and core isolation (the ``pmd-rxq-affinity`` analog): a pinned port
-  always lands on its core, and an isolated core receives only ports
-  pinned to it.
+  least-loaded core (OVS ``pmd-rxq-assign=cycles``), honouring
+  per-port pinning and core isolation (the ``pmd-rxq-affinity``
+  analog): a pinned port always lands on its core, and an isolated
+  core receives only ports pinned to it.
 
 Every policy returns an exact partition: each port appears on exactly
 one core (the property test pins this).  Ties are broken by ofport so
@@ -63,27 +62,13 @@ class CyclesPolicy(AssignmentPolicy):
     """Sorted-greedy over measured cycles: heaviest port first, each to
     the currently least-loaded core.  Ports without measured history
     count as zero-load and fall to the emptiest core (ties by port
-    count, then core index)."""
-
-    name = "cycles"
-
-    def place(self, port: Rxq, scheduler) -> int:
-        return _least_loaded_core(scheduler, range(scheduler.n_cores))
-
-    def assign(self, ports: List[Rxq], scheduler) -> Dict[int, int]:
-        return _greedy_assign(ports, scheduler,
-                              usable=list(range(scheduler.n_cores)),
-                              pinned={})
-
-
-class GroupPolicy(AssignmentPolicy):
-    """Sorted-greedy like ``cycles``, plus affinity: pinned ports stick
+    count, then core index).  Affinity is honoured: pinned ports stick
     to their core and isolated cores serve only ports pinned to them.
     If isolation leaves no usable core for unpinned ports, isolation is
     ignored for them (matching OVS's fallback rather than stranding
     traffic)."""
 
-    name = "group"
+    name = "cycles"
 
     def place(self, port: Rxq, scheduler) -> int:
         pinned = scheduler.pinned_core(port.ofport)
@@ -143,7 +128,6 @@ def _greedy_assign(ports: List[Rxq], scheduler, usable: List[int],
 POLICIES = {
     RoundRobinPolicy.name: RoundRobinPolicy,
     CyclesPolicy.name: CyclesPolicy,
-    GroupPolicy.name: GroupPolicy,
 }
 
 

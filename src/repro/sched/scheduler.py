@@ -103,7 +103,7 @@ class PmdScheduler:
     # -- affinity configuration (pmd-rxq-affinity) ---------------------------------
 
     def pin(self, ofport: int, core: int) -> None:
-        """Pin a port to a core (honoured by the ``group`` policy)."""
+        """Pin a port to a core (honoured by the ``cycles`` policy)."""
         if not 0 <= core < self.n_cores:
             raise ValueError("core %d out of range" % core)
         self._pins[ofport] = core
@@ -112,7 +112,7 @@ class PmdScheduler:
         return self._pins.get(ofport)
 
     def isolate(self, core: int, isolated: bool = True) -> None:
-        """Reserve a core for its pinned ports only (``group`` policy)."""
+        """Reserve a core for its pinned ports only (``cycles`` policy)."""
         if not 0 <= core < self.n_cores:
             raise ValueError("core %d out of range" % core)
         if isolated:

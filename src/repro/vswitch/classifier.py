@@ -326,7 +326,7 @@ class TupleSpaceClassifier:
 
     def ranking(self) -> List[Tuple[str, int, int, int]]:
         """``(signature, rules, max_priority, hits)`` rows in probe
-        order — the ``dpif/fastpath-show`` view of the subtable sort."""
+        order — the ``repro_classifier_subtable_*`` samples of the sort."""
         rows = []
         for subtable in self._ranked_subtables():
             fields = ",".join(name for name, _mask in subtable.fields)

@@ -488,11 +488,11 @@ class VSwitchd:
 
     def pin_port(self, port_name: str, core: int) -> None:
         """Pin a port to a core (``pmd-rxq-affinity`` analog); honored
-        by the ``group`` policy."""
+        by the ``cycles`` policy."""
         self.scheduler.pin(self.port_by_name(port_name).ofport, core)
 
     def isolate_core(self, core: int, isolated: bool = True) -> None:
-        """Exclude a core from non-pinned assignment (``group`` only)."""
+        """Exclude a core from non-pinned assignment (``cycles`` only)."""
         self.scheduler.isolate(core, isolated)
 
     def sample_core_busy(self) -> List[float]:

@@ -98,3 +98,13 @@ def metric_shape_problems(samples):
             problems.append("%s: series %r twice" % (name, dict(one[1])))
         series.add(one)
     return problems
+
+
+def view_values(text):
+    """``{series: value}`` of an ``appctl`` metrics view, whose lines are
+    ``name{labels} value`` with labels sorted by key."""
+    values = {}
+    for line in text.splitlines():
+        series, value = line.rsplit(" ", 1)
+        values[series] = float(value)
+    return values

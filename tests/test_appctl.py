@@ -2,11 +2,24 @@
 
 import pytest
 
-from repro.orchestration import NfvNode
+from repro.apps import ForwarderApp
+from repro.faults import FaultPlan
+from repro.mem import Mempool
+from repro.obs.export import validate_prometheus_text
+from repro.obs.plane import OPERATOR_VIEWS
+from repro.orchestration import (
+    ChainRepairer,
+    NfvNode,
+    Orchestrator,
+    ServiceGraph,
+)
+from repro.overload import OverloadPolicy
+from repro.sched import AutoLbPolicy
+from repro.state.programs import firewall_program
 from repro.vswitch import appctl
 from repro.vswitch.appctl import AppCtl
 
-from tests.helpers import mk_mbuf
+from tests.helpers import metric_shape_problems, mk_mbuf
 
 
 @pytest.fixture
@@ -71,27 +84,34 @@ class TestDumps:
         appctl.add_flow(node.switch, "in_port=2,udp,actions=output:1")
         node.vms["vm2"].pmd("dpdkr1").tx_burst([mk_mbuf()])
         node.switch.step_dataplane()
-        text = appctl.cache_stats(node.switch)
-        assert "classifier hits: 1" in text
-        assert "packets processed: 1" in text
+        text = AppCtl(node.switch, obs=node.obs).run("dpif/fastpath-show")
+        assert 'repro_datapath_classifier_hits{switch="ovs"} 1\n' in text
+        assert 'repro_datapath_packets_processed{switch="ovs"} 1\n' in text
+        assert 'repro_classifier_subtables{switch="ovs"} 1\n' in text
 
     def test_fastpath_show(self, node):
         appctl.add_flow(node.switch, "in_port=2,udp,actions=output:1")
         for _ in range(2):  # second burst: EMC hit + a filled batch
             node.vms["vm2"].pmd("dpdkr1").tx_burst([mk_mbuf()])
             node.switch.step_dataplane()
-        text = appctl.fastpath_show(node.switch)
-        assert "fast path: burst size 32" in text
-        assert "lookup tiers: emc=on smc=on megaflow=on\n" in text
-        assert "emc: 1 entries" in text
-        assert "smc:" in text
-        assert "subtable [" in text
-        assert "fill  1: 2 batch(es)" in text
+        text = AppCtl(node.switch, obs=node.obs).run("dpif/fastpath-show")
+        assert 'repro_datapath_burst_size{switch="ovs"} 32\n' in text
+        for tier in ("emc", "smc", "megaflow"):
+            assert ('repro_datapath_tier_enabled{switch="ovs",tier="%s"} 1'
+                    % tier) in text
+        assert 'repro_emc_entries{switch="ovs"} 1\n' in text
+        assert 'repro_smc_hits{switch="ovs"} 0\n' in text
+        assert ('repro_classifier_subtable_rules{fields="in_port,eth_type,'
+                'ip_proto",rank="0",switch="ovs"} 1') in text
+        assert text.endswith(
+            'repro_datapath_batch_fill_total{fill="1",switch="ovs"} 2')
 
     def test_fastpath_show_via_dispatcher(self, node):
-        text = AppCtl(node.switch).run("dpif/fastpath-show")
-        assert "fast path:" in text
-        assert "lookup tiers: emc=on smc=on" in text
+        text = AppCtl(node.switch, obs=node.obs).run("dpif/fastpath-show")
+        assert text.startswith("repro_datapath_packets_processed")
+        assert "# " not in text  # sample lines only, no HELP/TYPE
+        assert AppCtl(node.switch).run("dpif/fastpath-show") \
+            == "observability: not wired"
 
     def test_bypass_show(self, node):
         appctl.add_flow(node.switch, "in_port=1,actions=output:2")
@@ -171,3 +191,55 @@ class TestDispatcher:
         assert "unknown command" in ctl.run("frobnicate")
         # A malformed argument is a usage line, not a bare ValueError.
         assert ctl.run("trace/dump", "abc") == "usage: trace/dump [LIMIT]"
+
+
+@pytest.fixture
+def wired_node():
+    """A 2-VM bypass chain with something behind every view: a policer,
+    an overload policy, an auto-LB, an XFSM program, an armed fault plan,
+    a tracked mempool carrying traffic, and a chain repairer."""
+    node = NfvNode(overload_policy=OverloadPolicy(),
+                   auto_lb_policy=AutoLbPolicy(),
+                   faults=FaultPlan(seed=5))
+    graph = ServiceGraph("chain")
+    for name in ("vnf1", "vnf2"):
+        graph.add_vnf(name, ["p0", "p1"],
+                      app_factory=lambda pmds, name=name: ForwarderApp(
+                          name + ".app", pmds["p0"], pmds["p1"]))
+    graph.connect("vnf1.p1", "vnf2.p0", bidirectional=True)
+    orchestrator = Orchestrator(node)
+    deployment = orchestrator.deploy(graph)
+    ChainRepairer(orchestrator, deployment)
+    node.register_xfsm(firewall_program())
+    node.switch.set_ingress_policing("vnf1.p0", rate_pps=1000)
+    pool = Mempool("traffic", size=16)
+    node.track_mempool(pool)
+    node.vms["vnf1"].pmd("vnf1.p1").tx_burst(
+        [mk_mbuf(pool=pool) for _ in range(2)])
+    node.switch.step_dataplane()
+    assert node.active_bypasses == 2
+    return node
+
+
+class TestMetricViews:
+    def test_every_view_prints_samples(self, wired_node):
+        ctl = AppCtl(wired_node.switch, wired_node.manager, wired_node.obs)
+        for command, prefixes in OPERATOR_VIEWS.items():
+            text = ctl.run(command)
+            assert not text.startswith("no samples"), command
+            assert validate_prometheus_text(text + "\n") > 0, command
+            for line in text.splitlines():
+                assert line.startswith(prefixes), (command, line)
+
+    def test_views_are_slices_of_one_well_shaped_dump(self, wired_node):
+        ctl = AppCtl(wired_node.switch, wired_node.manager, wired_node.obs)
+        dump = ctl.run("metrics/dump")
+        validate_prometheus_text(dump + "\n")
+        assert metric_shape_problems(
+            wired_node.obs.registry.collect()) == []
+        lines = [line for line in dump.splitlines()
+                 if not line.startswith("#")]
+        for command, prefixes in OPERATOR_VIEWS.items():
+            assert ctl.run(command).splitlines() == [
+                line for line in lines if line.startswith(prefixes)]
+

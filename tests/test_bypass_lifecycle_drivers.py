@@ -28,7 +28,6 @@ from repro.faults import (
     KNOWN_POINTS,
     PMD_RX_POLL,
     RING_CORRUPT,
-    VM_CRASH,
     VM_CRASH_DURING_SETUP,
     FaultMode,
     FaultPlan,
@@ -44,7 +43,7 @@ from tests.helpers import mk_mbuf
 CONTROL_PLANE_POINTS = [
     point for point in KNOWN_POINTS
     if point not in (PMD_RX_POLL, RING_CORRUPT, CONTROLLER_CONN,
-                     CONTROLLER_RECONNECT, VM_CRASH, VM_CRASH_DURING_SETUP)
+                     CONTROLLER_RECONNECT, VM_CRASH_DURING_SETUP)
 ]
 
 

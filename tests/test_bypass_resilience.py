@@ -24,6 +24,8 @@ from repro.sim.engine import Environment
 from repro.traffic import SinkApp, SourceApp
 from repro.vswitch.appctl import AppCtl
 
+from tests.helpers import view_values
+
 
 def build_node(env, plan=None, retry_policy=None):
     kwargs = {}
@@ -120,11 +122,18 @@ class TestAcceptanceScenario:
         assert r.total_faults_survived == 3 == plan.total_injected
 
         # And the operator sees the same story.
-        report = AppCtl(node.switch, node.manager).run("bypass/faults")
-        assert " %-24s %d" % ("retries", 3) in report
-        assert " %-24s %d" % ("timeouts", 2) in report
-        assert " %-24s %d" % ("faults survived", 3) in report
-        assert "seed=7, 3 fault(s) injected" in report
+        report = view_values(AppCtl(node.switch, node.manager, node.obs)
+                             .run("bypass/faults"))
+        assert report['repro_resilience_total{counter="retries"}'] == 3
+        assert report['repro_resilience_total{counter="timeouts"}'] == 2
+        survived = sum(
+            report['repro_resilience_total{counter="%s"}' % counter]
+            for counter in ("timeouts", "rpc_errors", "provision_failures",
+                            "teardown_failures"))
+        assert survived == 3
+        assert report["repro_faults_seed"] == 7
+        assert sum(value for series, value in report.items()
+                   if series.startswith("repro_faults_injected_total")) == 3
 
         verify_host_invariants(node)
         node.switch.stop()

@@ -31,7 +31,7 @@ from repro.sim.engine import Environment
 from repro.traffic import SinkApp, SourceApp
 from repro.vswitch.appctl import AppCtl
 
-from tests.helpers import mk_mbuf
+from tests.helpers import mk_mbuf, view_values
 
 
 # Fast detection + fast re-admission so scenarios fit in < 1 s of sim
@@ -207,12 +207,15 @@ class TestWatchdogSync:
     def test_bypass_health_command_renders_state(self):
         node = build_sync_node()
         watchdog = node.manager.watchdog
-        appctl = AppCtl(node.switch, node.manager)
+        appctl = AppCtl(node.switch, node.manager, node.obs)
         watchdog.check_once()
-        text = appctl.run("bypass/health")
-        assert "bypass watchdog" in text
-        assert "healthy" in text
-        assert "stalled consumers" in text
+        src = node.ofport("dpdkr0")
+        values = view_values(appctl.run("bypass/health"))
+        assert values["repro_watchdog_checks_total"] == watchdog.checks_run
+        assert values['repro_watchdog_link_verdict{src_ofport="%d",'
+                      'verdict="healthy"}' % src] == 1
+        assert values['repro_resilience_total{counter="stalled_consumers"}'] \
+            == 0
         # Degrade the link and the command reflects it.
         sender = node.vms["vm1"].pmd("dpdkr0")
         receiver = node.vms["vm2"].pmd("dpdkr1")
@@ -220,11 +223,15 @@ class TestWatchdogSync:
         sender.tx_burst([mk_mbuf()])
         for _ in range(FAST_WATCHDOG.stall_polls + 2):
             watchdog.check_once()
-        text = appctl.run("bypass/health")
-        assert "stalled consumers      1" in text.replace("  ", " ") or \
-            "stalled consumers" in text
-        assert "degraded quarantine: 1 link(s)" in text
-        assert "heartbeat_mark=" in text
+        values = view_values(appctl.run("bypass/health"))
+        assert values['repro_resilience_total{counter="stalled_consumers"}'] \
+            == 1
+        degraded = 'dst_ofport="%d",reason="degraded",src_ofport="%d"' % (
+            node.ofport("dpdkr1"), src)
+        assert values["repro_bypass_quarantined_links"] == 1
+        assert values["repro_bypass_quarantine_failures{%s}" % degraded] == 1
+        assert "repro_bypass_quarantine_heartbeat_mark{%s}" % degraded \
+            in values
 
     def test_bypass_show_reports_ring_accounting(self):
         node = build_sync_node()
@@ -307,8 +314,10 @@ class TestLiveFallbackEndToEnd:
         assert sink.seqs == sorted(sink.seqs)
         assert sink.seqs == list(range(source.generated))
         # The operator-facing story matches.
-        text = AppCtl(node.switch, node.manager).run("bypass/health")
-        assert "stalled consumers" in text
+        values = view_values(AppCtl(node.switch, node.manager, node.obs)
+                             .run("bypass/health"))
+        assert values['repro_resilience_total{counter="stalled_consumers"}'] \
+            == node.manager.resilience.stalled_consumers
 
     def test_permanently_wedged_peer_defers_readmission(self):
         env = Environment()

@@ -22,7 +22,7 @@ from repro.orchestration import (
 from repro.sim.engine import Environment
 from repro.vswitch.appctl import AppCtl
 
-from tests.helpers import mk_mbuf
+from tests.helpers import mk_mbuf, view_values
 
 FAST_REPAIR = RepairPolicy(poll_interval=0.002, max_restarts=3,
                            base_backoff=0.002, max_backoff=0.01)
@@ -190,17 +190,19 @@ class TestIntrospection:
         node.hypervisor.crash_vm("vnf2")
         repairer.check_once()
         repairer.check_once()
-        ctl = AppCtl(node.switch, node.manager, repairer=repairer)
-        text = ctl.run("chain/health")
-        assert "2 NF(s) supervised" in text
-        assert "vnf1" in text and "state=running" in text
-        assert "crashes detected         1" in text
-        assert "repairs succeeded        1" in text
+        ctl = AppCtl(node.switch, node.manager, node.obs)
+        values = view_values(ctl.run("chain/health"))
+        for nf in ("vnf1", "vnf2"):
+            assert values['repro_chain_nf_state{nf="%s",state="running"}'
+                          % nf] == 1
+        assert values['repro_chain_nf_crashes_total{nf="vnf2"}'] == 1
+        assert values["repro_chain_crashes_detected_total"] == 1
+        assert values["repro_chain_repairs_succeeded_total"] == 1
 
     def test_chain_health_without_repairer(self):
         node = NfvNode()
-        assert AppCtl(node.switch).run("chain/health") \
-            == "chain repairer: not running"
+        assert AppCtl(node.switch, obs=node.obs).run("chain/health") \
+            == "no samples named repro_chain_*"
 
     def test_mempool_show_renders_ledger(self):
         node = NfvNode()
@@ -213,14 +215,17 @@ class TestIntrospection:
         batch = [mk_mbuf(pool=pool) for _ in range(2)]
         node.vms["vm1"].pmd("dpdkr0").tx_burst(batch)
         node.vms["vm2"].pmd("dpdkr1").rx_burst(8)
-        ctl = AppCtl(node.switch, node.manager, mempools=node.mempools)
-        text = ctl.run("mempool/show")
-        assert "traffic: size=16 available=14 in_use=2" in text
-        assert "holder vm:vm2" in text
+        ctl = AppCtl(node.switch, node.manager, node.obs)
+        values = view_values(ctl.run("mempool/show"))
+        assert values['repro_mempool_size{pool="traffic"}'] == 16
+        assert values['repro_mempool_available{pool="traffic"}'] == 14
+        assert values['repro_mempool_in_use{pool="traffic"}'] == 2
+        assert values['repro_mempool_held{holder="vm:vm2",pool="traffic"}'] \
+            == 2
         for mbuf in batch:
             mbuf.free()
 
     def test_mempool_show_without_pools(self):
         node = NfvNode()
-        assert AppCtl(node.switch).run("mempool/show") \
-            == "mempools: none tracked"
+        assert AppCtl(node.switch, obs=node.obs).run("mempool/show") \
+            == "no samples named repro_mempool_*"

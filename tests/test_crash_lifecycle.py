@@ -1,11 +1,10 @@
-"""Abrupt VM death: crash semantics, chaos injection and recovery.
+"""Abrupt VM death: crash semantics, crash injection and recovery.
 
 :meth:`Hypervisor.crash_vm` is the un-cooperative counterpart of
 ``destroy_vm``: the serial channel dies mid-conversation, zones are
 force-unplugged, no guest-side teardown runs.  These tests pin the
-crash semantics themselves, the ``vm.crash`` / ``vm.crash_during_setup``
-fault points that drive chaos experiments, the watchdog's
-``PEER_CRASHED`` classification (including the vanished-heartbeat-zone
+crash semantics themselves, the ``vm.crash_during_setup`` fault
+point, the watchdog's ``PEER_CRASHED`` classification (including the vanished-heartbeat-zone
 crash-window race), and the full quarantine → ledger reclaim →
 heartbeat-gated re-admission cycle after the guest is replaced.
 
@@ -20,7 +19,7 @@ import pytest
 from repro.core.bypass import LinkState, RetryPolicy
 from repro.core.watchdog import HealthState, WatchdogPolicy
 from repro.dpdk.dpdkr import dpdkr_zone_name
-from repro.faults import VM_CRASH, VM_CRASH_DURING_SETUP, FaultPlan
+from repro.faults import VM_CRASH_DURING_SETUP, FaultPlan
 from repro.mem import Mempool
 from repro.orchestration import NfvNode
 from repro.sim.engine import Environment
@@ -102,40 +101,6 @@ class TestCrashSemantics:
 
 
 class TestChaosInjection:
-    def test_chaos_tick_without_plan_is_noop(self):
-        node = build_node()
-        assert node.hypervisor.chaos_tick() is None
-        assert node.hypervisor.crashes == 0
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_chaos_tick_round_robin(self, seed):
-        node = build_node()
-        plan = FaultPlan(seed=seed)
-        plan.inject(VM_CRASH, "crash", probability=1.0)
-        node.install_fault_plan(plan)
-        assert node.hypervisor.chaos_tick() == "vm1"
-        assert node.hypervisor.chaos_tick() == "vm2"
-        assert node.hypervisor.chaos_tick() is None  # nobody left
-        assert node.hypervisor.crashes == 2
-
-    def test_chaos_tick_named_victim(self):
-        node = build_node()
-        plan = FaultPlan(seed=0)
-        plan.inject(VM_CRASH, "crash", probability=1.0, message="vm2")
-        node.install_fault_plan(plan)
-        assert node.hypervisor.chaos_tick() == "vm2"
-        assert "vm1" in node.hypervisor.vms
-
-    def test_start_chaos_runs_on_the_clock(self):
-        env = Environment()
-        node = build_node(env=env)
-        plan = FaultPlan(seed=3)
-        plan.inject(VM_CRASH, "crash", probability=1.0, max_triggers=1)
-        node.install_fault_plan(plan)
-        node.hypervisor.start_chaos(env, period=0.002)
-        env.run(until=0.01)
-        assert node.hypervisor.crashes == 1
-
     @pytest.mark.parametrize("seed", SEEDS)
     def test_crash_during_setup_leaves_books_balanced(self, seed):
         env = Environment()

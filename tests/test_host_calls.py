@@ -54,23 +54,22 @@ _spec.loader.exec_module(host_calls)
 # 84,820 while the switch's control loop ticked every 0.5 ms with
 # nothing to do.
 GOLDEN_EVENTS = 84224
-# 27.16 calls per event (2,303,498 calls), plus 10 %.  Lower it when the
+# 27.06 calls per event (2,279,410 calls), plus 10 %.  Lower it when the
 # count falls; raising it needs a reason.  It read 35.37 while parked
 # loops re-registered on every ring at every park and the guest PMD
-# resolved its TX ring twice a burst, and reads 27.27 since a long
-# catch-up costs a few calls in place of one loop pass per poll, and
-# 27.18 since a pool builds a descriptor when it first lends it.
-CEILING_CALLS_PER_EVENT = 29.9
-# 20.86 calls per delivered packet (252,370 calls, 12,096 packets: a
+# resolved its TX ring twice a burst, 27.27 before a long catch-up cost
+# a few calls in place of one loop pass per poll, and 27.18 before a
+# pool built a descriptor when it first lent it.
+CEILING_CALLS_PER_EVENT = 29.8
+# 18.09 calls per delivered packet (218,868 calls, 12,096 packets: a
 # 3-VM vanilla chain, both directions saturated, 1 ms plus warm-up and
-# control-plane settle), plus 10 %.  It read 48.65 while the sources
-# built 32 mbufs a poll and freed the three in four their full TX ring
-# refused, and 24.13 before the TX path was bound per state change.  It
-# reads 22.06 since a long catch-up costs a few calls in place of one
-# loop pass per poll: the 1 ms run is mostly control-plane settle.  It
-# reads 22.26 since a pool builds a descriptor when it first lends it:
-# the sources' births moved from build() into the counted run.
-CEILING_CALLS_PER_DELIVERED_PACKET = 23.0
+# control-plane settle), plus 10 %.  Lower it when the count falls;
+# raising it needs a reason.  It read 48.65 while the sources built 32
+# mbufs a poll and freed the three in four their full TX ring refused,
+# 24.13 before the TX path was bound per state change, and 22.26
+# before the ceiling was last re-pinned (the 1 ms run is mostly
+# control-plane settle).
+CEILING_CALLS_PER_DELIVERED_PACKET = 19.9
 # 31.74 calls per packet (761,734 calls, 24,000 packets: perfbench's
 # switch_miss_churn --quick, seed 1), plus 10 %.  Lower it when the count
 # falls; raising it needs a reason.  It read 48.77 while every flow key

@@ -11,6 +11,7 @@ from repro.cli import main as cli_main
 from repro.experiments.chain import ChainExperiment
 from repro.obs import MetricsRegistry, Observability
 from repro.obs.cycles import seconds_to_cycles
+from repro.obs.plane import OPERATOR_VIEWS
 from repro.obs.export import (
     parse_jsonl_snapshots,
     prometheus_text,
@@ -163,16 +164,23 @@ class TestFastPathExport:
                 assert registry.sample_value(
                     "%s_%s" % (family, attr), labels) == getattr(memo, attr)
         shown = AppCtl(switch, obs=experiment.obs).run("dpif/fastpath-show")
-        assert "flow plans: 4 entries, compiles=4 flushes=0" in shown
-        assert ("rekey memo: %d entries, hits=%d misses=%d"
-                % (rekeys.entries, rekeys.hits, rekeys.misses)) in shown
+        for family, memo, attrs in (
+                ("repro_flowplan", plans,
+                 ("entries", "compiles", "flushes")),
+                ("repro_rekey", rekeys, ("entries", "hits", "misses"))):
+            for attr in attrs:
+                assert ('%s_%s{switch="%s"} %d\n' % (
+                    family, attr, switch.name, getattr(memo, attr))
+                    in shown)
+        assert plans.entries == plans.compiles == 4 and not plans.flushes
 
 
 class TestAppctlObservability:
     def test_commands_require_wiring(self):
         node = NfvNode()
         appctl = AppCtl(node.switch)  # no obs passed
-        for command in ("coverage/show", "metrics/dump", "trace/dump"):
+        for command in ("coverage/show", "metrics/dump",
+                        "trace/dump") + tuple(OPERATOR_VIEWS):
             assert appctl.run(command) == "observability: not wired"
         # pmd/stats-show degrades to the vswitchd's own loops.
         assert "pmd" in appctl.run("pmd/stats-show")
@@ -190,8 +198,9 @@ class TestAppctlObservability:
         validate_prometheus_text(metrics + "\n")
         traces = appctl.run("trace/dump", "2")
         assert "showing 2" in traces
-        # The legacy cache-stats spelling still answers.
-        assert "emc hits" in appctl.run("pmd-stats-show")
+        # The cache statistics answer under one name only.
+        assert "repro_datapath_emc_hits" in appctl.run("dpif/fastpath-show")
+        assert appctl.run("pmd-stats-show").startswith("unknown command")
 
 
 class TestCycleReconciliation:

@@ -7,13 +7,14 @@ shed upcalls, but never silently.
 
 import pytest
 
+from repro.obs.plane import Observability
 from repro.overload import BoundedUpcallQueue, UpcallPolicy
 from repro.openflow.controller import ControllerConnection, SimpleController
 from repro.vswitch.appctl import AppCtl
 from repro.vswitch.datapath import Datapath
 from repro.vswitch.vswitchd import VSwitchd
 
-from tests.helpers import mk_mbuf
+from tests.helpers import mk_mbuf, view_values
 
 
 def conserved(queue, offered):
@@ -214,14 +215,25 @@ class TestDatapathIntegration:
 
 
 class TestAppctl:
+    @staticmethod
+    def _appctl(switch):
+        obs = Observability()
+        obs.register_vswitchd(switch)
+        return AppCtl(switch, obs=obs)
+
     def test_overload_show_and_set(self):
         switch = VSwitchd(connection=ControllerConnection())
-        appctl = AppCtl(switch)
-        text = appctl.run("overload/show")
-        assert "upcall queue: depth=0/256" in text
-        assert "fail mode: standalone" in text
+        appctl = self._appctl(switch)
+        max_queue = ('repro_overload_upcall_policy'
+                     '{knob="max_queue",switch="ovs"}')
+        values = view_values(appctl.run("overload/show"))
+        assert values['repro_overload_upcall_depth{switch="ovs"}'] == 0
+        assert values[max_queue] == 256
+        assert values['repro_overload_failmode_connected{mode="standalone",'
+                      'switch="ovs"}'] == 1
         assert appctl.run("overload/set", "max_queue 64") == "max_queue=64"
         assert switch.upcall_queue.policy.max_queue == 64
+        assert view_values(appctl.run("overload/show"))[max_queue] == 64
         assert appctl.run("overload/set",
                           "fail_mode secure") == "fail_mode=secure"
         assert switch.failmode.mode.value == "secure"
@@ -231,5 +243,6 @@ class TestAppctl:
     def test_unbounded_switch_reports_legacy_path(self):
         switch = VSwitchd(connection=ControllerConnection(),
                           upcall_policy=None)
-        text = AppCtl(switch).run("overload/show")
-        assert "unbounded (legacy inline path)" in text
+        text = self._appctl(switch).run("overload/show")
+        assert "repro_overload_failmode_connected" in text
+        assert "repro_overload_upcall" not in text

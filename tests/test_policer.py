@@ -121,16 +121,22 @@ class TestPolicerObservability:
         from repro.vswitch.appctl import AppCtl
 
         node = self._policed_node()
-        text = AppCtl(node.switch).run("policer/show")
-        assert "policers: 1" in text
-        assert "rate=100pps" in text
-        assert "admitted=2 dropped=3" in text
+        text = AppCtl(node.switch, obs=node.obs).run("policer/show")
+        port = 'ofport="%d",switch="ovs"' % node.ofport("dpdkr0")
+        assert text.splitlines() == [
+            "repro_policer_admitted_total{%s} 2" % port,
+            "repro_policer_dropped_total{%s} 3" % port,
+            "repro_policer_rate_pps{%s} 100" % port,
+            "repro_policer_burst{%s} 2" % port,
+            "repro_policer_tokens{%s} 0" % port,
+        ]
 
     def test_appctl_policer_show_empty(self):
         from repro.vswitch.appctl import AppCtl
 
-        assert AppCtl(NfvNode().switch).run("policer/show") \
-            == "policers: none configured"
+        node = NfvNode()
+        assert AppCtl(node.switch, obs=node.obs).run("policer/show") \
+            == "no samples named repro_policer_*"
 
 
 class TestPolicingVsHighway:

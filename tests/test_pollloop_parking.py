@@ -123,7 +123,12 @@ class Rig:
                 for key, record in manager.quarantined_links.items()}
         queue = node.switch.upcall_queue
         if queue is not None:
-            out["upcalls"] = queue.stats()
+            out["upcalls"] = (
+                {name: getattr(queue, name) for name in (
+                    "depth", "control_depth", "high_watermark",
+                    "admitted_miss", "admitted_control", "dispatched",
+                    "evicted_for_control")},
+                dict(queue.shed))
         if self.plan is not None:
             out["faults"] = (
                 dict(self.plan.occurrences),
@@ -280,7 +285,7 @@ def test_rebalancing_an_rxq_onto_a_parked_core():
         before = switch.scheduler.core_of(rig.node.ofport("dpdkr0"))
 
         def move():
-            switch.set_rxq_assign("group")
+            switch.set_rxq_assign("cycles")
             switch.pin_port("dpdkr0", 1 - before)
             switch.rebalance()
 
@@ -560,7 +565,7 @@ def test_a_port_moved_off_a_sleeping_core_and_back():
             loop = switch._pmd_loops[switch.scheduler.core_of(port_no)]
             if parked(loop):
                 seen.append((loop.sleeping, loop in ring.waiters))
-            switch.set_rxq_assign("group")
+            switch.set_rxq_assign("cycles")
             switch.pin_port("dpdkr0", core)
             switch.rebalance()
 
@@ -862,7 +867,16 @@ class ControlRig(Rig):
              entry.install_time, entry.last_used, entry.packet_count)
             for table_id, table in sorted(switch.bridge.tables.items())
             for entry in table]
-        out["failmode"] = switch.failmode.stats()
+        failmode = switch.failmode
+        out["failmode"] = {name: getattr(failmode, name) for name in (
+            "mode", "state", "outages", "reconnect_attempts",
+            "reconnect_failures", "reconnects", "pending_packet_ins",
+            "packet_ins_buffered", "packet_ins_replayed", "packet_ins_shed",
+            "fallback_flows_removed", "frozen_expiry_skips")}
+        fallback = failmode.fallback
+        out["failmode"].update(fallback_packets=fallback.packets_forwarded,
+                               fallback_floods=fallback.floods,
+                               fallback_flows=fallback.flows_installed)
         out["sent"] = len(self.sent)
         return out
 

@@ -89,7 +89,7 @@ def test_placement_and_rebalance_keep_the_partition_exact(scenario):
 @settings(max_examples=100, deadline=None)
 @given(scenarios)
 def test_pinned_ports_land_on_their_core_under_group(scenario):
-    scenario = dict(scenario, policy="group")
+    scenario = dict(scenario, policy="cycles")
     scheduler, ports = _build(scenario)
     scheduler.rebalance()
     # A port pinned twice keeps its last valid pin.

@@ -12,10 +12,11 @@ from repro.sched import (
     RxqLoadTracker,
     make_policy,
 )
-from repro.vswitch.appctl import AppCtl, pmd_rxq_show, sched_show
+from repro.obs.plane import Observability
+from repro.vswitch.appctl import AppCtl
 from repro.vswitch.vswitchd import VSwitchd
 
-from tests.helpers import drain, mk_mbuf
+from tests.helpers import drain, mk_mbuf, view_values
 
 
 class FakePort:
@@ -108,7 +109,7 @@ class TestPolicies:
         assert assignment[2] == assignment[3]
 
     def test_group_honors_pin_and_isolation(self):
-        scheduler = self._scheduler("group", n_cores=3)
+        scheduler = self._scheduler("cycles", n_cores=3)
         ports = [FakePort(ofport) for ofport in (1, 2, 3)]
         for port in ports:
             scheduler.add_port(port)
@@ -120,7 +121,7 @@ class TestPolicies:
         assert assignment[3] in (0, 1)
 
     def test_group_isolation_fallback_when_all_isolated(self):
-        scheduler = self._scheduler("group", n_cores=2)
+        scheduler = self._scheduler("cycles", n_cores=2)
         port = FakePort(1)
         scheduler.isolate(0)
         scheduler.isolate(1)
@@ -264,9 +265,8 @@ class TestVSwitchdAttribution:
         port_total = switch._port_stages[a.ofport].total_seconds
         core_before = switch._core_stages[src_core].total_seconds
         switch.scheduler.tracker.roll()
+        # Force the hot port onto the other core via a pin.
         switch.set_rxq_assign("cycles")
-        # Force the hot port onto the other core via a pin + group.
-        switch.set_rxq_assign("group")
         switch.pin_port("a", 1 - src_core)
         plan = switch.scheduler.rebalance()
         assert any(move.ofport == a.ofport for move in plan.moves)
@@ -330,44 +330,63 @@ class TestAppctlSched:
         switch.scheduler.tracker.roll()
         return switch, a, b
 
+    @staticmethod
+    def _sched_show(switch):
+        obs = Observability()
+        obs.register_vswitchd(switch)
+        return view_values(AppCtl(switch, obs=obs).run("sched/show"))
+
     def test_pmd_rxq_show_lists_every_core_and_port(self):
         switch, a, b = self._switch()
-        out = pmd_rxq_show(switch)
-        assert "pmd thread core 0" in out
-        assert "pmd thread core 1" in out
-        assert "port: a" in out and "port: b" in out
-        assert "usage:" in out
+        out = self._sched_show(switch)
+        assert out['repro_sched_core_ports{core="0",switch="ovs"}'] \
+            + out['repro_sched_core_ports{core="1",switch="ovs"}'] == 2
+        for port in (a, b):
+            core = out['repro_sched_port_core{ofport="%d",port="%s",'
+                       'switch="ovs"}' % (port.ofport, port.name)]
+            assert core == switch.scheduler.core_of(port.ofport)
+        # Usage share: the port's EWMA cycles over its core's total.
+        assert out['repro_sched_port_load_cycles{core="%d",ofport="%d",'
+                   'switch="ovs"}' % (switch.scheduler.core_of(a.ofport),
+                                      a.ofport)] > 0
 
     def test_pmd_rxq_show_marks_pins_and_isolation(self):
         switch, a, b = self._switch()
         switch.pin_port("a", 0)
         switch.isolate_core(1)
-        out = pmd_rxq_show(switch)
-        assert "(pinned)" in out
-        assert "isolated: true" in out
+        out = self._sched_show(switch)
+        assert out['repro_sched_port_pinned_core{ofport="%d",port="a",'
+                   'switch="ovs"}' % a.ofport] == 0
+        assert out['repro_sched_core_isolated{core="1",switch="ovs"}'] == 1
+        assert out['repro_sched_core_isolated{core="0",switch="ovs"}'] == 0
 
     def test_sched_show_reports_policy_and_skips(self):
         switch, a, b = self._switch()
-        out = sched_show(switch)
-        assert "policy=roundrobin" in out
-        assert "auto-lb: disabled" in out
+        out = self._sched_show(switch)
+        assert out['repro_sched_policy{policy="roundrobin",switch="ovs"}'] \
+            == 1
+        assert not any("autolb" in series for series in out)
         switch.set_rxq_assign("cycles")
         switch.rebalance()
-        out = sched_show(switch)
-        assert "policy=cycles" in out
-        assert "last plan" in out
+        out = self._sched_show(switch)
+        assert out['repro_sched_policy{policy="cycles",switch="ovs"}'] == 1
+        assert 'repro_sched_last_improvement{switch="ovs"}' in out
 
     def test_sched_show_with_auto_lb(self):
         switch = VSwitchd(n_pmd_cores=2, auto_lb_policy=AutoLbPolicy())
-        out = sched_show(switch)
-        assert "auto-lb: enabled" in out
-        assert "load_threshold" in out
+        out = self._sched_show(switch)
+        assert out['repro_sched_autolb_checks_total{switch="ovs"}'] == 0
+        assert out['repro_sched_autolb_policy{knob="load_threshold",'
+                   'switch="ovs"}'] == AutoLbPolicy().load_threshold
 
     def test_appctl_dispatch(self):
         switch, a, b = self._switch()
-        ctl = AppCtl(switch)
-        assert "pmd thread core" in ctl.run("dpif-netdev/pmd-rxq-show")
-        assert "rxq scheduler" in ctl.run("sched/show")
+        obs = Observability()
+        obs.register_vswitchd(switch)
+        ctl = AppCtl(switch, obs=obs)
+        assert "repro_sched_port_core" in ctl.run("sched/show")
+        assert ctl.run("dpif-netdev/pmd-rxq-show").startswith(
+            "unknown command")
         assert "RebalancePlan" in ctl.run("sched/rebalance")
 
 

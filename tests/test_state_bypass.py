@@ -135,11 +135,13 @@ class TestChannelExecution:
     def test_state_show_reports_stateful_channels(self):
         env, node, _program = build()
         env.run(until=0.3)
-        text = AppCtl(node.switch, manager=node.manager).run(
+        text = AppCtl(node.switch, node.manager, node.obs).run(
             "state/show")
-        assert "2 stateful channel(s)" in text
-        assert "provisioned=2" in text
-        assert "program=fw" in text
+        channels = [line for line in text.splitlines()
+                    if line.startswith("repro_state_bypass_channel{")]
+        assert len(channels) == 2
+        assert all('program="fw"' in line for line in channels)
+        assert "repro_state_channels_provisioned_total 2\n" in text
 
 
 class TestStateConservation:

@@ -26,10 +26,10 @@ from repro.packet.builder import make_tcp_packet
 from repro.packet.headers import Tcp
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.state.programs import firewall_program
-from repro.vswitch.appctl import AppCtl, state_show
+from repro.vswitch.appctl import AppCtl
 from repro.vswitch.vswitchd import VSwitchd
 
-from tests.helpers import mk_mbuf
+from tests.helpers import mk_mbuf, view_values
 from tests.support.reference_datapath import install_scalar_lane
 
 
@@ -228,16 +228,23 @@ class TestObservabilitySurfaces:
         h = Harness()
         h.send(h.inside, [tcp_mbuf(Tcp.SYN)])
         h.send(h.outside, [reply_mbuf(Tcp.SYN, src_port=1, dst_port=2)])
-        text = AppCtl(h.switch).run("state/show")
-        assert "state tier: 1 program(s)" in text
-        assert h.program.name in text
-        assert "state-safe" in text
-        assert "table 1/" in text
-        assert "dropped=1" in text
-        assert "SYN_SENT=1" in text
+        obs = Observability()
+        obs.register_vswitchd(h.switch)
+        out = view_values(AppCtl(h.switch, obs=obs).run("state/show"))
+        program = 'program="%s",switch="br-state"' % h.program.name
+        assert out["repro_state_program_state_safe{%s}" % program] == 1
+        assert out["repro_state_table_occupancy{%s}" % program] == 1
+        assert out["repro_state_program_dropped_total{%s}" % program] == 1
+        assert out['repro_state_table_entries{program="%s",state="SYN_SENT",'
+                   'switch="br-state"}' % h.program.name] == 1
 
     def test_state_show_without_programs(self):
-        assert "no XFSM programs" in state_show(VSwitchd(name="br0"))
+        switch = VSwitchd(name="br0")
+        obs = Observability()
+        obs.register_vswitchd(switch)
+        out = AppCtl(switch, obs=obs).run("state/show")
+        assert "repro_state_xfsm_evaluated_total" in out
+        assert "repro_state_table" not in out
 
     def test_prometheus_exports_state_metrics(self):
         h = Harness()

@@ -8,6 +8,7 @@ invalidation), and the appctl surface.
 
 import pytest
 
+from repro.obs.plane import Observability
 from repro.openflow.actions import OutputAction
 from repro.openflow.match import Match
 from repro.openflow.table import FlowEntry, FlowTable
@@ -18,7 +19,7 @@ from repro.vswitch.classifier import TupleSpaceClassifier
 from repro.vswitch.megaflow import FlowWildcards, MegaflowCache
 from repro.vswitch.vswitchd import VSwitchd
 
-from tests.helpers import drain, mk_mbuf
+from tests.helpers import drain, mk_mbuf, view_values
 from tests.support.reference_datapath import install_generation_wipe
 
 
@@ -314,6 +315,12 @@ class TestDatapathIntegration:
         assert len(switch.datapath.megaflow) == 0
 
 
+def fastpath_show(switch):
+    obs = Observability()
+    obs.register_vswitchd(switch)
+    return view_values(AppCtl(switch, obs=obs).run("dpif/fastpath-show"))
+
+
 class TestAppctlSurface:
     def test_fastpath_show_waterfall_and_megaflow_rows(self):
         switch = VSwitchd()
@@ -325,15 +332,26 @@ class TestAppctlSurface:
         for sequence in range(3):
             a.rings.to_switch.enqueue(new_flow_mbuf(sequence))
             switch.step_dataplane()
-        out = AppCtl(switch).run("dpif/fastpath-show")
-        assert "lookup tiers: emc=on smc=off megaflow=on" in out
-        assert ("miss chain: emc=0 -> smc=0 -> megaflow=2 -> dpcls=1 "
-                "-> upcall=0") in out
-        assert "megaflow: 1 entries (1 masks), hits=2" in out
-        assert "rank decay(s)" in out
+        out = fastpath_show(switch)
+        for tier, enabled in (("emc", 1), ("smc", 0), ("megaflow", 1)):
+            assert out['repro_datapath_tier_enabled{switch="ovs",tier="%s"}'
+                       % tier] == enabled
+        hits = {tier: out['repro_datapath_%s_hits{switch="ovs"}' % tier]
+                for tier in ("emc", "smc", "megaflow", "classifier")}
+        # The miss-chain waterfall: dpcls serves what no cache did.
+        dpcls = hits["classifier"] - hits["smc"] - hits["megaflow"]
+        assert (hits["emc"], hits["smc"], hits["megaflow"], dpcls) \
+            == (0, 0, 2, 1)
+        assert sum(value for series, value in out.items() if series
+                   .startswith("repro_datapath_miss_upcalls_total")) == 0
+        assert out['repro_megaflow_entries{switch="ovs"}'] == 1
+        assert out['repro_megaflow_masks{switch="ovs"}'] == 1
+        assert out['repro_megaflow_hits{switch="ovs"}'] == 2
+        assert 'repro_classifier_rank_decays_total{switch="ovs"}' in out
 
     def test_fastpath_show_reports_megaflow_off(self):
         switch = VSwitchd()
         switch.datapath.megaflow_enabled = False
-        out = AppCtl(switch).run("dpif/fastpath-show")
-        assert "megaflow=off" in out
+        out = fastpath_show(switch)
+        assert out['repro_datapath_tier_enabled{switch="ovs",'
+                   'tier="megaflow"}'] == 0
