@@ -38,7 +38,7 @@ perfbench/run.py --quick --reps 1 --workload {workload} --trace 0
 perfbench/run.py --quick --reps 1 --workload {workload} --trace 1
 scripts/render_experiments.py --check
 scripts/validate_obs_artifacts.py {tmp} --bench {tmp}/f.json
-scripts/bench_gate.py --trends BENCH_TRENDS.jsonl --current BENCH_TRENDS.jsonl
+scripts/bench_gate.py --trends BENCH_TRENDS.jsonl
 """
 AXES = {
     "family": "fastpath sched overload chaos state paper".split(),

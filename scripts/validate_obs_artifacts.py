@@ -11,7 +11,8 @@ at the artifact directory, and fails the job unless:
   monotone timestamps;
 * ``traces.jsonl`` holds well-formed traces, at least one of which
   proves the bypass path (``bypass-ring`` hop, no classifier hop);
-* ``report.txt`` contains all four report sections.
+* ``report.txt`` contains both report sections (``trace/dump``,
+  ``metrics/dump``).
 
 It also validates benchmark artifacts against the unified schema
 (:mod:`repro.bench.schema`): ``--bench`` schema-checks benchmark JSON
@@ -56,8 +57,7 @@ BENCH_METRIC_PREFIX = "repro_bench_"
 SWITCH_PATH_HOPS = {"switch-rx", "emc", "classifier", "upcall",
                     "switch-tx"}
 
-REPORT_SECTIONS = ("pmd/stats-show", "coverage/show", "trace/dump",
-                   "metrics/dump")
+REPORT_SECTIONS = ("trace/dump", "metrics/dump")
 
 
 def fail(message):

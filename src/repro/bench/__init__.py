@@ -29,10 +29,8 @@ from repro.bench.schema import (
     validate_trend_line,
 )
 from repro.bench.scenarios import SCENARIOS, get_scenario, run_scenario
-from repro.bench.state import BenchState
 
 __all__ = [
-    "BenchState",
     "ChainLoadRunner",
     "OfferedPoint",
     "Rfc2544Harness",

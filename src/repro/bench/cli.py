@@ -30,7 +30,6 @@ from repro.bench.schema import (
     validate_document,
     validate_trend_file,
 )
-from repro.bench.state import BenchState
 from repro.obs.export import prometheus_text
 from repro.obs.registry import MetricsRegistry
 
@@ -46,6 +45,27 @@ def _print_checks(doc) -> None:
         status = "PASS" if check["passed"] else "FAIL"
         print("  %-40s %s  (%s)" % (check["name"], status,
                                     check["detail"]))
+
+
+def last_report(docs) -> str:
+    """The closing summary of a scenario run: each scenario's verdict,
+    sizing and sha, its headline metrics and its failed checks, in run
+    order (``docs`` maps scenario name to document)."""
+    lines = []
+    for scenario, doc in docs.items():
+        meta = doc.get("meta", {})
+        lines.append("%-24s %s  (%s, sha %.12s)" % (
+            scenario, "PASS" if checks_passed(doc) else "FAIL",
+            "quick" if meta.get("quick") else "full",
+            meta.get("git_sha", "unknown"),
+        ))
+        for key, value in sorted(doc.get("trend", {}).items()):
+            lines.append("  %-30s %g" % (key, value))
+        for check in doc.get("checks", []):
+            if not check.get("passed"):
+                lines.append("  FAILED %s: %s" % (
+                    check.get("name"), check.get("detail")))
+    return "\n".join(lines)
 
 
 def _reject_ignored(parser, args, honored, selection: str) -> None:
@@ -185,7 +205,7 @@ def bench_main(argv=None) -> int:
     trends_path = args.trends or os.path.join(args.out_dir,
                                               TRENDS_BASENAME)
     registry = MetricsRegistry()
-    state = BenchState(trends_path=trends_path)
+    docs = {}
     failures = 0
     for index, name in enumerate(names, 1):
         scenario = SCENARIOS[name]
@@ -204,7 +224,7 @@ def bench_main(argv=None) -> int:
         out_path = os.path.join(args.out_dir,
                                 "BENCH_scenario_%s.json" % name)
         _write_doc(out_path, doc)
-        state.record(name, doc)
+        docs[name] = doc
         passed = checks_passed(doc)
         if not passed:
             failures += 1
@@ -227,5 +247,5 @@ def bench_main(argv=None) -> int:
         with open(args.metrics_out, "w") as handle:
             handle.write(prometheus_text(registry))
         print("wrote %s" % args.metrics_out)
-    print(state.last_report())
+    print(last_report(docs))
     return 1 if failures else 0

@@ -54,7 +54,7 @@ from repro.dpdk.dpdkr import dpdkr_zone_name
 from repro.faults import FaultPlan
 from repro.hypervisor.compute_agent import AgentRequest, ComputeAgent
 from repro.mem.memzone import MemzoneError, MemzoneRegistry
-from repro.mem.ring import Ring, RingMode
+from repro.mem.ring import Ring
 from repro.metrics.resilience import ResilienceCounters
 from repro.sim.engine import Environment
 from repro.state.xfsm import ChannelProgram
@@ -408,7 +408,7 @@ class BypassManager:
         except MemzoneError as error:
             return str(error)
         ring = zone.put("ring", Ring(
-            "%s.ring" % zone_name, self.ring_size, RingMode.SP_SC,
+            "%s.ring" % zone_name, self.ring_size,
             watermark=(self.ring_size * 3) // 4,
         ))
         # The generation tag pins this provisioning; the watchdog

@@ -15,7 +15,7 @@ from typing import List
 
 from repro.dpdk.ethdev import EthDev
 from repro.mem.memzone import Memzone, MemzoneRegistry
-from repro.mem.ring import Ring, RingMode
+from repro.mem.ring import Ring
 from repro.packet.mbuf import Mbuf
 
 
@@ -59,10 +59,10 @@ class DpdkrSharedRings:
         # dpdkr rings are single-producer single-consumer: one side is the
         # guest PMD thread, the other a specific OVS PMD thread.
         self.to_switch: Ring = self.zone.put(
-            "tx", Ring("%s.to_switch" % port_name, ring_size, RingMode.SP_SC)
+            "tx", Ring("%s.to_switch" % port_name, ring_size)
         )
         self.to_guest: Ring = self.zone.put(
-            "rx", Ring("%s.to_guest" % port_name, ring_size, RingMode.SP_SC)
+            "rx", Ring("%s.to_guest" % port_name, ring_size)
         )
         # Ownership-ledger tokens: buffers parked in a dpdkr ring are
         # charged to the ring, so a crashed endpoint's backlog can be

@@ -4,9 +4,9 @@ These model the DPDK objects the prototype is built from:
 
 * :class:`~repro.mem.memzone.MemzoneRegistry` — named shared-memory
   segments (DPDK memzones on hugepages; exposed to VMs as ivshmem BARs).
-* :class:`~repro.mem.ring.Ring` — fixed-capacity FIFO with
-  single/multi producer-consumer modes and bulk/burst enqueue/dequeue,
-  mirroring ``rte_ring`` semantics.
+* :class:`~repro.mem.ring.Ring` — fixed-capacity single-producer,
+  single-consumer FIFO with bulk/burst enqueue/dequeue, mirroring
+  ``rte_ring`` semantics.
 * :class:`~repro.mem.mempool.Mempool` — mbuf allocator with per-consumer
   caching, mirroring ``rte_mempool``.
 """
@@ -18,7 +18,7 @@ from repro.mem.mempool import (
     MempoolEmptyError,
     ReclaimReport,
 )
-from repro.mem.ring import Ring, RingFullError, RingEmptyError, RingMode
+from repro.mem.ring import Ring, RingFullError, RingEmptyError
 
 __all__ = [
     "Mempool",
@@ -31,5 +31,4 @@ __all__ = [
     "Ring",
     "RingEmptyError",
     "RingFullError",
-    "RingMode",
 ]

@@ -6,10 +6,8 @@ semantics that the architecture depends on:
 
 * fixed power-of-two capacity, usable slots = capacity - 1 (like DPDK);
 * bulk enqueue/dequeue (all-or-nothing) and burst (as-many-as-fit);
-* single- vs multi-producer/consumer modes — in this cooperative
-  simulation they only toggle bookkeeping/assertion behaviour, but the
-  mode is recorded because misconfiguring it is a real deployment bug the
-  tests exercise;
+* single producer, single consumer, as every dpdkr, NIC and bypass
+  ring is;
 * watermark signalling (enqueue reports when occupancy exceeds it).
 
 The implementation is a preallocated slot array with head/tail indices —
@@ -17,7 +15,6 @@ deliberately not ``collections.deque`` — so occupancy arithmetic matches
 the C layout and stays O(1).
 """
 
-import enum
 from typing import Any, List, Optional, Sequence
 
 from repro.faults import RING_CORRUPT, FaultMode
@@ -41,15 +38,6 @@ class RingIntegrityError(RingError):
     """:meth:`Ring.validate` found the ring in an impossible state."""
 
 
-class RingMode(enum.Enum):
-    """Producer/consumer concurrency contract."""
-
-    SP_SC = "sp_sc"  # single producer, single consumer (dpdkr default)
-    MP_MC = "mp_mc"
-    SP_MC = "sp_mc"
-    MP_SC = "mp_sc"
-
-
 def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
@@ -71,7 +59,6 @@ class Ring(Waitable):
         self,
         name: str,
         capacity: int = 1024,
-        mode: RingMode = RingMode.SP_SC,
         watermark: Optional[int] = None,
     ) -> None:
         if not _is_power_of_two(capacity):
@@ -82,7 +69,6 @@ class Ring(Waitable):
             raise ValueError("watermark must be in (0, capacity)")
         self.name = name
         self.capacity = capacity
-        self.mode = mode
         self.watermark = watermark
         self._mask = capacity - 1
         self._slots: List[Any] = [None] * capacity
@@ -363,6 +349,4 @@ class Ring(Waitable):
             )
 
     def __repr__(self) -> str:
-        return "<Ring %r %d/%d %s>" % (
-            self.name, len(self), self.capacity - 1, self.mode.value
-        )
+        return "<Ring %r %d/%d>" % (self.name, len(self), self.capacity - 1)

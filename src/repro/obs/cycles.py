@@ -48,7 +48,7 @@ class StageAccounting:
 
     The hot path calls :meth:`add` with the simulated cost it just
     charged; everything else (cycles, percentages, per-packet averages)
-    is derived at render time.  Unknown stage names are accepted — the
+    is derived at scrape time.  Unknown stage names are accepted — the
     canonical set in :data:`STAGES` just controls display order.
     """
 
@@ -179,13 +179,14 @@ class StageTee:
 
 
 class PmdCycleReport:
-    """The ``pmd/stats-show`` view over a set of poll loops.
+    """A set of poll loops and the stage tables that decompose them.
 
     Each registered entry pairs a :class:`~repro.sim.pollloop.PollLoop`
     (busy/idle authority) with an optional :class:`StageAccounting`
-    (where the busy time went).  Totals always reconcile: busy cycles
-    are converted from the loop's own ``busy_time``, never re-derived
-    from the stage table.
+    (where the busy time went); :meth:`reconciles` checks the one
+    against the other.  The operator reads both through ``appctl
+    pmd/stats-show``, the ``metrics/dump`` slice over
+    ``repro_pollloop_`` and ``repro_pmd_stage_``.
     """
 
     def __init__(self) -> None:
@@ -200,38 +201,6 @@ class PmdCycleReport:
 
     def loop_rows(self) -> Iterable[Tuple[object, Optional[StageAccounting]]]:
         return list(self._entries)
-
-    def render(self) -> str:
-        lines: List[str] = []
-        for loop, stages in self._entries:
-            busy_cycles = seconds_to_cycles(loop.busy_time)
-            idle_cycles = seconds_to_cycles(loop.idle_time)
-            total = busy_cycles + idle_cycles
-            busy_pct = 100.0 * busy_cycles / total if total else 0.0
-            lines.append("pmd thread %s:" % loop.name)
-            lines.append("  iterations: %d (%d idle, %d replayed)"
-                         % (loop.iterations, loop.idle_iterations,
-                            loop.replayed_polls))
-            lines.append("  busy cycles: %d (%.1f%%)"
-                         % (busy_cycles, busy_pct))
-            lines.append("  idle cycles: %d (%.1f%%)"
-                         % (idle_cycles, 100.0 - busy_pct if total else 0.0))
-            if stages is None:
-                continue
-            packets = stages.packets.get("rx_normal", 0) + \
-                stages.packets.get("rx_bypass", 0)
-            if packets:
-                lines.append("  avg cycles per packet: %.1f (%d pkts)"
-                             % (busy_cycles / packets, packets))
-            for stage, cycles, stage_packets in stages.rows():
-                suffix = (" (%d pkts, %.1f c/p)"
-                          % (stage_packets, cycles / stage_packets)
-                          if stage_packets else "")
-                lines.append("    %-18s %12d cycles%s"
-                             % (stage.replace("_", " "), cycles, suffix))
-        if not lines:
-            return "no pmd threads tracked"
-        return "\n".join(lines)
 
     def reconciles(self, tolerance: float = 1e-9) -> bool:
         """True when every stage table sums to its loop's busy time

@@ -47,7 +47,17 @@ OPERATOR_VIEWS = {
     "state/show": ("repro_state_", "repro_watchdog_state_swept"),
     "chain/health": ("repro_chain_",),
     "mempool/show": ("repro_mempool_",),
+    "pmd/stats-show": ("repro_pollloop_", "repro_pmd_stage_"),
+    "coverage/show": ("coverage_total",),
 }
+
+#: Counter families named before the ``_total`` rule: their counters
+#: keep the bare ``<family>_<attribute>`` names that perfbench and the
+#: bench artifacts read.
+_BARE_COUNTER_FAMILIES = frozenset((
+    "repro_trace", "repro_datapath", "repro_emc", "repro_smc",
+    "repro_megaflow", "repro_flowplan", "repro_rekey", "repro_ring",
+    "repro_pmd_channel"))
 
 
 class Observability:
@@ -75,11 +85,10 @@ class Observability:
         # same key and the existing collector reads the replacement —
         # no duplicate sample families, no stale-PMD exports.
         self._guest_pmds: dict = {}
-        self.registry.register_object(
+        self.registry.register_collector(lambda: _attribute_samples(
             "repro_trace", self.tracer,
-            ("packets_seen", "traces_started", "traces_finished"),
-            help="path tracer sampling progress",
-        )
+            ("packets_seen", "traces_started", "traces_finished"), {},
+            "path tracer sampling progress"))
 
     # -- subsystem registration ----------------------------------------------
 
@@ -88,20 +97,19 @@ class Observability:
         self._switches.append(switch)
         name = switch.name
         datapath = switch.datapath
-        self.registry.register_object(
-            "repro_datapath", datapath,
-            ("packets_processed", "emc_hits", "smc_hits",
-             "megaflow_hits",
-             "classifier_hits", "pipeline_drops", "action_drops",
-             "unknown_port_drops", "packets_mirrored", "flow_batches",
-             "packets_batched"),
-            labels={"switch": name},
-            help="vSwitch fast-path lookup and forwarding counters",
-        )
+        labels = {"switch": name}
+        # Precise-invalidation coverage events flow through the shared
+        # coverage counters (control path only: flowmod frequency).
+        datapath.coverage = self.registry.coverage
 
-        def collect_upcalls() -> Iterable[Sample]:
-            # miss_upcalls lived in the register_object tuple above
-            # until the reason split; exported per-reason now.
+        def collect() -> Iterable[Sample]:
+            yield from _attribute_samples(
+                "repro_datapath", datapath,
+                ("packets_processed", "emc_hits", "smc_hits",
+                 "megaflow_hits", "classifier_hits", "pipeline_drops",
+                 "action_drops", "unknown_port_drops", "packets_mirrored",
+                 "flow_batches", "packets_batched"),
+                labels, "vSwitch fast-path lookup and forwarding counters")
             for reason, value in (("no_match", datapath.upcalls_no_match),
                                   ("action", datapath.upcalls_action)):
                 yield Sample(
@@ -110,47 +118,28 @@ class Observability:
                     float(value), "counter",
                     "upcalls raised by the fast path, by reason",
                 )
-
-        self.registry.register_collector(collect_upcalls)
-        self.registry.register_object(
-            "repro_emc", datapath.emc,
-            ("hits", "misses", "stale_hits", "insertions",
-             "insertions_skipped", "evictions", "stale_evictions",
-             "precise_evictions"),
-            labels={"switch": name},
-            help="exact-match cache statistics",
-        )
-        self.registry.register_object(
-            "repro_smc", datapath.smc,
-            ("hits", "misses", "insertions", "replacements"),
-            labels={"switch": name},
-            help="signature-match cache statistics",
-        )
-        self.registry.register_object(
-            "repro_megaflow", datapath.megaflow,
-            ("hits", "misses", "insertions", "refreshes", "evictions",
-             "stale_evictions", "invalidations", "stale_lookups"),
-            labels={"switch": name},
-            help="megaflow (wildcard) cache statistics",
-        )
-        self.registry.register_object(
-            "repro_flowplan", datapath.plans,
-            ("entries", "compiles", "flushes"),
-            labels={"switch": name},
-            help="flow plans compiled per resolved traversal",
-        )
-        self.registry.register_object(
-            "repro_rekey", datapath.rekeys,
-            ("entries", "hits", "misses"),
-            labels={"switch": name},
-            help="flow keys re-keyed per (flow, in_port)",
-        )
-        # Precise-invalidation coverage events flow through the shared
-        # coverage counters (control path only: flowmod frequency).
-        datapath.coverage = self.registry.coverage
-
-        def collect_fastpath() -> Iterable[Sample]:
-            labels = {"switch": name}
+            for family, cache, attributes, help in (
+                    ("repro_emc", datapath.emc,
+                     ("hits", "misses", "stale_hits", "insertions",
+                      "insertions_skipped", "evictions", "stale_evictions",
+                      "precise_evictions"),
+                     "exact-match cache statistics"),
+                    ("repro_smc", datapath.smc,
+                     ("hits", "misses", "insertions", "replacements"),
+                     "signature-match cache statistics"),
+                    ("repro_megaflow", datapath.megaflow,
+                     ("hits", "misses", "insertions", "refreshes",
+                      "evictions", "stale_evictions", "invalidations",
+                      "stale_lookups"),
+                     "megaflow (wildcard) cache statistics"),
+                    ("repro_flowplan", datapath.plans,
+                     ("entries", "compiles", "flushes"),
+                     "flow plans compiled per resolved traversal"),
+                    ("repro_rekey", datapath.rekeys,
+                     ("entries", "hits", "misses"),
+                     "flow keys re-keyed per (flow, in_port)")):
+                yield from _attribute_samples(family, cache, attributes,
+                                              labels, help)
             yield Sample("repro_datapath_burst_size", labels,
                          float(datapath.burst_size), "gauge",
                          "packets a PMD takes per RX poll")
@@ -166,10 +155,10 @@ class Observability:
                          float(datapath.megaflow.mask_count), "gauge",
                          "distinct megaflow masks")
             classifier = datapath.classifier
-            for counter in ("lookups", "subtables_probed", "rank_decays"):
-                yield Sample("repro_classifier_%s_total" % counter, labels,
-                             float(getattr(classifier, counter)),
-                             "counter", "dpcls lookup counters")
+            yield from _attribute_samples(
+                "repro_classifier", classifier,
+                ("lookups", "subtables_probed", "rank_decays"), labels,
+                "dpcls lookup counters")
             yield Sample("repro_classifier_subtables", labels,
                          float(classifier.subtable_count), "gauge",
                          "dpcls subtables (one per mask)")
@@ -183,10 +172,6 @@ class Observability:
                     yield Sample("repro_classifier_subtable_%s" % metric,
                                  subtable, float(value), "gauge",
                                  "one dpcls subtable, by probe rank")
-
-        self.registry.register_collector(collect_fastpath)
-
-        def collect_batch_fill() -> Iterable[Sample]:
             for fill, count in sorted(datapath.batch_fill_counts.items()):
                 yield Sample(
                     "repro_datapath_batch_fill_total",
@@ -194,22 +179,18 @@ class Observability:
                     float(count), "counter",
                     "flow batches by packets-per-batch (vectorized path)",
                 )
-
-        self.registry.register_collector(collect_batch_fill)
-
-        def collect_loops() -> Iterable[Sample]:
             for loop, stages in self._switch_loop_pairs(switch):
                 yield from _loop_samples(loop, stages)
             env = getattr(switch, "env", None)
             if env is not None:
                 yield Sample(
-                    "repro_engine_events_total", {"switch": name},
+                    "repro_engine_events_total", labels,
                     float(env.events_processed), "counter",
                     "events delivered by the engine that drives the "
                     "switch (deterministic host-cost proxy)",
                 )
 
-        self.registry.register_collector(collect_loops)
+        self.registry.register_collector(collect)
 
         scheduler = getattr(switch, "scheduler", None)
         if scheduler is not None:
@@ -226,12 +207,10 @@ class Observability:
         datapath = switch.datapath
 
         def collect_state() -> Iterable[Sample]:
-            for counter in ("xfsm_evaluated", "xfsm_drops",
-                            "xfsm_unknown_drops"):
-                yield Sample("repro_state_%s_total" % counter,
-                             {"switch": name},
-                             float(getattr(datapath, counter)), "counter",
-                             "datapath XFSM execution counters")
+            yield from _attribute_samples(
+                "repro_state", datapath,
+                ("xfsm_evaluated", "xfsm_drops", "xfsm_unknown_drops"),
+                {"switch": name}, "datapath XFSM execution counters")
             for program_name in sorted(datapath.xfsm_programs):
                 yield from _program_samples(
                     datapath.xfsm_programs[program_name],
@@ -332,41 +311,27 @@ class Observability:
                              1.0 if failmode.state == "connected" else 0.0,
                              "gauge", "controller connectivity as seen "
                              "by the fail-mode manager")
-                for counter in ("outages", "reconnect_attempts",
-                                "reconnect_failures", "reconnects",
-                                "packet_ins_buffered",
-                                "packet_ins_replayed", "packet_ins_shed",
-                                "fallback_flows_removed",
-                                "frozen_expiry_skips"):
-                    yield Sample(
-                        "repro_overload_failmode_%s_total" % counter,
-                        dict(labels),
-                        float(getattr(failmode, counter)), "counter",
-                        "fail-mode manager lifecycle counters",
-                    )
+                yield from _attribute_samples(
+                    "repro_overload_failmode", failmode,
+                    ("outages", "reconnect_attempts", "reconnect_failures",
+                     "reconnects", "packet_ins_buffered",
+                     "packet_ins_replayed", "packet_ins_shed",
+                     "fallback_flows_removed", "frozen_expiry_skips"),
+                    labels, "fail-mode manager lifecycle counters")
                 yield Sample("repro_overload_failmode_pending_packet_ins",
                              dict(labels),
                              float(failmode.pending_packet_ins), "gauge",
                              "packet-ins buffered for replay (secure)")
-                fallback = failmode.fallback
-                for counter in ("packets_forwarded", "floods",
-                                "flows_installed"):
-                    yield Sample(
-                        "repro_overload_fallback_%s_total" % counter,
-                        dict(labels),
-                        float(getattr(fallback, counter)), "counter",
-                        "standalone learning-fallback activity",
-                    )
+                yield from _attribute_samples(
+                    "repro_overload_fallback", failmode.fallback,
+                    ("packets_forwarded", "floods", "flows_installed"),
+                    labels, "standalone learning-fallback activity")
             if monitor is not None:
-                for counter in ("checks_run", "overloaded_checks",
-                                "shed_increases", "shed_decreases",
-                                "deferred_to_rebalance"):
-                    yield Sample(
-                        "repro_overload_monitor_%s_total" % counter,
-                        dict(labels),
-                        float(getattr(monitor, counter)), "counter",
-                        "overload monitor decisions",
-                    )
+                yield from _attribute_samples(
+                    "repro_overload_monitor", monitor,
+                    ("checks_run", "overloaded_checks", "shed_increases",
+                     "shed_decreases", "deferred_to_rebalance"),
+                    labels, "overload monitor decisions")
             connection = getattr(switch.bridge, "connection", None)
             if connection is not None:
                 yield Sample("repro_controller_pending_for_switch",
@@ -381,17 +346,12 @@ class Observability:
                 yield Sample("repro_controller_connected", dict(labels),
                              1.0 if connection.connected else 0.0,
                              "gauge", "OpenFlow channel is up")
-                for counter in ("dropped_to_switch",
-                                "dropped_to_controller",
-                                "dropped_disconnected",
-                                "faults_dropped"):
-                    yield Sample(
-                        "repro_controller_%s_total" % counter,
-                        dict(labels),
-                        float(getattr(connection, counter)), "counter",
-                        "OpenFlow channel drops (bounded queues, "
-                        "outages, injected faults)",
-                    )
+                yield from _attribute_samples(
+                    "repro_controller", connection,
+                    ("dropped_to_switch", "dropped_to_controller",
+                     "dropped_disconnected", "faults_dropped"),
+                    labels, "OpenFlow channel drops (bounded queues, "
+                    "outages, injected faults)")
 
         self.registry.register_collector(collect_overload)
 
@@ -469,12 +429,11 @@ class Observability:
                     plan.improvement, "gauge",
                     "variance improvement of the last applied plan",
                 )
-                for when in ("before", "after"):
-                    yield Sample(
-                        "repro_sched_last_variance_%s" % when, dict(labels),
-                        getattr(plan, "variance_" + when), "gauge",
-                        "core-load variance around the last applied plan",
-                    )
+                yield from _attribute_samples(
+                    "repro_sched_last", plan,
+                    ("variance_before", "variance_after"), labels,
+                    "core-load variance around the last applied plan",
+                    "gauge")
                 for move in plan.moves:
                     yield Sample(
                         "repro_sched_last_move",
@@ -530,14 +489,12 @@ class Observability:
 
     def register_ring(self, ring, role: str) -> None:
         """Export a ring's lifetime stats (enqueue/partial/integrity)."""
-        self.registry.register_object(
+        labels = {"ring": ring.name, "role": role}
+        self.registry.register_collector(lambda: _attribute_samples(
             "repro_ring", ring,
-            ("enqueued", "dequeued", "enqueue_failures",
-             "partial_enqueues", "dequeue_failures",
-             "corruptions_injected"),
-            labels={"ring": ring.name, "role": role},
-            help="rte_ring lifetime statistics",
-        )
+            ("enqueued", "dequeued", "enqueue_failures", "partial_enqueues",
+             "dequeue_failures", "corruptions_injected"),
+            labels, "rte_ring lifetime statistics"))
 
     def register_dpdkr_port(self, rings) -> None:
         """Both rings of one dpdkr port (the normal channel)."""
@@ -557,20 +514,12 @@ class Observability:
         if not first:
             return
         labels = {"vm": vm_name, "port": port_name}
-        attributes = (
-            "tx_via_bypass", "tx_via_normal", "rx_via_bypass",
-            "rx_via_normal", "tx_stall_rejects", "rx_integrity_drops",
-            "bypass_congestion_events",
-        )
-
-        def collect() -> Iterable[Sample]:
-            current = self._guest_pmds[key]
-            for attr in attributes:
-                yield Sample("repro_pmd_channel_%s" % attr, dict(labels),
-                             float(getattr(current, attr)), "counter",
-                             "guest PMD per-channel packet counters")
-
-        self.registry.register_collector(collect)
+        self.registry.register_collector(lambda: _attribute_samples(
+            "repro_pmd_channel", self._guest_pmds[key],
+            ("tx_via_bypass", "tx_via_normal", "rx_via_bypass",
+             "rx_via_normal", "tx_stall_rejects", "rx_integrity_drops",
+             "bypass_congestion_events"),
+            labels, "guest PMD per-channel packet counters"))
 
     def register_guest_program(self, program, vm_name: str) -> None:
         """Track an XFSM program a guest VNF runs over its own state
@@ -593,14 +542,12 @@ class Observability:
             yield Sample("repro_mempool_in_use", dict(labels),
                          float(pool.in_use), "gauge",
                          "mbufs currently allocated")
-            for counter in ("alloc_count", "free_count_total",
-                            "alloc_failures", "double_free_detected",
-                            "reclaim_sweeps", "reclaimed_total",
-                            "leaked_found_total", "leaked_permanent"):
-                yield Sample("repro_mempool_%s_total" % counter,
-                             dict(labels),
-                             float(getattr(pool, counter)), "counter",
-                             "mempool lifecycle counters")
+            yield from _attribute_samples(
+                "repro_mempool", pool,
+                ("alloc_count", "free_count_total", "alloc_failures",
+                 "double_free_detected", "reclaim_sweeps", "reclaimed_total",
+                 "leaked_found_total", "leaked_permanent"),
+                labels, "mempool lifecycle counters")
             for holder, count in sorted(pool.holders().items()):
                 holder_labels = dict(labels)
                 holder_labels["holder"] = holder
@@ -645,12 +592,11 @@ class Observability:
                              {"src_ofport": str(key),
                               "verdict": track.verdict.value},
                              1.0, "gauge", "watchdog verdict per link")
-                for attr in ("checks", "stall_streak", "frozen_streak",
-                             "signed_on"):
-                    yield Sample("repro_watchdog_link_%s" % attr,
-                                 {"src_ofport": str(key)},
-                                 float(getattr(track, attr)), "gauge",
-                                 "watchdog memory of one tracked link")
+                yield from _attribute_samples(
+                    "repro_watchdog_link", track,
+                    ("checks", "stall_streak", "frozen_streak", "signed_on"),
+                    {"src_ofport": str(key)},
+                    "watchdog memory of one tracked link", "gauge")
             yield Sample("repro_watchdog_state_swept_total", {},
                          float(watchdog.state_entries_swept),
                          "counter",
@@ -690,11 +636,11 @@ class Observability:
                          "counter", "packets lost to failures")
             for stats in manager.stats_blocks:
                 labels = {"channel": stats.name}
-                for attr in ("tx_packets", "tx_bytes", "rx_dequeued",
-                             "rx_integrity_errors"):
-                    yield Sample("repro_bypass_%s_total" % attr, labels,
-                                 float(getattr(stats, attr)), "counter",
-                                 "bypass channel shared-memory counters")
+                yield from _attribute_samples(
+                    "repro_bypass", stats,
+                    ("tx_packets", "tx_bytes", "rx_dequeued",
+                     "rx_integrity_errors"),
+                    labels, "bypass channel shared-memory counters")
                 yield Sample("repro_bypass_rx_epoch", labels,
                              float(stats.rx_epoch), "gauge",
                              "consumer heartbeat epoch")
@@ -753,13 +699,12 @@ class Observability:
                 yield Sample("repro_chain_nf_crashes_total", {"nf": nf},
                              float(record.crashes_seen), "counter",
                              "crashes seen of one NF")
-            for counter in ("crashes_detected", "repairs_started",
-                            "repairs_succeeded", "repairs_failed",
-                            "demotions", "flows_replayed",
-                            "packets_flushed"):
-                yield Sample("repro_chain_%s_total" % counter, {},
-                             float(getattr(repairer, counter)), "counter",
-                             "chain repairer lifecycle counters")
+            yield from _attribute_samples(
+                "repro_chain", repairer,
+                ("crashes_detected", "repairs_started", "repairs_succeeded",
+                 "repairs_failed", "demotions", "flows_replayed",
+                 "packets_flushed"),
+                {}, "chain repairer lifecycle counters")
 
         self.registry.register_collector(collect)
 
@@ -772,7 +717,8 @@ class Observability:
             yield loop, (stages[index] if index < len(stages) else None)
 
     def pmd_cycle_report(self) -> PmdCycleReport:
-        """Fresh ``pmd/stats-show`` view over every tracked loop."""
+        """Every tracked loop with its stage table, switch PMD cores
+        first: what :meth:`PmdCycleReport.reconciles` checks."""
         report = PmdCycleReport()
         for switch in self._switches:
             for loop, stages in self._switch_loop_pairs(switch):
@@ -814,8 +760,6 @@ class Observability:
     def report(self, trace_limit: int = 10) -> str:
         """The full end-of-run observability report (CLI ``--obs-report``)."""
         sections = [
-            ("pmd/stats-show", self.pmd_cycle_report().render()),
-            ("coverage/show", self.registry.coverage_report()),
             ("trace/dump", self.tracer.render(limit=trace_limit)),
             ("metrics/dump", self.dump()),
         ]
@@ -874,6 +818,25 @@ def _loop_samples(loop, stages: Optional[StageAccounting]
                              "packets attributed to one datapath stage")
 
 
+def _attribute_samples(family: str, obj, attributes: Iterable[str], labels,
+                       help: str, kind: str = "counter"
+                       ) -> Iterable[Sample]:
+    """``obj.<attribute>`` as the sample ``<family>_<attribute>`` for each
+    of ``attributes``, read now.
+
+    The one place a sample name gets its ``_total``: a counter's name
+    ends in it exactly once (an attribute may already end in it), unless
+    its family is one of :data:`_BARE_COUNTER_FAMILIES`.
+    """
+    total = kind == "counter" and family not in _BARE_COUNTER_FAMILIES
+    for attribute in attributes:
+        name = "%s_%s" % (family, attribute)
+        if total and not name.endswith("_total"):
+            name += "_total"
+        yield Sample(name, dict(labels), float(getattr(obj, attribute)),
+                     kind, help)
+
+
 def _policy_samples(name: str, policy, labels,
                     help: str) -> Iterable[Sample]:
     """Every numeric field of a policy dataclass as ``name{knob=...}``."""
@@ -907,12 +870,11 @@ def _program_samples(program, labels) -> Iterable[Sample]:
         yield Sample("repro_state_table_entries", state_labels,
                      float(states[state]), "gauge",
                      "state-table entries in one XFSM state")
-    for counter in ("lookups", "hits", "misses", "inserts", "updates",
-                    "evictions_idle", "evictions_capacity",
-                    "invalidations", "deletes"):
-        yield Sample("repro_state_table_%s_total" % counter, labels,
-                     float(getattr(table, counter)), "counter",
-                     "per-program state-table counters")
+    yield from _attribute_samples(
+        "repro_state_table", table,
+        ("lookups", "hits", "misses", "inserts", "updates", "evictions_idle",
+         "evictions_capacity", "invalidations", "deletes"),
+        labels, "per-program state-table counters")
     for counter, value in program.counters().items():
         yield Sample("repro_state_program_%s_total" % counter, labels,
                      float(value), "counter",

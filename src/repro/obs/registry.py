@@ -6,8 +6,7 @@ a counter or gauge type) plus OVS's *coverage counters*
 code path ever run, and how often lately".
 
 There is one way in: a **collector** — a callback registered with
-:meth:`MetricsRegistry.register_collector` (or the one-liner
-:meth:`MetricsRegistry.register_object`) that reads the *existing*
+:meth:`MetricsRegistry.register_collector` that reads the *existing*
 attributes of the object it wraps lazily at scrape time.  The hot paths
 keep mutating their plain ints (EMC hits, ring failure counts,
 :class:`~repro.metrics.resilience.ResilienceCounters`, ...) and pay
@@ -15,7 +14,7 @@ nothing for being observable.
 """
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional
 
 
 @dataclass(frozen=True)
@@ -50,22 +49,6 @@ class MetricsRegistry:
         """
         self._collectors.append(collector)
 
-    def register_object(self, prefix: str, obj: Any,
-                        attributes: Sequence[str],
-                        labels: Optional[Dict[str, Any]] = None,
-                        help: str = "") -> None:
-        """Export ``obj.<attr>`` as the counter ``<prefix>_<attr>``
-        lazily: every named attribute becomes a sample read at scrape
-        time."""
-        label_dict = {k: str(v) for k, v in (labels or {}).items()}
-
-        def collect() -> Iterable[Sample]:
-            for attr in attributes:
-                yield Sample("%s_%s" % (prefix, attr), dict(label_dict),
-                             float(getattr(obj, attr)), "counter", help)
-
-        self.register_collector(collect)
-
     # -- coverage counters (OVS coverage/show) ---------------------------------
 
     def coverage(self, name: str, amount: int = 1) -> None:
@@ -74,18 +57,6 @@ class MetricsRegistry:
 
     def coverage_counters(self) -> Dict[str, int]:
         return dict(self._coverage)
-
-    def coverage_report(self) -> str:
-        """``coverage/show``-style listing, hit counters first."""
-        hit = sorted((n, c) for n, c in self._coverage.items() if c)
-        zeros = sorted(n for n, c in self._coverage.items() if not c)
-        lines = ["%-32s %12d" % (name, count) for name, count in hit]
-        if zeros:
-            lines.append("%d events never hit" % len(zeros))
-            lines.extend("  %s" % name for name in zeros)
-        if not lines:
-            lines = ["no coverage events recorded"]
-        return "\n".join(lines)
 
     # -- scraping ----------------------------------------------------------------
 

@@ -36,9 +36,8 @@ from repro.waiters import Waitable
 class ControllerConnection(Waitable):
     """A bidirectional OpenFlow channel (controller <-> switch).
 
-    With ``encode_on_wire`` (default) every message is serialized to
-    OF1.3 bytes and re-parsed on delivery; disable only in micro-
-    benchmarks where codec cost would dominate.
+    Every message is serialized to OF1.3 bytes and re-parsed on
+    delivery, so both ends only ever see what crossed the wire codec.
 
     Both direction queues are bounded (``max_pending``): a dead peer
     cannot leak memory — the newest message is dropped and counted
@@ -55,8 +54,7 @@ class ControllerConnection(Waitable):
     #: Bound of each direction queue, in messages.
     max_pending = 4096
 
-    def __init__(self, encode_on_wire: bool = True, faults=None) -> None:
-        self.encode_on_wire = encode_on_wire
+    def __init__(self, faults=None) -> None:
         self.faults = faults
         self.connected = True
         self.peer_available = True
@@ -72,8 +70,6 @@ class ControllerConnection(Waitable):
         self.reconnects = 0
 
     def _transfer(self, message: OpenFlowMessage) -> "tuple[OpenFlowMessage, int]":
-        if not self.encode_on_wire:
-            return message, 0
         frame = wire.encode(message)
         return wire.decode(frame), len(frame)
 

@@ -11,7 +11,7 @@ paper's Figure 3(b).
 
 from typing import Callable, Optional
 
-from repro.mem.ring import Ring, RingFullError, RingMode
+from repro.mem.ring import Ring, RingFullError
 from repro.sim.engine import Environment
 
 NIC_10G_LINE_RATE_BPS = 10_000_000_000
@@ -43,8 +43,8 @@ class Nic:
         self.env = env
         self.name = name
         self.rate_bps = NIC_10G_LINE_RATE_BPS
-        self.rx_ring = Ring("%s.rx" % name, ring_size, RingMode.SP_SC)
-        self.tx_ring = Ring("%s.tx" % name, ring_size, RingMode.SP_SC)
+        self.rx_ring = Ring("%s.rx" % name, ring_size)
+        self.tx_ring = Ring("%s.tx" % name, ring_size)
         # Called for each frame leaving on the wire; a test harness uses it
         # to loop traffic back or count drained packets.
         self.on_wire_tx = on_wire_tx

@@ -5,10 +5,11 @@ mirroring the commands operators drive the real prototype with, plus the
 one command the paper's modification would add (``bypass/show``).  All
 output is plain text, and ``dump-flows`` counters include bypassed
 traffic through the same stats-merge path the controller uses — the
-operator sees one consistent story.  The subsystem views
-(``dpif/fastpath-show``, ``sched/show``, ...) are slices of
-``metrics/dump``: :data:`~repro.obs.plane.OPERATOR_VIEWS` names the
-metric prefixes each one prints.
+operator sees one consistent story.  Every read view
+(``pmd/stats-show``, ``coverage/show``, ``dpif/fastpath-show``,
+``sched/show``, ...) is a slice of ``metrics/dump``:
+:data:`~repro.obs.plane.OPERATOR_VIEWS` names the metric prefixes each
+one prints.
 """
 
 from functools import partial
@@ -219,25 +220,6 @@ def overload_set(vswitchd: VSwitchd, argument: str) -> str:
     return "unknown knob %r (try: %s)" % (key, ", ".join(known))
 
 
-def pmd_stats_show(vswitchd: VSwitchd, obs=None) -> str:
-    """``appctl pmd/stats-show``: busy/idle cycles + per-stage breakdown.
-
-    With an :class:`~repro.obs.plane.Observability` wired, covers every
-    tracked loop (guest cores included); otherwise just the vSwitch's
-    own PMD cores.
-    """
-    if obs is not None:
-        return obs.pmd_cycle_report().render()
-    return vswitchd.pmd_cycle_report().render()
-
-
-def coverage_show(obs=None) -> str:
-    """``appctl coverage/show``: event coverage counters."""
-    if obs is None:
-        return "observability: not wired"
-    return obs.registry.coverage_report()
-
-
 def metrics_dump(obs=None, prefixes: Tuple[str, ...] = ()) -> str:
     """``appctl metrics/dump``: full registry, Prometheus text format.
 
@@ -261,30 +243,13 @@ def trace_dump(obs=None, argument: str = "") -> str:
     return obs.tracer.render(limit=limit)
 
 
-def bench_last(bench=None) -> str:
-    """``appctl bench/last``: the scenario runs this process produced."""
-    if bench is None:
-        return "benchmarks: no bench state wired"
-    return bench.last_report()
-
-
-def bench_trends(bench=None, argument: str = "") -> str:
-    """``appctl bench/trends [SCENARIO]``: trend-file tail per scenario."""
-    if bench is None:
-        return "benchmarks: no bench state wired"
-    scenario = argument.strip() or None
-    return bench.trends_report(scenario=scenario)
-
-
 class AppCtl:
     """Dispatcher bundling the commands (an ovs-appctl socket stand-in)."""
 
-    def __init__(self, vswitchd: VSwitchd, manager=None, obs=None,
-                 bench=None) -> None:
+    def __init__(self, vswitchd: VSwitchd, manager=None, obs=None) -> None:
         self.vswitchd = vswitchd
         self.manager = manager
         self.obs = obs
-        self.bench = bench
 
     def run(self, command: str, argument: str = "") -> str:
         handlers = {
@@ -298,17 +263,12 @@ class AppCtl:
                 self.vswitchd, argument
             ),
             "show": lambda: show(self.vswitchd),
-            "pmd/stats-show": lambda: pmd_stats_show(self.vswitchd,
-                                                     self.obs),
             "sched/rebalance": lambda: str(self.vswitchd.rebalance()),
             "overload/set": lambda: overload_set(self.vswitchd, argument),
-            "coverage/show": lambda: coverage_show(self.obs),
             "metrics/dump": lambda: metrics_dump(self.obs),
             "trace/dump": lambda: trace_dump(self.obs, argument),
             "bypass/show": lambda: bypass_show(self.vswitchd,
                                                self.manager),
-            "bench/last": lambda: bench_last(self.bench),
-            "bench/trends": lambda: bench_trends(self.bench, argument),
         }
         for view, prefixes in OPERATOR_VIEWS.items():
             handlers[view] = partial(metrics_dump, self.obs, prefixes)

@@ -532,7 +532,8 @@ class VSwitchd:
             stages.reset()
 
     def pmd_cycle_report(self) -> PmdCycleReport:
-        """``pmd/stats-show``-style cycle report over the PMD cores."""
+        """The PMD cores and their stage tables, as a report whose
+        ``reconciles()`` checks the one against the other."""
         report = PmdCycleReport()
         for loop, stages in zip(self._pmd_loops, self._core_stages):
             report.track(loop, stages)

@@ -1,4 +1,4 @@
-"""The RFC2544 harness, latency percentiles, bench state and CLI glue.
+"""The RFC2544 harness, latency percentiles, the run summary and CLI glue.
 
 Harness behaviour is pinned with synthetic runners (a hard capacity
 threshold), so the search logic is tested exactly, independent of the
@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from repro.bench.cli import bench_main
+from repro.bench.cli import bench_main, last_report
 from repro.bench.harness import (
     ChainLoadRunner,
     OfferedPoint,
@@ -17,13 +17,9 @@ from repro.bench.harness import (
     latency_summary_us,
 )
 from repro.bench.scenarios import SCENARIOS, get_scenario, run_scenario
-from repro.bench.schema import append_trend_line, make_trend_line
-from repro.bench.state import BenchState
 from repro.metrics.latency import LatencyRecorder
 from repro.obs.export import validate_prometheus_text
 from repro.obs.registry import MetricsRegistry
-from repro.vswitch.appctl import AppCtl
-from repro.vswitch.vswitchd import VSwitchd
 from tests.helpers import capacity_runner
 
 
@@ -268,10 +264,12 @@ class TestScenarios:
         assert body() == default
 
 
-# -- bench state + appctl -----------------------------------------------------
+# -- the closing summary of a scenario run ------------------------------------
 
 
 class TestBenchState:
+    """The summary ``python -m repro.bench`` prints after a scenario run."""
+
     def doc(self, passed=True):
         return {
             "meta": {"quick": True, "git_sha": "abcdef0123456789"},
@@ -281,36 +279,11 @@ class TestBenchState:
         }
 
     def test_last_report(self):
-        state = BenchState()
-        assert "no benchmark runs" in state.last_report()
-        state.record("s1", self.doc())
-        state.record("s2", self.doc(passed=False))
-        report = state.last_report()
+        report = last_report({"s1": self.doc(),
+                              "s2": self.doc(passed=False)})
         assert "s1" in report and "PASS" in report
         assert "s2" in report and "FAIL" in report
         assert "throughput_mpps" in report
-
-    def test_trends_report(self, tmp_path):
-        path = str(tmp_path / "trends.jsonl")
-        state = BenchState(trends_path=path)
-        assert "no trend file" in state.trends_report()
-        append_trend_line(path, make_trend_line(
-            "s1", "matrix", {"m": 1.0},
-            {"git_sha": "aaa", "quick": True, "created_unix": 1.0},
-            True))
-        report = state.trends_report()
-        assert "s1" in report and "m=1" in report
-        assert "no history" in state.trends_report(scenario="zzz")
-
-    def test_appctl_commands(self, tmp_path):
-        state = BenchState(trends_path=str(tmp_path / "none.jsonl"))
-        state.record("s1", self.doc())
-        appctl = AppCtl(VSwitchd(), bench=state)
-        assert "s1" in appctl.run("bench/last")
-        assert "no trend file" in appctl.run("bench/trends")
-        bare = AppCtl(VSwitchd())
-        assert "no bench state" in bare.run("bench/last")
-        assert "no bench state" in bare.run("bench/trends")
 
 
 # -- CLI glue -----------------------------------------------------------------

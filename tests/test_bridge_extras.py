@@ -53,15 +53,6 @@ class TestConnectionAccounting:
         switch.step_control()
         assert connection.bytes_to_controller > 0
 
-    def test_codec_bypass_mode(self):
-        connection = ControllerConnection(encode_on_wire=False)
-        switch = VSwitchd(connection=connection)
-        controller = SimpleController(connection)
-        controller.install_flow(Match(in_port=1), [OutputAction(2)])
-        switch.step_control()
-        assert connection.bytes_to_switch == 0
-        assert len(switch.bridge.table) == 1
-
     def test_pending_counters(self):
         connection = ControllerConnection()
         controller = SimpleController(connection)

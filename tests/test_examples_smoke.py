@@ -55,8 +55,11 @@ class TestExamples:
         assert "monitor" in out
 
     def test_operator_session(self, capsys):
-        load_example("operator_session").main()
+        node = load_example("operator_session").main()
         out = capsys.readouterr().out
+        # Every burst ran inside a PMD loop: the stage tables decompose
+        # the cores' busy time.
+        assert node.obs.pmd_cycle_report().reconciles()
         assert "bypasses after restore: 2" in out
         assert "invariant checks passed" in out
         assert "POLICED" in out

@@ -6,7 +6,6 @@ from repro.mem.ring import (
     Ring,
     RingEmptyError,
     RingFullError,
-    RingMode,
 )
 
 
@@ -143,9 +142,6 @@ class TestMaintenance:
         ring.enqueue("x")
         ring.dequeue()
         assert all(slot is None for slot in ring._slots)
-
-    def test_mode_recorded(self):
-        assert Ring("r", mode=RingMode.MP_MC).mode is RingMode.MP_MC
 
 
 class TestIntegrity:

@@ -9,6 +9,7 @@ import pytest
 from repro.bench.harness import Rfc2544Harness
 from repro.cli import main as cli_main
 from repro.experiments.chain import ChainExperiment
+from repro.mem import Mempool
 from repro.obs import MetricsRegistry, Observability
 from repro.obs.cycles import seconds_to_cycles
 from repro.obs.plane import OPERATOR_VIEWS
@@ -86,6 +87,20 @@ class TestScrapeShape:
             assert len({sample.name for sample in samples}) > 5
             assert metric_shape_problems(samples) == []
 
+    def test_a_counter_name_ends_in_total_once(self):
+        node = two_vm_node()
+        pool = Mempool("tracked", size=8)
+        node.track_mempool(pool)
+        pool.put(pool.get())
+        samples = node.obs.registry.collect()
+        assert [sample.name for sample in samples
+                if sample.name.endswith("_total_total")] == []
+        assert [sample.name for sample in samples
+                if sample.name.endswith("_total")
+                and sample.kind != "counter"] == []
+        assert node.obs.registry.sample_value(
+            "repro_mempool_free_count_total", {"pool": "tracked"}) == 1
+
 
 class TestResilienceExport:
     def test_every_resilience_field_reachable_via_metrics_dump(self):
@@ -106,7 +121,9 @@ class TestResilienceExport:
         experiment, _result = run_bypass_chain()
         registry = experiment.obs.registry
         assert registry.coverage_counters()["bypass_link_active"] == 4
-        assert "bypass_link_active" in registry.coverage_report()
+        shown = AppCtl(experiment.node.switch, obs=experiment.obs).run(
+            "coverage/show")
+        assert 'coverage_total{event="bypass_link_active"} 4' in shown
 
 
 class TestFastPathExport:
@@ -179,21 +196,21 @@ class TestAppctlObservability:
     def test_commands_require_wiring(self):
         node = NfvNode()
         appctl = AppCtl(node.switch)  # no obs passed
-        for command in ("coverage/show", "metrics/dump",
-                        "trace/dump") + tuple(OPERATOR_VIEWS):
+        assert {"pmd/stats-show", "coverage/show"} <= set(OPERATOR_VIEWS)
+        for command in ("metrics/dump", "trace/dump") + tuple(OPERATOR_VIEWS):
             assert appctl.run(command) == "observability: not wired"
-        # pmd/stats-show degrades to the vswitchd's own loops.
-        assert "pmd" in appctl.run("pmd/stats-show")
 
     def test_full_surface_after_a_run(self):
         experiment, _result = run_bypass_chain(trace_sample=64)
         node = experiment.node
         appctl = AppCtl(node.switch, node.manager, obs=node.obs)
         stats = appctl.run("pmd/stats-show")
-        assert "pmd thread" in stats
-        assert "busy cycles" in stats and "idle cycles" in stats
+        assert 'repro_pollloop_busy_cycles{loop="ovs.pmd0"}' in stats
+        assert 'repro_pollloop_idle_cycles{loop="vm2.app"}' in stats
+        assert 'repro_pmd_stage_cycles{loop="vm2.app",stage="rx_bypass"}' \
+            in stats
         coverage = appctl.run("coverage/show")
-        assert "bypass_link_active" in coverage
+        assert 'coverage_total{event="bypass_link_active"}' in coverage
         metrics = appctl.run("metrics/dump")
         validate_prometheus_text(metrics + "\n")
         traces = appctl.run("trace/dump", "2")
@@ -313,9 +330,9 @@ class TestReportAndArtifacts:
     def test_report_contains_every_section(self):
         experiment, _result = run_bypass_chain(trace_sample=64)
         report = experiment.obs.report()
-        for section in ("pmd/stats-show", "coverage/show", "trace/dump",
-                        "metrics/dump"):
-            assert section in report
+        for section in ("trace/dump", "metrics/dump"):
+            assert "\n%s\n" % section in report
+        assert report.endswith(experiment.obs.dump())
 
     def test_cli_writes_parseable_artifacts(self, tmp_path, capsys):
         out_dir = tmp_path / "obs"
@@ -332,7 +349,7 @@ class TestReportAndArtifacts:
         assert snaps
         traces = (out_dir / "traces.jsonl").read_text().splitlines()
         assert traces
-        assert "pmd/stats-show" in (out_dir / "report.txt").read_text()
+        assert "metrics/dump" in (out_dir / "report.txt").read_text()
 
     def test_default_run_pays_no_tracing_cost(self):
         # With obs at defaults (no sampling) the tracer never arms.

@@ -16,19 +16,19 @@ class TestFamilies:
     def test_labeled_counter_children_are_distinct(self):
         registry = MetricsRegistry()
         for port, count in (("p0", 3), ("p1", 5)):
-            stats = type("Stats", (), {"total": count})()
-            registry.register_object("pkts", stats, ("total",),
-                                     labels={"port": port})
+            registry.register_collector(
+                lambda port=port, count=count: [Sample(
+                    "pkts_total", {"port": port}, float(count), "counter")])
         assert registry.sample_value("pkts_total", {"port": "p0"}) == 3
         assert registry.sample_value("pkts_total", {"port": "p1"}) == 5
         assert metric_shape_problems(registry.collect()) == []
 
     def test_keyword_labels(self):
         registry = MetricsRegistry()
-        stats = type("Stats", (), {"total": 1})()
-        registry.register_object("x", stats, ("total",),
-                                 labels={"a": 1, "b": 2})
-        assert registry.sample_value("x_total", {"a": "1", "b": "2"}) == 1
+        registry.register_collector(lambda: [
+            Sample("x_total", {"a": "1", "b": "2"}, 1.0, "counter")])
+        # Label values are strings; a lookup may name them by value.
+        assert registry.sample_value("x_total", {"a": 1, "b": 2}) == 1
 
     def test_label_arity_enforced(self):
         samples = [Sample("y_total", {"a": "1"}, 1.0, "counter"),
@@ -59,13 +59,15 @@ class TestFamilies:
 
 class TestCollectors:
     def test_register_object_reads_lazily(self):
+        # A collector reads the object it wraps at scrape time.
         class Stats:
             hits = 0
 
         stats = Stats()
         registry = MetricsRegistry()
-        registry.register_object("repro_test", stats, ("hits",),
-                                 labels={"who": "emc"})
+        registry.register_collector(lambda: [Sample(
+            "repro_test_hits", {"who": "emc"}, float(stats.hits),
+            "counter")])
         assert registry.sample_value("repro_test_hits",
                                      {"who": "emc"}) == 0
         stats.hits = 42  # the hot path mutates its plain attribute...
@@ -94,15 +96,3 @@ class TestCoverage:
         assert registry.sample_value(
             "coverage_total", {"event": "bypass_link_active"}
         ) == 3
-
-    def test_coverage_report_lists_hits_then_zeros(self):
-        registry = MetricsRegistry()
-        registry.coverage("seen")
-        registry.coverage("never", 0)
-        report = registry.coverage_report()
-        assert "seen" in report
-        assert "1 events never hit" in report
-        assert report.index("seen") < report.index("never")
-
-    def test_empty_coverage_report(self):
-        assert "no coverage" in MetricsRegistry().coverage_report()

@@ -34,6 +34,7 @@ from repro.sim.engine import Environment
 from repro.sim.pollloop import IdleContract, PollLoop
 from repro.traffic.generator import SourceApp, WireSource
 from repro.traffic.sink import SinkApp
+from repro.vswitch.appctl import AppCtl
 from repro.vswitch.vswitchd import VSwitchd
 
 from tests.helpers import mk_mbuf
@@ -672,10 +673,14 @@ def test_parks_and_replayed_polls_are_exported():
     # ... but not events: the engine counted far fewer than were polled.
     polled = sum(loop.iterations for loop in rig.loops)
     assert rig.env.events_processed < polled // 5
-    text = rig.node.switch.pmd_cycle_report().render()
+    shown = AppCtl(rig.node.switch, obs=rig.node.obs).run(
+        "pmd/stats-show").splitlines()
     loop = rig.node.switch._pmd_loops[0]
-    assert "iterations: %d (%d idle, %d replayed)" % (
-        loop.iterations, loop.idle_iterations, loop.replayed_polls) in text
+    for name, value in (("iterations_total", loop.iterations),
+                        ("idle_iterations_total", loop.idle_iterations),
+                        ("replayed_polls_total", loop.replayed_polls)):
+        assert 'repro_pollloop_%s{loop="%s"} %d' % (
+            name, loop.name, value) in shown
 
 
 def test_run_returns_when_only_parked_loops_remain():
