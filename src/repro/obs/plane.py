@@ -59,6 +59,9 @@ _BARE_COUNTER_FAMILIES = frozenset((
     "repro_megaflow", "repro_flowplan", "repro_rekey", "repro_ring",
     "repro_pmd_channel"))
 
+#: How many sampled path traces ``Observability.report()`` prints.
+REPORT_TRACES = 10
+
 
 class Observability:
     """Registry + tracer + cycle report + snapshotter for one host."""
@@ -757,10 +760,11 @@ class Observability:
         return "\n".join(lines) or "no samples named %s*" % "*, ".join(
             prefixes)
 
-    def report(self, trace_limit: int = 10) -> str:
-        """The full end-of-run observability report (CLI ``--obs-report``)."""
+    def report(self) -> str:
+        """The full end-of-run observability report (CLI ``--obs-report``):
+        the first ``REPORT_TRACES`` sampled traces, then ``metrics/dump``."""
         sections = [
-            ("trace/dump", self.tracer.render(limit=trace_limit)),
+            ("trace/dump", self.tracer.render(limit=REPORT_TRACES)),
             ("metrics/dump", self.dump()),
         ]
         blocks = []

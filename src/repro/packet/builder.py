@@ -31,11 +31,19 @@ def _zero_pad(length: int) -> bytes:
     return bytes(length)
 
 
+@functools.lru_cache(maxsize=256)
+def _mac_from_text(text: str) -> MacAddress:
+    """One ``MacAddress`` per address text, shared: it is frozen, and a
+    set-field action replaces a header's address instead of changing
+    it.  Malformed text raises every time: a raise is not cached."""
+    return MacAddress.from_string(text)
+
+
 def _resolve_mac(mac) -> MacAddress:
     if isinstance(mac, MacAddress):
         return mac
     if isinstance(mac, str):
-        return MacAddress.from_string(mac)
+        return _mac_from_text(mac)
     return MacAddress(int(mac))
 
 

@@ -49,6 +49,10 @@ class FlowKey(NamedTuple):
 
 EMPTY_L3 = (0, 0, 0, 0, 0, 0)
 
+# ``tuple.__new__(FlowKey, fields)`` builds a key without the Python
+# frame of the namedtuple's own ``__new__``.
+_new_key = tuple.__new__
+
 
 def extract_flow_key(packet: Packet, in_port: int) -> FlowKey:
     """Build the :class:`FlowKey` for ``packet`` received on ``in_port``.
@@ -56,46 +60,61 @@ def extract_flow_key(packet: Packet, in_port: int) -> FlowKey:
     The header stack is walked once: of each header type the first one
     wins, the header :meth:`Packet.get` would return.
     """
-    first = {type(header): header for header in reversed(packet.headers)}
-    eth = first.get(Ethernet)
+    eth = vlan = ipv4 = ipv6 = tcp = udp = icmp = None
+    # Walked backwards, so the last assignment of each type is the
+    # first header of that type.
+    for header in reversed(packet.headers):
+        kind = type(header)
+        if kind is Ethernet:
+            eth = header
+        elif kind is IPv4:
+            ipv4 = header
+        elif kind is Udp:
+            udp = header
+        elif kind is Tcp:
+            tcp = header
+        elif kind is Vlan:
+            vlan = header
+        elif kind is IPv6:
+            ipv6 = header
+        elif kind is Icmp:
+            icmp = header
     if eth is None:
-        return FlowKey(in_port, 0, 0, 0, 0, *EMPTY_L3)
+        return _new_key(FlowKey, (in_port, 0, 0, 0, 0) + EMPTY_L3)
 
-    vlan = first.get(Vlan)
-    vlan_vid = vlan.vid if vlan is not None else 0
-    eth_type = vlan.eth_type if vlan is not None else eth.eth_type
+    if vlan is not None:
+        vlan_vid, eth_type = vlan.vid, vlan.eth_type
+    else:
+        vlan_vid, eth_type = 0, eth.eth_type
 
     ip_src = ip_dst = ip_proto = ip_tos = 0
     l4_src = l4_dst = 0
 
-    ipv4 = first.get(IPv4)
     if ipv4 is not None and eth_type == ETH_TYPE_IPV4:
         ip_src, ip_dst = ipv4.src, ipv4.dst
         ip_proto, ip_tos = ipv4.proto, ipv4.tos
-    else:
-        ipv6 = first.get(IPv6)
-        if ipv6 is not None:
-            # Classify IPv6 on the low 32 bits: enough to discriminate
-            # flows in the workloads we generate while keeping the key
-            # compact.
-            ip_src = ipv6.src & 0xFFFFFFFF
-            ip_dst = ipv6.dst & 0xFFFFFFFF
-            ip_proto = ipv6.next_header
-            ip_tos = ipv6.traffic_class
+    elif ipv6 is not None:
+        # Classify IPv6 on the low 32 bits: enough to discriminate
+        # flows in the workloads we generate while keeping the key
+        # compact.
+        ip_src = ipv6.src & 0xFFFFFFFF
+        ip_dst = ipv6.dst & 0xFFFFFFFF
+        ip_proto = ipv6.next_header
+        ip_tos = ipv6.traffic_class
 
-    if ip_proto in (IP_PROTO_TCP, IP_PROTO_UDP):
-        l4 = first.get(Tcp if ip_proto == IP_PROTO_TCP else Udp)
-        if l4 is not None:
-            l4_src, l4_dst = l4.src_port, l4.dst_port
+    if ip_proto == IP_PROTO_UDP:
+        if udp is not None:
+            l4_src, l4_dst = udp.src_port, udp.dst_port
+    elif ip_proto == IP_PROTO_TCP:
+        if tcp is not None:
+            l4_src, l4_dst = tcp.src_port, tcp.dst_port
     elif ip_proto == IP_PROTO_ICMP:
-        icmp = first.get(Icmp)
         if icmp is not None:
             l4_src, l4_dst = icmp.icmp_type, icmp.code
 
-    # Positional, in field order: keywords cost more than the walk.
-    return FlowKey(in_port, eth.src.value, eth.dst.value, eth_type,
-                   vlan_vid, ip_src, ip_dst, ip_proto, ip_tos,
-                   l4_src, l4_dst)
+    return _new_key(FlowKey, (in_port, eth.src.value, eth.dst.value,
+                              eth_type, vlan_vid, ip_src, ip_dst, ip_proto,
+                              ip_tos, l4_src, l4_dst))
 
 
 def key_with_port(key: FlowKey, in_port: int) -> FlowKey:
@@ -150,7 +169,12 @@ class RekeyMemo:
         self._ports.pop(in_port, None)
 
     def keys_at(self, mbufs, in_port: int) -> List[FlowKey]:
-        """:func:`cached_flow_key` for each mbuf of a burst from one port."""
+        """The flow key of each mbuf of a burst from one port.
+
+        A key found on the mbuf (a source's template key) is re-keyed
+        through the memo; one extracted here lives in the returned list
+        only and is not written back, so it goes with the burst.
+        """
         memo = self._ports.get(in_port)
         if memo is None:
             memo = self._ports[in_port] = {}
@@ -159,7 +183,7 @@ class RekeyMemo:
         for mbuf in mbufs:
             key = mbuf.userdata
             if key is None:
-                key = mbuf.userdata = extract_flow_key(mbuf.packet, in_port)
+                key = extract_flow_key(mbuf.packet, in_port)
             elif key.in_port != in_port:
                 rekeyed += 1
                 cached = memo.get(key)

@@ -24,10 +24,6 @@ class Mbuf:
     wire_length:
         Frame length in bytes as it would appear on the wire (used by the
         byte counters and the NIC serialization model).
-    port:
-        Receive port id, -1 after every allocation.  Nothing in the
-        simulator stamps it: the datapath passes the input port beside
-        the descriptor (``in_port``) instead.
     seq:
         Generator sequence number (latency probes match on it).
     ts_injected:
@@ -38,7 +34,6 @@ class Mbuf:
     __slots__ = (
         "packet",
         "wire_length",
-        "port",
         "seq",
         "ts_injected",
         "refcnt",
@@ -59,7 +54,6 @@ class Mbuf:
         self.holder: Optional[str] = None
         self.packet: Any = None
         self.wire_length = 0
-        self.port = -1
         self.seq = -1
         self.ts_injected = -1.0  # -1 = never stamped
         self.refcnt = 1
@@ -74,7 +68,6 @@ class Mbuf:
         added here goes there too — a test compares the two)."""
         self.packet = None
         self.wire_length = 0
-        self.port = -1
         self.seq = -1
         self.ts_injected = -1.0
         self.refcnt = 1
@@ -95,6 +88,6 @@ class Mbuf:
             self.pool.put(self)
 
     def __repr__(self) -> str:
-        return "<Mbuf port=%d len=%d seq=%d refcnt=%d>" % (
-            self.port, self.wire_length, self.seq, self.refcnt
+        return "<Mbuf len=%d seq=%d refcnt=%d>" % (
+            self.wire_length, self.seq, self.refcnt
         )

@@ -469,9 +469,10 @@ class Datapath:
     # -- the stateful tier (repro.state) ------------------------------------------------
 
     def _xfsm_packet(self, stateful: List[XfsmAction], mbuf: Mbuf,
-                     in_port: int, now: float, stages=None
+                     key: FlowKey, now: float, stages=None
                      ) -> "tuple[float, bool]":
-        """Run one packet through its rule's XFSM delegations.
+        """Run one packet, whose flow key is ``key``, through its rule's
+        XFSM delegations.
 
         Returns ``(cpu cost, allowed)``; a denied (or unresolvable)
         packet is freed here.  Evaluation is per packet: packets of one
@@ -481,7 +482,6 @@ class Datapath:
         costs = self.costs
         cost = 0.0
         allowed = True
-        key = cached_flow_key(mbuf, in_port)
         for action in stateful:
             cost += costs.ovs_xfsm_exec
             self.xfsm_evaluated += 1
@@ -729,7 +729,7 @@ class Datapath:
                 survivors = []
                 for mbuf in batch:
                     xfsm_cost, allowed = self._xfsm_packet(
-                        plan.stateful, mbuf, in_port, now, stages=stages)
+                        plan.stateful, mbuf, key, now, stages=stages)
                     total_cost += xfsm_cost
                     if allowed:
                         survivors.append(mbuf)

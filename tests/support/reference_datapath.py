@@ -131,7 +131,8 @@ def _process_scalar(self, dispatch, mbufs, in_port, now, output_batches,
             combined = [action for action in combined
                         if not isinstance(action, XfsmAction)]
             xfsm_cost, allowed = self._xfsm_packet(
-                stateful, mbuf, in_port, now, stages=stages)
+                stateful, mbuf, cached_flow_key(mbuf, in_port), now,
+                stages=stages)
             total_cost += xfsm_cost
             if not allowed:
                 continue

@@ -83,7 +83,6 @@ class Mempool:
             # Mbuf.reset(), without the call per descriptor.
             mbuf.packet = None
             mbuf.wire_length = 0
-            mbuf.port = -1
             mbuf.seq = -1
             mbuf.ts_injected = -1.0
             mbuf.refcnt = 1

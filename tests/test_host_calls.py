@@ -70,14 +70,14 @@ CEILING_CALLS_PER_EVENT = 29.8
 # before the ceiling was last re-pinned (the 1 ms run is mostly
 # control-plane settle).
 CEILING_CALLS_PER_DELIVERED_PACKET = 19.9
-# 31.74 calls per packet (761,734 calls, 24,000 packets: perfbench's
+# 25.76 calls per packet (618,240 calls, 24,000 packets: perfbench's
 # switch_miss_churn --quick, seed 1), plus 10 %.  Lower it when the count
 # falls; raising it needs a reason.  It read 48.77 while every flow key
-# took five header scans and every megaflow hit a pipeline walk, and
-# 31.80 before a switch port counted its bytes inline.  It reads 31.76
-# (762,148 calls) since a strict flowmod finds its rule by hashing the
-# match instead of walking the table.
-CEILING_CALLS_PER_PACKET_ON_THE_MISS_PATH = 34.9
+# took five header scans and every megaflow hit a pipeline walk, 31.80
+# before a switch port counted its bytes inline, and 31.76 while a flow
+# key was built through a per-packet dict and the namedtuple's
+# ``__new__`` and each MAC address text was parsed per packet.
+CEILING_CALLS_PER_PACKET_ON_THE_MISS_PATH = 28.4
 # 6,203 calls from setup() to _setup_done() (perfbench's
 # switch_miss_churn --quick, seed 1: 130 rules installed), plus 10 %.
 # Lower it when the count falls; raising it needs a reason.  It read

@@ -127,10 +127,10 @@ class TestMempool:
     def test_reset_on_alloc(self):
         pool = Mempool("p", size=1)
         mbuf = pool.get()
-        mbuf.port = 9
+        mbuf.seq = 9
         mbuf.free()
         again = pool.get()
-        assert again.port == -1
+        assert again.seq == -1
 
     def test_get_bulk_resets_every_slot_as_reset_does(self):
         """``get_bulk`` resets its descriptors inline: slot for slot

@@ -173,9 +173,9 @@ class TestRekeyMemo:
         burst.append(Mbuf())                      # nothing cached yet
         burst[-1].packet = make_udp_packet(src_port=2003)
         keys = memo.keys_at(burst, in_port=7)
-        assert keys == [cached_flow_key(mbuf, 7) for mbuf in burst]
-        assert burst[-1].userdata is keys[-1]     # extracted at port 7
+        assert burst[-1].userdata is None         # the key stays in keys
         assert burst[0].userdata.in_port == 0     # template not rewritten
+        assert keys == [cached_flow_key(mbuf, 7) for mbuf in burst]
 
     def test_steady_flow_rekeys_once_per_port(self):
         memo = RekeyMemo()
@@ -238,8 +238,7 @@ class TestMbuf:
 
     def test_reset_clears_metadata(self):
         mbuf = Mbuf()
-        mbuf.port = 3
         mbuf.seq = 9
         mbuf.userdata = "x"
         mbuf.reset()
-        assert mbuf.port == -1 and mbuf.seq == -1 and mbuf.userdata is None
+        assert mbuf.seq == -1 and mbuf.userdata is None
