@@ -360,9 +360,7 @@ def dynamic_fallback(rate_pps):
         "delivered": delivered,
         "in_flight": in_flight,
         "lost": source.generated - delivered - in_flight,
-        "salvaged_at_teardown":
-            history[0].teardown_request.salvaged_packets,
-        "stall_rejects": node.vms["vm1"].pmd("dpdkr0").tx_stall_rejects,
+        "tx_refused": source.tx_failures,
         "fallback_window_mpps": _window_mpps(established, fallback),
         "restored_mpps": _window_mpps(fallback, restored),
         "link_states": [link.state.value for link in history],
@@ -431,7 +429,7 @@ def handover(rate_pps, ordered):
         "generated": source.generated,
         "delivered": sink.received,
         "inversions": sink.inversions,
-        "stall_rejects": node.vms["vm1"].pmd("dpdkr0").tx_stall_rejects,
+        "tx_refused": source.tx_failures,
     }
 
 
@@ -628,10 +626,9 @@ def run_checks(doc):
     check("A-detect.receiver_back_on_normal_channel",
           detect["receiver_on_bypass"], "==", False)
 
-    # A-fallback: zero loss across revoke/restore.  The ordered teardown
-    # stalls the sender for ~2 virtio-serial RTTs inside the fallback
-    # window (the price of zero reordering — see A-handover), so that
-    # window dips by a bounded amount; afterwards the full rate is back.
+    # A-fallback: zero loss across revoke/restore, and the teardown
+    # refuses the application at most one burst: the sender leaves the
+    # bypass with a drain marker instead of a stall.
     fall = exp["A-fallback"]
     offered = fall["rate_pps"] / 1e6
     check("A-fallback.zero_loss", fall["lost"], "==", 0)
@@ -639,8 +636,8 @@ def run_checks(doc):
           fall["fallback_window_mpps"], ">", 0.75 * offered)
     check("A-fallback.rate_restored",
           fall["restored_mpps"], ">", 0.9 * offered)
-    check("A-fallback.stall_rejects_under_50_ms_worth",
-          fall["stall_rejects"], "<", fall["rate_pps"] * 0.05)
+    check("A-fallback.tx_refused_within_one_burst",
+          fall["tx_refused"], "<=", 32)
     check("A-fallback.first_link_full_lifecycle",
           fall["link_states"][0], "==", "removed")
     check("A-fallback.fresh_link_active", fall["active_bypasses"], "==", 1)
@@ -885,7 +882,7 @@ COLUMNS = {
     "A-frame": ("frame_size", "traditional_mpps", "ours_mpps",
                 "line_rate_cap_mpps", "speedup"),
     "A-handover": ("variant", "generated", "delivered", "inversions",
-                   "stall_rejects"),
+                   "tx_refused"),
     "A-graph": ("variant", "throughput_mpps", "web_delivered",
                 "other_delivered", "cache_hits", "cache_hit_rate",
                 "monitor_flows", "active_bypasses"),

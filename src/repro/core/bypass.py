@@ -7,8 +7,8 @@ channel lifecycle through the compute agent:
   its :class:`~repro.core.stats.BypassStatsBlock`, then ask the agent to
   plug it into both VMs and reconfigure the PMDs (receiver before
   sender);
-* **teardown** — ask the agent to stall the sender, detach the
-  receiver, re-home what is left in the ring, resume the sender and
+* **teardown** — ask the agent to detach the sender (its drain marker
+  hands the ring's contents to the receiver), detach the receiver and
   unplug; afterwards release the zone.  The stats block is retained
   forever so flow/port statistics stay correct.
 
@@ -661,14 +661,13 @@ class BypassManager:
         """Emergency live fallback: the watchdog found the channel sick.
 
         A forced dismantle (no sim time passes, so nothing can
-        interleave): stall the sender, detach the receiver, salvage
+        interleave): move the sender to the switch path, salvage
         everything still in the bypass ring onto the receiver's *normal*
-        channel in ring order — receivers poll the normal channel first,
-        so salvaged packets are delivered before anything the sender
-        later pushes via the vSwitch; a smashed slot is counted lost —
-        resume the sender on the switch path, unplug the zone from both
-        endpoints.  The link then goes to the quarantine ladder with the
-        ``degraded`` reason (heartbeat-gated automatic re-admission).
+        channel in ring order — ahead of anything the sender pushes via
+        the vSwitch from then on; a smashed slot is counted lost —
+        detach the receiver, unplug the zone from both endpoints.  The
+        link then goes to the quarantine ladder with the ``degraded``
+        reason (heartbeat-gated automatic re-admission).
 
         Zero loss toward a living receiver, zero reordering — the same
         guarantee orderly teardown gives, under failure.
@@ -716,7 +715,6 @@ class BypassManager:
             bypass_link.src_port_name,
             bypass_link.dst_port_name,
             bypass_link.zone_name,
-            ring=bypass_link.ring,
         )
         bypass_link.teardown_request = request
         yield from self._await_request(

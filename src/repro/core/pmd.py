@@ -21,10 +21,12 @@ One refinement over the paper's sketch: channel handovers are *ordered*
 (:class:`TxState`).  The paper only promises transparency; a naive flip
 lets a packet on the new channel overtake in-flight packets on the old
 one.  Here establishment gates the sender on its normal TX ring
-draining (receivers poll the normal channel first), and teardown stalls
-the sender while the host re-homes bypass leftovers — so a flow crosses
-both transitions with no loss *and* no reordering, which the
-integration suite asserts end-to-end.
+draining (receivers poll the normal channel first), and teardown is a
+snapshot marker (Chandy & Lamport): the sender writes a drain marker
+into the stats block and moves to the normal channel at once, and the
+receiver takes what the ring holds ahead of its normal channel — so a
+flow crosses both transitions with no loss, reordering or refusal,
+which the integration suite asserts end-to-end.
 """
 
 import enum
@@ -39,7 +41,6 @@ from repro.mem.mempool import charge
 from repro.mem.ring import Ring
 from repro.packet.flowkey import cached_flow_key
 from repro.packet.mbuf import Mbuf
-from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.state.xfsm import event_for
 from repro.waiters import Waitable
 
@@ -53,17 +54,15 @@ class TxState(enum.Enum):
     packet can never overtake an earlier one still inside the vSwitch
     (ordered handover; the receiver polls the normal channel first).
 
-    ``BYPASS -> STALLED -> NORMAL`` on teardown: the detach command
-    stalls TX entirely (bursts are refused, standard ring-full
-    backpressure) while the host salvages the bypass ring's leftovers
-    onto the normal channel in order; the resume command then releases
-    the sender onto the vSwitch path.
+    ``BYPASS -> NORMAL`` on teardown: the detach command writes the
+    drain marker into the channel's stats block and the next burst goes
+    to the vSwitch; the receiver orders the handover (see
+    :meth:`DualChannelPmd.rx_burst`).
     """
 
     NORMAL = "normal"
     PENDING_BYPASS = "pending_bypass"
     BYPASS = "bypass"
-    STALLED = "stalled"
 
 
 # The states as globals, for the burst path: an enum member read costs
@@ -101,6 +100,9 @@ class DualChannelPmd(DpdkrPmd, Waitable):
         # Consumer-side stats blocks (heartbeat targets), one per entry
         # of bypass_rx_rings: what the attach command carried, or None.
         self._rx_stats: List[Optional[BypassStatsBlock]] = []
+        # Bypass packets taken off a ring whose sender left it (drain
+        # marker) or that was detached: served ahead of every channel.
+        self._rx_backlog: List[Mbuf] = []
         self.bypass_stats: Optional[BypassStatsBlock] = None
         self.bypass_flow_id: Optional[int] = None
         # Stateful channel: a repro.state ChannelProgram carried by the
@@ -110,7 +112,8 @@ class DualChannelPmd(DpdkrPmd, Waitable):
         # object the vSwitch datapath executes, which is what conserves
         # state across establish/degrade/re-admit.
         self.bypass_xfsm = None
-        self.xfsm_exec_cost = DEFAULT_COST_MODEL.ovs_xfsm_exec
+        # Priced from the node's CostModel by GuestPmdManager.create_pmd.
+        self.xfsm_exec_cost = 0.0
         self.xfsm_evaluated = 0
         self.xfsm_drops = 0
         # Runtime-fault hooks: a plan with pmd.rx_poll specs can freeze
@@ -123,7 +126,7 @@ class DualChannelPmd(DpdkrPmd, Waitable):
         # accounting_enabled=False is the ablation that measures it (and
         # demonstrates the transparency that is lost without it).
         self._accounting_enabled = True
-        self.stats_update_cost = 4e-9
+        self.stats_update_cost = 0.0
         # ordered_handover=False reverts to the paper's naive flip
         # (immediate switch, bypass polled first) — the A-handover
         # ablation measures the reordering that this reintroduces.
@@ -133,7 +136,6 @@ class DualChannelPmd(DpdkrPmd, Waitable):
         self.tx_via_normal = 0
         self.rx_via_bypass = 0
         self.rx_via_normal = 0
-        self.tx_stall_rejects = 0
         # Corrupted (None) bypass-ring slots dropped on dequeue.
         self.rx_integrity_drops = 0
         # Bursts that left the bypass ring above its watermark: the
@@ -172,7 +174,7 @@ class DualChannelPmd(DpdkrPmd, Waitable):
 
     def _bind_tx(self) -> None:
         """Bind the TX path to the state just written: the ring for
-        NORMAL and BYPASS (None for the two states :meth:`_tx_ring`
+        NORMAL and BYPASS (None for PENDING_BYPASS, which :meth:`_tx_ring`
         decides per burst) and the per-packet ``tx_extra_cost`` — the
         shared-stats update and the channel program, paid on the bypass
         only."""
@@ -216,40 +218,22 @@ class DualChannelPmd(DpdkrPmd, Waitable):
                          else TxState.BYPASS)
         self._bind_tx()
 
-    def detach_bypass_tx(self, stall: bool = False) -> None:
-        """Leave the bypass.
+    def detach_bypass_tx(self) -> None:
+        """Leave the bypass: the next burst goes to the normal channel.
 
-        With ``stall=True`` (the orderly teardown protocol) TX is held
-        in STALLED until :meth:`resume_tx`, giving the host a window to
-        re-home the bypass ring's contents without reordering; with
-        ``stall=False`` (failure handling, unit tests) TX reverts to the
-        normal channel immediately.
+        In the ordered handover the drain marker goes into the channel's
+        stats block first: the ring now holds the last packet the bypass
+        carries, and the receiver takes it all ahead of its normal
+        channel, so nothing sent from here on can overtake it.
         """
         if self.bypass_tx_ring is None:
             raise RuntimeError("port %r has no bypass TX channel" % self.name)
+        if self.ordered_handover:
+            self.bypass_stats.tx_closed = True
         self.bypass_tx_ring = None
         self.bypass_stats = None
         self.bypass_flow_id = None
         self.bypass_xfsm = None
-        self.tx_state = (TxState.STALLED
-                         if stall and self.ordered_handover
-                         else TxState.NORMAL)
-        self._bind_tx()
-
-    def resume_tx(self) -> None:
-        """Release a STALLED sender onto the normal channel.
-
-        A no-op on an already-NORMAL port (a naive-handover PMD skips
-        the stall, but the agent's teardown protocol still sends the
-        resume command).
-        """
-        if self.tx_state == TxState.NORMAL:
-            return
-        if self.tx_state != TxState.STALLED:
-            raise RuntimeError(
-                "port %r TX is %s, not stalled"
-                % (self.name, self.tx_state.value)
-            )
         self.tx_state = TxState.NORMAL
         self._bind_tx()
 
@@ -271,7 +255,9 @@ class DualChannelPmd(DpdkrPmd, Waitable):
         self._rx_stats.append(stats)
 
     def detach_bypass_rx(self, ring: Optional[Ring] = None) -> None:
-        """Stop polling ``ring`` (or the only attached ring)."""
+        """Stop polling ``ring`` (or the only attached ring); what it
+        still holds moves to the backlog (see :meth:`_keep`), so a
+        receiver behind or frozen keeps order and loses nothing."""
         if not self.bypass_rx_rings:
             raise RuntimeError("port %r has no bypass RX channel" % self.name)
         if ring is None:
@@ -286,8 +272,39 @@ class DualChannelPmd(DpdkrPmd, Waitable):
                 "port %r does not poll that bypass ring" % self.name
             )
         self.wake_waiters()   # polls from here on no longer beat its epoch
-        del self._rx_stats[self.bypass_rx_rings.index(ring)]
+        self._keep(ring, self._rx_stats.pop(self.bypass_rx_rings.index(ring)))
         self.bypass_rx_rings.remove(ring)
+
+    def _keep(self, ring: Ring, stats: Optional[BypassStatsBlock]) -> None:
+        """Take everything ``ring`` holds into guest memory, charged to
+        this VM: the backlog :meth:`rx_burst` serves ahead of every
+        channel."""
+        if ring.head == ring.tail:
+            return
+        got = self._drop_smashed(ring.drain(), stats)
+        if stats is not None:
+            stats.rx_dequeued += len(got)
+        self.rx_via_bypass += len(got)
+        for mbuf in got:
+            if mbuf.trace is not None:
+                mbuf.trace.add(self._trace_now(), "guest-rx",
+                               channel="bypass", port=self.name)
+        if got and self.holder_token is not None:
+            charge(got, self.holder_token)
+        self._rx_backlog.extend(got)
+
+    def _drop_smashed(self, got: List[Optional[Mbuf]],
+                      stats: Optional[BypassStatsBlock]) -> List[Mbuf]:
+        """``got`` without its corrupted (None) slots, which are counted
+        here and in the shared stats block: once a smashed slot is
+        dequeued the ring looks structurally clean again, and the flag
+        is the host validator's only remaining evidence."""
+        clean = [m for m in got if m is not None]
+        smashed = len(got) - len(clean)
+        self.rx_integrity_drops += smashed
+        if stats is not None:
+            stats.rx_integrity_errors += smashed
+        return clean
 
     @property
     def bypass_tx_active(self) -> bool:
@@ -332,6 +349,11 @@ class DualChannelPmd(DpdkrPmd, Waitable):
         sender-side drain gate) keeps delivery in order — and it gives
         controller packet-outs prompt service as a side effect.
 
+        Teardown turns the order round for one ring: once its sender
+        has written the drain marker, what the ring holds is older than
+        anything that sender puts on the normal channel, so the poll
+        moves it all to the backlog, served ahead of the normal channel.
+
         Every completed poll publishes liveness: the port heartbeat
         epoch, and per bypass ring the (epoch, dequeue-cursor) pair in
         its shared stats block.  A frozen consumer (injected via the
@@ -355,17 +377,33 @@ class DualChannelPmd(DpdkrPmd, Waitable):
                 return []
         shared = self.rings
         shared.heartbeat.epoch += 1
+        for stats in self._rx_stats:
+            if stats is not None and stats.tx_closed:
+                for ring, ring_stats in zip(rings, self._rx_stats):
+                    if ring_stats is not None and ring_stats.tx_closed:
+                        self._keep(ring, ring_stats)
+                break
         mbufs: List[Mbuf] = []
         count = 0   # len(mbufs), kept as it grows
+        backlog = self._rx_backlog
+        if backlog:
+            mbufs = backlog[:max_count]
+            del backlog[:max_count]
+            count = len(mbufs)
         if self.ordered_handover:
-            mbufs = shared.to_guest.dequeue_burst(max_count)
-            if mbufs:
-                count = len(mbufs)
-                self.rx_via_normal += count
-                for mbuf in mbufs:
+            normal = shared.to_guest.dequeue_burst(max_count - count)
+            if normal:
+                got = len(normal)
+                count += got
+                self.rx_via_normal += got
+                for mbuf in normal:
                     if mbuf.trace is not None:
                         mbuf.trace.add(self._trace_now(), "guest-rx",
                                        channel="normal", port=self.name)
+                if mbufs:
+                    mbufs.extend(normal)
+                else:
+                    mbufs = normal
         if rings:
             # Fairness rotation: start from where the last *served* poll
             # left off, and advance only past a ring that actually
@@ -387,17 +425,8 @@ class DualChannelPmd(DpdkrPmd, Waitable):
                     continue
                 if None in got:
                     # A corrupted slot surfaced at the consumer: there
-                    # is nothing deliverable in it, so drop it — and
-                    # flag the shared stats block, because once the
-                    # slot is dequeued the ring looks structurally
-                    # clean again and the flag is the host validator's
-                    # only remaining evidence.
-                    clean = [m for m in got if m is not None]
-                    smashed = len(got) - len(clean)
-                    got = clean
-                    self.rx_integrity_drops += smashed
-                    if stats is not None:
-                        stats.rx_integrity_errors += smashed
+                    # is nothing deliverable in it.
+                    got = self._drop_smashed(got, stats)
                 taken = len(got)
                 if stats is not None:
                     stats.rx_epoch += 1
@@ -452,7 +481,7 @@ class DualChannelPmd(DpdkrPmd, Waitable):
         it is not already: on the rings, the plan and the PMD itself.
         """
         if (self.killed or self._rx_frozen_forever
-                or self._rx_frozen_until is not None):
+                or self._rx_frozen_until is not None or self._rx_backlog):
             return False
         faults = self._faults
         rings = self.bypass_rx_rings
@@ -485,10 +514,9 @@ class DualChannelPmd(DpdkrPmd, Waitable):
 
     def _tx_ring(self) -> Optional[Ring]:
         """The ring a burst goes to now — the ordered-handover flip
-        happens here — or None while the port refuses every burst whole
-        (killed or STALLED; :meth:`tx_room` counts the refusal).  A
-        burst calls it only when the bound ring is None or the port is
-        killed."""
+        happens here — or None while the port is killed and refuses
+        every burst whole.  A burst calls it only when the bound ring is
+        None or the port is killed."""
         if self.killed:
             return None
         if self.tx_state is _PENDING_BYPASS:
@@ -506,11 +534,6 @@ class DualChannelPmd(DpdkrPmd, Waitable):
         if ring is None or self.killed:
             ring = self._tx_ring()
         if ring is None:
-            if not self.killed:
-                # Mid-teardown: refuse the burst (ring-full semantics);
-                # the application retries or drops exactly as on
-                # congestion.
-                self.tx_stall_rejects += count
             self.stats.oerrors += count
             return 0
         if ring is self.bypass_tx_ring and self.bypass_xfsm is not None:
@@ -619,7 +642,6 @@ class DualChannelPmd(DpdkrPmd, Waitable):
             "tx_via_normal": self.tx_via_normal,
             "rx_via_bypass": self.rx_via_bypass,
             "rx_via_normal": self.rx_via_normal,
-            "tx_stall_rejects": self.tx_stall_rejects,
             "rx_integrity_drops": self.rx_integrity_drops,
             "bypass_congestion_events": self.bypass_congestion_events,
             "xfsm_evaluated": self.xfsm_evaluated,
@@ -666,6 +688,9 @@ class GuestPmdManager:
         env = self.vm.serial.env
         pmd.clock = lambda: env.now
         pmd.holder_token = "vm:%s" % self.vm.name
+        costs = self.vm.costs
+        pmd.stats_update_cost = costs.bypass_stats_update
+        pmd.xfsm_exec_cost = costs.ovs_xfsm_exec
         self.vm.eal.register_port(pmd)
         self.pmds[port_name] = pmd
         return pmd
@@ -709,10 +734,6 @@ class GuestPmdManager:
                 self._detach(args)
                 return ControlMessage("detach_bypass_ok",
                                       {"request_id": args["request_id"]})
-            if message.command == "resume_tx":
-                self.pmd(args["port_name"]).resume_tx()
-                return ControlMessage("resume_tx_ok",
-                                      {"request_id": args["request_id"]})
         except Exception as exc:
             return ControlMessage("error", {
                 "request_id": args.get("request_id"),
@@ -739,7 +760,7 @@ class GuestPmdManager:
     def _detach(self, args: Dict) -> None:
         pmd = self.pmd(args["port_name"])
         if args["role"] == "tx":
-            pmd.detach_bypass_tx(stall=args.get("stall", False))
+            pmd.detach_bypass_tx()
         else:
             # The zone is still plugged at this point (teardown detaches
             # the PMD before unplugging the device), so the ring can be

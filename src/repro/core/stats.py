@@ -38,6 +38,7 @@ class BypassStatsBlock:
         "rx_epoch",
         "rx_dequeued",
         "rx_integrity_errors",
+        "tx_closed",
     )
 
     def __init__(self, name: str, src_ofport: int, dst_ofport: int) -> None:
@@ -61,6 +62,11 @@ class BypassStatsBlock:
         # structurally clean again, so this flag is the only way the
         # host-side validator ever learns about it.
         self.rx_integrity_errors = 0
+        # The drain marker: written by the sending PMD when it leaves
+        # the channel, after its last enqueue.  From then on the ring
+        # holds all the bypass will ever carry, and the consumer takes
+        # it ahead of its normal channel (DualChannelPmd.rx_burst).
+        self.tx_closed = False
 
     def account(self, flow_id: int, packets: int, byte_count: int) -> None:
         """Called by the sending PMD after each bypass TX burst."""

@@ -9,11 +9,11 @@ vSwitch:
   ivshmem devices (in parallel), then configure the two in-guest PMDs
   over virtio-serial: receiver first, sender second (make-before-break,
   so no packet is ever written into an unwatched ring);
-* **teardown bypass** — ordered shutdown: stall the sender (the
-  receiver keeps draining the ring meanwhile), detach the receiver,
-  re-home the ring's leftovers onto the normal channel, release the
-  sender onto the vSwitch path, then unplug the device from both VMs —
-  no packet is lost or reordered.
+* **teardown bypass** — ordered shutdown: detach the sender (it writes
+  the drain marker and moves to the vSwitch path at once), detach the
+  receiver (which keeps whatever the ring still holds and serves it
+  ahead of its normal channel), then unplug the device from both VMs —
+  no packet is lost, reordered or refused.
 
 Each procedure is one generator run as an engine process, so every step
 costs modelled time and can be delayed, lost or outlived by the caller's
@@ -59,10 +59,7 @@ class AgentRequest:
     t_zones_plugged: float = 0.0
     t_rx_configured: float = 0.0
     t_tx_configured: float = 0.0
-    t_drained: float = 0.0
     t_completed: float = 0.0
-    salvaged_packets: int = 0     # re-homed onto the normal channel
-    lost_packets: int = 0         # normal channel full: freed, not delivered
     completed: bool = False
     error: Optional[str] = None   # set when the request aborted
     cancelled: bool = False       # the caller timed out and moved on
@@ -177,12 +174,11 @@ class ComputeAgent:
         src_port_name: str,
         dst_port_name: str,
         zone_name: str,
-        ring: Ring,
     ) -> AgentRequest:
-        """Remove a bypass, losing none of the packets still in ``ring``."""
+        """Remove a bypass, losing none of the packets still in its ring."""
         request = self._new_request("teardown", src_port_name,
                                     dst_port_name, zone_name)
-        return self._start(request, self._teardown_steps(request, ring))
+        return self._start(request, self._teardown_steps(request))
 
     def _new_request(self, kind: str, src: str, dst: str, zone_name: str,
                      flow_id: Optional[int] = None) -> AgentRequest:
@@ -284,7 +280,7 @@ class ComputeAgent:
         self._check_cancel(request)
 
     def _pmd_command(self, request: AgentRequest, port_name: str,
-                     command: str, role: str, **extra):
+                     command: str, role: str):
         """Send one PMD command over virtio-serial and await its reply.
 
         A reply that never comes is ended by the caller's timeout or
@@ -301,7 +297,6 @@ class ComputeAgent:
             "port_name": port_name,
             "zone_name": request.zone_name,
             "role": role,
-            **extra,
         }
         if role == "tx" and command == "attach_bypass":
             args["flow_id"] = request.flow_id
@@ -351,38 +346,24 @@ class ComputeAgent:
         self._check_cancel(request)
         request.t_completed = self.env.now
 
-    def _teardown_steps(self, request: AgentRequest, ring: Ring):
-        """Ordered teardown: tx stalled -> rx off -> salvage -> resume.
+    def _teardown_steps(self, request: AgentRequest):
+        """Ordered teardown: tx off (drain marker) -> rx off -> unplug.
 
-        Stalling the sender first means nothing new enters the bypass
-        ring while the still-attached receiver keeps draining it;
-        detaching the receiver then freezes what is left, and the quiet
-        window lets the leftovers be re-homed onto the normal channel
-        *ahead of* any future switch-path packet, so teardown reorders
-        nothing and loses nothing.
+        The sender writes the drain marker and sends on the normal
+        channel from its next burst; the receiver takes what the ring
+        holds up to the marker ahead of its normal channel, and keeps
+        whatever it has not taken when its own detach arrives.  Nothing
+        is re-homed host-side, nothing reordered, lost or refused.
         """
         yield from self._inject("agent.rpc.send")
         yield from self._pause(request, self.costs.agent_rpc)
         request.t_rpc_done = self.env.now
-        # 1. Sender off the bypass, stalled until the handover is done.
         yield from self._pmd_command(request, request.src_port_name,
-                                     "detach_bypass", "tx", stall=True)
+                                     "detach_bypass", "tx")
         request.t_tx_configured = self.env.now
-        # 2. Receiver stops polling the bypass ring.
         yield from self._pmd_command(request, request.dst_port_name,
                                      "detach_bypass", "rx")
         request.t_rx_configured = self.env.now
-        # 3. Re-home any leftovers onto the normal channel (in order:
-        #    the sender is quiesced, so nothing can overtake them).  An
-        #    overflowing normal ring (receiver badly behind) costs the
-        #    tail of the salvage, reported apart in ``lost_packets``.
-        request.salvaged_packets, lost = self._salvage(
-            ring, request.dst_port_name)
-        request.lost_packets += lost
-        request.t_drained = self.env.now
-        # 4. Release the sender onto the vSwitch path.
-        yield from self._pmd_command(request, request.src_port_name,
-                                     "resume_tx", "tx")
         yield from self._join(request, [
             self.hypervisor.unplug_ivshmem(self.owner_of(port_name),
                                            request.zone_name)
@@ -423,23 +404,22 @@ class ComputeAgent:
         died, a teardown failed, an establishment is being rolled back
         or the watchdog found the channel sick.
 
-        The ordered teardown above, run host-side in one go (no sim
-        time passes, so nothing can interleave): stall the sender,
-        detach the receiver, salvage the ring (see :meth:`_salvage`),
-        resume the sender, then unplug the zone from every endpoint VM
-        that still maps it.  A dead end is skipped and an end that never
-        reached the state being undone rejects its command — both are
-        the don't-care case.  Returns ``(salvaged, lost)``.
+        Run host-side in one go (no sim time passes, so nothing can
+        interleave): detach the sender, salvage the ring (see
+        :meth:`_salvage`), detach the receiver, then unplug the zone
+        from every endpoint VM that still maps it.  The salvage comes
+        before the receiver's detach, which would otherwise keep the
+        ring's contents itself.  A dead end is skipped and an end that
+        never reached the state being undone rejects its command — both
+        are the don't-care case.  Returns ``(salvaged, lost)``.
         """
-        self._direct_command(src_port_name, "detach_bypass", zone_name,
-                             "tx", stall=True)
+        self._direct_detach(src_port_name, zone_name, "tx")
+        counts = self._salvage(ring, dst_port_name, rehome)
         # Detach before unplugging: the receiver resolves the ring
         # through the still-mapped zone.  A frozen consumer still
         # executes host-delivered commands: the wedge is in the app's
         # poll loop, the PMD state lives in shared memory.
-        self._direct_command(dst_port_name, "detach_bypass", zone_name, "rx")
-        counts = self._salvage(ring, dst_port_name, rehome)
-        self._direct_command(src_port_name, "resume_tx", zone_name, "tx")
+        self._direct_detach(dst_port_name, zone_name, "rx")
         registry = self.hypervisor.registry
         if zone_name is not None and zone_name in registry:
             zone = registry.lookup(zone_name)
@@ -449,10 +429,9 @@ class ComputeAgent:
                     self.hypervisor.force_unplug(owner, zone_name)
         return counts
 
-    def _direct_command(self, port_name: str, command: str,
-                        zone_name: Optional[str], role: str,
-                        **extra) -> None:
-        """Best-effort PMD command delivered host-side: no serial
+    def _direct_detach(self, port_name: str, zone_name: Optional[str],
+                       role: str) -> None:
+        """Best-effort ``detach_bypass`` delivered host-side: no serial
         channel, no latency, no fault injection."""
         if not self.is_port_alive(port_name):
             return
@@ -460,8 +439,8 @@ class ComputeAgent:
         if vm is None:
             return
         args = {"request_id": -1, "port_name": port_name,
-                "zone_name": zone_name, "role": role, **extra}
+                "zone_name": zone_name, "role": role}
         try:
-            vm.serial.guest_handler(ControlMessage(command, args))
+            vm.serial.guest_handler(ControlMessage("detach_bypass", args))
         except Exception:  # noqa: BLE001 - nothing was attached: done
             pass

@@ -23,7 +23,14 @@ class HypervisorError(RuntimeError):
 
 
 class VirtualMachine:
-    """One KVM/QEMU guest."""
+    """One KVM/QEMU guest.
+
+    ``costs`` is the price list of the host it runs on (set by
+    :meth:`Hypervisor.create_vm`); the guest PMDs charge their bypass
+    extras from it.
+    """
+
+    costs: CostModel = DEFAULT_COST_MODEL
 
     def __init__(self, name: str, registry: MemzoneRegistry,
                  serial: VirtioSerial) -> None:
@@ -93,6 +100,7 @@ class Hypervisor:
             faults=self.faults,
         )
         vm = VirtualMachine(name, self.registry, serial)
+        vm.costs = self.costs
         for zone_name in boot_zones or []:
             self.registry.map_into(zone_name, name)
             vm.ivshmem_devices.append(zone_name)

@@ -520,7 +520,7 @@ class Observability:
         self.registry.register_collector(lambda: _attribute_samples(
             "repro_pmd_channel", self._guest_pmds[key],
             ("tx_via_bypass", "tx_via_normal", "rx_via_bypass",
-             "rx_via_normal", "tx_stall_rejects", "rx_integrity_drops",
+             "rx_via_normal", "rx_integrity_drops",
              "bypass_congestion_events"),
             labels, "guest PMD per-channel packet counters"))
 

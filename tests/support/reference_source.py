@@ -73,7 +73,7 @@ def resolve_tx(pmd):
     """``(ring, tx_extra_cost)`` of a burst ``pmd`` would send now,
     worked out from its state at the burst, as ``DualChannelPmd`` did
     before it bound its TX path: the ring is None while the port refuses
-    every burst (killed or STALLED); PENDING_BYPASS sends on the normal
+    every burst (killed); PENDING_BYPASS sends on the normal
     channel until that has drained and then flips — computed here, not
     made.  The extra cost is the bypass's alone: the shared-stats update
     when accounting is on, then the channel program."""

@@ -3,9 +3,9 @@
 Every establish/teardown procedure in ``core.bypass`` and
 ``hypervisor.compute_agent`` is a single generator run as an engine
 process.  These tests hold it to a clean outcome under every
-control-plane fault, pin the lifecycle's transition table, and cover the
-one ring-salvage routine on the three paths that used to forward (or
-choke on) a smashed slot.
+control-plane fault, pin the lifecycle's transition table, and cover a
+smashed slot on the orderly teardown and on the ring-salvage routine's
+two paths that used to forward (or choke on) one.
 """
 
 import itertools
@@ -100,8 +100,9 @@ def outcome(node):
                                   "retries", "teardown_failures",
                                   "quarantines", "links_recovered")},
         "lost": node.manager.packets_lost_to_failures,
-        "rehomed": len(node.registry.lookup(
-            dpdkr_zone_name("dpdkr1")).get("rx")),
+        # Kept by the receiver (orderly) or re-homed onto its normal
+        # channel (forced): either way its next poll delivers them.
+        "received": len(receiver.rx_burst(2 * IN_FLIGHT)),
     }
 
 
@@ -126,8 +127,8 @@ class TestSimAndSyncDriversAgree:
         assert not result["bypass_rx_active"]
         assert all(state in (LinkState.REMOVED, LinkState.QUARANTINED)
                    for state, _ in result["links"])
-        # Orderly or forced, the teardown re-homed what was in the ring.
-        assert result["rehomed"] == IN_FLIGHT
+        # Orderly or forced, what was in the ring reaches the receiver.
+        assert result["received"] == IN_FLIGHT
         assert result["lost"] == 0
         # One injected error costs at most one extra attempt or one
         # forced teardown, never a quarantine.
@@ -219,10 +220,13 @@ class TestSmashedSlotIsLostOnEveryDismantlePath:
         node.controller.delete_flow(Match(in_port=node.ofport("dpdkr0")))
         node.settle_control_plane()
         assert link.state == LinkState.REMOVED
-        assert self.normal_rx(node) == batch[1:]
         assert link.teardown_request.error is None
-        assert link.teardown_request.salvaged_packets == 3
-        assert link.teardown_request.lost_packets == 1
+        # Nothing was re-homed: the receiver kept the three intact
+        # packets and dropped the smashed slot itself.
+        assert self.normal_rx(node) == []
+        receiver = node.vms["vm2"].pmd("dpdkr1")
+        assert receiver.rx_burst(32) == batch[1:]
+        assert receiver.rx_integrity_drops == 1
         assert node.manager.packets_lost_to_failures == 0
 
     def test_receiver_vm_destroyed(self):

@@ -11,6 +11,7 @@ from repro.hypervisor.qemu import Hypervisor
 from repro.mem import Mempool
 from repro.mem.memzone import MemzoneRegistry
 from repro.mem.ring import Ring
+from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.engine import Environment
 from repro.state.programs import acl_program
 from repro.state.xfsm import ChannelProgram
@@ -26,7 +27,11 @@ def registry():
 @pytest.fixture
 def pmd(registry):
     rings = DpdkrSharedRings(registry, "dpdkr0")
-    return DualChannelPmd(0, rings)
+    pmd = DualChannelPmd(0, rings)
+    # Priced as GuestPmdManager.create_pmd prices it.
+    pmd.stats_update_cost = DEFAULT_COST_MODEL.bypass_stats_update
+    pmd.xfsm_exec_cost = DEFAULT_COST_MODEL.ovs_xfsm_exec
+    return pmd
 
 
 @pytest.fixture
@@ -130,31 +135,29 @@ class TestTxStateMachine:
         assert bypass_ring.dequeue() is final
 
     def test_stall_and_resume(self, pmd, bypass_ring, stats_block):
+        """Teardown stalls nothing: the detach writes the drain marker
+        and the very next burst goes to the normal channel."""
         from repro.core.pmd import TxState
 
         pmd.attach_bypass_tx(bypass_ring, stats_block, flow_id=1)
-        pmd.tx_burst([mk_mbuf()])  # flips to BYPASS
-        pmd.detach_bypass_tx(stall=True)
-        assert pmd.tx_state == TxState.STALLED
-        refused = mk_mbuf()
-        assert pmd.tx_burst([refused]) == 0
-        assert pmd.tx_stall_rejects == 1
-        pmd.resume_tx()
+        last = mk_mbuf()
+        pmd.tx_burst([last])  # flips to BYPASS
+        assert not stats_block.tx_closed
+        pmd.detach_bypass_tx()
+        assert stats_block.tx_closed   # written after the last enqueue
+        assert pmd.tx_state == TxState.NORMAL
         delivered = mk_mbuf()
         assert pmd.tx_burst([delivered]) == 1
         assert pmd.rings.to_switch.dequeue() is delivered
+        assert bypass_ring.dequeue_burst(8) == [last]
+        assert pmd.stats.oerrors == 0
 
-    def test_resume_is_noop_when_normal(self, pmd):
-        pmd.resume_tx()  # no-op: the naive-handover compatibility path
-        from repro.core.pmd import TxState
-
-        assert pmd.tx_state == TxState.NORMAL
-
-    def test_resume_rejected_mid_bypass(self, pmd, bypass_ring,
-                                        stats_block):
+    def test_naive_handover_writes_no_marker(self, pmd, bypass_ring,
+                                             stats_block):
+        pmd.ordered_handover = False
         pmd.attach_bypass_tx(bypass_ring, stats_block, flow_id=1)
-        with pytest.raises(RuntimeError):
-            pmd.resume_tx()
+        pmd.detach_bypass_tx()
+        assert not stats_block.tx_closed
 
     def test_no_stats_cost_while_pending(self, pmd, bypass_ring,
                                          stats_block):
@@ -202,6 +205,35 @@ class TestBypassRx:
         pmd.detach_bypass_rx()
         bypass_ring.enqueue(mk_mbuf())
         assert pmd.rx_burst(32) == []
+
+    def test_drain_marker_puts_the_ring_ahead_of_normal(
+            self, pmd, bypass_ring, stats_block):
+        pmd.attach_bypass_rx(bypass_ring, stats_block)
+        old = [mk_mbuf() for _ in range(3)]
+        bypass_ring.enqueue_bulk(old)
+        stats_block.tx_closed = True   # the sender left after ``old``
+        newer = mk_mbuf()              # ... and sent this via the switch
+        pmd.rings.to_guest.enqueue(newer)
+        assert pmd.rx_burst(2) == old[:2]
+        assert bypass_ring.is_empty    # taken up to the marker at once
+        assert pmd.rx_burst(32) == [old[2], newer]
+        assert pmd.rx_via_bypass == 3 and pmd.rx_via_normal == 1
+        assert stats_block.rx_dequeued == 3
+
+    def test_detach_keeps_what_the_receiver_had_not_taken(
+            self, pmd, bypass_ring, stats_block):
+        pool = Mempool("p", 8)
+        left = pool.get_bulk(2)
+        pmd.holder_token = "vm:rx"
+        pmd.attach_bypass_rx(bypass_ring, stats_block)
+        bypass_ring.enqueue_bulk(left)
+        pmd.detach_bypass_rx(bypass_ring)
+        assert bypass_ring.is_empty and not pmd.bypass_rx_active
+        assert pool.held_by("vm:rx") == 2   # a crash sweep finds them
+        assert not pmd.rx_park(object())    # the backlog is work
+        newer = mk_mbuf()
+        pmd.rings.to_guest.enqueue(newer)
+        assert pmd.rx_burst(32) == left + [newer]
 
 
 class TestGuestPmdManager:
@@ -280,46 +312,6 @@ class TestGuestPmdManager:
 class TestTxStateEdges:
     """Teardown/establishment transitions racing each other."""
 
-    def test_attach_on_stalled_then_stale_resume(self, pmd, bypass_ring,
-                                                 stats_block):
-        from repro.core.pmd import TxState
-
-        pmd.attach_bypass_tx(bypass_ring, stats_block, flow_id=1)
-        pmd.tx_burst([mk_mbuf()])  # flips to BYPASS
-        pmd.detach_bypass_tx(stall=True)
-        assert pmd.tx_state == TxState.STALLED
-        # A fresh establishment lands while the old teardown's resume is
-        # still in flight: attach wins, arming the ordered handover.
-        fresh_ring = Ring("fresh", 64)
-        pmd.attach_bypass_tx(fresh_ring, stats_block, flow_id=2)
-        assert pmd.tx_state == TxState.PENDING_BYPASS
-        # The straggler resume must not yank the PMD back to NORMAL
-        # mid-establishment — it is rejected, state untouched.
-        with pytest.raises(RuntimeError):
-            pmd.resume_tx()
-        assert pmd.tx_state == TxState.PENDING_BYPASS
-        assert pmd.bypass_tx_ring is fresh_ring
-
-    def test_stale_resume_nacks_over_serial(self, registry):
-        # Same race, through the virtio-serial command path: the error
-        # comes back as a reply carrying the request id.
-        DpdkrSharedRings(registry, "dpdkr0")
-        hypervisor = Hypervisor(registry, Environment())
-        vm = hypervisor.create_vm("vm1",
-                                  boot_zones=[dpdkr_zone_name("dpdkr0")])
-        manager = GuestPmdManager(vm)
-        pmd = manager.create_pmd("dpdkr0")
-        pmd.attach_bypass_tx(Ring("b", 64),
-                             BypassStatsBlock("b", 1, 2), flow_id=1)
-        reply = vm.serial.guest_handler(ControlMessage("resume_tx", {
-            "request_id": 42, "port_name": "dpdkr0",
-        }))
-        assert reply.command == "error"
-        assert reply.args["request_id"] == 42
-        from repro.core.pmd import TxState
-
-        assert pmd.tx_state == TxState.PENDING_BYPASS
-
     def test_stall_during_pending_bypass(self, pmd, bypass_ring,
                                          stats_block):
         from repro.core.pmd import TxState
@@ -329,16 +321,13 @@ class TestTxStateEdges:
         pmd.attach_bypass_tx(bypass_ring, stats_block, flow_id=1)
         assert pmd.tx_state == TxState.PENDING_BYPASS
         # ...and the teardown arrives before the bypass ever carried a
-        # packet.  The stall must still hold the sender (the host is
-        # about to re-home rings), and nothing was double-counted.
-        pmd.detach_bypass_tx(stall=True)
-        assert pmd.tx_state == TxState.STALLED
-        refused = mk_mbuf()
-        assert pmd.tx_burst([refused]) == 0
-        assert pmd.tx_stall_rejects == 1
-        pmd.resume_tx()
+        # packet.  The marker closes an empty ring, the sender stays on
+        # the normal channel, and nothing was double-counted.
+        pmd.detach_bypass_tx()
+        assert stats_block.tx_closed
         assert pmd.tx_state == TxState.NORMAL
-        assert pmd.tx_via_bypass == 0
+        assert pmd.tx_burst([mk_mbuf()]) == 1
+        assert pmd.tx_via_bypass == 0 and pmd.tx_via_normal == 2
         assert bypass_ring.is_empty
 
 
@@ -544,16 +533,18 @@ class TestTxRoom:
 
     def test_stalled_and_killed_refuse_whole(self, pmd, bypass_ring,
                                              stats_block):
+        """A detached sender refuses nothing; a killed one refuses
+        every burst whole."""
         pmd.ordered_handover = True
         pmd.attach_bypass_tx(bypass_ring, stats_block, flow_id=7)
-        pmd.detach_bypass_tx(stall=True)
-        assert pmd.tx_room(5) == 0
-        assert pmd.tx_stall_rejects == 5 and pmd.stats.oerrors == 5
-        assert pmd.tx_burst([mk_mbuf()]) == 0
-        assert pmd.tx_stall_rejects == 6 and pmd.stats.oerrors == 6
+        pmd.detach_bypass_tx()
+        assert pmd.tx_room(5) == 5
+        assert pmd.tx_burst([mk_mbuf()]) == 1
+        assert pmd.stats.oerrors == 0
         pmd.killed = True
         assert pmd.tx_room(3) == 0
-        assert pmd.tx_stall_rejects == 6 and pmd.stats.oerrors == 9
+        assert pmd.tx_burst([mk_mbuf()]) == 0
+        assert pmd.stats.oerrors == 4
 
     def test_stateful_channel_cannot_tell(self, pmd, stats_block):
         ring = Ring("bypass", 8)

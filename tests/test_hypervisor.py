@@ -121,8 +121,7 @@ class TestComputeAgentSync:
         _reg, hyp, agent, guests, ring = build_two_vm_stack(env)
         agent.setup_bypass("dpdkr0", "dpdkr1", "bypass.x", flow_id=42)
         env.run()
-        request = agent.teardown_bypass("dpdkr0", "dpdkr1", "bypass.x",
-                                        ring=ring)
+        request = agent.teardown_bypass("dpdkr0", "dpdkr1", "bypass.x")
         env.run()
         assert request.completed and request.error is None
         assert not guests["vm1"].pmd("dpdkr0").bypass_tx_active
@@ -131,18 +130,24 @@ class TestComputeAgentSync:
         assert not hyp.vms["vm2"].has_zone("bypass.x")
 
     def test_teardown_salvages_in_flight_packets(self):
+        """Packets the receiver never polled stay with it: nothing is
+        re-homed host-side, and they come out ahead of the normal
+        channel."""
         env = Environment()
         registry, _hyp, agent, guests, ring = build_two_vm_stack(env)
         agent.setup_bypass("dpdkr0", "dpdkr1", "bypass.x", flow_id=42)
         env.run()
         stuck = [mk_mbuf() for _ in range(3)]
         ring.enqueue_bulk(stuck)
-        request = agent.teardown_bypass("dpdkr0", "dpdkr1", "bypass.x",
-                                        ring=ring)
+        request = agent.teardown_bypass("dpdkr0", "dpdkr1", "bypass.x")
         env.run()
-        assert request.salvaged_packets == 3
+        assert request.error is None and ring.is_empty
+        normal_rx = registry.lookup(dpdkr_zone_name("dpdkr1")).get("rx")
+        assert normal_rx.is_empty
+        later = mk_mbuf()
+        normal_rx.enqueue(later)
         received = guests["vm2"].pmd("dpdkr1").rx_burst(32)
-        assert received == stuck
+        assert received == stuck + [later]
 
     def test_unknown_port_rejected(self):
         _reg, _hyp, agent, _guests, _ring = build_two_vm_stack(Environment())
@@ -183,6 +188,8 @@ class TestComputeAgentSimulated:
         assert timeline[0][1] < timeline[1][1]
 
     def test_teardown_order_rx_stall_salvage_resume(self):
+        """tx detach, then rx detach, then unplug: three steps, one
+        serial round trip fewer than the stall-and-resume protocol."""
         env = Environment()
         _reg, _hyp, agent, guests, ring = build_two_vm_stack(env)
         agent.setup_bypass("dpdkr0", "dpdkr1", "bypass.x", flow_id=1)
@@ -192,38 +199,40 @@ class TestComputeAgentSimulated:
         tx_pmd.tx_burst([mk_mbuf()])  # flips to bypass
         ring.drain()[0].free()
         ring.enqueue_bulk(stuck)
-        request = agent.teardown_bypass("dpdkr0", "dpdkr1", "bypass.x",
-                                        ring=ring)
+        request = agent.teardown_bypass("dpdkr0", "dpdkr1", "bypass.x")
         env.run(until=2.0)
         assert request.completed and request.error is None
-        # Sender stalled first, receiver detached second, salvage after —
-        # the ordered-teardown timeline.
-        assert request.t_tx_configured <= request.t_rx_configured
-        assert request.t_rx_configured <= request.t_drained
-        assert request.salvaged_packets == 4
-        # The leftovers were re-homed onto the receiver's normal channel.
+        assert request.t_tx_configured < request.t_rx_configured
+        costs = DEFAULT_COST_MODEL
+        assert request.t_completed - request.t_requested == pytest.approx(
+            costs.agent_rpc + 2 * costs.virtio_serial_rtt
+            + costs.qemu_monitor_cmd)
+        # The leftovers stayed with the receiver, in ring order.
         received = guests["vm2"].pmd("dpdkr1").rx_burst(32)
         assert received == stuck
-        # The sender is back to NORMAL (resumed), not stalled.
         from repro.core.pmd import TxState
 
         assert tx_pmd.tx_state == TxState.NORMAL
 
     def test_teardown_stalls_sender_during_salvage_window(self):
+        """Between the tx detach and the rx detach the sender is on the
+        normal channel already and refuses nothing."""
         env = Environment()
         _reg, _hyp, agent, guests, ring = build_two_vm_stack(env)
         agent.setup_bypass("dpdkr0", "dpdkr1", "bypass.x", flow_id=1)
         env.run(until=0.5)
         tx_pmd = guests["vm1"].pmd("dpdkr0")
         tx_pmd.tx_burst([mk_mbuf()])  # flips to BYPASS
-        ring.drain()[0].free()
-        agent.teardown_bypass("dpdkr0", "dpdkr1", "bypass.x", ring=ring)
-        # After rx-detach + tx-detach (~2 serial RTTs) but before the
-        # resume lands, the sender refuses bursts.
-        env.run(until=env.now + 0.045)
+        request = agent.teardown_bypass("dpdkr0", "dpdkr1", "bypass.x")
+        # After the tx detach (RPC + half a serial RTT), before the rx
+        # detach lands.
+        env.run(until=env.now + 0.02)
+        assert request.t_tx_configured == 0.0   # its reply still in flight
         from repro.core.pmd import TxState
 
-        assert tx_pmd.tx_state == TxState.STALLED
-        assert tx_pmd.tx_burst([mk_mbuf()]) == 0
-        env.run(until=env.now + 1.0)
         assert tx_pmd.tx_state == TxState.NORMAL
+        assert tx_pmd.tx_burst([mk_mbuf()]) == 1
+        assert guests["vm2"].pmd("dpdkr1").bypass_rx_active
+        env.run(until=env.now + 1.0)
+        assert request.completed and request.error is None
+        assert tx_pmd.stats.oerrors == 0

@@ -5,7 +5,7 @@ will take (``EthDev.tx_room``) and builds only those;
 ``tests/support/reference_source.py`` keeps the iteration it replaced,
 which built them all and freed what ``tx_burst`` refused.  Hypothesis
 drives one of each through the same script — ring occupancy, every TX
-state of the dual-channel PMD (NORMAL, PENDING_BYPASS, BYPASS, STALLED,
+state of the dual-channel PMD (NORMAL, PENDING_BYPASS, BYPASS,
 killed), a stateful (XFSM) channel, a pool run nearly dry, paced and
 saturating — and after every step the two worlds must read the same:
 the packets delivered, the cost charged, every counter a refusal moves,
@@ -27,6 +27,7 @@ from repro.core.stats import BypassStatsBlock
 from repro.dpdk.dpdkr import DpdkrSharedRings
 from repro.mem.memzone import MemzoneRegistry
 from repro.mem.ring import Ring
+from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.state.programs import acl_program
 from repro.state.xfsm import ChannelProgram
 from repro.traffic import SourceApp, uniform_profile
@@ -52,6 +53,9 @@ class World:
     def __init__(self, source_cls, rate_pps):
         self.pmd = DualChannelPmd(0, DpdkrSharedRings(
             MemzoneRegistry(), "p0", ring_size=64))
+        # Priced as GuestPmdManager.create_pmd prices it.
+        self.pmd.stats_update_cost = DEFAULT_COST_MODEL.bypass_stats_update
+        self.pmd.xfsm_exec_cost = DEFAULT_COST_MODEL.ovs_xfsm_exec
         self.bypass = Ring("bypass", 64)
         self.stats = BypassStatsBlock("bypass", 1, 2)
         self.channel = ChannelProgram(acl_program([_DenySrcPort()]))
@@ -88,10 +92,7 @@ class World:
                                      self.channel if arg else None)
         elif op == "detach":
             if pmd.bypass_tx_ring is not None:
-                pmd.detach_bypass_tx(stall=arg)
-        elif op == "resume":
-            if pmd.tx_state is TxState.STALLED:
-                pmd.resume_tx()
+                pmd.detach_bypass_tx()
         elif op == "kill":
             pmd.killed = arg
         elif op == "account":
@@ -131,7 +132,6 @@ class World:
             "in_use": source.pool.in_use,
             "dev": vars(pmd.stats),
             "tx_state": pmd.tx_state,
-            "tx_stall_rejects": pmd.tx_stall_rejects,
             "tx_via": (pmd.tx_via_normal, pmd.tx_via_bypass),
             "xfsm": (pmd.xfsm_evaluated, pmd.xfsm_drops),
             "normal": (len(normal), normal.enqueue_failures,
@@ -145,8 +145,7 @@ class World:
 controls = st.one_of(
     st.none(), st.none(), st.none(), st.none(),
     st.tuples(st.just("attach"), st.booleans()),
-    st.tuples(st.just("detach"), st.booleans()),
-    st.tuples(st.just("resume"), st.none()),
+    st.tuples(st.just("detach"), st.none()),
     st.tuples(st.just("kill"), st.sampled_from([True, False, False])),
     st.tuples(st.just("account"), st.booleans()),
     st.tuples(st.just("hold"), st.integers(60, 96)),
@@ -191,11 +190,11 @@ def test_ask_first_source_matches_build_then_free(rate_pps, script):
 @settings(max_examples=250, deadline=None)
 @given(st.sampled_from([None, 4e6]),
        st.lists(steps, min_size=1, max_size=50))
-# Attach onto a queued normal ring (the drain gate holds), detach with
-# a stall, resume, kill, the accounting ablation, a stateful attach.
+# Attach onto a queued normal ring (the drain gate holds), detach,
+# kill, the accounting ablation, a stateful attach.
 @example(None, [(None, 0, 0, 0.0), (("attach", False), 0, 0, 0.0),
                 (("account", False), 64, 0, 1e-6),
-                (("detach", True), 0, 0, 1e-6), (("resume", None), 0, 0, 0.0),
+                (("detach", None), 0, 0, 1e-6),
                 (("kill", True), 0, 0, 0.0), (("kill", False), 0, 0, 0.0),
                 (("attach", True), 64, 0, 1e-6)])
 # The drain gate opens between two bursts: no packet is due at the
